@@ -55,8 +55,6 @@ pub use eval::{eval, evaluate, exact_type_of, exact_type_of_parts, EvalCtx};
 pub use expr::{Bound, CmpOp, Expr, Func, Pred};
 pub use json::{escape_json, millis, number, parse_json, path_json, quote_json, JsonValue};
 pub use ops::predicate::Truth;
-pub use physical::{
-    equi_key_candidates, evaluate_physical, usable_equi_key, PhysChoice, PhysOp, PhysicalPlan,
-};
+pub use physical::{equi_key_candidates, evaluate_physical, PhysChoice, PhysOp, PhysicalPlan};
 pub use profile::{path_string, NodePath, NodeProfile, Profile, TraceSink};
 pub use verify::{resolve_deep, verify, Diagnostic, Report, Severity};

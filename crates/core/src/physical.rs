@@ -427,21 +427,6 @@ pub fn key_pair_usable(left: &MultiSet, right: &MultiSet, lf: &str, rf: &str) ->
     side_ok(left, lf, rf, &mut kind) && side_ok(right, rf, lf, &mut kind)
 }
 
-/// Find an equality conjunct of the join predicate that can soundly drive
-/// a hash-key kernel (or exchange) on these materialised inputs: the
-/// first [`equi_key_candidates`] pair — in either orientation — that
-/// passes [`key_pair_usable`].
-pub fn usable_equi_key(pred: &Pred, left: &MultiSet, right: &MultiSet) -> Option<(String, String)> {
-    for (f, g) in equi_key_candidates(pred) {
-        for (lf, rf) in [(&f, &g), (&g, &f)] {
-            if key_pair_usable(left, right, lf, rf) {
-                return Some((lf.clone(), rf.clone()));
-            }
-        }
-    }
-    None
-}
-
 /// The residual predicate of a hash equi-join: every conjunct except the
 /// first equi conjunct over exactly the key pair `{lf, rf}` (in either
 /// orientation), in original left-to-right order.  `None` when the
@@ -704,28 +689,17 @@ mod tests {
     }
 
     #[test]
-    fn candidates_and_usable_key_agree_with_data() {
+    fn candidates_and_key_guard_agree_with_data() {
         let (l, r) = tuples_lr();
         let (Value::Set(sl), Value::Set(sr)) = (&l, &r) else {
             unreachable!()
         };
         let cands = equi_key_candidates(&eq_pred());
         assert_eq!(cands, vec![("k".to_string(), "j".to_string())]);
-        assert_eq!(
-            usable_equi_key(&eq_pred(), sl, sr),
-            Some(("k".to_string(), "j".to_string()))
-        );
-        // Orientation flip: the candidate is written (j, k) but the data
-        // says j lives on the right.
-        let flipped = Pred::cmp(
-            Expr::input().extract("j"),
-            CmpOp::Eq,
-            Expr::input().extract("k"),
-        );
-        assert_eq!(
-            usable_equi_key(&flipped, sl, sr),
-            Some(("k".to_string(), "j".to_string()))
-        );
+        // The guard is orientation-sensitive: the data says k lives on
+        // the left and j on the right.
+        assert!(key_pair_usable(sl, sr, "k", "j"));
+        assert!(!key_pair_usable(sl, sr, "j", "k"));
     }
 
     #[test]

@@ -4,163 +4,28 @@
 use crate::catalog::DbCatalog;
 use crate::error::{DbError, DbResult};
 use crate::metrics::SessionMetrics;
+use crate::pipeline::{self, CatalogRef, LastPlan, Options, ReoptReport, Source, View};
 use crate::stats::{collect_object_statistics, collect_statistics};
 use excess_core::counters::Counters;
 use excess_core::eval::{evaluate, EvalCtx};
 use excess_core::expr::Expr;
-use excess_core::physical::{evaluate_physical, PhysicalPlan};
+use excess_core::physical::PhysicalPlan;
 use excess_core::profile::Profile;
 use excess_core::verify::Report;
-use excess_exec::{run_parallel, run_parallel_plan, ExecConfig, ExecReport, Tracing};
+use excess_exec::{ExecConfig, ExecOutcome, ExecReport, Tracing};
 use excess_lang::ast::{QExpr, QPred, Retrieve, Step, Stmt};
 use excess_lang::ddl::{initial_value, lower_type};
 use excess_lang::methods::{MethodDef, MethodRegistry};
 use excess_lang::translate::{resolve_this, translate_retrieve, TranslateCtx};
 use excess_lang::{parse_program, LangError};
 use excess_optimizer::{
-    annotate_columnar, apply_extent_indexes, apply_extent_indexes_journaled, cost_of,
-    elide_proven_guards, estimate_physical, lower, lower_journaled, JournalStep, MemoSnapshot,
-    Optimizer, OptimizerMode, RewriteJournal, RuleCtx, Statistics, COLUMNAR_RULE, REOPTIMIZE_RULE,
+    elide_proven_guards, estimate_physical, lower, MemoSnapshot, OptimizerMode, RewriteJournal,
+    Statistics,
 };
-use excess_telemetry::{fnv1a64, QueryRecord, QueryTrace, Span, Telemetry};
+use excess_telemetry::{QueryTrace, Telemetry};
 use excess_types::{ObjectStore, SchemaType, TypeId, TypeRegistry, Value};
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// Occurrences in a query result (what the flight recorder reports as
-/// `rows`): multiset cardinality with duplicates, array length, 1 for
-/// scalars and tuples.
-fn value_rows(v: &Value) -> u64 {
-    match v {
-        Value::Set(s) => s.len(),
-        Value::Array(a) => a.len() as u64,
-        _ => 1,
-    }
-}
-
-/// Deterministic fingerprint of a lowered plan: FNV-1a over the debug
-/// rendering (logical tree plus every kernel choice), so the same plan
-/// hashes identically across runs and sessions.
-fn plan_hash_of(plan: &PhysicalPlan) -> u64 {
-    fnv1a64(format!("{plan:?}").as_bytes())
-}
-
-/// The extent a plan node reads: walk the logical tree to the node at
-/// `path` (profiler child indexing) and take the leftmost named object
-/// under it, if any — how feedback observations get attributed to a
-/// concrete [`Statistics`] entry.
-pub(crate) fn extent_at(plan: &Expr, path: &[usize]) -> Option<String> {
-    fn first_named(e: &Expr) -> Option<String> {
-        if let Expr::Named(n) = e {
-            return Some(n.clone());
-        }
-        e.children().into_iter().find_map(first_named)
-    }
-    let mut node = plan;
-    for &i in path {
-        node = *node.children().get(i)?;
-    }
-    first_named(node)
-}
-
-/// One feedback-driven re-optimization: what triggered it, which
-/// statistics were corrected from the observed cardinalities, and how the
-/// re-derived plan compares to the one it replaces.
-#[derive(Debug, Clone)]
-pub struct ReoptReport {
-    /// Label of the query whose plan was re-derived.
-    pub label: String,
-    /// The worst recorded q-error that triggered the re-optimization.
-    pub trigger_q_error: f64,
-    /// The threshold it crossed.
-    pub threshold: f64,
-    /// `(extent, rows_before, rows_after)` for every corrected object.
-    pub corrected: Vec<(String, f64, f64)>,
-    /// Estimated cost of the old plan under the corrected statistics.
-    pub cost_before: f64,
-    /// Estimated cost of the re-derived plan (corrected statistics).
-    pub cost_after: f64,
-    /// Physical plan hash before the re-lower.
-    pub plan_hash_before: u64,
-    /// Physical plan hash after the re-lower.
-    pub plan_hash_after: u64,
-    /// The re-derived logical plan.
-    pub plan: Expr,
-}
-
-impl ReoptReport {
-    /// Human-readable block, as `explain_analyze` and the REPL print it.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "re-optimization: q-error {:.1} > threshold {:.1}",
-            self.trigger_q_error, self.threshold
-        );
-        for (name, before, after) in &self.corrected {
-            let _ = writeln!(out, "  corrected {name}: rows {before:.0} -> {after:.0}");
-        }
-        let _ = writeln!(
-            out,
-            "  cost {:.0} -> {:.0}; plan hash {:016x} -> {:016x}",
-            self.cost_before, self.cost_after, self.plan_hash_before, self.plan_hash_after
-        );
-        out
-    }
-}
-
-/// Turn a profile's preorder node list into nested operator spans.
-///
-/// Each profile node becomes one `op:` span carrying its *self* counters
-/// as numeric attributes, so summing any counter over the returned
-/// subtrees telescopes exactly to the profile total — the PR 1 invariant
-/// (`sum_of_self_counters() == total`) re-exposed on the span tree.
-/// Nesting follows path prefixes; merged parallel profiles (several
-/// fragment roots) yield several root spans.  Start offsets are not
-/// recorded per node by the profiler, so children share the execute
-/// phase's start and carry their `total_wall` as duration — containment
-/// (child ⊆ parent interval) still holds because a child's total wall is
-/// bounded by its parent's.
-fn profile_spans(profile: &Profile, start_us: u64) -> Vec<Span> {
-    use excess_core::profile::{path_string, NodePath};
-    fn is_ancestor(a: &[usize], b: &[usize]) -> bool {
-        b.len() > a.len() && b[..a.len()] == *a
-    }
-    fn pop_into(stack: &mut Vec<(NodePath, Span)>, roots: &mut Vec<Span>) {
-        let (_, done) = stack.pop().expect("caller checked non-empty");
-        match stack.last_mut() {
-            Some((_, parent)) => parent.children.push(done),
-            None => roots.push(done),
-        }
-    }
-    let mut roots: Vec<Span> = Vec::new();
-    let mut stack: Vec<(NodePath, Span)> = Vec::new();
-    for n in &profile.nodes {
-        let mut span = Span::new(
-            format!("op:{} {}", n.label, path_string(&n.path)),
-            "op",
-            start_us,
-            n.total_wall.as_micros() as u64,
-        )
-        .with_meta("path", path_string(&n.path))
-        .with_num("calls", n.calls)
-        .with_num("rows_in", n.rows_in)
-        .with_num("rows_out", n.rows_out)
-        .with_num("self_us", n.self_wall.as_micros() as u64);
-        for (name, v) in n.self_counters.named_fields() {
-            span = span.with_num(name, v);
-        }
-        while matches!(stack.last(), Some((p, _)) if !is_ancestor(p, &n.path)) {
-            pop_into(&mut stack, &mut roots);
-        }
-        stack.push((n.path.clone(), span));
-    }
-    while !stack.is_empty() {
-        pop_into(&mut stack, &mut roots);
-    }
-    roots
-}
 
 /// Render a verifier [`Report`] as the `diagnostics:` block `explain` and
 /// `explain_analyze` append — empty string when there is nothing to say.
@@ -221,6 +86,15 @@ struct Procedure {
     body: Vec<Stmt>,
 }
 
+/// What [`Database::parts`] lends to one pipeline call.
+struct Parts<'a> {
+    view: View<'a>,
+    store: &'a mut ObjectStore,
+    metrics: &'a mut SessionMetrics,
+    telemetry: &'a mut Telemetry,
+    last_plan: &'a mut Option<LastPlan>,
+}
+
 /// An in-memory EXTRA/EXCESS database.
 ///
 /// `Clone` copies the whole state — schema, data, methods, metrics.
@@ -269,17 +143,13 @@ pub struct Database {
     last_memo: Option<MemoSnapshot>,
     /// Label, optimized logical plan, and physical plan hash of the last
     /// pipeline query — what `.reoptimize` forces a re-lower of.
-    last_plan: Option<(String, Expr, u64)>,
+    last_plan: Option<LastPlan>,
     /// The last feedback-driven re-optimization, if any.
     last_reopt: Option<ReoptReport>,
     last_counters: Counters,
     last_exec_report: Option<ExecReport>,
     metrics: SessionMetrics,
     telemetry: Telemetry,
-    /// Parse time and source text of the program currently being
-    /// `execute`d, consumed by the first `retrieve` it contains so the
-    /// flight recorder can attribute the parse phase and the query text.
-    pending_parse: Option<(String, u64)>,
 }
 
 impl Default for Database {
@@ -314,7 +184,6 @@ impl Database {
             last_exec_report: None,
             metrics: SessionMetrics::new(),
             telemetry: Telemetry::new(),
-            pending_parse: None,
         };
         if let Some(w) = warning {
             db.warn(w);
@@ -508,17 +377,28 @@ impl Database {
         }
         // The first retrieve of the program owns the parse time and the
         // source text for flight-recorder attribution.
-        self.pending_parse = Some((src.trim().to_string(), parse_us));
+        let mut attribution = Some((src.trim(), parse_us));
         let mut last = Value::bool(true);
         for s in stmts {
-            last = self.run_stmt(&s)?;
+            last = self.run_attributed(&s, &mut attribution)?;
         }
-        self.pending_parse = None;
         Ok(last)
     }
 
     /// Execute one parsed statement.
     pub fn run_stmt(&mut self, stmt: &Stmt) -> DbResult<Value> {
+        self.run_attributed(stmt, &mut None)
+    }
+
+    /// [`Database::run_stmt`] inside a parsed program: the first
+    /// `retrieve` takes the program's text and parse time as its
+    /// flight-record label and parse phase; later ones (and statements run
+    /// on their own) are labelled `retrieve` with no parse time.
+    fn run_attributed(
+        &mut self,
+        stmt: &Stmt,
+        attribution: &mut Option<(&str, u64)>,
+    ) -> DbResult<Value> {
         match stmt {
             Stmt::DefineType {
                 name,
@@ -576,19 +456,11 @@ impl Database {
                 Ok(Value::bool(true))
             }
             Stmt::Retrieve(r) => {
-                let (label, parse_us) = self
-                    .pending_parse
-                    .take()
-                    .unwrap_or_else(|| ("retrieve".to_string(), 0));
-                let translate_started = Instant::now();
-                let (plan, ty) = self.translate(r)?;
-                let translate_us = translate_started.elapsed().as_micros() as u64;
-                let value = self.run_pipeline(
-                    &label,
-                    &plan,
-                    &[("parse", parse_us), ("translate", translate_us)],
-                )?;
+                let (label, parse_us) = attribution.take().unwrap_or(("retrieve", 0));
+                let (value, ty) =
+                    self.run_pipeline(label, Source::Retrieve { stmt: r, parse_us })?;
                 if let Some(into) = &r.into {
+                    let ty = ty.expect("a retrieve source carries its result type");
                     self.catalog.put(into, ty, value.clone());
                     self.rebuild_extents_for(into);
                 }
@@ -632,19 +504,54 @@ impl Database {
         }
     }
 
+    // ----- the pipeline's view of this database -----
+
+    /// A read-only view for `&self` planning entry points.
+    fn view(&self) -> View<'_> {
+        View {
+            registry: &self.registry,
+            catalog: CatalogRef::Frozen(&self.catalog),
+            methods: &self.methods,
+            stats: &self.stats,
+            ranges: &self.ranges,
+        }
+    }
+
+    /// Disjoint borrows of everything one pipeline call touches: the view
+    /// with the catalog owned (so the columnar lowering can encode missing
+    /// chunks), the object store, and the slots a run is recorded into.
+    fn parts(&mut self) -> Parts<'_> {
+        Parts {
+            view: View {
+                registry: &self.registry,
+                catalog: CatalogRef::Owned(&mut self.catalog),
+                methods: &self.methods,
+                stats: &self.stats,
+                ranges: &self.ranges,
+            },
+            store: &mut self.store,
+            metrics: &mut self.metrics,
+            telemetry: &mut self.telemetry,
+            last_plan: &mut self.last_plan,
+        }
+    }
+
+    fn options(&self) -> Options {
+        Options {
+            optimize: self.optimize,
+            mode: self.optimizer_mode,
+            property_rewrites: self.property_rewrites,
+            columnar: self.columnar,
+            exec: self.exec,
+            spans: self.telemetry.spans_enabled,
+        }
+    }
+
     // ----- planning -----
 
     /// Translate a retrieve to its (unoptimized) algebra plan.
     pub fn translate(&self, r: &Retrieve) -> DbResult<(Expr, SchemaType)> {
-        let tc = TranslateCtx {
-            registry: &self.registry,
-            schemas: &self.catalog,
-            ranges: &self.ranges,
-            methods: &self.methods,
-            this_type: None,
-            params: vec![],
-        };
-        Ok(translate_retrieve(r, &tc)?)
+        pipeline::translate(&self.view(), r)
     }
 
     /// Parse a single `retrieve` and return its unoptimized plan.
@@ -659,69 +566,24 @@ impl Database {
     }
 
     /// Rule-based optimization plus extent-index rewriting, dispatched on
-    /// the session's [`OptimizerMode`].
-    ///
-    /// In memo mode (the default) the plan is interned into the memo and
-    /// explored as group transformations; the memo seeds itself with the
-    /// greedy trajectory, so its result never costs more than greedy's.
-    /// In greedy mode the legacy pass runs on both the plan as given and
-    /// its desugared form (derived σ/join nodes expanded to
-    /// SET_APPLY∘COMP), because several fusion rules — rule 15 in
-    /// particular — only match the primitive shapes; the cheaper result
-    /// wins.
+    /// the session's [`OptimizerMode`] — memoized group search by default,
+    /// the legacy greedy pass (on the plan and on its desugared form,
+    /// cheaper result wins) behind the flag.
     pub fn optimize_plan(&self, plan: &Expr) -> Expr {
-        let ctx = RuleCtx {
-            registry: &self.registry,
-            schemas: &self.catalog,
-        };
-        let opt = Optimizer::standard();
-        let best = match self.optimizer_mode {
-            OptimizerMode::Memo => opt.optimize_memo(plan, &ctx, &self.stats).plan,
-            OptimizerMode::Greedy => {
-                let a = opt.optimize_greedy(plan, &ctx, &self.stats);
-                let b = opt.optimize_greedy(&plan.desugar(), &ctx, &self.stats);
-                if b.cost < a.cost {
-                    b.plan
-                } else {
-                    a.plan
-                }
-            }
-        };
-        apply_extent_indexes(&best, &self.stats)
+        pipeline::search(&self.view(), self.optimizer_mode, plan).0
     }
 
-    /// [`Database::optimize_plan`] with a rewrite journal: the same
-    /// mode-dispatched search, but every accepted rule firing is recorded
-    /// — rule name, node path (memo steps carry the group id as their
-    /// path), cost before/after — along with the plans-enumerated tally
-    /// and any rewrites the soundness gate refused.  In memo mode the
-    /// memo's group picture is retained for [`Database::last_memo`].  The
-    /// final extent-index substitution phase is journaled (and gated)
-    /// too, under the rule name `extent-index-substitution`.  The run is
-    /// also folded into the session [`SessionMetrics`].
+    /// [`Database::optimize_plan`] with its rewrite journal: every
+    /// accepted rule firing — rule name, node path (memo steps carry the
+    /// group id as their path), cost before/after — the plans-enumerated
+    /// tally, any rewrites the soundness gate refused, and the final
+    /// extent-index substitution phase under the rule name
+    /// `extent-index-substitution`.  In memo mode the memo's group picture
+    /// is retained for [`Database::last_memo`].  The run is folded into
+    /// the session [`SessionMetrics`].
     pub fn optimize_plan_journaled(&mut self, plan: &Expr) -> (Expr, RewriteJournal) {
-        let ctx = RuleCtx {
-            registry: &self.registry,
-            schemas: &self.catalog,
-        };
-        let opt = Optimizer::standard();
-        let (best, mut journal) = match self.optimizer_mode {
-            OptimizerMode::Memo => {
-                let (best, run) = opt.optimize_memo_journaled(plan, &ctx, &self.stats);
-                self.last_memo = Some(run.snapshot);
-                (best.plan, run.journal)
-            }
-            OptimizerMode::Greedy => {
-                let (a, ja) = opt.optimize_greedy_journaled(plan, &ctx, &self.stats);
-                let (b, jb) = opt.optimize_greedy_journaled(&plan.desugar(), &ctx, &self.stats);
-                if b.cost < a.cost {
-                    (b.plan, jb)
-                } else {
-                    (a.plan, ja)
-                }
-            }
-        };
-        let best = apply_extent_indexes_journaled(&best, &self.stats, &ctx, &mut journal);
+        let (best, journal, memo) = pipeline::search(&self.view(), self.optimizer_mode, plan);
+        self.last_memo = memo;
         self.metrics.record_journal(&journal);
         (best, journal)
     }
@@ -736,96 +598,27 @@ impl Database {
     }
 
     /// Re-optimize the most recent pipeline query when its worst recorded
-    /// q-error exceeds `threshold`: fold the offending observations back
-    /// into the statistics (scan-shaped nodes snap the extent's row count
-    /// to the observed cardinality via
-    /// [`Statistics::observe_extent_rows`]; other nodes re-collect the
-    /// extent from the stored data), re-run the mode-dispatched search
-    /// and the lowering, and journal the whole re-derivation as one
-    /// `reoptimize` step.  The automatic trigger — after every traced or
-    /// `explain_analyze` query — uses [`Database::reopt_threshold`].
+    /// q-error exceeds `threshold`: the observations are folded back into
+    /// the statistics, the plan is re-searched and re-lowered, and the
+    /// re-derivation is journaled as one `reoptimize` step.  The automatic
+    /// trigger — after every traced or `explain_analyze` query — uses
+    /// [`Database::reopt_threshold`].
     fn reoptimize_threshold(&mut self, threshold: f64) -> Option<ReoptReport> {
-        // Only in the analyzed regime: before the first `analyze` the
-        // statistics are shape defaults, and "correcting" them would
-        // churn plans mid-session without any collected baseline.
-        if self.stats.objects.is_empty() {
-            return None;
-        }
-        let (label, plan, plan_hash) = self.last_plan.clone()?;
-        let mut trigger = 1.0f64;
-        let mut fixes: Vec<(String, bool, f64)> = Vec::new();
-        for e in self.telemetry.feedback.entries() {
-            if e.plan_hash != plan_hash || e.max_q_error <= threshold {
-                continue;
-            }
-            trigger = trigger.max(e.max_q_error);
-            let Some(extent) = &e.extent else { continue };
-            if fixes.iter().any(|(n, _, _)| n == extent) {
-                continue;
-            }
-            fixes.push((extent.clone(), e.op.contains("Scan"), e.mean_actual()));
-        }
-        if fixes.is_empty() {
-            return None;
-        }
-        let mut corrected = Vec::new();
-        for (extent, is_scan, actual) in fixes {
-            let before = self.stats.object(&extent).rows;
-            if is_scan {
-                self.stats.observe_extent_rows(&extent, actual);
-            } else {
-                collect_object_statistics(&self.catalog, &self.store, &extent, &mut self.stats);
-            }
-            let after = self.stats.object(&extent).rows;
-            corrected.push((extent, before, after));
-        }
-        let cost_before = cost_of(&plan, &self.stats);
-        let (new_plan, _inner) = self.optimize_plan_journaled(&plan);
-        let (physical, _) = self.lower_plan_journaled(&new_plan);
-        let cost_after = cost_of(&new_plan, &self.stats);
-        let new_hash = plan_hash_of(&physical);
-        // One `reoptimize` journal step for the re-derivation itself (the
-        // inner optimize and lower recorded their own journals above).
-        let journal = RewriteJournal {
-            steps: vec![JournalStep {
-                rule: REOPTIMIZE_RULE,
-                path: Vec::new(),
-                cost_before,
-                cost_after,
-                plan: new_plan.clone(),
-            }],
-            refused: Vec::new(),
-            plans_enumerated: 1,
-            max_plans: 0,
-            initial_cost: cost_before,
-            final_cost: cost_after,
-        };
-        self.metrics.record_journal(&journal);
-        self.telemetry.registry.inc("reoptimize.triggered");
-        self.telemetry.recorder.record(QueryRecord {
-            query: format!("reoptimize({label})"),
-            plan_hash: new_hash,
-            engine: "reoptimize".to_string(),
-            rows: 0,
-            phase_us: Vec::new(),
-            kernels: Vec::new(),
-            est_rows: None,
-            actual_rows: None,
-        });
-        self.last_plan = Some((label.clone(), new_plan.clone(), new_hash));
-        let report = ReoptReport {
-            label,
-            trigger_q_error: trigger,
+        let opts = self.options();
+        let p = self.parts();
+        let done = pipeline::reoptimize(
+            p.view,
+            p.store,
+            opts,
+            p.last_plan,
             threshold,
-            corrected,
-            cost_before,
-            cost_after,
-            plan_hash_before: plan_hash,
-            plan_hash_after: new_hash,
-            plan: new_plan,
-        };
-        self.last_reopt = Some(report.clone());
-        Some(report)
+            p.metrics,
+            p.telemetry,
+        )?;
+        self.stats = done.stats;
+        self.last_memo = done.memo;
+        self.last_reopt = Some(done.report.clone());
+        Some(done.report)
     }
 
     /// Derive per-node plan properties (duplicate-freeness, candidate
@@ -844,26 +637,7 @@ impl Database {
     /// soundness check as the rule catalogue.  The journal is folded into
     /// the session [`SessionMetrics`].
     pub fn property_rewrites_journaled(&mut self, plan: &Expr) -> (Expr, RewriteJournal) {
-        let ctx = RuleCtx {
-            registry: &self.registry,
-            schemas: &self.catalog,
-        };
-        let cost = cost_of(plan, &self.stats);
-        let mut journal = RewriteJournal {
-            steps: Vec::new(),
-            refused: Vec::new(),
-            plans_enumerated: 0,
-            max_plans: 0,
-            initial_cost: cost,
-            final_cost: cost,
-        };
-        let out = excess_optimizer::apply_property_rewrites_journaled(
-            plan,
-            &self.catalog,
-            &self.stats,
-            &ctx,
-            &mut journal,
-        );
+        let (out, journal) = pipeline::property_rewrites(&self.view(), plan);
         self.metrics.record_journal(&journal);
         (out, journal)
     }
@@ -886,31 +660,24 @@ impl Database {
     /// statistics: per spine node, the kernel the engines will run —
     /// hash equi-join vs nested loop for `rel_join`, hash
     /// grouping/distinct, scans — with the reason for each choice.  The
-    /// logical tree is carried unchanged; see
-    /// `excess_core::physical` for the soundness story.
-    pub fn lower_plan(&self, plan: &Expr) -> PhysicalPlan {
-        lower(plan, &self.stats)
-    }
-
-    /// [`Database::lower_plan`] journaled like a rewrite: one accepted
-    /// step under the rule name `physical-lowering` (logical cost before,
-    /// physical cost after) plus one refused step per join that stayed a
-    /// nested loop and why.  The journal is folded into the session
-    /// [`SessionMetrics`], so lowering shows up in `rules_fired` next to
-    /// the algebraic rules.
-    pub fn lower_plan_journaled(&mut self, plan: &Expr) -> (PhysicalPlan, RewriteJournal) {
-        let cost = cost_of(plan, &self.stats);
-        let mut journal = RewriteJournal {
-            steps: Vec::new(),
-            refused: Vec::new(),
-            plans_enumerated: 1,
-            max_plans: 0,
-            initial_cost: cost,
-            final_cost: cost,
-        };
-        let pp = lower_journaled(plan, &self.stats, &mut journal);
-        self.metrics.record_journal(&journal);
-        (pp, journal)
+    /// logical tree is carried unchanged; see `excess_core::physical` for
+    /// the soundness story.  The journal records one accepted step under
+    /// `physical-lowering` (logical cost before, physical cost after) plus
+    /// one refused step per join that stayed a nested loop and why.  With
+    /// [`Database::columnar`] on, referenced extents are chunk-encoded
+    /// ([`Database::ensure_chunks_for`]), chunk-safe kernel choices are
+    /// upgraded to their `Columnar*` variants, and the journal gains one
+    /// accepted step under `columnar-lowering` (when anything upgraded)
+    /// plus one refused step per candidate that kept its row kernel and
+    /// why.  The journal is folded into the session [`SessionMetrics`], so
+    /// lowering shows up in `rules_fired` next to the algebraic rules.
+    pub fn lower_plan(&mut self, plan: &Expr) -> (PhysicalPlan, RewriteJournal) {
+        let columnar = self.columnar;
+        let mut p = self.parts();
+        let lowered = pipeline::lower(&mut p.view, plan, columnar, false);
+        pipeline::count_chunks_built(&mut p.telemetry.registry, lowered.chunks_built);
+        p.metrics.record_journal(&lowered.journal);
+        (lowered.physical, lowered.journal)
     }
 
     /// Encode a column chunk for every base extent the plan scans whose
@@ -921,370 +688,47 @@ impl Database {
     /// a validity bitmap.  Returns how many chunks were built; each build
     /// bumps the `columnar.chunks_built` telemetry counter.
     pub fn ensure_chunks_for(&mut self, plan: &Expr) -> usize {
-        use std::collections::BTreeSet;
-        fn named(e: &Expr, out: &mut BTreeSet<String>) {
-            if let Expr::Named(n) = e {
-                out.insert(n.clone());
-            }
-            for c in e.children() {
-                named(c, out);
-            }
-        }
-        let mut names = BTreeSet::new();
-        named(plan, &mut names);
-        let mut built = 0;
-        for name in names {
-            if self.catalog.chunk(&name).is_some() {
-                continue;
-            }
-            let Some(Value::Set(set)) = self.catalog.value(&name) else {
-                continue;
-            };
-            // Measured nullability at the extent: attributes proven
-            // present and null-free skip their validity bitmaps.
-            let analysis = excess_core::analysis::analyze(&Expr::named(&name), &self.catalog);
-            let non_null: BTreeSet<String> = analysis
-                .props_at(&[])
-                .map(|p| {
-                    p.attrs
-                        .iter()
-                        .filter(|(_, ap)| ap.is_definite_key())
-                        .map(|(n, _)| n.clone())
-                        .collect()
-                })
-                .unwrap_or_default();
-            if let Some(chunk) = excess_types::Chunk::encode(set, &non_null) {
-                self.catalog.set_chunk(&name, chunk);
-                self.telemetry.registry.inc("columnar.chunks_built");
-                built += 1;
-            }
-        }
+        let built = pipeline::ensure_chunks(&mut self.catalog, plan);
+        pipeline::count_chunks_built(&mut self.telemetry.registry, built);
         built
-    }
-
-    /// [`Database::lower_plan_journaled`] plus the columnar annotation
-    /// pass: referenced extents are chunk-encoded
-    /// ([`Database::ensure_chunks_for`]), chunk-safe kernel choices are
-    /// upgraded to their `Columnar*` variants, and the journal gains one
-    /// accepted step under `columnar-lowering` (when anything upgraded)
-    /// plus one refused step per candidate that had to keep its row
-    /// kernel and why.
-    pub fn lower_plan_columnar(&mut self, plan: &Expr) -> (PhysicalPlan, RewriteJournal) {
-        let (mut pp, mut journal) = self.lower_plan_journaled(plan);
-        self.ensure_chunks_for(plan);
-        let before = journal.final_cost;
-        let (accepted, refused) = annotate_columnar(&mut pp, &self.catalog);
-        let mut delta = RewriteJournal {
-            steps: Vec::new(),
-            refused,
-            plans_enumerated: 0,
-            max_plans: 0,
-            initial_cost: before,
-            final_cost: before,
-        };
-        if !accepted.is_empty() {
-            let after = estimate_physical(&pp, &self.stats).cost;
-            delta.steps.push(JournalStep {
-                rule: COLUMNAR_RULE,
-                path: Vec::new(),
-                cost_before: before,
-                cost_after: after,
-                plan: plan.clone(),
-            });
-            delta.final_cost = after;
-        }
-        // Only the columnar delta is folded into the session metrics —
-        // `lower_plan_journaled` already recorded the lowering journal.
-        self.metrics.record_journal(&delta);
-        journal.steps.extend(delta.steps);
-        journal.refused.extend(delta.refused);
-        journal.final_cost = delta.final_cost;
-        (pp, journal)
     }
 
     /// Run a programmatically built plan through the full query pipeline —
     /// optimize (when enabled) → lower → execute on the session's engine —
     /// with telemetry: counters and latency histograms are updated, the
-    /// flight recorder gets a [`QueryRecord`] labelled `label`, and, when
+    /// flight recorder gets a `QueryRecord` labelled `label`, and, when
     /// spans are enabled, a full [`QueryTrace`] is assembled.  This is the
     /// telemetry-covered entry point for benchmark figures and tests that
     /// construct algebra plans directly instead of going through `execute`.
     pub fn run_query_plan(&mut self, label: &str, plan: &Expr) -> DbResult<Value> {
-        self.run_pipeline(label, plan, &[])
+        Ok(self.run_pipeline(label, Source::Plan(plan))?.0)
     }
 
-    /// The shared query pipeline behind `retrieve` statements and
-    /// [`Database::run_query_plan`].  `pre_phases` carries already-timed
-    /// phases (parse, translate) that happened before this call.
+    /// One query through [`pipeline::run`], recorded: the value and, for
+    /// `retrieve` sources, its declared type.
     fn run_pipeline(
         &mut self,
         label: &str,
-        plan: &Expr,
-        pre_phases: &[(&'static str, u64)],
-    ) -> DbResult<Value> {
-        let spans = self.telemetry.spans_enabled;
-        // The trace timeline starts at the first pre-phase: pre-phase
-        // spans occupy [0, base) and everything timed here is offset by
-        // `base`.
-        let base: u64 = pre_phases.iter().map(|(_, us)| us).sum();
-        let origin = Instant::now();
-        let mut phases: Vec<(&'static str, u64)> = pre_phases.to_vec();
-        let mut phase_spans: Vec<Span> = Vec::new();
-        if spans {
-            let mut cursor = 0u64;
-            for (name, us) in pre_phases {
-                phase_spans.push(Span::new(*name, "phase", cursor, *us));
-                cursor += us;
-            }
+        source: Source<'_>,
+    ) -> DbResult<(Value, Option<SchemaType>)> {
+        let opts = self.options();
+        let p = self.parts();
+        let mut outcome = pipeline::run(p.view, p.store, opts, label, source)?;
+        pipeline::record(&mut outcome, label, p.metrics, p.telemetry);
+        self.last_memo = outcome.memo;
+        self.last_counters = outcome.ran.counters;
+        self.last_exec_report = Some(outcome.ran.report);
+        self.last_plan = Some((
+            label.to_string(),
+            outcome.physical.logical,
+            outcome.plan_hash,
+        ));
+        if opts.spans {
+            // With fresh per-node observations in hand, re-derive the
+            // plan when its recorded q-error crossed the threshold.
+            let _ = self.reoptimize_threshold(self.reopt_threshold);
         }
-
-        // Infer + verify phases run only under spans: the statement path
-        // has already inferred during translation, and the parallel engine
-        // re-verifies on its own — these spans exist to show the layers,
-        // not to gate execution.
-        if spans {
-            let t0 = base + origin.elapsed().as_micros() as u64;
-            let inferred = self.infer_schema(plan);
-            let dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(t0);
-            phases.push(("infer", dur));
-            let mut s = Span::new("infer", "phase", t0, dur);
-            if let Ok(ty) = &inferred {
-                s = s.with_meta("schema", ty.to_string());
-            }
-            phase_spans.push(s);
-
-            let t0 = base + origin.elapsed().as_micros() as u64;
-            let report = self.verify_plan(plan);
-            let dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(t0);
-            phases.push(("verify", dur));
-            phase_spans.push(
-                Span::new("verify", "phase", t0, dur)
-                    .with_num("errors", report.error_count() as u64)
-                    .with_num("lints", report.lint_count() as u64),
-            );
-        }
-
-        // Optimize (journaled), with one child span per accepted and
-        // refused rewrite.
-        let plan = if self.optimize {
-            let t0 = base + origin.elapsed().as_micros() as u64;
-            let (optimized, journal) = self.optimize_plan_journaled(plan);
-            let dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(t0);
-            phases.push(("optimize", dur));
-            if spans {
-                let mut s = Span::new("optimize", "phase", t0, dur)
-                    .with_num("plans_enumerated", journal.plans_enumerated as u64)
-                    .with_num("rewrites_applied", journal.steps.len() as u64)
-                    .with_num("rewrites_refused", journal.refused.len() as u64);
-                for step in &journal.steps {
-                    s.children.push(
-                        Span::new(format!("rewrite:{}", step.rule), "rewrite", t0, 0)
-                            .with_meta("path", excess_core::profile::path_string(&step.path))
-                            .with_meta("cost_before", format!("{:.0}", step.cost_before))
-                            .with_meta("cost_after", format!("{:.0}", step.cost_after)),
-                    );
-                }
-                for refused in &journal.refused {
-                    s.children.push(
-                        Span::new(format!("refused:{}", refused.rule), "rewrite", t0, 0)
-                            .with_meta("path", excess_core::profile::path_string(&refused.path))
-                            .with_meta("reason", refused.reason.clone()),
-                    );
-                }
-                phase_spans.push(s);
-            }
-            optimized
-        } else {
-            plan.clone()
-        };
-
-        // Property-licensed rewrites (opt-in): simplifications licensed
-        // by proofs from the stored data rather than cost estimates.
-        let plan = if self.property_rewrites {
-            let t0 = base + origin.elapsed().as_micros() as u64;
-            let (rewritten, journal) = self.property_rewrites_journaled(&plan);
-            let dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(t0);
-            phases.push(("properties", dur));
-            if spans {
-                let mut s = Span::new("properties", "phase", t0, dur)
-                    .with_num("rewrites_applied", journal.steps.len() as u64)
-                    .with_num("rewrites_refused", journal.refused.len() as u64);
-                for step in &journal.steps {
-                    s.children.push(
-                        Span::new(format!("rewrite:{}", step.rule), "rewrite", t0, 0)
-                            .with_meta("path", excess_core::profile::path_string(&step.path)),
-                    );
-                }
-                phase_spans.push(s);
-            }
-            rewritten
-        } else {
-            plan
-        };
-
-        // Lower (journaled), with one child span per exercised kernel
-        // choice.
-        let t0 = base + origin.elapsed().as_micros() as u64;
-        let (mut physical, _) = if self.columnar {
-            self.lower_plan_columnar(&plan)
-        } else {
-            self.lower_plan_journaled(&plan)
-        };
-        if self.property_rewrites {
-            // Guard elision: substitute the analysis's proofs for the
-            // hash kernel's per-occurrence key checks, counted under
-            // `lowering.guard_elisions` in the telemetry registry.
-            let _ = self.elide_plan_guards(&mut physical);
-        }
-        let dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(t0);
-        phases.push(("lower", dur));
-        if spans {
-            let mut s = Span::new("lower", "phase", t0, dur);
-            for (path, choice) in &physical.choices {
-                if matches!(choice.op, excess_core::physical::PhysOp::PassThrough) {
-                    continue;
-                }
-                let mut child = Span::new(
-                    format!(
-                        "choose:{} {}",
-                        excess_core::profile::path_string(path),
-                        choice.op
-                    ),
-                    "lower",
-                    t0,
-                    0,
-                )
-                .with_meta("why", choice.why.clone());
-                if let Some(est) = choice.est_rows {
-                    child = child.with_meta("est_rows", format!("{est:.0}"));
-                }
-                s.children.push(child);
-            }
-            phase_spans.push(s);
-        }
-        let plan_hash = plan_hash_of(&physical);
-        self.last_plan = Some((label.to_string(), plan.clone(), plan_hash));
-
-        // Execute: profiled when spans are on (the profile becomes the
-        // operator span subtree and feeds the misestimation log).
-        let exec_start = base + origin.elapsed().as_micros() as u64;
-        let parallel = self.exec.is_parallel();
-        let (value, profile) = if parallel {
-            let tracing = if spans {
-                Tracing::Precise
-            } else {
-                Tracing::Off
-            };
-            self.run_plan_physical_parallel_traced(&physical, tracing)?
-        } else if spans {
-            let (v, p) = self.run_plan_physical_profiled(&physical)?;
-            (v, Some(p))
-        } else {
-            (self.run_plan_physical(&physical)?, None)
-        };
-        let exec_dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(exec_start);
-        phases.push(("execute", exec_dur));
-
-        let engine = if parallel {
-            format!("parallel({})", self.exec.workers)
-        } else {
-            "serial".to_string()
-        };
-        let rows = value_rows(&value);
-
-        // Always-on: registry counters + histograms + flight recorder.
-        let total_us: u64 = phases.iter().map(|(_, us)| us).sum();
-        self.telemetry.registry.inc("queries");
-        self.telemetry.registry.inc(if parallel {
-            "queries.parallel"
-        } else {
-            "queries.serial"
-        });
-        self.telemetry.registry.observe("query_us", total_us);
-        for (name, us) in &phases {
-            self.telemetry
-                .registry
-                .observe(&format!("phase.{name}_us"), *us);
-        }
-        for (name, v) in self.last_counters.named_fields() {
-            self.telemetry.registry.add(&format!("work.{name}"), v);
-        }
-        let kernels: Vec<(String, String)> = physical
-            .choices
-            .iter()
-            .filter(|(_, c)| !matches!(c.op, excess_core::physical::PhysOp::PassThrough))
-            .map(|(path, c)| (excess_core::profile::path_string(path), c.op.to_string()))
-            .collect();
-        let root_est = physical.choices.get(&Vec::new()).and_then(|c| c.est_rows);
-        self.telemetry.recorder.record(QueryRecord {
-            query: label.to_string(),
-            plan_hash,
-            engine: engine.clone(),
-            rows,
-            phase_us: phases.clone(),
-            kernels,
-            est_rows: root_est,
-            actual_rows: Some(rows),
-        });
-
-        // Opt-in: feedback observations and the assembled span tree.
-        if spans {
-            if let Some(profile) = &profile {
-                for (path, choice) in &physical.choices {
-                    let (Some(est), Some(node)) = (choice.est_rows, profile.node(path)) else {
-                        continue;
-                    };
-                    self.telemetry.feedback.observe(
-                        plan_hash,
-                        &excess_core::profile::path_string(path),
-                        &choice.op.to_string(),
-                        extent_at(&plan, path).as_deref(),
-                        est,
-                        node.rows_out as f64,
-                    );
-                }
-                let mut exec_span = Span::new("execute", "phase", exec_start, exec_dur)
-                    .with_meta("engine", engine.clone())
-                    .with_num("rows", rows);
-                if let Some(report) = &self.last_exec_report {
-                    if parallel {
-                        for w in &report.worker_stats {
-                            exec_span.children.push(
-                                Span::new(
-                                    format!("worker:{}", w.worker),
-                                    "worker",
-                                    exec_start + w.started.as_micros() as u64,
-                                    w.finished.saturating_sub(w.started).as_micros() as u64,
-                                )
-                                .on_lane(w.worker as u32 + 1)
-                                .with_num("tasks", w.tasks)
-                                .with_num("occurrences", w.occurrences)
-                                .with_num("busy_us", w.busy.as_micros() as u64),
-                            );
-                        }
-                    }
-                }
-                exec_span
-                    .children
-                    .extend(profile_spans(profile, exec_start));
-                phase_spans.push(exec_span);
-            }
-            let mut root =
-                Span::new("query", "phase", 0, total_us).with_meta("engine", engine.clone());
-            root.children = phase_spans;
-            self.telemetry.last_trace = Some(QueryTrace {
-                query: label.to_string(),
-                engine,
-                plan_hash,
-                root,
-            });
-            // With fresh observations in hand, re-derive the plan when
-            // its recorded q-error crossed the session threshold.
-            let threshold = self.reopt_threshold;
-            let _ = self.reoptimize_threshold(threshold);
-        }
-
-        Ok(value)
+        Ok((outcome.ran.value, outcome.schema))
     }
 
     /// Statically verify a plan against this database's catalog and type
@@ -1366,7 +810,7 @@ impl Database {
             est.cost,
             est.rows
         );
-        let pp = self.lower_plan(plan);
+        let pp = lower(plan, &self.stats);
         let phys = estimate_physical(&pp, &self.stats);
         out.push_str(&format!("physical plan (est. cost {:.0}):\n", phys.cost));
         out.push_str(&pp.render());
@@ -1386,181 +830,31 @@ impl Database {
         Ok(out?)
     }
 
-    /// Evaluate a lowered plan with the serial engine's physical
-    /// interpreter: hash kernels run where the plan chose them (subject
-    /// to the kernel's own runtime guard), everything else evaluates
-    /// exactly as [`Database::run_plan`].  Counters and session metrics
-    /// are recorded identically.
-    pub fn run_plan_physical(&mut self, plan: &PhysicalPlan) -> DbResult<Value> {
+    /// Evaluate a lowered plan on the session's engine ([`ExecConfig`],
+    /// see [`Database::set_threads`]): hash and columnar kernels run where
+    /// the plan chose them (subject to each kernel's own runtime guard),
+    /// everything else evaluates exactly as [`Database::run_plan`] — a
+    /// plan with no choices (`PhysicalPlan::passthrough`) *is*
+    /// `run_plan`.  Under a parallel configuration the partition driver
+    /// splits work by the plan's choices; one worker, OID-minting plans
+    /// and plans that fail verification run the serial interpreter, with
+    /// the reason journaled in the returned report.  `tracing` selects
+    /// per-operator profiling (precise or coarse timestamps); it changes
+    /// neither results nor counters.  Counters, session metrics and
+    /// [`Database::last_exec_report`] are recorded.
+    pub fn run_lowered(&mut self, plan: &PhysicalPlan, tracing: Tracing) -> DbResult<ExecOutcome> {
+        let exec = self.exec;
         let started = Instant::now();
-        let (out, counters) = {
-            let mut ctx = EvalCtx::new(&self.registry, &mut self.store, &self.catalog);
-            (evaluate_physical(plan, &mut ctx), ctx.counters)
-        };
-        self.last_counters = counters;
-        self.metrics.record_query(counters, started.elapsed());
-        Ok(out?)
-    }
-
-    /// [`Database::run_plan_physical`] with per-operator profiling.
-    pub fn run_plan_physical_profiled(
-        &mut self,
-        plan: &PhysicalPlan,
-    ) -> DbResult<(Value, Profile)> {
-        let started = Instant::now();
-        let (out, counters, profile) = {
-            let mut ctx = EvalCtx::new(&self.registry, &mut self.store, &self.catalog);
-            ctx.enable_tracing();
-            let out = evaluate_physical(plan, &mut ctx);
-            let profile = ctx.take_profile().expect("tracing was enabled above");
-            (out, ctx.counters, profile)
-        };
-        self.last_counters = counters;
-        self.metrics.record_query(counters, started.elapsed());
-        Ok((out?, profile))
-    }
-
-    /// Evaluate a lowered plan with the partition-parallel engine: the
-    /// driver partitions according to the plan's kernel choices instead
-    /// of re-deriving strategies, and workers run the same hash kernels
-    /// as fragment bodies.  Accounting matches
-    /// [`Database::run_plan_parallel`].
-    pub fn run_plan_physical_parallel(&mut self, plan: &PhysicalPlan) -> DbResult<Value> {
-        self.run_plan_physical_parallel_traced(plan, Tracing::Off)
-            .map(|(v, _)| v)
-    }
-
-    fn run_plan_physical_parallel_traced(
-        &mut self,
-        plan: &PhysicalPlan,
-        tracing: Tracing,
-    ) -> DbResult<(Value, Option<Profile>)> {
-        let started = Instant::now();
-        let out = run_parallel_plan(
-            plan,
-            &self.registry,
-            &mut self.store,
-            &self.catalog,
-            Some(&self.catalog),
-            self.exec,
-            tracing,
-        );
-        let wall = started.elapsed();
-        let out = out?;
+        let p = self.parts();
+        let out = pipeline::execute(&p.view, p.store, plan, exec, tracing)?;
         self.last_counters = out.counters;
-        let effective_workers = if out.report.worker_stats.is_empty() {
-            1
-        } else {
-            out.report.workers
-        };
-        self.metrics
-            .record_query_mode(out.counters, wall, effective_workers);
-        self.last_exec_report = Some(out.report);
-        Ok((out.value, out.profile))
-    }
-
-    /// Evaluate a plan with the partition-parallel engine under the
-    /// session's [`ExecConfig`] (see [`Database::set_threads`]).  The
-    /// result is `canon`-identical to [`Database::run_plan`]; counters,
-    /// session metrics, and the execution journal
-    /// ([`Database::last_exec_report`]) are recorded.  Plans that fail
-    /// verification, mint OIDs, or run under one worker fall back to
-    /// serial evaluation with a journaled reason.
-    pub fn run_plan_parallel(&mut self, plan: &Expr) -> DbResult<Value> {
-        self.run_plan_parallel_traced(plan, Tracing::Off)
-            .map(|(v, _)| v)
-    }
-
-    /// [`Database::run_plan_parallel`] returning the execution journal
-    /// alongside the value.
-    pub fn run_plan_parallel_report(&mut self, plan: &Expr) -> DbResult<(Value, ExecReport)> {
-        let v = self.run_plan_parallel(plan)?;
-        let report = self
-            .last_exec_report
-            .clone()
-            .expect("run_plan_parallel records a report");
-        Ok((v, report))
-    }
-
-    /// [`Database::run_plan_parallel`] with per-operator profiling: the
-    /// merged profile spans the driver and every worker (fragment-local
-    /// paths), and its self-counter sum telescopes to the query totals
-    /// exactly as in serial profiling.
-    pub fn run_plan_parallel_profiled(&mut self, plan: &Expr) -> DbResult<(Value, Profile)> {
-        self.run_plan_parallel_traced(plan, Tracing::Precise)
-            .map(|(v, p)| (v, p.expect("tracing was enabled")))
-    }
-
-    /// [`Database::run_plan_parallel_profiled`] with coarse timestamps
-    /// (one clock sample per traced node — see
-    /// [`EvalCtx::enable_coarse_tracing`]).
-    pub fn run_plan_parallel_profiled_coarse(&mut self, plan: &Expr) -> DbResult<(Value, Profile)> {
-        self.run_plan_parallel_traced(plan, Tracing::Coarse)
-            .map(|(v, p)| (v, p.expect("tracing was enabled")))
-    }
-
-    fn run_plan_parallel_traced(
-        &mut self,
-        plan: &Expr,
-        tracing: Tracing,
-    ) -> DbResult<(Value, Option<Profile>)> {
-        let started = Instant::now();
-        let out = run_parallel(
-            plan,
-            &self.registry,
-            &mut self.store,
-            &self.catalog,
-            Some(&self.catalog),
-            self.exec,
-            tracing,
+        self.metrics.record_query_mode(
+            out.counters,
+            started.elapsed(),
+            pipeline::effective_workers(&out.report),
         );
-        let wall = started.elapsed();
-        let out = out?;
-        self.last_counters = out.counters;
-        // A whole-plan serial fallback is accounted as a serial query.
-        let effective_workers = if out.report.worker_stats.is_empty() {
-            1
-        } else {
-            out.report.workers
-        };
-        self.metrics
-            .record_query_mode(out.counters, wall, effective_workers);
-        self.last_exec_report = Some(out.report);
-        Ok((out.value, out.profile))
-    }
-
-    /// Evaluate a plan with per-operator profiling enabled; returns the
-    /// result together with the execution [`Profile`].  Work counters and
-    /// session metrics are recorded exactly as by [`Database::run_plan`]
-    /// (profiling changes neither results nor counters).
-    pub fn run_plan_profiled(&mut self, plan: &Expr) -> DbResult<(Value, Profile)> {
-        self.run_plan_traced(plan, false)
-    }
-
-    /// [`Database::run_plan_profiled`] with coarse timestamps: one clock
-    /// sample per traced node invocation instead of two (see
-    /// [`EvalCtx::enable_coarse_tracing`]), for deep plans where the
-    /// profiler's own clock reads would dominate.
-    pub fn run_plan_profiled_coarse(&mut self, plan: &Expr) -> DbResult<(Value, Profile)> {
-        self.run_plan_traced(plan, true)
-    }
-
-    fn run_plan_traced(&mut self, plan: &Expr, coarse: bool) -> DbResult<(Value, Profile)> {
-        let started = Instant::now();
-        let (out, counters, profile) = {
-            let mut ctx = EvalCtx::new(&self.registry, &mut self.store, &self.catalog);
-            if coarse {
-                ctx.enable_coarse_tracing();
-            } else {
-                ctx.enable_tracing();
-            }
-            let out = evaluate(plan, &mut ctx);
-            let profile = ctx.take_profile().expect("tracing was enabled above");
-            (out, ctx.counters, profile)
-        };
-        self.last_counters = counters;
-        self.metrics.record_query(counters, started.elapsed());
-        Ok((out?, profile))
+        self.last_exec_report = Some(out.report.clone());
+        Ok(out)
     }
 
     /// EXPLAIN ANALYZE: execute the plan with profiling and render the
@@ -1576,35 +870,20 @@ impl Database {
     /// authoritative record of what ran where.
     pub fn explain_analyze(&mut self, plan: &Expr) -> DbResult<String> {
         let estimates = excess_optimizer::estimate_nodes(plan, &self.stats);
-        let physical = self.lower_plan(plan);
-        let (profile, report) = if self.exec.is_parallel() {
-            let (_, profile) =
-                self.run_plan_physical_parallel_traced(&physical, Tracing::Precise)?;
-            (
-                profile.expect("tracing was enabled"),
-                self.last_exec_report.clone(),
-            )
-        } else {
-            let (_, profile) = self.run_plan_physical_profiled(&physical)?;
-            (profile, None)
-        };
+        let physical = lower(plan, &self.stats);
+        let ran = self.run_lowered(&physical, Tracing::Precise)?;
+        let profile = ran.profile.expect("tracing was enabled");
         // Every analyze feeds the misestimation log: per lowered node with
         // an estimate and a measured profile entry, est vs actual rows.
-        let plan_hash = plan_hash_of(&physical);
+        let plan_hash = pipeline::plan_hash_of(&physical);
         self.last_plan = Some(("explain_analyze".to_string(), plan.clone(), plan_hash));
-        for (path, choice) in &physical.choices {
-            let (Some(est), Some(node)) = (choice.est_rows, profile.node(path)) else {
-                continue;
-            };
-            self.telemetry.feedback.observe(
-                plan_hash,
-                &excess_core::profile::path_string(path),
-                &choice.op.to_string(),
-                extent_at(plan, path).as_deref(),
-                est,
-                node.rows_out as f64,
-            );
-        }
+        pipeline::observe(
+            &mut self.telemetry.feedback,
+            plan_hash,
+            &physical,
+            pipeline::value_rows(&ran.value),
+            Some(&profile),
+        );
         let mut out = crate::explain::render_explain_analyze(plan, &profile, &estimates);
         // The kernel block slots in above the `total:` footer so the
         // footer stays the render's last line.
@@ -1615,15 +894,14 @@ impl Database {
                 None => out.push_str(&phys),
             }
         }
-        if let Some(report) = report {
-            out.push_str(&crate::explain::render_parallel_execution(&report));
+        if self.exec.is_parallel() {
+            out.push_str(&crate::explain::render_parallel_execution(&ran.report));
         }
         out.push_str(&render_diagnostics(&self.verify_plan(plan)));
         // Close the loop: a q-error past the session threshold re-derives
         // the plan right here, and the correction becomes part of the
         // explain output.
-        let threshold = self.reopt_threshold;
-        if let Some(reopt) = self.reoptimize_threshold(threshold) {
+        if let Some(reopt) = self.reoptimize_threshold(self.reopt_threshold) {
             out.push_str(&reopt.render());
         }
         Ok(out)

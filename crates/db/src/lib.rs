@@ -29,11 +29,12 @@ pub mod explain;
 pub mod format;
 pub mod json;
 pub mod metrics;
+mod pipeline;
 pub mod session;
 pub mod stats;
 
 pub use catalog::{DbCatalog, NamedObject};
-pub use database::{Database, ReoptReport};
+pub use database::Database;
 pub use error::{DbError, DbResult};
 pub use explain::{render_explain_analyze, render_parallel_execution};
 pub use format::{format_result, try_table};
@@ -45,7 +46,7 @@ pub use session::{CommitBatch, Generation, QueryOutcome, ServerStats, Session, V
 
 // Re-exported so callers can configure parallel execution without naming
 // the engine crate directly.
-pub use excess_exec::{ExecConfig, ExecReport, THREADS_ENV};
+pub use excess_exec::{ExecConfig, ExecOutcome as Executed, ExecReport, Tracing, THREADS_ENV};
 // Re-exported so callers can pick the plan-search strategy (and read the
 // memo picture) without naming the optimizer crate.
 pub use excess_optimizer::{MemoSnapshot, OptimizerMode, OPTIMIZER_ENV};
@@ -54,4 +55,5 @@ pub use excess_telemetry::{
     FeedbackLog, FlightRecorder, Histogram, QueryRecord, QueryTrace, Registry, Span, Telemetry,
 };
 pub use metrics::SessionMetrics;
+pub use pipeline::ReoptReport;
 pub use stats::{collect_object_statistics, collect_statistics};

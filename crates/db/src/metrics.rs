@@ -1,7 +1,8 @@
 //! Cumulative per-session query metrics.
 //!
-//! Every `run_plan` (and its profiled variant) and every journaled
-//! optimization folds into one [`SessionMetrics`] registry hung off the
+//! Every evaluation (`run_plan`, `run_lowered`, a pipeline query) and
+//! every journaled optimization folds into one [`SessionMetrics`]
+//! registry hung off the
 //! [`Database`](crate::Database), so a session — a REPL, a benchmark
 //! binary, a test — can ask "how much work happened here, and which
 //! rewrite rules earned their keep" without instrumenting call sites.
@@ -14,7 +15,7 @@ use std::time::Duration;
 /// Cumulative counters for one database session.
 #[derive(Debug, Clone, Default)]
 pub struct SessionMetrics {
-    /// Plans evaluated (`run_plan` / `run_plan_profiled` calls).
+    /// Plans evaluated (`run_plan`, `run_lowered`, and pipeline queries).
     pub queries: u64,
     /// Queries that ran through the serial evaluator.
     pub serial_queries: u64,

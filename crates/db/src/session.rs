@@ -45,29 +45,26 @@
 //!
 //! [`Session::query`] accepts a program of `range of` declarations and
 //! `retrieve` statements (anything else must go through `commit`) and
-//! runs the same pipeline as [`Database::execute`] — translate →
-//! greedy-optimize (journaled, dual desugared pass, extent-index
-//! substitution) → lower → execute on the serial engine — entirely
-//! against the pinned generation.  Statements that mint object
-//! identities during evaluation do so in the session's private scratch
-//! store, leaving the shared generation untouched.
+//! runs the very pipeline [`Database::execute`] runs (`crate::pipeline`)
+//! — translate → search → lower → execute — over the pinned generation,
+//! with the options fixed to the serial engine, row kernels, and no span
+//! tree.  Statements that mint object identities during evaluation do so
+//! in the session's private scratch store, leaving the shared generation
+//! untouched.  A program is atomic: one that is rejected at any statement
+//! leaves none of its `range of` declarations behind.
 
 use crate::catalog::DbCatalog;
-use crate::database::{extent_at, Database};
+use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::metrics::SessionMetrics;
-use excess_core::eval::EvalCtx;
+use crate::pipeline::{self, CatalogRef, LastPlan, Options, Source, View};
 use excess_core::expr::Expr;
-use excess_core::physical::evaluate_physical;
-use excess_lang::ast::{QExpr, Retrieve, Stmt};
+use excess_exec::ExecConfig;
+use excess_lang::ast::{QExpr, Stmt};
 use excess_lang::methods::MethodRegistry;
 use excess_lang::parse_program;
-use excess_lang::translate::{translate_retrieve, TranslateCtx};
-use excess_optimizer::{
-    apply_extent_indexes_journaled, cost_of, lower_journaled, MemoSnapshot, Optimizer,
-    OptimizerMode, RewriteJournal, RuleCtx, Statistics,
-};
-use excess_telemetry::{fnv1a64, QueryRecord, RecorderSettings, Registry, Telemetry};
+use excess_optimizer::{MemoSnapshot, OptimizerMode, Statistics};
+use excess_telemetry::{RecorderSettings, Registry, Telemetry};
 use excess_types::{ObjectStore, TypeRegistry, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,6 +108,18 @@ impl Generation {
             ranges: Arc::new(db.ranges().clone()),
             methods: Arc::new(db.methods().clone()),
             stats: Arc::new(db.statistics().clone()),
+        }
+    }
+
+    /// What the pipeline reads of this generation, under `stats` (its own
+    /// or a session's corrected overlay) and the `ranges` in force.
+    fn view<'a>(&'a self, stats: &'a Statistics, ranges: &'a HashMap<String, QExpr>) -> View<'a> {
+        View {
+            registry: &self.registry,
+            catalog: CatalogRef::Frozen(&self.catalog),
+            methods: &self.methods,
+            stats,
+            ranges,
         }
     }
 }
@@ -620,7 +629,7 @@ pub struct Session {
     /// Memo picture of the last memo-mode optimization in this session.
     last_memo: Option<MemoSnapshot>,
     /// Label, optimized logical plan, and plan hash of the last query.
-    last_plan: Option<(String, Expr, u64)>,
+    last_plan: Option<LastPlan>,
     metrics: SessionMetrics,
     telemetry: Telemetry,
     closed: bool,
@@ -680,73 +689,48 @@ impl Session {
             .unwrap_or_else(|| self.snapshot.stats.clone())
     }
 
+    /// What this session hands the pipeline: today's server path — the
+    /// serial engine, row kernels, no span tree.
+    fn options(&self) -> Options {
+        Options {
+            optimize: self.optimize,
+            mode: self.optimizer_mode,
+            property_rewrites: false,
+            columnar: false,
+            exec: ExecConfig::serial(),
+            spans: false,
+        }
+    }
+
     /// Force a feedback-driven re-optimization of this session's last
     /// query: fold its recorded misestimations into a session-local copy
-    /// of the statistics (rows snap to the observed cardinalities,
-    /// distinct counts and NDVs rescale proportionally), re-run the
-    /// mode-dispatched search under the corrected copy, and return a
-    /// human-readable report.  `None` when no query has run or nothing
-    /// was observed for its plan.  The correction lives in this session
-    /// only — the shared generation is immutable — and clears on
-    /// [`Session::refresh`].
+    /// of the statistics, re-run the search and the lowering under the
+    /// corrected copy (see `Database::reoptimize_last` — the same code
+    /// runs), and return a human-readable report.  `None` when no query
+    /// has run or nothing was observed for its plan.  The correction
+    /// lives in this session only — the shared generation is immutable —
+    /// and clears on [`Session::refresh`].
     pub fn reoptimize_last(&mut self) -> Option<String> {
-        let (label, plan, plan_hash) = self.last_plan.clone()?;
-        let mut corrected: Vec<(String, f64, f64)> = Vec::new();
-        let mut trigger = 1.0f64;
-        let mut stats = (*self.effective_stats()).clone();
-        for e in self.telemetry.feedback.entries() {
-            if e.plan_hash != plan_hash || e.max_q_error <= 1.0 {
-                continue;
-            }
-            trigger = trigger.max(e.max_q_error);
-            let Some(extent) = &e.extent else { continue };
-            if corrected.iter().any(|(n, _, _)| n == extent) {
-                continue;
-            }
-            let before = stats.object(extent).rows;
-            stats.observe_extent_rows(extent, e.mean_actual());
-            corrected.push((extent.clone(), before, stats.object(extent).rows));
-        }
-        if corrected.is_empty() {
-            return None;
-        }
-        let stats = Arc::new(stats);
-        self.stats_overlay = Some(stats.clone());
-        let ctx = RuleCtx {
-            registry: &self.snapshot.registry,
-            schemas: &*self.snapshot.catalog,
-        };
-        let opt = Optimizer::standard();
-        let cost_before = cost_of(&plan, &stats);
-        let (new_plan, journal) = match self.optimizer_mode {
-            OptimizerMode::Memo => {
-                let (best, run) = opt.optimize_memo_journaled(&plan, &ctx, &stats);
-                self.last_memo = Some(run.snapshot);
-                (best.plan, run.journal)
-            }
-            OptimizerMode::Greedy => {
-                let (best, journal) = opt.optimize_greedy_journaled(&plan, &ctx, &stats);
-                (best.plan, journal)
-            }
-        };
-        self.metrics.record_journal(&journal);
-        self.telemetry.registry.inc("reoptimize.triggered");
-        let cost_after = cost_of(&new_plan, &stats);
-        let mut out = format!("re-optimization of `{label}`: worst q-error {trigger:.1}\n");
-        for (name, before, after) in &corrected {
-            out.push_str(&format!(
-                "  corrected {name}: rows {before:.0} -> {after:.0}\n"
-            ));
-        }
-        out.push_str(&format!("  cost {cost_before:.0} -> {cost_after:.0}\n"));
-        self.last_plan = Some((label, new_plan, plan_hash));
-        Some(out)
+        let stats = self.effective_stats();
+        let done = pipeline::reoptimize(
+            self.snapshot.view(&stats, &self.snapshot.ranges),
+            &self.scratch,
+            self.options(),
+            &mut self.last_plan,
+            1.0,
+            &mut self.metrics,
+            &mut self.telemetry,
+        )?;
+        self.stats_overlay = Some(Arc::new(done.stats));
+        self.last_memo = done.memo;
+        Some(done.report.render())
     }
 
     /// Run a read-only program — `range of` declarations and `retrieve`
     /// statements — against the pinned snapshot.  Any other statement
     /// (and `retrieve … into`, which stores its result) is rejected:
-    /// writes go through [`Session::commit`].
+    /// writes go through [`Session::commit`].  A rejected program — at
+    /// whichever statement — declares nothing.
     pub fn query(&mut self, source: &str) -> DbResult<QueryOutcome> {
         let parse_started = Instant::now();
         let stmts = parse_program(source)?;
@@ -754,187 +738,77 @@ impl Session {
         if stmts.is_empty() {
             return Err(DbError::Other("empty program".into()));
         }
+        for stmt in &stmts {
+            let what = match stmt {
+                Stmt::RangeDecl { .. } => continue,
+                Stmt::Retrieve(r) if r.into.is_none() => continue,
+                Stmt::Retrieve(_) => "`retrieve … into` stores its result — send it through commit",
+                _ => "updates, DDL, and procedure calls go through commit",
+            };
+            return Err(DbError::Other(format!(
+                "snapshot sessions are read-only: {what}"
+            )));
+        }
+
+        let snapshot = self.snapshot.clone();
+        let stats = self.effective_stats();
+        let opts = self.options();
+        // The range environment retrieves translate under: committed
+        // declarations, this session's on top, then the program's own —
+        // staged, and kept only when the whole program succeeds.
+        let mut ranges = (*snapshot.ranges).clone();
+        ranges.extend(self.local_ranges.clone());
+        let mut declared: Vec<(String, QExpr)> = Vec::new();
         // Like `Database::execute`, the first retrieve owns the parse
         // time and the program text for recorder attribution.
-        let mut pending_parse = Some(parse_us);
+        let mut attribution = Some((source.trim(), parse_us));
         let mut last: Option<QueryOutcome> = None;
         for stmt in stmts {
-            match stmt {
-                Stmt::RangeDecl { var, source } => {
-                    self.local_ranges.insert(var, source);
+            let retrieve = match stmt {
+                Stmt::RangeDecl { var, source: over } => {
+                    ranges.insert(var.clone(), over.clone());
+                    declared.push((var, over));
+                    continue;
                 }
-                Stmt::Retrieve(r) if r.into.is_none() => {
-                    let parse_us = pending_parse.take().unwrap_or(0);
-                    last = Some(self.run_retrieve(source.trim(), &r, parse_us)?);
-                }
-                Stmt::Retrieve(_) => {
-                    return Err(DbError::Other(
-                        "snapshot sessions are read-only: `retrieve … into` \
-                         stores its result — send it through commit"
-                            .into(),
-                    ));
-                }
-                _ => {
-                    return Err(DbError::Other(
-                        "snapshot sessions are read-only: updates, DDL, and \
-                         procedure calls go through commit"
-                            .into(),
-                    ));
-                }
-            }
+                Stmt::Retrieve(r) => r,
+                _ => unreachable!("validated above"),
+            };
+            let (label, parse_us) = attribution.take().unwrap_or(("retrieve", 0));
+            let mut outcome = pipeline::run(
+                snapshot.view(&stats, &ranges),
+                &mut self.scratch,
+                opts,
+                label,
+                Source::Retrieve {
+                    stmt: &retrieve,
+                    parse_us,
+                },
+            )?;
+            pipeline::record(&mut outcome, label, &mut self.metrics, &mut self.telemetry);
+            self.last_memo = outcome.memo;
+            self.last_plan = Some((
+                label.to_string(),
+                outcome.physical.logical,
+                outcome.plan_hash,
+            ));
+            last = Some(QueryOutcome {
+                value: outcome.ran.value,
+                rows: outcome.rows,
+                generation: snapshot.number,
+                plan_hash: outcome.plan_hash,
+                total_us: outcome.phase_us.iter().map(|(_, us)| us).sum(),
+                phase_us: outcome.phase_us,
+            });
         }
+        self.local_ranges.extend(declared);
         Ok(last.unwrap_or(QueryOutcome {
             value: Value::bool(true),
             rows: 1,
-            generation: self.snapshot.number,
+            generation: snapshot.number,
             plan_hash: 0,
             phase_us: vec![("parse", parse_us)],
             total_us: parse_us,
         }))
-    }
-
-    /// The snapshot query pipeline: translate → optimize (journaled,
-    /// dual desugared pass + extent-index substitution, mirroring
-    /// [`Database::optimize_plan_journaled`]) → lower (journaled) →
-    /// execute on the serial engine against the pinned generation.
-    fn run_retrieve(&mut self, label: &str, r: &Retrieve, parse_us: u64) -> DbResult<QueryOutcome> {
-        let snapshot = self.snapshot.clone();
-        let stats = self.effective_stats();
-        let mut phases: Vec<(&'static str, u64)> = vec![("parse", parse_us)];
-
-        // Translate under the merged range environment: committed
-        // declarations from the generation, session-local ones on top.
-        let started = Instant::now();
-        let mut ranges = (*snapshot.ranges).clone();
-        ranges.extend(self.local_ranges.clone());
-        let tc = TranslateCtx {
-            registry: &snapshot.registry,
-            schemas: &*snapshot.catalog,
-            ranges: &ranges,
-            methods: &snapshot.methods,
-            this_type: None,
-            params: vec![],
-        };
-        let (plan, _ty) = translate_retrieve(r, &tc)?;
-        phases.push(("translate", started.elapsed().as_micros() as u64));
-
-        let plan = if self.optimize {
-            let started = Instant::now();
-            let ctx = RuleCtx {
-                registry: &snapshot.registry,
-                schemas: &*snapshot.catalog,
-            };
-            let opt = Optimizer::standard();
-            let (best, mut journal) = match self.optimizer_mode {
-                OptimizerMode::Memo => {
-                    let (best, run) = opt.optimize_memo_journaled(&plan, &ctx, &stats);
-                    self.last_memo = Some(run.snapshot);
-                    (best.plan, run.journal)
-                }
-                OptimizerMode::Greedy => {
-                    let (a, ja) = opt.optimize_greedy_journaled(&plan, &ctx, &stats);
-                    let (b, jb) = opt.optimize_greedy_journaled(&plan.desugar(), &ctx, &stats);
-                    if b.cost < a.cost {
-                        (b.plan, jb)
-                    } else {
-                        (a.plan, ja)
-                    }
-                }
-            };
-            let best = apply_extent_indexes_journaled(&best, &stats, &ctx, &mut journal);
-            self.metrics.record_journal(&journal);
-            phases.push(("optimize", started.elapsed().as_micros() as u64));
-            best
-        } else {
-            plan
-        };
-
-        let started = Instant::now();
-        let cost = cost_of(&plan, &stats);
-        let mut journal = RewriteJournal {
-            steps: Vec::new(),
-            refused: Vec::new(),
-            plans_enumerated: 1,
-            max_plans: 0,
-            initial_cost: cost,
-            final_cost: cost,
-        };
-        let physical = lower_journaled(&plan, &stats, &mut journal);
-        self.metrics.record_journal(&journal);
-        phases.push(("lower", started.elapsed().as_micros() as u64));
-        let plan_hash = fnv1a64(format!("{physical:?}").as_bytes());
-        self.last_plan = Some((label.to_string(), plan.clone(), plan_hash));
-
-        let started = Instant::now();
-        let (out, counters) = {
-            let mut ctx = EvalCtx::new(&snapshot.registry, &mut self.scratch, &*snapshot.catalog);
-            (evaluate_physical(&physical, &mut ctx), ctx.counters)
-        };
-        let wall = started.elapsed();
-        self.metrics.record_query(counters, wall);
-        phases.push(("execute", wall.as_micros() as u64));
-        let value = out?;
-
-        let rows = match &value {
-            Value::Set(s) => s.len(),
-            Value::Array(a) => a.len() as u64,
-            _ => 1,
-        };
-        let total_us: u64 = phases.iter().map(|(_, us)| us).sum();
-        self.telemetry.registry.inc("queries");
-        self.telemetry.registry.inc("queries.serial");
-        self.telemetry.registry.observe("query_us", total_us);
-        for (name, us) in &phases {
-            self.telemetry
-                .registry
-                .observe(&format!("phase.{name}_us"), *us);
-        }
-        for (name, v) in counters.named_fields() {
-            self.telemetry.registry.add(&format!("work.{name}"), v);
-        }
-        let kernels: Vec<(String, String)> = physical
-            .choices
-            .iter()
-            .filter(|(_, c)| !matches!(c.op, excess_core::physical::PhysOp::PassThrough))
-            .map(|(path, c)| (excess_core::profile::path_string(path), c.op.to_string()))
-            .collect();
-        let est_rows = physical.choices.get(&Vec::new()).and_then(|c| c.est_rows);
-        // Root-level misestimation feeds the session feedback log — the
-        // signal `.reoptimize` acts on.
-        if let Some(est) = est_rows {
-            let op = physical
-                .choices
-                .get(&Vec::new())
-                .map(|c| c.op.to_string())
-                .unwrap_or_else(|| "root".to_string());
-            self.telemetry.feedback.observe(
-                plan_hash,
-                "root",
-                &op,
-                extent_at(&plan, &[]).as_deref(),
-                est,
-                rows as f64,
-            );
-        }
-        self.telemetry.recorder.record(QueryRecord {
-            query: label.to_string(),
-            plan_hash,
-            engine: "serial".to_string(),
-            rows,
-            phase_us: phases.clone(),
-            kernels,
-            est_rows,
-            actual_rows: Some(rows),
-        });
-
-        Ok(QueryOutcome {
-            value,
-            rows,
-            generation: snapshot.number,
-            plan_hash,
-            phase_us: phases,
-            total_us,
-        })
     }
 
     /// Send a program to the committer; on success, re-pin this session
@@ -1053,6 +927,14 @@ mod tests {
         }
         // Rejected writes left nothing behind.
         assert_eq!(s.query("retrieve (DS.dname)").expect("query").rows, 2);
+        // Nor does a program rejected at a later statement: its earlier
+        // `range of` was never declared.
+        let err = s
+            .query("range of R is DS append to DS ((dname: \"me\", budget: 300))")
+            .expect_err("the write rejects the whole program");
+        assert!(err.to_string().contains("read-only"), "{err}");
+        s.query("retrieve (R.dname)")
+            .expect_err("R was declared by a rejected program");
     }
 
     #[test]
@@ -1067,6 +949,13 @@ mod tests {
         // The declaration is session-local: B doesn't see it.
         let err = b.query("retrieve (D.dname)").expect_err("unknown range");
         assert!(!err.to_string().contains("read-only"), "{err}");
+        // A program that fails to translate declares nothing, and leaves
+        // the declarations made before it as they were.
+        a.query("range of D is Nowhere range of F is DS retrieve (D.dname)")
+            .expect_err("Nowhere does not exist");
+        a.query("retrieve (F.dname)")
+            .expect_err("F was staged only");
+        assert_eq!(a.query("retrieve (D.dname)").expect("D is DS").rows, 2);
         // A committed declaration is visible to new sessions.
         a.commit("range of E is DS").expect("commit range decl");
         let mut c = vdb.begin_session();

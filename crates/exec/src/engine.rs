@@ -30,9 +30,7 @@ use excess_core::error::{EvalError, EvalResult};
 use excess_core::eval::{evaluate, EvalCtx};
 use excess_core::expr::{Expr, Pred};
 use excess_core::infer::SchemaCatalog;
-use excess_core::physical::{
-    evaluate_physical, key_pair_usable, usable_equi_key, PhysOp, PhysicalPlan,
-};
+use excess_core::physical::{evaluate_physical, key_pair_usable, PhysOp, PhysicalPlan};
 use excess_core::profile::{NodePath, Profile, TraceSink};
 use excess_core::render::op_label;
 use excess_core::verify::verify;
@@ -144,41 +142,22 @@ fn internal_err(op: &'static str, found: &Value) -> EvalError {
     }
 }
 
-/// Execute `plan` with `config.workers` threads.
+/// Execute a lowered plan with `config.workers` threads.
 ///
 /// The result is always `canon`-identical to serial evaluation, and for
 /// chunk/hash-partitioned operators the merged counters are *equal* to the
 /// serial counters (the hash-key equi-join exchange legitimately performs
 /// fewer comparisons than the serial nested loop; the journal records
-/// where).  The whole plan falls back to serial — with a journaled reason
-/// — when `workers <= 1`, when the plan mints OIDs (`REF` must mutate the
-/// shared store), or when `schemas` is supplied and the plan fails
-/// verification.
-pub fn run_parallel<C: Catalog + Sync>(
-    plan: &Expr,
-    registry: &TypeRegistry,
-    store: &mut ObjectStore,
-    catalog: &C,
-    schemas: Option<&dyn SchemaCatalog>,
-    config: ExecConfig,
-    tracing: Tracing,
-) -> EvalResult<ExecOutcome> {
-    run_parallel_impl(
-        plan, None, registry, store, catalog, schemas, config, tracing,
-    )
-}
-
-/// Execute a *lowered* plan with `config.workers` threads.
-///
-/// Like [`run_parallel`], but the driver consults the plan's physical
-/// choices instead of re-deriving strategies: a `rel_join` annotated
-/// `HashEquiJoin` takes the hash-key exchange (with the same runtime
-/// guard the serial kernel uses), and its fragments run the shared hash
-/// equi-join kernel on the workers; a join annotated `NestedLoopJoin`
-/// broadcasts.  The whole-plan serial fallbacks run the physical
-/// interpreter, so kernel choices survive them.
+/// where).  The driver partitions by the plan's physical choices: a
+/// `rel_join` annotated `HashEquiJoin` takes the hash-key exchange (with
+/// the same runtime guard the serial kernel uses) and its fragments run
+/// the shared hash equi-join kernel on the workers; any other join
+/// broadcasts.  The whole plan falls back to the serial physical
+/// interpreter — with a journaled reason, kernel choices intact — when
+/// `workers <= 1`, when the plan mints OIDs (`REF` must mutate the shared
+/// store), or when `schemas` is supplied and the plan fails verification.
 pub fn run_parallel_plan<C: Catalog + Sync>(
-    plan: &PhysicalPlan,
+    physical: &PhysicalPlan,
     registry: &TypeRegistry,
     store: &mut ObjectStore,
     catalog: &C,
@@ -186,29 +165,7 @@ pub fn run_parallel_plan<C: Catalog + Sync>(
     config: ExecConfig,
     tracing: Tracing,
 ) -> EvalResult<ExecOutcome> {
-    run_parallel_impl(
-        &plan.logical,
-        Some(plan),
-        registry,
-        store,
-        catalog,
-        schemas,
-        config,
-        tracing,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_impl<C: Catalog + Sync>(
-    plan: &Expr,
-    physical: Option<&PhysicalPlan>,
-    registry: &TypeRegistry,
-    store: &mut ObjectStore,
-    catalog: &C,
-    schemas: Option<&dyn SchemaCatalog>,
-    config: ExecConfig,
-    tracing: Tracing,
-) -> EvalResult<ExecOutcome> {
+    let plan = &physical.logical;
     let workers = config.workers.max(1);
     let serial_reason = if workers <= 1 {
         Some("single worker configured".to_string())
@@ -236,10 +193,7 @@ fn run_parallel_impl<C: Catalog + Sync>(
         });
         let mut ctx = EvalCtx::new(registry, store, catalog);
         ctx.trace = tracing.sink();
-        let value = match physical {
-            Some(pp) => evaluate_physical(pp, &mut ctx)?,
-            None => evaluate(plan, &mut ctx)?,
-        };
+        let value = evaluate_physical(physical, &mut ctx)?;
         return Ok(ExecOutcome {
             value,
             counters: ctx.counters,
@@ -459,11 +413,10 @@ struct Driver<'a> {
     registry: &'a TypeRegistry,
     catalog: &'a dyn Catalog,
     store: &'a mut ObjectStore,
-    /// The lowered plan being executed, when the caller came through
-    /// [`run_parallel_plan`] — the driver consults its choices (keyed by
-    /// the same child-index paths the driver maintains) instead of
-    /// re-deriving join strategies.
-    physical: Option<&'a PhysicalPlan>,
+    /// The lowered plan being executed — the driver consults its choices
+    /// (keyed by the same child-index paths the driver maintains) instead
+    /// of deriving join strategies.
+    physical: &'a PhysicalPlan,
     counters: Counters,
     trace: Option<Box<TraceSink>>,
     partitions: usize,
@@ -763,13 +716,10 @@ impl<'a> Driver<'a> {
         if self.trace.is_some() {
             return None;
         }
-        let object = match self
-            .physical
-            .and_then(|pp| pp.choices.get(path.as_slice()))
-            .map(|c| &c.op)
-        {
-            Some(PhysOp::ColumnarScan { object }) => object,
-            _ => return None,
+        let Some(PhysOp::ColumnarScan { object }) =
+            self.physical.choices.get(path.as_slice()).map(|c| &c.op)
+        else {
+            return None;
         };
         if !matches!(input, Expr::Named(n) if n == object) {
             return None;
@@ -815,13 +765,11 @@ impl<'a> Driver<'a> {
 
     /// rel_join strategy selection.
     ///
-    /// With a lowered plan the choice is the plan's: `HashEquiJoin` takes
-    /// the hash-key exchange — after the same runtime guard the serial
-    /// kernel applies (both key orientations) — and ships fragments that
-    /// run the shared hash kernel on the workers; anything else (or a
-    /// failed guard) broadcasts and the fragments run the nested loop.
-    /// Without a plan the driver probes the materialised inputs itself,
-    /// exactly as before the physical layer existed.
+    /// The choice is the plan's: `HashEquiJoin` takes the hash-key
+    /// exchange — after the same runtime guard the serial kernel applies
+    /// (both key orientations) — and ships fragments that run the shared
+    /// hash kernel on the workers; anything else (or a failed guard)
+    /// broadcasts and the fragments run the nested loop.
     fn rel_join(
         &mut self,
         node: &Expr,
@@ -839,12 +787,7 @@ impl<'a> Driver<'a> {
             (Value::Set(x), Value::Set(y)) => (x, y),
             (x, y) => return self.eval_main(&rebuild(Expr::Const(x), Expr::Const(y))),
         };
-        let lowered = self.physical.is_some();
-        let keys = match self
-            .physical
-            .and_then(|pp| pp.choices.get(path.as_slice()))
-            .map(|c| &c.op)
-        {
+        let keys = match self.physical.choices.get(path.as_slice()).map(|c| &c.op) {
             // A columnar join choice degrades to the row hash kernel on
             // the hash-key exchange — workers join materialised `Const`
             // partitions, where no chunk exists.
@@ -865,9 +808,7 @@ impl<'a> Driver<'a> {
                     None
                 }
             }
-            Some(_) => None,
-            None if !lowered => usable_equi_key(pred, &sa, &sb),
-            None => None,
+            _ => None,
         };
         if let Some((lf, rf)) = keys {
             let pa = hash_by_field(&sa, &lf, self.partitions);
@@ -884,7 +825,6 @@ impl<'a> Driver<'a> {
                 partitions: pa.len(),
                 empty,
             });
-            let kernel = lowered.then(|| (lf.clone(), rf.clone()));
             let tasks = pa
                 .into_iter()
                 .zip(pb)
@@ -895,10 +835,7 @@ impl<'a> Driver<'a> {
                     Task {
                         part,
                         occurrences,
-                        kind: match &kernel {
-                            Some(k) => TaskKind::EvalHashJoin(frag, k.clone()),
-                            None => TaskKind::Eval(frag),
-                        },
+                        kind: TaskKind::EvalHashJoin(frag, (lf.clone(), rf.clone())),
                     }
                 })
                 .collect();
@@ -1103,7 +1040,7 @@ impl<'a> Driver<'a> {
 }
 
 /// Hash-partition a multiset of tuples by one field's value.  Only called
-/// after [`usable_equi_key`] has proven every element is a tuple carrying
+/// after [`key_pair_usable`] has proven every element is a tuple carrying
 /// the field.
 fn hash_by_field(s: &MultiSet, field: &str, parts: usize) -> Vec<MultiSet> {
     let parts = parts.max(1);
@@ -1163,23 +1100,24 @@ mod tests {
         (v, ctx.counters)
     }
 
+    /// Run `plan` with no kernel choices on `workers` threads.
     fn parallel(
         plan: &Expr,
         reg: &TypeRegistry,
         cat: &HashMap<String, Value>,
         workers: usize,
-    ) -> ExecOutcome {
+        tracing: Tracing,
+    ) -> EvalResult<ExecOutcome> {
         let mut store = ObjectStore::new();
-        run_parallel(
-            plan,
+        run_parallel_plan(
+            &PhysicalPlan::passthrough(plan.clone()),
             reg,
             &mut store,
             cat,
             None,
             ExecConfig::with_workers(workers),
-            Tracing::Off,
+            tracing,
         )
-        .expect("parallel eval")
     }
 
     #[test]
@@ -1188,7 +1126,7 @@ mod tests {
         let plan = Expr::named("Nums").select(Pred::cmp(Expr::input(), CmpOp::Ge, Expr::int(3)));
         let (sv, sc) = serial(&plan, &reg, &cat);
         for workers in [2, 3, 7] {
-            let out = parallel(&plan, &reg, &cat, workers);
+            let out = parallel(&plan, &reg, &cat, workers, Tracing::Off).unwrap();
             assert_eq!(canon(&out.value), canon(&sv));
             assert_eq!(out.counters, sc, "counters diverged at {workers} workers");
             assert_eq!(out.report.parallel_nodes(), 1);
@@ -1201,7 +1139,7 @@ mod tests {
         let (reg, _, cat) = fixture();
         let plan = Expr::named("Nums").group_by(Expr::input());
         let (sv, sc) = serial(&plan, &reg, &cat);
-        let out = parallel(&plan, &reg, &cat, 4);
+        let out = parallel(&plan, &reg, &cat, 4, Tracing::Off).unwrap();
         assert_eq!(canon(&out.value), canon(&sv));
         assert_eq!(out.counters, sc);
         assert!(out
@@ -1209,29 +1147,6 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, ExecEvent::Exchange { .. })));
-    }
-
-    #[test]
-    fn equi_join_uses_hash_key_exchange_and_matches_serial() {
-        let (reg, _, cat) = fixture();
-        let pred = Pred::cmp(
-            Expr::input().extract("k"),
-            CmpOp::Eq,
-            Expr::input().extract("j"),
-        );
-        let plan = Expr::named("L").rel_join(Expr::named("R"), pred);
-        let (sv, sc) = serial(&plan, &reg, &cat);
-        let out = parallel(&plan, &reg, &cat, 4);
-        assert_eq!(canon(&out.value), canon(&sv));
-        assert!(out
-            .report
-            .events
-            .iter()
-            .any(|e| matches!(e, ExecEvent::Exchange { .. })));
-        // The hash exchange skips cross-partition pairs, so it performs at
-        // most the serial comparison work.
-        assert!(out.counters.comparisons <= sc.comparisons);
-        assert!(out.counters.pairs_formed <= sc.pairs_formed);
     }
 
     #[test]
@@ -1284,7 +1199,8 @@ mod tests {
         assert_eq!(out.counters.comparisons, 0);
         assert!(out.counters.comparisons < sc.comparisons);
 
-        // A NestedLoopJoin choice must broadcast instead of exchanging.
+        // A NestedLoopJoin choice — or no choice at all: the driver derives
+        // no strategy of its own — must broadcast instead of exchanging.
         let mut nl_choices = BTreeMap::new();
         nl_choices.insert(
             Vec::new(),
@@ -1295,30 +1211,32 @@ mod tests {
             },
         );
         let pp_nl = PhysicalPlan {
-            logical: plan,
+            logical: plan.clone(),
             choices: nl_choices,
             elided_guards: Default::default(),
         };
-        let out_nl = run_parallel_plan(
-            &pp_nl,
-            &reg,
-            &mut store,
-            &cat,
-            None,
-            ExecConfig::with_workers(4),
-            Tracing::Off,
-        )
-        .expect("parallel nested-loop eval");
-        assert_eq!(canon(&out_nl.value), canon(&sv));
-        assert_eq!(
-            out_nl.counters, sc,
-            "broadcast nested loop is counter-exact"
-        );
-        assert!(!out_nl
-            .report
-            .events
-            .iter()
-            .any(|e| matches!(e, ExecEvent::Exchange { .. })));
+        for pp in [pp_nl, PhysicalPlan::passthrough(plan)] {
+            let out_nl = run_parallel_plan(
+                &pp,
+                &reg,
+                &mut store,
+                &cat,
+                None,
+                ExecConfig::with_workers(4),
+                Tracing::Off,
+            )
+            .expect("parallel nested-loop eval");
+            assert_eq!(canon(&out_nl.value), canon(&sv));
+            assert_eq!(
+                out_nl.counters, sc,
+                "broadcast nested loop is counter-exact"
+            );
+            assert!(!out_nl
+                .report
+                .events
+                .iter()
+                .any(|e| matches!(e, ExecEvent::Exchange { .. })));
+        }
     }
 
     #[test]
@@ -1390,30 +1308,12 @@ mod tests {
         let (reg, _, cat) = fixture();
         let plan = Expr::named("Nums").set_apply(Expr::input());
         let plan = Expr::MakeRef(Box::new(plan), "T".into());
-        let mut store = ObjectStore::new();
-        let out = run_parallel(
-            &plan,
-            &reg,
-            &mut store,
-            &cat,
-            None,
-            ExecConfig::with_workers(4),
-            Tracing::Off,
-        );
         // REF of an unregistered type errors either way; what matters here
         // is the gate fired before any worker was involved.  Use a plan
         // that is REF-free below the root to check the journal.
-        drop(out);
+        drop(parallel(&plan, &reg, &cat, 4, Tracing::Off));
         let plan = Expr::int(1).make_ref("T");
-        let out = run_parallel(
-            &plan,
-            &reg,
-            &mut store,
-            &cat,
-            None,
-            ExecConfig::with_workers(4),
-            Tracing::Off,
-        );
+        let out = parallel(&plan, &reg, &cat, 4, Tracing::Off);
         // A type error from REF is fine; the gate is covered below.
         if let Ok(o) = out {
             assert!(o.report.fallbacks() >= 1);
@@ -1424,17 +1324,7 @@ mod tests {
     fn single_worker_journals_whole_plan_fallback() {
         let (reg, _, cat) = fixture();
         let plan = Expr::named("Nums").dup_elim();
-        let mut store = ObjectStore::new();
-        let out = run_parallel(
-            &plan,
-            &reg,
-            &mut store,
-            &cat,
-            None,
-            ExecConfig::serial(),
-            Tracing::Off,
-        )
-        .unwrap();
+        let out = parallel(&plan, &reg, &cat, 1, Tracing::Off).unwrap();
         assert_eq!(out.report.fallbacks(), 1);
         assert!(out.report.worker_stats.is_empty());
     }
@@ -1446,17 +1336,7 @@ mod tests {
             .select(Pred::cmp(Expr::input(), CmpOp::Ge, Expr::int(2)))
             .dup_elim();
         let (sv, sc) = serial(&plan, &reg, &cat);
-        let mut store = ObjectStore::new();
-        let out = run_parallel(
-            &plan,
-            &reg,
-            &mut store,
-            &cat,
-            None,
-            ExecConfig::with_workers(3),
-            Tracing::Precise,
-        )
-        .unwrap();
+        let out = parallel(&plan, &reg, &cat, 3, Tracing::Precise).unwrap();
         assert_eq!(canon(&out.value), canon(&sv));
         assert_eq!(out.counters, sc);
         let p = out.profile.expect("profile requested");

@@ -17,8 +17,9 @@
 //! execution" for the soundness argument operator by operator.
 //!
 //! ```
+//! use excess_core::physical::PhysicalPlan;
 //! use excess_core::{CmpOp, Expr, Pred};
-//! use excess_exec::{run_parallel, ExecConfig, Tracing};
+//! use excess_exec::{run_parallel_plan, ExecConfig, Tracing};
 //! use excess_types::{ObjectStore, TypeRegistry, Value};
 //! use std::collections::HashMap;
 //!
@@ -27,8 +28,10 @@
 //! let mut cat: HashMap<String, Value> = HashMap::new();
 //! cat.insert("S".into(), Value::set((0..100).map(Value::int)));
 //! let plan = Expr::named("S").select(Pred::cmp(Expr::input(), CmpOp::Ge, Expr::int(50)));
-//! let out = run_parallel(
-//!     &plan, &reg, &mut store, &cat, None,
+//! // No kernel choices: every node runs the logical operator.  The
+//! // optimizer's `lower` pass is what annotates hash and columnar kernels.
+//! let out = run_parallel_plan(
+//!     &PhysicalPlan::passthrough(plan), &reg, &mut store, &cat, None,
 //!     ExecConfig::with_workers(4), Tracing::Off,
 //! ).unwrap();
 //! assert_eq!(out.value, Value::set((50..100).map(Value::int)));
@@ -43,6 +46,6 @@ pub mod journal;
 pub mod partition;
 
 pub use config::{ExecConfig, THREADS_ENV};
-pub use engine::{run_parallel, run_parallel_plan, ExecOutcome, Tracing};
+pub use engine::{run_parallel_plan, ExecOutcome, Tracing};
 pub use journal::{ExecEvent, ExecReport, Strategy, WorkerStats};
 pub use partition::{chunk_partitions, hash_partitions, merge_partitions, value_hash};

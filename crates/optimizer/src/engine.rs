@@ -340,6 +340,19 @@ pub struct RewriteJournal {
 }
 
 impl RewriteJournal {
+    /// An empty journal over one plan of estimated cost `cost`: nothing
+    /// accepted or refused yet, the starting plan the only one counted.
+    pub fn for_plan(cost: f64) -> Self {
+        RewriteJournal {
+            steps: Vec::new(),
+            refused: Vec::new(),
+            plans_enumerated: 1,
+            max_plans: 0,
+            initial_cost: cost,
+            final_cost: cost,
+        }
+    }
+
     /// Best cost after each accepted step, starting with the initial plan —
     /// the trajectory a cost-over-time plot wants.
     pub fn cost_trajectory(&self) -> Vec<f64> {

@@ -117,10 +117,7 @@ fn skeleton_of(e: &Expr) -> Expr {
 /// label for group summaries (`SetApply`, `RelJoin`, `Named`, …).
 fn op_label(e: &Expr) -> String {
     let d = format!("{e:?}");
-    d.split(['(', ' ', '{'])
-        .next()
-        .unwrap_or("?")
-        .to_string()
+    d.split(['(', ' ', '{']).next().unwrap_or("?").to_string()
 }
 
 struct Group {

@@ -192,15 +192,8 @@ pub fn apply_property_rewrites(
     stats: &Statistics,
     ctx: &RuleCtx<'_>,
 ) -> Expr {
-    let mut journal = RewriteJournal {
-        steps: Vec::new(),
-        refused: Vec::new(),
-        plans_enumerated: 0,
-        max_plans: 0,
-        initial_cost: 0.0,
-        final_cost: 0.0,
-    };
-    apply_property_rewrites_journaled(e, data, stats, ctx, &mut journal)
+    let mut discarded = RewriteJournal::for_plan(0.0);
+    apply_property_rewrites_journaled(e, data, stats, ctx, &mut discarded)
 }
 
 #[cfg(test)]

@@ -277,10 +277,11 @@ fn cmd_physical(db: &mut Database, rest: &str) -> bool {
             } else {
                 plan
             };
-            let physical = db.lower_plan(&plan);
+            let (physical, _) = db.lower_plan(&plan);
             print!("{}", physical.render());
-            match db.run_plan_physical_profiled(&physical) {
-                Ok((_, profile)) => {
+            match db.run_lowered(&physical, excess::db::Tracing::Precise) {
+                Ok(ran) => {
+                    let profile = ran.profile.expect("tracing was enabled");
                     for (path, choice) in &physical.choices {
                         let actual = profile
                             .node(path)

@@ -15,7 +15,8 @@
 use excess::algebra::analysis::{analyze, Analysis, CollKind, Fact, Props};
 use excess::algebra::canon::equal_modulo_identity;
 use excess::algebra::expr::{Bound, CmpOp, Expr, Pred};
-use excess::db::{Database, ExecConfig};
+use excess::algebra::physical::PhysicalPlan;
+use excess::db::{Database, ExecConfig, Tracing};
 use excess::optimizer::{apply_property_rewrites, RuleCtx};
 use excess::types::{Null, SchemaType, Value};
 use proptest::prelude::*;
@@ -411,7 +412,10 @@ fn check_parallel(stages: &[Stage], a: &[(i32, Score)], b: &[(i32, Score)]) {
         workers: 4,
         partitions: 4,
     });
-    let parallel = par_db.run_plan_parallel(&plan).unwrap();
+    let parallel = par_db
+        .run_lowered(&PhysicalPlan::passthrough(plan.clone()), Tracing::Off)
+        .unwrap()
+        .value;
     assert!(
         equal_modulo_identity(&serial, serial_db.store(), &parallel, par_db.store()),
         "parallel diverged on {plan}"

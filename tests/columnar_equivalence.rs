@@ -16,7 +16,7 @@
 //!   ⊎-sum back to the whole chunk's decoding.
 
 use excess::algebra::expr::{CmpOp, Expr, Pred};
-use excess::db::{Database, ExecConfig};
+use excess::db::{Database, ExecConfig, Tracing};
 use excess::types::{Chunk, MultiSet, Null, SchemaType, Value};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -163,8 +163,9 @@ fn check_serial(left: &[(Value, Value, Value, u64)], right: &[(Value, Value, u64
         // Row baseline: the lowered plan *without* the columnar pass —
         // the same row kernels (hash join/group/distinct) the columnar
         // kernels must replicate counter-for-counter.
-        let row_pp = db.lower_plan(&plan);
-        let row_value = db.run_plan_physical(&row_pp).unwrap();
+        db.columnar = false;
+        let (row_pp, _) = db.lower_plan(&plan);
+        let row_value = db.run_lowered(&row_pp, Tracing::Off).unwrap().value;
         let row_counters = db.last_counters();
         // And the plain evaluator confirms the value itself.
         let eval_value = db.run_plan(&plan).unwrap();
@@ -173,8 +174,9 @@ fn check_serial(left: &[(Value, Value, Value, u64)], right: &[(Value, Value, u64
             canon(&db, &eval_value),
             "{label}: row kernels diverged from plain evaluation"
         );
-        let (pp, _) = db.lower_plan_columnar(&plan);
-        let col_value = db.run_plan_physical(&pp).unwrap();
+        db.columnar = true;
+        let (pp, _) = db.lower_plan(&plan);
+        let col_value = db.run_lowered(&pp, Tracing::Off).unwrap().value;
         let col_counters = db.last_counters();
         assert_eq!(
             canon(&db, &row_value),
@@ -280,8 +282,9 @@ fn all_dne_column_scans_identically_and_refuses_the_join() {
     check_serial(&left, &right, &pred);
 
     let mut db = build_db(&left, &right);
+    db.columnar = true;
     let join = &plans(&pred)[1].1;
-    let (pp, journal) = db.lower_plan_columnar(join);
+    let (pp, journal) = db.lower_plan(join);
     assert!(
         !pp.choices.values().any(|c| c.op.is_columnar()),
         "an all-dne key column must refuse the columnar join"
@@ -324,8 +327,9 @@ fn null_free_extents_upgrade_all_four_kernels() {
         .collect();
     let pred = Pred::cmp(Expr::input().extract("a"), CmpOp::Lt, Expr::int(3));
     let mut db = build_db(&left, &right);
+    db.columnar = true;
     for (label, plan) in plans(&pred) {
-        let (pp, _) = db.lower_plan_columnar(&plan);
+        let (pp, _) = db.lower_plan(&plan);
         assert!(
             pp.choices.values().any(|c| c.op.is_columnar()),
             "{label} must upgrade on null-free extents:\n{}",

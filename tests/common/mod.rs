@@ -8,7 +8,8 @@
 #![allow(dead_code)]
 
 use excess::algebra::expr::{Bound, CmpOp, Expr, Func, Pred};
-use excess::db::Database;
+use excess::algebra::physical::PhysicalPlan;
+use excess::db::{Database, Executed, Tracing};
 use excess::types::{SchemaType, Value};
 
 pub fn database() -> Database {
@@ -88,6 +89,14 @@ pub fn database() -> Database {
         Value::tuple([("x", Value::int(4)), ("y", Value::str("hi"))]),
     );
     db
+}
+
+/// Run `plan` as written — no kernel choices, so on several workers
+/// every partitioning decision is the driver's own per-operator default
+/// — on the database's engine.
+pub fn run_unlowered(db: &mut Database, plan: &Expr, tracing: Tracing) -> Executed {
+    db.run_lowered(&PhysicalPlan::passthrough(plan.clone()), tracing)
+        .unwrap()
 }
 
 pub fn name_pred() -> Pred {

@@ -2,7 +2,10 @@
 //! attribution, the optimizer's rewrite journal, and the machine-readable
 //! serializers, end to end through `Database`.
 
-use excess::db::{journal_json, metrics_json, profile_json, Database};
+use excess::algebra::expr::Expr;
+use excess::algebra::physical::PhysicalPlan;
+use excess::algebra::profile::Profile;
+use excess::db::{journal_json, metrics_json, profile_json, Database, Tracing};
 use excess::optimizer::{Optimizer, RuleCtx};
 use excess_bench::example1::{example1_db, figure6, figure7, figure8};
 
@@ -16,10 +19,19 @@ fn fixture() -> Database {
     example1_db(S, E, S.max(E))
 }
 
+/// Profile `plan` as written on the serial engine.
+fn profile_of(db: &mut Database, plan: &Expr) -> Profile {
+    db.set_threads(1);
+    db.run_lowered(&PhysicalPlan::passthrough(plan.clone()), Tracing::Precise)
+        .unwrap()
+        .profile
+        .expect("tracing was enabled")
+}
+
 #[test]
 fn figure7_de_node_sees_s_times_e_occurrences() {
     let mut db = fixture();
-    let (_, profile) = db.run_plan_profiled(&figure7()).unwrap();
+    let profile = profile_of(&mut db, &figure7());
     let de: Vec<_> = profile.nodes.iter().filter(|n| n.label == "DE").collect();
     assert_eq!(de.len(), 1, "figure 7 has a single DE node");
     assert_eq!(
@@ -34,7 +46,7 @@ fn figure7_de_node_sees_s_times_e_occurrences() {
 #[test]
 fn figure8_side_de_nodes_see_s_plus_e_occurrences() {
     let mut db = fixture();
-    let (_, profile) = db.run_plan_profiled(&figure8()).unwrap();
+    let profile = profile_of(&mut db, &figure8());
     // The input-side DEs sit below the join (path length > 2); the
     // post-join DE at [0,0] sees only already-deduplicated occurrences.
     let side: Vec<_> = profile
@@ -109,7 +121,7 @@ fn journal_names_the_de_early_rule_sequence() {
 #[test]
 fn profile_and_metrics_serialize_to_json() {
     let mut db = fixture();
-    let (_, profile) = db.run_plan_profiled(&figure7()).unwrap();
+    let profile = profile_of(&mut db, &figure7());
     let json = profile_json(&profile);
     assert!(json.contains("\"op\":\"DE\""), "{json}");
     assert!(

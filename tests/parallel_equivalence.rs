@@ -21,23 +21,32 @@ mod common;
 
 use excess::algebra::canon::equal_modulo_identity;
 use excess::algebra::expr::{Bound, CmpOp, Expr, Func, Pred};
-use excess::db::{Database, ExecConfig};
+use excess::algebra::physical::PhysOp;
+use excess::db::{Database, ExecConfig, ExecReport, Tracing};
 use excess::exec::{ExecEvent, Strategy as ExecStrategy};
 use excess::types::{SchemaType, Value};
 use excess_bench::example1::{example1_db, figure6, figure7, figure8};
 use excess_bench::example2::{example2_db, figure10, figure11, figure9};
 use proptest::prelude::*;
 
-/// Run `plan` serially on one fresh database and in parallel (under
-/// `cfg`) on another, and assert the results are equal modulo object
-/// identity.  Separate databases keep minted OIDs from one run out of
-/// the other's store.
+/// [`common::run_unlowered`] without profiling: the value and the
+/// execution journal.
+fn run_unlowered(db: &mut Database, plan: &Expr) -> (Value, ExecReport) {
+    let ran = common::run_unlowered(db, plan, Tracing::Off);
+    (ran.value, ran.report)
+}
+
+/// Run `plan` with the naive evaluator on one fresh database and lowered,
+/// in parallel (under `cfg`), on another, and assert the results are
+/// equal modulo object identity.  Separate databases keep minted OIDs
+/// from one run out of the other's store.
 fn assert_equivalent(make_db: impl Fn() -> Database, plan: &Expr, cfg: ExecConfig) {
     let mut serial_db = make_db();
     let serial = serial_db.run_plan(plan).unwrap();
     let mut par_db = make_db();
     par_db.set_exec_config(cfg);
-    let parallel = par_db.run_plan_parallel(plan).unwrap();
+    let (lowered, _) = par_db.lower_plan(plan);
+    let parallel = par_db.run_lowered(&lowered, Tracing::Off).unwrap().value;
     assert!(
         equal_modulo_identity(&serial, serial_db.store(), &parallel, par_db.store()),
         "plan {plan} diverged under {cfg:?}:\n  serial:   {serial}\n  parallel: {parallel}"
@@ -133,7 +142,7 @@ fn figure_plans_match_serial_through_database_api() {
     // And the engine actually parallelised something on the figure pair.
     let mut db = ex1();
     db.set_exec_config(cfg);
-    let (_, report) = db.run_plan_parallel_report(&figure8()).unwrap();
+    let (_, report) = run_unlowered(&mut db, &figure8());
     assert!(
         report.parallel_nodes() > 0,
         "figure 8 should parallelise, events: {:?}",
@@ -168,7 +177,7 @@ fn skewed_data_still_matches_and_reports_empty_partitions() {
 
     let mut db = make_db();
     db.set_exec_config(cfg);
-    let (_, report) = db.run_plan_parallel_report(&plan).unwrap();
+    let (_, report) = run_unlowered(&mut db, &plan);
     let exchange_empty = report
         .events
         .iter()
@@ -198,7 +207,7 @@ fn order_sensitive_array_operators_fall_back_serially_and_keep_order() {
 
     let mut db = common::database();
     db.set_exec_config(ExecConfig::with_workers(4));
-    let (parallel, report) = db.run_plan_parallel_report(&plan).unwrap();
+    let (parallel, report) = run_unlowered(&mut db, &plan);
     assert_eq!(
         serial, parallel,
         "array results must be exactly equal, order included"
@@ -264,14 +273,26 @@ fn equi_join_exchange_fires_and_matches() {
     serial_db.run_plan(&plan).unwrap();
     let serial_cmps = serial_db.last_counters().comparisons;
 
+    // The exchange is the lowering's choice: with collected statistics
+    // it picks the hash kernel, and the driver partitions by its keys.
     let mut db = make_db();
     db.set_exec_config(cfg);
-    let (_, report) = db.run_plan_parallel_report(&plan).unwrap();
+    db.analyze();
+    let (lowered, _) = db.lower_plan(&plan);
+    assert!(
+        matches!(
+            lowered.choices.get(&Vec::new()).map(|c| &c.op),
+            Some(PhysOp::HashEquiJoin { left_key, right_key }) if left_key == "k" && right_key == "j"
+        ),
+        "lowering should pick the hash kernel:\n{}",
+        lowered.render()
+    );
+    let report = db.run_lowered(&lowered, Tracing::Off).unwrap().report;
     assert!(
         report
             .events
             .iter()
-            .any(|e| matches!(e, ExecEvent::Exchange { .. })),
+            .any(|e| matches!(e, ExecEvent::Exchange { keys, .. } if keys == "k = j")),
         "diverse equi-join keys should trigger the exchange: {:?}",
         report.events
     );
@@ -301,7 +322,7 @@ fn chunk_and_hash_strategies_preserve_exact_counters() {
 
         let mut db = common::database();
         db.set_exec_config(ExecConfig::with_workers(3));
-        let (_, report) = db.run_plan_parallel_report(&plan).unwrap();
+        let (_, report) = run_unlowered(&mut db, &plan);
         assert_eq!(
             db.last_counters(),
             serial_counters,
@@ -417,7 +438,7 @@ proptest! {
         let mut db = num_db(&a, &b);
         let serial = db.run_plan(&plan).unwrap();
         db.set_exec_config(ExecConfig::with_workers(workers));
-        let parallel = db.run_plan_parallel(&plan).unwrap();
+        let parallel = run_unlowered(&mut db, &plan).0;
         prop_assert_eq!(
             &serial, &parallel,
             "pipeline {} diverged with {} workers", plan, workers

@@ -9,8 +9,9 @@
 
 mod common;
 
+use common::run_unlowered as run;
 use excess::algebra::expr::Expr;
-use excess::db::metrics_json;
+use excess::db::{metrics_json, Tracing};
 
 fn profiled_plans() -> Vec<Expr> {
     let s = || Expr::named("S");
@@ -31,7 +32,7 @@ fn precise_profiles_telescope_to_query_totals() {
     for plan in profiled_plans() {
         let mut db = common::database();
         db.set_threads(3);
-        let (_, profile) = db.run_plan_parallel_profiled(&plan).unwrap();
+        let profile = run(&mut db, &plan, Tracing::Precise).profile.unwrap();
         assert_eq!(
             profile.sum_of_self_counters(),
             db.last_counters(),
@@ -47,7 +48,7 @@ fn coarse_profiles_telescope_to_query_totals() {
     for plan in profiled_plans() {
         let mut db = common::database();
         db.set_threads(3);
-        let (_, profile) = db.run_plan_parallel_profiled_coarse(&plan).unwrap();
+        let profile = run(&mut db, &plan, Tracing::Coarse).profile.unwrap();
         assert_eq!(
             profile.sum_of_self_counters(),
             db.last_counters(),
@@ -60,11 +61,12 @@ fn coarse_profiles_telescope_to_query_totals() {
 fn parallel_profiled_counters_match_serial_profiled() {
     for plan in profiled_plans() {
         let mut serial_db = common::database();
-        let (serial_value, _) = serial_db.run_plan_profiled(&plan).unwrap();
+        serial_db.set_threads(1);
+        let serial_value = run(&mut serial_db, &plan, Tracing::Precise).value;
 
         let mut db = common::database();
         db.set_threads(3);
-        let (value, _) = db.run_plan_parallel_profiled(&plan).unwrap();
+        let value = run(&mut db, &plan, Tracing::Precise).value;
         assert_eq!(serial_value, value, "{plan}");
         assert_eq!(
             serial_db.last_counters(),
@@ -81,8 +83,8 @@ fn session_metrics_split_serial_and_parallel_queries() {
 
     db.run_plan(&plan).unwrap();
     db.set_threads(4);
-    db.run_plan_parallel(&plan).unwrap();
-    db.run_plan_parallel(&plan).unwrap();
+    run(&mut db, &plan, Tracing::Off);
+    run(&mut db, &plan, Tracing::Off);
 
     let m = db.metrics();
     assert_eq!(m.queries, 3);
@@ -106,7 +108,7 @@ fn whole_plan_fallbacks_are_recorded_as_serial_queries() {
     let mut db = common::database();
     db.set_threads(4);
     let plan = Expr::named("OneTup").make_ref("Person2Cell").deref();
-    db.run_plan_parallel(&plan).unwrap();
+    run(&mut db, &plan, Tracing::Off);
     assert_eq!(db.metrics().parallel_queries, 0);
     assert_eq!(db.metrics().serial_queries, 1);
 }

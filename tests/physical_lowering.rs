@@ -7,8 +7,8 @@
 
 use excess::algebra::canonical_form;
 use excess::algebra::expr::{CmpOp, Expr, Pred};
-use excess::algebra::physical::PhysOp;
-use excess::db::Database;
+use excess::algebra::physical::{PhysOp, PhysicalPlan};
+use excess::db::{Database, Tracing};
 use excess::types::{SchemaType, Value};
 use proptest::prelude::*;
 
@@ -127,6 +127,13 @@ fn r_tuple(j: i32, w: i32) -> Value {
     Value::tuple([("j", Value::int(j)), ("w", Value::int(w))])
 }
 
+/// Evaluate a lowered plan on `workers` threads (1 = the serial
+/// physical interpreter).
+fn run_on(db: &mut Database, workers: usize, physical: &PhysicalPlan) -> Value {
+    db.set_threads(workers);
+    db.run_lowered(physical, Tracing::Off).unwrap().value
+}
+
 fn database(l: &[(i32, i32)], r: &[(i32, i32)]) -> Database {
     let mut db = Database::new();
     db.optimize = false;
@@ -167,18 +174,17 @@ proptest! {
         let plan = build(&pipe);
         let mut db = database(&l, &r);
         let logical = db.run_plan(&plan).unwrap();
-        let physical = db.lower_plan(&plan);
+        let (physical, _) = db.lower_plan(&plan);
         prop_assert_eq!(&physical.logical, &plan, "lowering altered the tree");
 
-        let serial = db.run_plan_physical(&physical).unwrap();
+        let serial = run_on(&mut db, 1, &physical);
         prop_assert_eq!(
             canonical_form(&logical, db.store()),
             canonical_form(&serial, db.store()),
             "serial physical run diverged on {} ({:?})", plan, pipe
         );
 
-        db.set_threads(4);
-        let parallel = db.run_plan_physical_parallel(&physical).unwrap();
+        let parallel = run_on(&mut db, 4, &physical);
         prop_assert_eq!(
             canonical_form(&logical, db.store()),
             canonical_form(&parallel, db.store()),
@@ -207,7 +213,7 @@ fn lowered_hash_join_counts_strictly_fewer_comparisons() {
     let logical = db.run_plan(&plan).unwrap();
     let nested = db.last_counters();
 
-    let physical = db.lower_plan(&plan);
+    let (physical, _) = db.lower_plan(&plan);
     let root = physical.choices.get(&Vec::new()).expect("root choice");
     assert!(
         matches!(root.op, PhysOp::HashEquiJoin { .. }),
@@ -215,7 +221,7 @@ fn lowered_hash_join_counts_strictly_fewer_comparisons() {
         root.op,
         root.why
     );
-    let hashed = db.run_plan_physical(&physical).unwrap();
+    let hashed = run_on(&mut db, 1, &physical);
     let hash = db.last_counters();
 
     assert_eq!(
@@ -245,7 +251,7 @@ fn non_equi_comp_lowers_to_nested_loop() {
         post_dup: false,
     });
     let mut db = database(&l, &r);
-    let (physical, journal) = db.lower_plan_journaled(&plan);
+    let (physical, journal) = db.lower_plan(&plan);
     let root = physical.choices.get(&Vec::new()).expect("root choice");
     assert_eq!(root.op, PhysOp::NestedLoopJoin, "{}", root.why);
     assert!(
@@ -260,7 +266,7 @@ fn non_equi_comp_lowers_to_nested_loop() {
     // And the nested-loop plan still evaluates identically.
     let logical = db.run_plan(&plan).unwrap();
     let nested = db.last_counters();
-    let physical_out = db.run_plan_physical(&physical).unwrap();
+    let physical_out = run_on(&mut db, 1, &physical);
     assert_eq!(logical, physical_out);
     assert_eq!(
         nested,
@@ -305,7 +311,7 @@ fn guard_failure_falls_back_to_the_nested_loop() {
         post_sel: None,
         post_dup: false,
     });
-    let physical = db.lower_plan(&plan);
+    let (physical, _) = db.lower_plan(&plan);
     let root = physical.choices.get(&Vec::new()).expect("root choice");
     assert!(
         matches!(root.op, PhysOp::HashEquiJoin { .. }),
@@ -315,7 +321,7 @@ fn guard_failure_falls_back_to_the_nested_loop() {
 
     let logical = db.run_plan(&plan).unwrap();
     let nested = db.last_counters();
-    let physical_out = db.run_plan_physical(&physical).unwrap();
+    let physical_out = run_on(&mut db, 1, &physical);
     let fallback = db.last_counters();
 
     assert_eq!(

@@ -1,0 +1,111 @@
+//! The served path is the measured path: `Database::execute` and
+//! `Session::query` run one pipeline, so on the same data under the same
+//! options they must agree on everything the pipeline decides — value,
+//! lowered plan, work done, kernels chosen — and a plan lowered with no
+//! choices must be exactly the naive evaluator.
+
+mod common;
+
+use excess::algebra::physical::PhysicalPlan;
+use excess::db::{value_json, Database, OptimizerMode, Tracing, VersionedDb};
+use excess_bench::server_mix::{server_mix_db, MIX};
+use excess_workload::{generate, queries, UniversityParams};
+
+/// Run every query through a database and through a session over an
+/// identical database, and compare what each pipeline run produced.
+fn assert_served_equals_direct(make: impl Fn() -> Database, queries: &[String]) {
+    for mode in [OptimizerMode::Memo, OptimizerMode::Greedy] {
+        // The server's fixed options: serial engine, row kernels, no spans
+        // — and statistics collected, as `VersionedDb::new` does.
+        let mut db = make();
+        db.set_threads(1);
+        db.set_optimizer_mode(mode);
+        db.collect_stats();
+        let vdb = VersionedDb::new(make());
+        let mut session = vdb.begin_session();
+        session.optimizer_mode = mode;
+        for q in queries {
+            let (before_db, before_s) = (db.metrics().counters, session.metrics().counters);
+            let direct = db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+            let served = session.query(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+            let canon = excess::algebra::canonical_form(&direct, db.store());
+            assert_eq!(
+                value_json(&canon),
+                value_json(&session.canon(&served.value)),
+                "{mode:?} {q}: values"
+            );
+            assert_eq!(
+                db.metrics().counters - before_db,
+                session.metrics().counters - before_s,
+                "{mode:?} {q}: work counters"
+            );
+            let direct = db.telemetry().recorder.records().last().unwrap();
+            let record = session.telemetry().recorder.records().last().unwrap();
+            assert_eq!(served.plan_hash, direct.plan_hash, "{mode:?} {q}: plan");
+            assert_eq!(record.plan_hash, direct.plan_hash, "{mode:?} {q}: record");
+            assert_eq!(record.kernels, direct.kernels, "{mode:?} {q}: kernels");
+            assert_eq!(record.query, direct.query, "{mode:?} {q}: label");
+            assert_eq!(record.rows, direct.rows, "{mode:?} {q}: rows");
+        }
+        vdb.shutdown();
+    }
+}
+
+#[test]
+fn figure_mix_and_probes_agree_on_the_server_mix() {
+    let mut qs: Vec<String> = MIX.iter().map(|(_, q)| q.to_string()).collect();
+    // The benchmark's probe shapes, over a spread of literals.
+    for k in [0, 3, 9] {
+        qs.push(format!("retrieve (S1.sname) where S1.sdept = {k}"));
+    }
+    for k in [1, 5] {
+        qs.push(format!("retrieve (S2.sname) where S2.dept.floor = {k}"));
+        qs.push(format!(
+            "range of T is S2 retrieve (T.sname) by T.dept.division where T.dept.floor = {k}"
+        ));
+    }
+    qs.push("retrieve (E1.ename) where E1.esal = 1003".to_string());
+    assert_served_equals_direct(|| server_mix_db(60), &qs);
+}
+
+#[test]
+fn paper_queries_agree_on_the_figure1_university() {
+    let make = || {
+        let mut db = generate(&UniversityParams::tiny()).unwrap().db;
+        db.execute(queries::DEFINE_BOSS).unwrap();
+        db.execute(queries::DEFINE_WORKLOAD).unwrap();
+        db
+    };
+    let qs = [
+        queries::SECTION2_KIDS,
+        queries::SECTION2_MIN_AGE,
+        queries::FIGURE3,
+        queries::FIGURE4,
+        queries::EXAMPLE1,
+        queries::EXAMPLE2,
+        queries::QUERY_BOSS,
+        queries::QUERY_WORKLOAD,
+    ]
+    .map(str::to_string);
+    assert_served_equals_direct(make, &qs);
+}
+
+#[test]
+fn a_plan_lowered_with_no_choices_is_the_naive_evaluator() {
+    for plan in common::seeds() {
+        // Fresh databases: plans that mint OIDs mint the same ones.
+        let mut naive_db = common::database();
+        let naive = naive_db.run_plan(&plan);
+        let mut db = common::database();
+        db.set_threads(1);
+        let lowered = db.run_lowered(&PhysicalPlan::passthrough(plan.clone()), Tracing::Off);
+        match (naive, lowered) {
+            (Ok(naive), Ok(lowered)) => {
+                assert_eq!(naive, lowered.value, "{plan}");
+                assert_eq!(naive_db.last_counters(), lowered.counters, "{plan}");
+            }
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{plan}"),
+            (a, b) => panic!("{plan}: naive {a:?} vs lowered {:?}", b.map(|r| r.value)),
+        }
+    }
+}

@@ -9,7 +9,9 @@
 //!    running without it.
 
 use excess::algebra::expr::{CmpOp, Expr, Func, Pred};
-use excess::db::Database;
+use excess::algebra::physical::PhysicalPlan;
+use excess::algebra::profile::Profile;
+use excess::db::{Database, Tracing};
 use excess::types::{SchemaType, Value};
 use proptest::prelude::*;
 
@@ -84,6 +86,16 @@ fn build(stages: &[Stage]) -> Expr {
     e
 }
 
+/// Run `plan` as written (no kernel choices) on the serial engine with
+/// precise profiling.
+fn profiled(db: &mut Database, plan: &Expr) -> (Value, Profile) {
+    db.set_threads(1);
+    let ran = db
+        .run_lowered(&PhysicalPlan::passthrough(plan.clone()), Tracing::Precise)
+        .unwrap();
+    (ran.value, ran.profile.expect("tracing was enabled"))
+}
+
 fn database(a: &[i32], b: &[i32]) -> Database {
     let mut db = Database::new();
     db.optimize = false;
@@ -112,7 +124,7 @@ proptest! {
     ) {
         let plan = build(&stages);
         let mut db = database(&a, &b);
-        let (_, profile) = db.run_plan_profiled(&plan).unwrap();
+        let profile = profiled(&mut db, &plan).1;
         let global = db.last_counters();
         prop_assert_eq!(profile.total, global, "plan {}", plan);
         prop_assert_eq!(
@@ -136,7 +148,7 @@ proptest! {
         let plain_counters = plain_db.last_counters();
 
         let mut traced_db = database(&a, &b);
-        let (traced, profile) = traced_db.run_plan_profiled(&plan).unwrap();
+        let (traced, profile) = profiled(&mut traced_db, &plan);
         prop_assert_eq!(&plain, &traced, "profiling changed the result of {}", plan);
         prop_assert_eq!(
             plain_counters, traced_db.last_counters(),

@@ -166,3 +166,19 @@ fn disabling_spans_clears_the_last_trace() {
     assert!(db.last_query_trace().is_none());
     assert_eq!(db.telemetry().registry.counter("queries"), 2);
 }
+
+#[test]
+fn a_failed_program_does_not_label_the_next_retrieve() {
+    let mut db = example1_db(8, 8, 2);
+    // Fails at its first statement, before any retrieve could take the
+    // program's text and parse time.
+    let failed = "append to Nowhere (1) retrieve (S1.sname)";
+    db.execute(failed).unwrap_err();
+    // A statement run on its own carries no program text: its flight
+    // record is labelled `retrieve` with a zero parse phase.
+    let stmt = excess::lang::parse_statement("retrieve (S1.sname)").unwrap();
+    db.run_stmt(&stmt).unwrap();
+    let record = db.telemetry().recorder.records().last().unwrap();
+    assert_eq!(record.query, "retrieve", "filed under the failed program");
+    assert_eq!(record.phase_us[0], ("parse", 0));
+}
