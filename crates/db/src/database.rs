@@ -19,8 +19,7 @@ use excess_lang::methods::{MethodDef, MethodRegistry};
 use excess_lang::translate::{resolve_this, translate_retrieve, TranslateCtx};
 use excess_lang::{parse_program, LangError};
 use excess_optimizer::{
-    elide_proven_guards, estimate_physical, lower, MemoSnapshot, OptimizerMode, RewriteJournal,
-    Statistics,
+    elide_proven_guards, estimate_physical, lower, MemoSnapshot, RewriteJournal, Statistics,
 };
 use excess_telemetry::{QueryTrace, Telemetry};
 use excess_types::{ObjectStore, SchemaType, TypeId, TypeRegistry, Value};
@@ -131,15 +130,12 @@ pub struct Database {
     /// through the partition-parallel engine whenever `workers > 1`
     /// (default: from `EXCESS_THREADS`, serial when unset).
     exec: ExecConfig,
-    /// Plan-search strategy (default: from `EXCESS_OPTIMIZER` — memoized
-    /// group search unless `greedy` is requested for the legacy pass).
-    optimizer_mode: OptimizerMode,
     /// q-error threshold above which a feedback observation for the
     /// current plan triggers a re-optimization (stats corrected from the
     /// observed cardinalities, plan re-optimized and re-lowered, the step
     /// journaled under `reoptimize`).
     pub reopt_threshold: f64,
-    /// Memo picture of the last journaled optimization (memo mode only).
+    /// Memo picture of the last plan search.
     last_memo: Option<MemoSnapshot>,
     /// Label, optimized logical plan, and physical plan hash of the last
     /// pipeline query — what `.reoptimize` forces a re-lower of.
@@ -162,7 +158,6 @@ impl Database {
     /// An empty database.
     pub fn new() -> Self {
         let (exec, warning) = ExecConfig::from_env_checked();
-        let (optimizer_mode, mode_warning) = OptimizerMode::from_env();
         let mut db = Database {
             registry: TypeRegistry::new(),
             store: ObjectStore::new(),
@@ -175,7 +170,6 @@ impl Database {
             property_rewrites: false,
             columnar: false,
             exec,
-            optimizer_mode,
             reopt_threshold: 32.0,
             last_memo: None,
             last_plan: None,
@@ -186,9 +180,6 @@ impl Database {
             telemetry: Telemetry::new(),
         };
         if let Some(w) = warning {
-            db.warn(w);
-        }
-        if let Some(w) = mode_warning {
             db.warn(w);
         }
         // Flight-recorder tuning rides the same pure-parse-then-warn path
@@ -245,16 +236,8 @@ impl Database {
     pub fn statistics_mut(&mut self) -> &mut Statistics {
         &mut self.stats
     }
-    /// The active plan-search strategy.
-    pub fn optimizer_mode(&self) -> OptimizerMode {
-        self.optimizer_mode
-    }
-    /// Switch between memoized search and the legacy greedy pass.
-    pub fn set_optimizer_mode(&mut self, mode: OptimizerMode) {
-        self.optimizer_mode = mode;
-    }
-    /// Memo picture of the last journaled optimization (None in greedy
-    /// mode or before the first optimized query).
+    /// Memo picture of the last plan search (None before the first
+    /// optimized query).
     pub fn last_memo(&self) -> Option<&MemoSnapshot> {
         self.last_memo.as_ref()
     }
@@ -539,7 +522,6 @@ impl Database {
     fn options(&self) -> Options {
         Options {
             optimize: self.optimize,
-            mode: self.optimizer_mode,
             property_rewrites: self.property_rewrites,
             columnar: self.columnar,
             exec: self.exec,
@@ -565,12 +547,10 @@ impl Database {
         }
     }
 
-    /// Rule-based optimization plus extent-index rewriting, dispatched on
-    /// the session's [`OptimizerMode`] — memoized group search by default,
-    /// the legacy greedy pass (on the plan and on its desugared form,
-    /// cheaper result wins) behind the flag.
+    /// Rule-based optimization — the memoized group search — plus
+    /// extent-index rewriting.
     pub fn optimize_plan(&self, plan: &Expr) -> Expr {
-        pipeline::search(&self.view(), self.optimizer_mode, plan).0
+        pipeline::search(&self.view(), plan).0
     }
 
     /// [`Database::optimize_plan`] with its rewrite journal: every
@@ -578,12 +558,12 @@ impl Database {
     /// group id as their path), cost before/after — the plans-enumerated
     /// tally, any rewrites the soundness gate refused, and the final
     /// extent-index substitution phase under the rule name
-    /// `extent-index-substitution`.  In memo mode the memo's group picture
-    /// is retained for [`Database::last_memo`].  The run is folded into
-    /// the session [`SessionMetrics`].
+    /// `extent-index-substitution`.  The memo's group picture is retained
+    /// for [`Database::last_memo`].  The run is folded into the session
+    /// [`SessionMetrics`].
     pub fn optimize_plan_journaled(&mut self, plan: &Expr) -> (Expr, RewriteJournal) {
-        let (best, journal, memo) = pipeline::search(&self.view(), self.optimizer_mode, plan);
-        self.last_memo = memo;
+        let (best, journal, memo) = pipeline::search(&self.view(), plan);
+        self.last_memo = Some(memo);
         self.metrics.record_journal(&journal);
         (best, journal)
     }
@@ -616,7 +596,7 @@ impl Database {
             p.telemetry,
         )?;
         self.stats = done.stats;
-        self.last_memo = done.memo;
+        self.last_memo = Some(done.memo);
         self.last_reopt = Some(done.report.clone());
         Some(done.report)
     }

@@ -47,9 +47,9 @@ pub use session::{CommitBatch, Generation, QueryOutcome, ServerStats, Session, V
 // Re-exported so callers can configure parallel execution without naming
 // the engine crate directly.
 pub use excess_exec::{ExecConfig, ExecOutcome as Executed, ExecReport, Tracing, THREADS_ENV};
-// Re-exported so callers can pick the plan-search strategy (and read the
-// memo picture) without naming the optimizer crate.
-pub use excess_optimizer::{MemoSnapshot, OptimizerMode, OPTIMIZER_ENV};
+// Re-exported so callers can read the memo picture without naming the
+// optimizer crate.
+pub use excess_optimizer::MemoSnapshot;
 // Re-exported so callers can read telemetry without naming the crate.
 pub use excess_telemetry::{
     FeedbackLog, FlightRecorder, Histogram, QueryRecord, QueryTrace, Registry, Span, Telemetry,

@@ -6,7 +6,7 @@
 //! their order, and what is measured on the way:
 //!
 //! ```text
-//! translate → search (memo | greedy) → extent-index substitution
+//! translate → search (the memo) → extent-index substitution
 //!           → property rewrites → lower (+ columnar, + guard elision)
 //!           → execute → record
 //! ```
@@ -32,7 +32,7 @@ use excess_lang::translate::{translate_retrieve, TranslateCtx};
 use excess_optimizer::{
     annotate_columnar, apply_extent_indexes_journaled, apply_property_rewrites_journaled, cost_of,
     elide_proven_guards, estimate_physical, lower_journaled, JournalStep, MemoSnapshot, Optimizer,
-    OptimizerMode, RewriteJournal, RuleCtx, Statistics, COLUMNAR_RULE, REOPTIMIZE_RULE,
+    RewriteJournal, RuleCtx, Statistics, COLUMNAR_RULE, REOPTIMIZE_RULE,
 };
 use excess_telemetry::{fnv1a64, FeedbackLog, QueryRecord, QueryTrace, Registry, Span, Telemetry};
 use excess_types::{ObjectStore, SchemaType, TypeRegistry, Value};
@@ -120,7 +120,6 @@ impl View<'_> {
 #[derive(Clone, Copy)]
 pub(crate) struct Options {
     pub optimize: bool,
-    pub mode: OptimizerMode,
     pub property_rewrites: bool,
     pub columnar: bool,
     pub exec: ExecConfig,
@@ -174,41 +173,19 @@ pub(crate) fn translate(view: &View<'_>, r: &Retrieve) -> DbResult<(Expr, Schema
 }
 
 /// Rule-based plan search plus extent-index substitution: the plan, its
-/// journal, and the memo's group picture (memo mode only).
+/// journal, and the memo's group picture.
 ///
-/// In memo mode the plan is interned into the memo and explored as group
-/// transformations; the memo seeds itself with the greedy trajectory, so
-/// its result never costs more than greedy's.  In greedy mode the legacy
-/// pass runs on both the plan as given and its desugared form (derived
-/// σ/join nodes expanded to SET_APPLY∘COMP), because several fusion rules
-/// — rule 15 in particular — only match the primitive shapes; the cheaper
-/// result wins.  Memo steps carry the group id as their path.  The final
-/// extent-index phase is journaled (and soundness-gated) under
-/// `extent-index-substitution`.
-pub(crate) fn search(
-    view: &View<'_>,
-    mode: OptimizerMode,
-    plan: &Expr,
-) -> (Expr, RewriteJournal, Option<MemoSnapshot>) {
+/// The plan — and its desugared form (derived σ/join nodes expanded to
+/// SET_APPLY∘COMP, which several fusion rules need) — is interned into the
+/// memo and explored as group transformations; journal steps carry the
+/// group id as their path.  The final extent-index phase is journaled
+/// (and soundness-gated) under `extent-index-substitution`.
+pub(crate) fn search(view: &View<'_>, plan: &Expr) -> (Expr, RewriteJournal, MemoSnapshot) {
     let ctx = view.rules();
-    let opt = Optimizer::standard();
-    let (best, mut journal, memo) = match mode {
-        OptimizerMode::Memo => {
-            let (best, run) = opt.optimize_memo_journaled(plan, &ctx, view.stats);
-            (best.plan, run.journal, Some(run.snapshot))
-        }
-        OptimizerMode::Greedy => {
-            let (a, ja) = opt.optimize_greedy_journaled(plan, &ctx, view.stats);
-            let (b, jb) = opt.optimize_greedy_journaled(&plan.desugar(), &ctx, view.stats);
-            if b.cost < a.cost {
-                (b.plan, jb, None)
-            } else {
-                (a.plan, ja, None)
-            }
-        }
-    };
-    let plan = apply_extent_indexes_journaled(&best, view.stats, &ctx, &mut journal);
-    (plan, journal, memo)
+    let (best, run) = Optimizer::standard().optimize_memo_journaled(plan, &ctx, view.stats);
+    let mut journal = run.journal;
+    let plan = apply_extent_indexes_journaled(&best.plan, view.stats, &ctx, &mut journal);
+    (plan, journal, run.snapshot)
 }
 
 /// Every property-licensed rewrite provable against the stored data.
@@ -558,11 +535,11 @@ pub(crate) fn run(
     let mut memo = None;
     if opts.optimize {
         let t0 = t.now();
-        let (found, journal, group_picture) = search(&view, opts.mode, &plan);
+        let (found, journal, group_picture) = search(&view, &plan);
         if let Some(s) = t.lap("optimize", t0) {
             journal_span(s, &journal);
         }
-        (plan, memo) = (Cow::Owned(found), group_picture);
+        (plan, memo) = (Cow::Owned(found), Some(group_picture));
         journals.push(journal);
     }
     if opts.property_rewrites {
@@ -779,7 +756,7 @@ pub(crate) struct Reoptimized {
     pub report: ReoptReport,
     /// The view's statistics with the observed cardinalities folded in.
     pub stats: Statistics,
-    pub memo: Option<MemoSnapshot>,
+    pub memo: MemoSnapshot,
 }
 
 /// Re-optimize the last query when its worst recorded q-error exceeds
@@ -836,7 +813,7 @@ pub(crate) fn reoptimize(
         ..view
     };
     let cost_before = cost_of(&plan, &stats);
-    let (found, search_journal, memo) = search(&view, opts.mode, &plan);
+    let (found, search_journal, memo) = search(&view, &plan);
     let lowered = lower(&mut view, &found, opts.columnar, opts.property_rewrites);
     let cost_after = cost_of(&found, &stats);
     let new_hash = plan_hash_of(&lowered.physical);

@@ -63,7 +63,7 @@ use excess_exec::ExecConfig;
 use excess_lang::ast::{QExpr, Stmt};
 use excess_lang::methods::MethodRegistry;
 use excess_lang::parse_program;
-use excess_optimizer::{MemoSnapshot, OptimizerMode, Statistics};
+use excess_optimizer::{MemoSnapshot, Statistics};
 use excess_telemetry::{RecorderSettings, Registry, Telemetry};
 use excess_types::{ObjectStore, TypeRegistry, Value};
 use std::collections::{BTreeSet, HashMap};
@@ -313,26 +313,19 @@ impl VersionedDb {
         let scratch = (*snapshot.store).clone();
         let mut telemetry = Telemetry::new();
         telemetry.recorder = RecorderSettings::from_env().build();
-        let (optimizer_mode, mode_warning) = OptimizerMode::from_env();
-        let mut session = Session {
+        Session {
             db: self.clone(),
             snapshot,
             scratch,
             local_ranges: HashMap::new(),
             optimize: true,
-            optimizer_mode,
             stats_overlay: None,
             last_memo: None,
             last_plan: None,
             metrics: SessionMetrics::new(),
             telemetry,
             closed: false,
-        };
-        if let Some(w) = mode_warning {
-            session.telemetry.registry.inc("config.warnings");
-            session.metrics.record_warning(w);
         }
-        session
     }
 
     /// Send one program to the committer and wait for it to be applied
@@ -618,15 +611,12 @@ pub struct Session {
     /// Run the rule-based optimizer on every query (default: on,
     /// matching [`Database`]).
     pub optimize: bool,
-    /// Plan-search strategy, mirroring [`Database`]'s `EXCESS_OPTIMIZER`
-    /// dispatch (memo by default, greedy behind the flag).
-    pub optimizer_mode: OptimizerMode,
     /// Session-local corrected statistics: set by
     /// [`Session::reoptimize_last`], used in place of the pinned
     /// generation's statistics until the next [`Session::refresh`] —
     /// snapshot isolation for the feedback loop.
     stats_overlay: Option<Arc<Statistics>>,
-    /// Memo picture of the last memo-mode optimization in this session.
+    /// Memo picture of the last plan search in this session.
     last_memo: Option<MemoSnapshot>,
     /// Label, optimized logical plan, and plan hash of the last query.
     last_plan: Option<LastPlan>,
@@ -694,7 +684,6 @@ impl Session {
     fn options(&self) -> Options {
         Options {
             optimize: self.optimize,
-            mode: self.optimizer_mode,
             property_rewrites: false,
             columnar: false,
             exec: ExecConfig::serial(),
@@ -722,7 +711,7 @@ impl Session {
             &mut self.telemetry,
         )?;
         self.stats_overlay = Some(Arc::new(done.stats));
-        self.last_memo = done.memo;
+        self.last_memo = Some(done.memo);
         Some(done.report.render())
     }
 

@@ -1,5 +1,13 @@
-//! The rewrite engine: exhaustive exploration with a seen-set, plus a
-//! greedy heuristic pass.
+//! The rewrite engine's shared parts: the soundness gate, the rewrite
+//! journal, neighbor enumeration, and the reference hill climb.
+//!
+//! The plan search itself is the memo (`crate::memo`).  What lives here is
+//! what the memo and its tests share: [`soundness_violation`], the
+//! [`RewriteJournal`], the whole-plan enumerators ([`Optimizer::neighbors_at`],
+//! [`Optimizer::explore`]) that the rule-soundness suites evaluate plan by
+//! plan, and [`Optimizer::optimize_greedy_journaled`] — a first-improving
+//! hill climb that no serving path calls, kept as the reference the memo is
+//! differentially tested and reported (`report` §D/§K) against.
 //!
 //! "The many-sortedness ensures that only a subset of the operators (and
 //! thus of the transformation rules) will be applicable at any point during
@@ -72,24 +80,15 @@ pub struct Optimizer {
     pub allow_modulo_identity: bool,
     /// Allow rules stated for null-free data (the paper's own stance).
     pub allow_null_sensitive: bool,
-    /// Exploration budget: maximum number of distinct plans enumerated.
+    /// Exploration budget: maximum number of distinct plans enumerated
+    /// (memo members, for the memo search).
     pub max_plans: usize,
-    /// Seed the memo search ([`Optimizer::optimize_memo_journaled`]) with
-    /// the greedy trajectory, guaranteeing memo cost ≤ greedy cost.  Turn
-    /// off to measure what memo search finds entirely on its own.
-    pub seed_greedy: bool,
 }
 
 impl Optimizer {
     /// The full catalogue with default settings.
     pub fn standard() -> Self {
-        Optimizer {
-            rules: crate::rules::all(),
-            allow_modulo_identity: true,
-            allow_null_sensitive: true,
-            max_plans: 512,
-            seed_greedy: true,
-        }
+        Self::with_rules(crate::rules::all())
     }
 
     /// An engine with a chosen rule set.
@@ -99,7 +98,6 @@ impl Optimizer {
             allow_modulo_identity: true,
             allow_null_sensitive: true,
             max_plans: 512,
-            seed_greedy: true,
         }
     }
 
@@ -191,67 +189,6 @@ impl Optimizer {
         }
         queue
     }
-
-    /// Exhaustively explore and return the cheapest plan under `stats`
-    /// (ties broken toward the original).
-    pub fn optimize(&self, e: &Expr, ctx: &RuleCtx<'_>, stats: &Statistics) -> Optimized {
-        let plans = self.explore(e, ctx);
-        let explored = plans.len();
-        let mut best = e.clone();
-        let mut best_cost = cost_of(e, stats);
-        for p in plans {
-            let c = cost_of(&p, stats);
-            if c < best_cost {
-                best_cost = c;
-                best = p;
-            }
-        }
-        Optimized {
-            plan: best,
-            cost: best_cost,
-            explored,
-        }
-    }
-
-    /// Greedy hill-climbing: repeatedly take the single best cost-improving
-    /// neighbor until none improves.  Much cheaper than [`Self::optimize`]
-    /// and sufficient for the always-beneficial heuristics ("some of the
-    /// trees are obtained using heuristics that are always beneficial",
-    /// Section 5).
-    pub fn optimize_greedy(&self, e: &Expr, ctx: &RuleCtx<'_>, stats: &Statistics) -> Optimized {
-        let mut cur = e.clone();
-        let mut cur_cost = cost_of(&cur, stats);
-        let mut explored = 1;
-        loop {
-            let mut improved = false;
-            for (rule, alt) in self.neighbors(&cur, ctx) {
-                explored += 1;
-                let c = cost_of(&alt, stats);
-                if c < cur_cost {
-                    // Fast path: soundness is a rule-catalogue invariant, so
-                    // the full gate runs only under debug assertions here
-                    // (the journaled pass gates unconditionally).
-                    debug_assert!(
-                        soundness_violation(&cur, &alt, ctx).is_none(),
-                        "rule `{rule}` proposed an unsound rewrite: {}",
-                        soundness_violation(&cur, &alt, ctx).unwrap_or_default()
-                    );
-                    let _ = rule;
-                    cur = alt;
-                    cur_cost = c;
-                    improved = true;
-                    break;
-                }
-            }
-            if !improved {
-                return Optimized {
-                    plan: cur,
-                    cost: cur_cost,
-                    explored,
-                };
-            }
-        }
-    }
 }
 
 /// The result of an optimization run.
@@ -261,7 +198,7 @@ pub struct Optimized {
     pub plan: Expr,
     /// Its estimated cost.
     pub cost: f64,
-    /// Number of plans (or neighbor evaluations, for greedy) examined.
+    /// Number of plans (or neighbor evaluations, for the hill climb) examined.
     pub explored: usize,
 }
 
@@ -274,19 +211,6 @@ pub struct Neighbor {
     /// Path of the node the rule fired at (empty = root).
     pub path: NodePath,
     /// The rewritten plan (with the rewrite spliced in at `path`).
-    pub plan: Expr,
-}
-
-/// One step of a traced greedy run.
-#[derive(Debug, Clone)]
-pub struct TraceStep {
-    /// The rule that fired.
-    pub rule: &'static str,
-    /// Estimated cost before the step.
-    pub cost_before: f64,
-    /// Estimated cost after the step.
-    pub cost_after: f64,
-    /// The plan after the step.
     pub plan: Expr,
 }
 
@@ -369,33 +293,18 @@ impl RewriteJournal {
 }
 
 impl Optimizer {
-    /// [`Optimizer::optimize_greedy`] with a per-step trace — which rule
-    /// fired, and how much estimated cost it removed.  This is the
-    /// instrumentation the paper's Section 6 asks for when studying which
-    /// operators are "amenable to optimization".
-    pub fn optimize_greedy_traced(
-        &self,
-        e: &Expr,
-        ctx: &RuleCtx<'_>,
-        stats: &Statistics,
-    ) -> (Optimized, Vec<TraceStep>) {
-        let (best, journal) = self.optimize_greedy_journaled(e, ctx, stats);
-        let trace = journal
-            .steps
-            .into_iter()
-            .map(|s| TraceStep {
-                rule: s.rule,
-                cost_before: s.cost_before,
-                cost_after: s.cost_after,
-                plan: s.plan,
-            })
-            .collect();
-        (best, trace)
-    }
-
-    /// [`Optimizer::optimize_greedy`] with a full [`RewriteJournal`]:
-    /// every accepted rule firing with the node path it fired at, plus the
-    /// enumeration effort against the `max_plans` budget.
+    /// The reference hill climb: repeatedly take the first cost-improving
+    /// neighbor (catalogue order, root before children) that passes the
+    /// soundness gate, until none improves — "heuristics that are always
+    /// beneficial" (Section 5).  Returns the full [`RewriteJournal`]: every
+    /// accepted rule firing with the node path it fired at, every refusal,
+    /// and the enumeration effort.
+    ///
+    /// Not a serving path: every query is planned by
+    /// [`Optimizer::optimize_memo_journaled`].  This stays as the
+    /// independent oracle `tests/memo_equivalence.rs` holds the memo to
+    /// (memo cost ≤ this climb's, from the plan and from its `desugar()`)
+    /// and as the whole-plan derivation `report` §D prints.
     pub fn optimize_greedy_journaled(
         &self,
         e: &Expr,
@@ -628,40 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_fuses_set_applys() {
-        let (reg, schemas) = ctx_fixtures();
-        let opt = Optimizer::standard();
-        let stats = Statistics::new();
-        let e = Expr::named("S")
-            .set_apply(Expr::input().extract("name"))
-            .set_apply(Expr::input().make_tup("n"));
-        let best = opt.optimize_greedy(&e, &ctx(&reg, &schemas), &stats);
-        // One SET_APPLY, fused body.
-        assert_eq!(
-            best.plan,
-            Expr::named("S").set_apply(Expr::input().extract("name").make_tup("n"))
-        );
-    }
-
-    #[test]
-    fn traced_greedy_records_each_improving_step() {
-        let (reg, schemas) = ctx_fixtures();
-        let opt = Optimizer::standard();
-        let stats = Statistics::new();
-        let e = Expr::named("S")
-            .set_apply(Expr::input().extract("name"))
-            .set_apply(Expr::input().make_tup("n"));
-        let (best, trace) = opt.optimize_greedy_traced(&e, &ctx(&reg, &schemas), &stats);
-        assert!(!trace.is_empty());
-        assert!(trace.iter().any(|s| s.rule == "rule15-combine-set-applys"));
-        // Costs strictly decrease along the trace and end at the result.
-        for w in trace.windows(2) {
-            assert!(w[1].cost_before <= w[0].cost_after + 1e-9);
-        }
-        assert_eq!(trace.last().unwrap().plan, best.plan);
-    }
-
-    #[test]
     fn neighbors_at_reports_firing_positions() {
         let (reg, schemas) = ctx_fixtures();
         let opt = Optimizer::standard();
@@ -703,20 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_and_journaled_greedy_agree() {
-        let (reg, schemas) = ctx_fixtures();
-        let opt = Optimizer::standard();
-        let stats = Statistics::new();
-        let e = Expr::named("S")
-            .set_apply(Expr::input().extract("name"))
-            .set_apply(Expr::input().make_tup("n"));
-        let (plain, _) = (opt.optimize_greedy(&e, &ctx(&reg, &schemas), &stats), ());
-        let (journaled, _) = opt.optimize_greedy_journaled(&e, &ctx(&reg, &schemas), &stats);
-        assert_eq!(plain.plan, journaled.plan);
-        assert_eq!(plain.explored, journaled.explored);
-    }
-
-    #[test]
     fn explore_is_bounded_and_contains_original() {
         let (reg, schemas) = ctx_fixtures();
         let mut opt = Optimizer::standard();
@@ -751,7 +612,7 @@ mod tests {
         let opt = Optimizer::with_rules(vec![]);
         let e = Expr::named("S").dup_elim().dup_elim();
         assert!(opt.neighbors(&e, &ctx(&reg, &schemas)).is_empty());
-        let best = opt.optimize(&e, &ctx(&reg, &schemas), &Statistics::new());
+        let best = opt.optimize_memo(&e, &ctx(&reg, &schemas), &Statistics::new());
         assert_eq!(best.plan, e);
         assert_eq!(best.explored, 1);
     }

@@ -1,9 +1,9 @@
 //! # excess-optimizer — algebraic transformations and plan search
 //!
 //! The optimizer half of the paper's contribution: the Appendix's
-//! transformation rules (1–28) as a [`rule::Rule`] catalogue, an
-//! exploration/greedy rewrite engine ([`engine::Optimizer`]), a statistics
-//! and cost model making the paper's Section 6 "future work" concrete, and
+//! transformation rules (1–28) as a [`rule::Rule`] catalogue, one memoized
+//! plan search over it ([`engine::Optimizer::optimize_memo_journaled`], in
+//! [`memo`]), a statistics and cost model making the paper's Section 6 "future work" concrete, and
 //! the Section 4 overridden-method dispatch strategies
 //! ([`dispatch::choose`]).
 
@@ -27,12 +27,9 @@ pub use cost::{
 pub use dispatch::{build_switch, build_union, choose, DispatchStrategy, MethodImpl};
 pub use engine::{
     apply_extent_indexes, apply_extent_indexes_journaled, soundness_violation, JournalStep,
-    Neighbor, Optimized, Optimizer, RefusedStep, RewriteJournal, TraceStep, EXTENT_INDEX_RULE,
+    Neighbor, Optimized, Optimizer, RefusedStep, RewriteJournal, EXTENT_INDEX_RULE,
 };
-pub use memo::{
-    GroupSummary, MemoRun, MemoSnapshot, OptimizerMode, MEMO_EXTRACT_RULE, OPTIMIZER_ENV,
-    REOPTIMIZE_RULE,
-};
+pub use memo::{GroupSummary, MemoRun, MemoSnapshot, MEMO_EXTRACT_RULE, REOPTIMIZE_RULE};
 
 pub use lower::{
     annotate_columnar, elide_proven_guards, lower, lower_journaled, COLUMNAR_RULE,

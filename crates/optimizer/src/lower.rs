@@ -593,14 +593,7 @@ mod tests {
                 Expr::input().extract("name"),
             ),
         );
-        let mut journal = RewriteJournal {
-            steps: Vec::new(),
-            refused: Vec::new(),
-            plans_enumerated: 0,
-            max_plans: 0,
-            initial_cost: 0.0,
-            final_cost: 0.0,
-        };
+        let mut journal = RewriteJournal::for_plan(0.0);
         let pp = lower_journaled(&plan, &stats(), &mut journal);
         let root = pp
             .choices

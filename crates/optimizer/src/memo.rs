@@ -1,10 +1,12 @@
 //! Cascades-style memoized plan search over the rule catalogue.
 //!
-//! The greedy pass ([`Optimizer::optimize_greedy_journaled`]) walks the
-//! catalogue in a fixed order and keeps only cost-improving steps, so it
-//! finds the paper's Figure 6 → Figure 8 derivation partly by luck: the
-//! DE-through-GROUP push must happen to be the first improving neighbor.
-//! The memo search removes the luck.  Every logical subtree is interned
+//! The one plan search.  A hill climb
+//! ([`Optimizer::optimize_greedy_journaled`], kept as the reference the
+//! differential tests compare against) walks the catalogue in a fixed
+//! order and keeps only cost-improving steps, so it finds the paper's
+//! Figure 6 → Figure 8 derivation partly by luck: the DE-through-GROUP
+//! push must happen to be the first improving neighbor.  The memo search
+//! removes the luck.  Every logical subtree is interned
 //! into a *group* (structural hashing modulo group references — two
 //! subtrees land in the same group exactly when their root operators match
 //! and their children are, recursively, the same groups), rules fire at
@@ -13,8 +15,20 @@
 //! bottom-up group-costing fixpoint.  The soundness gate and rewrite
 //! journal carry over per group: each candidate is re-verified against the
 //! member it was derived from, and refusals are journaled exactly as in
-//! the greedy pass (deduplicated per rule/group/reason, with the group id
-//! standing in for the node path).
+//! the reference pass (deduplicated per rule/group/reason, with the group
+//! id standing in for the node path).
+//!
+//! Two details of the round loop are load-bearing (each has a named case
+//! in `tests/memo_equivalence.rs` that loses to the hill climb without it):
+//!
+//! * alternatives are deduplicated **per group** — an alternative that
+//!   another group already produced must still be interned here, because
+//!   that is exactly the event that merges the two groups;
+//! * a member is matched against **every member of each child group**, one
+//!   level deep (one child varied at a time, the others at their current
+//!   best), not only against the children's current best — children are
+//!   visited first, so by the time a parent fires, a child's best may have
+//!   lost the shape the parent's rule needs.
 //!
 //! Group invariants:
 //!
@@ -34,7 +48,7 @@
 //! violation there is journaled under [`MEMO_EXTRACT_RULE`] and the search
 //! falls back to the cheapest sound whole-plan candidate.
 
-use crate::cost::{cost_of, estimate, Estimate};
+use crate::cost::{cost_of, estimate};
 use crate::engine::{
     soundness_violation, JournalStep, Optimized, Optimizer, RefusedStep, RewriteJournal,
 };
@@ -54,47 +68,9 @@ pub const MEMO_EXTRACT_RULE: &str = "memo-extract";
 /// recorded (the step's `plan` is the re-optimized logical plan).
 pub const REOPTIMIZE_RULE: &str = "reoptimize";
 
-/// Environment variable selecting the plan-search strategy.
-pub const OPTIMIZER_ENV: &str = "EXCESS_OPTIMIZER";
-
-/// Exploration rounds: each round reconstructs every member with the
-/// current best children and fires the catalogue once at each group root.
+/// Exploration rounds: each round binds every member against its child
+/// groups' members and fires the catalogue once at each new binding.
 const MAX_ROUNDS: usize = 6;
-
-/// Which plan-search strategy the pipeline should run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptimizerMode {
-    /// Memoized group search (the default).
-    #[default]
-    Memo,
-    /// The legacy greedy hill-climbing pass, kept for differential
-    /// testing.
-    Greedy,
-}
-
-impl OptimizerMode {
-    /// Parse a setting string (the value of [`OPTIMIZER_ENV`]).  Returns
-    /// the mode plus a warning when the value was not recognized (the
-    /// default mode is used in that case).
-    pub fn from_setting(setting: Option<&str>) -> (Self, Option<String>) {
-        match setting.map(str::trim) {
-            None | Some("") | Some("memo") => (OptimizerMode::Memo, None),
-            Some("greedy") => (OptimizerMode::Greedy, None),
-            Some(other) => (
-                OptimizerMode::Memo,
-                Some(format!(
-                    "{OPTIMIZER_ENV}={other:?} not recognized (expected `memo` or `greedy`); \
-                     using memo"
-                )),
-            ),
-        }
-    }
-
-    /// [`OptimizerMode::from_setting`] on the process environment.
-    pub fn from_env() -> (Self, Option<String>) {
-        Self::from_setting(std::env::var(OPTIMIZER_ENV).ok().as_deref())
-    }
-}
 
 /// A member: the node's operator skeleton (children replaced by a fixed
 /// placeholder) plus the canonical ids of the child groups, in
@@ -113,28 +89,29 @@ fn skeleton_of(e: &Expr) -> Expr {
     e.map_children(&mut |_| PLACEHOLDER)
 }
 
-/// The leading token of an expression's debug form — a compact operator
-/// label for group summaries (`SetApply`, `RelJoin`, `Named`, …).
-fn op_label(e: &Expr) -> String {
-    let d = format!("{e:?}");
-    d.split(['(', ' ', '{']).next().unwrap_or("?").to_string()
-}
-
 struct Group {
-    /// The concrete expression that created the group — used for one-time
-    /// property/estimate derivation and as the initial best.
+    /// The concrete expression that created the group — the initial best,
+    /// and what `.memo` labels the group with.
     exemplar: Expr,
     members: Vec<MemberKey>,
     best_expr: Expr,
     best_cost: f64,
-    est: Estimate,
-    props: String,
+    /// Estimated output rows, derived once from the exemplar.
+    est_rows: f64,
+    /// Bindings the catalogue has already been applied to here, so a
+    /// round only pays for what the previous one changed (the last round
+    /// is all repeats).
+    fired: HashSet<Expr>,
+    /// Alternatives already put to the gate here.  Per group on purpose:
+    /// an alternative some *other* group produced must still be interned
+    /// into this one, since that is what merges the two.
+    gated: HashSet<Expr>,
 }
 
 /// The memo: groups of structurally-equal-modulo-groups subtrees, with a
 /// union-find over group ids so a rewrite landing in an existing group
 /// merges rather than forks.
-pub struct Memo {
+struct Memo {
     groups: Vec<Group>,
     parent: Vec<usize>,
     index: HashMap<MemberKey, usize>,
@@ -159,9 +136,8 @@ impl Memo {
     }
 
     /// Intern `e` (recursively — every subtree becomes a group) and return
-    /// its canonical group id.  Per-group properties and estimates are
-    /// derived once, at group creation: the estimate via the cost model,
-    /// the properties via the data-free `excess_core::analysis` pass.
+    /// its canonical group id.  A group's estimate is derived once, at
+    /// creation, from the cost model.
     fn intern(&mut self, e: &Expr, stats: &Statistics) -> usize {
         let children: Vec<usize> = e
             .children()
@@ -177,17 +153,14 @@ impl Memo {
         }
         let id = self.groups.len();
         let est = estimate(e, &mut Vec::new(), stats);
-        let props = analysis::analyze(e, &EmptyCatalog)
-            .props_at(&[])
-            .map(|p| p.render())
-            .unwrap_or_default();
         self.groups.push(Group {
             exemplar: e.clone(),
             members: vec![key.clone()],
             best_expr: e.clone(),
-            best_cost: cost_of(e, stats),
-            est,
-            props,
+            best_cost: est.cost,
+            est_rows: est.rows,
+            fired: HashSet::new(),
+            gated: HashSet::new(),
         });
         self.parent.push(id);
         self.index.insert(key, id);
@@ -215,6 +188,12 @@ impl Memo {
                 self.groups[keep].members.push(m);
             }
         }
+        let (fired, gated) = (
+            std::mem::take(&mut self.groups[drop].fired),
+            std::mem::take(&mut self.groups[drop].gated),
+        );
+        self.groups[keep].fired.extend(fired);
+        self.groups[keep].gated.extend(gated);
         if self.groups[drop].best_cost < self.groups[keep].best_cost {
             self.groups[keep].best_cost = self.groups[drop].best_cost;
             self.groups[keep].best_expr = self.groups[drop].best_expr.clone();
@@ -229,15 +208,44 @@ impl Memo {
             .collect()
     }
 
-    /// Rebuild a member into a concrete expression using each child
-    /// group's current best.
-    fn reconstruct(&self, key: &MemberKey) -> Expr {
+    /// Rebuild a member into a concrete expression: child `n` (when given)
+    /// replaced by `alt`, every other child its group's current best.
+    fn rebuild(&self, key: &MemberKey, vary: Option<(usize, &Expr)>) -> Expr {
         let mut i = 0usize;
         key.skeleton.map_children(&mut |_| {
-            let g = self.find(key.children[i]);
+            let child = match vary {
+                Some((n, alt)) if n == i => alt.clone(),
+                _ => self.groups[self.find(key.children[i])].best_expr.clone(),
+            };
             i += 1;
-            self.groups[g].best_expr.clone()
+            child
         })
+    }
+
+    /// Rebuild a member using each child group's current best.
+    fn reconstruct(&self, key: &MemberKey) -> Expr {
+        self.rebuild(key, None)
+    }
+
+    /// The expressions rules are matched against for one member: its
+    /// reconstruction with best children first, then — one child position
+    /// at a time — every other shape that child's group holds.  One level
+    /// deep: the varied child's own children are at their best.
+    fn bindings(&self, key: &MemberKey) -> Vec<Expr> {
+        let mut out = vec![self.reconstruct(key)];
+        for (n, &c) in key.children.iter().enumerate() {
+            let child = &self.groups[self.find(c)];
+            if child.members.len() < 2 {
+                continue;
+            }
+            for m in &child.members {
+                let alt = self.reconstruct(m);
+                if alt != child.best_expr {
+                    out.push(self.rebuild(key, Some((n, &alt))));
+                }
+            }
+        }
+        out
     }
 
     /// Bottom-up group costing: repeatedly re-reconstruct every member
@@ -276,20 +284,21 @@ impl Memo {
 pub struct GroupSummary {
     /// Canonical group id.
     pub id: usize,
-    /// Root operator of the group's exemplar.
-    pub op: String,
+    /// The expression that created the group; [`MemoSnapshot::render`]
+    /// derives the operator label and the property one-liner from it.
+    pub exemplar: Expr,
     /// Number of distinct members (alternative shapes).
     pub members: usize,
     /// Cheapest reconstruction cost after the fixpoint.
     pub best_cost: f64,
     /// Estimated output rows (derived once from the exemplar).
     pub est_rows: f64,
-    /// Data-free property analysis one-liner for the exemplar.
-    pub props: String,
 }
 
-/// A rendered picture of one memo run — what the REPL/server `.memo`
-/// command shows for the last optimized query.
+/// The picture of one memo run — what the REPL/server `.memo` command
+/// shows for the last optimized query.  Numbers are taken as the search
+/// ends; every piece of text is derived in [`MemoSnapshot::render`], so a
+/// request that nobody inspects pays for none of it.
 #[derive(Debug, Clone)]
 pub struct MemoSnapshot {
     /// Live (unmerged) groups, root first.
@@ -298,39 +307,44 @@ pub struct MemoSnapshot {
     pub members: usize,
     /// Exploration rounds run.
     pub rounds: usize,
-    /// Whether the greedy trajectory seeded the root group.
-    pub seeded: bool,
     /// Cost of the original plan.
     pub initial_cost: f64,
     /// Cost of the extracted winner.
     pub winner_cost: f64,
-    /// The extracted winner, rendered.
-    pub winner: String,
+    /// The extracted winner.
+    pub winner: Expr,
 }
 
 impl MemoSnapshot {
-    /// Multi-line human rendering (the REPL's `.memo` output).
+    /// Multi-line human rendering (the REPL's `.memo` output): per group
+    /// the exemplar's root operator (the leading token of its debug form —
+    /// `SetApply`, `RelJoin`, `Named`, …), the numbers, and the data-free
+    /// `excess_core::analysis` property one-liner.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "memo: {} groups, {} members, {} rounds{}\n",
+            "memo: {} groups, {} members, {} rounds\n",
             self.groups.len(),
             self.members,
             self.rounds,
-            if self.seeded { ", greedy-seeded" } else { "" }
         ));
         for g in &self.groups {
+            let debug = format!("{:?}", skeleton_of(&g.exemplar));
             out.push_str(&format!(
                 "  g{}: {} ({} member{}), best cost {:.1}, est rows {:.1}",
                 g.id,
-                g.op,
+                debug.split(['(', ' ', '{']).next().unwrap_or("?"),
                 g.members,
                 if g.members == 1 { "" } else { "s" },
                 g.best_cost,
                 g.est_rows
             ));
-            if !g.props.is_empty() {
-                out.push_str(&format!(" — {}", g.props));
+            let props = analysis::analyze(&g.exemplar, &EmptyCatalog)
+                .props_at(&[])
+                .map(|p| p.render())
+                .unwrap_or_default();
+            if !props.is_empty() {
+                out.push_str(&format!(" — {props}"));
             }
             out.push('\n');
         }
@@ -347,8 +361,8 @@ impl MemoSnapshot {
 /// for `.memo`.
 #[derive(Debug, Clone)]
 pub struct MemoRun {
-    /// The journal, shaped exactly like the greedy journal (paths hold the
-    /// group id a rule fired in).
+    /// The journal, shaped exactly like the reference journal (paths hold
+    /// the group id a rule fired in).
     pub journal: RewriteJournal,
     /// The group picture for rendering.
     pub snapshot: MemoSnapshot,
@@ -358,10 +372,7 @@ impl Optimizer {
     /// Memoized plan search: intern the plan into groups, fire the
     /// catalogue at every group root for a bounded number of rounds (soundness
     /// gate per candidate, refusals journaled), and extract the cheapest
-    /// plan by bottom-up group costing.  When [`Optimizer::seed_greedy`]
-    /// is set (the default) the greedy trajectory is interned into the
-    /// root group first, so the extracted cost is never worse than
-    /// greedy's.
+    /// plan by bottom-up group costing.
     pub fn optimize_memo(&self, e: &Expr, ctx: &RuleCtx<'_>, stats: &Statistics) -> Optimized {
         self.optimize_memo_journaled(e, ctx, stats).0
     }
@@ -394,28 +405,16 @@ impl Optimizer {
             explored += 1;
         }
 
-        if self.seed_greedy {
-            let (g, gj) = self.optimize_greedy_journaled(e, ctx, stats);
-            explored += g.explored;
-            for s in &gj.steps {
-                memo.intern_into(&s.plan, root, stats);
-                whole.push(s.plan.clone());
-            }
-            memo.intern_into(&g.plan, root, stats);
-            whole.push(g.plan);
-        }
-
         memo.cost_fixpoint(stats);
 
-        let mut seen: HashSet<Expr> = HashSet::new();
         let mut rounds = 0usize;
         let rules = self.enabled_rules();
         'search: while rounds < MAX_ROUNDS {
             rounds += 1;
             let mut grew = false;
             for g in memo.live_groups() {
-                // Members appended this round are re-reconstructed next
-                // round; iterate a stable snapshot of the current ones.
+                // Members appended this round are bound next round;
+                // iterate a stable snapshot of the current ones.
                 let n_members = memo.groups[g].members.len();
                 for mi in 0..n_members {
                     if memo.total_members >= self.max_plans {
@@ -428,33 +427,43 @@ impl Optimizer {
                         break;
                     }
                     let key = memo.groups[g].members[mi].clone();
-                    let cur = memo.reconstruct(&key);
-                    let cur_cost = cost_of(&cur, stats);
-                    for r in &rules {
-                        for alt in r.apply(&cur, ctx) {
-                            explored += 1;
-                            if !seen.insert(alt.clone()) {
-                                continue;
-                            }
-                            if let Some(reason) = soundness_violation(&cur, &alt, ctx) {
-                                if refused_seen.insert((r.name(), g, reason.clone())) {
-                                    refused.push(RefusedStep {
-                                        rule: r.name(),
-                                        path: vec![g],
-                                        reason,
-                                    });
+                    for cur in memo.bindings(&key) {
+                        if memo.find(g) != g {
+                            break;
+                        }
+                        if memo.groups[g].fired.contains(&cur) {
+                            continue;
+                        }
+                        memo.groups[g].fired.insert(cur.clone());
+                        let mut cur_cost = None;
+                        for r in &rules {
+                            for alt in r.apply(&cur, ctx) {
+                                explored += 1;
+                                if memo.groups[g].gated.contains(&alt) {
+                                    continue;
                                 }
-                                continue;
+                                memo.groups[g].gated.insert(alt.clone());
+                                if let Some(reason) = soundness_violation(&cur, &alt, ctx) {
+                                    if refused_seen.insert((r.name(), g, reason.clone())) {
+                                        refused.push(RefusedStep {
+                                            rule: r.name(),
+                                            path: vec![g],
+                                            reason,
+                                        });
+                                    }
+                                    continue;
+                                }
+                                steps.push(JournalStep {
+                                    rule: r.name(),
+                                    path: vec![g],
+                                    cost_before: *cur_cost
+                                        .get_or_insert_with(|| cost_of(&cur, stats)),
+                                    cost_after: cost_of(&alt, stats),
+                                    plan: alt.clone(),
+                                });
+                                memo.intern_into(&alt, g, stats);
+                                grew = true;
                             }
-                            steps.push(JournalStep {
-                                rule: r.name(),
-                                path: vec![g],
-                                cost_before: cur_cost,
-                                cost_after: cost_of(&alt, stats),
-                                plan: alt.clone(),
-                            });
-                            memo.intern_into(&alt, g, stats);
-                            grew = true;
                         }
                     }
                 }
@@ -502,28 +511,26 @@ impl Optimizer {
             break;
         }
 
+        let live = memo.live_groups();
         let snapshot = MemoSnapshot {
-            groups: memo
-                .live_groups()
+            members: memo.total_members,
+            groups: live
                 .into_iter()
                 .map(|g| {
-                    let gr = &memo.groups[g];
+                    let gr = &mut memo.groups[g];
                     GroupSummary {
                         id: g,
-                        op: op_label(&gr.exemplar),
+                        exemplar: std::mem::replace(&mut gr.exemplar, PLACEHOLDER),
                         members: gr.members.len(),
                         best_cost: gr.best_cost,
-                        est_rows: gr.est.rows,
-                        props: gr.props.clone(),
+                        est_rows: gr.est_rows,
                     }
                 })
                 .collect(),
-            members: memo.total_members,
             rounds,
-            seeded: self.seed_greedy,
             initial_cost,
             winner_cost: best_cost,
-            winner: best.to_string(),
+            winner: best.clone(),
         };
         let journal = RewriteJournal {
             steps,
@@ -572,41 +579,9 @@ mod tests {
     }
 
     #[test]
-    fn mode_parses_and_warns_on_unknown() {
-        assert_eq!(OptimizerMode::from_setting(None).0, OptimizerMode::Memo);
-        assert_eq!(
-            OptimizerMode::from_setting(Some("memo")).0,
-            OptimizerMode::Memo
-        );
-        assert_eq!(
-            OptimizerMode::from_setting(Some("greedy")).0,
-            OptimizerMode::Greedy
-        );
-        let (mode, warn) = OptimizerMode::from_setting(Some("fancy"));
-        assert_eq!(mode, OptimizerMode::Memo);
-        assert!(warn.unwrap().contains("fancy"));
-    }
-
-    #[test]
-    fn memo_fuses_set_applys_like_greedy() {
+    fn memo_fuses_set_applys() {
         let (reg, schemas) = ctx_fixtures();
         let opt = Optimizer::standard();
-        let stats = Statistics::new();
-        let e = Expr::named("S")
-            .set_apply(Expr::input().extract("name"))
-            .set_apply(Expr::input().make_tup("n"));
-        let best = opt.optimize_memo(&e, &ctx(&reg, &schemas), &stats);
-        assert_eq!(
-            best.plan,
-            Expr::named("S").set_apply(Expr::input().extract("name").make_tup("n"))
-        );
-    }
-
-    #[test]
-    fn unseeded_memo_still_finds_the_fusion() {
-        let (reg, schemas) = ctx_fixtures();
-        let mut opt = Optimizer::standard();
-        opt.seed_greedy = false;
         let stats = Statistics::new();
         let e = Expr::named("S")
             .set_apply(Expr::input().extract("name"))
@@ -616,7 +591,6 @@ mod tests {
             best.plan,
             Expr::named("S").set_apply(Expr::input().extract("name").make_tup("n"))
         );
-        assert!(!run.snapshot.seeded);
         assert!(run
             .journal
             .rule_sequence()
@@ -624,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_never_costs_more_than_greedy() {
+    fn memo_never_costs_more_than_the_reference_climb() {
         let (reg, schemas) = ctx_fixtures();
         let opt = Optimizer::standard();
         let stats = Statistics::new();
@@ -642,7 +616,7 @@ mod tests {
         ];
         for e in plans {
             let rctx = ctx(&reg, &schemas);
-            let greedy = opt.optimize_greedy(&e, &rctx, &stats);
+            let (greedy, _) = opt.optimize_greedy_journaled(&e, &rctx, &stats);
             let memo = opt.optimize_memo(&e, &rctx, &stats);
             assert!(
                 memo.cost <= greedy.cost + 1e-9,
@@ -669,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn journal_shape_matches_greedy_conventions() {
+    fn journal_shape_matches_reference_conventions() {
         let (reg, schemas) = ctx_fixtures();
         let opt = Optimizer::standard();
         let stats = Statistics::new();

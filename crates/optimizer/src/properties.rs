@@ -235,14 +235,7 @@ mod tests {
         };
         let stats = Statistics::default();
         let e = Expr::named("P").dup_elim();
-        let mut journal = RewriteJournal {
-            steps: Vec::new(),
-            refused: Vec::new(),
-            plans_enumerated: 0,
-            max_plans: 0,
-            initial_cost: 0.0,
-            final_cost: 0.0,
-        };
+        let mut journal = RewriteJournal::for_plan(0.0);
         let out = apply_property_rewrites_journaled(&e, &data, &stats, &ctx, &mut journal);
         assert_eq!(out, Expr::named("P"));
         assert_eq!(journal.steps.len(), 1);

@@ -160,7 +160,7 @@ pub fn respond(db: &VersionedDb, session: &mut Session, line: &str) -> Response 
                 "{{\"ok\":true,\"memo\":{}}}",
                 quote_json(&snapshot.render())
             ),
-            None => error_line("no memoized optimization yet (run a query in memo mode)"),
+            None => error_line("no plan search yet: run a query first"),
         }),
         ".reoptimize" => Response::keep(match session.reoptimize_last() {
             Some(report) => format!("{{\"ok\":true,\"reoptimize\":{}}}", quote_json(&report)),
@@ -292,8 +292,6 @@ mod tests {
     fn memo_command_renders_the_group_picture() {
         let db = vdb();
         let mut s = db.begin_session();
-        // Pin the mode: the suite may run under `EXCESS_OPTIMIZER=greedy`.
-        s.optimizer_mode = excess_db::OptimizerMode::Memo;
         // Before any query there is nothing to show.
         let r = respond(&db, &mut s, ".memo");
         let v = parse_json(&r.line).expect("valid JSON");

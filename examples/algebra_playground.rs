@@ -71,9 +71,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (rule, alt) in opt.neighbors(&plan, &ctx).into_iter().take(4) {
         println!("  [{rule}]\n    {alt}");
     }
-    let best = opt.optimize_greedy(&plan.desugar(), &ctx, &stats);
+    let (best, run) = opt.optimize_memo_journaled(&plan, &ctx, &stats);
+    println!("\nthe memo's journal:");
+    for step in &run.journal.steps {
+        println!(
+            "  [{}] in g{} (est. cost {:.0} → {:.0})",
+            step.rule, step.path[0], step.cost_before, step.cost_after
+        );
+    }
     println!(
-        "\ngreedy best ({} neighbors examined):\n  {}",
+        "memo best ({} alternatives examined):\n  {}",
         best.explored, best.plan
     );
     assert_eq!(db.run_plan(&best.plan)?, out);

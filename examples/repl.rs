@@ -121,8 +121,8 @@ const COMMANDS: &[MetaCommand] = &[
     },
     MetaCommand {
         name: ".memo",
-        args: "[greedy|memo]",
-        help: "memo picture of the last optimization; or switch the search strategy",
+        args: "",
+        help: "memo picture of the last plan search (groups, members, winner)",
         run: cmd_memo,
     },
     MetaCommand {
@@ -576,24 +576,10 @@ fn cmd_feedback(db: &mut Database, rest: &str) -> bool {
     true
 }
 
-fn cmd_memo(db: &mut Database, rest: &str) -> bool {
-    match rest {
-        "greedy" => {
-            db.set_optimizer_mode(excess::db::OptimizerMode::Greedy);
-            println!("plan search: legacy greedy pass");
-        }
-        "memo" => {
-            db.set_optimizer_mode(excess::db::OptimizerMode::Memo);
-            println!("plan search: memoized group search");
-        }
-        "" => match db.last_memo() {
-            Some(snapshot) => print!("{}", snapshot.render()),
-            None => println!(
-                "no memoized optimization yet (mode: {:?} — run a query, or .memo memo)",
-                db.optimizer_mode()
-            ),
-        },
-        _ => println!("usage: .memo [greedy|memo]"),
+fn cmd_memo(db: &mut Database, _rest: &str) -> bool {
+    match db.last_memo() {
+        Some(snapshot) => println!("{}", snapshot.render()),
+        None => println!("no plan search yet: run a query first"),
     }
     true
 }

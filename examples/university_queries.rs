@@ -23,20 +23,15 @@ fn show(db: &mut Database, title: &str, src: &str) -> Result<(), Box<dyn std::er
     };
     let (plan, _) = db.translate(r)?;
     println!("\n  initial plan:\n    {plan}");
-    // Trace the greedy pass on the desugared form so fusion rules can fire.
-    let opt = excess::optimizer::Optimizer::standard();
-    let ctx = excess::optimizer::RuleCtx {
-        registry: db.registry(),
-        schemas: db.catalog(),
-    };
-    let (_, trace) = opt.optimize_greedy_traced(&plan.desugar(), &ctx, db.statistics());
-    for step in &trace {
+    // The memo journal: every alternative a rule contributed to a group
+    // (the path is the group id), whether or not the winner uses it.
+    let (optimized, journal) = db.optimize_plan_journaled(&plan);
+    for step in &journal.steps {
         println!(
-            "  rule fired: {} (est. cost {:.0} → {:.0})",
-            step.rule, step.cost_before, step.cost_after
+            "  rule fired: {} at {:?} (est. cost {:.0} → {:.0})",
+            step.rule, step.path, step.cost_before, step.cost_after
         );
     }
-    let optimized = db.optimize_plan(&plan);
     if optimized != plan {
         println!("  optimized plan:\n    {optimized}");
     } else {

@@ -11,6 +11,8 @@ use excess::algebra::expr::{Bound, CmpOp, Expr, Func, Pred};
 use excess::algebra::physical::PhysicalPlan;
 use excess::db::{Database, Executed, Tracing};
 use excess::types::{SchemaType, Value};
+use excess_bench::server_mix::MIX;
+use excess_workload::{generate, queries, UniversityParams};
 
 pub fn database() -> Database {
     let mut db = Database::new();
@@ -89,6 +91,50 @@ pub fn database() -> Database {
         Value::tuple([("x", Value::int(4)), ("y", Value::str("hi"))]),
     );
     db
+}
+
+/// The request kinds of the four `served-retrieve` workloads that run on
+/// `server_mix_db`, as the clients send them (literals fixed): the figure
+/// mix, `analytic`'s two other joins, and `mixed_rw`'s salary probe.
+pub fn served_mix_requests() -> Vec<&'static str> {
+    let mut lines: Vec<&str> = MIX.iter().map(|(_, q)| *q).collect();
+    lines.extend([
+        "range of S is S1 range of E is E1 \
+         retrieve (S.sname, E.esal) where S.sadv = E.ename",
+        "range of S is S1 range of E is E1 \
+         retrieve unique (S.sdept, E.esal) where S.sadv = E.ename and E.esal > 1010",
+        "retrieve (E1.ename) where E1.esal = 1003",
+    ]);
+    lines
+}
+
+/// The `objects` workload's request kinds, over [`served_university`].
+pub const SERVED_UNIVERSITY_REQUESTS: [&str; 5] = [
+    queries::SECTION2_KIDS,
+    queries::FIGURE3,
+    queries::FIGURE4,
+    queries::QUERY_BOSS,
+    queries::QUERY_WORKLOAD,
+];
+
+/// The Figure 1 university as the `objects` workload serves it: methods
+/// installed, statistics collected.
+pub fn served_university(params: &UniversityParams) -> Database {
+    let mut db = generate(params).unwrap().db;
+    db.execute(queries::DEFINE_BOSS).unwrap();
+    db.execute(queries::DEFINE_WORKLOAD).unwrap();
+    db.collect_stats();
+    db
+}
+
+/// The unoptimized plan of a request line: its `range of` declarations
+/// executed, its `retrieve` translated.
+pub fn plan_of(db: &mut Database, request: &str) -> Expr {
+    let (decls, retrieve) = request.split_at(request.find("retrieve").expect("a retrieve"));
+    if !decls.trim().is_empty() {
+        db.execute(decls).unwrap();
+    }
+    db.plan_for(retrieve).unwrap()
 }
 
 /// Run `plan` as written — no kernel choices, so on several workers

@@ -1,7 +1,9 @@
 //! The headline acceptance test: with statistics collected from the store
-//! (no hints, no pre-desugaring), greedy hill-climbing derives the paper's
-//! Figure 8 plan from the Figure 6 parser output — and the rewrite journal
-//! names the two DE-pushing rules as *taken*, not refused.
+//! (no hints, no pre-desugaring), the reference hill climb derives the
+//! paper's Figure 8 plan from the Figure 6 parser output — and the rewrite
+//! journal names the two DE-pushing rules as *taken*, not refused.  (That
+//! the memo — the search every query is planned by — gets there too is
+//! `memo_equivalence.rs`'s business.)
 //!
 //! Also holds the distinct-propagation property tests: for any pipeline
 //! the cost model never estimates `distinct > rows`.
@@ -69,7 +71,7 @@ fn all_three_figures_converge_on_the_canonical_plan() {
         ("figure7", figure7()),
         ("figure8", figure8()),
     ] {
-        let best = opt.optimize_greedy(&plan, &rctx, db.statistics());
+        let (best, _) = opt.optimize_greedy_journaled(&plan, &rctx, db.statistics());
         assert_eq!(
             best.plan,
             figure8_canonical(),
@@ -81,19 +83,14 @@ fn all_three_figures_converge_on_the_canonical_plan() {
 #[test]
 fn optimized_figure6_runs_and_agrees_with_the_original() {
     let mut db = fixture();
-    let opt = Optimizer::standard();
-    let rctx = RuleCtx {
-        registry: db.registry(),
-        schemas: db.catalog(),
-    };
-    let best = opt.optimize_greedy(&figure6(), &rctx, db.statistics());
+    let best = db.optimize_plan(&figure6());
     let original = db.run_plan(&figure6()).unwrap();
-    let optimized = db.run_plan(&best.plan).unwrap();
+    let optimized = db.run_plan(&best).unwrap();
     assert_eq!(original, optimized);
     // And the optimized plan really does less DE work at run time.
     db.run_plan(&figure6()).unwrap();
     let de_before = db.last_counters().de_input_occurrences;
-    db.run_plan(&best.plan).unwrap();
+    db.run_plan(&best).unwrap();
     let de_after = db.last_counters().de_input_occurrences;
     assert!(
         de_after < de_before,

@@ -159,7 +159,7 @@ fn exhaustive_search_finds_cheaper_or_equal_dispatch_plans() {
         registry: db.registry(),
         schemas: db.catalog(),
     };
-    let best = opt.optimize(&seed, &ctx, db.statistics());
+    let best = opt.optimize_memo(&seed, &ctx, db.statistics());
     assert!(best.cost <= excess::optimizer::cost_of(&seed, db.statistics()));
     let a = db.run_plan(&seed).unwrap();
     let b = db.run_plan(&best.plan).unwrap();

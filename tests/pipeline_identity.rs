@@ -7,48 +7,44 @@
 mod common;
 
 use excess::algebra::physical::PhysicalPlan;
-use excess::db::{value_json, Database, OptimizerMode, Tracing, VersionedDb};
+use excess::db::{value_json, Database, Tracing, VersionedDb};
 use excess_bench::server_mix::{server_mix_db, MIX};
-use excess_workload::{generate, queries, UniversityParams};
+use excess_workload::{queries, UniversityParams};
 
 /// Run every query through a database and through a session over an
 /// identical database, and compare what each pipeline run produced.
 fn assert_served_equals_direct(make: impl Fn() -> Database, queries: &[String]) {
-    for mode in [OptimizerMode::Memo, OptimizerMode::Greedy] {
-        // The server's fixed options: serial engine, row kernels, no spans
-        // — and statistics collected, as `VersionedDb::new` does.
-        let mut db = make();
-        db.set_threads(1);
-        db.set_optimizer_mode(mode);
-        db.collect_stats();
-        let vdb = VersionedDb::new(make());
-        let mut session = vdb.begin_session();
-        session.optimizer_mode = mode;
-        for q in queries {
-            let (before_db, before_s) = (db.metrics().counters, session.metrics().counters);
-            let direct = db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"));
-            let served = session.query(q).unwrap_or_else(|e| panic!("{q}: {e}"));
-            let canon = excess::algebra::canonical_form(&direct, db.store());
-            assert_eq!(
-                value_json(&canon),
-                value_json(&session.canon(&served.value)),
-                "{mode:?} {q}: values"
-            );
-            assert_eq!(
-                db.metrics().counters - before_db,
-                session.metrics().counters - before_s,
-                "{mode:?} {q}: work counters"
-            );
-            let direct = db.telemetry().recorder.records().last().unwrap();
-            let record = session.telemetry().recorder.records().last().unwrap();
-            assert_eq!(served.plan_hash, direct.plan_hash, "{mode:?} {q}: plan");
-            assert_eq!(record.plan_hash, direct.plan_hash, "{mode:?} {q}: record");
-            assert_eq!(record.kernels, direct.kernels, "{mode:?} {q}: kernels");
-            assert_eq!(record.query, direct.query, "{mode:?} {q}: label");
-            assert_eq!(record.rows, direct.rows, "{mode:?} {q}: rows");
-        }
-        vdb.shutdown();
+    // The server's fixed options: serial engine, row kernels, no spans
+    // — and statistics collected, as `VersionedDb::new` does.
+    let mut db = make();
+    db.set_threads(1);
+    db.collect_stats();
+    let vdb = VersionedDb::new(make());
+    let mut session = vdb.begin_session();
+    for q in queries {
+        let (before_db, before_s) = (db.metrics().counters, session.metrics().counters);
+        let direct = db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        let served = session.query(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        let canon = excess::algebra::canonical_form(&direct, db.store());
+        assert_eq!(
+            value_json(&canon),
+            value_json(&session.canon(&served.value)),
+            "{q}: values"
+        );
+        assert_eq!(
+            db.metrics().counters - before_db,
+            session.metrics().counters - before_s,
+            "{q}: work counters"
+        );
+        let direct = db.telemetry().recorder.records().last().unwrap();
+        let record = session.telemetry().recorder.records().last().unwrap();
+        assert_eq!(served.plan_hash, direct.plan_hash, "{q}: plan");
+        assert_eq!(record.plan_hash, direct.plan_hash, "{q}: record");
+        assert_eq!(record.kernels, direct.kernels, "{q}: kernels");
+        assert_eq!(record.query, direct.query, "{q}: label");
+        assert_eq!(record.rows, direct.rows, "{q}: rows");
     }
+    vdb.shutdown();
 }
 
 #[test]
@@ -70,12 +66,7 @@ fn figure_mix_and_probes_agree_on_the_server_mix() {
 
 #[test]
 fn paper_queries_agree_on_the_figure1_university() {
-    let make = || {
-        let mut db = generate(&UniversityParams::tiny()).unwrap().db;
-        db.execute(queries::DEFINE_BOSS).unwrap();
-        db.execute(queries::DEFINE_WORKLOAD).unwrap();
-        db
-    };
+    let make = || common::served_university(&UniversityParams::tiny());
     let qs = [
         queries::SECTION2_KIDS,
         queries::SECTION2_MIN_AGE,
@@ -88,6 +79,43 @@ fn paper_queries_agree_on_the_figure1_university() {
     ]
     .map(str::to_string);
     assert_served_equals_direct(make, &qs);
+}
+
+/// The optimized logical plan of each of the 14 request kinds the four
+/// `served-retrieve` workloads send, at the benchmark's own scale, pinned
+/// (at PR 13's parent, 434b69a): the search leaves twelve exactly as
+/// translated and turns the two method calls into the dispatch switch.
+/// Same logical plan, same lowering, same `plan_hash` — a change to the
+/// search that moves what these requests execute has to say so here.
+#[test]
+fn served_plans_are_the_pinned_ones() {
+    const BOSS: &str = "SET_APPLY_SWITCH[Person → TUP_EXTRACT[name](INPUT); \
+        Employee → TUP_EXTRACT[name](DEREF(TUP_EXTRACT[manager](INPUT))); \
+        Student → TUP_EXTRACT[name](DEREF(TUP_EXTRACT[advisor](INPUT)))](P)";
+    const LOAD: &str = "SET_APPLY_SWITCH[Person → 0; \
+        Employee → count(SET_APPLY[COMP[TUP_EXTRACT[salary](DEREF(INPUT^1)) > 0]\
+        (TUP_EXTRACT[salary](DEREF(INPUT)))](TUP_EXTRACT[sub_ords](INPUT))); \
+        Student → count(SET_APPLY[COMP[TUP_EXTRACT[salary](DEREF(INPUT^1)) > 0]\
+        (TUP_EXTRACT[salary](DEREF(INPUT)))]\
+        (TUP_EXTRACT[employees](DEREF(TUP_EXTRACT[dept](INPUT)))))](P)";
+    let mut db = server_mix_db(120);
+    for line in common::served_mix_requests() {
+        let plan = common::plan_of(&mut db, line);
+        assert_eq!(db.optimize_plan(&plan), plan, "{line}");
+    }
+    let mut db = common::served_university(&UniversityParams {
+        seed: 1,
+        ..UniversityParams::default()
+    });
+    for line in common::SERVED_UNIVERSITY_REQUESTS {
+        let plan = common::plan_of(&mut db, line);
+        let optimized = db.optimize_plan(&plan);
+        match line {
+            queries::QUERY_BOSS => assert_eq!(optimized.to_string(), BOSS),
+            queries::QUERY_WORKLOAD => assert_eq!(optimized.to_string(), LOAD),
+            _ => assert_eq!(optimized, plan, "{line}"),
+        }
+    }
 }
 
 #[test]

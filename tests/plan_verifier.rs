@@ -383,6 +383,14 @@ fn gate_refuses_schema_breaking_rule_and_journals_it() {
     let json = excess_db::journal_json(&journal);
     assert!(json.contains("\"refused\":[{"), "{json}");
     assert!(json.contains("test-break-de"), "{json}");
+    // The memo runs every candidate through the same gate.
+    let (best, run) = opt.optimize_memo_journaled(&seed, &ctx, db.statistics());
+    assert_eq!(best.plan, seed, "memo gate failed to refuse the rewrite");
+    assert!(run
+        .journal
+        .refused
+        .iter()
+        .any(|r| r.rule == "test-break-de" && r.reason.contains("schema")));
 }
 
 #[test]
@@ -399,14 +407,7 @@ fn extent_substitution_is_journaled_and_gated() {
     let mut stats = excess_optimizer::Statistics::new();
     stats.add_extent_index("S", "Person");
     let plan = Expr::named("S").set_apply_only(["Person"], Expr::input().extract("name"));
-    let mut journal = RewriteJournal {
-        steps: vec![],
-        refused: vec![],
-        plans_enumerated: 1,
-        max_plans: 0,
-        initial_cost: 0.0,
-        final_cost: 0.0,
-    };
+    let mut journal = RewriteJournal::for_plan(0.0);
     let out = apply_extent_indexes_journaled(&plan, &stats, &ctx, &mut journal);
     assert_eq!(out, plan, "unbacked extent substitution must not be taken");
     let refusal = journal

@@ -124,15 +124,15 @@ fn memo_and_reoptimize_dot_commands_answer_over_the_wire() {
     let ran = client.request(src).expect("query");
     assert!(ran.starts_with("{\"ok\":true"), "{ran}");
 
-    // After a query the answer depends on the session's search strategy
-    // ($EXCESS_OPTIMIZER): memo mode renders the group picture, greedy
-    // mode explains that no memo exists.  Either way the line is JSON.
+    // After a query `.memo` renders the group picture of its search.
     let memo = client.request(".memo").expect("memo");
     let parsed = parse_json(&memo).expect("json");
-    match parsed.get("ok").and_then(|v| v.as_bool()) {
-        Some(true) => assert!(memo.contains("memo:") && memo.contains("winner:"), "{memo}"),
-        _ => assert!(memo.contains("memo"), "{memo}"),
-    }
+    assert_eq!(
+        parsed.get("ok").and_then(|v| v.as_bool()),
+        Some(true),
+        "{memo}"
+    );
+    assert!(memo.contains("memo:") && memo.contains("winner:"), "{memo}");
     let reopt = client.request(".reoptimize").expect("reoptimize");
     let parsed = parse_json(&reopt).expect("json");
     if parsed.get("ok").and_then(|v| v.as_bool()) == Some(true) {
