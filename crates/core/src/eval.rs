@@ -28,6 +28,7 @@ use crate::error::{EvalError, EvalResult};
 use crate::expr::{Expr, Func, Pred};
 use crate::ops::predicate::Truth;
 use crate::ops::{aggregate, array, predicate};
+use crate::physical::RowKernel;
 use crate::profile::{Profile, TraceSink};
 use excess_types::{domain, Date, MultiSet, ObjectStore, SchemaType, TypeId, TypeRegistry, Value};
 
@@ -50,13 +51,13 @@ pub struct EvalCtx<'a> {
     /// default: the evaluator then pays one branch per node and nothing
     /// else.
     pub trace: Option<Box<TraceSink>>,
-    /// Pointer-keyed hash-join kernel table, installed by
+    /// Pointer-keyed row-kernel table, installed by
     /// [`crate::physical::evaluate_physical`]: maps the address of a
-    /// `rel_join` node to its `(left_key, right_key)` choice.  `None`
-    /// (the default) means every join runs as a nested loop.
-    pub(crate) join_kernels: Option<std::collections::HashMap<usize, (String, String, bool)>>,
+    /// `rel_join` or correlated `SET_APPLY` node to its hash kernel.
+    /// `None` (the default) means every join runs as a nested loop.
+    pub(crate) row_kernels: Option<std::collections::HashMap<usize, RowKernel>>,
     /// Pointer-keyed batched-kernel table, installed alongside
-    /// `join_kernels`: maps node addresses to columnar
+    /// `row_kernels`: maps node addresses to columnar
     /// [`ChunkKernel`](crate::columnar::ChunkKernel)s that consume the
     /// catalog's extent chunks instead of cloned row values.  `None`
     /// (the default) means every operator runs row-at-a-time.
@@ -78,7 +79,7 @@ impl<'a> EvalCtx<'a> {
             today: Date::new(1990, 12, 1).expect("valid date"),
             counters: Counters::new(),
             trace: None,
-            join_kernels: None,
+            row_kernels: None,
             chunk_kernels: None,
         }
     }
@@ -182,21 +183,40 @@ fn as_array(op: &'static str, v: Value) -> EvalResult<Vec<Value>> {
 /// is bracketed by a [`TraceSink`] frame; otherwise this is a single
 /// branch in front of the operator dispatch.
 pub fn eval(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<Value> {
+    traced(e, ctx, |ctx| eval_inner(e, env, ctx))
+}
+
+/// Run `f` as the evaluation of node `e`: inside a [`TraceSink`] frame for
+/// `e` when profiling is on, directly otherwise.
+#[inline]
+pub(crate) fn traced(
+    e: &Expr,
+    ctx: &mut EvalCtx,
+    f: impl FnOnce(&mut EvalCtx) -> EvalResult<Value>,
+) -> EvalResult<Value> {
     if ctx.trace.is_none() {
-        return eval_inner(e, env, ctx);
+        return f(ctx);
     }
     let token = ctx
         .trace
         .as_mut()
         .expect("checked above")
         .enter(e, ctx.counters);
-    let result = eval_inner(e, env, ctx);
+    let result = f(ctx);
     // The sink can only disappear mid-evaluation if the traced expression
     // itself takes the profile, which nothing does; guard anyway.
     if let Some(sink) = ctx.trace.as_mut() {
         sink.exit(token, e, &result, ctx.counters);
     }
     result
+}
+
+/// The row kernel a lowered plan assigned to node `e`, if any.
+fn row_kernel(e: &Expr, ctx: &EvalCtx) -> Option<RowKernel> {
+    ctx.row_kernels
+        .as_ref()?
+        .get(&(e as *const Expr as usize))
+        .cloned()
 }
 
 /// The operator dispatch behind [`eval`].
@@ -245,6 +265,21 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                 return Ok(inv);
             }
             let set = as_set("SET_APPLY", inv)?;
+            // A lowered plan may have assigned this node (by address) the
+            // correlated join's probe kernel; `None` is its runtime guard
+            // refusing, and the loop below runs as if it had never tried.
+            if let Some(RowKernel::ProbeApply {
+                outer_key,
+                inner_key,
+            }) = row_kernel(e, ctx)
+            {
+                let probed = crate::physical::hash_probe_apply(
+                    &set, body, &outer_key, &inner_key, env, ctx,
+                )?;
+                if let Some(out) = probed {
+                    return Ok(Value::Set(out));
+                }
+            }
             let filter: Option<Vec<TypeId>> = match only_types {
                 Some(names) => Some(
                     names
@@ -623,12 +658,12 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             // hash kernel; its runtime guard re-verifies the key side
             // conditions and reports `None` to fall back to the nested
             // loop, so canon-identity never rests on the statistics.
-            let keys = ctx
-                .join_kernels
-                .as_ref()
-                .and_then(|t| t.get(&(e as *const Expr as usize)))
-                .cloned();
-            if let Some((lf, rf, guard_elided)) = keys {
+            if let Some(RowKernel::HashJoin {
+                left_key: lf,
+                right_key: rf,
+                guard_elided,
+            }) = row_kernel(e, ctx)
+            {
                 // An elided guard means the property analysis proved the
                 // key side conditions; the unguarded kernel still
                 // degrades gracefully if the proof were ever wrong.

@@ -6,12 +6,14 @@
 //! canonical-form arguments all keep working on the same object), and a
 //! map from node paths to [`PhysChoice`]s records which physical operator
 //! implements each *spine* node — `HashEquiJoin` vs `NestedLoopJoin` for
-//! `rel_join`, `HashGroup` for `GRP`, `HashDistinct` for `DE`, `Scan` /
-//! `IndexScan` for named objects, and `PassThrough` for everything else.
-//! Because the logical tree is untouched, `eval(lower(p))` operates on a
-//! plan that is structurally equal to `p`; only the *kernel* used at
-//! annotated joins differs, and that kernel is proven occurrence-exact
-//! below.
+//! `rel_join`, `HashProbeApply` for the translator's correlated
+//! `SET_APPLY` join, `HashGroup` for `GRP`, `HashDistinct` for `DE`,
+//! `Scan` / `IndexScan` for named objects, and `PassThrough` for
+//! everything else.  Because the logical tree is untouched,
+//! `eval(lower(p))` operates on a plan that is structurally equal to `p`;
+//! only the *kernel* used at annotated joins differs, and each kernel is
+//! proven occurrence-exact below (the two hash kernels share one
+//! build/probe core and one key guard).
 //!
 //! # The hash equi-join kernel
 //!
@@ -42,11 +44,44 @@
 //! cross-bucket pair (which the nested loop would hit before rejecting
 //! the pair) is skipped, because the pair is never formed.
 //!
+//! # The hash probe kernel of a correlated join
+//!
+//! A two-variable `retrieve … where l = r` never reaches the optimizer as
+//! a `rel_join` — `TUP_CAT` would need the two sides' attribute names
+//! disjoint — but as `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)`
+//! ([`correlated_join`]), which evaluated as written runs `B` and
+//! |`B`| `COMP`s once per occurrence of `A`.  A node chosen
+//! [`PhysOp::HashProbeApply`] instead runs, in the evaluator's
+//! `SET_APPLY` arm on the materialised `A`:
+//!
+//! * **Build** (never reached when `A` is empty): with the first outer
+//!   element bound — the lowering checked that `B` does not read it —
+//!   evaluate `B` once and bucket it by the inner key; evaluate the outer
+//!   key on every distinct element of `A`.  A non-multiset `B` (nulls
+//!   included), a null or mixed-kind key on either side, or an error in
+//!   `B` or a key abandons the attempt: counters restored, and the
+//!   ordinary loop runs and produces whatever the specification says,
+//!   that error included — statistics can make the plan slower, never
+//!   wrong.  The build is not traced, so an abandoned attempt leaves no
+//!   frames behind and profiles keep telescoping.
+//! * **Probe**: per outer occurrence, build the inner multiset exactly as
+//!   the inner `SET_APPLY` would, but over the occurrence's bucket only,
+//!   with the *unchanged* `COMP[θ](f)` — residual conjuncts, `unk`
+//!   results and multiplicities are the evaluator's own.  Every skipped
+//!   pair has two non-null, unequal keys of one kind, so its first
+//!   conjunct is `F`, θ is `F` without evaluating another conjunct, and
+//!   the `COMP` is the `dne` a multiset drops.
+//! * **What is skipped with the pair** is `f`, which `COMP` evaluates
+//!   before θ: its counters are not charged and an error in it is not
+//!   raised (the caveat above, for `f` instead of a residual conjunct).
+//!   That is also why the lowering refuses a `COMP` that mints OIDs.
+//!
 //! Kernels reach the evaluator through a pointer-keyed table installed in
 //! [`EvalCtx`] by [`evaluate_physical`]: choices are resolved to the
-//! addresses of the plan's own `rel_join` nodes, so the unchanged
-//! recursive evaluator — including its trace bracketing — picks the hash
-//! kernel up at exactly the annotated nodes and nowhere else.
+//! addresses of the plan's own `rel_join` and correlated `SET_APPLY`
+//! nodes, so the unchanged recursive evaluator — including its trace
+//! bracketing — picks a hash kernel up at exactly the annotated nodes and
+//! nowhere else.
 //!
 //! # Example
 //!
@@ -73,11 +108,12 @@
 //! assert_eq!(split_residual(&pred, "sadv", "ename").unwrap().len(), 1);
 //! ```
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use crate::error::EvalResult;
-use crate::eval::{eval_pred, evaluate, EvalCtx};
+use crate::eval::{eval, eval_pred, evaluate, traced, EvalCtx};
 use crate::expr::{CmpOp, Expr, Pred};
 use crate::ops::predicate::Truth;
 use crate::profile::NodePath;
@@ -101,6 +137,16 @@ pub enum PhysOp {
     },
     /// The serial evaluator's pair-at-a-time `rel_join` loop.
     NestedLoopJoin,
+    /// The translator's correlated join
+    /// `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)`: evaluate `B`
+    /// once, bucket it by `inner_key`, and run the unchanged `COMP` only
+    /// on the bucket `outer_key` selects (see [`correlated_join`]).
+    HashProbeApply {
+        /// `l`, with `INPUT` bound to the element of `A`.
+        outer_key: Expr,
+        /// `r`, with `INPUT` bound to the element of `B`.
+        inner_key: Expr,
+    },
     /// `GRP` by hashing the grouping key (what both engines already do:
     /// the serial evaluator's `BTreeMap` grouping and the parallel
     /// repartition-by-key exchange).
@@ -164,6 +210,10 @@ impl fmt::Display for PhysOp {
                 right_key,
             } => write!(f, "HashEquiJoin[{left_key} = {right_key}]"),
             PhysOp::NestedLoopJoin => write!(f, "NestedLoopJoin"),
+            PhysOp::HashProbeApply {
+                outer_key,
+                inner_key,
+            } => write!(f, "HashProbeApply[outer {outer_key} = inner {inner_key}]"),
             PhysOp::HashGroup => write!(f, "HashGroup"),
             PhysOp::HashDistinct => write!(f, "HashDistinct"),
             PhysOp::ColumnarScan { object } => write!(f, "ColumnarScan[{object}]"),
@@ -213,6 +263,21 @@ pub struct PhysicalPlan {
     pub elided_guards: BTreeSet<NodePath>,
 }
 
+/// A row kernel resolved to one node of the plan being evaluated (the
+/// entries of [`EvalCtx`]'s pointer-keyed kernel table).
+#[derive(Debug, Clone)]
+pub(crate) enum RowKernel {
+    /// [`hash_equi_join`] on a `rel_join` node; `guard_elided` selects
+    /// [`hash_equi_join_unguarded`].
+    HashJoin {
+        left_key: String,
+        right_key: String,
+        guard_elided: bool,
+    },
+    /// [`hash_probe_apply`] on a correlated `SET_APPLY` join.
+    ProbeApply { outer_key: Expr, inner_key: Expr },
+}
+
 impl PhysicalPlan {
     /// A plan with no choices: every node passes through to the logical
     /// interpreter.
@@ -233,38 +298,54 @@ impl PhysicalPlan {
         Some(node)
     }
 
-    /// Resolve every `HashEquiJoin` choice to the address of its
-    /// `rel_join` node — the pointer-keyed kernel table
-    /// [`evaluate_physical`] installs in the evaluation context.  The
-    /// flag marks choices whose runtime guard is elided.
-    fn kernel_table(&self) -> HashMap<usize, (String, String, bool)> {
+    /// Resolve every row-kernel choice to the address of its node — the
+    /// pointer-keyed kernel table [`evaluate_physical`] installs in the
+    /// evaluation context.  A choice whose node does not have the shape
+    /// (or, for the correlated join, the key pair) it names is dropped.
+    fn kernel_table(&self) -> HashMap<usize, RowKernel> {
         let mut table = HashMap::new();
         for (path, choice) in &self.choices {
-            // A columnar join registers the same row-hash entry: when
-            // the chunk kernel refuses at runtime, the join degrades to
-            // the guarded row hash kernel rather than the nested loop.
-            let keys = match &choice.op {
-                PhysOp::HashEquiJoin {
-                    left_key,
-                    right_key,
-                }
-                | PhysOp::ColumnarHashEquiJoin {
-                    left_key,
-                    right_key,
-                    ..
-                } => (left_key, right_key),
+            let Some(node) = self.node_at(path) else {
+                continue;
+            };
+            let kernel = match (&choice.op, node) {
+                // A columnar join registers the same row-hash entry: when
+                // the chunk kernel refuses at runtime, the join degrades to
+                // the guarded row hash kernel rather than the nested loop.
+                (
+                    PhysOp::HashEquiJoin {
+                        left_key,
+                        right_key,
+                    }
+                    | PhysOp::ColumnarHashEquiJoin {
+                        left_key,
+                        right_key,
+                        ..
+                    },
+                    Expr::RelJoin { .. },
+                ) => RowKernel::HashJoin {
+                    left_key: left_key.clone(),
+                    right_key: right_key.clone(),
+                    guard_elided: self.elided_guards.contains(path),
+                },
+                (
+                    PhysOp::HashProbeApply {
+                        outer_key,
+                        inner_key,
+                    },
+                    _,
+                ) => match correlated_join(node) {
+                    Some(cj) if cj.outer_key == *outer_key && cj.inner_key == *inner_key => {
+                        RowKernel::ProbeApply {
+                            outer_key: cj.outer_key,
+                            inner_key: cj.inner_key,
+                        }
+                    }
+                    _ => continue,
+                },
                 _ => continue,
             };
-            if let Some(node @ Expr::RelJoin { .. }) = self.node_at(path) {
-                table.insert(
-                    node as *const Expr as usize,
-                    (
-                        keys.0.clone(),
-                        keys.1.clone(),
-                        self.elided_guards.contains(path),
-                    ),
-                );
-            }
+            table.insert(node as *const Expr as usize, kernel);
         }
         table
     }
@@ -398,6 +479,116 @@ pub fn equi_key_candidates(pred: &Pred) -> Vec<(String, String)> {
     out
 }
 
+/// The translator's correlated join, taken apart: a two-variable
+/// `retrieve … where l = r` arrives as
+/// `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)` — never as a
+/// `rel_join`, whose `TUP_CAT` would need the two sides' attribute names
+/// disjoint.
+pub struct CorrelatedJoin<'e> {
+    /// `B`, the inner apply's input (evaluated under `A`'s binder).
+    pub inner_input: &'e Expr,
+    /// `COMP[θ](f)`, the inner apply's body.
+    pub comp: &'e Expr,
+    /// The equi conjunct's outer operand, re-based so `INPUT` is the
+    /// element of `A`.
+    pub outer_key: Expr,
+    /// The equi conjunct's inner operand, re-based so `INPUT` is the
+    /// element of `B`.
+    pub inner_key: Expr,
+}
+
+/// Match `e` against the correlated-join shape: two nested unfiltered
+/// `SET_APPLY`s around a `COMP` whose *first* conjunct is `l = r` with one
+/// operand reading the outer element and not the inner one, the other the
+/// reverse, and neither the `COMP` input (either orientation).  Static
+/// shape only: whether `B` is closed and OID-free is the lowering's
+/// question, whether the keys hash is the kernel's.
+pub fn correlated_join(e: &Expr) -> Option<CorrelatedJoin<'_>> {
+    let Expr::SetApply {
+        body,
+        only_types: None,
+        ..
+    } = e
+    else {
+        return None;
+    };
+    let Expr::SetApply {
+        input: inner_input,
+        body: comp,
+        only_types: None,
+    } = &**body
+    else {
+        return None;
+    };
+    let Expr::Comp { pred, .. } = &**comp else {
+        return None;
+    };
+    let Pred::Cmp(l, CmpOp::Eq, r) = conjuncts(pred).first()? else {
+        return None;
+    };
+    // Inside θ: INPUT is the COMP input, INPUT^1 the inner element,
+    // INPUT^2 the outer one.
+    let reads_only = |k: &Expr, own: usize, other: usize| {
+        k.mentions_input(own) && !k.mentions_input(other) && !k.mentions_input(0)
+    };
+    let (outer, inner) = if reads_only(l, 2, 1) && reads_only(r, 1, 2) {
+        (l, r)
+    } else if reads_only(r, 2, 1) && reads_only(l, 1, 2) {
+        (r, l)
+    } else {
+        return None;
+    };
+    Some(CorrelatedJoin {
+        inner_input,
+        comp,
+        outer_key: outer.shift_inputs(0, -2),
+        inner_key: inner.shift_inputs(0, -1),
+    })
+}
+
+/// The key guard both hash kernels apply while they bucket and probe: a
+/// key is admitted when it is non-null and of the one kind every key
+/// admitted before it had.  Then the equi conjunct is a definite T/F on
+/// every pair — never `unk` — and separating buckets skips exactly the
+/// pairs the nested loop's predicate would reject.
+#[derive(Default)]
+struct KeyGuard(Option<&'static str>);
+
+impl KeyGuard {
+    fn admits(&mut self, k: &Value) -> bool {
+        !k.is_null() && *self.0.get_or_insert(k.kind_name()) == k.kind_name()
+    }
+}
+
+/// One join side bucketed by key, in the side's own iteration order
+/// (`BTreeMap` for declarative determinism; the output multisets are
+/// order-insensitive anyway), with the [`KeyGuard`] the probing side's
+/// keys must pass too.
+struct Buckets<'v, K> {
+    by_key: BTreeMap<K, Vec<(&'v Value, u64)>>,
+    guard: KeyGuard,
+}
+
+impl<'v, K: Ord + Borrow<Value>> Buckets<'v, K> {
+    /// `None` as soon as one element has no admissible key.
+    fn build(side: &'v MultiSet, mut key_of: impl FnMut(&'v Value) -> Option<K>) -> Option<Self> {
+        let mut buckets = Buckets {
+            by_key: BTreeMap::new(),
+            guard: KeyGuard::default(),
+        };
+        for (v, n) in side.iter_counted() {
+            let k = key_of(v).filter(|k| buckets.guard.admits(k.borrow()))?;
+            buckets.by_key.entry(k).or_default().push((v, n));
+        }
+        Some(buckets)
+    }
+
+    /// The built elements whose key equals `k` (an admitted probe key).
+    fn matching(&self, k: &K) -> &[(&'v Value, u64)] {
+        self.by_key.get::<K>(k).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// Can the field pair `(lf, rf)` soundly key a hash join of these
 /// materialised inputs?  `lf` must name a non-null field present in every
 /// left tuple and absent from every right tuple (and symmetrically for
@@ -405,26 +596,15 @@ pub fn equi_key_candidates(pred: &Pred) -> Vec<(String, String)> {
 /// those conditions the equi conjunct evaluates to a definite T/F on
 /// every pair — never `unk`.
 pub fn key_pair_usable(left: &MultiSet, right: &MultiSet, lf: &str, rf: &str) -> bool {
-    fn side_ok(s: &MultiSet, have: &str, lack: &str, kind: &mut Option<&'static str>) -> bool {
-        for (v, _) in s.iter_counted() {
+    fn side_ok(s: &MultiSet, have: &str, lack: &str, guard: &mut KeyGuard) -> bool {
+        s.iter_counted().all(|(v, _)| {
             let Value::Tuple(t) = v else { return false };
             let Ok(k) = t.extract(have) else { return false };
-            if k.is_null() || t.extract(lack).is_ok() {
-                return false;
-            }
-            match kind {
-                Some(kd) => {
-                    if *kd != k.kind_name() {
-                        return false;
-                    }
-                }
-                None => *kind = Some(k.kind_name()),
-            }
-        }
-        true
+            guard.admits(k) && t.extract(lack).is_err()
+        })
     }
-    let mut kind = None;
-    side_ok(left, lf, rf, &mut kind) && side_ok(right, rf, lf, &mut kind)
+    let mut guard = KeyGuard::default();
+    side_ok(left, lf, rf, &mut guard) && side_ok(right, rf, lf, &mut guard)
 }
 
 /// The residual predicate of a hash equi-join: every conjunct except the
@@ -507,11 +687,11 @@ pub fn hash_equi_join_unguarded(
     hash_join_core(sa, sb, lf, rf, pred, env, ctx)
 }
 
-/// Shared build/probe core.  Key extraction is graceful: any violation of
-/// the key side conditions aborts with `Ok(None)` after restoring the
-/// counters, so a guarded caller (which pre-verified and can never abort
-/// here) and an unguarded caller observe identical counter behaviour to
-/// the nested-loop fallback.
+/// `rel_join`'s use of the shared build/probe ([`Buckets`]).  Key
+/// extraction is graceful: any violation of the key side conditions
+/// aborts with `Ok(None)` after restoring the counters, so a guarded
+/// caller (which pre-verified and can never abort here) and an unguarded
+/// caller observe identical counter behaviour to the nested-loop fallback.
 fn hash_join_core(
     sa: &MultiSet,
     sb: &MultiSet,
@@ -524,41 +704,23 @@ fn hash_join_core(
     let Some(residual) = split_residual(pred, lf, rf) else {
         return Ok(None);
     };
-    let saved_counters = ctx.counters;
-    // Build: bucket the right side by key value (BTreeMap for declarative
-    // determinism; the output multiset is order-insensitive anyway).
-    let mut buckets: BTreeMap<&Value, Vec<(&Value, u64)>> = BTreeMap::new();
-    for (y, cy) in sb.iter_counted() {
-        let Some(t) = y.as_tuple() else {
-            return Ok(None);
-        };
-        let Ok(k) = t.extract(rf) else {
-            return Ok(None);
-        };
-        if k.is_null() {
-            return Ok(None);
-        }
-        buckets.entry(k).or_default().push((y, cy));
+    fn key_of<'v>(v: &'v Value, f: &str) -> Option<&'v Value> {
+        v.as_tuple()?.extract(f).ok()
     }
+    // Build: bucket the right side by key value.
+    let Some(mut buckets) = Buckets::build(sb, |y| key_of(y, rf)) else {
+        return Ok(None);
+    };
+    let saved_counters = ctx.counters;
     // Probe: only in-bucket pairs are ever formed.
     let mut out = MultiSet::new();
     for (x, cx) in sa.iter_counted() {
-        let Some(tx) = x.as_tuple() else {
+        let Some(k) = key_of(x, lf).filter(|k| buckets.guard.admits(k)) else {
             ctx.counters = saved_counters;
             return Ok(None);
         };
-        let Ok(k) = tx.extract(lf) else {
-            ctx.counters = saved_counters;
-            return Ok(None);
-        };
-        if k.is_null() {
-            ctx.counters = saved_counters;
-            return Ok(None);
-        }
-        let Some(matches) = buckets.get(k) else {
-            continue;
-        };
-        for &(y, cy) in matches {
+        let tx = x.as_tuple().expect("a key was extracted from it");
+        for &(y, cy) in buckets.matching(&k) {
             let ty = y.as_tuple().expect("build side admitted tuples only");
             ctx.counters.occurrences_scanned += cx * cy;
             let joined = Value::Tuple(tx.cat(ty));
@@ -592,24 +754,102 @@ fn hash_join_core(
     Ok(Some(out))
 }
 
+/// The correlated join's use of the shared build/probe ([`Buckets`]): the
+/// kernel behind [`PhysOp::HashProbeApply`], run by the evaluator's
+/// `SET_APPLY` arm on the materialised outer input of a node
+/// [`correlated_join`] matched.  `Ok(None)` abandons the attempt with the
+/// counters restored; see the module docs for the soundness argument.
+pub(crate) fn hash_probe_apply(
+    outer: &MultiSet,
+    inner_apply: &Expr,
+    outer_key: &Expr,
+    inner_key: &Expr,
+    env: &mut Vec<Value>,
+    ctx: &mut EvalCtx,
+) -> EvalResult<Option<MultiSet>> {
+    let Expr::SetApply {
+        input: inner_input,
+        body: comp,
+        only_types: None,
+    } = inner_apply
+    else {
+        return Ok(None);
+    };
+    let Some(first) = outer.iter_counted().next() else {
+        return Ok(Some(MultiSet::new()));
+    };
+    let saved_counters = ctx.counters;
+    let trace = ctx.trace.take();
+    let key_under = |bound: &Value, key: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx| {
+        env.push(bound.clone());
+        let k = eval(key, env, ctx);
+        env.pop();
+        k.ok()
+    };
+    env.push(first.0.clone());
+    let built = eval(inner_input, env, ctx);
+    let mut buckets = match &built {
+        Ok(Value::Set(b)) => Buckets::build(b, |y| key_under(y, inner_key, env, ctx)),
+        _ => None,
+    };
+    env.pop();
+    let keys: Option<Vec<Value>> = buckets.as_mut().and_then(|buckets| {
+        outer
+            .iter_counted()
+            .map(|(x, _)| key_under(x, outer_key, env, ctx).filter(|k| buckets.guard.admits(k)))
+            .collect()
+    });
+    ctx.trace = trace;
+    let (Some(buckets), Some(keys)) = (buckets, keys) else {
+        ctx.counters = saved_counters;
+        return Ok(None);
+    };
+
+    let mut out = MultiSet::new();
+    for ((x, cx), k) in outer.iter_counted().zip(&keys) {
+        let bucket = buckets.matching(k);
+        for _ in 0..cx {
+            ctx.counters.occurrences_scanned += 1;
+            env.push(x.clone());
+            let inner = traced(inner_apply, ctx, |ctx| {
+                let mut inner = MultiSet::new();
+                for &(y, cy) in bucket {
+                    for _ in 0..cy {
+                        ctx.counters.occurrences_scanned += 1;
+                        env.push(y.clone());
+                        let r = eval(comp, env, ctx);
+                        env.pop();
+                        inner.insert(r?);
+                    }
+                }
+                Ok(Value::Set(inner))
+            });
+            env.pop();
+            out.insert(inner?);
+        }
+    }
+    Ok(Some(out))
+}
+
 /// Evaluate a lowered plan: install the plan's kernel table in the
 /// context, run the ordinary serial evaluator over the (unchanged)
 /// logical tree, and clear the table again.  Counters, tracing, and error
-/// behaviour are the evaluator's own; only annotated `rel_join` nodes
-/// take the hash kernel, and only when the runtime guard admits it.
+/// behaviour are the evaluator's own; only annotated `rel_join` and
+/// correlated `SET_APPLY` nodes take a hash kernel, and only when its
+/// runtime guard admits it.
 pub fn evaluate_physical(plan: &PhysicalPlan, ctx: &mut EvalCtx) -> EvalResult<Value> {
     let table = plan.kernel_table();
     let chunks = plan.chunk_table();
-    let saved = ctx.join_kernels.take();
+    let saved = ctx.row_kernels.take();
     let saved_chunks = ctx.chunk_kernels.take();
     if !table.is_empty() {
-        ctx.join_kernels = Some(table);
+        ctx.row_kernels = Some(table);
     }
     if !chunks.is_empty() {
         ctx.chunk_kernels = Some(chunks);
     }
     let out = evaluate(&plan.logical, ctx);
-    ctx.join_kernels = saved;
+    ctx.row_kernels = saved;
     ctx.chunk_kernels = saved_chunks;
     out
 }
@@ -785,6 +1025,184 @@ mod tests {
         l2.insert(Value::tuple([("k", Value::int(1))]));
         l2.insert(Value::tuple([("other", Value::int(2))]));
         assert!(!key_pair_usable(&l2, &r, "k", "j"));
+    }
+
+    /// `SET_APPLY[SET_APPLY[COMP[θ]((a: INPUT^1.a, b: INPUT.b))](R)](L)`:
+    /// inside θ, `INPUT^2` is the element of `L` and `INPUT^1` that of `R`.
+    fn correlated(theta: Pred) -> Expr {
+        let pair = Expr::input_at(1)
+            .extract("a")
+            .make_tup("a")
+            .tup_cat(Expr::input().extract("b").make_tup("b"));
+        Expr::named("L").set_apply(Expr::named("R").set_apply(pair.comp(theta)))
+    }
+
+    fn outer_eq_inner() -> Pred {
+        Pred::cmp(
+            Expr::input_at(2).extract("k"),
+            CmpOp::Eq,
+            Expr::input_at(1).extract("j"),
+        )
+    }
+
+    fn probe_plan(plan: &Expr) -> PhysicalPlan {
+        let cj = correlated_join(plan).expect("the correlated shape");
+        let mut pp = PhysicalPlan::passthrough(plan.clone());
+        pp.choices.insert(
+            Vec::new(),
+            PhysChoice {
+                op: PhysOp::HashProbeApply {
+                    outer_key: cj.outer_key,
+                    inner_key: cj.inner_key,
+                },
+                why: "test".into(),
+                est_rows: None,
+            },
+        );
+        pp
+    }
+
+    #[test]
+    fn correlated_join_rebases_the_keys_in_either_orientation() {
+        let k = Expr::input().extract("k");
+        let j = Expr::input().extract("j");
+        let plan = correlated(outer_eq_inner());
+        let cj = correlated_join(&plan).unwrap();
+        assert_eq!((&cj.outer_key, &cj.inner_key), (&k, &j));
+        assert_eq!(cj.inner_input, &Expr::named("R"));
+        let flipped = Pred::cmp(
+            Expr::input_at(1).extract("j"),
+            CmpOp::Eq,
+            Expr::input_at(2).extract("k"),
+        );
+        let plan = correlated(flipped);
+        let cj = correlated_join(&plan).unwrap();
+        assert_eq!((&cj.outer_key, &cj.inner_key), (&k, &j));
+
+        // Not the shape: a constant operand, both operands on one binder,
+        // an operand reading the COMP input, an equi conjunct that is not
+        // the first, a type-filtered apply.
+        let lit = Pred::cmp(Expr::input_at(2).extract("k"), CmpOp::Eq, Expr::int(2));
+        let one_side = Pred::cmp(
+            Expr::input_at(1).extract("j"),
+            CmpOp::Eq,
+            Expr::input_at(1).extract("b"),
+        );
+        let comp_input = Pred::cmp(
+            Expr::input_at(2).extract("k"),
+            CmpOp::Eq,
+            Expr::input().extract("b"),
+        );
+        for theta in [lit.clone(), one_side, comp_input, lit.and(outer_eq_inner())] {
+            assert!(
+                correlated_join(&correlated(theta.clone())).is_none(),
+                "{theta}"
+            );
+        }
+        let Expr::SetApply { input, body, .. } = correlated(outer_eq_inner()) else {
+            unreachable!()
+        };
+        let filtered = Expr::SetApply {
+            input,
+            body,
+            only_types: Some(vec!["T".into()]),
+        };
+        assert!(correlated_join(&filtered).is_none());
+    }
+
+    #[test]
+    fn probe_kernel_matches_the_nested_applies_and_scans_the_inner_input_once() {
+        let (l, r) = tuples_lr();
+        let mut cat = Cat::new();
+        cat.insert("L".to_string(), l);
+        cat.insert("R".to_string(), r);
+        let residual = Pred::cmp(Expr::input_at(2).extract("a"), CmpOp::Ge, Expr::int(6));
+        let plan = correlated(outer_eq_inner().and(residual));
+        let (vn, cn) = run(&plan, &cat);
+        let (vh, ch) = run_physical(&probe_plan(&plan), &cat);
+        assert_eq!(vn, vh, "probe kernel must be occurrence-exact");
+        // 12 outer × 12 inner pairs, 3 per bucket: the loop compares every
+        // pair (the residual on the 36 the equi conjunct admits), the
+        // kernel only those 36, both conjuncts.
+        assert_eq!(cn.comparisons, 144 + 36);
+        assert_eq!(ch.comparisons, 36 + 36);
+        assert_eq!(cn.occurrences_scanned, 12 + 144);
+        assert_eq!(ch.occurrences_scanned, 12 + 36);
+        assert_eq!((cn.named_object_scans, ch.named_object_scans), (13, 2));
+    }
+
+    #[test]
+    fn probe_kernel_abandons_to_the_nested_loop_with_its_counters() {
+        let row = |k: Value| Value::tuple([("a", Value::int(1)), ("k", k)]);
+        let inner = |j: Value| Value::tuple([("j", j), ("b", Value::int(7))]);
+        let plan = correlated(outer_eq_inner());
+        let pp = probe_plan(&plan);
+        let ints = |xs: [i32; 3]| xs.map(Value::int).to_vec();
+        let cases: Vec<(&str, Vec<Value>, Value)> = vec![
+            (
+                "dne outer key",
+                vec![Value::dne(), Value::int(1)],
+                Value::set(ints([1, 1, 2]).into_iter().map(inner)),
+            ),
+            (
+                "unk inner key",
+                ints([1, 2, 2]),
+                Value::set([Value::unk(), Value::int(2)].map(inner)),
+            ),
+            (
+                "mixed-kind keys",
+                vec![Value::int(1), Value::tuple([("x", Value::int(1))])],
+                Value::set(ints([1, 1, 2]).into_iter().map(inner)),
+            ),
+            ("inner input is a null", ints([1, 2, 3]), Value::unk()),
+            (
+                "inner input is not a multiset",
+                ints([1, 2, 3]),
+                Value::int(3),
+            ),
+        ];
+        for (what, outer_keys, r) in cases {
+            let mut cat = Cat::new();
+            cat.insert("L".to_string(), Value::set(outer_keys.into_iter().map(row)));
+            cat.insert("R".to_string(), r);
+            let reg = TypeRegistry::new();
+            let (mut sa, mut sb) = (ObjectStore::new(), ObjectStore::new());
+            let mut nested = EvalCtx::new(&reg, &mut sa, &cat);
+            let mut probed = EvalCtx::new(&reg, &mut sb, &cat);
+            let (vn, vp) = (
+                evaluate(&plan, &mut nested),
+                evaluate_physical(&pp, &mut probed),
+            );
+            match (vn, vp) {
+                (Ok(vn), Ok(vp)) => assert_eq!(vn, vp, "{what}"),
+                (Err(en), Err(ep)) => assert_eq!(en.to_string(), ep.to_string(), "{what}"),
+                (vn, vp) => panic!("{what}: nested {vn:?} vs probe {vp:?}"),
+            }
+            assert_eq!(nested.counters, probed.counters, "{what}");
+        }
+    }
+
+    #[test]
+    fn an_empty_outer_input_never_evaluates_the_inner_one() {
+        let mut cat = Cat::new();
+        cat.insert("L".to_string(), Value::set([]));
+        let plan = correlated(outer_eq_inner());
+        // `R` is not even in the catalog: evaluating it would be an error.
+        let (v, c) = run_physical(&probe_plan(&plan), &cat);
+        assert_eq!(v, Value::set([]));
+        assert_eq!(c.named_object_scans, 1);
+    }
+
+    #[test]
+    fn a_probe_choice_naming_other_keys_than_the_predicate_is_dropped() {
+        let plan = correlated(outer_eq_inner());
+        let mut pp = probe_plan(&plan);
+        pp.choices.get_mut(&Vec::new()).unwrap().op = PhysOp::HashProbeApply {
+            outer_key: Expr::input().extract("a"),
+            inner_key: Expr::input().extract("b"),
+        };
+        assert!(pp.kernel_table().is_empty());
+        assert_eq!(probe_plan(&plan).kernel_table().len(), 1);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use excess_optimizer::{
     elide_proven_guards, estimate_physical, lower_journaled, JournalStep, MemoSnapshot, Optimizer,
     RewriteJournal, RuleCtx, Statistics, COLUMNAR_RULE, REOPTIMIZE_RULE,
 };
-use excess_telemetry::{fnv1a64, FeedbackLog, QueryRecord, QueryTrace, Registry, Span, Telemetry};
+use excess_telemetry::{FeedbackLog, Fnv1a64, QueryRecord, QueryTrace, Registry, Span, Telemetry};
 use excess_types::{ObjectStore, SchemaType, TypeRegistry, Value};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -53,9 +53,13 @@ pub(crate) fn value_rows(v: &Value) -> u64 {
 
 /// Deterministic fingerprint of a lowered plan: FNV-1a over the debug
 /// rendering (logical tree plus every kernel choice), so the same plan
-/// hashes identically across runs and sessions.
+/// hashes identically across runs and sessions.  The rendering is hashed
+/// as `Debug` writes it — every request pays this, none needs the string.
 pub(crate) fn plan_hash_of(plan: &PhysicalPlan) -> u64 {
-    fnv1a64(format!("{plan:?}").as_bytes())
+    use std::fmt::Write;
+    let mut hash = Fnv1a64::default();
+    write!(hash, "{plan:?}").expect("the hash sink never fails");
+    hash.finish()
 }
 
 /// The extent a plan node reads: walk the logical tree to the node at

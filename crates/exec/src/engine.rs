@@ -101,11 +101,11 @@ struct Task {
 enum TaskKind {
     /// Evaluate a closed fragment plan with the serial evaluator.
     Eval(Expr),
-    /// Evaluate a closed `rel_join` fragment with the hash equi-join
-    /// kernel on the given `(left_key, right_key)` — the same kernel the
-    /// serial physical interpreter uses, shipped when the lowered plan
-    /// chose `HashEquiJoin` for the exchanged node.
-    EvalHashJoin(Expr, (String, String)),
+    /// Evaluate a closed fragment whose root runs the given row kernel —
+    /// the same kernel the serial physical interpreter uses, shipped when
+    /// the lowered plan chose `HashEquiJoin` for an exchanged `rel_join`
+    /// or `HashProbeApply` for a chunked correlated apply.
+    EvalKernel(Expr, PhysOp),
     /// Phase 2 of the GRP exchange: group `{k, v}` pairs by `k`.  This is
     /// plain `BTreeMap` insertion — the serial GRP's grouping step is
     /// likewise counter-free, so workers touch no counters here.
@@ -152,7 +152,10 @@ fn internal_err(op: &'static str, found: &Value) -> EvalError {
 /// `rel_join` annotated `HashEquiJoin` takes the hash-key exchange (with
 /// the same runtime guard the serial kernel uses) and its fragments run
 /// the shared hash equi-join kernel on the workers; any other join
-/// broadcasts.  The whole plan falls back to the serial physical
+/// broadcasts.  A correlated apply annotated `HashProbeApply` is chunked
+/// on its outer input like any `SET_APPLY`, and each fragment carries the
+/// choice: it evaluates the inner input once and probes with its chunk.
+/// The whole plan falls back to the serial physical
 /// interpreter — with a journaled reason, kernel choices intact — when
 /// `workers <= 1`, when the plan mints OIDs (`REF` must mutate the shared
 /// store), or when `schemas` is supplied and the plan fails verification.
@@ -318,18 +321,15 @@ fn worker_loop<C: Catalog>(
                 trace = ctx.trace.take();
                 r
             }
-            TaskKind::EvalHashJoin(frag, (left_key, right_key)) => {
+            TaskKind::EvalKernel(frag, op) => {
                 // Re-root the kernel choice on the fragment: the shipped
-                // plan is the `rel_join` node itself over `Const`
-                // partitions, so the choice path is empty.
+                // plan is the chosen node itself over `Const` partitions,
+                // so the choice path is empty.
                 let mut choices = BTreeMap::new();
                 choices.insert(
                     Vec::new(),
                     excess_core::physical::PhysChoice {
-                        op: PhysOp::HashEquiJoin {
-                            left_key,
-                            right_key,
-                        },
+                        op,
                         why: String::new(),
                         est_rows: None,
                     },
@@ -481,14 +481,20 @@ impl<'a> Driver<'a> {
         Ok(Value::Set(acc))
     }
 
-    fn eval_tasks(&mut self, frags: Vec<(Expr, u64)>) -> EvalResult<Value> {
+    /// Run one fragment per partition as the task `kind` makes of it and
+    /// ⊎-merge the results.
+    fn eval_tasks(
+        &mut self,
+        frags: Vec<(Expr, u64)>,
+        kind: impl Fn(Expr) -> TaskKind,
+    ) -> EvalResult<Value> {
         let tasks = frags
             .into_iter()
             .enumerate()
             .map(|(part, (frag, occurrences))| Task {
                 part,
                 occurrences,
-                kind: TaskKind::Eval(frag),
+                kind: kind(frag),
             })
             .collect();
         let results = self.run_batch(tasks);
@@ -518,7 +524,15 @@ impl<'a> Driver<'a> {
                 (rebuild(Expr::Const(Value::Set(p))), occ)
             })
             .collect();
-        self.eval_tasks(frags)
+        // A correlated apply chosen `HashProbeApply` distributes over ⊎
+        // on its outer input like any apply; each fragment builds its own
+        // buckets and probes with its chunk.
+        match self.physical.choices.get(path.as_slice()).map(|c| &c.op) {
+            Some(op @ PhysOp::HashProbeApply { .. }) => {
+                self.eval_tasks(frags, |frag| TaskKind::EvalKernel(frag, op.clone()))
+            }
+            _ => self.eval_tasks(frags, TaskKind::Eval),
+        }
     }
 
     /// Hash-by-value partitioned binary multiset operator: all occurrences
@@ -550,7 +564,7 @@ impl<'a> Driver<'a> {
                 )
             })
             .collect();
-        self.eval_tasks(frags)
+        self.eval_tasks(frags, TaskKind::Eval)
     }
 
     /// Chunk the left input and replicate the right to every partition
@@ -578,7 +592,7 @@ impl<'a> Driver<'a> {
                 )
             })
             .collect();
-        self.eval_tasks(frags)
+        self.eval_tasks(frags, TaskKind::Eval)
     }
 
     fn journal_parallel(
@@ -825,22 +839,20 @@ impl<'a> Driver<'a> {
                 partitions: pa.len(),
                 empty,
             });
-            let tasks = pa
+            let frags = pa
                 .into_iter()
                 .zip(pb)
-                .enumerate()
-                .map(|(part, (x, y))| {
+                .map(|(x, y)| {
                     let occurrences = x.len() + y.len();
                     let frag = rebuild(Expr::Const(Value::Set(x)), Expr::Const(Value::Set(y)));
-                    Task {
-                        part,
-                        occurrences,
-                        kind: TaskKind::EvalHashJoin(frag, (lf.clone(), rf.clone())),
-                    }
+                    (frag, occurrences)
                 })
                 .collect();
-            let results = self.run_batch(tasks);
-            self.merge_batch(results)
+            let op = PhysOp::HashEquiJoin {
+                left_key: lf,
+                right_key: rf,
+            };
+            self.eval_tasks(frags, |frag| TaskKind::EvalKernel(frag, op.clone()))
         } else {
             self.broadcast_right(node, path, sa, sb, &rebuild)
         }
@@ -931,7 +943,7 @@ impl<'a> Driver<'a> {
                         (Expr::DupElim(Box::new(Expr::Const(Value::Set(p)))), occ)
                     })
                     .collect();
-                self.eval_tasks(frags)
+                self.eval_tasks(frags, TaskKind::Eval)
             }
             Expr::AddUnion(a, b) => {
                 let (x, y) = (self.child(a, path, 0)?, self.child(b, path, 1)?);

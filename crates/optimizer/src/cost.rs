@@ -669,6 +669,16 @@ fn walk_estimates(
     }
 }
 
+/// The estimate of the node `suffix` below `path` in an
+/// [`estimate_nodes`] map.
+pub(crate) fn estimate_under<'n>(
+    nodes: &'n BTreeMap<excess_core::profile::NodePath, Estimate>,
+    path: &[usize],
+    suffix: &[usize],
+) -> Option<&'n Estimate> {
+    nodes.get(&[path, suffix].concat())
+}
+
 /// Estimated cost of a lowered plan.
 ///
 /// Rows, distinct count, and attribute NDVs are those of the logical
@@ -682,7 +692,9 @@ fn walk_estimates(
 /// join identity (`cost(join) = cost(l) + cost(r) + pairs·(1 + pc)`),
 /// and the equi conjunct — never evaluated by the kernel — is deducted
 /// from the residual at its modelled cost (one comparison plus two
-/// attribute extractions).
+/// attribute extractions).  A
+/// [`HashProbeApply`](excess_core::physical::PhysOp::HashProbeApply)
+/// choice is priced the same way from the nested applies' identity.
 pub fn estimate_physical(
     plan: &excess_core::physical::PhysicalPlan,
     stats: &Statistics,
@@ -700,12 +712,8 @@ pub fn estimate_physical(
     for (path, choice) in &plan.choices {
         match &choice.op {
             PhysOp::HashEquiJoin { .. } | PhysOp::ColumnarHashEquiJoin { .. } => {
-                let mut lp = path.clone();
-                lp.push(0);
-                let mut rp = path.clone();
-                rp.push(1);
-                let (Some(j), Some(l), Some(r)) = (nodes.get(path), nodes.get(&lp), nodes.get(&rp))
-                else {
+                let at = |suffix: &[usize]| estimate_under(&nodes, path, suffix);
+                let (Some(j), Some(l), Some(r)) = (at(&[]), at(&[0]), at(&[1])) else {
                     continue;
                 };
                 let pairs = l.rows * r.rows;
@@ -721,6 +729,25 @@ pub fn estimate_physical(
                     hash_work /= COLUMNAR_DISCOUNT;
                 }
                 est.cost -= (pairs * per_pair - hash_work).max(0.0);
+            }
+            PhysOp::HashProbeApply { .. } => {
+                // A is the apply's input, B the input of its body (the
+                // inner apply, whose rows are per outer element).
+                let at = |suffix: &[usize]| estimate_under(&nodes, path, suffix);
+                let (Some(a), Some(inner), Some(b)) = (at(&[0]), at(&[1]), at(&[1, 0])) else {
+                    continue;
+                };
+                if b.rows <= 0.0 {
+                    continue;
+                }
+                // The logical model runs the inner apply — B, then one
+                // scan plus the COMP per element of B — once per element
+                // of A.  The kernel evaluates B and the keys once and
+                // runs the COMP on the pairs that survive only.
+                let per_pair = ((inner.cost - b.cost) / b.rows).max(1.0);
+                let nested = a.rows * inner.cost;
+                let probe = b.cost + b.rows + a.rows + a.rows * inner.rows * per_pair;
+                est.cost -= (nested - probe).max(0.0);
             }
             PhysOp::ColumnarScan { .. }
             | PhysOp::ColumnarHashGroup { .. }

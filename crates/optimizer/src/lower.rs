@@ -22,6 +22,16 @@
 //!   the nested loop plus overhead).  Otherwise
 //!   [`PhysOp::NestedLoopJoin`], with the reason recorded both in the
 //!   choice and as a refused journal step.
+//! * `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)` with `l` reading
+//!   only `A`'s element and `r` only `B`'s ([`correlated_join`]) →
+//!   [`PhysOp::HashProbeApply`] under the same pair-count and NDV policy,
+//!   provided `B` does not read `A`'s element and nothing under the outer
+//!   body mints OIDs; a candidate that fails any of these stays
+//!   [`PhysOp::PassThrough`] with the reason journaled, and a nested apply
+//!   that is not a candidate journals nothing.  This is the shape every
+//!   served join has: the translator binds each range variable with its
+//!   own `SET_APPLY` and never emits a `rel_join`, whose `TUP_CAT` would
+//!   need the two sides' attribute names disjoint.
 //! * `DE` → [`PhysOp::HashDistinct`], `GRP` → [`PhysOp::HashGroup`]:
 //!   honest names for what the count-map evaluator and the parallel
 //!   repartition exchange already do.
@@ -32,16 +42,18 @@
 //!
 //! Binder bodies and predicates are never annotated: kernels apply to
 //! closed spine positions only, where inputs are whole materialised
-//! multisets.
+//! multisets.  The probe kernel keeps to that: it is a choice for the
+//! *outer* apply, whose input is on the spine, and what it hoists out of
+//! the body — `B` — is closed there by the side condition above.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::cost::{cost_of, estimate_nodes, estimate_physical, Estimate};
+use crate::cost::{cost_of, estimate_nodes, estimate_physical, estimate_under, Estimate};
 use crate::engine::{JournalStep, RefusedStep, RewriteJournal};
 use crate::stats::Statistics;
 use excess_core::expr::{Expr, Pred};
 use excess_core::physical::{
-    equi_key_candidates, spine_children, PhysChoice, PhysOp, PhysicalPlan,
+    correlated_join, equi_key_candidates, spine_children, PhysChoice, PhysOp, PhysicalPlan,
 };
 use excess_core::profile::NodePath;
 
@@ -439,11 +451,11 @@ fn assign(
             est_rows,
         },
         Expr::RelJoin { pred, .. } => join_choice(pred, path, nodes, refused),
-        _ => PhysChoice {
+        _ => probe_apply_choice(e, path, nodes, refused).unwrap_or(PhysChoice {
             op: PhysOp::PassThrough,
             why: String::new(),
             est_rows,
-        },
+        }),
     };
     choices.insert(path.clone(), choice);
     let spine = spine_children(e);
@@ -462,6 +474,30 @@ fn known_ndv(est: Option<&Estimate>, field: &str) -> Option<f64> {
     est?.attr_ndv.as_ref()?.get(field).copied()
 }
 
+/// The kernel selection policy both hash kernels share: a hash build is
+/// not free, so the estimated pair count must clear
+/// [`HASH_JOIN_MIN_PAIRS`], and a key known to take one value hashes to
+/// the nested loop plus overhead.  `Ok` is the estimate clause of the
+/// choice's reasoning, `Err` the refusal.
+fn hash_pays(pairs: Option<f64>, key_ndv: Option<f64>) -> Result<String, String> {
+    match (pairs, key_ndv) {
+        (Some(p), _) if p < HASH_JOIN_MIN_PAIRS => Err(format!(
+            "estimated {p:.0} pairs below the hash threshold ({HASH_JOIN_MIN_PAIRS:.0})"
+        )),
+        (_, Some(n)) if n <= 1.0 => Err(format!(
+            "join key NDV ≈ {n:.0}: a single bucket degenerates to the nested loop"
+        )),
+        (Some(p), Some(n)) => Ok(format!("; est {p:.0} pairs, key NDV {n:.0}")),
+        (Some(p), None) => Ok(format!("; est {p:.0} pairs")),
+        (None, _) => Ok(String::new()),
+    }
+}
+
+/// The larger of the NDVs the statistics know for the two key fields.
+fn max_known_ndv(l: Option<f64>, r: Option<f64>) -> Option<f64> {
+    l.into_iter().chain(r).reduce(f64::max)
+}
+
 fn join_choice(
     pred: &Pred,
     path: &NodePath,
@@ -469,11 +505,10 @@ fn join_choice(
     refused: &mut Vec<RefusedStep>,
 ) -> PhysChoice {
     let est_rows = nodes.get(path).map(|est| est.rows);
-    let mut lp = path.clone();
-    lp.push(0);
-    let mut rp = path.clone();
-    rp.push(1);
-    let (l, r) = (nodes.get(&lp), nodes.get(&rp));
+    let (l, r) = (
+        estimate_under(nodes, path, &[0]),
+        estimate_under(nodes, path, &[1]),
+    );
     let pairs = match (l, r) {
         (Some(l), Some(r)) => Some(l.rows * r.rows),
         _ => None,
@@ -503,39 +538,80 @@ fn join_choice(
     } else {
         (f.clone(), g.clone())
     };
-    if let Some(pairs) = pairs {
-        if pairs < HASH_JOIN_MIN_PAIRS {
-            return nested(format!(
-                "estimated {pairs:.0} pairs below the hash threshold ({HASH_JOIN_MIN_PAIRS:.0})"
-            ));
-        }
-    }
-    let key_ndv = known_ndv(l, &left_key)
-        .into_iter()
-        .chain(known_ndv(r, &right_key))
-        .fold(None::<f64>, |acc, n| Some(acc.map_or(n, |a| a.max(n))));
-    if let Some(ndv) = key_ndv {
-        if ndv <= 1.0 {
-            return nested(format!(
-                "join key NDV ≈ {ndv:.0}: a single bucket degenerates to the nested loop"
-            ));
-        }
-    }
-    let why = match (pairs, key_ndv) {
-        (Some(p), Some(n)) => {
-            format!("equi conjunct {left_key} = {right_key}; est {p:.0} pairs, key NDV {n:.0}")
-        }
-        (Some(p), None) => format!("equi conjunct {left_key} = {right_key}; est {p:.0} pairs"),
-        _ => format!("equi conjunct {left_key} = {right_key}"),
-    };
-    PhysChoice {
-        op: PhysOp::HashEquiJoin {
-            left_key,
-            right_key,
+    let key_ndv = max_known_ndv(known_ndv(l, &left_key), known_ndv(r, &right_key));
+    match hash_pays(pairs, key_ndv) {
+        Err(reason) => nested(reason),
+        Ok(estimate) => PhysChoice {
+            why: format!("equi conjunct {left_key} = {right_key}{estimate}"),
+            op: PhysOp::HashEquiJoin {
+                left_key,
+                right_key,
+            },
+            est_rows,
         },
-        why,
-        est_rows,
     }
+}
+
+/// The choice for a correlated join (see [`correlated_join`]), or `None`
+/// when `e` is not one — any other nested apply passes through and
+/// journals nothing.  A candidate the kernel cannot or should not take is
+/// refused with a journaled reason, like [`join_choice`]'s.
+fn probe_apply_choice(
+    e: &Expr,
+    path: &NodePath,
+    nodes: &BTreeMap<NodePath, Estimate>,
+    refused: &mut Vec<RefusedStep>,
+) -> Option<PhysChoice> {
+    let cj = correlated_join(e)?;
+    let est_rows = nodes.get(path).map(|est| est.rows);
+    // A is the apply's input, B the input of its body.
+    let (a, b) = (
+        estimate_under(nodes, path, &[0]),
+        estimate_under(nodes, path, &[1, 0]),
+    );
+    let pairs = match (a, b) {
+        (Some(a), Some(b)) => Some(a.rows * b.rows),
+        _ => None,
+    };
+    let field_ndv = |side: Option<&Estimate>, key: &Expr| match key {
+        Expr::TupExtract(of, f) if matches!(**of, Expr::Input(0)) => known_ndv(side, f),
+        _ => None,
+    };
+    let key_ndv = max_known_ndv(field_ndv(a, &cj.outer_key), field_ndv(b, &cj.inner_key));
+    let verdict = if cj.inner_input.mentions_input(0) {
+        Err("inner input depends on the outer element".to_string())
+    } else if cj.inner_input.mints_oids() {
+        Err("inner input mints OIDs".to_string())
+    } else if cj.comp.mints_oids() {
+        // COMP evaluates its input before θ, so on rejected pairs too.
+        Err("the applied COMP mints OIDs".to_string())
+    } else {
+        hash_pays(pairs, key_ndv)
+    };
+    Some(match verdict {
+        Err(reason) => {
+            refused.push(RefusedStep {
+                rule: LOWERING_RULE,
+                path: path.clone(),
+                reason: format!("HashProbeApply refused: {reason}"),
+            });
+            PhysChoice {
+                op: PhysOp::PassThrough,
+                why: reason,
+                est_rows,
+            }
+        }
+        Ok(estimate) => PhysChoice {
+            why: format!(
+                "correlated equi conjunct, inner input closed and evaluated once{estimate}"
+            ),
+            op: PhysOp::HashProbeApply {
+                outer_key: cj.outer_key,
+                inner_key: cj.inner_key,
+            },
+            est_rows,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -641,6 +717,120 @@ mod tests {
             .expect("root choice");
         assert_eq!(root.op, PhysOp::NestedLoopJoin);
         assert!(root.why.contains("NDV"), "{}", root.why);
+    }
+
+    /// The translator's form of `equi_join`:
+    /// `SET_APPLY[SET_APPLY[COMP[INPUT^2.adv = INPUT^1.name](f)](inner)](S)`.
+    fn correlated_join_over(inner: Expr, f: Expr) -> Expr {
+        let theta = Pred::cmp(
+            Expr::input_at(2).extract("adv"),
+            CmpOp::Eq,
+            Expr::input_at(1).extract("name"),
+        );
+        Expr::named("S").set_apply(inner.set_apply(f.comp(theta)))
+    }
+
+    fn root_choice(plan: &Expr, stats: &Statistics) -> (PhysChoice, RewriteJournal) {
+        let mut journal = RewriteJournal::for_plan(0.0);
+        let pp = lower_journaled(plan, stats, &mut journal);
+        assert_eq!(pp.logical, *plan);
+        (pp.choices[&Vec::new() as &NodePath].clone(), journal)
+    }
+
+    #[test]
+    fn correlated_join_lowers_to_the_probe_kernel_and_prices_below_the_loop() {
+        let plan = correlated_join_over(Expr::named("E"), Expr::input().extract("name"));
+        let (root, journal) = root_choice(&plan, &stats());
+        let shown = root.op.to_string();
+        assert_eq!(
+            shown,
+            "HashProbeApply[outer TUP_EXTRACT[adv](INPUT) = inner TUP_EXTRACT[name](INPUT)]"
+        );
+        // `pipeline::reoptimize` takes an op containing "Scan" for a scan.
+        assert!(!shown.contains("Scan"));
+        assert!(
+            root.why.contains("est 2000000 pairs, key NDV 2000"),
+            "{}",
+            root.why
+        );
+        assert_eq!(journal.refused, Vec::new());
+        assert!(journal.steps[0].cost_after < journal.steps[0].cost_before / 10.0);
+    }
+
+    #[test]
+    fn a_correlated_join_the_kernel_cannot_take_is_refused_with_its_reason() {
+        let name = || Expr::input().extract("name");
+        let cases = [
+            (
+                // The inner input reads the outer element.
+                correlated_join_over(Expr::input().extract("kids"), name()),
+                stats(),
+                "inner input depends on the outer element",
+            ),
+            (
+                correlated_join_over(
+                    Expr::named("E").set_apply(Expr::input().make_ref("T")),
+                    name(),
+                ),
+                stats(),
+                "inner input mints OIDs",
+            ),
+            (
+                correlated_join_over(Expr::named("E"), Expr::input().make_ref("T")),
+                stats(),
+                "the applied COMP mints OIDs",
+            ),
+            (
+                correlated_join_over(Expr::named("E"), name()),
+                {
+                    let mut tiny = Statistics::new();
+                    tiny.set_object("S", 4.0, 4.0, 8.0);
+                    tiny.set_object("E", 4.0, 4.0, 8.0);
+                    tiny
+                },
+                "estimated 16 pairs below the hash threshold",
+            ),
+            (
+                correlated_join_over(Expr::named("E"), name()),
+                {
+                    let mut one = stats();
+                    one.set_attr_ndv("S", "adv", 1.0);
+                    one.set_attr_ndv("E", "name", 1.0);
+                    one
+                },
+                "join key NDV",
+            ),
+        ];
+        for (plan, stats, reason) in cases {
+            let (root, journal) = root_choice(&plan, &stats);
+            assert_eq!(root.op, PhysOp::PassThrough, "{reason}");
+            assert!(root.why.contains(reason), "{}", root.why);
+            let [refusal] = &journal.refused[..] else {
+                panic!("{reason}: {:?}", journal.refused)
+            };
+            assert_eq!((refusal.rule, &refusal.path), (LOWERING_RULE, &Vec::new()));
+            assert!(
+                refusal.reason.starts_with("HashProbeApply refused: ")
+                    && refusal.reason.contains(reason),
+                "{}",
+                refusal.reason
+            );
+        }
+    }
+
+    #[test]
+    fn a_nested_apply_with_no_equi_conjunct_between_its_binders_journals_nothing() {
+        // SECTION2_KIDS's shape: the inner input hangs off the outer
+        // element and the predicate compares it with a literal.
+        let theta = Pred::cmp(Expr::input_at(2).extract("floor"), CmpOp::Eq, Expr::int(2));
+        let plan = Expr::named("S").set_apply(
+            Expr::input()
+                .extract("kids")
+                .set_apply(Expr::input().extract("name").comp(theta)),
+        );
+        let (root, journal) = root_choice(&plan, &stats());
+        assert_eq!((root.op, root.why.as_str()), (PhysOp::PassThrough, ""));
+        assert_eq!(journal.refused, Vec::new());
     }
 
     #[test]

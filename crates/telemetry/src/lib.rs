@@ -56,16 +56,47 @@ pub use recorder::{
 pub use registry::Registry;
 pub use span::{QueryTrace, Span};
 
-/// FNV-1a 64-bit hash — used to fingerprint plans cheaply and
+/// FNV-1a 64-bit hash state — used to fingerprint plans cheaply and
 /// deterministically (no `DefaultHasher`, whose output is unspecified
-/// across releases).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
+/// across releases).  It is a [`std::fmt::Write`] sink, so a `Debug` or
+/// `Display` rendering can be hashed as it is produced, without the
+/// `String`.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf29ce484222325)
     }
-    h
+}
+
+impl Fnv1a64 {
+    /// Fold `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    /// The hash of everything folded in so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a 64-bit hash of `bytes`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a64::default();
+    h.update(bytes);
+    h.finish()
 }
 
 /// Everything the database embeds: the always-on registry, recorder,
@@ -113,6 +144,15 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn streamed_rendering_hashes_like_the_rendered_string() {
+        use std::fmt::Write;
+        let value = (vec![Some("plan"), None], 0.5, 'é');
+        let mut h = Fnv1a64::default();
+        write!(h, "{value:?}").unwrap();
+        assert_eq!(h.finish(), fnv1a64(format!("{value:?}").as_bytes()));
     }
 
     #[test]

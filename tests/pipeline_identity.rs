@@ -6,9 +6,11 @@
 
 mod common;
 
-use excess::algebra::physical::PhysicalPlan;
+use excess::algebra::expr::Expr;
+use excess::algebra::physical::{PhysOp, PhysicalPlan};
 use excess::db::{value_json, Database, Tracing, VersionedDb};
-use excess_bench::server_mix::{server_mix_db, MIX};
+use excess::telemetry::fnv1a64;
+use excess_bench::server_mix::server_mix_db;
 use excess_workload::{queries, UniversityParams};
 
 /// Run every query through a database and through a session over an
@@ -49,8 +51,12 @@ fn assert_served_equals_direct(make: impl Fn() -> Database, queries: &[String]) 
 
 #[test]
 fn figure_mix_and_probes_agree_on_the_server_mix() {
-    let mut qs: Vec<String> = MIX.iter().map(|(_, q)| q.to_string()).collect();
-    // The benchmark's probe shapes, over a spread of literals.
+    // The figure mix and `analytic`'s two other joins…
+    let mut qs: Vec<String> = common::served_mix_requests()
+        .into_iter()
+        .map(str::to_string)
+        .collect();
+    // …and the benchmark's probe shapes, over a spread of literals.
     for k in [0, 3, 9] {
         qs.push(format!("retrieve (S1.sname) where S1.sdept = {k}"));
     }
@@ -60,7 +66,6 @@ fn figure_mix_and_probes_agree_on_the_server_mix() {
             "range of T is S2 retrieve (T.sname) by T.dept.division where T.dept.floor = {k}"
         ));
     }
-    qs.push("retrieve (E1.ename) where E1.esal = 1003".to_string());
     assert_served_equals_direct(|| server_mix_db(60), &qs);
 }
 
@@ -115,6 +120,63 @@ fn served_plans_are_the_pinned_ones() {
             queries::QUERY_WORKLOAD => assert_eq!(optimized.to_string(), LOAD),
             _ => assert_eq!(optimized, plan, "{line}"),
         }
+    }
+}
+
+/// The kernels those 14 request kinds run on, at the same scale: the
+/// three `analytic` joins carry the probe kernel on their join node — the
+/// `SET_APPLY` over `S1` — and no other served request carries one.  The
+/// `plan_hash` each reports is FNV-1a of the lowered plan's `Debug`
+/// rendering, streamed or not.
+#[test]
+fn served_joins_probe_and_nothing_else_does() {
+    const PROBE: &str =
+        "HashProbeApply[outer TUP_EXTRACT[sadv](INPUT) = inner TUP_EXTRACT[ename](INPUT)]";
+    let check = |db: &mut Database, line: &str| {
+        let plan = common::plan_of(db, line);
+        let (physical, journal) = db.lower_plan(&db.optimize_plan(&plan));
+        assert_eq!(journal.refused, Vec::new(), "{line}");
+        let probes: Vec<_> = physical
+            .choices
+            .iter()
+            .filter(|(_, c)| matches!(c.op, PhysOp::HashProbeApply { .. }))
+            .collect();
+        if line.contains("S.sadv = E.ename") {
+            let [(path, choice)] = probes[..] else {
+                panic!("{line}: {probes:?}")
+            };
+            assert_eq!(choice.op.to_string(), PROBE, "{line}");
+            assert!(
+                matches!(physical.node_at(path), Some(Expr::SetApply { input, .. })
+                    if **input == Expr::named("S1")),
+                "{line}: {path:?}"
+            );
+        } else {
+            assert!(probes.is_empty(), "{line}: {probes:?}");
+        }
+        db.execute(line).unwrap();
+        let record = db.telemetry().recorder.records().last().unwrap();
+        assert_eq!(
+            record.plan_hash,
+            fnv1a64(format!("{physical:?}").as_bytes()),
+            "{line}"
+        );
+        assert_eq!(
+            record.kernels.iter().any(|(_, k)| k == PROBE),
+            !probes.is_empty(),
+            "{line}"
+        );
+    };
+    let mut db = server_mix_db(120);
+    for line in common::served_mix_requests() {
+        check(&mut db, line);
+    }
+    let mut db = common::served_university(&UniversityParams {
+        seed: 1,
+        ..UniversityParams::default()
+    });
+    for line in common::SERVED_UNIVERSITY_REQUESTS {
+        check(&mut db, line);
     }
 }
 

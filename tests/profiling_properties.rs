@@ -163,3 +163,41 @@ proptest! {
         prop_assert_eq!(profile.root().expect("root profiled").rows_out, rows);
     }
 }
+
+/// The probe kernel of a correlated join opens the inner apply's frames
+/// itself and leaves its build untraced; the two properties above hold for
+/// it as they do for the nested loop it replaces.
+#[test]
+fn a_probed_correlated_join_still_telescopes() {
+    let a: Vec<i32> = (0..24).map(|i| i % 6).collect();
+    let b: Vec<i32> = (0..12).map(|i| i % 4).collect();
+    // For every a in NumsA, the b in NumsB equal to it.
+    let theta = Pred::cmp(Expr::input_at(2), CmpOp::Eq, Expr::input_at(1));
+    let plan = Expr::named("NumsA")
+        .set_apply(Expr::named("NumsB").set_apply(Expr::input().comp(theta)))
+        .set_collapse();
+    let mut db = database(&a, &b);
+    let plain = db.run_plan(&plan).unwrap();
+
+    let (physical, _) = db.lower_plan(&plan);
+    let join = &physical.choices[&vec![0]];
+    assert!(
+        join.op.to_string().starts_with("HashProbeApply"),
+        "{}",
+        join.op
+    );
+    db.set_threads(1);
+    let untraced = db.run_lowered(&physical, Tracing::Off).unwrap();
+    let traced = db.run_lowered(&physical, Tracing::Precise).unwrap();
+    assert_eq!(plain, traced.value);
+    assert_eq!(untraced.counters, traced.counters);
+    let profile = traced.profile.expect("tracing was enabled");
+    assert_eq!(profile.total, traced.counters);
+    assert_eq!(profile.sum_of_self_counters(), traced.counters);
+    // The inner apply ran once per outer occurrence, the COMP once per
+    // pair the buckets admitted (NumsA's 0..=3 are 16 occurrences, each
+    // meeting 3 of NumsB), and NumsB itself was never a traced child.
+    assert_eq!(profile.node(&[0, 1]).expect("inner apply").calls, 24);
+    assert_eq!(profile.node(&[0, 1, 1]).expect("COMP").calls, 48);
+    assert!(profile.node(&[0, 1, 0]).is_none());
+}

@@ -15,13 +15,15 @@ use excess::db::Database;
 use excess::optimizer::estimate_nodes;
 use excess::telemetry::{q_error, FlightRecorder};
 use excess_bench::example1::{example1_db, figure6, figure7, figure8};
+use excess_bench::server_mix::MIX;
 
-/// Run the Example 1 figures with spans on and assert every counter
-/// telescopes through the span tree.
+/// Run the Example 1 figures with spans on — and Figure 6 once more as
+/// the server receives it, a correlated `SET_APPLY` join that runs on the
+/// probe kernel — and assert every counter telescopes through the span
+/// tree.
 fn assert_figures_telescope(db: &mut Database) {
     db.enable_query_spans(true);
-    for (id, plan) in [("F6", figure6()), ("F7", figure7()), ("F8", figure8())] {
-        db.run_query_plan(id, &plan).unwrap();
+    let telescopes = |db: &Database, id: &str| {
         let total = db.last_counters();
         let trace = db.last_query_trace().expect("spans are enabled");
         for (name, v) in total.named_fields() {
@@ -31,8 +33,20 @@ fn assert_figures_telescope(db: &mut Database) {
                 "{id}: `{name}` must sum over the span tree to the query total"
             );
         }
-        assert_eq!(trace.query, id);
+    };
+    for (id, plan) in [("F6", figure6()), ("F7", figure7()), ("F8", figure8())] {
+        db.run_query_plan(id, &plan).unwrap();
+        telescopes(db, id);
+        assert_eq!(db.last_query_trace().unwrap().query, id);
     }
+    let (id, served_f6) = MIX[0];
+    db.execute(served_f6).unwrap();
+    telescopes(db, id);
+    let kernels = &db.telemetry().recorder.records().last().unwrap().kernels;
+    assert!(
+        kernels.iter().any(|(_, k)| k.starts_with("HashProbeApply")),
+        "{kernels:?}"
+    );
 }
 
 #[test]
