@@ -53,7 +53,7 @@ fn canon(v: &Value, store: &ObjectStore, visited: &mut HashMap<excess_types::Oid
             }
             Value::Set(out)
         }
-        Value::Array(a) => Value::Array(a.iter().map(|e| canon(e, store, visited)).collect()),
+        Value::Array(a) => Value::array(a.iter().map(|e| canon(e, store, visited))),
         other => other.clone(),
     }
 }

@@ -1,11 +1,11 @@
 //! Batched (vectorized) kernels over columnar extent chunks.
 //!
-//! The row evaluator clones the catalog value at every `Named` leaf and
-//! then walks occurrence-at-a-time over cloned `Value` trees.  The
-//! kernels here instead consume the extent's [`Chunk`] straight out of
-//! the catalog — flat typed columns, no per-occurrence allocation — and
-//! produce **exactly** the multiset the row path would, charging
-//! **exactly** the same [`Counters`].  The
+//! The row evaluator walks a `Named` leaf's value occurrence-at-a-time,
+//! pushing each occurrence into the binder environment and evaluating the
+//! predicate over `Value` trees.  The kernels here instead consume the
+//! extent's [`Chunk`] straight out of the catalog — flat typed columns, no
+//! per-occurrence allocation — and produce **exactly** the multiset the
+//! row path would, charging **exactly** the same [`Counters`].  The
 //! speedup is wall-clock only; the paper's cost arguments (which are
 //! counter-based) are untouched.
 //!

@@ -170,11 +170,8 @@ fn as_set(op: &'static str, v: Value) -> EvalResult<MultiSet> {
     }
 }
 
-fn as_array(op: &'static str, v: Value) -> EvalResult<Vec<Value>> {
-    match v {
-        Value::Array(a) => Ok(a),
-        other => Err(sort_err(op, "array", &other)),
-    }
+fn as_array<'v>(op: &'static str, v: &'v Value) -> EvalResult<&'v [Value]> {
+    v.as_array().ok_or_else(|| sort_err(op, "array", v))
 }
 
 /// Evaluate with an explicit binder environment (innermost last).
@@ -431,18 +428,18 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             if v.is_null() {
                 return Ok(v);
             }
-            Ok(array::extract(&as_array("ARR_EXTRACT", v)?, *b))
+            Ok(array::extract(as_array("ARR_EXTRACT", &v)?, *b))
         }
         Expr::ArrApply { input, body } => {
             let inv = eval(input, env, ctx)?;
             if inv.is_null() {
                 return Ok(inv);
             }
-            let arr = as_array("ARR_APPLY", inv)?;
+            let arr = as_array("ARR_APPLY", &inv)?;
             let mut out = Vec::with_capacity(arr.len());
             for elem in arr {
                 ctx.counters.elements_scanned += 1;
-                env.push(elem);
+                env.push(elem.clone());
                 let r = eval(body, env, ctx);
                 env.pop();
                 let r = r?;
@@ -450,14 +447,14 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                     out.push(r); // dne results dropped: array σ = ARR_APPLY∘COMP
                 }
             }
-            Ok(Value::Array(out))
+            Ok(Value::array(out))
         }
         Expr::SubArr(a, m, n) => {
             let v = eval(a, env, ctx)?;
             if v.is_null() {
                 return Ok(v);
             }
-            Ok(Value::Array(array::subarr(&as_array("SUBARR", v)?, *m, *n)))
+            Ok(Value::array(array::subarr(as_array("SUBARR", &v)?, *m, *n)))
         }
         Expr::ArrCat(a, b) => {
             let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
@@ -467,9 +464,9 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             if b.is_null() {
                 return Ok(b);
             }
-            Ok(Value::Array(array::cat(
-                &as_array("ARR_CAT", a)?,
-                &as_array("ARR_CAT", b)?,
+            Ok(Value::array(array::cat(
+                as_array("ARR_CAT", &a)?,
+                as_array("ARR_CAT", &b)?,
             )))
         }
         Expr::ArrCollapse(a) => {
@@ -477,14 +474,9 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             if v.is_null() {
                 return Ok(v);
             }
-            let arr = as_array("ARR_COLLAPSE", v)?;
-            array::collapse(&arr).map(Value::Array).ok_or_else(|| {
-                sort_err(
-                    "ARR_COLLAPSE",
-                    "array of arrays",
-                    &Value::Array(arr.clone()),
-                )
-            })
+            array::collapse(as_array("ARR_COLLAPSE", &v)?)
+                .map(Value::array)
+                .ok_or_else(|| sort_err("ARR_COLLAPSE", "array of arrays", &v))
         }
         Expr::ArrDiff(a, b) => {
             let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
@@ -494,9 +486,9 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             if b.is_null() {
                 return Ok(b);
             }
-            Ok(Value::Array(array::diff(
-                &as_array("ARR_DIFF", a)?,
-                &as_array("ARR_DIFF", b)?,
+            Ok(Value::array(array::diff(
+                as_array("ARR_DIFF", &a)?,
+                as_array("ARR_DIFF", &b)?,
             )))
         }
         Expr::ArrDupElim(a) => {
@@ -504,7 +496,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             if v.is_null() {
                 return Ok(v);
             }
-            Ok(Value::Array(array::dup_elim(&as_array("ARR_DE", v)?)))
+            Ok(Value::array(array::dup_elim(as_array("ARR_DE", &v)?)))
         }
         Expr::ArrCross(a, b) => {
             let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
@@ -514,9 +506,9 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             if b.is_null() {
                 return Ok(b);
             }
-            let out = array::cross(&as_array("ARR_CROSS", a)?, &as_array("ARR_CROSS", b)?);
+            let out = array::cross(as_array("ARR_CROSS", &a)?, as_array("ARR_CROSS", &b)?);
             ctx.counters.pairs_formed += out.len() as u64;
-            Ok(Value::Array(out))
+            Ok(Value::array(out))
         }
 
         // ----- reference operators -----
@@ -606,7 +598,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             if inv.is_null() {
                 return Ok(inv);
             }
-            let arr = as_array("arr_σ", inv)?;
+            let arr = as_array("arr_σ", &inv)?;
             let mut out = Vec::new();
             for elem in arr {
                 ctx.counters.elements_scanned += 1;
@@ -614,12 +606,12 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                 let t = eval_pred(pred, env, ctx);
                 env.pop();
                 match t? {
-                    Truth::T => out.push(elem),
+                    Truth::T => out.push(elem.clone()),
                     Truth::U => out.push(Value::unk()),
                     Truth::F => {}
                 }
             }
-            Ok(Value::Array(out))
+            Ok(Value::array(out))
         }
         Expr::RelCross(a, b) => {
             let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);

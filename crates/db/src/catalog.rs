@@ -118,3 +118,32 @@ impl SchemaCatalog for DbCatalog {
         self.schema(name).cloned()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A cloned catalog shares every value; writing through
+    /// [`DbCatalog::value_mut`] copies the written object only, in the
+    /// clone only.
+    #[test]
+    fn value_mut_on_a_clone_leaves_the_original_alone() {
+        let ints = || Value::set([Value::int(1), Value::int(2)]);
+        let mut original = DbCatalog::new();
+        original.put("A", SchemaType::set(SchemaType::int4()), ints());
+        original.put("B", SchemaType::set(SchemaType::int4()), ints());
+        let mut clone = original.clone();
+        let Some(Value::Set(a)) = clone.value_mut("A") else {
+            panic!("A is a set");
+        };
+        a.insert(Value::int(3));
+        assert_eq!(original.value("A"), Some(&ints()));
+        assert_eq!(clone.value("A").unwrap().as_set().unwrap().len(), 3);
+        let (theirs, ours) = (clone.value("B").unwrap(), original.value("B").unwrap());
+        assert!(theirs.shares_storage_with(ours));
+        assert!(!clone
+            .value("A")
+            .unwrap()
+            .shares_storage_with(original.value("A").unwrap()));
+    }
+}

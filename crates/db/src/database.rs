@@ -24,6 +24,7 @@ use excess_optimizer::{
 use excess_telemetry::{QueryTrace, Telemetry};
 use excess_types::{ObjectStore, SchemaType, TypeId, TypeRegistry, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Render a verifier [`Report`] as the `diagnostics:` block `explain` and
@@ -96,7 +97,9 @@ struct Parts<'a> {
 
 /// An in-memory EXTRA/EXCESS database.
 ///
-/// `Clone` copies the whole state — schema, data, methods, metrics.
+/// `Clone` copies the maps — schema, catalog and store entries, methods,
+/// metrics — and shares every stored value with the original (a `Value`
+/// clone is a reference count; a later write copies the node it changes).
 /// The session layer ([`crate::session`]) leans on this for atomic
 /// commits: a request is applied to a clone of the master and the clone
 /// is swapped in only when every statement succeeded.
@@ -355,6 +358,18 @@ impl Database {
         let parse_started = Instant::now();
         let stmts = parse_program(src)?;
         let parse_us = parse_started.elapsed().as_micros() as u64;
+        self.run_program(src, &stmts, parse_us)
+    }
+
+    /// [`Database::execute`] for a caller that parsed `src` into `stmts`
+    /// itself (in `parse_us`) because it also needs the statements — the
+    /// committer classifies what it executes.
+    pub(crate) fn run_program(
+        &mut self,
+        src: &str,
+        stmts: &[Stmt],
+        parse_us: u64,
+    ) -> DbResult<Value> {
         if stmts.is_empty() {
             return Err(DbError::Other("empty program".into()));
         }
@@ -363,7 +378,7 @@ impl Database {
         let mut attribution = Some((src.trim(), parse_us));
         let mut last = Value::bool(true);
         for s in stmts {
-            last = self.run_attributed(&s, &mut attribution)?;
+            last = self.run_attributed(s, &mut attribution)?;
         }
         Ok(last)
     }
@@ -400,6 +415,7 @@ impl Database {
                 let schema = lower_type(ty);
                 let init = initial_value(&schema, &self.registry)?;
                 self.catalog.put(name, schema, init);
+                self.refresh_stats_for(name);
                 Ok(Value::bool(true))
             }
             Stmt::DefineFunction {
@@ -1053,7 +1069,7 @@ impl Database {
                     .value_mut(target)
                     .ok_or_else(|| DbError::Other(format!("unknown object `{target}`")))?;
                 match cur {
-                    Value::Array(a) => a.push(v),
+                    Value::Array(a) => Arc::make_mut(a).push(v),
                     other => {
                         return Err(DbError::Other(format!(
                             "object `{target}` is not an array (found {})",
@@ -1283,7 +1299,7 @@ impl Database {
                 a.len()
             )));
         }
-        a[i - 1] = v;
+        Arc::make_mut(a)[i - 1] = v;
         self.rebuild_extents_for(target);
         Ok(Value::bool(true))
     }

@@ -28,12 +28,15 @@
 //! master and the clone is swapped in only when every statement
 //! succeeded — a failed request leaves no partial state), then publishes
 //! one new generation for the whole batch.  Components a batch did not
-//! touch are shared with the previous generation by `Arc`, so a batch of
-//! `range of` declarations does not copy the catalog.  After a
-//! data-touching batch the committer re-collects optimizer statistics
-//! and re-encodes the columnar chunks the previous generation had, so
-//! new snapshots plan against fresh cardinalities and keep their
-//! vectorized kernels.
+//! touch are shared with the previous generation by `Arc`, and inside a
+//! component that was touched every value the batch did not write is
+//! shared too (`Value` interiors are `Arc`s; a write copies the one node
+//! it changes — DESIGN.md, *Value representation*), so a clone of the
+//! master, of the catalog or of the object store copies map entries, not
+//! data.  Each data statement refreshes its target's statistics as it
+//! runs; after a data-touching batch the committer re-encodes the
+//! columnar chunks the previous generation had, so new snapshots plan
+//! against fresh cardinalities and keep their vectorized kernels.
 //!
 //! Every applied request is recorded in a commit history
 //! ([`VersionedDb::history`]), which makes snapshot isolation testable:
@@ -76,7 +79,9 @@ use std::time::Instant;
 /// One immutable, shared version of the database state.
 ///
 /// Every component is behind an `Arc`: generations that did not change a
-/// component share it with their predecessor, so a long-lived snapshot
+/// component share it with their predecessor.  A changed catalog or
+/// store is a new map whose values are still the predecessor's
+/// allocations except where a statement wrote, so a long-lived snapshot
 /// costs memory proportional to what has changed since it was taken, not
 /// to the whole database.
 #[derive(Debug, Clone)]
@@ -431,8 +436,8 @@ fn committer_loop(
 ) -> Database {
     while let Ok(first) = rx.recv() {
         // Drain whatever else is queued: one published generation per
-        // batch amortizes the copy-on-write clones across concurrent
-        // committers.
+        // batch amortizes the publish (map clones, chunk re-warming, the
+        // pointer swap) across concurrent committers.
         let mut batch = vec![first];
         while let Ok(more) = rx.try_recv() {
             batch.push(more);
@@ -449,16 +454,13 @@ fn committer_loop(
         let mut applied: Vec<String> = Vec::new();
         let mut replies: Vec<(Sender<CommitReply>, Result<Value, String>)> = Vec::new();
         for req in batch {
-            // Atomicity by clone-and-swap: a request that fails half way
-            // through its program leaves the master untouched.
-            let mut trial = db.clone();
-            match trial.execute(&req.source) {
-                Ok(v) => {
+            match apply(&db, &req.source) {
+                Ok((trial, stmts, v)) => {
                     db = trial;
-                    for stmt in parse_program(&req.source).ok().unwrap_or_default() {
-                        classify(&stmt, &mut dirty);
+                    for stmt in &stmts {
+                        classify(stmt, &mut dirty);
                     }
-                    applied.push(req.source.clone());
+                    applied.push(req.source);
                     replies.push((req.reply, Ok(v)));
                 }
                 Err(e) => replies.push((req.reply, Err(e.to_string()))),
@@ -473,6 +475,21 @@ fn committer_loop(
         }
     }
     db
+}
+
+/// Apply one request's program to a trial clone of the master — atomicity
+/// by clone-and-swap: a request that fails half way through its program
+/// leaves the master untouched.  The clone shares every value with the
+/// master; only what the program writes is copied.  Returns the trial,
+/// the statements it ran (parsed once, for [`classify`]) and the value of
+/// the last one.
+fn apply(db: &Database, source: &str) -> DbResult<(Database, Vec<Stmt>, Value)> {
+    let parse_started = Instant::now();
+    let stmts = parse_program(source)?;
+    let parse_us = parse_started.elapsed().as_micros() as u64;
+    let mut trial = db.clone();
+    let value = trial.run_program(source, &stmts, parse_us)?;
+    Ok((trial, stmts, value))
 }
 
 /// Publish one generation for an applied batch (when it touched any
@@ -500,11 +517,18 @@ fn publish(db: &mut Database, shared: &SharedState, dirty: Dirty, applied: Vec<S
         return prev.number;
     }
     let stats_note = if dirty.data {
-        // Fresh cardinalities for the next generation's planners.  The
-        // dirty set decides how much work that is: a batch whose data
-        // statements name their targets refreshes exactly those extents;
-        // a procedure call (targets unknown) — or a master that has never
-        // collected anything — falls back to the full sweep.
+        // Fresh cardinalities for the next generation's planners.  A
+        // data statement that names its target has already refreshed that
+        // extent's statistics as it ran (`Database::refresh_stats_for`),
+        // so a batch of them has nothing left to collect here — what is
+        // published is what the embedded `Database` holds after the same
+        // program.  Each extent is therefore as of its own statement: a
+        // later `replace` through another extent's references to the same
+        // stored objects does not re-collect it, in this batch or in a
+        // later one (`tests/snapshot_isolation.rs`,
+        // `a_batch_publishes_each_extent_as_of_its_own_statement`); the
+        // full sweep does.  A procedure call (targets unknown) — or a
+        // master that has never collected anything — falls back to it.
         let note = if dirty.data_unknown || db.statistics().objects.is_empty() {
             db.collect_stats();
             shared.stats_full.fetch_add(1, Ordering::Relaxed);
@@ -514,10 +538,7 @@ fn publish(db: &mut Database, shared: &SharedState, dirty: Dirty, applied: Vec<S
                 "full (first collection)".to_string()
             }
         } else {
-            let names: Vec<String> = dirty.touched.iter().cloned().collect();
-            for name in &names {
-                db.refresh_stats_for(name);
-            }
+            let names: Vec<&str> = dirty.touched.iter().map(String::as_str).collect();
             shared.stats_incremental.fetch_add(1, Ordering::Relaxed);
             format!("incremental: {}", names.join(", "))
         };
@@ -603,7 +624,8 @@ pub struct QueryOutcome {
 pub struct Session {
     db: VersionedDb,
     snapshot: Arc<Generation>,
-    /// Private clone of the snapshot's object store: evaluation may mint
+    /// This session's own OID map over the snapshot's objects (the values
+    /// are shared with the generation, not copied): evaluation may mint
     /// temporary OIDs (`ref (...)` in a target list), and those must not
     /// leak into — or contend on — the shared generation.
     scratch: ObjectStore,

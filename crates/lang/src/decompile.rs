@@ -315,7 +315,7 @@ impl<'a> D<'a> {
             }
             Value::Array(a) => {
                 let mut parts = Vec::with_capacity(a.len());
-                for e in a {
+                for e in a.iter() {
                     parts.push(self.literal(e)?);
                 }
                 format!("[ {} ]", parts.join(", "))

@@ -110,7 +110,7 @@ fn check(v: &Value, s: &SchemaType, reg: &TypeRegistry, substituting: bool) -> R
                     });
                 }
             }
-            for e in a {
+            for e in a.iter() {
                 check(e, elem, reg, substituting)?;
             }
             Ok(())

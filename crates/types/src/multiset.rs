@@ -19,11 +19,15 @@
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A multiset of [`Value`]s.
+///
+/// The count map is shared: `clone` bumps a reference count and every
+/// mutator copies the map first iff another value still holds it.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MultiSet {
-    counts: BTreeMap<Value, u64>,
+    counts: Arc<BTreeMap<Value, u64>>,
 }
 
 impl MultiSet {
@@ -51,7 +55,7 @@ impl MultiSet {
         if n == 0 || v.is_dne() {
             return;
         }
-        *self.counts.entry(v).or_insert(0) += n;
+        *Arc::make_mut(&mut self.counts).entry(v).or_insert(0) += n;
     }
 
     /// Cardinality of `v` in this multiset (0 if absent).
@@ -94,13 +98,20 @@ impl MultiSet {
 
     /// Consume into `(element, cardinality)` pairs in value order.
     pub fn into_counted(self) -> impl Iterator<Item = (Value, u64)> {
-        self.counts.into_iter()
+        Arc::unwrap_or_clone(self.counts).into_iter()
+    }
+
+    /// `true` iff both multisets are views of the same count map (see
+    /// [`Value::shares_storage_with`]).
+    pub(crate) fn shares_storage_with(&self, other: &MultiSet) -> bool {
+        Arc::ptr_eq(&self.counts, &other.counts)
     }
 
     /// Additive union `A ⊎ B`: cardinalities are *summed* (operator 1).
     pub fn additive_union(mut self, other: MultiSet) -> MultiSet {
-        for (v, c) in other.counts {
-            self.insert_n(v, c);
+        let mine = Arc::make_mut(&mut self.counts);
+        for (v, c) in other.into_counted() {
+            *mine.entry(v).or_insert(0) += c;
         }
         self
     }
@@ -109,12 +120,13 @@ impl MultiSet {
     /// from that in A to obtain the result cardinality" (operator 6),
     /// saturating at zero.
     pub fn difference(mut self, other: &MultiSet) -> MultiSet {
-        for (v, c) in &other.counts {
-            if let Some(mine) = self.counts.get_mut(v) {
+        let counts = Arc::make_mut(&mut self.counts);
+        for (v, c) in other.counts.iter() {
+            if let Some(mine) = counts.get_mut(v) {
                 if *mine > *c {
                     *mine -= *c;
                 } else {
-                    self.counts.remove(v);
+                    counts.remove(v);
                 }
             }
         }
@@ -125,7 +137,7 @@ impl MultiSet {
     /// element of a multiset to 1" (operator 5).
     pub fn dup_elim(&self) -> MultiSet {
         MultiSet {
-            counts: self.counts.keys().map(|v| (v.clone(), 1)).collect(),
+            counts: Arc::new(self.counts.keys().map(|v| (v.clone(), 1)).collect()),
         }
     }
 
@@ -133,8 +145,9 @@ impl MultiSet {
     /// the **max** of the input cardinalities.  Defined here directly;
     /// the optimizer also knows the derivation `(A − B) ⊎ B`.
     pub fn union_max(mut self, other: &MultiSet) -> MultiSet {
-        for (v, c) in &other.counts {
-            let e = self.counts.entry(v.clone()).or_insert(0);
+        let counts = Arc::make_mut(&mut self.counts);
+        for (v, c) in other.counts.iter() {
+            let e = counts.entry(v.clone()).or_insert(0);
             *e = (*e).max(*c);
         }
         self
@@ -145,7 +158,7 @@ impl MultiSet {
     /// `A − (A − B)`.
     pub fn intersect_min(&self, other: &MultiSet) -> MultiSet {
         let mut out = MultiSet::new();
-        for (v, c) in &self.counts {
+        for (v, c) in self.counts.iter() {
             let m = (*c).min(other.count(v));
             out.insert_n(v.clone(), m);
         }
@@ -157,8 +170,8 @@ impl MultiSet {
     /// occurrence is a 2-field tuple `(fst, snd)`; cardinalities multiply.
     pub fn cross(&self, other: &MultiSet) -> MultiSet {
         let mut out = MultiSet::new();
-        for (a, ca) in &self.counts {
-            for (b, cb) in &other.counts {
+        for (a, ca) in self.counts.iter() {
+            for (b, cb) in other.counts.iter() {
                 out.insert_n(Value::pair(a.clone(), b.clone()), ca * cb);
             }
         }
@@ -171,7 +184,7 @@ impl MultiSet {
     /// caller (evaluator) type-checks, so this returns `None` on misuse.
     pub fn collapse(&self) -> Option<MultiSet> {
         let mut out = MultiSet::new();
-        for (v, c) in &self.counts {
+        for (v, c) in self.counts.iter() {
             let inner = v.as_set()?;
             for (e, ec) in inner.iter_counted() {
                 out.insert_n(e.clone(), ec * c);

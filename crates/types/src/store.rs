@@ -33,6 +33,12 @@ pub struct StoredObject {
 }
 
 /// An in-memory heap of objects keyed by OID.
+///
+/// `Clone` copies the OID map and shares every object's value with the
+/// original — what a generation, a session's scratch store and a commit's
+/// trial database each take.  [`ObjectStore::update`] and
+/// [`ObjectStore::migrate`] replace an object's value in one map only, so
+/// the other holders keep reading the value they cloned.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
     alloc: OidAllocator,

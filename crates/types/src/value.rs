@@ -15,6 +15,7 @@ use crate::oid::Oid;
 use crate::scalar::Scalar;
 use crate::{date::Date, error::TypeError};
 use std::fmt;
+use std::sync::Arc;
 
 /// The two null constants of Section 3.2.4 (after \[Gou88\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -27,9 +28,12 @@ pub enum Null {
 }
 
 /// A tuple instance: an ordered sequence of named fields.
+///
+/// The field vector is shared: `clone` bumps a reference count, and the
+/// derived `Eq`/`Ord`/`Hash`/`Debug` see straight through the `Arc`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tuple {
-    fields: Vec<(String, Value)>,
+    fields: Arc<Vec<(String, Value)>>,
 }
 
 impl Tuple {
@@ -46,7 +50,7 @@ impl Tuple {
         S: Into<String>,
     {
         Tuple {
-            fields: fields.into_iter().map(|(n, v)| (n.into(), v)).collect(),
+            fields: Arc::new(fields.into_iter().map(|(n, v)| (n.into(), v)).collect()),
         }
     }
 
@@ -73,22 +77,27 @@ impl Tuple {
         for n in names {
             out.push((n.clone(), self.extract(n)?.clone()));
         }
-        Ok(Tuple { fields: out })
+        Ok(Tuple {
+            fields: Arc::new(out),
+        })
     }
 
     /// `TUP_CAT`: concatenate two tuples (operator, §3.2.2).  Later fields
     /// with a clashing name are suffixed `'` to keep names unique, matching
     /// the usual relational treatment of join outputs.
     pub fn cat(&self, other: &Tuple) -> Tuple {
-        let mut out = self.fields.clone();
-        for (n, v) in &other.fields {
+        let mut out = Vec::with_capacity(self.fields.len() + other.fields.len());
+        out.extend_from_slice(&self.fields);
+        for (n, v) in other.fields.iter() {
             let mut name = n.clone();
             while out.iter().any(|(m, _)| m == &name) {
                 name.push('\'');
             }
             out.push((name, v.clone()));
         }
-        Tuple { fields: out }
+        Tuple {
+            fields: Arc::new(out),
+        }
     }
 
     /// Iterate over `(name, value)` pairs.
@@ -101,9 +110,10 @@ impl Tuple {
         self.fields.iter().map(|(n, _)| n.as_str())
     }
 
-    /// Consume into the raw field vector.
+    /// Consume into the raw field vector (copied only when another value
+    /// still shares it).
     pub fn into_fields(self) -> Vec<(String, Value)> {
-        self.fields
+        Arc::unwrap_or_clone(self.fields)
     }
 }
 
@@ -117,8 +127,9 @@ pub enum Value {
     /// A "set" node instance (multiset).
     Set(MultiSet),
     /// An "arr" node instance (variable-length; fixed length is enforced by
-    /// domain checking, not by the representation).
-    Array(Vec<Value>),
+    /// domain checking, not by the representation).  The payload is
+    /// shared; mutate it through [`Arc::make_mut`].
+    Array(Arc<Vec<Value>>),
     /// A "ref" node instance: an OID.
     Ref(Oid),
     /// A null constant (`dne`/`unk`).
@@ -174,7 +185,7 @@ impl Value {
     }
     /// Array from elements in order.
     pub fn array<I: IntoIterator<Item = Value>>(items: I) -> Value {
-        Value::Array(items.into_iter().collect())
+        Value::Array(Arc::new(items.into_iter().collect()))
     }
 
     // ------ accessors ------
@@ -247,6 +258,19 @@ impl Value {
         match self {
             Value::Scalar(Scalar::Bool(b)) => Some(*b),
             _ => None,
+        }
+    }
+
+    /// `true` iff both values are composites of the same kind whose
+    /// interiors are the *same allocation* — the probe the isolation
+    /// tests use to tell "equal" from "shared".  Scalars, references and
+    /// nulls own no shared storage.
+    pub fn shares_storage_with(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Tuple(a), Value::Tuple(b)) => Arc::ptr_eq(&a.fields, &b.fields),
+            (Value::Set(a), Value::Set(b)) => a.shares_storage_with(b),
+            (Value::Array(a), Value::Array(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 
@@ -372,6 +396,45 @@ mod tests {
         ];
         vs.sort(); // must not panic; total order
         assert_eq!(vs.len(), 5);
+    }
+
+    /// `plan_hash` is an FNV of a physical plan's `{:?}`, and constants sit
+    /// inside plans: these are the exact strings the owned (pre-`Arc`)
+    /// representation printed.  A wrapper type with its own `Debug` would
+    /// move every plan hash; this is where that shows first.
+    #[test]
+    fn debug_and_display_do_not_show_the_sharing() {
+        let v = Value::tuple([
+            ("k", Value::int(7)),
+            (
+                "s",
+                Value::set([
+                    Value::array([Value::int(1), Value::str("x")]),
+                    Value::array([Value::int(1), Value::str("x")]),
+                    Value::array([]),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            format!("{v:?}"),
+            r#"Tuple(Tuple { fields: [("k", Scalar(Int4(7))), ("s", Set(MultiSet { counts: {Array([]): 1, Array([Scalar(Int4(1)), Scalar(Char("x"))]): 2} }))] })"#
+        );
+        assert_eq!(v.to_string(), r#"(k: 7, s: { [], [1, "x"], [1, "x"] })"#);
+    }
+
+    #[test]
+    fn a_clone_shares_storage_until_it_is_written() {
+        let a = Value::set([Value::int(1), Value::int(2)]);
+        let mut b = a.clone();
+        assert!(a.shares_storage_with(&b));
+        assert!(!a.shares_storage_with(&Value::set([Value::int(1), Value::int(2)])));
+        assert!(!Value::int(1).shares_storage_with(&Value::int(1)));
+        let Value::Set(s) = &mut b else {
+            unreachable!()
+        };
+        s.insert(Value::int(3));
+        assert!(!a.shares_storage_with(&b));
+        assert_eq!(a, Value::set([Value::int(1), Value::int(2)]));
     }
 
     #[test]

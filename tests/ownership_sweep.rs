@@ -96,3 +96,43 @@ fn sweep_is_idempotent_on_the_university() {
     assert_eq!(db.sweep(), 0);
     assert_eq!(db.sweep(), 0);
 }
+
+/// A sweep empties one store's map; the objects themselves may still be
+/// held — shared, not copied — by a published generation, which keeps
+/// every one of them.
+#[test]
+fn sweeping_a_store_that_shares_values_with_a_live_generation() {
+    let mut db = Database::new();
+    db.execute(
+        r#"define type Dept: (dname: char[])
+           define type Emp: (ename: char[], dept: ref Dept)
+           create Emps: { ref Emp }
+           append to Emps (ename: "a", dept: mkref((dname: "CS"), Dept))
+           append to Emps (ename: "b", dept: mkref((dname: "EE"), Dept))"#,
+    )
+    .unwrap();
+    let vdb = excess::db::VersionedDb::new(db.clone());
+    let mut session = vdb.begin_session();
+    for (oid, obj) in db.store().iter() {
+        let published = session.snapshot().store.deref(oid).unwrap();
+        assert!(published.shares_storage_with(&obj.value));
+    }
+    db.execute(r#"delete from Emps where Emps.ename = "a""#)
+        .unwrap();
+    assert_eq!(db.sweep(), 2, "the employee and its department");
+    assert_eq!(db.store().len(), 2);
+    assert_eq!(session.snapshot().store.len(), 4);
+    assert_eq!(
+        session
+            .query("retrieve (e.dept.dname) from e in Emps")
+            .unwrap()
+            .value,
+        Value::set([Value::str("CS"), Value::str("EE")])
+    );
+    assert_eq!(
+        db.execute("retrieve (e.dept.dname) from e in Emps")
+            .unwrap(),
+        Value::set([Value::str("EE")])
+    );
+    vdb.shutdown();
+}
