@@ -709,15 +709,17 @@ impl Database {
     ) -> DbResult<(Value, Option<SchemaType>)> {
         let opts = self.options();
         let p = self.parts();
-        let mut outcome = pipeline::run(p.view, p.store, opts, label, source)?;
+        let mut outcome = pipeline::run(p.view, p.store, opts, label, source, None)?;
         pipeline::record(&mut outcome, label, p.metrics, p.telemetry);
+        // No cache shares the plan: this unwraps, it does not clone.
+        let planned = Arc::unwrap_or_clone(outcome.planned);
         self.last_memo = outcome.memo;
         self.last_counters = outcome.ran.counters;
         self.last_exec_report = Some(outcome.ran.report);
         self.last_plan = Some((
             label.to_string(),
-            outcome.physical.logical,
-            outcome.plan_hash,
+            planned.physical.logical,
+            planned.plan_hash,
         ));
         if opts.spans {
             // With fresh per-node observations in hand, re-derive the

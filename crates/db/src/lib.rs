@@ -30,6 +30,7 @@ pub mod format;
 pub mod json;
 pub mod metrics;
 mod pipeline;
+mod plan_cache;
 pub mod session;
 pub mod stats;
 

@@ -14,13 +14,17 @@
 //! The pipeline owns no state: it reads a [`View`], evaluates against a
 //! `&mut ObjectStore`, and takes its [`Options`] by value.  A `Database`
 //! is mutable state plus this pipeline; a `Session` is a pinned
-//! generation, a scratch store, and this pipeline with the options fixed.
+//! generation, a scratch store, and this pipeline with the options fixed
+//! — and the one caller that hands in a [`PlanCache`](crate::plan_cache):
+//! a translated plan it already holds a still-valid plan for goes from
+//! `translate` straight to `execute`.
 //! [`record`] folds an [`Outcome`] into the caller's metrics and
 //! telemetry, and [`reoptimize`] closes the feedback loop for both.
 
 use crate::catalog::DbCatalog;
 use crate::error::DbResult;
 use crate::metrics::SessionMetrics;
+use crate::plan_cache::{CacheRef, CacheUse, Planned};
 use crate::stats::collect_object_statistics;
 use excess_core::expr::Expr;
 use excess_core::physical::{PhysOp, PhysicalPlan};
@@ -38,6 +42,7 @@ use excess_telemetry::{FeedbackLog, Fnv1a64, QueryRecord, QueryTrace, Registry, 
 use excess_types::{ObjectStore, SchemaType, TypeRegistry, Value};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Occurrences in a query result (what the flight recorder reports as
@@ -78,6 +83,16 @@ fn extent_at(plan: &Expr, path: &[usize]) -> Option<String> {
         node = *node.children().get(i)?;
     }
     first_named(node)
+}
+
+/// Every object `e` names, into `out`.
+pub(crate) fn named_objects(e: &Expr, out: &mut BTreeSet<String>) {
+    if let Expr::Named(n) = e {
+        out.insert(n.clone());
+    }
+    for c in e.children() {
+        named_objects(c, out);
+    }
 }
 
 /// The catalog a query reads.  A database owns its catalog, so column
@@ -151,13 +166,20 @@ pub(crate) struct Outcome {
     /// Declared result type (`retrieve` sources only).
     pub schema: Option<SchemaType>,
     pub rows: u64,
-    pub plan_hash: u64,
     pub phase_us: Vec<(&'static str, u64)>,
-    /// Search, property-rewrite and lowering journals, in stage order.
+    /// Search, property-rewrite and lowering journals, in stage order
+    /// (none on a plan-cache hit: no rewrite ran).
     pub journals: Vec<RewriteJournal>,
-    /// The lowered plan; its `logical` tree is the optimized plan.
-    pub physical: PhysicalPlan,
+    /// The plan that ran — on a hit, or once a miss has filled the cache,
+    /// shared with the cache entry.
+    pub planned: Arc<Planned>,
+    /// The group picture of the search this run made, if it made one.
     pub memo: Option<MemoSnapshot>,
+    /// How the plan cache answered; `None` when it was not consulted.
+    pub cache: Option<CacheUse>,
+    /// On a hit, the translated plan the entry is keyed by: an entry
+    /// keeps no group picture, the search can be re-run from this.
+    pub translated: Option<Expr>,
     pub trace: Option<QueryTrace>,
     engine: String,
     chunks_built: usize,
@@ -207,16 +229,8 @@ pub(crate) fn property_rewrites(view: &View<'_>, plan: &Expr) -> (Expr, RewriteJ
 /// [`Database::ensure_chunks_for`](crate::Database::ensure_chunks_for)
 /// on a bare catalog; returns how many chunks were built.
 pub(crate) fn ensure_chunks(catalog: &mut DbCatalog, plan: &Expr) -> usize {
-    fn named(e: &Expr, out: &mut BTreeSet<String>) {
-        if let Expr::Named(n) = e {
-            out.insert(n.clone());
-        }
-        for c in e.children() {
-            named(c, out);
-        }
-    }
     let mut names = BTreeSet::new();
-    named(plan, &mut names);
+    named_objects(plan, &mut names);
     let mut built = 0;
     for name in names {
         if catalog.chunk(&name).is_some() {
@@ -485,12 +499,18 @@ fn profile_spans(profile: &Profile, start_us: u64) -> Vec<Span> {
 
 /// Run one query through every stage.  Nothing is recorded here: hand
 /// the [`Outcome`] to [`record`].
+///
+/// `cache` is consulted — and filled — only for the plain optimized
+/// pipeline: spans need the rewrite journal, and the property rewrites and
+/// the columnar lowering read stored *data*, which an entry does not
+/// validate.
 pub(crate) fn run(
     mut view: View<'_>,
     store: &mut ObjectStore,
     opts: Options,
     label: &str,
     source: Source<'_>,
+    cache: Option<CacheRef<'_>>,
 ) -> DbResult<Outcome> {
     let mut t = Timeline {
         origin: Instant::now(),
@@ -498,9 +518,10 @@ pub(crate) fn run(
         phases: Vec::new(),
         spans: opts.spans.then(Vec::new),
     };
-    let mut journals = Vec::new();
+    let cache =
+        cache.filter(|_| opts.optimize && !(opts.spans || opts.property_rewrites || opts.columnar));
 
-    let (mut plan, schema) = match source {
+    let (translated, schema) = match source {
         Source::Retrieve { stmt, parse_us } => {
             // Parsing happened before the pipeline was entered: it takes
             // [0, parse_us) of the timeline and everything else follows.
@@ -522,12 +543,12 @@ pub(crate) fn run(
     // phases exist to show the layers, not to gate execution.
     if opts.spans {
         let t0 = t.now();
-        let ty = excess_core::infer::infer_closed(&plan, &*view.catalog, view.registry);
+        let ty = excess_core::infer::infer_closed(&translated, &*view.catalog, view.registry);
         if let (Some(s), Ok(ty)) = (t.lap("infer", t0), ty) {
             s.meta.push(("schema".to_string(), ty.to_string()));
         }
         let t0 = t.now();
-        let report = excess_core::verify::verify(&plan, &*view.catalog, view.registry);
+        let report = excess_core::verify::verify(&translated, &*view.catalog, view.registry);
         if let Some(s) = t.lap("verify", t0) {
             s.nums
                 .push(("errors".to_string(), report.error_count() as u64));
@@ -536,34 +557,56 @@ pub(crate) fn run(
         }
     }
 
-    let mut memo = None;
-    if opts.optimize {
-        let t0 = t.now();
-        let (found, journal, group_picture) = search(&view, &plan);
-        if let Some(s) = t.lap("optimize", t0) {
-            journal_span(s, &journal);
-        }
-        (plan, memo) = (Cow::Owned(found), Some(group_picture));
-        journals.push(journal);
-    }
-    if opts.property_rewrites {
-        let t0 = t.now();
-        let (rewritten, journal) = property_rewrites(&view, &plan);
-        if let Some(s) = t.lap("properties", t0) {
-            journal_span(s, &journal);
-        }
-        plan = Cow::Owned(rewritten);
-        journals.push(journal);
-    }
-
+    // A failed lookup is part of the search it leads to.
     let t0 = t.now();
-    let lowered = lower(&mut view, &plan, opts.columnar, opts.property_rewrites);
-    if let Some(s) = t.lap("lower", t0) {
-        choice_span(s, &lowered.physical);
-    }
-    journals.push(lowered.journal);
-    let physical = lowered.physical;
-    let plan_hash = plan_hash_of(&physical);
+    let lookup = cache
+        .as_ref()
+        .map(|c| c.plans.lookup(&translated, &view, c.registry));
+    let mut journals = Vec::new();
+    let mut chunks_built = 0;
+    let mut memo = None;
+    let (planned, cache_use, hit) = if let Some(Ok(planned)) = lookup {
+        t.lap("cached", t0);
+        (planned, Some(CacheUse::Hit), Some(translated.into_owned()))
+    } else {
+        let mut plan = Cow::Borrowed(&*translated);
+        if opts.optimize {
+            let (found, journal, group_picture) = search(&view, &plan);
+            if let Some(s) = t.lap("optimize", t0) {
+                journal_span(s, &journal);
+            }
+            (plan, memo) = (Cow::Owned(found), Some(group_picture));
+            journals.push(journal);
+        }
+        if opts.property_rewrites {
+            let t0 = t.now();
+            let (rewritten, journal) = property_rewrites(&view, &plan);
+            if let Some(s) = t.lap("properties", t0) {
+                journal_span(s, &journal);
+            }
+            plan = Cow::Owned(rewritten);
+            journals.push(journal);
+        }
+
+        let t0 = t.now();
+        let lowered = lower(&mut view, &plan, opts.columnar, opts.property_rewrites);
+        if let Some(s) = t.lap("lower", t0) {
+            choice_span(s, &lowered.physical);
+        }
+        journals.push(lowered.journal);
+        chunks_built = lowered.chunks_built;
+        // `plan` may still borrow `translated`, which becomes the key.
+        drop(plan);
+        let planned = Arc::new(Planned {
+            plan_hash: plan_hash_of(&lowered.physical),
+            physical: lowered.physical,
+        });
+        if let Some(c) = cache {
+            c.plans
+                .insert(translated.into_owned(), &planned, &view, c.registry);
+        }
+        (planned, lookup.and_then(Result::err), None)
+    };
 
     let engine = if opts.exec.is_parallel() {
         format!("parallel({})", opts.exec.workers)
@@ -578,7 +621,7 @@ pub(crate) fn run(
         Tracing::Off
     };
     let t0 = t.now();
-    let ran = execute(&view, store, &physical, opts.exec, tracing);
+    let ran = execute(&view, store, &planned.physical, opts.exec, tracing);
     if let (Some(s), Ok(ran)) = (t.lap("execute", t0), &ran) {
         execute_span(s, ran, &engine);
     }
@@ -591,7 +634,7 @@ pub(crate) fn run(
         QueryTrace {
             query: label.to_string(),
             engine: engine.clone(),
-            plan_hash,
+            plan_hash: planned.plan_hash,
             root,
         }
     });
@@ -599,14 +642,15 @@ pub(crate) fn run(
         rows: value_rows(&ran.value),
         ran,
         schema,
-        plan_hash,
         phase_us: t.phases,
         journals,
-        physical,
+        planned,
         memo,
+        cache: cache_use,
+        translated: hit,
         trace,
         engine,
-        chunks_built: lowered.chunks_built,
+        chunks_built,
     })
 }
 
@@ -639,11 +683,38 @@ pub(crate) fn observe(
     }
 }
 
+/// The histogram each phase is observed under: finished names, so the
+/// always-on record path formats nothing.
+const PHASE_METRICS: [(&str, &str); 9] = [
+    ("parse", "phase.parse_us"),
+    ("translate", "phase.translate_us"),
+    ("infer", "phase.infer_us"),
+    ("verify", "phase.verify_us"),
+    ("cached", "phase.cached_us"),
+    ("optimize", "phase.optimize_us"),
+    ("properties", "phase.properties_us"),
+    ("lower", "phase.lower_us"),
+    ("execute", "phase.execute_us"),
+];
+
+/// The counter each [`Counters`](excess_core::counters::Counters) field is
+/// added to, in `named_fields` order.
+const WORK_METRICS: [&str; 8] = [
+    "work.occurrences_scanned",
+    "work.elements_scanned",
+    "work.derefs",
+    "work.de_input_occurrences",
+    "work.comparisons",
+    "work.oids_minted",
+    "work.named_object_scans",
+    "work.pairs_formed",
+];
+
 /// Fold one run into a caller's metrics and telemetry: journals and work
 /// counters into the [`SessionMetrics`]; query counts, latency and phase
-/// histograms, work counters, a flight-recorder [`QueryRecord`], feedback
-/// observations, and the span tree (taken out of `outcome`) into the
-/// [`Telemetry`].
+/// histograms, work counters, the plan cache's answer, a flight-recorder
+/// [`QueryRecord`], feedback observations, and the span tree (taken out
+/// of `outcome`) into the [`Telemetry`].
 pub(crate) fn record(
     outcome: &mut Outcome,
     label: &str,
@@ -660,9 +731,13 @@ pub(crate) fn record(
         effective_workers(&outcome.ran.report),
     );
 
+    let Planned {
+        physical,
+        plan_hash,
+    } = &*outcome.planned;
     let registry = &mut telemetry.registry;
     count_chunks_built(registry, outcome.chunks_built);
-    let elided = outcome.physical.elided_guards.len();
+    let elided = physical.elided_guards.len();
     if elided > 0 {
         registry.add("lowering.guard_elisions", elided as u64);
     }
@@ -672,33 +747,40 @@ pub(crate) fn record(
     } else {
         "queries.parallel"
     });
-    registry.observe("query_us", outcome.phase_us.iter().map(|(_, us)| us).sum());
-    for (name, us) in &outcome.phase_us {
-        registry.observe(&format!("phase.{name}_us"), *us);
+    if let Some(cache) = outcome.cache {
+        registry.inc(cache.metric());
     }
-    for (name, v) in outcome.ran.counters.named_fields() {
-        registry.add(&format!("work.{name}"), v);
+    registry.observe("query_us", outcome.phase_us.iter().map(|(_, us)| us).sum());
+    for (phase, us) in &outcome.phase_us {
+        let (_, metric) = PHASE_METRICS
+            .iter()
+            .find(|(name, _)| name == phase)
+            .expect("every phase the timeline laps has a metric name");
+        registry.observe(metric, *us);
+    }
+    for (metric, (_, v)) in WORK_METRICS.iter().zip(outcome.ran.counters.named_fields()) {
+        registry.add(metric, v);
     }
 
-    let choices = &outcome.physical.choices;
     telemetry.recorder.record(QueryRecord {
         query: label.to_string(),
-        plan_hash: outcome.plan_hash,
+        plan_hash: *plan_hash,
         engine: outcome.engine.clone(),
         rows: outcome.rows,
         phase_us: outcome.phase_us.clone(),
-        kernels: choices
+        kernels: physical
+            .choices
             .iter()
             .filter(|(_, c)| !matches!(c.op, PhysOp::PassThrough))
             .map(|(path, c)| (path_string(path), c.op.to_string()))
             .collect(),
-        est_rows: choices.get(&Vec::new()).and_then(|c| c.est_rows),
+        est_rows: physical.choices.get(&Vec::new()).and_then(|c| c.est_rows),
         actual_rows: Some(outcome.rows),
     });
     observe(
         &mut telemetry.feedback,
-        outcome.plan_hash,
-        &outcome.physical,
+        *plan_hash,
+        physical,
         outcome.rows,
         outcome.ran.profile.as_ref(),
     );
@@ -862,4 +944,24 @@ pub(crate) fn reoptimize(
         stats,
         memo,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use excess_core::counters::Counters;
+
+    /// The finished metric names are the ones the record path used to
+    /// format: `phase.<name>_us` and `work.<field>`, field for field.
+    #[test]
+    fn metric_names_are_the_formatted_ones() {
+        for (phase, metric) in PHASE_METRICS {
+            assert_eq!(metric, format!("phase.{phase}_us"));
+        }
+        let fields = Counters::new().named_fields();
+        assert_eq!(fields.len(), WORK_METRICS.len());
+        for (metric, (field, _)) in WORK_METRICS.iter().zip(fields) {
+            assert_eq!(*metric, format!("work.{field}"));
+        }
+    }
 }

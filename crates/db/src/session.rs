@@ -51,7 +51,10 @@
 //! runs the very pipeline [`Database::execute`] runs (`crate::pipeline`)
 //! — translate → search → lower → execute — over the pinned generation,
 //! with the options fixed to the serial engine, row kernels, and no span
-//! tree.  Statements that mint object identities during evaluation do so
+//! tree, and with this session's plan cache (`crate::plan_cache`): a
+//! `retrieve` whose translated plan, schemas and statistics are those a
+//! cached plan was derived under skips the search and the lowering.
+//! Statements that mint object identities during evaluation do so
 //! in the session's private scratch store, leaving the shared generation
 //! untouched.  A program is atomic: one that is rejected at any statement
 //! leaves none of its `range of` declarations behind.
@@ -61,6 +64,7 @@ use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::metrics::SessionMetrics;
 use crate::pipeline::{self, CatalogRef, LastPlan, Options, Source, View};
+use crate::plan_cache::{CacheRef, PlanCache, Planned};
 use excess_core::expr::Expr;
 use excess_exec::ExecConfig;
 use excess_lang::ast::{QExpr, Stmt};
@@ -69,6 +73,7 @@ use excess_lang::parse_program;
 use excess_optimizer::{MemoSnapshot, Statistics};
 use excess_telemetry::{RecorderSettings, Registry, Telemetry};
 use excess_types::{ObjectStore, TypeRegistry, Value};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -325,8 +330,8 @@ impl VersionedDb {
             local_ranges: HashMap::new(),
             optimize: true,
             stats_overlay: None,
-            last_memo: None,
-            last_plan: None,
+            plans: PlanCache::default(),
+            last: None,
             metrics: SessionMetrics::new(),
             telemetry,
             closed: false,
@@ -638,13 +643,32 @@ pub struct Session {
     /// generation's statistics until the next [`Session::refresh`] —
     /// snapshot isolation for the feedback loop.
     stats_overlay: Option<Arc<Statistics>>,
-    /// Memo picture of the last plan search in this session.
-    last_memo: Option<MemoSnapshot>,
-    /// Label, optimized logical plan, and plan hash of the last query.
-    last_plan: Option<LastPlan>,
+    /// Plans of the queries this session has run, each validated against
+    /// the pinned generation and the effective statistics on every use.
+    plans: PlanCache,
+    /// The last query's plan, or what `.reoptimize` re-derived from it.
+    last: Option<Last>,
     metrics: SessionMetrics,
     telemetry: Telemetry,
     closed: bool,
+}
+
+/// What a session remembers of its last query — the input of
+/// [`Session::reoptimize_last`] and the picture behind
+/// [`Session::last_memo`].
+enum Last {
+    /// The query ran: its label, its plan (shared with the plan cache
+    /// whenever the cache was consulted), and the picture of its search —
+    /// or, when the plan cache spared it one, the translated plan that
+    /// search would start from.
+    Ran {
+        label: String,
+        planned: Arc<Planned>,
+        memo: Option<MemoSnapshot>,
+        cached_from: Option<Expr>,
+    },
+    /// A re-optimization replaced that plan and searched a memo of its own.
+    Reoptimized { plan: LastPlan, memo: MemoSnapshot },
 }
 
 impl Session {
@@ -687,9 +711,43 @@ impl Session {
         self.stats_overlay = None;
     }
 
-    /// Memo picture of this session's last memo-mode optimization.
-    pub fn last_memo(&self) -> Option<&MemoSnapshot> {
-        self.last_memo.as_ref()
+    /// Memo picture of the search behind this session's last plan: the
+    /// last query's own search or the last re-optimization's.  A query
+    /// that took its plan from the plan cache searched nothing, and a
+    /// cache entry keeps no picture; but the entry was validated, so the
+    /// search it stands for is the one this re-runs, on demand, from the
+    /// query's translated plan under the statistics in force.
+    pub fn last_memo(&self) -> Option<Cow<'_, MemoSnapshot>> {
+        match self.last.as_ref()? {
+            Last::Ran {
+                cached_from: Some(translated),
+                ..
+            } => {
+                let stats = self.effective_stats();
+                let view = self.snapshot.view(&stats, &self.snapshot.ranges);
+                Some(Cow::Owned(pipeline::search(&view, translated).2))
+            }
+            Last::Ran { memo, .. } => memo.as_ref().map(Cow::Borrowed),
+            Last::Reoptimized { memo, .. } => Some(Cow::Borrowed(memo)),
+        }
+    }
+
+    /// Did the last query take its plan from the plan cache?
+    pub fn last_plan_was_cached(&self) -> bool {
+        matches!(
+            self.last,
+            Some(Last::Ran {
+                cached_from: Some(_),
+                ..
+            })
+        )
+    }
+
+    /// For each cached plan, the named objects whose schemas and
+    /// statistics it is validated against (diagnostic; entries in no
+    /// particular order).
+    pub fn plan_cache_dependencies(&self) -> Vec<Vec<&str>> {
+        self.plans.dependencies()
     }
 
     /// The statistics queries in this session currently plan against:
@@ -723,17 +781,30 @@ impl Session {
     /// and clears on [`Session::refresh`].
     pub fn reoptimize_last(&mut self) -> Option<String> {
         let stats = self.effective_stats();
+        // The owned copy `reoptimize` works on is made here, on demand,
+        // not by every query on the chance that this is called.
+        let mut last = Some(match self.last.as_ref()? {
+            Last::Ran { label, planned, .. } => (
+                label.clone(),
+                planned.physical.logical.clone(),
+                planned.plan_hash,
+            ),
+            Last::Reoptimized { plan, .. } => plan.clone(),
+        });
         let done = pipeline::reoptimize(
             self.snapshot.view(&stats, &self.snapshot.ranges),
             &self.scratch,
             self.options(),
-            &mut self.last_plan,
+            &mut last,
             1.0,
             &mut self.metrics,
             &mut self.telemetry,
         )?;
         self.stats_overlay = Some(Arc::new(done.stats));
-        self.last_memo = Some(done.memo);
+        self.last = Some(Last::Reoptimized {
+            plan: last.expect("a re-optimization leaves the plan it derived"),
+            memo: done.memo,
+        });
         Some(done.report.render())
     }
 
@@ -766,9 +837,20 @@ impl Session {
         let opts = self.options();
         // The range environment retrieves translate under: committed
         // declarations, this session's on top, then the program's own —
-        // staged, and kept only when the whole program succeeds.
-        let mut ranges = (*snapshot.ranges).clone();
-        ranges.extend(self.local_ranges.clone());
+        // staged, and kept only when the whole program succeeds.  A map
+        // is built only when there is something to merge: one side is
+        // usually empty, and a program re-declaring what is already in
+        // force (every `range of S is S1 … retrieve` line after the
+        // first) changes nothing.
+        let mut ranges = if self.local_ranges.is_empty() {
+            Cow::Borrowed(&*snapshot.ranges)
+        } else if snapshot.ranges.is_empty() {
+            Cow::Borrowed(&self.local_ranges)
+        } else {
+            let mut merged = (*snapshot.ranges).clone();
+            merged.extend(self.local_ranges.clone());
+            Cow::Owned(merged)
+        };
         let mut declared: Vec<(String, QExpr)> = Vec::new();
         // Like `Database::execute`, the first retrieve owns the parse
         // time and the program text for recorder attribution.
@@ -777,7 +859,9 @@ impl Session {
         for stmt in stmts {
             let retrieve = match stmt {
                 Stmt::RangeDecl { var, source: over } => {
-                    ranges.insert(var.clone(), over.clone());
+                    if ranges.get(&var) != Some(&over) {
+                        ranges.to_mut().insert(var.clone(), over.clone());
+                    }
                     declared.push((var, over));
                     continue;
                 }
@@ -794,23 +878,28 @@ impl Session {
                     stmt: &retrieve,
                     parse_us,
                 },
+                Some(CacheRef {
+                    plans: &mut self.plans,
+                    registry: &snapshot.registry,
+                }),
             )?;
             pipeline::record(&mut outcome, label, &mut self.metrics, &mut self.telemetry);
-            self.last_memo = outcome.memo;
-            self.last_plan = Some((
-                label.to_string(),
-                outcome.physical.logical,
-                outcome.plan_hash,
-            ));
             last = Some(QueryOutcome {
                 value: outcome.ran.value,
                 rows: outcome.rows,
                 generation: snapshot.number,
-                plan_hash: outcome.plan_hash,
+                plan_hash: outcome.planned.plan_hash,
                 total_us: outcome.phase_us.iter().map(|(_, us)| us).sum(),
                 phase_us: outcome.phase_us,
             });
+            self.last = Some(Last::Ran {
+                label: label.to_string(),
+                planned: outcome.planned,
+                memo: outcome.memo,
+                cached_from: outcome.translated,
+            });
         }
+        drop(ranges);
         self.local_ranges.extend(declared);
         Ok(last.unwrap_or(QueryOutcome {
             value: Value::bool(true),

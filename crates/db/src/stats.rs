@@ -33,7 +33,7 @@ pub fn collect_statistics(
         let Some(value) = catalog.value(name) else {
             continue;
         };
-        let mut attr_values: HashMap<String, HashSet<&Value>> = HashMap::new();
+        let mut attr_values: HashMap<&str, HashSet<&Value>> = HashMap::new();
         let (rows, distinct, nested_sizes) = match value {
             Value::Set(s) => {
                 let mut nested = Vec::new();
@@ -66,7 +66,7 @@ pub fn collect_statistics(
         };
         stats.set_object(name, rows.max(1.0), distinct.max(1.0), avg_nested);
         for (attr, values) in attr_values {
-            stats.set_attr_ndv(name, &attr, values.len() as f64);
+            stats.set_attr_ndv(name, attr, values.len() as f64);
         }
     }
 
@@ -98,7 +98,7 @@ pub fn collect_object_statistics(
         stats.objects.remove(name);
         return false;
     };
-    let mut attr_values: HashMap<String, HashSet<&Value>> = HashMap::new();
+    let mut attr_values: HashMap<&str, HashSet<&Value>> = HashMap::new();
     let (rows, distinct, nested_sizes) = match value {
         Value::Set(s) => {
             let mut nested = Vec::new();
@@ -130,18 +130,22 @@ pub fn collect_object_statistics(
         attr_ndv: Default::default(),
     };
     for (attr, values) in attr_values {
-        object.attr_ndv.insert(attr, values.len() as f64);
+        object
+            .attr_ndv
+            .insert(attr.to_string(), values.len() as f64);
     }
     stats.objects.insert(name.to_string(), object);
     true
 }
 
 /// Record each tuple attribute's value into the per-attribute value sets
-/// (following a reference one level, as queries do when they DEREF).
+/// (following a reference one level, as queries do when they DEREF).  The
+/// sets are keyed by the names the tuples lend: this runs once per element
+/// of the written extent on every commit.
 fn record_attr_values<'a>(
     v: &'a Value,
     store: &'a ObjectStore,
-    attrs: &mut HashMap<String, HashSet<&'a Value>>,
+    attrs: &mut HashMap<&'a str, HashSet<&'a Value>>,
 ) {
     let v = match v {
         Value::Ref(oid) => match store.deref(*oid) {
@@ -152,7 +156,7 @@ fn record_attr_values<'a>(
     };
     if let Value::Tuple(t) = v {
         for (f, fv) in t.iter() {
-            attrs.entry(f.to_string()).or_default().insert(fv);
+            attrs.entry(f).or_default().insert(fv);
         }
     }
 }

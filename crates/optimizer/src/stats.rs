@@ -14,7 +14,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Statistics about one named top-level object.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectStats {
     /// Total occurrences (for arrays: length).
     pub rows: f64,

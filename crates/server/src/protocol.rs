@@ -12,12 +12,15 @@
 //! | `.generation`        | the pinned generation number              |
 //! | `.refresh`           | re-pin to the newest generation           |
 //! | `.server`            | database-wide [`ServerStats`]             |
-//! | `.memo`              | memo picture of the last optimization     |
+//! | `.memo`              | memo picture behind the last plan         |
 //! | `.reoptimize`        | feedback-driven re-plan of the last query |
 //! | `.close`             | acknowledge and close the connection      |
 //!
 //! Every response is one JSON object with an `"ok"` field; errors are
-//! `{"ok":false,"error":"…"}` and never tear down the connection.
+//! `{"ok":false,"error":"…"}` and never tear down the connection.  A
+//! query whose plan came from the session's plan cache reports a `cached`
+//! phase where `optimize` and `lower` would be, and `.memo` after it
+//! renders the search stored with the entry, prefixed `cached:`.
 
 use excess_db::session::ServerStats;
 use excess_db::{metrics_json, value_json, QueryOutcome, Session, VersionedDb};
@@ -156,10 +159,19 @@ pub fn respond(db: &VersionedDb, session: &mut Session, line: &str) -> Response 
             server_stats_json(&db.stats())
         )),
         ".memo" => Response::keep(match session.last_memo() {
-            Some(snapshot) => format!(
-                "{{\"ok\":true,\"memo\":{}}}",
-                quote_json(&snapshot.render())
-            ),
+            Some(snapshot) => {
+                // A hit searched nothing: the picture is the one stored
+                // with the entry, and says so.
+                let cached = if session.last_plan_was_cached() {
+                    "cached: "
+                } else {
+                    ""
+                };
+                format!(
+                    "{{\"ok\":true,\"memo\":{}}}",
+                    quote_json(&format!("{cached}{}", snapshot.render()))
+                )
+            }
             None => error_line("no plan search yet: run a query first"),
         }),
         ".reoptimize" => Response::keep(match session.reoptimize_last() {

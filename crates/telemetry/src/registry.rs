@@ -1,8 +1,8 @@
 //! A registry of named counters, gauges, and latency histograms.
 //!
 //! The always-on half of the telemetry layer: incrementing a counter is a
-//! `BTreeMap` lookup plus an add, cheap enough to leave enabled on every
-//! query.  Names are dotted paths by convention (`queries.parallel`,
+//! `BTreeMap` lookup plus an add — a name is copied only the first time it
+//! is seen — cheap enough to leave enabled on every query.  Names are dotted paths by convention (`queries.parallel`,
 //! `phase.execute_us`); iteration order is the map's, so snapshots are
 //! deterministic and diff cleanly.
 
@@ -27,7 +27,12 @@ impl Registry {
 
     /// Add `delta` to the named counter (created at zero on first use).
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(counter) => *counter += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Increment the named counter by one.
@@ -53,10 +58,14 @@ impl Registry {
     /// Record one observation into the named histogram (created empty on
     /// first use).
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        match self.histograms.get_mut(name) {
+            Some(histogram) => histogram.observe(value),
+            None => self
+                .histograms
+                .entry(name.to_string())
+                .or_default()
+                .observe(value),
+        }
     }
 
     /// The named histogram, if any observation was ever recorded.

@@ -145,6 +145,68 @@ fn memo_and_reoptimize_dot_commands_answer_over_the_wire() {
     vdb.shutdown();
 }
 
+/// The same line twice: the second response is served from the
+/// connection's plan cache — same plan, same answer, a `cached` phase
+/// where `optimize` and `lower` were — and `.memo` says whose search it
+/// shows.
+#[test]
+fn a_repeated_line_is_served_from_the_plan_cache() {
+    let vdb = VersionedDb::new(server_mix_db(20));
+    let handle = serve(vdb, "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let phases = |response: &str| -> Vec<String> {
+        let parsed = parse_json(response).expect("json");
+        let phases = parsed.get("phases").expect("phases");
+        [
+            "parse",
+            "translate",
+            "cached",
+            "optimize",
+            "lower",
+            "execute",
+        ]
+        .into_iter()
+        .filter(|name| phases.get(name).is_some())
+        .map(str::to_string)
+        .collect()
+    };
+    let field = |response: &str, name: &str| {
+        let parsed = parse_json(response).expect("json");
+        parsed
+            .get(name)
+            .and_then(|v| v.as_str())
+            .map(str::to_string)
+    };
+    for (label, src) in MIX {
+        let first = client.request(src).expect("first");
+        assert_eq!(
+            phases(&first),
+            ["parse", "translate", "optimize", "lower", "execute"],
+            "{label}: {first}"
+        );
+        let searched = client.request(".memo").expect("memo");
+        let searched = field(&searched, "memo").expect("a memo picture");
+        assert!(searched.starts_with("memo:"), "{label}: {searched}");
+
+        let second = client.request(src).expect("second");
+        assert_eq!(
+            phases(&second),
+            ["parse", "translate", "cached", "execute"],
+            "{label}: {second}"
+        );
+        assert_eq!(field(&first, "plan_hash"), field(&second, "plan_hash"));
+        assert_eq!(value_field(&first), value_field(&second), "{label}");
+        let cached = client.request(".memo").expect("memo");
+        assert_eq!(
+            field(&cached, "memo"),
+            Some(format!("cached: {searched}")),
+            "{label}"
+        );
+    }
+    let vdb = handle.shutdown();
+    vdb.shutdown();
+}
+
 #[test]
 fn connection_metrics_reach_the_global_registry_after_shutdown() {
     let vdb = VersionedDb::new(server_mix_db(20));

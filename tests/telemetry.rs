@@ -196,3 +196,50 @@ fn a_failed_program_does_not_label_the_next_retrieve() {
     assert_eq!(record.query, "retrieve", "filed under the failed program");
     assert_eq!(record.phase_us[0], ("parse", 0));
 }
+
+/// The plan cache is observed through what exists: three counters in the
+/// session's registry, a `phase.cached_us` histogram that falls out of
+/// the phase loop, and `phase.optimize_us` counting the searches that
+/// actually ran — all of it merged into the database-wide registry when
+/// the session closes.
+#[test]
+fn plan_cache_counters_account_for_every_served_request() {
+    use excess::db::VersionedDb;
+    use excess_bench::server_mix::server_mix_db;
+    let vdb = VersionedDb::new(server_mix_db(24));
+    let mut s = vdb.begin_session();
+    let probe = "retrieve (E1.ename) where E1.esal = 1003";
+    for round in 0..3 {
+        for (_, line) in MIX {
+            s.query(line).unwrap();
+        }
+        s.query(probe).unwrap();
+        // Moves `E1`'s statistics: the probe's plan goes stale.
+        s.commit(&format!("append to E1 ((ename: \"w{round}\", esal: 7000))"))
+            .unwrap();
+    }
+    let served = 3 * (MIX.len() as u64 + 1);
+    let check = |r: &excess::telemetry::Registry| {
+        let (hit, miss, stale) = (
+            r.counter("plan_cache.hit"),
+            r.counter("plan_cache.miss"),
+            r.counter("plan_cache.stale"),
+        );
+        assert_eq!(hit + miss + stale, served);
+        assert_eq!(r.counter("queries"), served);
+        assert_eq!(miss, MIX.len() as u64 + 1, "each line is first seen once");
+        assert!(
+            stale >= 2,
+            "the probe is re-planned after each commit: {stale}"
+        );
+        let count = |name: &str| r.histogram(name).map_or(0, |h| h.count());
+        assert_eq!(count("phase.optimize_us"), miss + stale);
+        assert_eq!(count("phase.lower_us"), miss + stale);
+        assert_eq!(count("phase.cached_us"), hit);
+        assert_eq!(count("phase.execute_us"), served);
+    };
+    check(&s.telemetry().registry);
+    s.close();
+    check(&vdb.global_registry());
+    vdb.shutdown();
+}
