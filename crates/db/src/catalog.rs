@@ -96,11 +96,23 @@ impl DbCatalog {
 
     /// Iterate user-visible object names (extent views excluded).
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.objects
-            .keys()
-            .map(String::as_str)
-            .filter(|n| !n.contains("::exact::"))
+        self.all_names().filter(|n| !is_extent_view(n))
     }
+
+    /// Iterate every object name, extent views included.
+    pub fn all_names(&self) -> impl Iterator<Item = &str> {
+        self.objects.keys().map(String::as_str)
+    }
+}
+
+/// The name of `object`'s per-exact-type extent view for type `ty`.
+pub fn extent_view_name(object: &str, ty: &str) -> String {
+    format!("{object}::exact::{ty}")
+}
+
+/// Is `name` a per-exact-type extent view (see [`extent_view_name`])?
+pub fn is_extent_view(name: &str) -> bool {
+    name.contains("::exact::")
 }
 
 impl Catalog for DbCatalog {

@@ -1,11 +1,11 @@
 //! The end-to-end EXTRA/EXCESS engine: DDL, queries, updates, methods,
 //! statistics, and extent indexes behind one `Database` type.
 
-use crate::catalog::DbCatalog;
+use crate::catalog::{extent_view_name, DbCatalog};
 use crate::error::{DbError, DbResult};
 use crate::metrics::SessionMetrics;
 use crate::pipeline::{self, CatalogRef, LastPlan, Options, ReoptReport, Source, View};
-use crate::stats::{collect_object_statistics, collect_statistics};
+use crate::stats::{changed_counts, Sketches};
 use excess_core::counters::Counters;
 use excess_core::eval::{evaluate, EvalCtx};
 use excess_core::expr::Expr;
@@ -112,6 +112,10 @@ pub struct Database {
     methods: MethodRegistry,
     procedures: HashMap<String, Procedure>,
     stats: Statistics,
+    /// The counted sketches `stats.objects` is derived from: none until
+    /// the first collection, then maintained by every data statement
+    /// (`crate::stats`).
+    sketches: Sketches,
     /// Run the rule-based optimizer on every query (default: on).
     pub optimize: bool,
     /// Run the property-licensed rewrite pass and guard-elision pass on
@@ -169,6 +173,7 @@ impl Database {
             methods: MethodRegistry::new(),
             procedures: HashMap::new(),
             stats: Statistics::new(),
+            sketches: Sketches::default(),
             optimize: true,
             property_rewrites: false,
             columnar: false,
@@ -238,6 +243,19 @@ impl Database {
     /// estimates to exercise the feedback-driven re-optimization path.
     pub fn statistics_mut(&mut self) -> &mut Statistics {
         &mut self.stats
+    }
+    /// How many elements the statistics code has hashed the attributes
+    /// of so far: every element of every object per collection, and per
+    /// data statement the elements it added or removed (an element of a
+    /// set counts when its last occurrence goes or its first arrives).
+    /// A deterministic measure of statistics work.
+    pub fn stats_elements(&self) -> u64 {
+        self.sketches.tallied()
+    }
+    /// Have statistics been collected (so that data statements maintain
+    /// them)?
+    pub(crate) fn stats_collected(&self) -> bool {
+        self.sketches.collected()
     }
     /// Memo picture of the last plan search (None before the first
     /// optimized query).
@@ -331,13 +349,16 @@ impl Database {
 
     /// Update a stored object's value (bulk loading outside the DDL path).
     pub fn update_stored(&mut self, oid: excess_types::Oid, value: Value) -> DbResult<()> {
-        Ok(self.store.update(&self.registry, oid, value)?)
+        let old = self.store.deref(oid)?.clone();
+        self.store.update(&self.registry, oid, value)?;
+        self.stored_object_changed(oid, &old);
+        Ok(())
     }
 
     /// Register an object directly (bulk loading outside the DDL path).
     pub fn put_object(&mut self, name: &str, schema: SchemaType, value: Value) {
         self.catalog.put(name, schema, value);
-        self.rebuild_extents_for(name);
+        self.rewritten(name);
     }
 
     /// Define a type directly (bulk loading outside the DDL path).
@@ -347,7 +368,9 @@ impl Database {
         body: SchemaType,
         inherits: &[&str],
     ) -> DbResult<TypeId> {
-        Ok(self.registry.define_with_supertypes(name, body, inherits)?)
+        let id = self.registry.define_with_supertypes(name, body, inherits)?;
+        self.refile_all_extents();
+        Ok(id)
     }
 
     // ----- statement execution -----
@@ -406,6 +429,7 @@ impl Database {
                 let body = lower_type(body);
                 let sups: Vec<&str> = inherits.iter().map(String::as_str).collect();
                 self.registry.define_with_supertypes(name, body, &sups)?;
+                self.refile_all_extents();
                 Ok(Value::bool(true))
             }
             Stmt::Create { name, ty } => {
@@ -415,7 +439,7 @@ impl Database {
                 let schema = lower_type(ty);
                 let init = initial_value(&schema, &self.registry)?;
                 self.catalog.put(name, schema, init);
-                self.refresh_stats_for(name);
+                self.resweep(name);
                 Ok(Value::bool(true))
             }
             Stmt::DefineFunction {
@@ -461,7 +485,7 @@ impl Database {
                 if let Some(into) = &r.into {
                     let ty = ty.expect("a retrieve source carries its result type");
                     self.catalog.put(into, ty, value.clone());
-                    self.rebuild_extents_for(into);
+                    self.rewritten(into);
                 }
                 Ok(value)
             }
@@ -909,11 +933,15 @@ impl Database {
 
     /// Recompute statistics from the current data (cardinalities,
     /// duplication, per-attribute NDVs, nested sizes, exact-type
-    /// fractions).
+    /// fractions).  From then on every data statement keeps its targets'
+    /// statistics current from what it changed; call this again after
+    /// writing through [`Database::store_mut`], which bypasses that.
     pub fn collect_stats(&mut self) {
-        let extents = std::mem::take(&mut self.stats.extent_indexes);
-        self.stats = collect_statistics(&self.catalog, &self.registry, &self.store);
-        self.stats.extent_indexes = extents;
+        let mut stats = self
+            .sketches
+            .collect(&self.catalog, &self.registry, &self.store);
+        stats.extent_indexes = std::mem::take(&mut self.stats.extent_indexes);
+        self.stats = stats;
     }
 
     /// ANALYZE: recollect statistics from the store and return them — the
@@ -933,63 +961,161 @@ impl Database {
             return Err(DbError::Other(format!("unknown object `{object}`")));
         }
         self.stats.add_extent_index(object, ty);
-        self.rebuild_extents_for(object);
+        self.refile_extents(object);
         Ok(())
     }
 
-    fn rebuild_extents_for(&mut self, object: &str) {
-        let pairs: Vec<(String, String)> = self
-            .stats
-            .extent_indexes
-            .iter()
-            .filter(|(o, _)| o == object)
-            .cloned()
-            .collect();
-        for (obj, ty) in pairs {
-            let Some(base) = self.catalog.value(&obj).cloned() else {
-                continue;
-            };
-            let Some(set) = base.as_set() else { continue };
-            let Ok(want) = self.registry.lookup(&ty) else {
-                continue;
-            };
-            let mut extent = excess_types::MultiSet::new();
-            for (elem, card) in set.iter_counted() {
-                if self.exact_type_of(elem) == Some(want) {
-                    extent.insert_n(elem.clone(), card);
-                }
-            }
-            let elem_schema = SchemaType::named(ty.clone());
-            self.catalog.put(
-                &format!("{obj}::exact::{ty}"),
-                SchemaType::set(elem_schema),
-                Value::Set(extent),
-            );
-        }
-        self.refresh_stats_for(object);
+    // ----- maintained state: extents and statistics -----
+    //
+    // The per-exact-type extents and the statistics are derived from the
+    // stored sets.  A statement that rewrites an object wholesale (`create`,
+    // `retrieve … into`, `put_object`) re-derives that object's; every
+    // other data statement hands over what it changed — the elements whose
+    // count moved, or a stored object whose value did — and the extents,
+    // the sketches and the statistics follow from that alone.
+
+    /// `object` was written wholesale: re-sweep it and re-file its extents.
+    fn rewritten(&mut self, object: &str) {
+        self.resweep(object);
+        self.refile_extents(object);
     }
 
-    /// Incrementally refresh the statistics for one object (and its
-    /// materialised per-type extents) after a mutation — the per-object
-    /// alternative to a full [`Database::collect_stats`] sweep, active
-    /// only once the database has been analyzed (before that the
-    /// statistics are shape defaults and there is no baseline to keep
-    /// current).
-    pub fn refresh_stats_for(&mut self, object: &str) {
-        if self.stats.objects.is_empty() {
+    /// A new type may be the exact type (§3.1) of elements already
+    /// stored: re-file every extent.
+    fn refile_all_extents(&mut self) {
+        let indexed: Vec<String> = self.stats.extent_indexes.keys().cloned().collect();
+        for object in indexed {
+            self.refile_extents(&object);
+        }
+    }
+
+    /// Re-filter each extent of `object` from the whole set — one exact
+    /// type per element — and re-sweep it.
+    fn refile_extents(&mut self, object: &str) {
+        let Some(types) = self.stats.extent_indexes.get(object) else {
+            return;
+        };
+        let Some(Value::Set(base)) = self.catalog.value(object) else {
+            return;
+        };
+        let mut extents: Vec<(String, excess_types::MultiSet)> = types
+            .iter()
+            .map(|ty| (ty.clone(), excess_types::MultiSet::new()))
+            .collect();
+        for (elem, card) in base.iter_counted() {
+            let Some(ty) = self.exact_type_of(elem) else {
+                continue;
+            };
+            let ty = self.registry.name_of(ty);
+            if let Some((_, extent)) = extents.iter_mut().find(|(t, _)| t == ty) {
+                extent.insert_n(elem.clone(), card);
+            }
+        }
+        for (ty, extent) in extents {
+            let name = extent_view_name(object, &ty);
+            let schema = SchemaType::set(SchemaType::named(ty));
+            self.catalog.put(&name, schema, Value::Set(extent));
+            self.resweep(&name);
+        }
+    }
+
+    /// Sweep `name`'s value into a fresh sketch and publish it — once
+    /// statistics have been collected at all (before that they are shape
+    /// defaults, with no baseline to keep current).
+    fn resweep(&mut self, name: &str) {
+        if !self.sketches.collected() {
             return;
         }
-        let derived_prefix = format!("{object}::exact::");
-        let mut names = vec![object.to_string()];
-        names.extend(
-            self.stats
-                .objects
-                .keys()
-                .filter(|n| n.starts_with(&derived_prefix))
-                .cloned(),
-        );
-        for name in names {
-            collect_object_statistics(&self.catalog, &self.store, &name, &mut self.stats);
+        if let Some(value) = self.catalog.value(name) {
+            self.sketches.sweep(name, value, &self.store);
+            self.derive_stats(name);
+        }
+    }
+
+    /// `object`'s value was replaced by one computed from `old`: apply the
+    /// difference element by element when both are sets, start over
+    /// otherwise.
+    fn rewrote(&mut self, object: &str, old: &Value) {
+        let new = self.catalog.value(object).cloned();
+        let (Value::Set(old), Some(Value::Set(new))) = (old, &new) else {
+            return self.rewritten(object);
+        };
+        self.set_changed(object, changed_counts(old, new));
+    }
+
+    /// The set `object` (already written) changed by `(element, count
+    /// before, count after)`: its sketch follows, and so do the extents
+    /// the elements belong to and their sketches; then the statistics of
+    /// all of them are published.
+    fn set_changed<'v>(
+        &mut self,
+        object: &str,
+        changes: impl IntoIterator<Item = (&'v Value, u64, u64)>,
+    ) {
+        let mut extents: Vec<String> = Vec::new();
+        for (elem, before, after) in changes {
+            let extent = self.count_changed(object, elem, before, after);
+            if let Some(extent) = extent.filter(|e| !extents.contains(e)) {
+                extents.push(extent);
+            }
+        }
+        self.derive_stats(object);
+        for extent in extents {
+            self.derive_stats(&extent);
+        }
+    }
+
+    /// One element's count in the set `object` went from `before` to
+    /// `after`: so does it in the one extent whose exact type it has, if
+    /// that type is indexed.  Returns that extent's name.
+    fn count_changed(
+        &mut self,
+        object: &str,
+        elem: &Value,
+        before: u64,
+        after: u64,
+    ) -> Option<String> {
+        self.sketches
+            .set_count(object, elem, before, after, &self.store);
+        let types = self.stats.extent_indexes.get(object)?;
+        let ty = self.registry.name_of(self.exact_type_of(elem)?);
+        if !types.contains(ty) {
+            return None;
+        }
+        let name = extent_view_name(object, ty);
+        let Some(Value::Set(extent)) = self.catalog.value_mut(&name) else {
+            return None;
+        };
+        let had = extent.count(elem);
+        if after > had {
+            extent.insert_n(elem.clone(), after - had);
+        } else {
+            extent.remove_n(elem, had - after);
+        }
+        self.sketches
+            .set_count(&name, elem, had, after, &self.store);
+        Some(name)
+    }
+
+    /// The stored object `oid` held `old`: every object referencing it
+    /// re-tallies it (its exact type, and so every extent, is unchanged).
+    fn stored_object_changed(&mut self, oid: excess_types::Oid, old: &Value) {
+        if !self.sketches.collected() {
+            return;
+        }
+        let touched = self
+            .sketches
+            .stored_object_changed(&self.catalog, &self.store, oid, old);
+        for name in touched {
+            self.derive_stats(&name);
+        }
+    }
+
+    /// Publish `name`'s sketch as its statistics.
+    fn derive_stats(&mut self, name: &str) {
+        if let Some(sketch) = self.sketches.get(name) {
+            let object = sketch.object_stats(self.stats.default_avg_nested);
+            self.stats.objects.insert(name.to_string(), object);
         }
     }
 
@@ -1049,15 +1175,20 @@ impl Database {
                     .catalog
                     .value_mut(target)
                     .ok_or_else(|| DbError::Other(format!("unknown object `{target}`")))?;
-                match cur {
-                    Value::Set(s) => s.insert(v),
+                let (before, after) = match cur {
+                    Value::Set(s) => {
+                        let before = s.count(&v);
+                        s.insert(v.clone());
+                        (before, s.count(&v))
+                    }
                     other => {
                         return Err(DbError::Other(format!(
                             "object `{target}` is not a multiset (found {})",
                             other.kind_name()
                         )))
                     }
-                }
+                };
+                self.set_changed(target, [(&v, before, after)]);
             }
             SchemaType::Arr { elem, len } => {
                 if len.is_some() {
@@ -1071,7 +1202,7 @@ impl Database {
                     .value_mut(target)
                     .ok_or_else(|| DbError::Other(format!("unknown object `{target}`")))?;
                 match cur {
-                    Value::Array(a) => Arc::make_mut(a).push(v),
+                    Value::Array(a) => Arc::make_mut(a).push(v.clone()),
                     other => {
                         return Err(DbError::Other(format!(
                             "object `{target}` is not an array (found {})",
@@ -1079,6 +1210,8 @@ impl Database {
                         )))
                     }
                 }
+                self.sketches.array_element(target, &v, true, &self.store);
+                self.derive_stats(target);
             }
             other => {
                 return Err(DbError::Other(format!(
@@ -1086,7 +1219,6 @@ impl Database {
                 )))
             }
         }
-        self.rebuild_extents_for(target);
         Ok(Value::bool(true))
     }
 
@@ -1116,8 +1248,8 @@ impl Database {
             .catalog
             .value_mut(target)
             .ok_or_else(|| DbError::Other(format!("unknown object `{target}`")))?;
-        *slot = v;
-        self.rebuild_extents_for(target);
+        let old = std::mem::replace(slot, v);
+        self.rewrote(target, &old);
         Ok(Value::bool(true))
     }
 
@@ -1214,7 +1346,8 @@ impl Database {
                 let Some(oid) = t.get("$old").and_then(Value::as_ref_oid) else {
                     continue; // dne slot
                 };
-                let mut obj_fields = match self.store.deref(oid)?.clone() {
+                let old = self.store.deref(oid)?.clone();
+                let mut obj_fields = match old.clone() {
                     Value::Tuple(obj) => obj.into_fields(),
                     other => {
                         return Err(DbError::Other(format!(
@@ -1229,6 +1362,7 @@ impl Database {
                     oid,
                     Value::Tuple(excess_types::Tuple::from_fields(obj_fields)),
                 )?;
+                self.stored_object_changed(oid, &old);
             }
         } else {
             let mut set = match self.catalog.value(target) {
@@ -1262,9 +1396,9 @@ impl Database {
                 .catalog
                 .value_mut(target)
                 .ok_or_else(|| DbError::Other(format!("unknown object `{target}`")))?;
-            *slot = Value::Set(set);
+            let old = std::mem::replace(slot, Value::Set(set));
+            self.rewrote(target, &old);
         }
-        self.rebuild_extents_for(target);
         Ok(Value::bool(true))
     }
 
@@ -1301,8 +1435,11 @@ impl Database {
                 a.len()
             )));
         }
-        Arc::make_mut(a)[i - 1] = v;
-        self.rebuild_extents_for(target);
+        let old = std::mem::replace(&mut Arc::make_mut(a)[i - 1], v.clone());
+        self.sketches
+            .array_element(target, &old, false, &self.store);
+        self.sketches.array_element(target, &v, true, &self.store);
+        self.derive_stats(target);
         Ok(Value::bool(true))
     }
 }

@@ -57,4 +57,4 @@ pub use excess_telemetry::{
 };
 pub use metrics::SessionMetrics;
 pub use pipeline::ReoptReport;
-pub use stats::{collect_object_statistics, collect_statistics};
+pub use stats::collect_object_statistics;

@@ -33,8 +33,9 @@
 //! shared too (`Value` interiors are `Arc`s; a write copies the one node
 //! it changes — DESIGN.md, *Value representation*), so a clone of the
 //! master, of the catalog or of the object store copies map entries, not
-//! data.  Each data statement refreshes its target's statistics as it
-//! runs; after a data-touching batch the committer re-encodes the
+//! data.  Each data statement applies what it changed to the statistics
+//! and per-type extents as it runs — work proportional to the change, not
+//! to the extent; after a data-touching batch the committer re-encodes the
 //! columnar chunks the previous generation had, so new snapshots plan
 //! against fresh cardinalities and keep their vectorized kernels.
 //!
@@ -74,7 +75,7 @@ use excess_optimizer::{MemoSnapshot, Statistics};
 use excess_telemetry::{RecorderSettings, Registry, Telemetry};
 use excess_types::{ObjectStore, TypeRegistry, Value};
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex, RwLock, Weak};
@@ -173,6 +174,11 @@ pub struct ServerStats {
     /// Batches that skipped the statistics refresh entirely (no extent
     /// data touched).
     pub stats_skipped: u64,
+    /// Elements whose attributes the committer's statistics code hashed
+    /// ([`Database::stats_elements`] over the applied requests): the
+    /// elements each statement added or removed, every element of every
+    /// object per full sweep.
+    pub stats_elements: u64,
 }
 
 struct CommitRequest {
@@ -206,9 +212,17 @@ impl Dirty {
     }
 }
 
-fn classify(stmt: &Stmt, d: &mut Dirty) {
+/// Record what `stmt` dirtied; `extent_indexes` are the master's, which
+/// re-files its per-type extents when a type is defined.
+fn classify(stmt: &Stmt, extent_indexes: &BTreeMap<String, BTreeSet<String>>, d: &mut Dirty) {
     match stmt {
-        Stmt::DefineType { .. } => d.registry = true,
+        Stmt::DefineType { .. } => {
+            d.registry = true;
+            if !extent_indexes.is_empty() {
+                d.data = true;
+                d.touched.extend(extent_indexes.keys().cloned());
+            }
+        }
         Stmt::DefineFunction { .. } => d.methods = true,
         Stmt::RangeDecl { .. } => d.ranges = true,
         // Procedures live on the master only (calling one is a write);
@@ -257,6 +271,7 @@ struct SharedState {
     stats_full: AtomicU64,
     stats_incremental: AtomicU64,
     stats_skipped: AtomicU64,
+    stats_elements: AtomicU64,
 }
 
 /// The shared, clonable handle to a versioned database: snapshot reads
@@ -292,6 +307,7 @@ impl VersionedDb {
             stats_full: AtomicU64::new(0),
             stats_incremental: AtomicU64::new(0),
             stats_skipped: AtomicU64::new(0),
+            stats_elements: AtomicU64::new(0),
         });
         // The committer holds only a weak reference: when every handle
         // and session is gone the channel sender inside `SharedState`
@@ -412,6 +428,7 @@ impl VersionedDb {
             stats_full: self.shared.stats_full.load(Ordering::Relaxed),
             stats_incremental: self.shared.stats_incremental.load(Ordering::Relaxed),
             stats_skipped: self.shared.stats_skipped.load(Ordering::Relaxed),
+            stats_elements: self.shared.stats_elements.load(Ordering::Relaxed),
         }
     }
 
@@ -455,6 +472,7 @@ fn committer_loop(
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
         shared.commit_batches.fetch_add(1, Ordering::Relaxed);
 
+        let hashed_before = db.stats_elements();
         let mut dirty = Dirty::default();
         let mut applied: Vec<String> = Vec::new();
         let mut replies: Vec<(Sender<CommitReply>, Result<Value, String>)> = Vec::new();
@@ -463,7 +481,7 @@ fn committer_loop(
                 Ok((trial, stmts, v)) => {
                     db = trial;
                     for stmt in &stmts {
-                        classify(stmt, &mut dirty);
+                        classify(stmt, &db.statistics().extent_indexes, &mut dirty);
                     }
                     applied.push(req.source);
                     replies.push((req.reply, Ok(v)));
@@ -473,6 +491,9 @@ fn committer_loop(
         }
 
         let generation = publish(&mut db, &shared, dirty, applied);
+        shared
+            .stats_elements
+            .fetch_add(db.stats_elements() - hashed_before, Ordering::Relaxed);
         for (reply, result) in replies {
             // A committer that outlives the requester is fine: the
             // requester hung up, nobody reads the reply.
@@ -522,19 +543,17 @@ fn publish(db: &mut Database, shared: &SharedState, dirty: Dirty, applied: Vec<S
         return prev.number;
     }
     let stats_note = if dirty.data {
-        // Fresh cardinalities for the next generation's planners.  A
-        // data statement that names its target has already refreshed that
-        // extent's statistics as it ran (`Database::refresh_stats_for`),
-        // so a batch of them has nothing left to collect here — what is
-        // published is what the embedded `Database` holds after the same
-        // program.  Each extent is therefore as of its own statement: a
-        // later `replace` through another extent's references to the same
-        // stored objects does not re-collect it, in this batch or in a
-        // later one (`tests/snapshot_isolation.rs`,
-        // `a_batch_publishes_each_extent_as_of_its_own_statement`); the
-        // full sweep does.  A procedure call (targets unknown) — or a
-        // master that has never collected anything — falls back to it.
-        let note = if dirty.data_unknown || db.statistics().objects.is_empty() {
+        // Fresh cardinalities for the next generation's planners.  Every
+        // data statement has already applied what it changed to the
+        // statistics of every object it changed (`crate::stats`) —
+        // including, for an update of a stored object, every other object
+        // referencing it — so a batch of them has nothing left to collect
+        // here, and what is published equals a fresh collection of the
+        // batch's result (`tests/snapshot_isolation.rs`,
+        // `a_batch_publishes_every_extent_as_of_the_whole_batch`).  A
+        // procedure call (targets unknown) — or a master that has never
+        // collected anything — takes the full sweep.
+        let note = if dirty.data_unknown || !db.stats_collected() {
             db.collect_stats();
             shared.stats_full.fetch_add(1, Ordering::Relaxed);
             if dirty.data_unknown {

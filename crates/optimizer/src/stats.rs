@@ -11,7 +11,7 @@
 //! (Section 4: "if we have an index on all the Students in P … the need to
 //! scan P three times … disappears").
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Statistics about one named top-level object.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,9 +51,10 @@ pub struct Statistics {
     /// Fraction of a heterogeneous set whose exact type is the named type
     /// (keyed by type name; missing types share the remainder).
     pub type_fractions: HashMap<String, f64>,
-    /// `(object, type)` pairs for which a per-exact-type extent index
-    /// exists (enables the Section 4 index-assisted ⊎ plan).
-    pub extent_indexes: HashSet<(String, String)>,
+    /// Per-exact-type extent indexes (enable the Section 4 index-assisted
+    /// ⊎ plan): each indexed object with the exact types it is indexed on.
+    /// Keyed so that a probe borrows its names.
+    pub extent_indexes: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl Statistics {
@@ -64,7 +65,7 @@ impl Statistics {
             default_selectivity: 0.1,
             default_avg_nested: 8.0,
             type_fractions: HashMap::new(),
-            extent_indexes: HashSet::new(),
+            extent_indexes: BTreeMap::new(),
         }
     }
 
@@ -111,13 +112,16 @@ impl Statistics {
     /// Is there an extent index on `(object, ty)`?
     pub fn has_extent_index(&self, object: &str, ty: &str) -> bool {
         self.extent_indexes
-            .contains(&(object.to_string(), ty.to_string()))
+            .get(object)
+            .is_some_and(|types| types.contains(ty))
     }
 
     /// Declare an extent index.
     pub fn add_extent_index(&mut self, object: &str, ty: &str) {
         self.extent_indexes
-            .insert((object.to_string(), ty.to_string()));
+            .entry(object.to_string())
+            .or_default()
+            .insert(ty.to_string());
     }
 
     /// Fold an observed cardinality from the feedback loop back into the

@@ -102,7 +102,8 @@ pub fn server_stats_json(s: &ServerStats) -> String {
     format!(
         "{{\"generation\":{},\"sessions_opened\":{},\"sessions_closed\":{},\
          \"commit_requests\":{},\"commit_batches\":{},\
-         \"stats_full\":{},\"stats_incremental\":{},\"stats_skipped\":{}}}",
+         \"stats_full\":{},\"stats_incremental\":{},\"stats_skipped\":{},\
+         \"stats_elements\":{}}}",
         s.generation,
         s.sessions_opened,
         s.sessions_closed,
@@ -110,7 +111,8 @@ pub fn server_stats_json(s: &ServerStats) -> String {
         s.commit_batches,
         s.stats_full,
         s.stats_incremental,
-        s.stats_skipped
+        s.stats_skipped,
+        s.stats_elements
     )
 }
 
@@ -295,6 +297,7 @@ mod tests {
         let srv = respond(&db, &mut s, ".server");
         let v = parse_json(&srv.line).expect("valid JSON");
         assert!(v.get("server").unwrap().get("sessions_opened").is_some());
+        assert!(v.get("server").unwrap().get("stats_elements").is_some());
         let c = respond(&db, &mut s, ".close");
         assert!(c.close);
         db.shutdown();

@@ -58,6 +58,22 @@ impl MultiSet {
         *Arc::make_mut(&mut self.counts).entry(v).or_insert(0) += n;
     }
 
+    /// Remove up to `n` occurrences of `v`; returns how many were removed.
+    pub fn remove_n(&mut self, v: &Value, n: u64) -> u64 {
+        let have = self.count(v);
+        let removed = have.min(n);
+        if removed == 0 {
+            return 0;
+        }
+        let counts = Arc::make_mut(&mut self.counts);
+        if removed == have {
+            counts.remove(v);
+        } else if let Some(c) = counts.get_mut(v) {
+            *c -= removed;
+        }
+        removed
+    }
+
     /// Cardinality of `v` in this multiset (0 if absent).
     pub fn count(&self, v: &Value) -> u64 {
         self.counts.get(v).copied().unwrap_or(0)
@@ -284,6 +300,17 @@ mod tests {
         assert_eq!(d.count(&Value::int(1)), 2);
         assert_eq!(d.count(&Value::int(2)), 0);
         assert_eq!(d.count(&Value::int(3)), 0);
+    }
+
+    #[test]
+    fn remove_n_removes_at_most_what_is_there() {
+        let mut s = ints(&[1, 1, 1, 2]);
+        assert_eq!(s.remove_n(&Value::int(1), 2), 2);
+        assert_eq!(s.count(&Value::int(1)), 1);
+        assert_eq!(s.remove_n(&Value::int(2), 5), 1);
+        assert_eq!(s.remove_n(&Value::int(3), 1), 0);
+        assert_eq!(s, ints(&[1]));
+        assert_eq!(s.distinct_len(), 1);
     }
 
     #[test]

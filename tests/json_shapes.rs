@@ -4,7 +4,8 @@
 //! rely on.  These tests pin the *shape*, not the numbers.
 
 use excess::algebra::json::{parse_json, JsonValue};
-use excess::db::{exec_report_json, metrics_json, Database};
+use excess::db::{exec_report_json, metrics_json, Database, VersionedDb};
+use excess::server::protocol::server_stats_json;
 use excess_bench::example1::{example1_db, figure6};
 
 /// Parse or die with the offending document.
@@ -117,6 +118,40 @@ fn telemetry_snapshot_shape() {
     }
 
     assert!(v.get("feedback").unwrap().get("entries").is_some());
+}
+
+/// `.server`: the committer's counters, `stats_elements` (elements whose
+/// attributes the statistics code hashed) included.
+#[test]
+fn server_stats_json_shape() {
+    let mut db = Database::new();
+    db.execute(
+        "define type Dept: (name: char[], floor: int4) \
+         create Depts: { Dept } \
+         append to Depts (name: \"CS\", floor: 2)",
+    )
+    .unwrap();
+    let vdb = VersionedDb::new(db);
+    vdb.commit("append to Depts (name: \"EE\", floor: 3)")
+        .unwrap();
+    let v = parsed(&server_stats_json(&vdb.stats()));
+    assert_eq!(
+        obj_keys(&v),
+        [
+            "generation",
+            "sessions_opened",
+            "sessions_closed",
+            "commit_requests",
+            "commit_batches",
+            "stats_full",
+            "stats_incremental",
+            "stats_skipped",
+            "stats_elements",
+        ]
+    );
+    assert_eq!(v.get("stats_incremental").unwrap().as_f64(), Some(1.0));
+    assert_eq!(v.get("stats_elements").unwrap().as_f64(), Some(1.0));
+    vdb.shutdown();
 }
 
 #[test]
