@@ -9,11 +9,6 @@
 //! `BENCH_report.json` (figure id → ms + work counters, plus the Example 1
 //! per-operator attribution profiles and the optimizer's rewrite journal),
 //! so CI and scripts can inspect the numbers without scraping tables.
-//!
-//! Section E measures the partition-parallel engine against serial
-//! evaluation.  Worker count comes from `--threads N` (falling back to
-//! `$EXCESS_THREADS`, then serial); with one worker the section is
-//! skipped and `e_parallel.e_speedup` is `null`.
 
 #![forbid(unsafe_code)]
 
@@ -26,13 +21,12 @@ use excess_bench::example2::{example2_db, figure10, figure11, figure9};
 use excess_bench::server_mix::{server_mix_db, MIX};
 use excess_bench::{array_db, time_median, time_once};
 use excess_core::canon::canonical_form;
-use excess_core::expr::{CmpOp, Expr, Pred};
+use excess_core::expr::Expr;
 use excess_core::physical::{PhysOp, PhysicalPlan};
 use excess_core::profile::Profile;
 use excess_core::Counters;
 use excess_db::{
-    counters_json, escape_json, journal_json, profile_json, verify_json, Database, ExecConfig,
-    Tracing,
+    counters_json, escape_json, journal_json, profile_json, verify_json, Database, Tracing,
 };
 use excess_types::Value;
 use excess_workload::{generate, queries, UniversityParams};
@@ -96,8 +90,7 @@ fn timed<T>(mut run: impl FnMut() -> T) -> (f64, T) {
     (time_median(REPS, run), warm)
 }
 
-/// [`timed`] evaluation of a lowered plan on the database's configured
-/// engine (serial unless the section sets workers).
+/// [`timed`] evaluation of a lowered plan.
 fn measure(db: &mut Database, plan: &PhysicalPlan) -> (f64, Counters, Value) {
     let (ms, warm) = timed(|| db.run_lowered(plan, Tracing::Off).unwrap());
     (ms, warm.counters, warm.value)
@@ -109,30 +102,12 @@ fn logical(plan: &Expr) -> PhysicalPlan {
     PhysicalPlan::passthrough(plan.clone())
 }
 
-/// Worker count for section E: `--threads N` (or `--threads=N`) wins,
-/// then `$EXCESS_THREADS`, then serial.
-fn threads_from_args() -> usize {
-    let mut threads: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            threads = args.next().and_then(|v| v.parse().ok());
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            threads = v.parse().ok();
-        }
-    }
-    threads
-        .map(|n| n.max(1))
-        .unwrap_or_else(|| ExecConfig::from_env().workers)
-}
-
 fn main() {
     println!("# EXCESS experiment report");
     println!();
     println!("Generated by `cargo run --release -p excess-bench --bin report`.");
     println!("Timings are medians of {REPS} runs (one process, debug assertions off).");
 
-    let workers = threads_from_args();
     let mut report = Report::new();
     f1(&mut report);
     f2();
@@ -144,11 +119,9 @@ fn main() {
     t1_a1_m1(&mut report);
     attribution(&mut report);
     section_d(&mut report);
-    section_e(&mut report, workers);
     section_f(&mut report);
     section_g(&mut report);
     section_h(&mut report);
-    section_i(&mut report);
     section_k(&mut report);
     verification(&mut report);
 
@@ -516,107 +489,6 @@ fn section_d(r: &mut Report) {
     r.extra("d_journal", journal_json(&journal));
 }
 
-/// One section-E row: `plan` as written on the serial engine, then
-/// lowered under collected statistics on `cfg`'s workers (the hash-key
-/// exchange is the lowering's choice, so the parallel leg needs the
-/// lowered plan), with a canon-identity check between the two results
-/// (the engine's core promise, re-asserted by the report binary itself).
-/// Returns `(serial_ms, parallel_ms, parallel_nodes, fallbacks)`.
-fn e_pair(
-    r: &mut Report,
-    id: &str,
-    db: &mut Database,
-    plan: &Expr,
-    cfg: ExecConfig,
-) -> (f64, f64, usize, usize) {
-    db.set_exec_config(ExecConfig::serial());
-    let (ts, cs, serial_value) = measure(db, &logical(plan));
-
-    db.analyze();
-    let (lowered, _) = db.lower_plan(plan);
-    db.set_exec_config(cfg);
-    let (tp, cp, parallel_value) = measure(db, &lowered);
-    assert_eq!(
-        canonical_form(&serial_value, db.store()),
-        canonical_form(&parallel_value, db.store()),
-        "{id}: parallel result must be canon-identical to serial"
-    );
-    let exec_report = db
-        .last_exec_report()
-        .expect("parallel run journals")
-        .clone();
-    db.set_exec_config(ExecConfig::serial());
-
-    r.record(format!("{id}/serial"), ts, cs);
-    r.record(format!("{id}/parallel"), tp, cp);
-    (
-        ts,
-        tp,
-        exec_report.parallel_nodes(),
-        exec_report.fallbacks(),
-    )
-}
-
-/// E — the partition-parallel engine vs serial evaluation on the figure
-/// plans, plus a scaled join workload where the hash-key exchange's
-/// partition pruning dominates.  The `e_parallel` extra records the
-/// worker count and the scaled workload's speedup for CI to assert on.
-fn section_e(r: &mut Report, workers: usize) {
-    println!("\n## E — partition-parallel execution (excess-exec)");
-    if workers <= 1 {
-        println!("\nSerial configuration — run with `--threads N` (or set");
-        println!("`$EXCESS_THREADS`) to measure the parallel engine.");
-        r.extra(
-            "e_parallel",
-            "{\"workers\":1,\"e_speedup\":null}".to_string(),
-        );
-        return;
-    }
-    let cfg = ExecConfig::with_workers(workers);
-    println!("\n{workers} workers; parallel results asserted canon-identical to serial.");
-    println!("\n| figure | serial ms | parallel ms | speedup | parallel nodes | fallbacks |");
-    println!("|---|---|---|---|---|---|");
-
-    let mut db1 = example1_db(512, 256, 32);
-    for (id, plan) in [("F6", figure6()), ("F7", figure7()), ("F8", figure8())] {
-        let (ts, tp, nodes, fb) = e_pair(r, &format!("E/{id}"), &mut db1, &plan, cfg);
-        println!(
-            "| {id} | {ts:.1} | {tp:.1} | {:.2} | {nodes} | {fb} |",
-            ts / tp
-        );
-    }
-    let mut db2 = example2_db(2000, 40, 10);
-    for (id, plan) in [("F9", figure9()), ("F10", figure10()), ("F11", figure11())] {
-        let (ts, tp, nodes, fb) = e_pair(r, &format!("E/{id}"), &mut db2, &plan, cfg);
-        println!(
-            "| {id} | {ts:.1} | {tp:.1} | {:.2} | {nodes} | {fb} |",
-            ts / tp
-        );
-    }
-
-    // The scaled workload: Figure 7 with every name distinct, so the
-    // |S|·|E| nested-loop comparison is the whole query.  The engine's
-    // hash-key exchange routes both sides by the join key, cutting the
-    // pairs each partition compares by ~workers× — an algorithmic win
-    // that holds even on a single core, which is why it (and not the
-    // thread-level overlap) is what CI asserts a speedup on.
-    let (s, e) = (512usize, 256usize);
-    let mut db = example1_db(s, e, 1);
-    let (ts, tp, _, _) = e_pair(r, "E/scaled-join", &mut db, &figure7(), cfg);
-    let speedup = ts / tp;
-    println!(
-        "\nScaled join (|S|={s}, |E|={e}, all names distinct): serial {ts:.1} ms, \
-         parallel {tp:.1} ms — speedup {speedup:.2}×."
-    );
-    r.extra(
-        "e_parallel",
-        format!(
-            "{{\"workers\":{workers},\"e_speedup\":{speedup:.4},\
-             \"scaled_serial_ms\":{ts:.3},\"scaled_parallel_ms\":{tp:.3}}}"
-        ),
-    );
-}
-
 /// F — physical lowering: the scaled join workload (Figure 7 with every
 /// name distinct, so the |S|·|E| comparison loop is the whole query) run
 /// once as the logical plan (nested loop) and once through the lowered
@@ -844,302 +716,36 @@ fn section_g(r: &mut Report) {
     );
 }
 
-/// Run the property-licensed rewrite pass over one figure suite: per
-/// figure, the number of licensed steps, the verifier's lint tally, and
-/// a canon-identity check of original vs rewritten.  Returns
-/// `(wins, lints, canon_identical, per-figure JSON entries)`.
-fn h_suite(
-    db: &mut Database,
-    figs: &[(&str, Expr)],
-    rows: &mut Vec<String>,
-) -> (usize, usize, bool) {
-    db.analyze();
-    let (mut wins, mut lints, mut canon) = (0usize, 0usize, true);
+/// The verifier's property-lint tally for each figure of one suite, one
+/// table row and one JSON entry per figure.  Returns the suite's total.
+fn h_suite(db: &Database, figs: &[(&str, Expr)], rows: &mut Vec<String>) -> usize {
+    let mut lints = 0usize;
     for (id, plan) in figs {
-        let (rewritten, journal) = db.property_rewrites_journaled(plan);
-        let steps = journal.steps.len();
-        let before = db.run_plan(plan).unwrap();
-        let after = db.run_plan(&rewritten).unwrap();
-        let same = canonical_form(&before, db.store()) == canonical_form(&after, db.store());
         let lint_count = db.verify_plan(plan).lint_count();
-        println!("| {id} | {steps} | {lint_count} | {same} |");
-        rows.push(format!(
-            "{{\"figure\":\"{id}\",\"licensed_steps\":{steps},\"lints\":{lint_count},\
-             \"canon_identical\":{same}}}"
-        ));
-        wins += steps;
+        println!("| {id} | {lint_count} |");
+        rows.push(format!("{{\"figure\":\"{id}\",\"lints\":{lint_count}}}"));
         lints += lint_count;
-        canon &= same;
     }
-    (wins, lints, canon)
+    lints
 }
 
-/// H — the plan property analysis in action: property-licensed rewrites
-/// over the F6–F11 figures (each canon-identical to its original), the
-/// verifier's property-lint tallies, and runtime guard elision on the
-/// scaled hash join.  The `assert!`s are the tentpole's acceptance
-/// criteria; CI re-checks them from the `h_analysis` extra.
+/// H — the plan property analysis as the verifier uses it: property-lint
+/// tallies over the F6–F11 figures, recorded in the `h_analysis` extra.
 fn section_h(r: &mut Report) {
-    println!("\n## H — plan property analysis: licensed rewrites, lints, guard elision");
+    println!("\n## H — plan property analysis: verifier lints");
 
-    println!("\n| figure | licensed steps | lints | canon identical |");
-    println!("|---|---|---|---|");
-    let mut rows: Vec<String> = Vec::new();
-    let mut db1 = example1_db(512, 256, 1);
-    let figs1 = [("F6", figure6()), ("F7", figure7()), ("F8", figure8())];
-    let (w1, l1, c1) = h_suite(&mut db1, &figs1, &mut rows);
-    let mut db2 = example2_db(2000, 40, 10);
-    let figs2 = [("F9", figure9()), ("F10", figure10()), ("F11", figure11())];
-    let (w2, l2, c2) = h_suite(&mut db2, &figs2, &mut rows);
-    let (wins, lints) = (w1 + w2, l1 + l2);
-    let canon_identical = c1 && c2;
-    assert!(
-        wins >= 1,
-        "at least one figure plan must gain a property-licensed rewrite"
-    );
-    assert!(
-        canon_identical,
-        "a property-licensed rewrite changed a result"
-    );
-
-    // Guard elision: with all of E1's join-key facts proven (tuples only,
-    // key present, never null, kinds matched, field names disjoint), the
-    // hash kernel's runtime guard is redundant on the scaled join.
-    let mut db = example1_db(512, 256, 1);
-    db.analyze();
-    let plan = figure7();
-    let (guarded_pp, _) = db.lower_plan(&plan);
-    let mut elided_pp = guarded_pp.clone();
-    let elided = db.elide_plan_guards(&mut elided_pp);
-    assert!(
-        !elided.is_empty(),
-        "the scaled join's guard must be elidable:\n{}",
-        elided_pp.render()
-    );
-    let (tg, guarded_counters, guarded_value) = measure(&mut db, &guarded_pp);
-    let (te, elided_counters, elided_value) = measure(&mut db, &elided_pp);
-    let guard_canon =
-        canonical_form(&guarded_value, db.store()) == canonical_form(&elided_value, db.store());
-    assert!(guard_canon, "guard elision changed the join result");
-
-    println!("\nProperty-licensed wins: {wins} (lints tallied: {lints}).");
-    println!("\nGuard elision on the scaled join (|S|=512, |E|=256):");
-    for (path, proof) in &elided {
-        println!("  elided at {path:?}: {proof}");
-    }
-    println!("\n| kernel | ms |");
+    println!("\n| figure | lints |");
     println!("|---|---|");
-    println!("| hash join, guarded | {tg:.1} |");
-    println!("| hash join, guard elided | {te:.1} |");
-
-    r.record("H/scaled-join/guarded", tg, guarded_counters);
-    r.record("H/scaled-join/elided", te, elided_counters);
+    let mut rows: Vec<String> = Vec::new();
+    let db1 = example1_db(512, 256, 1);
+    let figs1 = [("F6", figure6()), ("F7", figure7()), ("F8", figure8())];
+    let db2 = example2_db(2000, 40, 10);
+    let figs2 = [("F9", figure9()), ("F10", figure10()), ("F11", figure11())];
+    let lints = h_suite(&db1, &figs1, &mut rows) + h_suite(&db2, &figs2, &mut rows);
+    println!("\nLints tallied: {lints}.");
     r.extra(
         "h_analysis",
-        format!(
-            "{{\"rewrite_wins\":{wins},\"lints\":{lints},\
-             \"canon_identical\":{canon_identical},\"guard_elisions\":{},\
-             \"guard_canon_identical\":{guard_canon},\"guarded_ms\":{tg:.3},\
-             \"elided_ms\":{te:.3},\"figures\":[{}]}}",
-            elided.len(),
-            rows.join(",")
-        ),
-    );
-}
-
-/// Row-vs-columnar pair for one plan: lower both ways, require the
-/// columnar lowering to upgrade at least one kernel, and assert the
-/// columnar run is canon- and counter-identical to the row run.  Returns
-/// `(row ms, columnar ms, columnar kernel name, counters of one run)`.
-fn i_pair(db: &mut Database, label: &str, plan: &Expr) -> (f64, f64, String, Counters) {
-    db.columnar = false;
-    let (row_pp, _) = db.lower_plan(plan);
-    let (t_row, row_counters, row_value) = measure(db, &row_pp);
-    db.columnar = true;
-    let (col_pp, journal) = db.lower_plan(plan);
-    let kernel = col_pp
-        .choices
-        .values()
-        .find(|c| c.op.is_columnar())
-        .map(|c| c.op.to_string())
-        .unwrap_or_else(|| {
-            panic!(
-                "columnar lowering must upgrade {label}:\n{}\nrefusals: {:?}",
-                col_pp.render(),
-                journal.refused
-            )
-        });
-    assert!(
-        journal.steps.iter().any(|s| s.rule == "columnar-lowering"),
-        "{label}: the columnar upgrade must be journaled"
-    );
-    let (t_col, col_counters, col_value) = measure(db, &col_pp);
-    assert_eq!(
-        canonical_form(&row_value, db.store()),
-        canonical_form(&col_value, db.store()),
-        "{label}: columnar kernel changed the result"
-    );
-    assert_eq!(
-        row_counters, col_counters,
-        "{label}: columnar counters diverged from the row evaluator"
-    );
-    (t_row, t_col, kernel, row_counters)
-}
-
-/// I — columnar extent storage: chunk-encoded extents scanned, joined,
-/// grouped, and distinct-ed by vectorized kernels, asserted canon- and
-/// counter-identical to the row evaluator; chunk-unsafe plans fall back
-/// with journaled refusals.
-fn section_i(r: &mut Report) {
-    println!("\n## I — columnar storage: vectorized kernels vs row evaluation");
-
-    // Workload A: selective scan over |S| = 50 000 students.
-    let mut db = example1_db(50_000, 100, 1);
-    db.analyze();
-    db.columnar = true;
-    let scan = Expr::named("S1").select(Pred::cmp(
-        Expr::input().extract("sdept"),
-        CmpOp::Eq,
-        Expr::int(3),
-    ));
-    let (scan_row_ms, scan_col_ms, scan_kernel, scan_counters) =
-        i_pair(&mut db, "F1-style scan", &scan);
-    let scan_speedup = scan_row_ms / scan_col_ms.max(1e-6);
-    // A floor, not the measured size (≈3×, 2.5× at the lowest of 42 runs —
-    // EXPERIMENTS.md §I).  The bar was 5× while the row scan began by
-    // copying the extent; a named object is now a reference count away,
-    // the row side runs in a third of the time and the same kernel, at the
-    // same speed, is 3× of that.
-    assert!(
-        scan_speedup >= 2.0,
-        "columnar scan must be ≥2× the row scan, got {scan_speedup:.1}×"
-    );
-
-    // The other two batched kernels over the same extent: hash grouping
-    // and duplicate elimination.
-    let group = Expr::named("S1").group_by(Expr::input().extract("sdept"));
-    let (_, _, group_kernel, _) = i_pair(&mut db, "group by dept", &group);
-    let distinct = Expr::named("S1").dup_elim();
-    let (_, _, distinct_kernel, _) = i_pair(&mut db, "distinct students", &distinct);
-    let scan_chunks = db.telemetry().registry.counter("columnar.chunks_built");
-
-    // Workload B: the scaled equi-join, |S| = 20 000 ⋈ |E| = 4 000.
-    let mut jdb = example1_db(20_000, 4_000, 1);
-    jdb.analyze();
-    jdb.columnar = true;
-    let join = Expr::named("S1").rel_join(
-        Expr::named("E1"),
-        Pred::cmp(
-            Expr::input().extract("sadv"),
-            CmpOp::Eq,
-            Expr::input().extract("ename"),
-        ),
-    );
-    let (join_row_ms, join_col_ms, join_kernel, join_counters) =
-        i_pair(&mut jdb, "scaled join", &join);
-    let join_speedup = join_row_ms / join_col_ms.max(1e-6);
-    let join_chunks = jdb.telemetry().registry.counter("columnar.chunks_built");
-
-    // Chunk-unsafe plans: every candidate keeps its row kernel, with the
-    // refusal reason journaled under `columnar-lowering`.
-    let residual = Expr::named("S1").rel_join(
-        Expr::named("E1"),
-        Pred::cmp(
-            Expr::input().extract("sadv"),
-            CmpOp::Eq,
-            Expr::input().extract("ename"),
-        )
-        .and(Pred::cmp(
-            Expr::input().extract("esal"),
-            CmpOp::Ge,
-            Expr::int(2000),
-        )),
-    );
-    let (res_pp, res_journal) = jdb.lower_plan(&residual);
-    assert!(
-        !res_pp.choices.values().any(|c| c.op.is_columnar()),
-        "a join with a residual conjunct must keep its row kernel"
-    );
-    // Figure 7 is mixed: its base-extent join upgrades, while the DE and
-    // GRP over derived inputs must keep their row kernels, journaled.
-    let (fig_pp, fig_journal) = jdb.lower_plan(&figure7());
-    assert!(
-        fig_pp
-            .choices
-            .values()
-            .any(|c| matches!(c.op, PhysOp::HashDistinct | PhysOp::HashGroup)),
-        "figure 7's DE/GRP over derived inputs must stay on row kernels"
-    );
-    assert!(!fig_journal.refused.is_empty());
-    let mut refusals: Vec<String> = Vec::new();
-    for j in [&res_journal, &fig_journal] {
-        for step in &j.refused {
-            if step.rule == "columnar-lowering" && !refusals.contains(&step.reason) {
-                refusals.push(step.reason.clone());
-            }
-        }
-    }
-    assert!(
-        refusals.len() >= 2,
-        "expected ≥2 distinct refusal reasons, got {refusals:?}"
-    );
-
-    // Full Example 1 figure suite through the columnar pipeline (every
-    // candidate refuses — non-base inputs — so this exercises the
-    // fallback path end to end): canon-identical to plain evaluation.
-    let mut fdb = example1_db(512, 256, 8);
-    fdb.analyze();
-    let mut figures_canon = true;
-    for (id, plan) in [("F6", figure6()), ("F7", figure7()), ("F8", figure8())] {
-        fdb.columnar = false;
-        let row = fdb.run_plan(&plan).unwrap();
-        fdb.columnar = true;
-        let col = fdb.run_query_plan(id, &plan).unwrap();
-        figures_canon &= canonical_form(&row, fdb.store()) == canonical_form(&col, fdb.store());
-    }
-    assert!(figures_canon, "columnar pipeline changed a figure result");
-
-    println!("\n| workload | row ms | columnar ms | speedup | kernel |");
-    println!("|---|---|---|---|---|");
-    println!(
-        "| F1-style scan (50k) | {scan_row_ms:.2} | {scan_col_ms:.2} | {scan_speedup:.1}× | {scan_kernel} |"
-    );
-    println!(
-        "| scaled join (20k ⋈ 4k) | {join_row_ms:.2} | {join_col_ms:.2} | {join_speedup:.1}× | {join_kernel} |"
-    );
-    println!("\nGroup kernel: {group_kernel}; distinct kernel: {distinct_kernel}.");
-    println!("Chunks built: {scan_chunks} (scan db) + {join_chunks} (join db).");
-    println!("\nJournaled columnar refusals ({}):", refusals.len());
-    for reason in &refusals {
-        println!("  - {reason}");
-    }
-
-    r.record("I/f1-scan/row", scan_row_ms, scan_counters);
-    r.record("I/f1-scan/columnar", scan_col_ms, scan_counters);
-    r.record("I/scaled-join/row", join_row_ms, join_counters);
-    r.record("I/scaled-join/columnar", join_col_ms, join_counters);
-    let refusal_list: Vec<String> = refusals
-        .iter()
-        .map(|s| format!("\"{}\"", escape_json(s)))
-        .collect();
-    r.extra(
-        "i_columnar",
-        format!(
-            "{{\"scan_row_ms\":{scan_row_ms:.3},\"scan_columnar_ms\":{scan_col_ms:.3},\
-             \"scan_speedup\":{scan_speedup:.2},\"join_row_ms\":{join_row_ms:.3},\
-             \"join_columnar_ms\":{join_col_ms:.3},\"join_speedup\":{join_speedup:.2},\
-             \"scan_kernel\":\"{}\",\"join_kernel\":\"{}\",\"group_kernel\":\"{}\",\
-             \"distinct_kernel\":\"{}\",\"canon_identical\":true,\"counters_exact\":true,\
-             \"figures_canon_identical\":{figures_canon},\"chunks_built\":{},\
-             \"refusal_reasons\":{},\"refusals\":[{}]}}",
-            escape_json(&scan_kernel),
-            escape_json(&join_kernel),
-            escape_json(&group_kernel),
-            escape_json(&distinct_kernel),
-            scan_chunks + join_chunks,
-            refusals.len(),
-            refusal_list.join(",")
-        ),
+        format!("{{\"lints\":{lints},\"figures\":[{}]}}", rows.join(",")),
     );
 }
 

@@ -4,12 +4,10 @@
 //! cardinality bounds, duplicate-freeness, candidate keys and functional
 //! dependencies, and per-attribute presence / `dne` / `unk` nullability on
 //! a three-point *never / possible / always* lattice ([`Fact`]).  The
-//! optimizer (PR 3) and the lowering layer (PR 5) only *estimate*; this
-//! pass *proves*, which licenses rewrites (drop a DE over a
-//! duplicate-free input), lints (redundant DISTINCT, always-empty
-//! branches), and runtime-guard elision (a hash join key proven
-//! non-null on every row needs no [`crate::physical::key_pair_usable`]
-//! scan).
+//! cost model and the lowering layer only *estimate*; this pass
+//! *proves*.  Its consumers are the verifier's lints (redundant DISTINCT,
+//! always-empty branches) and the memo's per-group property summaries,
+//! both data-free.
 //!
 //! # The claims and their fine print
 //!
@@ -20,7 +18,7 @@
 //!
 //! * `coll = Some(kind)` is **unconditional on sort**: the value *is* a
 //!   multiset (resp. array), not a null and not a scalar.  Emptiness
-//!   (`card_hi == Some(0)`) and the rewrites it licenses require this
+//!   (`card_hi == Some(0)`) and any rewrite it would license require this
 //!   tier — `A ⊎ B → B` is only sound when `A` provably *is* the empty
 //!   multiset, since `⊎` propagates a null `A`.
 //! * every other field is **conditional on the value being a
@@ -44,10 +42,9 @@
 //!
 //! Every transfer function is journaled ([`AnalysisStep`]) and the
 //! whole derivation is checked empirically by a proptest battery
-//! (`tests/analysis_soundness.rs`) that executes random pipelines —
-//! serial and at `EXCESS_THREADS=4` — and asserts each derived property
-//! on the actual canon result.  When no data is available
-//! ([`crate::catalog::EmptyCatalog`]) named leaves get
+//! (`tests/analysis_soundness.rs`) that executes random pipelines and
+//! asserts each derived property on the actual canon result.  When no
+//! data is available ([`crate::catalog::EmptyCatalog`]) named leaves get
 //! [`Props::unknown`] and the pass
 //! degrades to purely structural reasoning, which is how the plan
 //! verifier uses it.

@@ -5,21 +5,13 @@
 //! through this trait; `excess-db` provides the full implementation, and a
 //! plain `HashMap` works for tests and examples.
 
-use excess_types::{Chunk, Value};
+use excess_types::Value;
 use std::collections::HashMap;
 
 /// Resolves named top-level objects to their current values.
 pub trait Catalog {
     /// The value of the named object, if it exists.
     fn get_object(&self, name: &str) -> Option<&Value>;
-
-    /// The columnar chunk encoding of the named object, when the catalog
-    /// maintains one (see [`excess_types::Chunk`]).  The default is
-    /// `None`: chunks are an optimisation, never required — a batched
-    /// kernel that finds no chunk falls back to the row evaluator.
-    fn get_chunk(&self, _name: &str) -> Option<&Chunk> {
-        None
-    }
 }
 
 impl Catalog for HashMap<String, Value> {
@@ -35,39 +27,5 @@ pub struct EmptyCatalog;
 impl Catalog for EmptyCatalog {
     fn get_object(&self, _name: &str) -> Option<&Value> {
         None
-    }
-}
-
-/// A catalog that serves both row values and column chunks — the test
-/// and bench counterpart of `excess-db`'s chunk-caching catalog.
-#[derive(Debug, Clone, Default)]
-pub struct ChunkedCatalog {
-    /// Row representation per named object.
-    pub objects: HashMap<String, Value>,
-    /// Columnar representation per named object (independently optional).
-    pub chunks: HashMap<String, Chunk>,
-}
-
-impl ChunkedCatalog {
-    /// Insert an object and, when it is chunk-safe, its columnar
-    /// encoding (no nullability hints; see [`Chunk::encode`]).
-    pub fn put(&mut self, name: impl Into<String>, v: Value) {
-        let name = name.into();
-        if let Value::Set(s) = &v {
-            if let Some(chunk) = Chunk::encode(s, &Default::default()) {
-                self.chunks.insert(name.clone(), chunk);
-            }
-        }
-        self.objects.insert(name, v);
-    }
-}
-
-impl Catalog for ChunkedCatalog {
-    fn get_object(&self, name: &str) -> Option<&Value> {
-        self.objects.get(name)
-    }
-
-    fn get_chunk(&self, name: &str) -> Option<&Chunk> {
-        self.chunks.get(name)
     }
 }

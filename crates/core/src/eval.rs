@@ -56,13 +56,6 @@ pub struct EvalCtx<'a> {
     /// `rel_join` or correlated `SET_APPLY` node to its hash kernel.
     /// `None` (the default) means every join runs as a nested loop.
     pub(crate) row_kernels: Option<std::collections::HashMap<usize, RowKernel>>,
-    /// Pointer-keyed batched-kernel table, installed alongside
-    /// `row_kernels`: maps node addresses to columnar
-    /// [`ChunkKernel`](crate::columnar::ChunkKernel)s that consume the
-    /// catalog's extent chunks instead of cloned row values.  `None`
-    /// (the default) means every operator runs row-at-a-time.
-    pub(crate) chunk_kernels:
-        Option<std::collections::HashMap<usize, crate::columnar::ChunkKernel>>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -80,7 +73,6 @@ impl<'a> EvalCtx<'a> {
             counters: Counters::new(),
             trace: None,
             row_kernels: None,
-            chunk_kernels: None,
         }
     }
 
@@ -305,9 +297,6 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::Set(out))
         }
         Expr::Group { input, by } => {
-            if let Some(out) = crate::columnar::try_group(e, input, by, ctx) {
-                return Ok(out);
-            }
             let inv = eval(input, env, ctx)?;
             if inv.is_null() {
                 return Ok(inv);
@@ -328,9 +317,6 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::Set(groups.into_values().map(Value::Set).collect()))
         }
         Expr::DupElim(a) => {
-            if let Some(out) = crate::columnar::try_distinct(e, a, ctx) {
-                return Ok(out);
-            }
             let v = eval(a, env, ctx)?;
             if v.is_null() {
                 return Ok(v);
@@ -571,9 +557,6 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::Set(as_set("∩", a)?.intersect_min(&as_set("∩", b)?)))
         }
         Expr::Select { input, pred } => {
-            if let Some(out) = crate::columnar::try_select(e, input, pred, ctx) {
-                return Ok(out);
-            }
             let inv = eval(input, env, ctx)?;
             if inv.is_null() {
                 return Ok(inv);
@@ -635,9 +618,6 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::Set(out))
         }
         Expr::RelJoin { left, right, pred } => {
-            if let Some(out) = crate::columnar::try_join(e, left, right, pred, ctx) {
-                return Ok(out);
-            }
             let (a, b) = (eval(left, env, ctx)?, eval(right, env, ctx)?);
             if a.is_null() {
                 return Ok(a);
@@ -653,18 +633,11 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             if let Some(RowKernel::HashJoin {
                 left_key: lf,
                 right_key: rf,
-                guard_elided,
             }) = row_kernel(e, ctx)
             {
-                // An elided guard means the property analysis proved the
-                // key side conditions; the unguarded kernel still
-                // degrades gracefully if the proof were ever wrong.
-                let kernel_out = if guard_elided {
-                    crate::physical::hash_equi_join_unguarded(&sa, &sb, &lf, &rf, pred, env, ctx)?
-                } else {
+                if let Some(out) =
                     crate::physical::hash_equi_join(&sa, &sb, &lf, &rf, pred, env, ctx)?
-                };
-                if let Some(out) = kernel_out {
+                {
                     return Ok(Value::Set(out));
                 }
             }

@@ -29,7 +29,6 @@
 pub mod analysis;
 pub mod canon;
 pub mod catalog;
-pub mod columnar;
 pub mod counters;
 pub mod derived;
 pub mod error;
@@ -44,11 +43,7 @@ pub mod render;
 pub mod verify;
 
 pub use canon::{canonical_form, equal_modulo_identity};
-pub use catalog::{Catalog, ChunkedCatalog, EmptyCatalog};
-pub use columnar::{
-    columnar_distinct, columnar_group, columnar_hash_join, compile_scan_filter, join_keys_usable,
-    run_scan_filter, scan_pred_compiles, ChunkKernel, ScanFilter,
-};
+pub use catalog::{Catalog, EmptyCatalog};
 pub use counters::Counters;
 pub use error::{EvalError, EvalResult};
 pub use eval::{eval, evaluate, exact_type_of, exact_type_of_parts, EvalCtx};

@@ -39,8 +39,7 @@
 //!   any cross-bucket pair exists; `occurrences_scanned` is charged per
 //!   probed pair only — the counters report work actually done.
 //!
-//! One behavioural caveat, shared with the parallel engine's hash-key
-//! exchange: a runtime *error* inside a residual conjunct of a
+//! One behavioural caveat: a runtime *error* inside a residual conjunct of a
 //! cross-bucket pair (which the nested loop would hit before rejecting
 //! the pair) is skipped, because the pair is never formed.
 //!
@@ -109,7 +108,7 @@
 //! ```
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::error::EvalResult;
@@ -147,57 +146,13 @@ pub enum PhysOp {
         /// `r`, with `INPUT` bound to the element of `B`.
         inner_key: Expr,
     },
-    /// `GRP` by hashing the grouping key (what both engines already do:
-    /// the serial evaluator's `BTreeMap` grouping and the parallel
-    /// repartition-by-key exchange).
+    /// `GRP` by hashing the grouping key (what the evaluator's `BTreeMap`
+    /// grouping already does).
     HashGroup,
     /// `DE` by hash-bucketing occurrences (the count-map representation).
     HashDistinct,
-    /// Fused `σ`-over-extent consuming the extent's column chunk with a
-    /// compiled, batched filter (see [`crate::columnar`]).
-    ColumnarScan {
-        /// The chunked extent the fused scan reads.
-        object: String,
-    },
-    /// Hash equi-join whose build and probe run over the two extents'
-    /// typed key columns instead of row values.
-    ColumnarHashEquiJoin {
-        /// Left extent name.
-        left: String,
-        /// Right extent name.
-        right: String,
-        /// Key column on the left chunk.
-        left_key: String,
-        /// Key column on the right chunk.
-        right_key: String,
-    },
-    /// `GRP` keyed by one attribute column of the extent's chunk.
-    ColumnarHashGroup {
-        /// The chunked extent being grouped.
-        object: String,
-        /// The grouping attribute.
-        key: String,
-    },
-    /// `DE` over a chunk (rows are distinct by construction).
-    ColumnarHashDistinct {
-        /// The chunked extent being deduplicated.
-        object: String,
-    },
     /// The logical operator runs as itself; no physical freedom exercised.
     PassThrough,
-}
-
-impl PhysOp {
-    /// Is this one of the batched chunk-consuming operators?
-    pub fn is_columnar(&self) -> bool {
-        matches!(
-            self,
-            PhysOp::ColumnarScan { .. }
-                | PhysOp::ColumnarHashEquiJoin { .. }
-                | PhysOp::ColumnarHashGroup { .. }
-                | PhysOp::ColumnarHashDistinct { .. }
-        )
-    }
 }
 
 impl fmt::Display for PhysOp {
@@ -216,18 +171,6 @@ impl fmt::Display for PhysOp {
             } => write!(f, "HashProbeApply[outer {outer_key} = inner {inner_key}]"),
             PhysOp::HashGroup => write!(f, "HashGroup"),
             PhysOp::HashDistinct => write!(f, "HashDistinct"),
-            PhysOp::ColumnarScan { object } => write!(f, "ColumnarScan[{object}]"),
-            PhysOp::ColumnarHashEquiJoin {
-                left_key,
-                right_key,
-                ..
-            } => write!(f, "ColumnarHashEquiJoin[{left_key} = {right_key}]"),
-            PhysOp::ColumnarHashGroup { object, key } => {
-                write!(f, "ColumnarHashGroup[{object} by {key}]")
-            }
-            PhysOp::ColumnarHashDistinct { object } => {
-                write!(f, "ColumnarHashDistinct[{object}]")
-            }
             PhysOp::PassThrough => write!(f, "PassThrough"),
         }
     }
@@ -249,31 +192,34 @@ pub struct PhysChoice {
 /// operator choices keyed by node path (child indices in
 /// [`Expr::children`] order, the same keying profiles and per-node cost
 /// estimates use).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct PhysicalPlan {
     /// The logical plan, structurally untouched by lowering.
     pub logical: Expr,
     /// Physical operator per annotated node path.
     pub choices: BTreeMap<NodePath, PhysChoice>,
-    /// `HashEquiJoin` choices whose runtime [`key_pair_usable`] guard the
-    /// property analysis proved redundant (keys definite on every row,
-    /// attribute sets exhaustive and disjoint): the kernel skips the
-    /// per-occurrence guard scan and extracts keys directly, degrading
-    /// gracefully to the nested loop if a proof ever turned out wrong.
-    pub elided_guards: BTreeSet<NodePath>,
+}
+
+/// The rendering a plan hash is FNV-1a of.  It keeps an empty
+/// `elided_guards` slot: the struct once carried a set of join guards
+/// proven redundant (deleted — no served plan ever had one), and the slot
+/// keeps every published plan hash unchanged.
+impl fmt::Debug for PhysicalPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PhysicalPlan")
+            .field("logical", &self.logical)
+            .field("choices", &self.choices)
+            .field("elided_guards", &BTreeMap::<NodePath, ()>::new())
+            .finish()
+    }
 }
 
 /// A row kernel resolved to one node of the plan being evaluated (the
 /// entries of [`EvalCtx`]'s pointer-keyed kernel table).
 #[derive(Debug, Clone)]
 pub(crate) enum RowKernel {
-    /// [`hash_equi_join`] on a `rel_join` node; `guard_elided` selects
-    /// [`hash_equi_join_unguarded`].
-    HashJoin {
-        left_key: String,
-        right_key: String,
-        guard_elided: bool,
-    },
+    /// [`hash_equi_join`] on a `rel_join` node.
+    HashJoin { left_key: String, right_key: String },
     /// [`hash_probe_apply`] on a correlated `SET_APPLY` join.
     ProbeApply { outer_key: Expr, inner_key: Expr },
 }
@@ -285,7 +231,6 @@ impl PhysicalPlan {
         PhysicalPlan {
             logical,
             choices: BTreeMap::new(),
-            elided_guards: BTreeSet::new(),
         }
     }
 
@@ -309,24 +254,15 @@ impl PhysicalPlan {
                 continue;
             };
             let kernel = match (&choice.op, node) {
-                // A columnar join registers the same row-hash entry: when
-                // the chunk kernel refuses at runtime, the join degrades to
-                // the guarded row hash kernel rather than the nested loop.
                 (
                     PhysOp::HashEquiJoin {
                         left_key,
                         right_key,
-                    }
-                    | PhysOp::ColumnarHashEquiJoin {
-                        left_key,
-                        right_key,
-                        ..
                     },
                     Expr::RelJoin { .. },
                 ) => RowKernel::HashJoin {
                     left_key: left_key.clone(),
                     right_key: right_key.clone(),
-                    guard_elided: self.elided_guards.contains(path),
                 },
                 (
                     PhysOp::HashProbeApply {
@@ -343,53 +279,6 @@ impl PhysicalPlan {
                     }
                     _ => continue,
                 },
-                _ => continue,
-            };
-            table.insert(node as *const Expr as usize, kernel);
-        }
-        table
-    }
-
-    /// Resolve every columnar choice to the address of its logical node
-    /// — the batched-kernel table [`evaluate_physical`] installs
-    /// alongside the row-hash table.  Choices whose node shape does not
-    /// match (stale annotation) are dropped.
-    fn chunk_table(&self) -> HashMap<usize, crate::columnar::ChunkKernel> {
-        use crate::columnar::ChunkKernel;
-        let mut table = HashMap::new();
-        for (path, choice) in &self.choices {
-            let Some(node) = self.node_at(path) else {
-                continue;
-            };
-            let kernel = match (&choice.op, node) {
-                (PhysOp::ColumnarScan { object }, Expr::Select { .. }) => ChunkKernel::Scan {
-                    object: object.clone(),
-                },
-                (
-                    PhysOp::ColumnarHashEquiJoin {
-                        left,
-                        right,
-                        left_key,
-                        right_key,
-                    },
-                    Expr::RelJoin { .. },
-                ) => ChunkKernel::HashEquiJoin {
-                    left: left.clone(),
-                    right: right.clone(),
-                    left_key: left_key.clone(),
-                    right_key: right_key.clone(),
-                },
-                (PhysOp::ColumnarHashGroup { object, key }, Expr::Group { .. }) => {
-                    ChunkKernel::Group {
-                        object: object.clone(),
-                        key: key.clone(),
-                    }
-                }
-                (PhysOp::ColumnarHashDistinct { object }, Expr::DupElim(_)) => {
-                    ChunkKernel::Distinct {
-                        object: object.clone(),
-                    }
-                }
                 _ => continue,
             };
             table.insert(node as *const Expr as usize, kernel);
@@ -428,7 +317,7 @@ impl PhysicalPlan {
 
 /// The indices (in [`Expr::children`] order) of `e`'s children that are
 /// closed in `e`'s own binder environment — the *spine* the lowering pass
-/// (and the parallel driver) recurses into.  Binder bodies and predicate
+/// recurses into.  Binder bodies and predicate
 /// expressions stay inside their operator.
 pub fn spine_children(e: &Expr) -> Vec<usize> {
     match e {
@@ -659,39 +548,10 @@ pub fn hash_equi_join(
     hash_join_core(sa, sb, lf, rf, pred, env, ctx)
 }
 
-/// The hash equi-join kernel *without* the per-occurrence
-/// [`key_pair_usable`] guard scan — for joins whose key side conditions
-/// the property analysis proved statically (see
-/// [`PhysicalPlan::elided_guards`]).  The checks the guard performed per
-/// row and the elision substitutes proofs for:
-///
-/// * tuple-ness, key presence, key non-nullness — still checked
-///   gracefully (they fall out of the extraction the kernel does
-///   anyway): a violation abandons the attempt, restores the counters it
-///   touched, and reports `None` so the caller falls back to the nested
-///   loop.
-/// * key-field *disjointness* (`lf` absent on the right, `rf` on the
-///   left, so `TUP_CAT` renames nothing) — rests entirely on the static
-///   proof; the elision pass only fires on sides with exhaustive
-///   attribute maps proving absence, and the soundness battery checks
-///   exactly this class of claim against executed results.
-pub fn hash_equi_join_unguarded(
-    sa: &MultiSet,
-    sb: &MultiSet,
-    lf: &str,
-    rf: &str,
-    pred: &Pred,
-    env: &mut Vec<Value>,
-    ctx: &mut EvalCtx,
-) -> EvalResult<Option<MultiSet>> {
-    hash_join_core(sa, sb, lf, rf, pred, env, ctx)
-}
-
-/// `rel_join`'s use of the shared build/probe ([`Buckets`]).  Key
-/// extraction is graceful: any violation of the key side conditions
-/// aborts with `Ok(None)` after restoring the counters, so a guarded
-/// caller (which pre-verified and can never abort here) and an unguarded
-/// caller observe identical counter behaviour to the nested-loop fallback.
+/// `rel_join`'s use of the shared build/probe ([`Buckets`]), once
+/// [`hash_equi_join`]'s guard has admitted the key pair.  Key extraction
+/// is still graceful: a violation aborts with `Ok(None)` after restoring
+/// the counters, leaving the nested loop to run as if never attempted.
 fn hash_join_core(
     sa: &MultiSet,
     sb: &MultiSet,
@@ -839,18 +699,12 @@ pub(crate) fn hash_probe_apply(
 /// runtime guard admits it.
 pub fn evaluate_physical(plan: &PhysicalPlan, ctx: &mut EvalCtx) -> EvalResult<Value> {
     let table = plan.kernel_table();
-    let chunks = plan.chunk_table();
     let saved = ctx.row_kernels.take();
-    let saved_chunks = ctx.chunk_kernels.take();
     if !table.is_empty() {
         ctx.row_kernels = Some(table);
     }
-    if !chunks.is_empty() {
-        ctx.chunk_kernels = Some(chunks);
-    }
     let out = evaluate(&plan.logical, ctx);
     ctx.row_kernels = saved;
-    ctx.chunk_kernels = saved_chunks;
     out
 }
 
@@ -924,7 +778,6 @@ mod tests {
         PhysicalPlan {
             logical: plan.clone(),
             choices,
-            elided_guards: BTreeSet::new(),
         }
     }
 

@@ -323,42 +323,6 @@ impl Profile {
         }
         acc
     }
-
-    /// Combine several profiles (e.g. one per worker thread of a parallel
-    /// run) into one: nodes are aggregated by path (first label wins, all
-    /// counts sum) and the global totals add.  Because each input profile
-    /// satisfies `sum_of_self_counters() == total`, so does the merge —
-    /// the telescoping invariant survives parallel execution.
-    pub fn merge(parts: impl IntoIterator<Item = Profile>) -> Profile {
-        let mut nodes: std::collections::BTreeMap<NodePath, NodeProfile> = Default::default();
-        let mut total = Counters::new();
-        let mut total_wall = Duration::ZERO;
-        for p in parts {
-            total += p.total;
-            total_wall += p.total_wall;
-            for n in p.nodes {
-                match nodes.get_mut(&n.path) {
-                    None => {
-                        nodes.insert(n.path.clone(), n);
-                    }
-                    Some(agg) => {
-                        agg.calls += n.calls;
-                        agg.rows_in += n.rows_in;
-                        agg.rows_out += n.rows_out;
-                        agg.self_counters += n.self_counters;
-                        agg.total_counters += n.total_counters;
-                        agg.self_wall += n.self_wall;
-                        agg.total_wall += n.total_wall;
-                    }
-                }
-            }
-        }
-        Profile {
-            nodes: nodes.into_values().collect(),
-            total,
-            total_wall,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use excess_core::catalog::Catalog;
 use excess_core::infer::SchemaCatalog;
-use excess_types::{Chunk, SchemaType, Value};
+use excess_types::{SchemaType, Value};
 use std::collections::HashMap;
 
 /// One named object: its declared schema and current value.
@@ -16,15 +16,10 @@ pub struct NamedObject {
     pub value: Value,
 }
 
-/// All named objects plus materialised extent views (`P::exact::T`),
-/// with a cache of columnar chunks for extents the columnar pipeline has
-/// encoded.  Any write to an object — [`DbCatalog::put`],
-/// [`DbCatalog::value_mut`], [`DbCatalog::remove`] — invalidates its
-/// chunk, so a cached chunk always decodes to the current value.
+/// All named objects plus materialised extent views (`P::exact::T`).
 #[derive(Debug, Clone, Default)]
 pub struct DbCatalog {
     objects: HashMap<String, NamedObject>,
-    chunks: HashMap<String, Chunk>,
 }
 
 impl DbCatalog {
@@ -35,7 +30,6 @@ impl DbCatalog {
 
     /// Register or replace an object.
     pub fn put(&mut self, name: &str, schema: SchemaType, value: Value) {
-        self.chunks.remove(name);
         self.objects
             .insert(name.to_string(), NamedObject { schema, value });
     }
@@ -45,11 +39,8 @@ impl DbCatalog {
         self.objects.get(name).map(|o| &o.value)
     }
 
-    /// Mutable value access (updates).  Conservatively drops any cached
-    /// chunk for the object — the caller may rewrite the value through
-    /// the returned reference.
+    /// Mutable value access (updates).
     pub fn value_mut(&mut self, name: &str) -> Option<&mut Value> {
-        self.chunks.remove(name);
         self.objects.get_mut(name).map(|o| &mut o.value)
     }
 
@@ -66,32 +57,8 @@ impl DbCatalog {
     /// Remove an object (and any of its extent views).
     pub fn remove(&mut self, name: &str) {
         self.objects.remove(name);
-        self.chunks.remove(name);
         let prefix = format!("{name}::exact::");
         self.objects.retain(|k, _| !k.starts_with(&prefix));
-        self.chunks.retain(|k, _| !k.starts_with(&prefix));
-    }
-
-    /// Cached columnar chunk for an extent, if one has been encoded since
-    /// the object last changed.
-    pub fn chunk(&self, name: &str) -> Option<&Chunk> {
-        self.chunks.get(name)
-    }
-
-    /// Install a columnar chunk for an object.  The caller is responsible
-    /// for the chunk decoding to the object's current value — use
-    /// [`Database::ensure_chunks_for`](crate::Database::ensure_chunks_for)
-    /// rather than calling this directly.
-    pub fn set_chunk(&mut self, name: &str, chunk: Chunk) {
-        self.chunks.insert(name.to_string(), chunk);
-    }
-
-    /// Iterate the names that currently have a cached columnar chunk
-    /// (extent views included) — what the session layer's committer uses
-    /// to re-warm chunks after a write batch, so published generations
-    /// keep serving the columnar kernels.
-    pub fn chunked_names(&self) -> impl Iterator<Item = &str> {
-        self.chunks.keys().map(String::as_str)
     }
 
     /// Iterate user-visible object names (extent views excluded).
@@ -118,10 +85,6 @@ pub fn is_extent_view(name: &str) -> bool {
 impl Catalog for DbCatalog {
     fn get_object(&self, name: &str) -> Option<&Value> {
         self.value(name)
-    }
-
-    fn get_chunk(&self, name: &str) -> Option<&Chunk> {
-        self.chunks.get(name)
     }
 }
 

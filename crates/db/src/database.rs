@@ -4,7 +4,7 @@
 use crate::catalog::{extent_view_name, DbCatalog};
 use crate::error::{DbError, DbResult};
 use crate::metrics::SessionMetrics;
-use crate::pipeline::{self, CatalogRef, LastPlan, Options, ReoptReport, Source, View};
+use crate::pipeline::{self, LastPlan, Options, ReoptReport, Source, View};
 use crate::stats::{changed_counts, Sketches};
 use excess_core::counters::Counters;
 use excess_core::eval::{evaluate, EvalCtx};
@@ -12,15 +12,13 @@ use excess_core::expr::Expr;
 use excess_core::physical::PhysicalPlan;
 use excess_core::profile::Profile;
 use excess_core::verify::Report;
-use excess_exec::{ExecConfig, ExecOutcome, ExecReport, Tracing};
+use excess_exec::{ExecOutcome, Tracing};
 use excess_lang::ast::{QExpr, QPred, Retrieve, Step, Stmt};
 use excess_lang::ddl::{initial_value, lower_type};
 use excess_lang::methods::{MethodDef, MethodRegistry};
 use excess_lang::translate::{resolve_this, translate_retrieve, TranslateCtx};
 use excess_lang::{parse_program, LangError};
-use excess_optimizer::{
-    elide_proven_guards, estimate_physical, lower, MemoSnapshot, RewriteJournal, Statistics,
-};
+use excess_optimizer::{estimate_physical, lower, MemoSnapshot, RewriteJournal, Statistics};
 use excess_telemetry::{QueryTrace, Telemetry};
 use excess_types::{ObjectStore, SchemaType, TypeId, TypeRegistry, Value};
 use std::collections::HashMap;
@@ -45,8 +43,7 @@ fn render_diagnostics(r: &Report) -> String {
 /// Render the `physical plan:` block `explain_analyze` appends: one line
 /// per lowered spine node whose kernel is more than a pass-through, with
 /// the lowering's estimated rows next to the measured rows at that node
-/// (`—` when the profile has no node at the path, as can happen for
-/// partition-local fragment profiles).
+/// (`—` when the profile has no node at the path).
 fn render_physical_choices(plan: &PhysicalPlan, profile: &Profile) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -118,25 +115,6 @@ pub struct Database {
     sketches: Sketches,
     /// Run the rule-based optimizer on every query (default: on).
     pub optimize: bool,
-    /// Run the property-licensed rewrite pass and guard-elision pass on
-    /// every query (default: off — the passes re-analyse the stored data
-    /// per query, and the figure-convergence suite pins the standard
-    /// greedy rule sequences).  Journaled under `property-licensed`;
-    /// elisions are counted in the telemetry registry
-    /// (`lowering.guard_elisions`).
-    pub property_rewrites: bool,
-    /// Use columnar extent chunks and vectorized kernels where the
-    /// lowering proves them safe (default: off).  When on, the pipeline
-    /// encodes referenced base extents into column chunks
-    /// ([`Database::ensure_chunks_for`]) and upgrades chunk-safe kernel
-    /// choices to their `Columnar*` variants, journaled under
-    /// `columnar-lowering`; chunk-unsafe nodes keep their row kernels
-    /// with the refusal reason journaled.
-    pub columnar: bool,
-    /// Parallel-execution configuration; `retrieve` statements route
-    /// through the partition-parallel engine whenever `workers > 1`
-    /// (default: from `EXCESS_THREADS`, serial when unset).
-    exec: ExecConfig,
     /// q-error threshold above which a feedback observation for the
     /// current plan triggers a re-optimization (stats corrected from the
     /// observed cardinalities, plan re-optimized and re-lowered, the step
@@ -150,7 +128,6 @@ pub struct Database {
     /// The last feedback-driven re-optimization, if any.
     last_reopt: Option<ReoptReport>,
     last_counters: Counters,
-    last_exec_report: Option<ExecReport>,
     metrics: SessionMetrics,
     telemetry: Telemetry,
 }
@@ -164,7 +141,6 @@ impl Default for Database {
 impl Database {
     /// An empty database.
     pub fn new() -> Self {
-        let (exec, warning) = ExecConfig::from_env_checked();
         let mut db = Database {
             registry: TypeRegistry::new(),
             store: ObjectStore::new(),
@@ -175,25 +151,17 @@ impl Database {
             stats: Statistics::new(),
             sketches: Sketches::default(),
             optimize: true,
-            property_rewrites: false,
-            columnar: false,
-            exec,
             reopt_threshold: 32.0,
             last_memo: None,
             last_plan: None,
             last_reopt: None,
             last_counters: Counters::new(),
-            last_exec_report: None,
             metrics: SessionMetrics::new(),
             telemetry: Telemetry::new(),
         };
-        if let Some(w) = warning {
-            db.warn(w);
-        }
-        // Flight-recorder tuning rides the same pure-parse-then-warn path
-        // as `EXCESS_THREADS`: bad values fall back to the defaults and
-        // surface in `.metrics` / the JSON snapshot instead of being
-        // silently ignored.
+        // Flight-recorder tuning is parsed purely, then warned about: bad
+        // values fall back to the defaults and surface in `.metrics` / the
+        // JSON snapshot instead of being silently ignored.
         let rec = excess_telemetry::RecorderSettings::from_env();
         for w in rec.warnings.clone() {
             db.warn(w);
@@ -274,41 +242,6 @@ impl Database {
     pub fn metrics(&self) -> &SessionMetrics {
         &self.metrics
     }
-    /// The current parallel-execution configuration.
-    pub fn exec_config(&self) -> ExecConfig {
-        self.exec
-    }
-    /// Replace the parallel-execution configuration.
-    pub fn set_exec_config(&mut self, cfg: ExecConfig) {
-        self.exec = cfg;
-    }
-    /// Set the worker-thread count (1 = serial; clamped to ≥ 1).  A
-    /// request for zero workers is clamped *and* surfaced as a session
-    /// warning rather than silently adjusted.
-    pub fn set_threads(&mut self, workers: usize) {
-        if workers == 0 {
-            self.warn(
-                "set_threads(0) requests zero workers; clamped to serial (1 worker)".to_string(),
-            );
-        }
-        self.exec = ExecConfig::with_workers(workers);
-    }
-
-    /// Apply a worker-count *setting string* (the `EXCESS_THREADS` format)
-    /// to the session, surfacing a warning when the value is unparsable or
-    /// zero instead of silently falling back to serial.
-    pub fn set_threads_setting(&mut self, setting: Option<&str>) {
-        let (cfg, warning) = ExecConfig::from_setting(setting);
-        if let Some(w) = warning {
-            self.warn(w);
-        }
-        self.exec = cfg;
-    }
-    /// The execution journal of the most recent parallel run (strategies,
-    /// exchanges, fallbacks, per-worker skew), if any.
-    pub fn last_exec_report(&self) -> Option<&ExecReport> {
-        self.last_exec_report.as_ref()
-    }
     /// Zero the session metrics registry.
     pub fn reset_metrics(&mut self) {
         self.metrics.reset();
@@ -332,8 +265,8 @@ impl Database {
     /// Turn full query-span traces on or off.  While on, every query run
     /// through the pipeline executes with profiling and assembles a
     /// [`QueryTrace`] covering parse → infer → verify → optimize → lower →
-    /// execute (with per-rewrite, per-choice, per-operator, and per-worker
-    /// children), retrievable via [`Database::last_query_trace`].
+    /// execute (with per-rewrite, per-choice and per-operator children),
+    /// retrievable via [`Database::last_query_trace`].
     pub fn enable_query_spans(&mut self, on: bool) {
         self.telemetry.spans_enabled = on;
         if !on {
@@ -533,21 +466,20 @@ impl Database {
     fn view(&self) -> View<'_> {
         View {
             registry: &self.registry,
-            catalog: CatalogRef::Frozen(&self.catalog),
+            catalog: &self.catalog,
             methods: &self.methods,
             stats: &self.stats,
             ranges: &self.ranges,
         }
     }
 
-    /// Disjoint borrows of everything one pipeline call touches: the view
-    /// with the catalog owned (so the columnar lowering can encode missing
-    /// chunks), the object store, and the slots a run is recorded into.
+    /// Disjoint borrows of everything one pipeline call touches: the view,
+    /// the object store, and the slots a run is recorded into.
     fn parts(&mut self) -> Parts<'_> {
         Parts {
             view: View {
                 registry: &self.registry,
-                catalog: CatalogRef::Owned(&mut self.catalog),
+                catalog: &self.catalog,
                 methods: &self.methods,
                 stats: &self.stats,
                 ranges: &self.ranges,
@@ -562,9 +494,6 @@ impl Database {
     fn options(&self) -> Options {
         Options {
             optimize: self.optimize,
-            property_rewrites: self.property_rewrites,
-            columnar: self.columnar,
-            exec: self.exec,
             spans: self.telemetry.spans_enabled,
         }
     }
@@ -624,12 +553,10 @@ impl Database {
     /// trigger — after every traced or `explain_analyze` query — uses
     /// [`Database::reopt_threshold`].
     fn reoptimize_threshold(&mut self, threshold: f64) -> Option<ReoptReport> {
-        let opts = self.options();
         let p = self.parts();
         let done = pipeline::reoptimize(
             p.view,
             p.store,
-            opts,
             p.last_plan,
             threshold,
             p.metrics,
@@ -650,71 +577,24 @@ impl Database {
         excess_core::analysis::analyze(plan, &self.catalog)
     }
 
-    /// Apply every property-licensed rewrite provable against the stored
-    /// data (drop DE/ARR_DE over proven duplicate-free inputs, prune
-    /// proven-empty union/difference/concat branches), journaled under
-    /// the rule name `property-licensed` and gated by the same rewrite-
-    /// soundness check as the rule catalogue.  The journal is folded into
-    /// the session [`SessionMetrics`].
-    pub fn property_rewrites_journaled(&mut self, plan: &Expr) -> (Expr, RewriteJournal) {
-        let (out, journal) = pipeline::property_rewrites(&self.view(), plan);
-        self.metrics.record_journal(&journal);
-        (out, journal)
-    }
-
-    /// Elide proven-redundant hash-join runtime guards on a lowered plan
-    /// (see `excess_optimizer::elide_proven_guards`), counting each
-    /// elision in the telemetry registry under `lowering.guard_elisions`.
-    pub fn elide_plan_guards(
-        &mut self,
-        physical: &mut PhysicalPlan,
-    ) -> Vec<(excess_core::profile::NodePath, String)> {
-        let elided = elide_proven_guards(physical, &self.catalog);
-        self.telemetry
-            .registry
-            .add("lowering.guard_elisions", elided.len() as u64);
-        elided
-    }
-
     /// Lower a logical plan to a physical plan under the session's
-    /// statistics: per spine node, the kernel the engines will run —
+    /// statistics: per spine node, the kernel the engine will run —
     /// hash equi-join vs nested loop for `rel_join`, hash
     /// grouping/distinct, scans — with the reason for each choice.  The
     /// logical tree is carried unchanged; see `excess_core::physical` for
     /// the soundness story.  The journal records one accepted step under
     /// `physical-lowering` (logical cost before, physical cost after) plus
-    /// one refused step per join that stayed a nested loop and why.  With
-    /// [`Database::columnar`] on, referenced extents are chunk-encoded
-    /// ([`Database::ensure_chunks_for`]), chunk-safe kernel choices are
-    /// upgraded to their `Columnar*` variants, and the journal gains one
-    /// accepted step under `columnar-lowering` (when anything upgraded)
-    /// plus one refused step per candidate that kept its row kernel and
-    /// why.  The journal is folded into the session [`SessionMetrics`], so
-    /// lowering shows up in `rules_fired` next to the algebraic rules.
+    /// one refused step per join that stayed a nested loop and why.  The
+    /// journal is folded into the session [`SessionMetrics`], so lowering
+    /// shows up in `rules_fired` next to the algebraic rules.
     pub fn lower_plan(&mut self, plan: &Expr) -> (PhysicalPlan, RewriteJournal) {
-        let columnar = self.columnar;
-        let mut p = self.parts();
-        let lowered = pipeline::lower(&mut p.view, plan, columnar, false);
-        pipeline::count_chunks_built(&mut p.telemetry.registry, lowered.chunks_built);
-        p.metrics.record_journal(&lowered.journal);
-        (lowered.physical, lowered.journal)
-    }
-
-    /// Encode a column chunk for every base extent the plan scans whose
-    /// value is a chunk-safe multiset (uniform flat tuples) and whose
-    /// chunk is not already cached.  The nullability facts from
-    /// `excess_core::analysis` drive the encoding: attributes the
-    /// analysis proves present and free of both nulls are encoded without
-    /// a validity bitmap.  Returns how many chunks were built; each build
-    /// bumps the `columnar.chunks_built` telemetry counter.
-    pub fn ensure_chunks_for(&mut self, plan: &Expr) -> usize {
-        let built = pipeline::ensure_chunks(&mut self.catalog, plan);
-        pipeline::count_chunks_built(&mut self.telemetry.registry, built);
-        built
+        let (physical, journal) = pipeline::lower(&self.view(), plan);
+        self.metrics.record_journal(&journal);
+        (physical, journal)
     }
 
     /// Run a programmatically built plan through the full query pipeline —
-    /// optimize (when enabled) → lower → execute on the session's engine —
+    /// optimize (when enabled) → lower → execute —
     /// with telemetry: counters and latency histograms are updated, the
     /// flight recorder gets a `QueryRecord` labelled `label`, and, when
     /// spans are enabled, a full [`QueryTrace`] is assembled.  This is the
@@ -739,7 +619,6 @@ impl Database {
         let planned = Arc::unwrap_or_clone(outcome.planned);
         self.last_memo = outcome.memo;
         self.last_counters = outcome.ran.counters;
-        self.last_exec_report = Some(outcome.ran.report);
         self.last_plan = Some((
             label.to_string(),
             planned.physical.logical,
@@ -852,30 +731,18 @@ impl Database {
         Ok(out?)
     }
 
-    /// Evaluate a lowered plan on the session's engine ([`ExecConfig`],
-    /// see [`Database::set_threads`]): hash and columnar kernels run where
-    /// the plan chose them (subject to each kernel's own runtime guard),
-    /// everything else evaluates exactly as [`Database::run_plan`] — a
-    /// plan with no choices (`PhysicalPlan::passthrough`) *is*
-    /// `run_plan`.  Under a parallel configuration the partition driver
-    /// splits work by the plan's choices; one worker, OID-minting plans
-    /// and plans that fail verification run the serial interpreter, with
-    /// the reason journaled in the returned report.  `tracing` selects
-    /// per-operator profiling (precise or coarse timestamps); it changes
-    /// neither results nor counters.  Counters, session metrics and
-    /// [`Database::last_exec_report`] are recorded.
+    /// Evaluate a lowered plan: hash kernels run where the plan chose them
+    /// (subject to each kernel's own runtime guard), everything else
+    /// evaluates exactly as [`Database::run_plan`] — a plan with no
+    /// choices (`PhysicalPlan::passthrough`) *is* `run_plan`.  `tracing`
+    /// selects per-operator profiling; it changes neither results nor
+    /// counters.  Counters and session metrics are recorded.
     pub fn run_lowered(&mut self, plan: &PhysicalPlan, tracing: Tracing) -> DbResult<ExecOutcome> {
-        let exec = self.exec;
         let started = Instant::now();
         let p = self.parts();
-        let out = pipeline::execute(&p.view, p.store, plan, exec, tracing)?;
+        let out = pipeline::execute(&p.view, p.store, plan, tracing)?;
         self.last_counters = out.counters;
-        self.metrics.record_query_mode(
-            out.counters,
-            started.elapsed(),
-            pipeline::effective_workers(&out.report),
-        );
-        self.last_exec_report = Some(out.report.clone());
+        self.metrics.record_query(out.counters, started.elapsed());
         Ok(out)
     }
 
@@ -883,13 +750,6 @@ impl Database {
     /// operator tree annotated with per-node actuals (calls, rows in→out,
     /// self counters, ms and share of the query) next to the cost model's
     /// static per-node estimates.
-    /// Under a parallel [`ExecConfig`] the plan runs through the
-    /// partition engine instead and a `parallel execution:` section
-    /// (workers, occurrence skew, per-node strategy journal, per-worker
-    /// accounting) is appended.  Per-node actuals then reflect the
-    /// partition-local fragment plans merged by path, which align with
-    /// the original tree only approximately — the appended section is the
-    /// authoritative record of what ran where.
     pub fn explain_analyze(&mut self, plan: &Expr) -> DbResult<String> {
         let estimates = excess_optimizer::estimate_nodes(plan, &self.stats);
         let physical = lower(plan, &self.stats);
@@ -915,9 +775,6 @@ impl Database {
                 Some(pos) => out.insert_str(pos + 1, &phys),
                 None => out.push_str(&phys),
             }
-        }
-        if self.exec.is_parallel() {
-            out.push_str(&crate::explain::render_parallel_execution(&ran.report));
         }
         out.push_str(&render_diagnostics(&self.verify_plan(plan)));
         // Close the loop: a q-error past the session threshold re-derives
@@ -1228,10 +1085,14 @@ impl Database {
         }
         // Rewrite references to the target (by its own name, or through a
         // `range of` alias) into the deletion variable, then keep the
-        // complement.
+        // occurrences whose predicate is false.  An occurrence whose
+        // predicate is `unk` comes back as a bare `unk` (Kleene σ) and is
+        // deleted, so a result holding `unk` is run again with each
+        // survivor wrapped as `($keep: element)`, which tells a surviving
+        // `unk` element apart.  Without an `unk` the plain result is exact.
         let var = "$del".to_string();
         let rewritten = rewrite_pred(filter, target, &self.ranges, &var);
-        let survivors = Retrieve {
+        let mut survivors = Retrieve {
             unique: false,
             targets: vec![excess_lang::ast::Target {
                 label: None,
@@ -1243,12 +1104,26 @@ impl Database {
             into: None,
         };
         let (plan, _) = self.translate(&survivors)?;
-        let v = self.run_plan(&plan)?;
+        let mut kept = self.run_plan(&plan)?;
+        if matches!(&kept, Value::Set(rows) if rows.contains(&Value::unk())) {
+            survivors.targets[0].label = Some("$keep".into());
+            let (plan, _) = self.translate(&survivors)?;
+            let Value::Set(rows) = self.run_plan(&plan)? else {
+                return Err(DbError::Other(format!("`{target}` is not a multiset")));
+            };
+            let mut unwrapped = excess_types::MultiSet::new();
+            for (row, card) in rows.iter_counted() {
+                if let Some(t) = row.as_tuple() {
+                    unwrapped.insert_n(t.extract("$keep")?.clone(), card);
+                }
+            }
+            kept = Value::Set(unwrapped);
+        }
         let slot = self
             .catalog
             .value_mut(target)
             .ok_or_else(|| DbError::Other(format!("unknown object `{target}`")))?;
-        let old = std::mem::replace(slot, v);
+        let old = std::mem::replace(slot, kept);
         self.rewrote(target, &old);
         Ok(Value::bool(true))
     }

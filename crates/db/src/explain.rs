@@ -11,7 +11,6 @@
 use excess_core::expr::Expr;
 use excess_core::profile::{NodePath, Profile};
 use excess_core::render::op_label;
-use excess_exec::ExecReport;
 use excess_optimizer::Estimate;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -107,40 +106,6 @@ fn walk(
         );
         path.pop();
     }
-}
-
-/// Render the parallel-execution appendix of EXPLAIN ANALYZE: worker
-/// count, occurrence skew, the per-node decision journal, and per-worker
-/// accounting.  This is a *section*, not per-node annotation, because the
-/// engine profiles partition-local fragment plans whose node paths do not
-/// align one-to-one with the original plan tree.
-pub fn render_parallel_execution(r: &ExecReport) -> String {
-    let mut out = String::new();
-    let skew = match r.skew() {
-        Some(s) => format!(", occurrence skew {s:.2}"),
-        None => String::new(),
-    };
-    let _ = writeln!(
-        out,
-        "parallel execution: {} workers, {} parallel node(s), {} serial fallback(s){skew}",
-        r.workers,
-        r.parallel_nodes(),
-        r.fallbacks()
-    );
-    for e in &r.events {
-        let _ = writeln!(out, "  {e}");
-    }
-    for w in &r.worker_stats {
-        let _ = writeln!(
-            out,
-            "  worker {}: {} tasks, {} occurrences, {:.3} ms busy",
-            w.worker,
-            w.tasks,
-            w.occurrences,
-            w.busy.as_secs_f64() * 1e3
-        );
-    }
-    out
 }
 
 #[cfg(test)]

@@ -11,7 +11,6 @@ use crate::metrics::SessionMetrics;
 use excess_core::counters::Counters;
 use excess_core::profile::Profile;
 use excess_core::verify::Report;
-use excess_exec::{ExecEvent, ExecReport};
 use excess_optimizer::RewriteJournal;
 
 // One implementation of each primitive for the whole workspace: the
@@ -171,14 +170,10 @@ pub fn metrics_json(m: &SessionMetrics) -> String {
         .collect();
     let warnings: Vec<String> = m.warnings.iter().map(|w| quoted(w)).collect();
     format!(
-        "{{\"queries\":{},\"serial_queries\":{},\"parallel_queries\":{},\"workers\":{},\
-         \"eval_ms\":{},\"counters\":{},\"optimizations\":{},\
+        "{{\"queries\":{},\"eval_ms\":{},\"counters\":{},\"optimizations\":{},\
          \"rewrites_applied\":{},\"rewrites_refused\":{},\"plans_enumerated\":{},\
          \"cost_removed\":{},\"rules_fired\":{{{}}},\"warnings\":[{}]}}",
         m.queries,
-        m.serial_queries,
-        m.parallel_queries,
-        m.workers,
         millis(m.eval_wall),
         counters_json(&m.counters),
         m.optimizations,
@@ -188,70 +183,6 @@ pub fn metrics_json(m: &SessionMetrics) -> String {
         number(m.cost_removed),
         rules.join(","),
         warnings.join(",")
-    )
-}
-
-/// Serialize a parallel-execution [`ExecReport`]: worker count, skew,
-/// the per-node decision journal, and per-worker accounting.
-pub fn exec_report_json(r: &ExecReport) -> String {
-    let mut events = Vec::with_capacity(r.events.len());
-    for e in &r.events {
-        events.push(match e {
-            ExecEvent::Parallel {
-                path,
-                op,
-                strategy,
-                partitions,
-                empty,
-            } => format!(
-                "{{\"kind\":\"parallel\",\"path\":{},\"op\":{},\"strategy\":{},\
-                 \"partitions\":{},\"empty\":{}}}",
-                path_json(path),
-                quoted(op),
-                quoted(&strategy.to_string()),
-                partitions,
-                empty
-            ),
-            ExecEvent::Exchange {
-                path,
-                op,
-                keys,
-                partitions,
-                empty,
-            } => format!(
-                "{{\"kind\":\"exchange\",\"path\":{},\"op\":{},\"keys\":{},\
-                 \"partitions\":{},\"empty\":{}}}",
-                path_json(path),
-                quoted(op),
-                quoted(keys),
-                partitions,
-                empty
-            ),
-            ExecEvent::SerialFallback { path, op, reason } => format!(
-                "{{\"kind\":\"serial\",\"path\":{},\"op\":{},\"reason\":{}}}",
-                path_json(path),
-                quoted(op),
-                quoted(reason)
-            ),
-        });
-    }
-    let mut workers = Vec::with_capacity(r.worker_stats.len());
-    for w in &r.worker_stats {
-        workers.push(format!(
-            "{{\"worker\":{},\"tasks\":{},\"occurrences\":{},\"busy_ms\":{},\"counters\":{}}}",
-            w.worker,
-            w.tasks,
-            w.occurrences,
-            millis(w.busy),
-            counters_json(&w.counters)
-        ));
-    }
-    format!(
-        "{{\"workers\":{},\"skew\":{},\"events\":[{}],\"worker_stats\":[{}]}}",
-        r.workers,
-        r.skew().map_or("null".to_string(), number),
-        events.join(","),
-        workers.join(",")
     )
 }
 

@@ -37,17 +37,16 @@ pub mod stats;
 pub use catalog::{DbCatalog, NamedObject};
 pub use database::Database;
 pub use error::{DbError, DbResult};
-pub use explain::{render_explain_analyze, render_parallel_execution};
+pub use explain::render_explain_analyze;
 pub use format::{format_result, try_table};
 pub use json::{
-    counters_json, escape_json, exec_report_json, journal_json, metrics_json, profile_json,
-    value_json, verify_json,
+    counters_json, escape_json, journal_json, metrics_json, profile_json, value_json, verify_json,
 };
 pub use session::{CommitBatch, Generation, QueryOutcome, ServerStats, Session, VersionedDb};
 
-// Re-exported so callers can configure parallel execution without naming
-// the engine crate directly.
-pub use excess_exec::{ExecConfig, ExecOutcome as Executed, ExecReport, Tracing, THREADS_ENV};
+// Re-exported so callers can run a lowered plan without naming the
+// execution crate.
+pub use excess_exec::{ExecOutcome as Executed, Tracing};
 // Re-exported so callers can read the memo picture without naming the
 // optimizer crate.
 pub use excess_optimizer::MemoSnapshot;

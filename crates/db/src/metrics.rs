@@ -17,13 +17,6 @@ use std::time::Duration;
 pub struct SessionMetrics {
     /// Plans evaluated (`run_plan`, `run_lowered`, and pipeline queries).
     pub queries: u64,
-    /// Queries that ran through the serial evaluator.
-    pub serial_queries: u64,
-    /// Queries that ran through the partition-parallel engine.
-    pub parallel_queries: u64,
-    /// Worker count of the most recent parallel execution (0 until one
-    /// runs).
-    pub workers: usize,
     /// Journaled optimization runs.
     pub optimizations: u64,
     /// Accepted rewrite steps across all journaled optimizations.
@@ -42,7 +35,7 @@ pub struct SessionMetrics {
     /// Wall time summed over every evaluation.
     pub eval_wall: Duration,
     /// Configuration warnings surfaced during the session (bad
-    /// `EXCESS_THREADS` values, `set_threads(0)` clamps, …), in order.
+    /// flight-recorder settings), in order.
     pub warnings: Vec<String>,
 }
 
@@ -52,23 +45,11 @@ impl SessionMetrics {
         Self::default()
     }
 
-    /// Fold one (serial) evaluation into the session totals.
+    /// Fold one evaluation into the session totals.
     pub fn record_query(&mut self, counters: Counters, wall: Duration) {
-        self.record_query_mode(counters, wall, 1);
-    }
-
-    /// Fold one evaluation into the session totals, recording whether it
-    /// ran serially (`workers <= 1`) or through the parallel engine.
-    pub fn record_query_mode(&mut self, counters: Counters, wall: Duration, workers: usize) {
         self.queries += 1;
         self.counters += counters;
         self.eval_wall += wall;
-        if workers > 1 {
-            self.parallel_queries += 1;
-            self.workers = workers;
-        } else {
-            self.serial_queries += 1;
-        }
     }
 
     /// Fold one journaled optimization run into the session totals.
@@ -91,16 +72,10 @@ impl SessionMetrics {
 
     /// Fold another registry into this one — how a closing
     /// [`Session`](crate::session::Session)'s per-connection metrics merge
-    /// into the database-wide totals.  Counts and counters add; `workers`
-    /// takes the other side's value when it ever ran parallel (most-recent
-    /// semantics); warnings append in order.
+    /// into the database-wide totals.  Counts and counters add; warnings
+    /// append in order.
     pub fn merge(&mut self, other: &SessionMetrics) {
         self.queries += other.queries;
-        self.serial_queries += other.serial_queries;
-        self.parallel_queries += other.parallel_queries;
-        if other.workers > 0 {
-            self.workers = other.workers;
-        }
         self.optimizations += other.optimizations;
         self.rewrites_applied += other.rewrites_applied;
         self.rewrites_refused += other.rewrites_refused;
@@ -129,13 +104,6 @@ impl std::fmt::Display for SessionMetrics {
             self.eval_wall.as_secs_f64() * 1e3
         )?;
         writeln!(f, "work:    {}", self.counters)?;
-        if self.parallel_queries > 0 {
-            writeln!(
-                f,
-                "execution: {} serial, {} parallel ({} workers)",
-                self.serial_queries, self.parallel_queries, self.workers
-            )?;
-        }
         writeln!(
             f,
             "optimizer: {} runs, {} rewrites accepted, {} refused, {} plans enumerated, est. cost removed {:.0}",
@@ -183,36 +151,17 @@ mod tests {
     }
 
     #[test]
-    fn record_query_mode_splits_serial_and_parallel() {
-        let mut m = SessionMetrics::new();
-        m.record_query(Counters::new(), Duration::ZERO);
-        m.record_query_mode(Counters::new(), Duration::ZERO, 4);
-        assert_eq!(m.queries, 2);
-        assert_eq!(m.serial_queries, 1);
-        assert_eq!(m.parallel_queries, 1);
-        assert_eq!(m.workers, 4);
-        let s = m.to_string();
-        assert!(
-            s.contains("execution: 1 serial, 1 parallel (4 workers)"),
-            "{s}"
-        );
-    }
-
-    #[test]
     fn merge_adds_counts_and_rule_tallies() {
         let mut a = SessionMetrics::new();
         a.record_query(Counters::new(), Duration::from_millis(1));
         *a.rules_fired.entry("rule8".into()).or_insert(0) += 2;
         let mut b = SessionMetrics::new();
-        b.record_query_mode(Counters::new(), Duration::from_millis(2), 4);
+        b.record_query(Counters::new(), Duration::from_millis(2));
         *b.rules_fired.entry("rule8".into()).or_insert(0) += 1;
         *b.rules_fired.entry("rel5".into()).or_insert(0) += 1;
         b.record_warning("w1");
         a.merge(&b);
         assert_eq!(a.queries, 2);
-        assert_eq!(a.serial_queries, 1);
-        assert_eq!(a.parallel_queries, 1);
-        assert_eq!(a.workers, 4);
         assert_eq!(a.rules_fired["rule8"], 3);
         assert_eq!(a.rules_fired["rel5"], 1);
         assert_eq!(a.eval_wall, Duration::from_millis(3));

@@ -7,8 +7,7 @@
 //!
 //! ```text
 //! translate → search (the memo) → extent-index substitution
-//!           → property rewrites → lower (+ columnar, + guard elision)
-//!           → execute → record
+//!           → lower → execute → record
 //! ```
 //!
 //! The pipeline owns no state: it reads a [`View`], evaluates against a
@@ -29,16 +28,15 @@ use crate::stats::collect_object_statistics;
 use excess_core::expr::Expr;
 use excess_core::physical::{PhysOp, PhysicalPlan};
 use excess_core::profile::{path_string, NodePath, Profile};
-use excess_exec::{run_parallel_plan, ExecConfig, ExecOutcome, ExecReport, Tracing};
+use excess_exec::{ExecOutcome, Tracing};
 use excess_lang::ast::{QExpr, Retrieve};
 use excess_lang::methods::MethodRegistry;
 use excess_lang::translate::{translate_retrieve, TranslateCtx};
 use excess_optimizer::{
-    annotate_columnar, apply_extent_indexes_journaled, apply_property_rewrites_journaled, cost_of,
-    elide_proven_guards, estimate_physical, lower_journaled, JournalStep, MemoSnapshot, Optimizer,
-    RewriteJournal, RuleCtx, Statistics, COLUMNAR_RULE, REOPTIMIZE_RULE,
+    apply_extent_indexes_journaled, cost_of, lower_journaled, JournalStep, MemoSnapshot, Optimizer,
+    RewriteJournal, RuleCtx, Statistics, REOPTIMIZE_RULE,
 };
-use excess_telemetry::{FeedbackLog, Fnv1a64, QueryRecord, QueryTrace, Registry, Span, Telemetry};
+use excess_telemetry::{FeedbackLog, Fnv1a64, QueryRecord, QueryTrace, Span, Telemetry};
 use excess_types::{ObjectStore, SchemaType, TypeRegistry, Value};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -95,30 +93,10 @@ pub(crate) fn named_objects(e: &Expr, out: &mut BTreeSet<String>) {
     }
 }
 
-/// The catalog a query reads.  A database owns its catalog, so column
-/// chunks the columnar lowering misses are encoded on demand; a pinned
-/// generation is immutable and serves the chunks its committer warmed.
-pub(crate) enum CatalogRef<'a> {
-    /// Shared and immutable: a published generation, or a `&Database`.
-    Frozen(&'a DbCatalog),
-    /// The database's own catalog.
-    Owned(&'a mut DbCatalog),
-}
-
-impl std::ops::Deref for CatalogRef<'_> {
-    type Target = DbCatalog;
-    fn deref(&self) -> &DbCatalog {
-        match self {
-            CatalogRef::Frozen(c) => c,
-            CatalogRef::Owned(c) => c,
-        }
-    }
-}
-
 /// Everything a query reads besides the object store.
 pub(crate) struct View<'a> {
     pub registry: &'a TypeRegistry,
-    pub catalog: CatalogRef<'a>,
+    pub catalog: &'a DbCatalog,
     pub methods: &'a MethodRegistry,
     pub stats: &'a Statistics,
     /// `range of` declarations in force (a session passes the committed
@@ -130,7 +108,7 @@ impl View<'_> {
     fn rules(&self) -> RuleCtx<'_> {
         RuleCtx {
             registry: self.registry,
-            schemas: &*self.catalog,
+            schemas: self.catalog,
         }
     }
 }
@@ -139,9 +117,6 @@ impl View<'_> {
 #[derive(Clone, Copy)]
 pub(crate) struct Options {
     pub optimize: bool,
-    pub property_rewrites: bool,
-    pub columnar: bool,
-    pub exec: ExecConfig,
     /// Assemble a [`QueryTrace`]; implies profiled execution and the
     /// infer/verify phases that exist only to be shown.
     pub spans: bool,
@@ -161,14 +136,14 @@ pub(crate) type LastPlan = (String, Expr, u64);
 
 /// Everything one pipeline run produced.
 pub(crate) struct Outcome {
-    /// Value, work counters, profile (traced runs) and execution journal.
+    /// Value, work counters and profile (traced runs).
     pub ran: ExecOutcome,
     /// Declared result type (`retrieve` sources only).
     pub schema: Option<SchemaType>,
     pub rows: u64,
     pub phase_us: Vec<(&'static str, u64)>,
-    /// Search, property-rewrite and lowering journals, in stage order
-    /// (none on a plan-cache hit: no rewrite ran).
+    /// Search and lowering journals, in stage order (none on a plan-cache
+    /// hit: no rewrite ran).
     pub journals: Vec<RewriteJournal>,
     /// The plan that ran — on a hit, or once a miss has filled the cache,
     /// shared with the cache entry.
@@ -181,15 +156,13 @@ pub(crate) struct Outcome {
     /// keeps no group picture, the search can be re-run from this.
     pub translated: Option<Expr>,
     pub trace: Option<QueryTrace>,
-    engine: String,
-    chunks_built: usize,
 }
 
 /// Translate a retrieve to its (unoptimized) algebra plan.
 pub(crate) fn translate(view: &View<'_>, r: &Retrieve) -> DbResult<(Expr, SchemaType)> {
     let tc = TranslateCtx {
         registry: view.registry,
-        schemas: &*view.catalog,
+        schemas: view.catalog,
         ranges: view.ranges,
         methods: view.methods,
         this_type: None,
@@ -214,136 +187,27 @@ pub(crate) fn search(view: &View<'_>, plan: &Expr) -> (Expr, RewriteJournal, Mem
     (plan, journal, run.snapshot)
 }
 
-/// Every property-licensed rewrite provable against the stored data.
-pub(crate) fn property_rewrites(view: &View<'_>, plan: &Expr) -> (Expr, RewriteJournal) {
-    let ctx = view.rules();
-    let mut journal = RewriteJournal {
-        plans_enumerated: 0,
-        ..RewriteJournal::for_plan(cost_of(plan, view.stats))
-    };
-    let out =
-        apply_property_rewrites_journaled(plan, &*view.catalog, view.stats, &ctx, &mut journal);
-    (out, journal)
-}
-
-/// [`Database::ensure_chunks_for`](crate::Database::ensure_chunks_for)
-/// on a bare catalog; returns how many chunks were built.
-pub(crate) fn ensure_chunks(catalog: &mut DbCatalog, plan: &Expr) -> usize {
-    let mut names = BTreeSet::new();
-    named_objects(plan, &mut names);
-    let mut built = 0;
-    for name in names {
-        if catalog.chunk(&name).is_some() {
-            continue;
-        }
-        let Some(Value::Set(set)) = catalog.value(&name) else {
-            continue;
-        };
-        let analysis = excess_core::analysis::analyze(&Expr::named(&name), &*catalog);
-        let non_null: BTreeSet<String> = analysis
-            .props_at(&[])
-            .map(|p| {
-                p.attrs
-                    .iter()
-                    .filter(|(_, ap)| ap.is_definite_key())
-                    .map(|(n, _)| n.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        if let Some(chunk) = excess_types::Chunk::encode(set, &non_null) {
-            catalog.set_chunk(&name, chunk);
-            built += 1;
-        }
-    }
-    built
-}
-
-/// Count freshly encoded chunks under `columnar.chunks_built` (the
-/// counter exists only once a chunk has been built).
-pub(crate) fn count_chunks_built(registry: &mut Registry, built: usize) {
-    if built > 0 {
-        registry.add("columnar.chunks_built", built as u64);
-    }
-}
-
-/// Result of the lowering stage.
-pub(crate) struct Lowered {
-    pub physical: PhysicalPlan,
-    pub journal: RewriteJournal,
-    pub chunks_built: usize,
-}
-
-/// [`Database::lower_plan`](crate::Database::lower_plan) over a view:
-/// journaled lowering, then — with `columnar` — chunk encoding (owned
-/// catalogs only) and the `columnar-lowering` upgrade, then — with
-/// `elide_guards` — dropping the hash-join runtime guards the property
-/// analysis proves redundant (the plan's `elided_guards` lists them).
-pub(crate) fn lower(
-    view: &mut View<'_>,
-    plan: &Expr,
-    columnar: bool,
-    elide_guards: bool,
-) -> Lowered {
+/// [`Database::lower_plan`](crate::Database::lower_plan) over a view.
+pub(crate) fn lower(view: &View<'_>, plan: &Expr) -> (PhysicalPlan, RewriteJournal) {
     let mut journal = RewriteJournal::for_plan(cost_of(plan, view.stats));
-    let mut physical = lower_journaled(plan, view.stats, &mut journal);
-    let mut chunks_built = 0;
-    if columnar {
-        if let CatalogRef::Owned(catalog) = &mut view.catalog {
-            chunks_built = ensure_chunks(catalog, plan);
-        }
-        let (accepted, refused) = annotate_columnar(&mut physical, &*view.catalog);
-        journal.refused.extend(refused);
-        if !accepted.is_empty() {
-            let cost_after = estimate_physical(&physical, view.stats).cost;
-            journal.steps.push(JournalStep {
-                rule: COLUMNAR_RULE,
-                path: Vec::new(),
-                cost_before: journal.final_cost,
-                cost_after,
-                plan: plan.clone(),
-            });
-            journal.final_cost = cost_after;
-        }
-    }
-    if elide_guards {
-        elide_proven_guards(&mut physical, &*view.catalog);
-    }
-    Lowered {
-        physical,
-        journal,
-        chunks_built,
-    }
+    let physical = lower_journaled(plan, view.stats, &mut journal);
+    (physical, journal)
 }
 
-/// Evaluate a lowered plan on `exec`'s engine: the partition-parallel
-/// driver, which at one worker (or for OID-minting plans) is the serial
-/// physical interpreter with the reason journaled in the report.
+/// Evaluate a lowered plan: the serial physical interpreter.
 pub(crate) fn execute(
     view: &View<'_>,
     store: &mut ObjectStore,
     physical: &PhysicalPlan,
-    exec: ExecConfig,
     tracing: Tracing,
 ) -> DbResult<ExecOutcome> {
-    Ok(run_parallel_plan(
+    Ok(excess_exec::run(
         physical,
         view.registry,
         store,
-        &*view.catalog,
-        Some(&*view.catalog),
-        exec,
+        view.catalog,
         tracing,
     )?)
-}
-
-/// Worker count a run is accounted under: a whole-plan serial fallback
-/// counts as a serial query.
-pub(crate) fn effective_workers(report: &ExecReport) -> usize {
-    if report.worker_stats.is_empty() {
-        1
-    } else {
-        report.workers
-    }
 }
 
 /// Wall-clock bookkeeping for one run: the phase list every query
@@ -421,28 +285,11 @@ fn choice_span(s: &mut Span, physical: &PhysicalPlan) {
     }
 }
 
-/// The execute phase's subtree: one lane per worker, then the operator
-/// spans of the profile.
-fn execute_span(s: &mut Span, out: &ExecOutcome, engine: &str) {
-    s.meta.push(("engine".to_string(), engine.to_string()));
+/// The execute phase's subtree: the operator spans of the profile.
+fn execute_span(s: &mut Span, out: &ExecOutcome) {
     s.nums.push(("rows".to_string(), value_rows(&out.value)));
-    let t0 = s.start_us;
-    for w in &out.report.worker_stats {
-        s.children.push(
-            Span::new(
-                format!("worker:{}", w.worker),
-                "worker",
-                t0 + w.started.as_micros() as u64,
-                w.finished.saturating_sub(w.started).as_micros() as u64,
-            )
-            .on_lane(w.worker as u32 + 1)
-            .with_num("tasks", w.tasks)
-            .with_num("occurrences", w.occurrences)
-            .with_num("busy_us", w.busy.as_micros() as u64),
-        );
-    }
     if let Some(profile) = &out.profile {
-        s.children.extend(profile_spans(profile, t0));
+        s.children.extend(profile_spans(profile, s.start_us));
     }
 }
 
@@ -452,8 +299,7 @@ fn execute_span(s: &mut Span, out: &ExecOutcome, engine: &str) {
 /// as numeric attributes, so summing any counter over the returned
 /// subtrees telescopes exactly to the profile total — the PR 1 invariant
 /// (`sum_of_self_counters() == total`) re-exposed on the span tree.
-/// Nesting follows path prefixes; merged parallel profiles (several
-/// fragment roots) yield several root spans.  Start offsets are not
+/// Nesting follows path prefixes.  Start offsets are not
 /// recorded per node by the profiler, so children share the execute
 /// phase's start and carry their `total_wall` as duration — containment
 /// (child ⊆ parent interval) still holds because a child's total wall is
@@ -501,11 +347,9 @@ fn profile_spans(profile: &Profile, start_us: u64) -> Vec<Span> {
 /// the [`Outcome`] to [`record`].
 ///
 /// `cache` is consulted — and filled — only for the plain optimized
-/// pipeline: spans need the rewrite journal, and the property rewrites and
-/// the columnar lowering read stored *data*, which an entry does not
-/// validate.
+/// pipeline: spans need the rewrite journal.
 pub(crate) fn run(
-    mut view: View<'_>,
+    view: View<'_>,
     store: &mut ObjectStore,
     opts: Options,
     label: &str,
@@ -518,8 +362,7 @@ pub(crate) fn run(
         phases: Vec::new(),
         spans: opts.spans.then(Vec::new),
     };
-    let cache =
-        cache.filter(|_| opts.optimize && !(opts.spans || opts.property_rewrites || opts.columnar));
+    let cache = cache.filter(|_| opts.optimize && !opts.spans);
 
     let (translated, schema) = match source {
         Source::Retrieve { stmt, parse_us } => {
@@ -539,16 +382,16 @@ pub(crate) fn run(
     };
 
     // Infer + verify run only under spans: translation has already
-    // inferred, and the parallel engine verifies on its own — these
-    // phases exist to show the layers, not to gate execution.
+    // inferred — these phases exist to show the layers, not to gate
+    // execution.
     if opts.spans {
         let t0 = t.now();
-        let ty = excess_core::infer::infer_closed(&translated, &*view.catalog, view.registry);
+        let ty = excess_core::infer::infer_closed(&translated, view.catalog, view.registry);
         if let (Some(s), Ok(ty)) = (t.lap("infer", t0), ty) {
             s.meta.push(("schema".to_string(), ty.to_string()));
         }
         let t0 = t.now();
-        let report = excess_core::verify::verify(&translated, &*view.catalog, view.registry);
+        let report = excess_core::verify::verify(&translated, view.catalog, view.registry);
         if let Some(s) = t.lap("verify", t0) {
             s.nums
                 .push(("errors".to_string(), report.error_count() as u64));
@@ -563,7 +406,6 @@ pub(crate) fn run(
         .as_ref()
         .map(|c| c.plans.lookup(&translated, &view, c.registry));
     let mut journals = Vec::new();
-    let mut chunks_built = 0;
     let mut memo = None;
     let (planned, cache_use, hit) = if let Some(Ok(planned)) = lookup {
         t.lap("cached", t0);
@@ -578,28 +420,18 @@ pub(crate) fn run(
             (plan, memo) = (Cow::Owned(found), Some(group_picture));
             journals.push(journal);
         }
-        if opts.property_rewrites {
-            let t0 = t.now();
-            let (rewritten, journal) = property_rewrites(&view, &plan);
-            if let Some(s) = t.lap("properties", t0) {
-                journal_span(s, &journal);
-            }
-            plan = Cow::Owned(rewritten);
-            journals.push(journal);
-        }
 
         let t0 = t.now();
-        let lowered = lower(&mut view, &plan, opts.columnar, opts.property_rewrites);
+        let (physical, journal) = lower(&view, &plan);
         if let Some(s) = t.lap("lower", t0) {
-            choice_span(s, &lowered.physical);
+            choice_span(s, &physical);
         }
-        journals.push(lowered.journal);
-        chunks_built = lowered.chunks_built;
+        journals.push(journal);
         // `plan` may still borrow `translated`, which becomes the key.
         drop(plan);
         let planned = Arc::new(Planned {
-            plan_hash: plan_hash_of(&lowered.physical),
-            physical: lowered.physical,
+            plan_hash: plan_hash_of(&physical),
+            physical,
         });
         if let Some(c) = cache {
             c.plans
@@ -608,11 +440,6 @@ pub(crate) fn run(
         (planned, lookup.and_then(Result::err), None)
     };
 
-    let engine = if opts.exec.is_parallel() {
-        format!("parallel({})", opts.exec.workers)
-    } else {
-        "serial".to_string()
-    };
     // Profiled when spans are on: the profile becomes the operator span
     // subtree and feeds per-node feedback.
     let tracing = if opts.spans {
@@ -621,19 +448,18 @@ pub(crate) fn run(
         Tracing::Off
     };
     let t0 = t.now();
-    let ran = execute(&view, store, &planned.physical, opts.exec, tracing);
+    let ran = execute(&view, store, &planned.physical, tracing);
     if let (Some(s), Ok(ran)) = (t.lap("execute", t0), &ran) {
-        execute_span(s, ran, &engine);
+        execute_span(s, ran);
     }
     let ran = ran?;
 
     let trace = t.spans.map(|children| {
         let total_us = t.phases.iter().map(|(_, us)| us).sum();
-        let mut root = Span::new("query", "phase", 0, total_us).with_meta("engine", engine.clone());
+        let mut root = Span::new("query", "phase", 0, total_us);
         root.children = children;
         QueryTrace {
             query: label.to_string(),
-            engine: engine.clone(),
             plan_hash: planned.plan_hash,
             root,
         }
@@ -649,8 +475,6 @@ pub(crate) fn run(
         cache: cache_use,
         translated: hit,
         trace,
-        engine,
-        chunks_built,
     })
 }
 
@@ -685,14 +509,13 @@ pub(crate) fn observe(
 
 /// The histogram each phase is observed under: finished names, so the
 /// always-on record path formats nothing.
-const PHASE_METRICS: [(&str, &str); 9] = [
+const PHASE_METRICS: [(&str, &str); 8] = [
     ("parse", "phase.parse_us"),
     ("translate", "phase.translate_us"),
     ("infer", "phase.infer_us"),
     ("verify", "phase.verify_us"),
     ("cached", "phase.cached_us"),
     ("optimize", "phase.optimize_us"),
-    ("properties", "phase.properties_us"),
     ("lower", "phase.lower_us"),
     ("execute", "phase.execute_us"),
 ];
@@ -725,28 +548,14 @@ pub(crate) fn record(
         metrics.record_journal(journal);
     }
     let execute_us = outcome.phase_us.last().map_or(0, |(_, us)| *us);
-    metrics.record_query_mode(
-        outcome.ran.counters,
-        Duration::from_micros(execute_us),
-        effective_workers(&outcome.ran.report),
-    );
+    metrics.record_query(outcome.ran.counters, Duration::from_micros(execute_us));
 
     let Planned {
         physical,
         plan_hash,
     } = &*outcome.planned;
     let registry = &mut telemetry.registry;
-    count_chunks_built(registry, outcome.chunks_built);
-    let elided = physical.elided_guards.len();
-    if elided > 0 {
-        registry.add("lowering.guard_elisions", elided as u64);
-    }
     registry.inc("queries");
-    registry.inc(if outcome.engine == "serial" {
-        "queries.serial"
-    } else {
-        "queries.parallel"
-    });
     if let Some(cache) = outcome.cache {
         registry.inc(cache.metric());
     }
@@ -765,7 +574,6 @@ pub(crate) fn record(
     telemetry.recorder.record(QueryRecord {
         query: label.to_string(),
         plan_hash: *plan_hash,
-        engine: outcome.engine.clone(),
         rows: outcome.rows,
         phase_us: outcome.phase_us.clone(),
         kernels: physical
@@ -859,7 +667,6 @@ pub(crate) struct Reoptimized {
 pub(crate) fn reoptimize(
     view: View<'_>,
     store: &ObjectStore,
-    opts: Options,
     last: &mut Option<LastPlan>,
     threshold: f64,
     metrics: &mut SessionMetrics,
@@ -887,22 +694,22 @@ pub(crate) fn reoptimize(
         if e.op.contains("Scan") {
             stats.observe_extent_rows(extent, e.mean_actual());
         } else {
-            collect_object_statistics(&view.catalog, store, extent, stats);
+            collect_object_statistics(view.catalog, store, extent, stats);
         }
         corrected.push((extent.clone(), before, stats.object(extent).rows));
     }
     let stats = fixed?;
     let (label, plan, _) = last.take()?;
 
-    let mut view = View {
+    let view = View {
         stats: &stats,
         ..view
     };
     let cost_before = cost_of(&plan, &stats);
     let (found, search_journal, memo) = search(&view, &plan);
-    let lowered = lower(&mut view, &found, opts.columnar, opts.property_rewrites);
+    let (physical, lower_journal) = lower(&view, &found);
     let cost_after = cost_of(&found, &stats);
-    let new_hash = plan_hash_of(&lowered.physical);
+    let new_hash = plan_hash_of(&physical);
     // One `reoptimize` journal step for the re-derivation itself, after
     // the inner search and lowering journals.
     let mut step = RewriteJournal::for_plan(cost_before);
@@ -914,14 +721,13 @@ pub(crate) fn reoptimize(
         plan: found.clone(),
     });
     step.final_cost = cost_after;
-    for journal in [&search_journal, &lowered.journal, &step] {
+    for journal in [&search_journal, &lower_journal, &step] {
         metrics.record_journal(journal);
     }
     telemetry.registry.inc("reoptimize.triggered");
     telemetry.recorder.record(QueryRecord {
         query: format!("reoptimize({label})"),
         plan_hash: new_hash,
-        engine: "reoptimize".to_string(),
         rows: 0,
         phase_us: Vec::new(),
         kernels: Vec::new(),

@@ -5,9 +5,7 @@
 //!
 //! * [`Generation`] — one immutable, `Arc`-shared version of the
 //!   database state (registry, catalog, object store, `range of`
-//!   declarations, methods, statistics).  The catalog inside a
-//!   generation carries whatever columnar chunks were valid when it was
-//!   published, so snapshot readers keep the vectorized kernels.
+//!   declarations, methods, statistics).
 //! * [`VersionedDb`] — the shared handle: a `RwLock`'d pointer to the
 //!   current generation plus a dedicated **committer thread** that owns
 //!   the master [`Database`].  Taking a snapshot is an `Arc` clone under
@@ -35,9 +33,7 @@
 //! master, of the catalog or of the object store copies map entries, not
 //! data.  Each data statement applies what it changed to the statistics
 //! and per-type extents as it runs — work proportional to the change, not
-//! to the extent; after a data-touching batch the committer re-encodes the
-//! columnar chunks the previous generation had, so new snapshots plan
-//! against fresh cardinalities and keep their vectorized kernels.
+//! to the extent — so new snapshots plan against fresh cardinalities.
 //!
 //! Every applied request is recorded in a commit history
 //! ([`VersionedDb::history`]), which makes snapshot isolation testable:
@@ -51,10 +47,10 @@
 //! `retrieve` statements (anything else must go through `commit`) and
 //! runs the very pipeline [`Database::execute`] runs (`crate::pipeline`)
 //! — translate → search → lower → execute — over the pinned generation,
-//! with the options fixed to the serial engine, row kernels, and no span
-//! tree, and with this session's plan cache (`crate::plan_cache`): a
-//! `retrieve` whose translated plan, schemas and statistics are those a
-//! cached plan was derived under skips the search and the lowering.
+//! with no span tree, and with this session's plan cache
+//! (`crate::plan_cache`): a `retrieve` whose translated plan, schemas and
+//! statistics are those a cached plan was derived under skips the search
+//! and the lowering.
 //! Statements that mint object identities during evaluation do so
 //! in the session's private scratch store, leaving the shared generation
 //! untouched.  A program is atomic: one that is rejected at any statement
@@ -64,10 +60,9 @@ use crate::catalog::DbCatalog;
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::metrics::SessionMetrics;
-use crate::pipeline::{self, CatalogRef, LastPlan, Options, Source, View};
+use crate::pipeline::{self, LastPlan, Options, Source, View};
 use crate::plan_cache::{CacheRef, PlanCache, Planned};
 use excess_core::expr::Expr;
-use excess_exec::ExecConfig;
 use excess_lang::ast::{QExpr, Stmt};
 use excess_lang::methods::MethodRegistry;
 use excess_lang::parse_program;
@@ -96,8 +91,7 @@ pub struct Generation {
     pub number: u64,
     /// Named types and the inheritance DAG.
     pub registry: Arc<TypeRegistry>,
-    /// Named objects (and their cached columnar chunks) as of this
-    /// generation.
+    /// Named objects as of this generation.
     pub catalog: Arc<DbCatalog>,
     /// The object store as of this generation.
     pub store: Arc<ObjectStore>,
@@ -127,7 +121,7 @@ impl Generation {
     fn view<'a>(&'a self, stats: &'a Statistics, ranges: &'a HashMap<String, QExpr>) -> View<'a> {
         View {
             registry: &self.registry,
-            catalog: CatalogRef::Frozen(&self.catalog),
+            catalog: &self.catalog,
             methods: &self.methods,
             stats,
             ranges,
@@ -458,8 +452,8 @@ fn committer_loop(
 ) -> Database {
     while let Ok(first) = rx.recv() {
         // Drain whatever else is queued: one published generation per
-        // batch amortizes the publish (map clones, chunk re-warming, the
-        // pointer swap) across concurrent committers.
+        // batch amortizes the publish (map clones, the pointer swap)
+        // across concurrent committers.
         let mut batch = vec![first];
         while let Ok(more) = rx.try_recv() {
             batch.push(more);
@@ -542,7 +536,7 @@ fn publish(db: &mut Database, shared: &SharedState, dirty: Dirty, applied: Vec<S
             });
         return prev.number;
     }
-    let stats_note = if dirty.data {
+    let stats = if dirty.data {
         // Fresh cardinalities for the next generation's planners.  Every
         // data statement has already applied what it changed to the
         // statistics of every object it changed (`crate::stats`) —
@@ -553,7 +547,7 @@ fn publish(db: &mut Database, shared: &SharedState, dirty: Dirty, applied: Vec<S
         // `a_batch_publishes_every_extent_as_of_the_whole_batch`).  A
         // procedure call (targets unknown) — or a master that has never
         // collected anything — takes the full sweep.
-        let note = if dirty.data_unknown || !db.stats_collected() {
+        if dirty.data_unknown || !db.stats_collected() {
             db.collect_stats();
             shared.stats_full.fetch_add(1, Ordering::Relaxed);
             if dirty.data_unknown {
@@ -565,14 +559,7 @@ fn publish(db: &mut Database, shared: &SharedState, dirty: Dirty, applied: Vec<S
             let names: Vec<&str> = dirty.touched.iter().map(String::as_str).collect();
             shared.stats_incremental.fetch_add(1, Ordering::Relaxed);
             format!("incremental: {}", names.join(", "))
-        };
-        // Re-warmed columnar chunks for every extent the previous
-        // generation had encoded (writes invalidated theirs).
-        let chunked: Vec<String> = prev.catalog.chunked_names().map(str::to_string).collect();
-        for name in chunked {
-            db.ensure_chunks_for(&Expr::named(&name));
         }
-        note
     } else {
         // Registry/range/method batches republish without touching data:
         // the statistics stand as collected.
@@ -619,7 +606,7 @@ fn publish(db: &mut Database, shared: &SharedState, dirty: Dirty, applied: Vec<S
         .push(CommitBatch {
             generation: next.number,
             statements: applied,
-            stats: stats_note,
+            stats,
         });
     *shared.current.write().expect("generation lock") = next.clone();
     next.number
@@ -778,14 +765,10 @@ impl Session {
             .unwrap_or_else(|| self.snapshot.stats.clone())
     }
 
-    /// What this session hands the pipeline: today's server path — the
-    /// serial engine, row kernels, no span tree.
+    /// What this session hands the pipeline: no span tree.
     fn options(&self) -> Options {
         Options {
             optimize: self.optimize,
-            property_rewrites: false,
-            columnar: false,
-            exec: ExecConfig::serial(),
             spans: false,
         }
     }
@@ -813,7 +796,6 @@ impl Session {
         let done = pipeline::reoptimize(
             self.snapshot.view(&stats, &self.snapshot.ranges),
             &self.scratch,
-            self.options(),
             &mut last,
             1.0,
             &mut self.metrics,

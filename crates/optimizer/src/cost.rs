@@ -42,13 +42,6 @@ pub const MINT_COST: f64 = 5.0;
 pub const TYPE_TEST_COST: f64 = 1.0;
 /// Extra per-element overhead of the switch table itself.
 pub const SWITCH_COST: f64 = 0.5;
-/// Modelled speedup of a batched chunk kernel over its row-at-a-time
-/// counterpart: typed column sweeps replace per-occurrence `Value`
-/// clones and tree comparisons.  Section I of the report measures the
-/// actual ratio; the constant only has to rank columnar below row for
-/// the same node, which any value > 1 does.
-pub const COLUMNAR_DISCOUNT: f64 = 8.0;
-
 /// A per-expression estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Estimate {
@@ -711,7 +704,7 @@ pub fn estimate_physical(
     use excess_core::physical::PhysOp;
     for (path, choice) in &plan.choices {
         match &choice.op {
-            PhysOp::HashEquiJoin { .. } | PhysOp::ColumnarHashEquiJoin { .. } => {
+            PhysOp::HashEquiJoin { .. } => {
                 let at = |suffix: &[usize]| estimate_under(&nodes, path, suffix);
                 let (Some(j), Some(l), Some(r)) = (at(&[]), at(&[0]), at(&[1])) else {
                     continue;
@@ -722,12 +715,7 @@ pub fn estimate_physical(
                 }
                 let per_pair = ((j.cost - l.cost - r.cost) / pairs).max(1.0);
                 let residual_per_pair = (per_pair - 1.0 - EQUI_CONJUNCT_COST).max(0.0);
-                let mut hash_work = l.rows + r.rows + j.rows * (1.0 + residual_per_pair);
-                if matches!(choice.op, PhysOp::ColumnarHashEquiJoin { .. }) {
-                    // Build and probe run over flat typed key columns:
-                    // no per-occurrence value clones or tree compares.
-                    hash_work /= COLUMNAR_DISCOUNT;
-                }
+                let hash_work = l.rows + r.rows + j.rows * (1.0 + residual_per_pair);
                 est.cost -= (pairs * per_pair - hash_work).max(0.0);
             }
             PhysOp::HashProbeApply { .. } => {
@@ -749,125 +737,11 @@ pub fn estimate_physical(
                 let probe = b.cost + b.rows + a.rows + a.rows * inner.rows * per_pair;
                 est.cost -= (nested - probe).max(0.0);
             }
-            PhysOp::ColumnarScan { .. }
-            | PhysOp::ColumnarHashGroup { .. }
-            | PhysOp::ColumnarHashDistinct { .. } => {
-                // Refund most of this node's *incremental* cost: the
-                // batched kernel replaces the catalog clone and the
-                // per-occurrence row walk with typed column sweeps.
-                let mut cp = path.clone();
-                cp.push(0);
-                let (Some(n), Some(child)) = (nodes.get(path), nodes.get(&cp)) else {
-                    continue;
-                };
-                let incremental = (n.cost - child.cost).max(0.0);
-                est.cost -= incremental * (1.0 - 1.0 / COLUMNAR_DISCOUNT);
-            }
             _ => {}
         }
     }
     est.cost = est.cost.max(0.0);
     est
-}
-
-/// Cost of a closed plan under partition-parallel execution with
-/// `workers` workers, alongside the serial cost it improves on.
-///
-/// The model mirrors the engine in `excess-exec`: each operator's
-/// *incremental* cost (its total cost minus its closed inputs' costs —
-/// i.e. the work of applying the operator, including any per-element
-/// binder bodies) is divided by a per-operator speedup, and the closed
-/// inputs are costed recursively.  Chunk- and hash-partitionable multiset
-/// operators get the full `workers` speedup; `GRP` is bounded by the
-/// grouping key's NDV (at most one worker per key partition can be busy);
-/// order-sensitive array operators, reference minting, and scalar/tuple
-/// plumbing run serially (speedup 1), matching the engine's fallbacks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParallelEstimate {
-    /// Worker count the estimate assumes.
-    pub workers: usize,
-    /// Plain serial cost ([`cost_of`]).
-    pub serial_cost: f64,
-    /// Estimated cost with partition-parallel execution.
-    pub parallel_cost: f64,
-    /// `serial_cost / parallel_cost` (1.0 when nothing parallelises).
-    pub speedup: f64,
-}
-
-/// Estimate the benefit of running `e` with `workers` parallel workers.
-pub fn estimate_parallel(e: &Expr, stats: &Statistics, workers: usize) -> ParallelEstimate {
-    let serial_cost = cost_of(e, stats);
-    let parallel_cost = par_cost(e, stats, workers.max(1));
-    let speedup = if parallel_cost > 0.0 {
-        serial_cost / parallel_cost
-    } else {
-        1.0
-    };
-    ParallelEstimate {
-        workers: workers.max(1),
-        serial_cost,
-        parallel_cost,
-        speedup,
-    }
-}
-
-/// The children of `e` that are closed in `e`'s own environment — the
-/// ones the parallel driver recurses into (binder bodies and predicate
-/// expressions stay inside the operator's incremental cost).
-fn closed_children(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::SetApply { input, .. }
-        | Expr::ArrApply { input, .. }
-        | Expr::Group { input, .. }
-        | Expr::Select { input, .. }
-        | Expr::ArrSelect { input, .. }
-        | Expr::Comp { input, .. }
-        | Expr::SetApplySwitch { input, .. } => vec![input],
-        Expr::RelJoin { left, right, .. } => vec![left, right],
-        _ => e.children(),
-    }
-}
-
-fn par_cost(e: &Expr, stats: &Statistics, workers: usize) -> f64 {
-    let w = workers as f64;
-    let closed = closed_children(e);
-    let own = cost_of(e, stats);
-    let child_serial: f64 = closed.iter().map(|c| cost_of(c, stats)).sum();
-    let incremental = (own - child_serial).max(0.0);
-    let speedup = match e {
-        // Chunk- or hash-partitioned multiset operators: full speedup.
-        Expr::Select { .. }
-        | Expr::SetApply { .. }
-        | Expr::SetApplySwitch { .. }
-        | Expr::SetCollapse(..)
-        | Expr::DupElim(..)
-        | Expr::AddUnion(..)
-        | Expr::Union(..)
-        | Expr::Intersect(..)
-        | Expr::Diff(..)
-        | Expr::Cross(..)
-        | Expr::RelCross(..)
-        | Expr::RelJoin { .. } => w,
-        // GRP: at most one busy worker per distinct key partition.
-        Expr::Group { input, by } => {
-            let key_ndv = match &**by {
-                Expr::TupExtract(inner, f) if matches!(&**inner, Expr::Input(0)) => {
-                    let mut env = Vec::new();
-                    let ein = estimate(input, &mut env, stats);
-                    ein.attr_ndv.as_ref().and_then(|m| m.get(f).copied())
-                }
-                _ => None,
-            };
-            match key_ndv {
-                Some(n) => w.min(n.max(1.0)),
-                None => w,
-            }
-        }
-        // Everything else (arrays, tuples, scalars, REF, COMP) is serial.
-        _ => 1.0,
-    };
-    let children: f64 = closed.iter().map(|c| par_cost(c, stats, workers)).sum();
-    children + incremental / speedup
 }
 
 #[cfg(test)]
@@ -880,53 +754,6 @@ mod tests {
         s.set_object("S", 1000.0, 100.0, 8.0);
         s.set_object("E", 2000.0, 2000.0, 8.0);
         s
-    }
-
-    #[test]
-    fn parallel_estimate_speeds_up_selection() {
-        let s = stats();
-        let pred = Pred::cmp(Expr::input().extract("floor"), CmpOp::Eq, Expr::int(5));
-        let plan = Expr::named("S").select(pred);
-        let pe = estimate_parallel(&plan, &s, 4);
-        assert!(pe.speedup > 1.5, "selection should parallelise: {pe:?}");
-        assert!(pe.parallel_cost < pe.serial_cost);
-        // One worker means no speedup at all.
-        let pe1 = estimate_parallel(&plan, &s, 1);
-        assert!((pe1.parallel_cost - pe1.serial_cost).abs() < 1e-9);
-    }
-
-    #[test]
-    fn group_speedup_is_bounded_by_key_ndv() {
-        let mut s = stats();
-        s.set_attr_ndv("S", "div", 2.0);
-        let plan = Expr::named("S").group_by(Expr::input().extract("div"));
-        let bounded = estimate_parallel(&plan, &s, 8);
-        // With only 2 distinct keys, 8 workers cannot beat a 2× speedup on
-        // the GRP itself; compare against a hypothetical unbounded chunk op
-        // of the same incremental cost.
-        let select = Expr::named("S").select(Pred::cmp(
-            Expr::input().extract("div"),
-            CmpOp::Eq,
-            Expr::int(1),
-        ));
-        let unbounded = estimate_parallel(&select, &s, 8);
-        assert!(
-            bounded.speedup < unbounded.speedup,
-            "{bounded:?} vs {unbounded:?}"
-        );
-        assert!(bounded.speedup <= 2.0 + 1e-9);
-    }
-
-    #[test]
-    fn array_operators_do_not_parallelise() {
-        let s = stats();
-        let plan = Expr::named("S")
-            .make_set()
-            .arr_cat(Expr::named("E").make_set());
-        // MakeSet of a multiset is ill-typed at runtime, but the cost model
-        // still treats ARR_CAT as serial: parallel == serial.
-        let pe = estimate_parallel(&plan, &s, 8);
-        assert!((pe.parallel_cost - pe.serial_cost).abs() < 1e-9);
     }
 
     #[test]

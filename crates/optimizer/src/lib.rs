@@ -15,15 +15,11 @@ pub mod dispatch;
 pub mod engine;
 pub mod lower;
 pub mod memo;
-pub mod properties;
 pub mod rule;
 pub mod rules;
 pub mod stats;
 
-pub use cost::{
-    cost_of, estimate, estimate_nodes, estimate_parallel, estimate_physical, Estimate,
-    ParallelEstimate, COLUMNAR_DISCOUNT,
-};
+pub use cost::{cost_of, estimate, estimate_nodes, estimate_physical, Estimate};
 pub use dispatch::{build_switch, build_union, choose, DispatchStrategy, MethodImpl};
 pub use engine::{
     apply_extent_indexes, apply_extent_indexes_journaled, soundness_violation, JournalStep,
@@ -31,10 +27,6 @@ pub use engine::{
 };
 pub use memo::{GroupSummary, MemoRun, MemoSnapshot, MEMO_EXTRACT_RULE, REOPTIMIZE_RULE};
 
-pub use lower::{
-    annotate_columnar, elide_proven_guards, lower, lower_journaled, COLUMNAR_RULE,
-    HASH_JOIN_MIN_PAIRS, LOWERING_RULE,
-};
-pub use properties::{apply_property_rewrites, apply_property_rewrites_journaled, PROPERTY_RULE};
+pub use lower::{lower, lower_journaled, HASH_JOIN_MIN_PAIRS, LOWERING_RULE};
 pub use rule::{Rule, RuleCtx};
 pub use stats::{ObjectStats, Statistics};

@@ -6,15 +6,15 @@
 //!   [`Histogram`]s with exact counts and p50/p95/p99 quantiles.  Cheap
 //!   enough to run on every query.
 //! * [`FlightRecorder`] — a fixed ring of the last N [`QueryRecord`]s
-//!   (query text, plan hash, engine, per-phase timings, kernel choices,
+//!   (query text, plan hash, per-phase timings, kernel choices,
 //!   est-vs-actual rows) with a configurable slow-query threshold.
 //! * [`FeedbackLog`] — per-plan-node est-vs-actual cardinality error
 //!   accumulated from `explain analyze`, quantified as q-error; the
 //!   input for future feedback-driven re-optimization.
 //! * [`Span`] / [`QueryTrace`] — opt-in structured span trees covering
 //!   every layer of a query's life (parse → infer → verify → optimize →
-//!   lower → execute, with per-rewrite, per-choice, per-operator and
-//!   per-worker children), exportable as nested JSON or Chrome
+//!   lower → execute, with per-rewrite, per-choice and per-operator
+//!   children), exportable as nested JSON or Chrome
 //!   trace-event format.
 //!
 //! The crate depends only on `excess-core` (for the JSON helpers and

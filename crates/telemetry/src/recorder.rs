@@ -16,8 +16,6 @@ pub struct QueryRecord {
     pub query: String,
     /// FNV-1a hash of the physical plan (0 for non-plan statements).
     pub plan_hash: u64,
-    /// `"serial"` or `"parallel(N)"`.
-    pub engine: String,
     /// Rows (occurrences) returned.
     pub rows: u64,
     /// Per-phase timings in microseconds: `(phase name, µs)`.
@@ -49,12 +47,11 @@ impl QueryRecord {
             .map(|(path, k)| format!("{}:{}", quote_json(path), quote_json(k)))
             .collect();
         format!(
-            "{{\"query\":{},\"plan_hash\":{},\"engine\":{},\"rows\":{},\
+            "{{\"query\":{},\"plan_hash\":{},\"rows\":{},\
              \"total_us\":{},\"slow\":{},\"phases\":{{{}}},\"kernels\":{{{}}},\
              \"est_rows\":{},\"actual_rows\":{}}}",
             quote_json(&self.query),
             self.plan_hash,
-            quote_json(&self.engine),
             self.rows,
             self.total_us(),
             self.total_us() >= slow_threshold_us,
@@ -94,9 +91,8 @@ pub const SLOW_MS_ENV: &str = "EXCESS_SLOW_MS";
 pub const RECORDER_CAP_ENV: &str = "EXCESS_RECORDER_CAP";
 
 /// Resolved flight-recorder configuration plus any warnings the raw
-/// settings produced — the same shape as `ExecConfig::from_setting`, so
-/// bad values surface through the session-warning path instead of being
-/// silently ignored.
+/// settings produced, so bad values surface through the session-warning
+/// path instead of being silently ignored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecorderSettings {
     /// Slow-query threshold in microseconds.
@@ -278,7 +274,6 @@ mod tests {
         QueryRecord {
             query: query.into(),
             plan_hash: 1,
-            engine: "serial".into(),
             rows: 3,
             phase_us: vec![("parse", us / 2), ("execute", us - us / 2)],
             kernels: vec![("root".into(), "scan".into())],

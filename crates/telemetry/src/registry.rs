@@ -2,7 +2,7 @@
 //!
 //! The always-on half of the telemetry layer: incrementing a counter is a
 //! `BTreeMap` lookup plus an add — a name is copied only the first time it
-//! is seen — cheap enough to leave enabled on every query.  Names are dotted paths by convention (`queries.parallel`,
+//! is seen — cheap enough to leave enabled on every query.  Names are dotted paths by convention (`plan_cache.hit`,
 //! `phase.execute_us`); iteration order is the map's, so snapshots are
 //! deterministic and diff cleanly.
 

@@ -1,9 +1,8 @@
 //! Structured spans: one tree per query, exportable as JSON or as
 //! Chrome trace-event format (load in `chrome://tracing` / Perfetto).
 //!
-//! A [`Span`] is a named interval with microsecond start/duration, a
-//! thread lane (`tid`), string metadata, numeric attributes, and
-//! children.  The database assembles one [`QueryTrace`] per query:
+//! A [`Span`] is a named interval with microsecond start/duration,
+//! string metadata, numeric attributes, and children.  The database assembles one [`QueryTrace`] per query:
 //!
 //! ```text
 //! query
@@ -16,8 +15,6 @@
 //! ├── lower
 //! │   └── choose:[0.1] hash-join    (one child per physical choice)
 //! └── execute
-//!     ├── worker:0                  (parallel runs only; tid = worker+1)
-//!     ├── …
 //!     └── op:DE [0]                 (profile nodes; carry self-counters
 //!         └── op:SET_APPLY [0.0]     in `nums` so they telescope)
 //! ```
@@ -33,16 +30,14 @@ use excess_core::json::{escape_json, quote_json};
 /// One named interval in a query's life.
 #[derive(Debug, Clone)]
 pub struct Span {
-    /// Human-readable name (`parse`, `op:DE [0]`, `worker:2`, …).
+    /// Human-readable name (`parse`, `op:DE [0]`, …).
     pub name: String,
-    /// Category for trace viewers (`phase`, `rewrite`, `op`, `worker`).
+    /// Category for trace viewers (`phase`, `rewrite`, `lower`, `op`).
     pub cat: String,
     /// Start offset in microseconds from the trace origin.
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
-    /// Thread lane: 0 for the coordinator, worker index + 1 for workers.
-    pub tid: u32,
     /// String attributes (rule names, reasons, operator labels).
     pub meta: Vec<(String, String)>,
     /// Numeric attributes (self-counters, row counts).
@@ -52,7 +47,7 @@ pub struct Span {
 }
 
 impl Span {
-    /// A leaf span with the given name/category/interval on lane 0.
+    /// A leaf span with the given name/category/interval.
     pub fn new(
         name: impl Into<String>,
         cat: impl Into<String>,
@@ -64,7 +59,6 @@ impl Span {
             cat: cat.into(),
             start_us,
             dur_us,
-            tid: 0,
             meta: Vec::new(),
             nums: Vec::new(),
             children: Vec::new(),
@@ -80,12 +74,6 @@ impl Span {
     /// Attach a numeric attribute (builder style).
     pub fn with_num(mut self, key: impl Into<String>, value: u64) -> Self {
         self.nums.push((key.into(), value));
-        self
-    }
-
-    /// Place this span on a worker lane (builder style).
-    pub fn on_lane(mut self, tid: u32) -> Self {
-        self.tid = tid;
         self
     }
 
@@ -130,12 +118,11 @@ impl Span {
 
     fn to_json_into(&self, out: &mut String) {
         out.push_str(&format!(
-            "{{\"name\":{},\"cat\":{},\"start_us\":{},\"dur_us\":{},\"tid\":{}",
+            "{{\"name\":{},\"cat\":{},\"start_us\":{},\"dur_us\":{}",
             quote_json(&self.name),
             quote_json(&self.cat),
             self.start_us,
-            self.dur_us,
-            self.tid
+            self.dur_us
         ));
         if !self.meta.is_empty() || !self.nums.is_empty() {
             out.push_str(",\"args\":{");
@@ -176,12 +163,11 @@ impl Span {
         }
         out.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":{pid},\"tid\":{},\"args\":{{{}}}}}",
+             \"pid\":{pid},\"tid\":0,\"args\":{{{}}}}}",
             escape_json(&self.name),
             escape_json(&self.cat),
             self.start_us,
             self.dur_us,
-            self.tid,
             args.join(",")
         ));
         for c in &self.children {
@@ -195,8 +181,6 @@ impl Span {
 pub struct QueryTrace {
     /// The query text or plan label.
     pub query: String,
-    /// `"serial"` or `"parallel(N)"`.
-    pub engine: String,
     /// FNV-1a hash of the final physical plan's debug rendering.
     pub plan_hash: u64,
     /// The root `query` span.
@@ -214,12 +198,11 @@ impl QueryTrace {
         self.root.is_empty()
     }
 
-    /// `{"query":…,"engine":…,"plan_hash":…,"root":{…}}`.
+    /// `{"query":…,"plan_hash":…,"root":{…}}`.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"query\":{},\"engine\":{},\"plan_hash\":{},\"root\":{}}}",
+            "{{\"query\":{},\"plan_hash\":{},\"root\":{}}}",
             quote_json(&self.query),
-            quote_json(&self.engine),
             self.plan_hash,
             self.root.to_json()
         )
@@ -254,7 +237,6 @@ mod tests {
         root.children.push(exec);
         QueryTrace {
             query: "retrieve x".into(),
-            engine: "serial".into(),
             plan_hash: 42,
             root,
         }
@@ -277,7 +259,7 @@ mod tests {
     fn json_round_trips_through_the_parser() {
         let t = sample();
         let v = parse_json(&t.to_json()).unwrap();
-        assert_eq!(v.get("engine").unwrap().as_str(), Some("serial"));
+        assert_eq!(v.get("query").unwrap().as_str(), Some("retrieve x"));
         assert_eq!(v.get("plan_hash").unwrap().as_f64(), Some(42.0));
         let root = v.get("root").unwrap();
         assert_eq!(root.get("name").unwrap().as_str(), Some("query"));
@@ -305,13 +287,5 @@ mod tests {
             de.get("args").unwrap().get("derefs").unwrap().as_f64(),
             Some(7.0)
         );
-    }
-
-    #[test]
-    fn worker_lanes_use_distinct_tids() {
-        let s = Span::new("worker:1", "worker", 0, 5).on_lane(2);
-        assert_eq!(s.tid, 2);
-        let j = parse_json(&s.to_json()).unwrap();
-        assert_eq!(j.get("tid").unwrap().as_f64(), Some(2.0));
     }
 }

@@ -14,7 +14,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod column;
 pub mod date;
 pub mod domain;
 pub mod error;
@@ -26,7 +25,6 @@ pub mod store;
 pub mod types;
 pub mod value;
 
-pub use column::{Bitmap, Chunk, Column, ColumnData, Validity};
 pub use date::Date;
 pub use error::{Result, TypeError};
 pub use multiset::MultiSet;

@@ -96,12 +96,6 @@ const COMMANDS: &[MetaCommand] = &[
         run: cmd_metrics,
     },
     MetaCommand {
-        name: ".threads",
-        args: "[N]",
-        help: "set the worker count for parallel retrieves (1 = serial); no argument shows it",
-        run: cmd_threads,
-    },
-    MetaCommand {
         name: ".telemetry",
         args: "[json|reset]",
         help: "session telemetry: counters, latency histograms (p50/p95/p99)",
@@ -443,39 +437,6 @@ fn cmd_metrics(db: &mut Database, rest: &str) -> bool {
     true
 }
 
-fn cmd_threads(db: &mut Database, rest: &str) -> bool {
-    if rest.is_empty() {
-        let cfg = db.exec_config();
-        if cfg.is_parallel() {
-            println!(
-                "  {} workers, {} partitions per operator",
-                cfg.workers, cfg.partitions
-            );
-            if let Some(report) = db.last_exec_report() {
-                print!("{}", excess::db::render_parallel_execution(report));
-            }
-        } else {
-            println!(
-                "  serial execution (set with .threads N or ${})",
-                excess::db::THREADS_ENV
-            );
-        }
-        return true;
-    }
-    match rest.parse::<usize>() {
-        Ok(n) if n >= 1 => {
-            db.set_threads(n);
-            if n == 1 {
-                println!("serial execution");
-            } else {
-                println!("retrieves now run on {n} workers");
-            }
-        }
-        _ => println!("usage: .threads [N]  (N >= 1)"),
-    }
-    true
-}
-
 fn cmd_telemetry(db: &mut Database, rest: &str) -> bool {
     match rest {
         "json" => println!("{}", db.telemetry().snapshot_json()),
@@ -539,8 +500,7 @@ fn cmd_slowlog(db: &mut Database, rest: &str) -> bool {
             .map(|(name, us)| format!("{name}={us}µs"))
             .collect();
         println!(
-            "  [{}] {}µs rows={} {}  {}",
-            r.engine,
+            "  {}µs rows={} {}  {}",
             r.total_us(),
             r.rows,
             phases.join(" "),
@@ -615,7 +575,7 @@ fn cmd_spans(db: &mut Database, rest: &str) -> bool {
         },
         _ => match db.last_query_trace() {
             Some(t) => {
-                println!("  last trace: {} spans, engine {}", t.len(), t.engine);
+                println!("  last trace: {} spans", t.len());
                 print_span(&t.root, 1);
             }
             None => println!("usage: .spans on|off|json|chrome"),
@@ -638,9 +598,7 @@ fn cmd_load(db: &mut Database, rest: &str) -> bool {
     }
     match excess::workload::generate(&excess::workload::UniversityParams::default()) {
         Ok(u) => {
-            let exec = db.exec_config();
             *db = u.db;
-            db.set_exec_config(exec);
             println!("loaded the Figure 1 university database");
         }
         Err(e) => println!("error: {e}"),

@@ -10,7 +10,7 @@
 //!   rewrite engine;
 //! * [`lang`] — the EXCESS query language: parser, EXCESS→algebra
 //!   translator, algebra→EXCESS decompiler, and method registry;
-//! * [`exec`] — the partition-parallel execution engine;
+//! * [`exec`] — serial execution of a lowered plan;
 //! * [`telemetry`] — cross-query telemetry: metric registry, latency
 //!   histograms, query spans, flight recorder, misestimation feedback;
 //! * [`db`] — the end-to-end [`db::Database`] engine, plus the session

@@ -2,14 +2,13 @@
 //! the Figure 1 inheritance hierarchy plus nested/array objects, and a
 //! battery of seed plans chosen so that every transformation-rule family
 //! fires somewhere.  `rule_soundness.rs` checks the rewrites by
-//! *evaluation*; `property_rewrites.rs` checks them *statically* (schema
-//! preservation + no new diagnostics) — both over this same battery.
+//! *evaluation* over this battery, and `physical_lowering.rs` runs it
+//! lowered against the naive evaluator.
 
 #![allow(dead_code)]
 
 use excess::algebra::expr::{Bound, CmpOp, Expr, Func, Pred};
-use excess::algebra::physical::PhysicalPlan;
-use excess::db::{Database, Executed, Tracing};
+use excess::db::Database;
 use excess::types::{SchemaType, Value};
 use excess_bench::server_mix::MIX;
 use excess_workload::{generate, queries, UniversityParams};
@@ -135,14 +134,6 @@ pub fn plan_of(db: &mut Database, request: &str) -> Expr {
         db.execute(decls).unwrap();
     }
     db.plan_for(retrieve).unwrap()
-}
-
-/// Run `plan` as written — no kernel choices, so on several workers
-/// every partitioning decision is the driver's own per-operator default
-/// — on the database's engine.
-pub fn run_unlowered(db: &mut Database, plan: &Expr, tracing: Tracing) -> Executed {
-    db.run_lowered(&PhysicalPlan::passthrough(plan.clone()), tracing)
-        .unwrap()
 }
 
 pub fn name_pred() -> Pred {

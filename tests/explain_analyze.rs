@@ -18,9 +18,8 @@ fn fixture() -> Database {
     example1_db(S, E, S.max(E))
 }
 
-/// Profile `plan` as written on the serial engine.
+/// Profile `plan` as written.
 fn profile_of(db: &mut Database, plan: &Expr) -> Profile {
-    db.set_threads(1);
     db.run_lowered(&PhysicalPlan::passthrough(plan.clone()), Tracing::Precise)
         .unwrap()
         .profile
@@ -68,11 +67,6 @@ fn figure8_side_de_nodes_see_s_plus_e_occurrences() {
 #[test]
 fn explain_analyze_renders_the_attribution() {
     let mut db = fixture();
-    // Per-node attribution is a property of the serial profiler: under a
-    // parallel config the engine profiles partition-local fragments whose
-    // paths only approximately align with the plan tree (the parallel
-    // rendering has its own tests in tests/parallel_equivalence.rs).
-    db.set_threads(1);
     let text = db.explain_analyze(&figure7()).unwrap();
     // The DE line carries its own de_in attribution and an estimate.
     let de_line = text

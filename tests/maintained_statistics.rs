@@ -56,8 +56,7 @@ fn statement((kind, x, y): (u8, u8, u8)) -> String {
         8 => format!("append to P (name: unk, gpa: {n})"),
         // Deletes: one name (maybe none left, maybe the last elements
         // carrying `gpa`), everything, or all other names.  A predicate on
-        // an `unk` name is `unk`, and such an element is not kept (an `unk`
-        // occurrence takes its place; see `the_named_cases_hold`).
+        // an `unk` name is `unk`, and such an element is deleted.
         5 => format!("delete from P where P.name = \"{name}\""),
         6 => "delete from P where not (P.name = \"zzz\")".to_string(),
         7 => format!("delete from P where P.name != \"{name}\""),
@@ -216,12 +215,9 @@ fn the_named_cases_hold() {
         (15, 1, 1), // slot 2 gets another object
         (13, 1, 0), // delete the "b"s from Board
         (8, 0, 1),  // an unk name, gpa 2
-        // `!= "a"` is unk on an unk name: the survivors query drops such
-        // an element — and yields an `unk` occurrence in its place, after
-        // which a by-value `replace` on P is rejected ("replace row is not
-        // a tuple"), so this comes last.
-        (7, 0, 0),
-        (6, 0, 0), // delete everything from P
+        (7, 0, 0),  // `!= "a"` is unk on an unk name: that element goes
+        (9, 0, 1),  // rename "a" onto "b": by value, after that delete
+        (6, 0, 0),  // delete everything from P
     ];
     assert_eq!(check_program(cases), Vec::<String>::new());
 }

@@ -5,8 +5,7 @@
 //! memo's winner must cost no more than the cheaper of the climb from the
 //! plan and the climb from its `desugar()`, must evaluate canon-identically
 //! to the plan it replaced, and must come out of extraction without a
-//! `memo-extract` refusal — serial and under `EXCESS_THREADS=4` alike (the
-//! harness env decides; CI runs both).
+//! `memo-extract` refusal.
 //!
 //! The named cases at the end pin the two details of the memo's round loop
 //! this depends on: they lose to the climb when alternatives are

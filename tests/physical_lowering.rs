@@ -1,17 +1,30 @@
-//! Lowering soundness: `eval(lower(p))` is canon-identical to `eval(p)`
-//! for randomly generated join pipelines — `rel_join` spines and the
-//! translator's correlated `SET_APPLY` joins alike — serially and through
-//! the partition-parallel engine — plus the negative cases: a non-equi
-//! `COMP` predicate must lower to a nested loop, and a hash choice whose
-//! runtime guard fails (null join keys) must fall back without changing
-//! results *or counters*.
+//! Lowering soundness: `eval(lower(p))` — the physical interpreter
+//! running whatever row kernels the lowering chose — is canon-identical
+//! to `eval(p)`, the naive evaluator behind `Database::run_plan`:
+//!
+//! * for randomly generated join pipelines — `rel_join` spines and the
+//!   translator's correlated `SET_APPLY` joins alike — with `dne`/`unk`
+//!   and mixed-kind keys, duplicate-heavy sides and stale plans;
+//! * for the rewrite-seed battery, a per-operator battery (the array
+//!   algebra element for element, order included), the F6–F11 figure
+//!   plans, skewed and empty inputs, random multiset pipelines (counters
+//!   included), and nullable extents with multiset weights;
+//!
+//! plus the negative cases: a non-equi `COMP` predicate must lower to a
+//! nested loop, and a hash choice whose runtime guard fails (null join
+//! keys) must fall back without changing results *or counters*.
 
+mod common;
+
+use excess::algebra::canon::equal_modulo_identity;
 use excess::algebra::canonical_form;
-use excess::algebra::expr::{CmpOp, Expr, Pred};
+use excess::algebra::expr::{Bound, CmpOp, Expr, Func, Pred};
 use excess::algebra::physical::{PhysOp, PhysicalPlan};
 use excess::algebra::Counters;
 use excess::db::{Database, Tracing};
-use excess::types::{SchemaType, Value};
+use excess::types::{MultiSet, Null, SchemaType, Value};
+use excess_bench::example1::{example1_db, figure6, figure7, figure8};
+use excess_bench::example2::{example2_db, figure10, figure11, figure9};
 use proptest::prelude::*;
 
 /// The shape of one generated pipeline: optional filters around an
@@ -129,10 +142,8 @@ fn r_tuple(j: i32, w: i32) -> Value {
     Value::tuple([("j", Value::int(j)), ("w", Value::int(w))])
 }
 
-/// Evaluate a lowered plan on `workers` threads (1 = the serial
-/// physical interpreter).
-fn run_on(db: &mut Database, workers: usize, physical: &PhysicalPlan) -> Value {
-    db.set_threads(workers);
+/// Evaluate a lowered plan with the physical interpreter.
+fn run_lowered(db: &mut Database, physical: &PhysicalPlan) -> Value {
     db.run_lowered(physical, Tracing::Off).unwrap().value
 }
 
@@ -162,11 +173,10 @@ fn database(l: &[(i32, i32)], r: &[(i32, i32)]) -> Database {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // The tentpole's soundness property: whatever kernels the lowering
-    // picks (hash or nested loop, guard-passed or guard-refused), the
-    // lowered plan evaluates canon-identically to the logical plan —
-    // through the serial physical interpreter and through the
-    // partition-parallel engine alike.
+    // Whatever kernels the lowering picks (hash or nested loop,
+    // guard-passed or guard-refused), the lowered plan evaluates
+    // canon-identically to the logical plan: the physical interpreter
+    // against the naive evaluator.
     #[test]
     fn lowered_plans_are_canon_identical_in_both_engines(
         pipe in arb_pipe(),
@@ -179,18 +189,11 @@ proptest! {
         let (physical, _) = db.lower_plan(&plan);
         prop_assert_eq!(&physical.logical, &plan, "lowering altered the tree");
 
-        let serial = run_on(&mut db, 1, &physical);
+        let lowered = run_lowered(&mut db, &physical);
         prop_assert_eq!(
             canonical_form(&logical, db.store()),
-            canonical_form(&serial, db.store()),
-            "serial physical run diverged on {} ({:?})", plan, pipe
-        );
-
-        let parallel = run_on(&mut db, 4, &physical);
-        prop_assert_eq!(
-            canonical_form(&logical, db.store()),
-            canonical_form(&parallel, db.store()),
-            "parallel physical run diverged on {} ({:?})", plan, pipe
+            canonical_form(&lowered, db.store()),
+            "physical run diverged on {} ({:?})", plan, pipe
         );
     }
 }
@@ -402,16 +405,15 @@ fn check_correlated(case: &CorrelatedCase, l: &[(i32, i32)], r: &[(i32, i32)]) {
         assert!(probing, "{case:?}: {} ({})", root.op, root.why);
     }
 
-    db.set_threads(1);
-    let serial = db.run_lowered(&physical, Tracing::Precise).unwrap();
+    let ran = db.run_lowered(&physical, Tracing::Precise).unwrap();
     assert_eq!(
         oracle,
-        canonical_form(&serial.value, db.store()),
-        "serial run diverged on {case:?}"
+        canonical_form(&ran.value, db.store()),
+        "physical run diverged on {case:?}"
     );
-    let profile = serial.profile.expect("tracing was on");
-    assert_eq!(profile.total, serial.counters, "{case:?}");
-    assert_eq!(profile.sum_of_self_counters(), serial.counters, "{case:?}");
+    let profile = ran.profile.expect("tracing was on");
+    assert_eq!(profile.total, ran.counters, "{case:?}");
+    assert_eq!(profile.sum_of_self_counters(), ran.counters, "{case:?}");
 
     // The runtime guard's refusals — and an outer input that turns out
     // empty — are the nested loop to the last counter; a probe that runs
@@ -420,9 +422,9 @@ fn check_correlated(case: &CorrelatedCase, l: &[(i32, i32)], r: &[(i32, i32)]) {
         || (case.r_taint != Taint::Clean && case.stale != Stale::EmptyInner)
         || case.stale == Stale::NullInner;
     if !probing || guard_refuses || case.stale == Stale::EmptyOuter {
-        assert_eq!(serial.counters, nested, "{case:?}");
+        assert_eq!(ran.counters, nested, "{case:?}");
     } else {
-        for ((name, probed), (_, looped)) in serial
+        for ((name, probed), (_, looped)) in ran
             .counters
             .named_fields()
             .iter()
@@ -431,13 +433,6 @@ fn check_correlated(case: &CorrelatedCase, l: &[(i32, i32)], r: &[(i32, i32)]) {
             assert!(*probed <= looped, "{case:?}: {name} {probed} > {looped}");
         }
     }
-
-    let parallel = run_on(&mut db, 4, &physical);
-    assert_eq!(
-        oracle,
-        canonical_form(&parallel, db.store()),
-        "parallel run diverged on {case:?}"
-    );
 }
 
 proptest! {
@@ -486,7 +481,7 @@ fn lowered_hash_join_counts_strictly_fewer_comparisons() {
         root.op,
         root.why
     );
-    let hashed = run_on(&mut db, 1, &physical);
+    let hashed = run_lowered(&mut db, &physical);
     let hash = db.last_counters();
 
     assert_eq!(
@@ -531,7 +526,7 @@ fn non_equi_comp_lowers_to_nested_loop() {
     // And the nested-loop plan still evaluates identically.
     let logical = db.run_plan(&plan).unwrap();
     let nested = db.last_counters();
-    let physical_out = run_on(&mut db, 1, &physical);
+    let physical_out = run_lowered(&mut db, &physical);
     assert_eq!(logical, physical_out);
     assert_eq!(
         nested,
@@ -586,7 +581,7 @@ fn guard_failure_falls_back_to_the_nested_loop() {
 
     let logical = db.run_plan(&plan).unwrap();
     let nested = db.last_counters();
-    let physical_out = run_on(&mut db, 1, &physical);
+    let physical_out = run_lowered(&mut db, &physical);
     let fallback = db.last_counters();
 
     assert_eq!(
@@ -597,4 +592,597 @@ fn guard_failure_falls_back_to_the_nested_loop() {
         nested, fallback,
         "a refused guard must run the exact nested loop"
     );
+}
+
+// ------------------------------------------------- batteries on plain data
+
+/// Run `plan` with the naive evaluator on one fresh database and lowered
+/// (under collected statistics) on another, and assert the results are
+/// equal modulo object identity — arrays element for element, order
+/// included.  Separate databases keep minted OIDs from one run out of the
+/// other's store.
+fn assert_lowered_matches(make_db: impl Fn() -> Database, plan: &Expr) {
+    let mut naive_db = make_db();
+    let naive = naive_db.run_plan(plan).unwrap();
+    let mut db = make_db();
+    db.analyze();
+    let (physical, _) = db.lower_plan(plan);
+    let lowered = run_lowered(&mut db, &physical);
+    assert!(
+        equal_modulo_identity(&naive, naive_db.store(), &lowered, db.store()),
+        "plan {plan} diverged when lowered:\n  naive:   {naive}\n  lowered: {lowered}\n{}",
+        physical.render()
+    );
+}
+
+#[test]
+fn seed_battery_lowered_matches_the_naive_evaluator() {
+    for plan in common::seeds() {
+        assert_lowered_matches(common::database, &plan);
+    }
+}
+
+/// Operators the seed battery reaches only incidentally, each made the
+/// plan's focus: multiset difference/intersection/union, the whole array
+/// algebra, COMP, and the relational join forms.
+fn operator_battery() -> Vec<Expr> {
+    let s = || Expr::named("S");
+    let t = || Expr::named("T");
+    let arr = || Expr::named("Arr");
+    let arrb = || Expr::named("ArrB");
+    vec![
+        s().diff(t()),
+        Expr::Intersect(Box::new(s()), Box::new(t())),
+        Expr::Union(Box::new(s()), Box::new(t())),
+        Expr::ArrDiff(Box::new(arr()), Box::new(arrb())),
+        Expr::ArrDupElim(Box::new(arr())),
+        Expr::ArrCross(Box::new(arr()), Box::new(arrb())),
+        Expr::ArrCollapse(Box::new(Expr::named("ArrNested"))),
+        Expr::int(7).make_arr(),
+        Expr::int(7).make_set(),
+        arr().subarr(Bound::At(2), Bound::At(5)),
+        Expr::ArrSelect {
+            input: Box::new(arr()),
+            pred: Pred::cmp(Expr::input(), CmpOp::Ge, Expr::int(2)),
+        },
+        // ARR_APPLY's output order is its input order.
+        arr()
+            .arr_apply(Expr::call(Func::Mul, vec![Expr::input(), Expr::int(10)]))
+            .arr_cat(arrb()),
+        Expr::named("OneTup").comp(Pred::cmp(
+            Expr::input().extract("x"),
+            CmpOp::Lt,
+            Expr::int(9),
+        )),
+        s().rel_cross(t()),
+        s().rel_join(
+            t(),
+            Pred::cmp(
+                Expr::input().extract("name"),
+                CmpOp::Eq,
+                Expr::input().extract("name"),
+            ),
+        ),
+        s().rel_join(
+            t(),
+            Pred::cmp(
+                Expr::input().extract("grp"),
+                CmpOp::Lt,
+                Expr::input().extract("grp"),
+            ),
+        ),
+        s().group_by(Expr::input().extract("name")),
+    ]
+}
+
+#[test]
+fn operator_battery_lowered_matches_the_naive_evaluator() {
+    for plan in operator_battery() {
+        assert_lowered_matches(common::database, &plan);
+    }
+}
+
+/// ARR_APPLY's output order is its input order: the lowered run must
+/// return the naive evaluator's array element for element, not merely a
+/// canon-equal one.
+#[test]
+fn order_sensitive_array_operators_keep_exact_order_when_lowered() {
+    let plan = Expr::named("Arr")
+        .arr_apply(Expr::call(Func::Mul, vec![Expr::input(), Expr::int(10)]))
+        .arr_cat(Expr::named("ArrB"));
+    let mut naive_db = common::database();
+    let naive = naive_db.run_plan(&plan).unwrap();
+    assert!(matches!(naive, Value::Array(_)), "{naive}");
+
+    let mut db = common::database();
+    db.analyze();
+    let (physical, _) = db.lower_plan(&plan);
+    let lowered = run_lowered(&mut db, &physical);
+    assert_eq!(
+        naive, lowered,
+        "array results must be exactly equal, order included"
+    );
+    assert_eq!(naive_db.last_counters(), db.last_counters(), "{plan}");
+}
+
+/// Single-input multiset operators and `ADD_UNION` have no hash-join
+/// choice to make, so their lowered run is counter-exact, not just
+/// value-equal.
+#[test]
+fn single_input_kernels_keep_exact_counters() {
+    let plans = [
+        Expr::named("S").select(common::grp_pred()),
+        Expr::named("S").set_apply(Expr::input().extract("name")),
+        Expr::named("S").dup_elim(),
+        Expr::named("S").group_by(Expr::input().extract("grp")),
+        Expr::named("S").add_union(Expr::named("T")),
+    ];
+    for plan in plans {
+        let mut naive_db = common::database();
+        let naive = naive_db.run_plan(&plan).unwrap();
+
+        let mut db = common::database();
+        db.analyze();
+        let (physical, _) = db.lower_plan(&plan);
+        let lowered = run_lowered(&mut db, &physical);
+        assert!(
+            equal_modulo_identity(&naive, naive_db.store(), &lowered, db.store()),
+            "{plan} diverged when lowered"
+        );
+        assert_eq!(
+            db.last_counters(),
+            naive_db.last_counters(),
+            "counters diverged for {plan}"
+        );
+    }
+}
+
+/// Diverse equi-join keys under collected statistics: the lowering picks
+/// the hash kernel on exactly those keys, the result matches, and the
+/// buckets only ever prune comparisons.
+#[test]
+fn equi_join_on_diverse_keys_picks_the_hash_kernel_and_matches() {
+    let make_db = || {
+        let mut db = Database::new();
+        db.optimize = false;
+        db.put_object(
+            "L",
+            schema("k", "a"),
+            Value::set(
+                (0..30).map(|i| Value::tuple([("k", Value::int(i % 10)), ("a", Value::int(i))])),
+            ),
+        );
+        db.put_object(
+            "R",
+            schema("j", "b"),
+            Value::set(
+                (0..20).map(|i| Value::tuple([("j", Value::int(i % 10)), ("b", Value::int(i))])),
+            ),
+        );
+        db
+    };
+    let plan = Expr::named("L").rel_join(
+        Expr::named("R"),
+        Pred::cmp(
+            Expr::input().extract("k"),
+            CmpOp::Eq,
+            Expr::input().extract("j"),
+        ),
+    );
+    assert_lowered_matches(make_db, &plan);
+
+    let mut naive_db = make_db();
+    naive_db.run_plan(&plan).unwrap();
+    let naive_cmps = naive_db.last_counters().comparisons;
+
+    let mut db = make_db();
+    db.analyze();
+    let (physical, _) = db.lower_plan(&plan);
+    assert!(
+        matches!(
+            physical.choices.get(&Vec::new()).map(|c| &c.op),
+            Some(PhysOp::HashEquiJoin { left_key, right_key }) if left_key == "k" && right_key == "j"
+        ),
+        "lowering should pick the hash kernel:\n{}",
+        physical.render()
+    );
+    run_lowered(&mut db, &physical);
+    assert!(
+        db.last_counters().comparisons < naive_cmps,
+        "hash join did {} comparisons, the nested loop {naive_cmps}",
+        db.last_counters().comparisons
+    );
+}
+
+#[test]
+fn figure_plans_lowered_match_the_naive_evaluator() {
+    let ex1 = || example1_db(48, 32, 8);
+    for plan in [figure6(), figure7(), figure8()] {
+        assert_lowered_matches(ex1, &plan);
+    }
+    let ex2 = || example2_db(120, 8, 4);
+    for plan in [figure9(), figure10(), figure11()] {
+        assert_lowered_matches(ex2, &plan);
+    }
+}
+
+/// Every occurrence on one key: one group, and a join whose every pair
+/// shares a bucket; then the same plans over empty sides.
+#[test]
+fn skewed_data_matches_the_naive_evaluator() {
+    let skewed = |rows: i32| {
+        move || {
+            let mut db = Database::new();
+            db.optimize = false;
+            db.put_object(
+                "Skewed",
+                SchemaType::set(SchemaType::tuple([
+                    ("name", SchemaType::chars()),
+                    ("v", SchemaType::int4()),
+                ])),
+                Value::set((0..rows).map(|i| {
+                    Value::tuple([("name", Value::str("same")), ("v", Value::int(i % 5))])
+                })),
+            );
+            db.put_object(
+                "Keys",
+                schema("j", "w"),
+                Value::set((0..rows).map(|i| r_tuple(1, i))),
+            );
+            db.put_object(
+                "Probe",
+                schema("k", "v"),
+                Value::set((0..rows).map(|i| l_tuple(1, i))),
+            );
+            db
+        }
+    };
+    let group = Expr::named("Skewed").group_by(Expr::input().extract("name"));
+    let join = Expr::named("Probe").rel_join(
+        Expr::named("Keys"),
+        Pred::cmp(
+            Expr::input().extract("k"),
+            CmpOp::Eq,
+            Expr::input().extract("j"),
+        ),
+    );
+    for rows in [40, 0] {
+        assert_lowered_matches(skewed(rows), &group);
+        assert_lowered_matches(skewed(rows), &join);
+    }
+}
+
+// ----------------------------------------------- random multiset pipelines
+
+/// One stage of a random multiset pipeline.
+#[derive(Debug, Clone)]
+enum Stage {
+    DupElim,
+    SelectGe(i32),
+    MapAdd(i32),
+    DiffB,
+    AddUnionB,
+    IntersectB,
+    UnionB,
+    GroupModAndFlatten(i32),
+}
+
+fn arb_stage() -> impl Strategy<Value = Stage> {
+    prop_oneof![
+        Just(Stage::DupElim),
+        (-4i32..8).prop_map(Stage::SelectGe),
+        (-3i32..4).prop_map(Stage::MapAdd),
+        Just(Stage::DiffB),
+        Just(Stage::AddUnionB),
+        Just(Stage::IntersectB),
+        Just(Stage::UnionB),
+        (1i32..4).prop_map(Stage::GroupModAndFlatten),
+    ]
+}
+
+fn build_pipeline(stages: &[Stage]) -> Expr {
+    let mut e = Expr::named("NumsA");
+    for s in stages {
+        match s {
+            Stage::DupElim => e = e.dup_elim(),
+            Stage::SelectGe(k) => {
+                e = e.select(Pred::cmp(Expr::input(), CmpOp::Ge, Expr::int(*k)));
+            }
+            Stage::MapAdd(k) => {
+                e = e.set_apply(Expr::call(Func::Add, vec![Expr::input(), Expr::int(*k)]));
+            }
+            Stage::DiffB => e = e.diff(Expr::named("NumsB")),
+            Stage::AddUnionB => e = e.add_union(Expr::named("NumsB")),
+            Stage::IntersectB => {
+                e = Expr::Intersect(Box::new(e), Box::new(Expr::named("NumsB")));
+            }
+            Stage::UnionB => e = Expr::Union(Box::new(e), Box::new(Expr::named("NumsB"))),
+            Stage::GroupModAndFlatten(m) => {
+                e = e
+                    .group_by(Expr::call(
+                        Func::Sub,
+                        vec![
+                            Expr::input(),
+                            Expr::call(
+                                Func::Mul,
+                                vec![
+                                    Expr::call(Func::Div, vec![Expr::input(), Expr::int(*m)]),
+                                    Expr::int(*m),
+                                ],
+                            ),
+                        ],
+                    ))
+                    .set_collapse();
+            }
+        }
+    }
+    e
+}
+
+fn num_db(a: &[i32], b: &[i32]) -> Database {
+    let mut db = Database::new();
+    db.optimize = false;
+    db.put_object(
+        "NumsA",
+        SchemaType::set(SchemaType::int4()),
+        Value::set(a.iter().copied().map(Value::int)),
+    );
+    db.put_object(
+        "NumsB",
+        SchemaType::set(SchemaType::int4()),
+        Value::set(b.iter().copied().map(Value::int)),
+    );
+    db.collect_stats();
+    db
+}
+
+/// No join in these pipelines, so every kernel the lowering picks runs
+/// the logical operator: the values *and the counters* are the naive
+/// evaluator's.
+fn check_pipeline(stages: &[Stage], a: &[i32], b: &[i32]) {
+    let plan = build_pipeline(stages);
+    let mut db = num_db(a, b);
+    let naive = db.run_plan(&plan).unwrap();
+    let naive_counters = db.last_counters();
+    let (physical, _) = db.lower_plan(&plan);
+    let lowered = run_lowered(&mut db, &physical);
+    assert_eq!(naive, lowered, "pipeline {plan} diverged when lowered");
+    assert_eq!(
+        naive_counters,
+        db.last_counters(),
+        "counters diverged for {plan}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn random_pipelines_lowered_match_the_naive_evaluator(
+        stages in prop::collection::vec(arb_stage(), 0..6),
+        a in prop::collection::vec(-5i32..10, 0..12),
+        b in prop::collection::vec(-5i32..10, 0..8)
+    ) {
+        check_pipeline(&stages, &a, &b);
+    }
+}
+
+// ------------------------------------------------------ nullable extents
+
+/// One nullable int cell: mostly values, sometimes one of the two nulls.
+fn arb_int_cell() -> impl Strategy<Value = Value> {
+    (0i32..8).prop_map(|i| match i {
+        6 => Value::Null(Null::Dne),
+        7 => Value::Null(Null::Unk),
+        v => Value::int(v),
+    })
+}
+
+/// One nullable string cell over a small alphabet.
+fn arb_str_cell() -> impl Strategy<Value = Value> {
+    (0i32..6).prop_map(|i| match i {
+        4 => Value::Null(Null::Dne),
+        5 => Value::Null(Null::Unk),
+        v => Value::str(format!("s{v}")),
+    })
+}
+
+/// Rows `(a, b, k)` of the left extent `N`, each with a multiset weight.
+type LeftRow = (Value, Value, Value, u64);
+/// Rows `(j, c)` of the right extent `M`, each with a multiset weight.
+type RightRow = (Value, Value, u64);
+
+fn arb_left_rows() -> impl Strategy<Value = Vec<LeftRow>> {
+    prop::collection::vec(
+        (arb_int_cell(), arb_str_cell(), arb_int_cell(), 1u64..4),
+        0..14,
+    )
+}
+
+fn arb_right_rows() -> impl Strategy<Value = Vec<RightRow>> {
+    prop::collection::vec((arb_int_cell(), arb_str_cell(), 1u64..4), 0..12)
+}
+
+/// A 1–2 conjunct filter over `a` and `b`, occasionally negated.
+fn arb_filter() -> impl Strategy<Value = Pred> {
+    let cmp = (
+        prop_oneof![
+            Just(CmpOp::Eq),
+            Just(CmpOp::Ne),
+            Just(CmpOp::Lt),
+            Just(CmpOp::Le),
+            Just(CmpOp::Gt),
+            Just(CmpOp::Ge),
+        ],
+        any::<bool>(),
+        0i32..6,
+    )
+        .prop_map(|(op, on_int, lit)| {
+            if on_int {
+                Pred::cmp(Expr::input().extract("a"), op, Expr::int(lit))
+            } else {
+                Pred::cmp(
+                    Expr::input().extract("b"),
+                    op,
+                    Expr::str(format!("s{}", lit % 4)),
+                )
+            }
+        });
+    (cmp.clone(), cmp, any::<bool>(), any::<bool>()).prop_map(|(p, q, two, negate)| {
+        let base = if two { p.and(q) } else { p };
+        if negate {
+            Pred::Not(Box::new(base))
+        } else {
+            base
+        }
+    })
+}
+
+fn nullable_db(left: &[LeftRow], right: &[RightRow]) -> Database {
+    let mut db = Database::new();
+    db.optimize = false;
+    let mut n = MultiSet::new();
+    for (a, b, k, w) in left {
+        n.insert_n(
+            Value::tuple([("a", a.clone()), ("b", b.clone()), ("k", k.clone())]),
+            *w,
+        );
+    }
+    let mut m = MultiSet::new();
+    for (j, c, w) in right {
+        m.insert_n(Value::tuple([("j", j.clone()), ("c", c.clone())]), *w);
+    }
+    db.put_object(
+        "N",
+        SchemaType::set(SchemaType::tuple([
+            ("a", SchemaType::int4()),
+            ("b", SchemaType::chars()),
+            ("k", SchemaType::int4()),
+        ])),
+        Value::Set(n),
+    );
+    db.put_object(
+        "M",
+        SchemaType::set(SchemaType::tuple([
+            ("j", SchemaType::int4()),
+            ("c", SchemaType::chars()),
+        ])),
+        Value::Set(m),
+    );
+    db.collect_stats();
+    db
+}
+
+/// A scan, an equi-join, a group and a distinct over the nullable
+/// extents: the plan shapes the row kernels are chosen for.
+fn kernel_shapes(filter: &Pred) -> Vec<Expr> {
+    vec![
+        Expr::named("N").select(filter.clone()),
+        Expr::named("N").rel_join(
+            Expr::named("M"),
+            Pred::cmp(
+                Expr::input().extract("k"),
+                CmpOp::Eq,
+                Expr::input().extract("j"),
+            ),
+        ),
+        Expr::named("N").group_by(Expr::input().extract("a")),
+        Expr::named("N").dup_elim(),
+    ]
+}
+
+/// Each shape lowered is canon-identical to the naive evaluator; a hash
+/// join does no more work of any kind than the nested loop, and every
+/// other kernel does exactly its work.
+fn check_nullable(left: &[LeftRow], right: &[RightRow], filter: &Pred) {
+    let mut db = nullable_db(left, right);
+    for plan in kernel_shapes(filter) {
+        let naive = db.run_plan(&plan).unwrap();
+        let naive_counters = db.last_counters();
+        let (physical, _) = db.lower_plan(&plan);
+        let lowered = run_lowered(&mut db, &physical);
+        assert_eq!(
+            canonical_form(&naive, db.store()),
+            canonical_form(&lowered, db.store()),
+            "{plan} diverged when lowered:\n{}",
+            physical.render()
+        );
+        let hashed = physical
+            .choices
+            .values()
+            .any(|c| matches!(c.op, PhysOp::HashEquiJoin { .. }));
+        let lowered_counters = db.last_counters();
+        if hashed {
+            for ((name, h), (_, n)) in lowered_counters
+                .named_fields()
+                .iter()
+                .zip(naive_counters.named_fields())
+            {
+                assert!(*h <= n, "{plan}: {name} {h} > {n}");
+            }
+        } else {
+            assert_eq!(naive_counters, lowered_counters, "{plan}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn row_kernels_match_the_naive_evaluator_on_nullable_extents(
+        left in arb_left_rows(),
+        right in arb_right_rows(),
+        filter in arb_filter()
+    ) {
+        check_nullable(&left, &right, &filter);
+    }
+}
+
+/// Empty extents run through every kernel shape.
+#[test]
+fn empty_extents_run_through_all_kernels() {
+    let filter = Pred::cmp(Expr::input().extract("a"), CmpOp::Ge, Expr::int(2));
+    check_nullable(&[], &[], &filter);
+}
+
+/// A key column that is `dne` on every row: the join must run — and
+/// count — exactly as the nested loop, whichever kernel the lowering
+/// names, and the scan over that column matches too.
+#[test]
+fn all_dne_key_column_falls_back_to_the_nested_loop() {
+    let left: Vec<LeftRow> = (0..8)
+        .map(|i| {
+            (
+                Value::int(i % 3),
+                Value::str(format!("s{}", i % 2)),
+                Value::Null(Null::Dne),
+                (i % 2 + 1) as u64,
+            )
+        })
+        .collect();
+    let right: Vec<RightRow> = (0..6)
+        .map(|i| (Value::int(i % 3), Value::str("s0"), 1))
+        .collect();
+    let filter = Pred::cmp(Expr::input().extract("k"), CmpOp::Eq, Expr::int(1));
+    check_nullable(&left, &right, &filter);
+
+    let mut db = nullable_db(&left, &right);
+    let join = &kernel_shapes(&filter)[1];
+    let naive = db.run_plan(join).unwrap();
+    let nested = db.last_counters();
+    let mut physical = PhysicalPlan::passthrough(join.clone());
+    physical.choices.insert(
+        Vec::new(),
+        excess::algebra::physical::PhysChoice {
+            op: PhysOp::HashEquiJoin {
+                left_key: "k".into(),
+                right_key: "j".into(),
+            },
+            why: "forced".into(),
+            est_rows: None,
+        },
+    );
+    assert_eq!(naive, run_lowered(&mut db, &physical));
+    assert_eq!(nested, db.last_counters(), "the guard must refuse dne keys");
 }

@@ -16,10 +16,9 @@ use excess_workload::{queries, UniversityParams};
 /// Run every query through a database and through a session over an
 /// identical database, and compare what each pipeline run produced.
 fn assert_served_equals_direct(make: impl Fn() -> Database, queries: &[String]) {
-    // The server's fixed options: serial engine, row kernels, no spans
-    // — and statistics collected, as `VersionedDb::new` does.
+    // The server's fixed options: no spans — and statistics collected,
+    // as `VersionedDb::new` does.
     let mut db = make();
-    db.set_threads(1);
     db.collect_stats();
     let vdb = VersionedDb::new(make());
     let mut session = vdb.begin_session();
@@ -187,7 +186,6 @@ fn a_plan_lowered_with_no_choices_is_the_naive_evaluator() {
         let mut naive_db = common::database();
         let naive = naive_db.run_plan(&plan);
         let mut db = common::database();
-        db.set_threads(1);
         let lowered = db.run_lowered(&PhysicalPlan::passthrough(plan.clone()), Tracing::Off);
         match (naive, lowered) {
             (Ok(naive), Ok(lowered)) => {

@@ -97,7 +97,6 @@ fn oracle(db: &mut Database, line: &str) -> String {
 fn repeated_lines_hit_and_change_nothing() {
     fn check(make: impl Fn() -> Database, lines: &[&str]) {
         let mut twin = make();
-        twin.set_threads(1);
         twin.collect_stats();
         let vdb = VersionedDb::new(make());
         let mut s = vdb.begin_session();

@@ -7,6 +7,11 @@
 //! 2. **Observation is free of side effects** — running with profiling
 //!    enabled returns the same value and the same global counters as
 //!    running without it.
+//!
+//! Both also hold for lowered plans on the fixture database, whose
+//! kernels choose their own frames.
+
+mod common;
 
 use excess::algebra::expr::{CmpOp, Expr, Func, Pred};
 use excess::algebra::physical::PhysicalPlan;
@@ -86,10 +91,8 @@ fn build(stages: &[Stage]) -> Expr {
     e
 }
 
-/// Run `plan` as written (no kernel choices) on the serial engine with
-/// precise profiling.
+/// Run `plan` as written (no kernel choices) with precise profiling.
 fn profiled(db: &mut Database, plan: &Expr) -> (Value, Profile) {
-    db.set_threads(1);
     let ran = db
         .run_lowered(&PhysicalPlan::passthrough(plan.clone()), Tracing::Precise)
         .unwrap();
@@ -186,7 +189,6 @@ fn a_probed_correlated_join_still_telescopes() {
         "{}",
         join.op
     );
-    db.set_threads(1);
     let untraced = db.run_lowered(&physical, Tracing::Off).unwrap();
     let traced = db.run_lowered(&physical, Tracing::Precise).unwrap();
     assert_eq!(plain, traced.value);
@@ -200,4 +202,57 @@ fn a_probed_correlated_join_still_telescopes() {
     assert_eq!(profile.node(&[0, 1]).expect("inner apply").calls, 24);
     assert_eq!(profile.node(&[0, 1, 1]).expect("COMP").calls, 48);
     assert!(profile.node(&[0, 1, 0]).is_none());
+}
+
+/// Plans whose lowering picks row kernels on the fixture database: a
+/// selection, a grouping with a hash distinct, and a map/union/distinct
+/// pipeline.
+fn lowered_plans(db: &mut Database) -> Vec<PhysicalPlan> {
+    let s = || Expr::named("S");
+    db.analyze();
+    [
+        s().select(common::grp_pred()),
+        s().group_by(Expr::input().extract("grp")).dup_elim(),
+        s().set_apply(Expr::input().extract("name"))
+            .add_union(Expr::named("T").set_apply(Expr::input().extract("name")))
+            .dup_elim(),
+    ]
+    .iter()
+    .map(|plan| db.lower_plan(plan).0)
+    .collect()
+}
+
+#[test]
+fn precise_profiles_of_lowered_plans_telescope_to_query_totals() {
+    let mut db = common::database();
+    for physical in lowered_plans(&mut db) {
+        let profile = db
+            .run_lowered(&physical, Tracing::Precise)
+            .unwrap()
+            .profile
+            .expect("tracing was enabled");
+        assert_eq!(
+            profile.sum_of_self_counters(),
+            db.last_counters(),
+            "precise profile of {} does not telescope",
+            physical.render()
+        );
+        assert_eq!(profile.total, db.last_counters());
+    }
+}
+
+#[test]
+fn profiled_lowered_counters_match_unprofiled() {
+    let mut db = common::database();
+    for physical in lowered_plans(&mut db) {
+        let plain = db.run_lowered(&physical, Tracing::Off).unwrap();
+        let traced = db.run_lowered(&physical, Tracing::Precise).unwrap();
+        assert_eq!(plain.value, traced.value, "{}", physical.render());
+        assert_eq!(
+            plain.counters,
+            traced.counters,
+            "profiling must not change the work accounting of {}",
+            physical.render()
+        );
+    }
 }

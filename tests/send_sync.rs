@@ -16,7 +16,7 @@ fn core_state_is_send_and_sync() {
     assert_send_sync::<excess::telemetry::Telemetry>();
     assert_send_sync::<excess::optimizer::Statistics>();
     assert_send_sync::<excess::lang::methods::MethodRegistry>();
-    assert_send_sync::<excess::exec::ExecConfig>();
+    assert_send_sync::<excess::exec::ExecOutcome>();
 }
 
 #[test]

@@ -7,8 +7,6 @@
 //!    of the seed database — no torn batches, no write leakage.
 //! 2. A pinned session's results are frozen: concurrent commits (even
 //!    ones racing the read) never change what it sees, until `refresh`.
-//! 3. Columnar chunks are generation-scoped: each published generation's
-//!    catalog carries chunks that decode to *that* generation's values.
 
 use excess::db::{Database, VersionedDb};
 use excess::types::Value;
@@ -209,49 +207,6 @@ fn refresh_converges_to_latest_generation() {
         }
     }
     assert_eq!(got, canon_of(&mut replay, PROBE));
-    vdb.shutdown();
-}
-
-/// Invariant 3: commits produce generations whose columnar chunks are
-/// valid for *their* values, while earlier generations keep serving
-/// their own (still-valid) chunks.
-#[test]
-fn commits_keep_chunks_generation_scoped() {
-    let mut db = seed();
-    // Warm a chunk on the master the way the columnar pipeline would.
-    db.ensure_chunks_for(&excess::algebra::expr::Expr::named("DS"));
-    assert!(db.catalog().chunk("DS").is_some(), "chunk warmed on master");
-    let vdb = VersionedDb::new(db);
-
-    let gen0 = vdb.current();
-    let chunk0 = gen0
-        .catalog
-        .chunk("DS")
-        .expect("generation 0 keeps the chunk");
-    let Some(Value::Set(set0)) = gen0.catalog.value("DS") else {
-        panic!("DS is a set");
-    };
-    assert_eq!(&chunk0.decode(), set0, "gen-0 chunk decodes to gen-0 value");
-
-    vdb.commit("append to DS ((dname: \"new\", budget: 777))")
-        .expect("commit");
-    let gen1 = vdb.current();
-    assert_eq!(gen1.number, 1);
-
-    // The write invalidated the master's chunk; the committer re-warmed
-    // it, so the new generation serves a chunk for the *new* value.
-    let chunk1 = gen1
-        .catalog
-        .chunk("DS")
-        .expect("committer re-warms previously chunked extents");
-    let Some(Value::Set(set1)) = gen1.catalog.value("DS") else {
-        panic!("DS is a set");
-    };
-    assert_eq!(&chunk1.decode(), set1, "gen-1 chunk decodes to gen-1 value");
-    assert_ne!(set0, set1, "the commit changed the extent");
-
-    // And generation 0 — still pinned by our Arc — is untouched.
-    assert_eq!(&gen0.catalog.chunk("DS").unwrap().decode(), set0);
     vdb.shutdown();
 }
 

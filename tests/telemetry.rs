@@ -3,7 +3,7 @@
 //! The load-bearing property is *telescoping*: with query spans enabled,
 //! summing any work counter over a query's span tree must reproduce the
 //! query's total exactly — the span tree is a lossless decomposition of
-//! the profiler's accounting, serial or parallel.  Around that sit the
+//! the profiler's accounting.  Around that sit the
 //! always-on pieces: the latency histogram's exact-count invariants, the
 //! flight recorder's FIFO ring, and the misestimation feedback log fed
 //! by `explain analyze`.
@@ -52,26 +52,29 @@ fn assert_figures_telescope(db: &mut Database) {
 #[test]
 fn spans_telescope_to_profiler_counters_serial() {
     let mut db = example1_db(64, 48, 8);
-    db.set_threads(1);
     assert_figures_telescope(&mut db);
-    assert_eq!(db.last_query_trace().unwrap().engine, "serial");
 }
 
+/// All of a query's work happens under its `execute` phase: the counters
+/// telescope through that subtree alone, which holds the operator spans.
 #[test]
-fn spans_telescope_to_profiler_counters_parallel() {
+fn execute_span_carries_every_counter_of_the_query() {
     let mut db = example1_db(64, 48, 8);
-    db.set_threads(4);
-    assert_figures_telescope(&mut db);
-    let trace = db.last_query_trace().unwrap();
-    assert_eq!(trace.engine, "parallel(4)");
-    // The execute phase carries one child span per worker lane.
-    let execute = trace.root.find("execute").expect("execute span");
-    let workers = execute
-        .children
-        .iter()
-        .filter(|s| s.name.starts_with("worker:"))
-        .count();
-    assert_eq!(workers, 4);
+    db.enable_query_spans(true);
+    for (id, plan) in [("F6", figure6()), ("F7", figure7()), ("F8", figure8())] {
+        db.run_query_plan(id, &plan).unwrap();
+        let total = db.last_counters();
+        let trace = db.last_query_trace().expect("spans are enabled");
+        let execute = trace.root.find("execute").expect("execute span");
+        assert!(!execute.children.is_empty(), "{id}: no operator spans");
+        for (name, v) in total.named_fields() {
+            assert_eq!(
+                execute.sum_num(name),
+                v,
+                "{id}: `{name}` must sum over the execute span to the query total"
+            );
+        }
+    }
 }
 
 #[test]
@@ -98,7 +101,6 @@ fn latency_histogram_invariants_hold_after_a_query_batch() {
 #[test]
 fn flight_recorder_evicts_fifo_at_capacity() {
     let mut db = example1_db(64, 48, 8);
-    db.set_threads(1);
     db.telemetry_mut().recorder = FlightRecorder::new(2);
     for (id, plan) in [("F6", figure6()), ("F7", figure7()), ("F8", figure8())] {
         db.run_query_plan(id, &plan).unwrap();
@@ -110,7 +112,6 @@ fn flight_recorder_evicts_fifo_at_capacity() {
     let labels: Vec<&str> = rec.records().map(|r| r.query.as_str()).collect();
     assert_eq!(labels, ["F7", "F8"]);
     for r in rec.records() {
-        assert_eq!(r.engine, "serial");
         assert!(r.total_us() > 0, "phase timings must be recorded");
         assert!(!r.kernels.is_empty(), "kernel choices must be recorded");
     }

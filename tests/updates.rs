@@ -186,3 +186,35 @@ fn retrieve_into_creates_objects() {
     let mx = db.execute("retrieve (max(Floors))").unwrap();
     assert_eq!(mx, Value::int(3));
 }
+
+/// `delete` removes exactly the occurrences whose predicate is true or
+/// `unk` and adds nothing: no `unk` occurrence takes a deleted element's
+/// place, so a later by-value `replace` still finds only tuples.  An
+/// element the predicate is false on survives, even an `unk` one.
+#[test]
+fn delete_drops_unk_predicate_elements_without_a_trace() {
+    let mut db = Database::new();
+    db.execute(
+        r#"define type Person: (name: char[])
+           create P: { Person }
+           append to P (name: "a")
+           append to P (name: "b")
+           append to P (name: unk)"#,
+    )
+    .unwrap();
+    db.execute(r#"delete from P where P.name != "a""#).unwrap();
+    let p = db.catalog().value("P").unwrap().clone();
+    assert_eq!(p, Value::set([Value::tuple([("name", Value::str("a"))])]));
+    db.execute(r#"replace P (name: "c") where P.name = "a""#)
+        .unwrap();
+    let names = db.execute("retrieve (X.name) from X in P").unwrap();
+    assert_eq!(names, Value::set([Value::str("c")]));
+
+    db.execute("append to P (unk)").unwrap();
+    db.execute("delete from P where 1 = 2").unwrap();
+    let p = db.catalog().value("P").unwrap().clone();
+    assert_eq!(
+        p,
+        Value::set([Value::tuple([("name", Value::str("c"))]), Value::unk()])
+    );
+}
