@@ -203,6 +203,7 @@ fn f5(r: &mut Report) {
     println!("\n## F5 — Figure 5: overridden-method dispatch");
     println!("\n| scenario | switch ms | ⊎ ms | ⊎+index ms | P-scans (switch/⊎/⊎+ix) |");
     println!("|---|---|---|---|---|");
+    let mut checks = Vec::new();
     for (label, impls, n, sub) in [
         ("trivial boss, |P|=3000", trivial_impls(), 3000usize, 0usize),
         ("sub_ords=64, |P|=600", expensive_impls(), 600, 64),
@@ -213,17 +214,32 @@ fn f5(r: &mut Report) {
         let sw = switch_plan(&impls);
         let un = union_plan(&db, &impls);
         let ix = indexed_union_plan(&db, &impls);
-        let (ts, cs, _) = measure(&mut db, &logical(&sw));
-        let (tu, cu, _) = measure(&mut db, &logical(&un));
-        let (ti, ci, _) = measure(&mut db, &logical(&ix));
+        let (ts, cs, vs) = measure(&mut db, &logical(&sw));
+        let (tu, cu, vu) = measure(&mut db, &logical(&un));
+        let (ti, ci, vi) = measure(&mut db, &logical(&ix));
+        let scans = [
+            cs.named_object_scans,
+            cu.named_object_scans,
+            ci.named_object_scans,
+        ];
         println!(
             "| {label} | {ts:.2} | {tu:.2} | {ti:.2} | {}/{}/{} |",
-            cs.named_object_scans, cu.named_object_scans, ci.named_object_scans
+            scans[0], scans[1], scans[2]
         );
         r.record(format!("F5/p{n}s{sub}/switch"), ts, cs);
         r.record(format!("F5/p{n}s{sub}/union"), tu, cu);
         r.record(format!("F5/p{n}s{sub}/indexed"), ti, ci);
+        // The three plans are one query: canon-identical results, and the
+        // scan counts the paper's argument rests on.
+        let canon = |v: &Value| canonical_form(v, db.store());
+        let canon_identical = canon(&vs) == canon(&vu) && canon(&vu) == canon(&vi);
+        checks.push(format!(
+            "{{\"scenario\":\"p{n}s{sub}\",\"canon_identical\":{canon_identical},\
+             \"named_object_scans\":[{},{},{}]}}",
+            scans[0], scans[1], scans[2]
+        ));
     }
+    r.extra("f5_dispatch", format!("[{}]", checks.join(",")));
 }
 
 fn f6_f8(r: &mut Report) {

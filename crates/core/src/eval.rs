@@ -30,7 +30,7 @@ use crate::ops::predicate::Truth;
 use crate::ops::{aggregate, array, predicate};
 use crate::physical::RowKernel;
 use crate::profile::{Profile, TraceSink};
-use excess_types::{domain, Date, MultiSet, ObjectStore, SchemaType, TypeId, TypeRegistry, Value};
+use excess_types::{domain, Date, MultiSet, ObjectStore, TypeId, TypeRegistry, Value};
 
 /// Everything evaluation needs besides the expression: the type registry,
 /// the (mutable — REF mints) object store, the catalog of named objects,
@@ -103,48 +103,6 @@ impl<'a> EvalCtx<'a> {
 pub fn evaluate(e: &Expr, ctx: &mut EvalCtx) -> EvalResult<Value> {
     let mut env = Vec::new();
     eval(e, &mut env, ctx)
-}
-
-/// Determine the *exact* (most specific) type of a runtime value, for the
-/// Section 4 dispatch mechanisms.
-///
-/// * references dereference to the store's recorded exact type;
-/// * tuples are shape-matched: among all named tuple types whose full body
-///   the value inhabits *exactly*, the most specific (deepest) one wins.
-///
-/// Returns `None` when no named type matches.
-pub fn exact_type_of(v: &Value, ctx: &EvalCtx) -> Option<TypeId> {
-    exact_type_of_parts(v, ctx.registry, ctx.store)
-}
-
-/// [`exact_type_of`] without an evaluation context — usable anywhere a
-/// registry and store are at hand (e.g. extent-index maintenance).
-pub fn exact_type_of_parts(
-    v: &Value,
-    registry: &TypeRegistry,
-    store: &ObjectStore,
-) -> Option<TypeId> {
-    if let Value::Ref(oid) = v {
-        return store.exact_type(*oid).ok();
-    }
-    let mut best: Option<TypeId> = None;
-    let mut best_depth = 0usize;
-    for ty in registry.all_ids() {
-        let Ok(body) = registry.full_body(ty) else {
-            continue;
-        };
-        if !matches!(body, SchemaType::Tup(_)) {
-            continue;
-        }
-        if domain::check_dom_exact(v, &body, registry).is_ok() {
-            let depth = registry.ancestors(ty).len();
-            if best.is_none() || depth > best_depth {
-                best = Some(ty);
-                best_depth = depth;
-            }
-        }
-    }
-    best
 }
 
 fn sort_err(op: &'static str, expected: &'static str, v: &Value) -> EvalError {
@@ -284,7 +242,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                 if let Some(want) = &filter {
                     // "only objects that are exactly of type T are to be
                     // processed"; others are ignored.
-                    let exact = exact_type_of(occ, ctx);
+                    let exact = domain::exact_type_of(occ, ctx.registry, ctx.store);
                     if !matches!(exact, Some(t) if want.contains(&t)) {
                         continue;
                     }
@@ -680,16 +638,17 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             let mut out = MultiSet::new();
             for occ in set.iter_occurrences() {
                 ctx.counters.occurrences_scanned += 1;
-                let exact = exact_type_of(occ, ctx).ok_or_else(|| EvalError::NoDispatchArm {
-                    ty: format!("<untyped value {occ}>"),
-                })?;
+                let exact =
+                    domain::exact_type_of(occ, ctx.registry, ctx.store).ok_or_else(|| {
+                        EvalError::NoDispatchArm {
+                            ty: format!("<untyped value {occ}>"),
+                        }
+                    })?;
                 // Exact arm, else the nearest (most specific) ancestor arm —
                 // inherited method semantics.
-                let arm = arms
-                    .iter()
-                    .filter(|(t, _)| ctx.registry.is_subtype_or_self(exact, *t))
-                    .max_by_key(|(t, _)| ctx.registry.ancestors(*t).len())
-                    .map(|(_, b)| *b)
+                let arm = ctx
+                    .registry
+                    .nearest(exact, arms.iter().copied())
                     .ok_or_else(|| EvalError::NoDispatchArm {
                         ty: ctx.registry.name_of(exact).to_string(),
                     })?;

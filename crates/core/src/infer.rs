@@ -86,7 +86,7 @@ pub fn sort_of(t: &SchemaType, reg: &TypeRegistry) -> Option<Sort> {
         SchemaType::Ref(_) => Some(Sort::Ref),
         SchemaType::Named(n) => {
             let id = reg.lookup(n).ok()?;
-            sort_of(&reg.full_body(id).ok()?, reg)
+            sort_of(reg.full_body(id), reg)
         }
     }
 }
@@ -130,8 +130,7 @@ fn resolve(t: SchemaType, reg: &TypeRegistry, path: &[usize]) -> Result<SchemaTy
             let id = reg
                 .lookup(&n)
                 .map_err(|e| InferError::new(path.to_vec(), e.to_string()))?;
-            reg.full_body(id)
-                .map_err(|e| InferError::new(path.to_vec(), e.to_string()))
+            Ok(reg.full_body(id).clone())
         }
         other => Ok(other),
     }

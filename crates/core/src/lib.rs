@@ -46,7 +46,7 @@ pub use canon::{canonical_form, equal_modulo_identity};
 pub use catalog::{Catalog, EmptyCatalog};
 pub use counters::Counters;
 pub use error::{EvalError, EvalResult};
-pub use eval::{eval, evaluate, exact_type_of, exact_type_of_parts, EvalCtx};
+pub use eval::{eval, evaluate, EvalCtx};
 pub use expr::{Bound, CmpOp, Expr, Func, Pred};
 pub use json::{escape_json, millis, number, parse_json, path_json, quote_json, JsonValue};
 pub use ops::predicate::Truth;

@@ -164,12 +164,10 @@ pub fn resolve_deep(t: &SchemaType, reg: &TypeRegistry) -> SchemaType {
             return t.clone();
         }
         match t {
-            SchemaType::Named(n) => {
-                match reg.lookup(n).ok().and_then(|id| reg.full_body(id).ok()) {
-                    Some(body) => go(&body, reg, fuel - 1),
-                    None => t.clone(),
-                }
-            }
+            SchemaType::Named(n) => match reg.lookup(n) {
+                Ok(id) => go(reg.full_body(id), reg, fuel - 1),
+                Err(_) => t.clone(),
+            },
             SchemaType::Tup(fs) => SchemaType::Tup(
                 fs.iter()
                     .map(|(n, ft)| (n.clone(), go(ft, reg, fuel - 1)))
@@ -235,13 +233,7 @@ impl<'a> Verifier<'a> {
     fn resolve(&mut self, t: SchemaType) -> Option<SchemaType> {
         match t {
             SchemaType::Named(n) => match self.reg.lookup(&n) {
-                Ok(id) => match self.reg.full_body(id) {
-                    Ok(b) => Some(b),
-                    Err(e) => {
-                        self.error("unknown-type", e.to_string());
-                        None
-                    }
-                },
+                Ok(id) => Some(self.reg.full_body(id).clone()),
                 Err(_) => {
                     self.error("unknown-type", format!("unknown type `{n}`"));
                     None
@@ -300,9 +292,14 @@ impl<'a> Verifier<'a> {
         if self.reg.is_subtype_or_self(b, a) {
             return Some(self.reg.name_of(a).to_string());
         }
-        let aa: Vec<_> = self.reg.ancestors(a);
         let ab = self.reg.ancestors(b);
-        let common: Vec<_> = aa.into_iter().filter(|t| ab.contains(t)).collect();
+        let common: Vec<_> = self
+            .reg
+            .ancestors(a)
+            .iter()
+            .copied()
+            .filter(|t| ab.contains(t))
+            .collect();
         // Most derived: no other common ancestor strictly below it.
         common
             .iter()
@@ -335,21 +332,15 @@ impl<'a> Verifier<'a> {
                         Some(ca) => Some(SchemaType::named(ca)),
                         None => {
                             // No common supertype: fall back to structure.
-                            let bx = self.reg.full_body(ix).ok()?;
-                            let by = self.reg.full_body(iy).ok()?;
-                            self.join(&bx, &by)
+                            self.join(self.reg.full_body(ix), self.reg.full_body(iy))
                         }
                     },
                     _ => None,
                 }
             }
             (SchemaType::Named(x), other) | (other, SchemaType::Named(x)) => {
-                let body = self
-                    .reg
-                    .lookup(x)
-                    .ok()
-                    .and_then(|id| self.reg.full_body(id).ok())?;
-                self.join(&body, other)
+                let body = self.reg.full_body(self.reg.lookup(x).ok()?);
+                self.join(body, other)
             }
             (SchemaType::Ref(x), SchemaType::Ref(y)) => {
                 match (self.reg.lookup(x), self.reg.lookup(y)) {
@@ -781,8 +772,9 @@ impl<'a> Verifier<'a> {
                         // §3.1 (amended definition v′): the minted object's
                         // value must inhabit dom(ty), i.e. be compatible
                         // with the type's full body.
-                        if let (Some(ta), Ok(body)) = (&ta, self.reg.full_body(id)) {
-                            if self.join(ta, &body).is_none() {
+                        if let Some(ta) = &ta {
+                            let body = self.reg.full_body(id);
+                            if self.join(ta, body).is_none() {
                                 self.error(
                                     "oid-domain",
                                     format!(

@@ -979,7 +979,7 @@ impl Database {
     /// Exact (most specific) type of a value (store lookup for refs,
     /// shape match for tuples).
     pub fn exact_type_of(&self, v: &Value) -> Option<TypeId> {
-        excess_core::eval::exact_type_of_parts(v, &self.registry, &self.store)
+        excess_types::domain::exact_type_of(v, &self.registry, &self.store)
     }
 
     // ----- updates -----

@@ -26,9 +26,8 @@
 //! the stored set, kept current on write.
 
 use crate::catalog::{is_extent_view, DbCatalog};
-use excess_core::eval::exact_type_of_parts;
 use excess_optimizer::{ObjectStats, Statistics};
-use excess_types::{MultiSet, ObjectStore, Oid, TypeRegistry, Value};
+use excess_types::{domain, MultiSet, ObjectStore, Oid, TypeRegistry, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -270,7 +269,7 @@ impl Sketches {
             }
             if let Value::Set(s) = value {
                 for (e, card) in s.iter_counted() {
-                    if let Some(ty) = exact_type_of_parts(e, registry, store) {
+                    if let Some(ty) = domain::exact_type_of(e, registry, store) {
                         *type_counts.entry(registry.name_of(ty)).or_insert(0) += card;
                     }
                     total_elems += card;

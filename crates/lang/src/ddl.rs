@@ -51,8 +51,7 @@ pub fn initial_value(ty: &SchemaType, reg: &TypeRegistry) -> LangResult<Value> {
         SchemaType::Ref(_) => Value::dne(),
         SchemaType::Named(n) => {
             let id = reg.lookup(n)?;
-            let body = reg.full_body(id)?;
-            return initial_value(&body, reg);
+            return initial_value(reg.full_body(id), reg);
         }
     })
 }

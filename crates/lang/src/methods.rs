@@ -81,39 +81,16 @@ impl MethodRegistry {
         };
         self.by_name
             .values()
-            .filter_map(|defs| {
-                // The implementation that `ty` resolves to, if any.
-                defs.iter()
-                    .filter(|d| {
-                        reg.lookup(&d.owner)
-                            .map(|o| reg.is_subtype_or_self(id, o))
-                            .unwrap_or(false)
-                    })
-                    .max_by_key(|d| {
-                        reg.lookup(&d.owner)
-                            .map(|o| reg.ancestors(o).len())
-                            .unwrap_or(0)
-                    })
-            })
+            .filter_map(|defs| reg.nearest(id, by_owner(reg, defs)))
             .collect()
     }
 
     /// Resolve the implementation a receiver of static type `ty` uses:
-    /// the implementation on the nearest ancestor-or-self.
+    /// the implementation on the nearest ancestor-or-self
+    /// ([`TypeRegistry::nearest`]).
     pub fn resolve(&self, reg: &TypeRegistry, name: &str, ty: &str) -> Option<&MethodDef> {
         let id = reg.lookup(ty).ok()?;
-        self.implementations(name)
-            .iter()
-            .filter(|d| {
-                reg.lookup(&d.owner)
-                    .map(|o| reg.is_subtype_or_self(id, o))
-                    .unwrap_or(false)
-            })
-            .max_by_key(|d| {
-                reg.lookup(&d.owner)
-                    .map(|o| reg.ancestors(o).len())
-                    .unwrap_or(0)
-            })
+        reg.nearest(id, by_owner(reg, self.implementations(name)))
     }
 
     /// The implementations *relevant* to a receiver of static type `ty`:
@@ -136,6 +113,16 @@ impl MethodRegistry {
         }
         out
     }
+}
+
+/// Each implementation keyed by its owner's id (implementations on an
+/// undefined type are skipped).
+fn by_owner<'r, 'd>(
+    reg: &'r TypeRegistry,
+    defs: &'d [MethodDef],
+) -> impl Iterator<Item = (excess_types::TypeId, &'d MethodDef)> + use<'r, 'd> {
+    defs.iter()
+        .filter_map(|d| reg.lookup(&d.owner).ok().map(|o| (o, d)))
 }
 
 /// The placeholder leaf used for formal parameter `name`.

@@ -91,7 +91,7 @@ fn resolve_ty(ty: &SchemaType, reg: &TypeRegistry) -> LangResult<SchemaType> {
     match ty {
         SchemaType::Named(n) => {
             let id = reg.lookup(n)?;
-            Ok(reg.full_body(id)?)
+            Ok(reg.full_body(id).clone())
         }
         other => Ok(other.clone()),
     }

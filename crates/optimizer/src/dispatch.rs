@@ -52,31 +52,27 @@ pub fn build_switch(input: Expr, impls: &[MethodImpl]) -> Expr {
 }
 
 /// The exact types each implementation covers: the owner plus every
-/// descendant that does *not* have a more specific implementation ("only
-/// as many SET_APPLYs as there are distinct method implementations").
+/// descendant that resolves to it ([`TypeRegistry::nearest`], the rule the
+/// switch table dispatches by) — "only as many SET_APPLYs as there are
+/// distinct method implementations".
 pub fn coverage(reg: &TypeRegistry, impls: &[MethodImpl]) -> Vec<(MethodImpl, Vec<String>)> {
-    let owner_ids: Vec<(TypeId, &MethodImpl)> = impls
+    let owners: Vec<(TypeId, &MethodImpl)> = impls
         .iter()
         .filter_map(|m| reg.lookup(&m.owner).ok().map(|id| (id, m)))
         .collect();
-    let mut out = Vec::new();
-    for (owner_id, m) in &owner_ids {
-        let mut covered = vec![m.owner.clone()];
-        for d in reg.descendants(*owner_id) {
-            // d resolves to this implementation iff no other owner is a
-            // strictly more specific ancestor-or-self of d.
-            let resolves_here = owner_ids.iter().all(|(other, _)| {
-                other == owner_id
-                    || !reg.is_subtype_or_self(d, *other)
-                    || reg.is_subtype_or_self(*owner_id, *other)
-            });
-            if resolves_here {
-                covered.push(reg.name_of(d).to_string());
+    let nearest = |d: TypeId| reg.nearest(d, owners.iter().map(|&(o, _)| (o, o)));
+    owners
+        .iter()
+        .map(|&(owner, m)| {
+            let mut covered = vec![m.owner.clone()];
+            for &d in reg.descendants(owner) {
+                if nearest(d) == Some(owner) {
+                    covered.push(reg.name_of(d).to_string());
+                }
             }
-        }
-        out.push(((*m).clone(), covered));
-    }
-    out
+            (m.clone(), covered)
+        })
+        .collect()
 }
 
 /// Build the Figure 5 plan: `⊎` over one `SET_APPLY[T…; body]` per

@@ -28,36 +28,25 @@ impl<'a> RuleCtx<'a> {
     /// Field names of the tuple elements of a set-valued expression, if
     /// statically known (used by field-provenance side conditions).
     pub fn set_elem_fields(&self, e: &Expr) -> Option<Vec<String>> {
-        let t = self.infer(e)?;
-        let elem = match t {
-            SchemaType::Set(e) => *e,
-            _ => return None,
+        let SchemaType::Set(elem) = self.infer(e)? else {
+            return None;
         };
-        let elem = match elem {
-            SchemaType::Named(n) => {
-                let id = self.registry.lookup(&n).ok()?;
-                self.registry.full_body(id).ok()?
-            }
-            other => other,
-        };
-        match elem {
-            SchemaType::Tup(fs) => Some(fs.into_iter().map(|(n, _)| n).collect()),
-            _ => None,
-        }
+        self.field_names(&elem)
     }
 
     /// Field names of a tuple-valued expression, if statically known.
     pub fn tuple_fields(&self, e: &Expr) -> Option<Vec<String>> {
-        let t = self.infer(e)?;
+        self.field_names(&self.infer(e)?)
+    }
+
+    /// Field names of a tuple schema, resolving `Named` one level.
+    fn field_names(&self, t: &SchemaType) -> Option<Vec<String>> {
         let t = match t {
-            SchemaType::Named(n) => {
-                let id = self.registry.lookup(&n).ok()?;
-                self.registry.full_body(id).ok()?
-            }
+            SchemaType::Named(n) => self.registry.full_body(self.registry.lookup(n).ok()?),
             other => other,
         };
         match t {
-            SchemaType::Tup(fs) => Some(fs.into_iter().map(|(n, _)| n).collect()),
+            SchemaType::Tup(fs) => Some(fs.iter().map(|(n, _)| n.clone()).collect()),
             _ => None,
         }
     }

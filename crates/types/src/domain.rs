@@ -20,6 +20,7 @@
 use crate::error::{Result, TypeError};
 use crate::oid::{Oid, TypeId};
 use crate::schema::SchemaType;
+use crate::store::ObjectStore;
 use crate::types::TypeRegistry;
 use crate::value::Value;
 
@@ -39,27 +40,98 @@ pub fn partition_cell_contains(ty: TypeId, oid: Oid) -> bool {
 /// are members of every domain, per the semantic interpretation of the null
 /// constants in Section 3.2.4.
 pub fn check_dom(v: &Value, s: &SchemaType, reg: &TypeRegistry) -> Result<()> {
-    check(v, s, reg, true)
+    check(v, s, reg, true).map_err(|f| f.into_error(reg))
 }
 
 /// Check `v ∈ dom(s)`: the strict structural domain, with no subtype
 /// substitution at `Named` types and strict `R(n)` membership at `ref`
 /// nodes.  Exists so tests can witness `dom(S) ⊆ DOM(S)` being strict.
 pub fn check_dom_exact(v: &Value, s: &SchemaType, reg: &TypeRegistry) -> Result<()> {
-    check(v, s, reg, false)
+    check(v, s, reg, false).map_err(|f| f.into_error(reg))
 }
 
-fn mismatch(expected: &SchemaType, found: &Value) -> TypeError {
-    TypeError::DomainViolation {
-        expected: expected.to_string(),
-        found: format!("{} `{}`", found.kind_name(), found),
+/// Determine the *exact* (most specific) type of a value, for the
+/// Section 4 dispatch mechanisms and the per-type extents.
+///
+/// * references dereference to the store's recorded exact type;
+/// * tuples are shape-matched: among all named tuple types whose full body
+///   the value inhabits *exactly* (`dom`, not `DOM`), the deepest one wins,
+///   and of equally deep ones the first defined.
+///
+/// Returns `None` when no named type matches.  A failed match builds no
+/// diagnostic, so this costs one conformance walk per candidate type.
+pub fn exact_type_of(v: &Value, reg: &TypeRegistry, store: &ObjectStore) -> Option<TypeId> {
+    if let Value::Ref(oid) = v {
+        return store.exact_type(*oid).ok();
+    }
+    let mut best: Option<TypeId> = None;
+    for ty in reg.all_ids() {
+        let body = reg.full_body(ty);
+        let deeper = best.is_none_or(|b| reg.ancestors(ty).len() > reg.ancestors(b).len());
+        if deeper && matches!(body, SchemaType::Tup(_)) && check(v, body, reg, false).is_ok() {
+            best = Some(ty);
+        }
+    }
+    best
+}
+
+/// Why a value is not in a domain, borrowed from what the check was given.
+/// The walker returns this instead of a [`TypeError`] so that a caller that
+/// only needs the verdict — the exact-type test, a `DOM` candidate that a
+/// later candidate replaces — never formats the value; [`Failure::into_error`]
+/// builds the message at the public boundary.
+enum Failure<'a> {
+    /// `found` is not of the kind, arity or scalar type `expected` asks for.
+    Mismatch {
+        expected: &'a SchemaType,
+        found: &'a Value,
+    },
+    /// A tuple of the right arity lacks a field its schema names.
+    NoSuchField(&'a str),
+    /// A fixed-length array of the wrong length.
+    ArrayLength { expected: usize, found: usize },
+    /// An OID outside `R(name)` (exact) or `Odom(name)` (substituting).
+    OutsideRef { name: &'a str, oid: Oid },
+    /// A type name the registry does not define.
+    UnknownType(&'a str),
+}
+
+impl Failure<'_> {
+    fn into_error(self, reg: &TypeRegistry) -> TypeError {
+        match self {
+            Failure::Mismatch { expected, found } => TypeError::DomainViolation {
+                expected: expected.to_string(),
+                found: format!("{} `{}`", found.kind_name(), found),
+            },
+            Failure::NoSuchField(field) => TypeError::NoSuchField {
+                field: field.to_string(),
+            },
+            Failure::ArrayLength { expected, found } => TypeError::ArrayLength { expected, found },
+            Failure::OutsideRef { name, oid } => TypeError::DomainViolation {
+                expected: format!("ref {name}"),
+                found: format!("OID {oid} (minted for {})", reg.name_of(oid.minted)),
+            },
+            Failure::UnknownType(name) => TypeError::UnknownType(name.to_string()),
+        }
     }
 }
 
-fn check(v: &Value, s: &SchemaType, reg: &TypeRegistry, substituting: bool) -> Result<()> {
+/// The one conformance walker behind `dom` (`substituting = false`) and
+/// `DOM` (`true`).
+fn check<'a>(
+    v: &'a Value,
+    s: &'a SchemaType,
+    reg: &'a TypeRegistry,
+    substituting: bool,
+) -> std::result::Result<(), Failure<'a>> {
     if v.is_null() {
         return Ok(());
     }
+    let mismatch = || Failure::Mismatch {
+        expected: s,
+        found: v,
+    };
+    let lookup = |name: &'a str| reg.lookup(name).map_err(|_| Failure::UnknownType(name));
     match s {
         SchemaType::Val(st) => match v {
             Value::Scalar(sc) if sc.scalar_type() == *st => Ok(()),
@@ -71,24 +143,24 @@ fn check(v: &Value, s: &SchemaType, reg: &TypeRegistry, substituting: bool) -> R
             {
                 Ok(())
             }
-            _ => Err(mismatch(s, v)),
+            _ => Err(mismatch()),
         },
         SchemaType::Tup(fields) => {
             let Value::Tuple(t) = v else {
-                return Err(mismatch(s, v));
+                return Err(mismatch());
             };
             if t.arity() != fields.len() {
-                return Err(mismatch(s, v));
+                return Err(mismatch());
             }
             for (name, fty) in fields {
-                let fv = t.extract(name)?;
+                let fv = t.get(name).ok_or(Failure::NoSuchField(name))?;
                 check(fv, fty, reg, substituting)?;
             }
             Ok(())
         }
         SchemaType::Set(elem) => {
             let Value::Set(ms) = v else {
-                return Err(mismatch(s, v));
+                return Err(mismatch());
             };
             // "every element of the multiset appears in the domain of the
             // child of the multiset node" (definition iii); DE(x) ⊆ dom(S1)
@@ -100,11 +172,11 @@ fn check(v: &Value, s: &SchemaType, reg: &TypeRegistry, substituting: bool) -> R
         }
         SchemaType::Arr { elem, len } => {
             let Value::Array(a) = v else {
-                return Err(mismatch(s, v));
+                return Err(mismatch());
             };
             if let Some(n) = len {
                 if a.len() != *n {
-                    return Err(TypeError::ArrayLength {
+                    return Err(Failure::ArrayLength {
                         expected: *n,
                         found: a.len(),
                     });
@@ -117,9 +189,9 @@ fn check(v: &Value, s: &SchemaType, reg: &TypeRegistry, substituting: bool) -> R
         }
         SchemaType::Ref(name) => {
             let Value::Ref(oid) = v else {
-                return Err(mismatch(s, v));
+                return Err(mismatch());
             };
-            let ty = reg.lookup(name)?;
+            let ty = lookup(name)?;
             let ok = if substituting {
                 odom_contains(reg, ty, *oid) // definition (v')
             } else {
@@ -128,32 +200,24 @@ fn check(v: &Value, s: &SchemaType, reg: &TypeRegistry, substituting: bool) -> R
             if ok {
                 Ok(())
             } else {
-                Err(TypeError::DomainViolation {
-                    expected: format!("ref {name}"),
-                    found: format!("OID {oid} (minted for {})", reg.name_of(oid.minted)),
-                })
+                Err(Failure::OutsideRef { name, oid: *oid })
             }
         }
         SchemaType::Named(name) => {
-            let ty = reg.lookup(name)?;
+            let ty = lookup(name)?;
+            let mut verdict = check(v, reg.full_body(ty), reg, substituting);
             if substituting {
                 // DOM(S): the value may inhabit the named type or any of its
-                // descendants (substitutability).
-                let mut candidates = vec![ty];
-                candidates.extend(reg.descendants(ty));
-                let mut last_err = None;
-                for c in candidates {
-                    let body = reg.full_body(c)?;
-                    match check(v, &body, reg, substituting) {
-                        Ok(()) => return Ok(()),
-                        Err(e) => last_err = Some(e),
+                // descendants (substitutability); if none fits, the last
+                // candidate's failure is the one reported.
+                for &d in reg.descendants(ty) {
+                    if verdict.is_ok() {
+                        break;
                     }
+                    verdict = check(v, reg.full_body(d), reg, substituting);
                 }
-                Err(last_err.unwrap_or_else(|| mismatch(s, v)))
-            } else {
-                let body = reg.full_body(ty)?;
-                check(v, &body, reg, substituting)
             }
+            verdict
         }
     }
 }

@@ -16,8 +16,6 @@ pub enum TypeError {
     UnknownType(String),
     /// A type was defined twice.
     DuplicateType(String),
-    /// The `inherits` clauses form a cycle.
-    InheritanceCycle(String),
     /// A tuple attribute was inherited from two unrelated supertypes with
     /// conflicting types and not overridden.
     AttributeConflict { ty: String, attr: String },
@@ -50,9 +48,6 @@ impl fmt::Display for TypeError {
             }
             TypeError::UnknownType(n) => write!(f, "unknown type `{n}`"),
             TypeError::DuplicateType(n) => write!(f, "type `{n}` defined twice"),
-            TypeError::InheritanceCycle(n) => {
-                write!(f, "inheritance cycle through type `{n}`")
-            }
             TypeError::AttributeConflict { ty, attr } => {
                 write!(
                     f,

@@ -13,7 +13,10 @@ use crate::oid::TypeId;
 use crate::schema::SchemaType;
 use std::collections::{HashMap, HashSet};
 
-/// A registered named type.
+/// A registered named type.  Never mutated after
+/// [`TypeRegistry::define_with_supertypes`] accepts it: the registry stores
+/// facts derived from it (full body, ancestors, descendants) that would
+/// otherwise go stale.
 #[derive(Debug, Clone)]
 pub struct TypeDef {
     /// Identifier.
@@ -26,11 +29,24 @@ pub struct TypeDef {
     pub supertypes: Vec<TypeId>,
 }
 
+/// The hierarchy facts of one type, resolved when it is defined.
+#[derive(Debug, Clone)]
+struct Resolved {
+    /// See [`TypeRegistry::full_body`].
+    full_body: SchemaType,
+    /// See [`TypeRegistry::ancestors`].
+    ancestors: Vec<TypeId>,
+    /// See [`TypeRegistry::descendants`].
+    descendants: Vec<TypeId>,
+}
+
 /// The catalogue of named types and the `inherits` DAG.
 #[derive(Debug, Clone, Default)]
 pub struct TypeRegistry {
     defs: Vec<TypeDef>,
     by_name: HashMap<String, TypeId>,
+    /// Indexed like `defs`.
+    resolved: Vec<Resolved>,
 }
 
 impl TypeRegistry {
@@ -44,12 +60,15 @@ impl TypeRegistry {
         self.define_with_supertypes(name, body, &[])
     }
 
-    /// Define a type that `inherits` the named supertypes.
+    /// Define a type that `inherits` the named supertypes, and resolve its
+    /// full body, ancestors and descendants once, here.
     ///
     /// Supertypes must already be defined (forward references are not
     /// allowed by EXTRA's DDL either), which makes the hierarchy acyclic by
-    /// construction; the check is still performed for registries built
-    /// programmatically.
+    /// construction and means a definition never changes what an earlier
+    /// type resolved to — except that the new type joins its ancestors'
+    /// descendants.  Every check runs before anything is stored, so a
+    /// rejected definition leaves the registry as it was.
     pub fn define_with_supertypes(
         &mut self,
         name: &str,
@@ -68,7 +87,19 @@ impl TypeRegistry {
                 "type `{name}` inherits but is not a tuple type"
             )));
         }
+        // Attribute conflicts between unrelated supertypes surface now
+        // rather than at use.
+        let full_body = self.inherit(name, &body, &sups)?;
+        let ancestors = self.closure(&sups);
         let id = TypeId(self.defs.len() as u32);
+        for &a in &ancestors {
+            self.resolved[a.0 as usize].descendants.push(id);
+        }
+        self.resolved.push(Resolved {
+            full_body,
+            ancestors,
+            descendants: Vec::new(),
+        });
         self.defs.push(TypeDef {
             id,
             name: name.to_string(),
@@ -76,19 +107,6 @@ impl TypeRegistry {
             supertypes: sups,
         });
         self.by_name.insert(name.to_string(), id);
-        // Defensive cycle check (cannot trigger through the public DDL path).
-        if self.ancestors(id).contains(&id) {
-            self.defs.pop();
-            self.by_name.remove(name);
-            return Err(TypeError::InheritanceCycle(name.to_string()));
-        }
-        // Attribute conflict check: computing the full body surfaces
-        // conflicts between unrelated supertypes now rather than at use.
-        if let Err(e) = self.full_body(id) {
-            self.defs.pop();
-            self.by_name.remove(name);
-            return Err(e);
-        }
         Ok(id)
     }
 
@@ -132,34 +150,23 @@ impl TypeRegistry {
         &self.def(id).supertypes
     }
 
-    /// All strict ancestors (transitive closure of `inherits`).
-    pub fn ancestors(&self, id: TypeId) -> Vec<TypeId> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        let mut stack: Vec<TypeId> = self.def(id).supertypes.clone();
-        while let Some(t) = stack.pop() {
-            if seen.insert(t) {
-                out.push(t);
-                stack.extend(self.def(t).supertypes.iter().copied());
-            }
-        }
-        out
+    /// All strict ancestors (transitive closure of `inherits`), depth-first
+    /// from the last direct supertype.  Its length is the type's *depth*,
+    /// the specificity that dispatch ranks by (see [`Self::nearest`]).
+    pub fn ancestors(&self, id: TypeId) -> &[TypeId] {
+        &self.resolved[id.0 as usize].ancestors
     }
 
-    /// All strict descendants (types that inherit from `id`, transitively).
-    pub fn descendants(&self, id: TypeId) -> Vec<TypeId> {
-        self.all_ids()
-            .filter(|&t| t != id && self.is_subtype_or_self(t, id))
-            .collect()
+    /// All strict descendants (types that inherit from `id`, transitively),
+    /// in definition order.
+    pub fn descendants(&self, id: TypeId) -> &[TypeId] {
+        &self.resolved[id.0 as usize].descendants
     }
 
     /// `true` iff `sub` is `sup` or inherits from it (`sup →* sub`):
     /// substitutability.
     pub fn is_subtype_or_self(&self, sub: TypeId, sup: TypeId) -> bool {
-        if sub == sup {
-            return true;
-        }
-        self.ancestors(sub).contains(&sup)
+        sub == sup || self.ancestors(sub).contains(&sup)
     }
 
     /// OID-domain **rule 4** helper: do `a` and `b` share any descendant
@@ -169,6 +176,25 @@ impl TypeRegistry {
             .any(|t| self.is_subtype_or_self(t, a) && self.is_subtype_or_self(t, b))
     }
 
+    /// The payload of the *nearest* of `candidates` that `ty` is or
+    /// inherits from: the deepest one, and of equally deep ones the last.
+    /// `None` when `ty` inherits from none of them.
+    ///
+    /// This is the one rule for "which implementation does a `ty` use":
+    /// static method resolution and the run-time switch table both choose
+    /// by it, so they cannot drift apart.
+    pub fn nearest<T>(
+        &self,
+        ty: TypeId,
+        candidates: impl IntoIterator<Item = (TypeId, T)>,
+    ) -> Option<T> {
+        candidates
+            .into_iter()
+            .filter(|(c, _)| self.is_subtype_or_self(ty, *c))
+            .max_by_key(|(c, _)| self.ancestors(*c).len())
+            .map(|(_, payload)| payload)
+    }
+
     // ----- attribute resolution -----
 
     /// The *full* body of a type: inherited attributes (left-to-right,
@@ -176,35 +202,39 @@ impl TypeRegistry {
     /// with own declarations overriding inherited ones of the same name.
     ///
     /// A name inherited from two unrelated supertypes with *different*
-    /// types and no local override is an [`TypeError::AttributeConflict`];
-    /// identical types merge silently (the common diamond case, e.g. two
-    /// paths to `Person`).
+    /// types and no local override is an [`TypeError::AttributeConflict`]
+    /// when the type is defined; identical types merge silently (the
+    /// common diamond case, e.g. two paths to `Person`).
     ///
     /// Non-tuple types are returned as declared.
-    pub fn full_body(&self, id: TypeId) -> Result<SchemaType> {
-        let def = self.def(id);
-        let SchemaType::Tup(own) = &def.body else {
-            return Ok(def.body.clone());
+    pub fn full_body(&self, id: TypeId) -> &SchemaType {
+        &self.resolved[id.0 as usize].full_body
+    }
+
+    /// The full body a type `name` declared as `body` over `sups` would
+    /// have (see [`Self::full_body`]).
+    fn inherit(&self, name: &str, body: &SchemaType, sups: &[TypeId]) -> Result<SchemaType> {
+        let SchemaType::Tup(own) = body else {
+            return Ok(body.clone());
         };
         let mut fields: Vec<(String, SchemaType)> = Vec::new();
-        for &sup in &def.supertypes {
-            let SchemaType::Tup(sup_fields) = self.full_body(sup)? else {
+        for &sup in sups {
+            let SchemaType::Tup(sup_fields) = self.full_body(sup) else {
                 return Err(TypeError::Structure(format!(
-                    "supertype `{}` of `{}` is not a tuple type",
+                    "supertype `{}` of `{name}` is not a tuple type",
                     self.name_of(sup),
-                    def.name
                 )));
             };
             for (n, t) in sup_fields {
-                match fields.iter().find(|(m, _)| *m == n) {
-                    None => fields.push((n, t)),
-                    Some((_, existing)) if *existing == t => {} // diamond merge
+                match fields.iter().find(|(m, _)| m == n) {
+                    None => fields.push((n.clone(), t.clone())),
+                    Some((_, existing)) if existing == t => {} // diamond merge
                     Some(_) => {
                         // Conflict unless the subtype overrides locally.
-                        if !own.iter().any(|(m, _)| *m == n) {
+                        if !own.iter().any(|(m, _)| m == n) {
                             return Err(TypeError::AttributeConflict {
-                                ty: def.name.clone(),
-                                attr: n,
+                                ty: name.to_string(),
+                                attr: n.clone(),
                             });
                         }
                     }
@@ -221,12 +251,18 @@ impl TypeRegistry {
         Ok(SchemaType::Tup(fields))
     }
 
-    /// Resolve `Named(n)` one level: the full body of the named type.
-    pub fn resolve_named(&self, ty: &SchemaType) -> Result<SchemaType> {
-        match ty {
-            SchemaType::Named(n) => self.full_body(self.lookup(n)?),
-            other => Ok(other.clone()),
+    /// The strict ancestors of a type whose direct supertypes are `sups`.
+    fn closure(&self, sups: &[TypeId]) -> Vec<TypeId> {
+        let mut out = Vec::new();
+        let mut seen = HashSet::new();
+        let mut stack: Vec<TypeId> = sups.to_vec();
+        while let Some(t) = stack.pop() {
+            if seen.insert(t) {
+                out.push(t);
+                stack.extend(self.def(t).supertypes.iter().copied());
+            }
         }
+        out
     }
 }
 
@@ -254,7 +290,7 @@ mod tests {
                 &["Person"],
             )
             .unwrap();
-        let SchemaType::Tup(fields) = r.full_body(e).unwrap() else {
+        let SchemaType::Tup(fields) = r.full_body(e) else {
             panic!()
         };
         let names: Vec<_> = fields.iter().map(|(n, _)| n.as_str()).collect();
@@ -275,7 +311,7 @@ mod tests {
                 &["Person"],
             )
             .unwrap();
-        let SchemaType::Tup(fields) = r.full_body(s).unwrap() else {
+        let SchemaType::Tup(fields) = r.full_body(s) else {
             panic!()
         };
         let name_ty = &fields.iter().find(|(n, _)| n == "name").unwrap().1;
@@ -307,7 +343,7 @@ mod tests {
                 &["Employee", "Student"],
             )
             .unwrap();
-        let SchemaType::Tup(fields) = r.full_body(ta).unwrap() else {
+        let SchemaType::Tup(fields) = r.full_body(ta) else {
             panic!()
         };
         let names: Vec<_> = fields.iter().map(|(n, _)| n.as_str()).collect();
@@ -377,7 +413,7 @@ mod tests {
                 &["Person"],
             )
             .unwrap();
-        let d: HashSet<_> = r.descendants(p).into_iter().collect();
+        let d: HashSet<_> = r.descendants(p).iter().copied().collect();
         assert_eq!(d, HashSet::from([e, s]));
         // Employee and Student share no descendant here…
         assert!(!r.shares_descendant(e, s));
@@ -406,7 +442,7 @@ mod tests {
         let m = r
             .define_with_supertypes("Manager", SchemaType::tuple::<_, String>([]), &["Employee"])
             .unwrap();
-        let a: HashSet<_> = r.ancestors(m).into_iter().collect();
+        let a: HashSet<_> = r.ancestors(m).iter().copied().collect();
         assert_eq!(a, HashSet::from([e, p]));
     }
 }

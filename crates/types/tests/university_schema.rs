@@ -66,8 +66,8 @@ fn university() -> TypeRegistry {
 fn every_figure1_type_has_a_valid_schema_digraph() {
     let r = university();
     for id in r.all_ids() {
-        let body = r.full_body(id).unwrap();
-        let g = SchemaGraph::from_schema_type(r.name_of(id), &body);
+        let body = r.full_body(id);
+        let g = SchemaGraph::from_schema_type(r.name_of(id), body);
         g.validate()
             .unwrap_or_else(|e| panic!("{}: {e}", r.name_of(id)));
     }
@@ -83,8 +83,8 @@ fn every_figure1_type_has_a_valid_schema_digraph() {
 #[test]
 fn employee_digraph_has_the_expected_shape() {
     let r = university();
-    let body = r.full_body(r.lookup("Employee").unwrap()).unwrap();
-    let g = SchemaGraph::from_schema_type("Employee", &body);
+    let body = r.full_body(r.lookup("Employee").unwrap());
+    let g = SchemaGraph::from_schema_type("Employee", body);
     // Root is the tuple node; 12 attributes (6 inherited + 6 own).
     assert_eq!(g.nodes[g.root].kind, NodeKind::Tup);
     let root_edges = g.edges.iter().filter(|e| e.from == g.root).count();
@@ -97,7 +97,7 @@ fn employee_digraph_has_the_expected_shape() {
 #[test]
 fn inherited_attributes_precede_own_attributes() {
     let r = university();
-    let SchemaType::Tup(fields) = r.full_body(r.lookup("Student").unwrap()).unwrap() else {
+    let SchemaType::Tup(fields) = r.full_body(r.lookup("Student").unwrap()) else {
         panic!()
     };
     let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();

@@ -3,7 +3,7 @@
 
 use excess::algebra::expr::{CmpOp, Expr, Pred};
 use excess::db::Database;
-use excess::optimizer::{Optimizer, RuleCtx};
+use excess::optimizer::{build_switch, build_union, MethodImpl, Optimizer, RuleCtx};
 use excess::types::{SchemaType, Value};
 
 fn hierarchy_db() -> Database {
@@ -220,4 +220,45 @@ fn ref_equality_is_identity_not_value() {
     let by_val = db.run_plan(&same_val).unwrap();
     assert_eq!(by_ref.as_set().unwrap().len(), 2); // only (x,x) and (y,y)
     assert_eq!(by_val.as_set().unwrap().len(), 4); // all four pairs
+}
+
+#[test]
+fn multiple_inheritance_tie_resolves_the_same_way_everywhere() {
+    // A TA inherits Employee and Student, which are equally deep and both
+    // override `boss`: a tie, broken toward the implementation listed last
+    // (here, defined last).  Static resolution, the run-time switch table
+    // and the ⊎ plan's coverage must all make that same choice.
+    let mut db = Database::new();
+    db.execute(
+        r#"define type Person: (name: char[])
+           define type Employee: (salary: int4) inherits Person
+           define type Student: (gpa: float4) inherits Person
+           define type TA: (hours: int4) inherits Employee, Student
+           define Person function boss () returns char[] { retrieve ("person") }
+           define Employee function boss () returns char[] { retrieve ("employee") }
+           define Student function boss () returns char[] { retrieve ("student") }
+           create P: { Person }
+           append to P (name: "t", salary: 1, gpa: 2.0, hours: 3)"#,
+    )
+    .unwrap();
+    let resolved = db.methods().resolve(db.registry(), "boss", "TA").unwrap();
+    assert_eq!(resolved.owner, "Student");
+    let student = Value::set([Value::str("student")]);
+    assert_eq!(
+        db.execute("retrieve (x.boss()) from x in P").unwrap(),
+        student
+    );
+    let impls: Vec<MethodImpl> = db
+        .methods()
+        .implementations("boss")
+        .iter()
+        .map(|m| MethodImpl {
+            owner: m.owner.clone(),
+            body: m.body.clone(),
+        })
+        .collect();
+    let switch = build_switch(Expr::named("P"), &impls);
+    let union = build_union(db.registry(), Expr::named("P"), &impls);
+    assert_eq!(db.run_plan(&switch).unwrap(), student);
+    assert_eq!(db.run_plan(&union).unwrap(), student);
 }

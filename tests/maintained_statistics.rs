@@ -13,9 +13,9 @@
 
 mod common;
 
-use excess::algebra::eval::exact_type_of_parts;
 use excess::db::{collect_object_statistics, Database, DbCatalog, VersionedDb};
 use excess::optimizer::Statistics;
+use excess::types::domain::exact_type_of;
 use excess::types::{MultiSet, ObjectStore, TypeRegistry, Value};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -124,7 +124,7 @@ fn check(
             let want = registry.lookup(ty).expect("indexed type");
             let mut refiltered = MultiSet::new();
             for (e, card) in base.iter_counted() {
-                if exact_type_of_parts(e, registry, store) == Some(want) {
+                if exact_type_of(e, registry, store) == Some(want) {
                     refiltered.insert_n(e.clone(), card);
                 }
             }
