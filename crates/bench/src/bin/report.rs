@@ -630,12 +630,10 @@ fn served_join(r: &mut Report) -> String {
 }
 
 /// Run one figure suite with spans on: every query goes through the
-/// telemetry pipeline, its span tree is asserted to telescope exactly to
-/// the profiler's counters, and one `explain analyze` per figure feeds
-/// the misestimation log.  Returns `(queries, registry json, feedback
-/// json)` after asserting the histogram invariants on the suite's
-/// `query_us` histogram.
-fn g_suite(db: &mut Database, figs: &[(&str, Expr)], trace_fig: &str) -> (u64, String, String) {
+/// telemetry pipeline and its span tree is asserted to telescope exactly
+/// to the profiler's counters.  Returns `(queries, registry json)` after
+/// asserting the histogram invariants on the suite's `query_us` histogram.
+fn g_suite(db: &mut Database, figs: &[(&str, Expr)], trace_fig: &str) -> (u64, String) {
     db.analyze();
     db.enable_query_spans(true);
     for (id, plan) in figs {
@@ -655,9 +653,6 @@ fn g_suite(db: &mut Database, figs: &[(&str, Expr)], trace_fig: &str) -> (u64, S
             println!("\nChrome trace of {id} written to `{path}` (load in chrome://tracing).");
         }
     }
-    for (_, plan) in figs {
-        db.explain_analyze(plan).unwrap();
-    }
     let t = db.telemetry();
     let h = t
         .registry
@@ -674,28 +669,23 @@ fn g_suite(db: &mut Database, figs: &[(&str, Expr)], trace_fig: &str) -> (u64, S
         p50 <= p95 && p95 <= p99,
         "quantiles must be monotone: {p50} {p95} {p99}"
     );
-    assert!(
-        !t.feedback.is_empty(),
-        "explain analyze must populate the misestimation log"
-    );
-    (h.count(), t.registry.to_json(), t.feedback.to_json())
+    (h.count(), t.registry.to_json())
 }
 
-/// G — unified telemetry: latency histograms with exact bucket counts,
-/// span trees that telescope to the profiler's counters, and the
-/// misestimation feedback log over the F6–F11 figures.  The `assert!`s in
-/// [`g_suite`] are the tentpole's acceptance criteria; CI re-checks the
-/// invariants from the `g_histograms` / `g_feedback` extras.
+/// G — unified telemetry: latency histograms with exact bucket counts and
+/// span trees that telescope to the profiler's counters over the F6–F11
+/// figures.  The `assert!`s in [`g_suite`] are the section's acceptance
+/// criteria; CI re-checks the invariants from the `g_histograms` extra.
 fn section_g(r: &mut Report) {
-    println!("\n## G — unified telemetry: histograms, span telescoping, misestimation");
+    println!("\n## G — unified telemetry: histograms and span telescoping");
 
     let mut db1 = example1_db(512, 256, 32);
     let figs1 = [("F6", figure6()), ("F7", figure7()), ("F8", figure8())];
-    let (q1, reg1, fb1) = g_suite(&mut db1, &figs1, "F6");
+    let (q1, reg1) = g_suite(&mut db1, &figs1, "F6");
 
     let mut db2 = example2_db(2000, 40, 10);
     let figs2 = [("F9", figure9()), ("F10", figure10()), ("F11", figure11())];
-    let (q2, reg2, fb2) = g_suite(&mut db2, &figs2, "");
+    let (q2, reg2) = g_suite(&mut db2, &figs2, "");
 
     println!("\nSpan telescoping: every counter summed over each query's span tree");
     println!(
@@ -703,32 +693,12 @@ fn section_g(r: &mut Report) {
         q1 + q2
     );
 
-    println!("\nMisestimation (worst per suite, q-error = max(est/act, act/est)):");
-    println!("\n| suite | path | kernel | mean est | mean actual | max q-error |");
-    println!("|---|---|---|---|---|---|");
-    for (suite, db) in [("example1", &db1), ("example2", &db2)] {
-        for e in db.telemetry().feedback.worst(3) {
-            println!(
-                "| {suite} | {} | {} | {:.0} | {:.0} | {:.1} |",
-                e.path,
-                e.op,
-                e.mean_est(),
-                e.mean_actual(),
-                e.max_q_error
-            );
-        }
-    }
-
     r.extra(
         "g_histograms",
         format!(
             "{{\"queries\":{},\"example1\":{reg1},\"example2\":{reg2}}}",
             q1 + q2
         ),
-    );
-    r.extra(
-        "g_feedback",
-        format!("{{\"example1\":{fb1},\"example2\":{fb2}}}"),
     );
 }
 
@@ -816,9 +786,8 @@ fn k_pair(id: &str, db: &Database, plan: &Expr, gate_refusals: &mut usize) -> St
     )
 }
 
-/// K — the one plan search against the reference climb, and the feedback
-/// loop closed end to end.  Three sub-claims, each asserted here and
-/// re-checked by CI from the `k_memo` extra:
+/// K — the one plan search against the reference climb.  Two sub-claims,
+/// each asserted here and re-checked by CI from the `k_memo` extra:
 ///
 /// 1. On every figure (F6–F11) and the scaled join the memo — with no
 ///    greedy pass inside it — extracts a plan no costlier than the
@@ -826,12 +795,8 @@ fn k_pair(id: &str, db: &Database, plan: &Expr, gate_refusals: &mut usize) -> St
 /// 2. The memo derives the canonical Figure 8 plan from the Figure 6
 ///    parser output, journaling the same two DE rules, with zero
 ///    extraction-gate refusals.
-/// 3. Deliberately staled statistics → a traced run records a q-error
-///    past `reopt_threshold` → the engine folds the observed
-///    cardinalities back into the statistics, re-optimizes, and the next
-///    run's root q-error collapses.
 fn section_k(r: &mut Report) {
-    println!("\n## K — the memo vs the reference climb, and the feedback loop");
+    println!("\n## K — the memo vs the reference climb");
 
     println!(
         "\n| figure | greedy cost | memo cost | greedy µs | memo µs | groups | members | rounds |"
@@ -892,99 +857,17 @@ fn section_k(r: &mut Report) {
     );
     let rule_json: Vec<String> = rules.iter().map(|n| format!("\"{n}\"")).collect();
 
-    // The feedback loop: stale statistics (E1 snapped to one row), a
-    // traced run whose misestimation crosses the threshold, the automatic
-    // re-optimization, and the corrected second run.
-    let mut fdb = example1_db(512, 256, 32);
-    fdb.analyze();
-    fdb.enable_query_spans(true);
-    fdb.statistics_mut().observe_extent_rows("E1", 1.0);
-    fdb.run_query_plan("K-stale", &figure6()).unwrap();
-    let reopt = fdb
-        .last_reoptimization()
-        .cloned()
-        .expect("the stale run must trigger a re-optimization");
-    assert!(
-        reopt.trigger_q_error > reopt.threshold,
-        "trigger {} must exceed threshold {}",
-        reopt.trigger_q_error,
-        reopt.threshold
-    );
-    let e1 = reopt
-        .corrected
-        .iter()
-        .find(|(n, _, _)| n == "E1")
-        .expect("E1's observed cardinality must be folded back");
-    assert!(
-        e1.2 > e1.1,
-        "E1 rows must be corrected upward: {} -> {}",
-        e1.1,
-        e1.2
-    );
-    assert!(reopt.cost_after <= reopt.cost_before);
-    // The corrected second run, measured against a fresh feedback log so
-    // the stale run's observations don't pollute the per-node maxima.
-    let q_before = reopt.trigger_q_error;
-    fdb.telemetry_mut().feedback.reset();
-    fdb.run_query_plan("K-corrected", &figure6()).unwrap();
-    let q_after = fdb
-        .telemetry()
-        .feedback
-        .entries()
-        .map(|e| e.max_q_error)
-        .fold(1.0f64, f64::max);
-    assert!(
-        q_after < q_before,
-        "re-optimization must improve the worst node q-error: {q_before} -> {q_after}"
-    );
-    assert!(
-        q_after < fdb.reopt_threshold,
-        "the corrected run must stay under the re-optimization threshold"
-    );
-
-    println!("\nFeedback loop (|S|=512, |E|=256, E1 staled to 1 row):");
-    println!(
-        "  trigger q-error {:.1} (threshold {:.0}); corrected E1 rows {:.0} → {:.0}",
-        reopt.trigger_q_error, reopt.threshold, e1.1, e1.2
-    );
-    println!(
-        "  plan cost {:.0} → {:.0}; worst node q-error {q_before:.1} → {q_after:.1}",
-        reopt.cost_before, reopt.cost_after
-    );
-
-    let corrected_json: Vec<String> = reopt
-        .corrected
-        .iter()
-        .map(|(n, b, a)| {
-            format!(
-                "{{\"extent\":\"{}\",\"rows_before\":{b:.3},\"rows_after\":{a:.3}}}",
-                escape_json(n)
-            )
-        })
-        .collect();
     r.extra(
         "k_memo",
         format!(
             "{{\"figures\":[{}],\"all_memo_le_greedy\":true,\
              \"extract_gate_refusals\":{gate_refusals},\
              \"figure6_to_8\":{{\"reaches_figure8\":{reaches},\"rules\":[{}],\
-             \"initial_cost\":{},\"final_cost\":{},\"regression_refusals\":{regressions}}},\
-             \"reoptimize\":{{\"triggered\":true,\"trigger_q_error\":{:.3},\
-             \"threshold\":{:.1},\"corrected\":[{}],\"cost_before\":{:.3},\
-             \"cost_after\":{:.3},\"plan_changed\":{},\
-             \"worst_q_before\":{q_before:.3},\"worst_q_after\":{q_after:.3},\
-             \"improved\":{}}}}}",
+             \"initial_cost\":{},\"final_cost\":{},\"regression_refusals\":{regressions}}}}}",
             rows.join(","),
             rule_json.join(","),
             run.journal.initial_cost,
-            run.journal.final_cost,
-            reopt.trigger_q_error,
-            reopt.threshold,
-            corrected_json.join(","),
-            reopt.cost_before,
-            reopt.cost_after,
-            reopt.plan_hash_before != reopt.plan_hash_after,
-            q_after < q_before
+            run.journal.final_cost
         ),
     );
 }

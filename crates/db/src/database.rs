@@ -4,7 +4,7 @@
 use crate::catalog::{extent_view_name, DbCatalog};
 use crate::error::{DbError, DbResult};
 use crate::metrics::SessionMetrics;
-use crate::pipeline::{self, LastPlan, Options, ReoptReport, Source, View};
+use crate::pipeline::{self, Options, Source, View};
 use crate::stats::{changed_counts, Sketches};
 use excess_core::counters::Counters;
 use excess_core::eval::{evaluate, EvalCtx};
@@ -89,7 +89,6 @@ struct Parts<'a> {
     store: &'a mut ObjectStore,
     metrics: &'a mut SessionMetrics,
     telemetry: &'a mut Telemetry,
-    last_plan: &'a mut Option<LastPlan>,
 }
 
 /// An in-memory EXTRA/EXCESS database.
@@ -115,18 +114,8 @@ pub struct Database {
     sketches: Sketches,
     /// Run the rule-based optimizer on every query (default: on).
     pub optimize: bool,
-    /// q-error threshold above which a feedback observation for the
-    /// current plan triggers a re-optimization (stats corrected from the
-    /// observed cardinalities, plan re-optimized and re-lowered, the step
-    /// journaled under `reoptimize`).
-    pub reopt_threshold: f64,
     /// Memo picture of the last plan search.
     last_memo: Option<MemoSnapshot>,
-    /// Label, optimized logical plan, and physical plan hash of the last
-    /// pipeline query — what `.reoptimize` forces a re-lower of.
-    last_plan: Option<LastPlan>,
-    /// The last feedback-driven re-optimization, if any.
-    last_reopt: Option<ReoptReport>,
     last_counters: Counters,
     metrics: SessionMetrics,
     telemetry: Telemetry,
@@ -151,10 +140,7 @@ impl Database {
             stats: Statistics::new(),
             sketches: Sketches::default(),
             optimize: true,
-            reopt_threshold: 32.0,
             last_memo: None,
-            last_plan: None,
-            last_reopt: None,
             last_counters: Counters::new(),
             metrics: SessionMetrics::new(),
             telemetry: Telemetry::new(),
@@ -207,11 +193,6 @@ impl Database {
     pub fn statistics(&self) -> &Statistics {
         &self.stats
     }
-    /// Mutable statistics — lets experiments install deliberately stale
-    /// estimates to exercise the feedback-driven re-optimization path.
-    pub fn statistics_mut(&mut self) -> &mut Statistics {
-        &mut self.stats
-    }
     /// How many elements the statistics code has hashed the attributes
     /// of so far: every element of every object per collection, and per
     /// data statement the elements it added or removed (an element of a
@@ -230,10 +211,6 @@ impl Database {
     pub fn last_memo(&self) -> Option<&MemoSnapshot> {
         self.last_memo.as_ref()
     }
-    /// The last feedback-driven re-optimization, if one has fired.
-    pub fn last_reoptimization(&self) -> Option<&ReoptReport> {
-        self.last_reopt.as_ref()
-    }
     /// Work counters of the most recent evaluation.
     pub fn last_counters(&self) -> Counters {
         self.last_counters
@@ -249,10 +226,9 @@ impl Database {
 
     // ----- telemetry -----
 
-    /// The session telemetry: metric registry, latency histograms, flight
-    /// recorder, and misestimation feedback log.  The registry, recorder,
-    /// and feedback log are always on; span traces are opt-in via
-    /// [`Database::enable_query_spans`].
+    /// The session telemetry: metric registry, latency histograms and
+    /// flight recorder.  The registry and recorder are always on; span
+    /// traces are opt-in via [`Database::enable_query_spans`].
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -487,7 +463,6 @@ impl Database {
             store: &mut self.store,
             metrics: &mut self.metrics,
             telemetry: &mut self.telemetry,
-            last_plan: &mut self.last_plan,
         }
     }
 
@@ -537,37 +512,6 @@ impl Database {
         (best, journal)
     }
 
-    /// Force a feedback-driven re-optimization of the most recent
-    /// pipeline query: any recorded misestimation for its plan (q-error
-    /// above 1) triggers the corrections.  What the `.reoptimize`
-    /// dot-command runs.  Returns `None` when no plan has run, nothing
-    /// was observed for it, or the database has never been analyzed.
-    pub fn reoptimize_last(&mut self) -> Option<ReoptReport> {
-        self.reoptimize_threshold(1.0)
-    }
-
-    /// Re-optimize the most recent pipeline query when its worst recorded
-    /// q-error exceeds `threshold`: the observations are folded back into
-    /// the statistics, the plan is re-searched and re-lowered, and the
-    /// re-derivation is journaled as one `reoptimize` step.  The automatic
-    /// trigger — after every traced or `explain_analyze` query — uses
-    /// [`Database::reopt_threshold`].
-    fn reoptimize_threshold(&mut self, threshold: f64) -> Option<ReoptReport> {
-        let p = self.parts();
-        let done = pipeline::reoptimize(
-            p.view,
-            p.store,
-            p.last_plan,
-            threshold,
-            p.metrics,
-            p.telemetry,
-        )?;
-        self.stats = done.stats;
-        self.last_memo = Some(done.memo);
-        self.last_reopt = Some(done.report.clone());
-        Some(done.report)
-    }
-
     /// Derive per-node plan properties (duplicate-freeness, candidate
     /// keys, nullability, cardinality bounds) against this database's
     /// stored data — the data-backed mode of
@@ -615,20 +559,8 @@ impl Database {
         let p = self.parts();
         let mut outcome = pipeline::run(p.view, p.store, opts, label, source, None)?;
         pipeline::record(&mut outcome, label, p.metrics, p.telemetry);
-        // No cache shares the plan: this unwraps, it does not clone.
-        let planned = Arc::unwrap_or_clone(outcome.planned);
         self.last_memo = outcome.memo;
         self.last_counters = outcome.ran.counters;
-        self.last_plan = Some((
-            label.to_string(),
-            planned.physical.logical,
-            planned.plan_hash,
-        ));
-        if opts.spans {
-            // With fresh per-node observations in hand, re-derive the
-            // plan when its recorded q-error crossed the threshold.
-            let _ = self.reoptimize_threshold(self.reopt_threshold);
-        }
         Ok((outcome.ran.value, outcome.schema))
     }
 
@@ -755,17 +687,6 @@ impl Database {
         let physical = lower(plan, &self.stats);
         let ran = self.run_lowered(&physical, Tracing::Precise)?;
         let profile = ran.profile.expect("tracing was enabled");
-        // Every analyze feeds the misestimation log: per lowered node with
-        // an estimate and a measured profile entry, est vs actual rows.
-        let plan_hash = pipeline::plan_hash_of(&physical);
-        self.last_plan = Some(("explain_analyze".to_string(), plan.clone(), plan_hash));
-        pipeline::observe(
-            &mut self.telemetry.feedback,
-            plan_hash,
-            &physical,
-            pipeline::value_rows(&ran.value),
-            Some(&profile),
-        );
         let mut out = crate::explain::render_explain_analyze(plan, &profile, &estimates);
         // The kernel block slots in above the `total:` footer so the
         // footer stays the render's last line.
@@ -777,12 +698,6 @@ impl Database {
             }
         }
         out.push_str(&render_diagnostics(&self.verify_plan(plan)));
-        // Close the loop: a q-error past the session threshold re-derives
-        // the plan right here, and the correction becomes part of the
-        // explain output.
-        if let Some(reopt) = self.reoptimize_threshold(self.reopt_threshold) {
-            out.push_str(&reopt.render());
-        }
         Ok(out)
     }
 

@@ -52,8 +52,7 @@ pub use excess_exec::{ExecOutcome as Executed, Tracing};
 pub use excess_optimizer::MemoSnapshot;
 // Re-exported so callers can read telemetry without naming the crate.
 pub use excess_telemetry::{
-    FeedbackLog, FlightRecorder, Histogram, QueryRecord, QueryTrace, Registry, Span, Telemetry,
+    FlightRecorder, Histogram, QueryRecord, QueryTrace, Registry, Span, Telemetry,
 };
 pub use metrics::SessionMetrics;
-pub use pipeline::ReoptReport;
 pub use stats::collect_object_statistics;

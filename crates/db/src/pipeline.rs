@@ -18,13 +18,12 @@
 //! a translated plan it already holds a still-valid plan for goes from
 //! `translate` straight to `execute`.
 //! [`record`] folds an [`Outcome`] into the caller's metrics and
-//! telemetry, and [`reoptimize`] closes the feedback loop for both.
+//! telemetry.
 
 use crate::catalog::DbCatalog;
 use crate::error::DbResult;
 use crate::metrics::SessionMetrics;
 use crate::plan_cache::{CacheRef, CacheUse, Planned};
-use crate::stats::collect_object_statistics;
 use excess_core::expr::Expr;
 use excess_core::physical::{PhysOp, PhysicalPlan};
 use excess_core::profile::{path_string, NodePath, Profile};
@@ -33,10 +32,10 @@ use excess_lang::ast::{QExpr, Retrieve};
 use excess_lang::methods::MethodRegistry;
 use excess_lang::translate::{translate_retrieve, TranslateCtx};
 use excess_optimizer::{
-    apply_extent_indexes_journaled, cost_of, lower_journaled, JournalStep, MemoSnapshot, Optimizer,
-    RewriteJournal, RuleCtx, Statistics, REOPTIMIZE_RULE,
+    apply_extent_indexes_journaled, cost_of, lower_journaled, MemoSnapshot, Optimizer,
+    RewriteJournal, RuleCtx, Statistics,
 };
-use excess_telemetry::{FeedbackLog, Fnv1a64, QueryRecord, QueryTrace, Span, Telemetry};
+use excess_telemetry::{Fnv1a64, QueryRecord, QueryTrace, Span, Telemetry};
 use excess_types::{ObjectStore, SchemaType, TypeRegistry, Value};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -46,7 +45,7 @@ use std::time::{Duration, Instant};
 /// Occurrences in a query result (what the flight recorder reports as
 /// `rows`): multiset cardinality with duplicates, array length, 1 for
 /// scalars and tuples.
-pub(crate) fn value_rows(v: &Value) -> u64 {
+fn value_rows(v: &Value) -> u64 {
     match v {
         Value::Set(s) => s.len(),
         Value::Array(a) => a.len() as u64,
@@ -63,24 +62,6 @@ pub(crate) fn plan_hash_of(plan: &PhysicalPlan) -> u64 {
     let mut hash = Fnv1a64::default();
     write!(hash, "{plan:?}").expect("the hash sink never fails");
     hash.finish()
-}
-
-/// The extent a plan node reads: walk the logical tree to the node at
-/// `path` (profiler child indexing) and take the leftmost named object
-/// under it, if any — how feedback observations get attributed to a
-/// concrete [`Statistics`] entry.
-fn extent_at(plan: &Expr, path: &[usize]) -> Option<String> {
-    fn first_named(e: &Expr) -> Option<String> {
-        if let Expr::Named(n) = e {
-            return Some(n.clone());
-        }
-        e.children().into_iter().find_map(first_named)
-    }
-    let mut node = plan;
-    for &i in path {
-        node = *node.children().get(i)?;
-    }
-    first_named(node)
 }
 
 /// Every object `e` names, into `out`.
@@ -129,10 +110,6 @@ pub(crate) enum Source<'a> {
     /// An algebra plan built by hand: no parse or translate phase.
     Plan(&'a Expr),
 }
-
-/// Label, optimized logical plan, and physical plan hash of the last
-/// query — what a re-optimization re-derives.
-pub(crate) type LastPlan = (String, Expr, u64);
 
 /// Everything one pipeline run produced.
 pub(crate) struct Outcome {
@@ -441,7 +418,7 @@ pub(crate) fn run(
     };
 
     // Profiled when spans are on: the profile becomes the operator span
-    // subtree and feeds per-node feedback.
+    // subtree.
     let tracing = if opts.spans {
         Tracing::Precise
     } else {
@@ -478,35 +455,6 @@ pub(crate) fn run(
     })
 }
 
-/// Feed est-vs-actual cardinalities of one executed plan into the
-/// misestimation log: every lowered node that has both an estimate and a
-/// profile entry, and the root from the result's row count when there is
-/// no profile to read it from.
-pub(crate) fn observe(
-    feedback: &mut FeedbackLog,
-    plan_hash: u64,
-    physical: &PhysicalPlan,
-    rows: u64,
-    profile: Option<&Profile>,
-) {
-    for (path, choice) in &physical.choices {
-        let Some(est) = choice.est_rows else { continue };
-        let actual = match profile.and_then(|p| p.node(path)) {
-            Some(node) => node.rows_out,
-            None if path.is_empty() => rows,
-            None => continue,
-        };
-        feedback.observe(
-            plan_hash,
-            &path_string(path),
-            &choice.op.to_string(),
-            extent_at(&physical.logical, path).as_deref(),
-            est,
-            actual as f64,
-        );
-    }
-}
-
 /// The histogram each phase is observed under: finished names, so the
 /// always-on record path formats nothing.
 const PHASE_METRICS: [(&str, &str); 8] = [
@@ -536,8 +484,8 @@ const WORK_METRICS: [&str; 8] = [
 /// Fold one run into a caller's metrics and telemetry: journals and work
 /// counters into the [`SessionMetrics`]; query counts, latency and phase
 /// histograms, work counters, the plan cache's answer, a flight-recorder
-/// [`QueryRecord`], feedback observations, and the span tree (taken out
-/// of `outcome`) into the [`Telemetry`].
+/// [`QueryRecord`] and the span tree (taken out of `outcome`) into the
+/// [`Telemetry`].
 pub(crate) fn record(
     outcome: &mut Outcome,
     label: &str,
@@ -585,171 +533,9 @@ pub(crate) fn record(
         est_rows: physical.choices.get(&Vec::new()).and_then(|c| c.est_rows),
         actual_rows: Some(outcome.rows),
     });
-    observe(
-        &mut telemetry.feedback,
-        *plan_hash,
-        physical,
-        outcome.rows,
-        outcome.ran.profile.as_ref(),
-    );
     if let Some(trace) = outcome.trace.take() {
         telemetry.last_trace = Some(trace);
     }
-}
-
-/// One feedback-driven re-optimization: what triggered it, which
-/// statistics were corrected from the observed cardinalities, and how the
-/// re-derived plan compares to the one it replaces.
-#[derive(Debug, Clone)]
-pub struct ReoptReport {
-    /// Label of the query whose plan was re-derived.
-    pub label: String,
-    /// The worst recorded q-error that triggered the re-optimization.
-    pub trigger_q_error: f64,
-    /// The threshold it crossed.
-    pub threshold: f64,
-    /// `(extent, rows_before, rows_after)` for every corrected object.
-    pub corrected: Vec<(String, f64, f64)>,
-    /// Estimated cost of the old plan under the corrected statistics.
-    pub cost_before: f64,
-    /// Estimated cost of the re-derived plan (corrected statistics).
-    pub cost_after: f64,
-    /// Physical plan hash before the re-lower.
-    pub plan_hash_before: u64,
-    /// Physical plan hash after the re-lower.
-    pub plan_hash_after: u64,
-    /// The re-derived logical plan.
-    pub plan: Expr,
-}
-
-impl ReoptReport {
-    /// Human-readable block, as `explain_analyze`, the REPL and the wire
-    /// protocol's `.reoptimize` print it.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "re-optimization of `{}`: q-error {:.1} > threshold {:.1}",
-            self.label, self.trigger_q_error, self.threshold
-        );
-        for (name, before, after) in &self.corrected {
-            let _ = writeln!(out, "  corrected {name}: rows {before:.0} -> {after:.0}");
-        }
-        let _ = writeln!(
-            out,
-            "  cost {:.0} -> {:.0}; plan hash {:016x} -> {:016x}",
-            self.cost_before, self.cost_after, self.plan_hash_before, self.plan_hash_after
-        );
-        out
-    }
-}
-
-/// What [`reoptimize`] hands back for the caller to install.
-pub(crate) struct Reoptimized {
-    pub report: ReoptReport,
-    /// The view's statistics with the observed cardinalities folded in.
-    pub stats: Statistics,
-    pub memo: MemoSnapshot,
-}
-
-/// Re-optimize the last query when its worst recorded q-error exceeds
-/// `threshold`: fold the offending observations into a copy of the
-/// statistics (scan-shaped nodes snap the extent's row count to the
-/// observed cardinality via [`Statistics::observe_extent_rows`]; other
-/// nodes re-collect the extent from the stored data), re-run the search
-/// and the lowering under the corrected copy, and journal the whole
-/// re-derivation as one `reoptimize` step.  `last` is updated to the
-/// re-derived plan.  `None` when no plan has run, nothing was observed
-/// past the threshold — or the statistics were never collected: before
-/// the first `analyze` they are shape defaults, and "correcting" them
-/// would churn plans without any collected baseline.
-pub(crate) fn reoptimize(
-    view: View<'_>,
-    store: &ObjectStore,
-    last: &mut Option<LastPlan>,
-    threshold: f64,
-    metrics: &mut SessionMetrics,
-    telemetry: &mut Telemetry,
-) -> Option<Reoptimized> {
-    if view.stats.objects.is_empty() {
-        return None;
-    }
-    let plan_hash = last.as_ref()?.2;
-    let mut trigger = 1.0f64;
-    // Cloned on the first correction: most calls find nothing to fix.
-    let mut fixed: Option<Statistics> = None;
-    let mut corrected: Vec<(String, f64, f64)> = Vec::new();
-    for e in telemetry.feedback.entries() {
-        if e.plan_hash != plan_hash || e.max_q_error <= threshold {
-            continue;
-        }
-        trigger = trigger.max(e.max_q_error);
-        let Some(extent) = &e.extent else { continue };
-        if corrected.iter().any(|(n, _, _)| n == extent) {
-            continue;
-        }
-        let stats = fixed.get_or_insert_with(|| view.stats.clone());
-        let before = stats.object(extent).rows;
-        if e.op.contains("Scan") {
-            stats.observe_extent_rows(extent, e.mean_actual());
-        } else {
-            collect_object_statistics(view.catalog, store, extent, stats);
-        }
-        corrected.push((extent.clone(), before, stats.object(extent).rows));
-    }
-    let stats = fixed?;
-    let (label, plan, _) = last.take()?;
-
-    let view = View {
-        stats: &stats,
-        ..view
-    };
-    let cost_before = cost_of(&plan, &stats);
-    let (found, search_journal, memo) = search(&view, &plan);
-    let (physical, lower_journal) = lower(&view, &found);
-    let cost_after = cost_of(&found, &stats);
-    let new_hash = plan_hash_of(&physical);
-    // One `reoptimize` journal step for the re-derivation itself, after
-    // the inner search and lowering journals.
-    let mut step = RewriteJournal::for_plan(cost_before);
-    step.steps.push(JournalStep {
-        rule: REOPTIMIZE_RULE,
-        path: Vec::new(),
-        cost_before,
-        cost_after,
-        plan: found.clone(),
-    });
-    step.final_cost = cost_after;
-    for journal in [&search_journal, &lower_journal, &step] {
-        metrics.record_journal(journal);
-    }
-    telemetry.registry.inc("reoptimize.triggered");
-    telemetry.recorder.record(QueryRecord {
-        query: format!("reoptimize({label})"),
-        plan_hash: new_hash,
-        rows: 0,
-        phase_us: Vec::new(),
-        kernels: Vec::new(),
-        est_rows: None,
-        actual_rows: None,
-    });
-    *last = Some((label.clone(), found.clone(), new_hash));
-    Some(Reoptimized {
-        report: ReoptReport {
-            label,
-            trigger_q_error: trigger,
-            threshold,
-            corrected,
-            cost_before,
-            cost_after,
-            plan_hash_before: plan_hash,
-            plan_hash_after: new_hash,
-            plan: found,
-        },
-        stats,
-        memo,
-    })
 }
 
 #[cfg(test)]

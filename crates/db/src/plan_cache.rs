@@ -8,8 +8,8 @@
 //! schema and its [`ObjectStats`](excess_optimizer::ObjectStats), plus
 //! the statistics' global fields.  A lookup compares them by value with
 //! what the request would plan under now, so an entry is *validated* and
-//! nothing ever has to invalidate it: a commit, `.refresh`, DDL and a
-//! `.reoptimize` overlay are all just "the value differs".
+//! nothing ever has to invalidate it: a commit, `.refresh` and DDL are all
+//! just "the value differs".
 
 use crate::pipeline::{named_objects, View};
 use excess_core::expr::Expr;

@@ -60,8 +60,8 @@ use crate::catalog::DbCatalog;
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::metrics::SessionMetrics;
-use crate::pipeline::{self, LastPlan, Options, Source, View};
-use crate::plan_cache::{CacheRef, PlanCache, Planned};
+use crate::pipeline::{self, Options, Source, View};
+use crate::plan_cache::{CacheRef, PlanCache};
 use excess_core::expr::Expr;
 use excess_lang::ast::{QExpr, Stmt};
 use excess_lang::methods::MethodRegistry;
@@ -116,14 +116,14 @@ impl Generation {
         }
     }
 
-    /// What the pipeline reads of this generation, under `stats` (its own
-    /// or a session's corrected overlay) and the `ranges` in force.
-    fn view<'a>(&'a self, stats: &'a Statistics, ranges: &'a HashMap<String, QExpr>) -> View<'a> {
+    /// What the pipeline reads of this generation under the `ranges` in
+    /// force.
+    fn view<'a>(&'a self, ranges: &'a HashMap<String, QExpr>) -> View<'a> {
         View {
             registry: &self.registry,
             catalog: &self.catalog,
             methods: &self.methods,
-            stats,
+            stats: &self.stats,
             ranges,
         }
     }
@@ -339,7 +339,6 @@ impl VersionedDb {
             scratch,
             local_ranges: HashMap::new(),
             optimize: true,
-            stats_overlay: None,
             plans: PlanCache::default(),
             last: None,
             metrics: SessionMetrics::new(),
@@ -644,37 +643,22 @@ pub struct Session {
     /// Run the rule-based optimizer on every query (default: on,
     /// matching [`Database`]).
     pub optimize: bool,
-    /// Session-local corrected statistics: set by
-    /// [`Session::reoptimize_last`], used in place of the pinned
-    /// generation's statistics until the next [`Session::refresh`] —
-    /// snapshot isolation for the feedback loop.
-    stats_overlay: Option<Arc<Statistics>>,
     /// Plans of the queries this session has run, each validated against
-    /// the pinned generation and the effective statistics on every use.
+    /// the pinned generation and its statistics on every use.
     plans: PlanCache,
-    /// The last query's plan, or what `.reoptimize` re-derived from it.
+    /// What the last query's search left behind.
     last: Option<Last>,
     metrics: SessionMetrics,
     telemetry: Telemetry,
     closed: bool,
 }
 
-/// What a session remembers of its last query — the input of
-/// [`Session::reoptimize_last`] and the picture behind
-/// [`Session::last_memo`].
-enum Last {
-    /// The query ran: its label, its plan (shared with the plan cache
-    /// whenever the cache was consulted), and the picture of its search —
-    /// or, when the plan cache spared it one, the translated plan that
-    /// search would start from.
-    Ran {
-        label: String,
-        planned: Arc<Planned>,
-        memo: Option<MemoSnapshot>,
-        cached_from: Option<Expr>,
-    },
-    /// A re-optimization replaced that plan and searched a memo of its own.
-    Reoptimized { plan: LastPlan, memo: MemoSnapshot },
+/// What a session remembers of its last query — the picture behind
+/// [`Session::last_memo`]: the picture of its search or, when the plan
+/// cache spared it one, the translated plan that search would start from.
+struct Last {
+    memo: Option<MemoSnapshot>,
+    cached_from: Option<Expr>,
 }
 
 impl Session {
@@ -712,41 +696,27 @@ impl Session {
     pub fn refresh(&mut self) {
         self.snapshot = self.db.current();
         self.scratch = (*self.snapshot.store).clone();
-        // The new generation's statistics supersede any feedback-derived
-        // corrections made against the old one.
-        self.stats_overlay = None;
     }
 
-    /// Memo picture of the search behind this session's last plan: the
-    /// last query's own search or the last re-optimization's.  A query
-    /// that took its plan from the plan cache searched nothing, and a
-    /// cache entry keeps no picture; but the entry was validated, so the
+    /// Memo picture of the search behind this session's last plan.  A
+    /// query that took its plan from the plan cache searched nothing, and
+    /// a cache entry keeps no picture; but the entry was validated, so the
     /// search it stands for is the one this re-runs, on demand, from the
-    /// query's translated plan under the statistics in force.
+    /// query's translated plan under the pinned generation's statistics.
     pub fn last_memo(&self) -> Option<Cow<'_, MemoSnapshot>> {
-        match self.last.as_ref()? {
-            Last::Ran {
-                cached_from: Some(translated),
-                ..
-            } => {
-                let stats = self.effective_stats();
-                let view = self.snapshot.view(&stats, &self.snapshot.ranges);
+        let last = self.last.as_ref()?;
+        match &last.cached_from {
+            Some(translated) => {
+                let view = self.snapshot.view(&self.snapshot.ranges);
                 Some(Cow::Owned(pipeline::search(&view, translated).2))
             }
-            Last::Ran { memo, .. } => memo.as_ref().map(Cow::Borrowed),
-            Last::Reoptimized { memo, .. } => Some(Cow::Borrowed(memo)),
+            None => last.memo.as_ref().map(Cow::Borrowed),
         }
     }
 
     /// Did the last query take its plan from the plan cache?
     pub fn last_plan_was_cached(&self) -> bool {
-        matches!(
-            self.last,
-            Some(Last::Ran {
-                cached_from: Some(_),
-                ..
-            })
-        )
+        self.last.as_ref().is_some_and(|l| l.cached_from.is_some())
     }
 
     /// For each cached plan, the named objects whose schemas and
@@ -756,57 +726,12 @@ impl Session {
         self.plans.dependencies()
     }
 
-    /// The statistics queries in this session currently plan against:
-    /// the pinned generation's, unless a re-optimization installed a
-    /// corrected overlay.
-    pub fn effective_stats(&self) -> Arc<Statistics> {
-        self.stats_overlay
-            .clone()
-            .unwrap_or_else(|| self.snapshot.stats.clone())
-    }
-
     /// What this session hands the pipeline: no span tree.
     fn options(&self) -> Options {
         Options {
             optimize: self.optimize,
             spans: false,
         }
-    }
-
-    /// Force a feedback-driven re-optimization of this session's last
-    /// query: fold its recorded misestimations into a session-local copy
-    /// of the statistics, re-run the search and the lowering under the
-    /// corrected copy (see `Database::reoptimize_last` — the same code
-    /// runs), and return a human-readable report.  `None` when no query
-    /// has run or nothing was observed for its plan.  The correction
-    /// lives in this session only — the shared generation is immutable —
-    /// and clears on [`Session::refresh`].
-    pub fn reoptimize_last(&mut self) -> Option<String> {
-        let stats = self.effective_stats();
-        // The owned copy `reoptimize` works on is made here, on demand,
-        // not by every query on the chance that this is called.
-        let mut last = Some(match self.last.as_ref()? {
-            Last::Ran { label, planned, .. } => (
-                label.clone(),
-                planned.physical.logical.clone(),
-                planned.plan_hash,
-            ),
-            Last::Reoptimized { plan, .. } => plan.clone(),
-        });
-        let done = pipeline::reoptimize(
-            self.snapshot.view(&stats, &self.snapshot.ranges),
-            &self.scratch,
-            &mut last,
-            1.0,
-            &mut self.metrics,
-            &mut self.telemetry,
-        )?;
-        self.stats_overlay = Some(Arc::new(done.stats));
-        self.last = Some(Last::Reoptimized {
-            plan: last.expect("a re-optimization leaves the plan it derived"),
-            memo: done.memo,
-        });
-        Some(done.report.render())
     }
 
     /// Run a read-only program — `range of` declarations and `retrieve`
@@ -834,7 +759,6 @@ impl Session {
         }
 
         let snapshot = self.snapshot.clone();
-        let stats = self.effective_stats();
         let opts = self.options();
         // The range environment retrieves translate under: committed
         // declarations, this session's on top, then the program's own —
@@ -871,7 +795,7 @@ impl Session {
             };
             let (label, parse_us) = attribution.take().unwrap_or(("retrieve", 0));
             let mut outcome = pipeline::run(
-                snapshot.view(&stats, &ranges),
+                snapshot.view(&ranges),
                 &mut self.scratch,
                 opts,
                 label,
@@ -893,9 +817,7 @@ impl Session {
                 total_us: outcome.phase_us.iter().map(|(_, us)| us).sum(),
                 phase_us: outcome.phase_us,
             });
-            self.last = Some(Last::Ran {
-                label: label.to_string(),
-                planned: outcome.planned,
+            self.last = Some(Last {
                 memo: outcome.memo,
                 cached_from: outcome.translated,
             });

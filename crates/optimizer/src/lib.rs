@@ -25,7 +25,7 @@ pub use engine::{
     apply_extent_indexes, apply_extent_indexes_journaled, soundness_violation, JournalStep,
     Neighbor, Optimized, Optimizer, RefusedStep, RewriteJournal, EXTENT_INDEX_RULE,
 };
-pub use memo::{GroupSummary, MemoRun, MemoSnapshot, MEMO_EXTRACT_RULE, REOPTIMIZE_RULE};
+pub use memo::{GroupSummary, MemoRun, MemoSnapshot, MEMO_EXTRACT_RULE};
 
 pub use lower::{lower, lower_journaled, HASH_JOIN_MIN_PAIRS, LOWERING_RULE};
 pub use rule::{Rule, RuleCtx};

@@ -442,13 +442,10 @@ mod tests {
     fn correlated_join_lowers_to_the_probe_kernel_and_prices_below_the_loop() {
         let plan = correlated_join_over(Expr::named("E"), Expr::input().extract("name"));
         let (root, journal) = root_choice(&plan, &stats());
-        let shown = root.op.to_string();
         assert_eq!(
-            shown,
+            root.op.to_string(),
             "HashProbeApply[outer TUP_EXTRACT[adv](INPUT) = inner TUP_EXTRACT[name](INPUT)]"
         );
-        // `pipeline::reoptimize` takes an op containing "Scan" for a scan.
-        assert!(!shown.contains("Scan"));
         assert!(
             root.why.contains("est 2000000 pairs, key NDV 2000"),
             "{}",

@@ -64,10 +64,6 @@ use std::collections::{HashMap, HashSet};
 /// rewrite).
 pub const MEMO_EXTRACT_RULE: &str = "memo-extract";
 
-/// The journal rule name under which a feedback-driven re-optimization is
-/// recorded (the step's `plan` is the re-optimized logical plan).
-pub const REOPTIMIZE_RULE: &str = "reoptimize";
-
 /// Exploration rounds: each round binds every member against its child
 /// groups' members and fires the catalogue once at each new binding.
 const MAX_ROUNDS: usize = 6;

@@ -123,26 +123,6 @@ impl Statistics {
             .or_default()
             .insert(ty.to_string());
     }
-
-    /// Fold an observed cardinality from the feedback loop back into the
-    /// statistics for `name`: rows snap to the observation while the
-    /// distinct count and every per-attribute NDV rescale proportionally
-    /// (floored at 1, capped at the new row count), so duplicate-credit
-    /// and equi-join selectivities move with the correction instead of
-    /// waiting for a full re-`analyze`.  Returns the previous row
-    /// estimate.
-    pub fn observe_extent_rows(&mut self, name: &str, actual_rows: f64) -> f64 {
-        let entry = self.objects.entry(name.to_string()).or_default();
-        let before = entry.rows;
-        let actual = actual_rows.max(1.0);
-        let scale = actual / entry.rows.max(1.0);
-        entry.rows = actual;
-        entry.distinct = (entry.distinct * scale).clamp(1.0, actual);
-        for ndv in entry.attr_ndv.values_mut() {
-            *ndv = (*ndv * scale).clamp(1.0, actual);
-        }
-        before
-    }
 }
 
 #[cfg(test)]
@@ -176,28 +156,6 @@ mod tests {
         assert_eq!(o.rows, 1000.0);
         assert_eq!(o.attr_ndv.get("dept"), Some(&10.0));
         assert_eq!(o.attr_ndv.get("adv"), Some(&25.0));
-    }
-
-    #[test]
-    fn observed_rows_rescale_distinct_and_ndvs() {
-        let mut s = Statistics::new();
-        s.set_object("E", 24.0, 24.0, 8.0);
-        s.set_attr_ndv("E", "ename", 6.0);
-        let before = s.observe_extent_rows("E", 240.0);
-        assert_eq!(before, 24.0);
-        let o = s.object("E");
-        assert_eq!(o.rows, 240.0);
-        assert_eq!(o.distinct, 240.0);
-        assert_eq!(o.attr_ndv.get("ename"), Some(&60.0));
-        // Shrinking caps NDVs at the new row count and floors at 1.
-        s.observe_extent_rows("E", 2.0);
-        let o = s.object("E");
-        assert_eq!(o.rows, 2.0);
-        assert!(o.distinct >= 1.0 && o.distinct <= 2.0);
-        assert!(*o.attr_ndv.get("ename").unwrap() <= 2.0);
-        // Unknown objects start from the defaults.
-        s.observe_extent_rows("new", 50.0);
-        assert_eq!(s.object("new").rows, 50.0);
     }
 
     #[test]

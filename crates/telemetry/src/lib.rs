@@ -1,6 +1,6 @@
 //! Unified telemetry for the EXCESS engine.
 //!
-//! Four pieces, layered from always-on to opt-in:
+//! Three pieces, layered from always-on to opt-in:
 //!
 //! * [`Registry`] — named counters, gauges, and log-bucketed latency
 //!   [`Histogram`]s with exact counts and p50/p95/p99 quantiles.  Cheap
@@ -8,9 +8,6 @@
 //! * [`FlightRecorder`] — a fixed ring of the last N [`QueryRecord`]s
 //!   (query text, plan hash, per-phase timings, kernel choices,
 //!   est-vs-actual rows) with a configurable slow-query threshold.
-//! * [`FeedbackLog`] — per-plan-node est-vs-actual cardinality error
-//!   accumulated from `explain analyze`, quantified as q-error; the
-//!   input for future feedback-driven re-optimization.
 //! * [`Span`] / [`QueryTrace`] — opt-in structured span trees covering
 //!   every layer of a query's life (parse → infer → verify → optimize →
 //!   lower → execute, with per-rewrite, per-choice and per-operator
@@ -19,7 +16,7 @@
 //!
 //! The crate depends only on `excess-core` (for the JSON helpers and
 //!   counter field names), so every other crate can use it without
-//!   cycles.  The [`Telemetry`] struct bundles all four for embedding in
+//!   cycles.  The [`Telemetry`] struct bundles all three for embedding in
 //!   the database.
 //!
 //! # Example
@@ -41,13 +38,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod feedback;
 pub mod histogram;
 pub mod recorder;
 pub mod registry;
 pub mod span;
 
-pub use feedback::{q_error, FeedbackEntry, FeedbackLog};
 pub use histogram::{bucket_bound, Histogram, BUCKETS};
 pub use recorder::{
     FlightRecorder, QueryRecord, RecorderSettings, DEFAULT_CAPACITY, DEFAULT_SLOW_THRESHOLD_US,
@@ -99,17 +94,14 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Everything the database embeds: the always-on registry, recorder,
-/// and feedback log, plus the opt-in span switch and the last trace it
-/// produced.
+/// Everything the database embeds: the always-on registry and recorder,
+/// plus the opt-in span switch and the last trace it produced.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     /// Always-on counters/gauges/histograms.
     pub registry: Registry,
     /// Always-on ring of recent query records.
     pub recorder: FlightRecorder,
-    /// Misestimation history from `explain analyze` and traced runs.
-    pub feedback: FeedbackLog,
     /// When true, queries assemble full [`QueryTrace`] span trees.
     pub spans_enabled: bool,
     /// The most recent trace (only populated while spans are enabled).
@@ -123,13 +115,12 @@ impl Telemetry {
     }
 
     /// One JSON document with every always-on section:
-    /// `{"registry":…,"recorder":…,"feedback":…}`.
+    /// `{"registry":…,"recorder":…}`.
     pub fn snapshot_json(&self) -> String {
         format!(
-            "{{\"registry\":{},\"recorder\":{},\"feedback\":{}}}",
+            "{{\"registry\":{},\"recorder\":{}}}",
             self.registry.to_json(),
-            self.recorder.to_json(),
-            self.feedback.to_json()
+            self.recorder.to_json()
         )
     }
 }
@@ -165,19 +156,8 @@ mod tests {
     fn snapshot_parses_with_all_sections() {
         let mut t = Telemetry::new();
         t.registry.inc("queries");
-        t.feedback.observe(1, "root", "DE", None, 2.0, 4.0);
         let v = excess_core::json::parse_json(&t.snapshot_json()).unwrap();
         assert!(v.get("registry").is_some());
         assert!(v.get("recorder").is_some());
-        assert_eq!(
-            v.get("feedback")
-                .unwrap()
-                .get("entries")
-                .unwrap()
-                .as_arr()
-                .unwrap()
-                .len(),
-            1
-        );
     }
 }

@@ -108,22 +108,10 @@ const COMMANDS: &[MetaCommand] = &[
         run: cmd_slowlog,
     },
     MetaCommand {
-        name: ".feedback",
-        args: "[json]",
-        help: "misestimation log: worst est-vs-actual cardinality errors",
-        run: cmd_feedback,
-    },
-    MetaCommand {
         name: ".memo",
         args: "",
         help: "memo picture of the last plan search (groups, members, winner)",
         run: cmd_memo,
-    },
-    MetaCommand {
-        name: ".reoptimize",
-        args: "",
-        help: "re-plan the last query from its observed cardinalities (feedback loop)",
-        run: cmd_reoptimize,
     },
     MetaCommand {
         name: ".spans",
@@ -441,9 +429,7 @@ fn cmd_telemetry(db: &mut Database, rest: &str) -> bool {
     match rest {
         "json" => println!("{}", db.telemetry().snapshot_json()),
         "reset" => {
-            let t = db.telemetry_mut();
-            t.registry.reset();
-            t.feedback.reset();
+            db.telemetry_mut().registry.reset();
             println!("telemetry reset");
         }
         _ => {
@@ -510,47 +496,10 @@ fn cmd_slowlog(db: &mut Database, rest: &str) -> bool {
     true
 }
 
-fn cmd_feedback(db: &mut Database, rest: &str) -> bool {
-    if rest == "json" {
-        println!("{}", db.telemetry().feedback.to_json());
-        return true;
-    }
-    let log = &db.telemetry().feedback;
-    if log.is_empty() {
-        println!("  no observations yet (run explain analyze or enable .spans)");
-        return true;
-    }
-    println!("  worst cardinality misestimations (q-error = max(est/act, act/est)):");
-    for e in log.worst(10) {
-        println!(
-            "  q={:.1}  {} {}  est {:.0} vs actual {:.0}  ({} obs, plan {:016x})",
-            e.max_q_error,
-            e.path,
-            e.op,
-            e.mean_est(),
-            e.mean_actual(),
-            e.observations,
-            e.plan_hash
-        );
-    }
-    true
-}
-
 fn cmd_memo(db: &mut Database, _rest: &str) -> bool {
     match db.last_memo() {
         Some(snapshot) => println!("{}", snapshot.render()),
         None => println!("no plan search yet: run a query first"),
-    }
-    true
-}
-
-fn cmd_reoptimize(db: &mut Database, _rest: &str) -> bool {
-    match db.reoptimize_last() {
-        Some(report) => print!("{}", report.render()),
-        None => println!(
-            "nothing to re-optimize: run a query under .spans on (or .profile it) \
-             so the feedback log has observations for its plan"
-        ),
     }
     true
 }

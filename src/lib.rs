@@ -12,7 +12,7 @@
 //!   translator, algebra→EXCESS decompiler, and method registry;
 //! * [`exec`] — serial execution of a lowered plan;
 //! * [`telemetry`] — cross-query telemetry: metric registry, latency
-//!   histograms, query spans, flight recorder, misestimation feedback;
+//!   histograms, query spans, flight recorder;
 //! * [`db`] — the end-to-end [`db::Database`] engine, plus the session
 //!   layer: snapshot-isolated [`db::Session`]s over a [`db::VersionedDb`]
 //!   with a single committer thread;

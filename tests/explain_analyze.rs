@@ -2,10 +2,14 @@
 //! attribution, the optimizer's rewrite journal, and the machine-readable
 //! serializers, end to end through `Database`.
 
+use std::collections::BTreeMap;
+
 use excess::algebra::expr::Expr;
-use excess::algebra::physical::PhysicalPlan;
-use excess::algebra::profile::Profile;
+use excess::algebra::physical::{PhysOp, PhysicalPlan};
+use excess::algebra::profile::{path_string, NodePath, Profile};
 use excess::db::{journal_json, metrics_json, profile_json, Database, Tracing};
+use excess::optimizer::{estimate_nodes, lower};
+use excess::types::Value;
 use excess_bench::example1::{example1_db, figure6, figure7, figure8};
 
 /// |S| and |E| for the Figure 8 pair; the duplication factor is set to
@@ -142,4 +146,115 @@ fn session_metrics_accumulate_across_queries_and_optimizations() {
     db.reset_metrics();
     assert_eq!(db.metrics().queries, 0);
     assert!(db.metrics().rules_fired.is_empty());
+}
+
+/// Every node path of `e` in preorder — the order EXPLAIN ANALYZE prints
+/// its tree lines in.
+fn preorder(e: &Expr, path: &mut NodePath, out: &mut Vec<NodePath>) {
+    out.push(path.clone());
+    for (i, c) in e.children().into_iter().enumerate() {
+        path.push(i);
+        preorder(c, path, out);
+        path.pop();
+    }
+}
+
+/// The estimates EXPLAIN ANALYZE shows are the optimizer's own, set
+/// against the profile's actuals — on every tree line and in the kernel
+/// block — and the flight recorder keeps the root's pair for every run.
+#[test]
+fn est_vs_actual_are_the_optimizers_estimates_and_the_profiles_rows() {
+    let mut db = example1_db(64, 48, 8);
+    let stats = db.analyze().clone();
+    let plan = figure6();
+    let ests: BTreeMap<NodePath, f64> = estimate_nodes(&plan, &stats)
+        .into_iter()
+        .map(|(p, e)| (p, e.rows))
+        .collect();
+    let text = db.explain_analyze(&plan).unwrap();
+    // The lowered plan explain_analyze runs, profiled again: the counts
+    // are deterministic.
+    let physical = lower(&plan, &stats);
+    let profile = db
+        .run_lowered(&physical, Tracing::Precise)
+        .unwrap()
+        .profile
+        .expect("tracing was enabled");
+
+    let mut paths = Vec::new();
+    preorder(&plan, &mut Vec::new(), &mut paths);
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(lines.len() > paths.len(), "{text}");
+    let mut estimated = 0;
+    for (path, line) in paths.iter().zip(&lines) {
+        let at = path_string(path);
+        match ests.get(path) {
+            Some(rows) => {
+                assert!(
+                    line.contains(&format!("| est rows={rows:.0} ")),
+                    "{at}: {line}"
+                );
+                estimated += 1;
+            }
+            None => assert!(line.ends_with("| est —"), "{at}: {line}"),
+        }
+        match profile.node(path) {
+            Some(n) => assert!(
+                line.contains(&format!("rows={}→{} ", n.rows_in, n.rows_out)),
+                "{at}: {line}"
+            ),
+            None => assert!(line.contains("(never executed)"), "{at}: {line}"),
+        }
+    }
+    assert!(estimated > 1, "{text}");
+
+    // The kernel block: one line per choice that is more than a
+    // pass-through, its estimate the lowering's stamp of the same number.
+    let block = text
+        .split("physical plan:\n")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no kernel block in:\n{text}"));
+    let mut kernels = 0;
+    for (path, choice) in &physical.choices {
+        if matches!(choice.op, PhysOp::PassThrough) {
+            continue;
+        }
+        let at = path_string(path);
+        let line = block
+            .lines()
+            .find(|l| l.starts_with(&format!("  {at} ")))
+            .unwrap_or_else(|| panic!("no kernel line for {at} in:\n{text}"));
+        let est = choice.est_rows.expect("every kernel choice is estimated");
+        assert!(
+            (est - ests[path]).abs() < 1e-9,
+            "{at}: {est} vs {}",
+            ests[path]
+        );
+        let actual = profile.node(path).map(|n| n.rows_out.to_string());
+        assert!(
+            line.contains(&format!(
+                "est rows={est:.0} actual rows={}",
+                actual.as_deref().unwrap_or("—")
+            )),
+            "{line}"
+        );
+        kernels += 1;
+    }
+    assert!(kernels > 0, "{text}");
+
+    let value = db.run_query_plan("F6", &plan).unwrap();
+    let rows = match &value {
+        Value::Set(s) => s.len(),
+        other => panic!("Figure 6 answers a set, got {other}"),
+    };
+    let record = db.telemetry().recorder.records().last().unwrap();
+    let root = ests[&Vec::new()];
+    let est = record
+        .est_rows
+        .expect("the root of a lowered plan is estimated");
+    assert!(
+        (est - root).abs() < 1e-9,
+        "recorded {est}, optimizer {root}"
+    );
+    assert_eq!(record.actual_rows, Some(rows));
 }

@@ -75,7 +75,7 @@ fn telemetry_snapshot_shape() {
     let mut db = example1_db(64, 48, 8);
     db.run_query_plan("F6", &figure6()).unwrap();
     let v = parsed(&db.telemetry().snapshot_json());
-    assert_eq!(obj_keys(&v), ["registry", "recorder", "feedback"]);
+    assert_eq!(obj_keys(&v), ["registry", "recorder"]);
 
     let reg = v.get("registry").unwrap();
     assert_eq!(obj_keys(reg), ["counters", "gauges", "histograms"]);
@@ -109,8 +109,6 @@ fn telemetry_snapshot_shape() {
             "actual_rows",
         ]
     );
-
-    assert!(v.get("feedback").unwrap().get("entries").is_some());
 }
 
 /// `.server`: the committer's counters, `stats_elements` (elements whose

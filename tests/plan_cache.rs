@@ -171,31 +171,7 @@ fn a_commit_stales_only_the_plans_that_read_what_it_wrote() {
     vdb.shutdown();
 }
 
-/// (3a) `.reoptimize` lays corrected statistics over the generation's,
-/// and an overlay is compared like any other statistics: by value.  Here
-/// the misestimate is the selectivity's, the correction re-collects `E1`
-/// and finds what the committer found, and the plan stays good.  (Every
-/// named object's statistics are maintained exact, so a correction finds
-/// what the committer published; a change to one object's statistics
-/// alone is in `the_chosen_plans_names_are_dependencies_too`.)
-#[test]
-fn a_reoptimize_overlay_that_changes_no_value_stales_nothing() {
-    let vdb = VersionedDb::new(server_mix_db(60));
-    let mut s = vdb.begin_session();
-    assert_eq!(serve_how(&mut s, E1_LINE).1, "miss");
-    let before = s.effective_stats();
-    let report = s.reoptimize_last().expect("3 rows estimated, 1 returned");
-    assert!(report.contains("corrected E1: rows 30 -> 30"), "{report}");
-    let after = s.effective_stats();
-    assert!(
-        !std::sync::Arc::ptr_eq(&before, &after),
-        "an overlay is in force"
-    );
-    assert_eq!(serve_how(&mut s, E1_LINE).1, "hit");
-    vdb.shutdown();
-}
-
-/// (3b–e) Every other way the inputs of a plan move.
+/// (3) Every other way the inputs of a plan move.
 #[test]
 fn ddl_shadowing_and_full_sweeps_are_seen_by_validation() {
     let vdb = VersionedDb::new(server_mix_db(60));
@@ -301,14 +277,14 @@ fn the_chosen_plans_names_are_dependencies_too() {
     // to `P`.  This commit trades an occurrence of a `Person` for one of a
     // `Student`: `P`'s statistics come out exactly as they were — rows,
     // distinct, every NDV — and only the index's move.
-    let before = s.effective_stats();
+    let before = s.snapshot().stats.clone();
     s.commit(
         r#"delete from P where P.name = "p0"
            append to P (name: "p0")
            append to P (name: "s0", gpa: 3)"#,
     )
     .unwrap();
-    let after = s.effective_stats();
+    let after = s.snapshot().stats.clone();
     assert_eq!(before.objects.get("P"), after.objects.get("P"));
     assert_ne!(
         before.objects.get("P::exact::Student"),

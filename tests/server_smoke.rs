@@ -98,26 +98,19 @@ fn wire_commits_are_visible_to_refreshed_connections() {
 }
 
 #[test]
-fn memo_and_reoptimize_dot_commands_answer_over_the_wire() {
+fn memo_dot_command_answers_over_the_wire() {
     let vdb = VersionedDb::new(server_mix_db(20));
     let handle = serve(vdb, "127.0.0.1:0").expect("bind");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
-    // Before any query both commands explain themselves instead of
-    // hanging up the connection.
+    // Before any query `.memo` explains itself instead of hanging up the
+    // connection.
     let memo = client.request(".memo").expect("memo");
     let parsed = parse_json(&memo).expect("json");
     assert_eq!(
         parsed.get("ok").and_then(|v| v.as_bool()),
         Some(false),
         "{memo}"
-    );
-    let reopt = client.request(".reoptimize").expect("reoptimize");
-    let parsed = parse_json(&reopt).expect("json");
-    assert_eq!(
-        parsed.get("ok").and_then(|v| v.as_bool()),
-        Some(false),
-        "{reopt}"
     );
 
     let (_, src) = MIX[0];
@@ -133,13 +126,6 @@ fn memo_and_reoptimize_dot_commands_answer_over_the_wire() {
         "{memo}"
     );
     assert!(memo.contains("memo:") && memo.contains("winner:"), "{memo}");
-    let reopt = client.request(".reoptimize").expect("reoptimize");
-    let parsed = parse_json(&reopt).expect("json");
-    if parsed.get("ok").and_then(|v| v.as_bool()) == Some(true) {
-        assert!(reopt.contains("re-optimization"), "{reopt}");
-    } else {
-        assert!(reopt.contains("re-optimize"), "{reopt}");
-    }
 
     let vdb = handle.shutdown();
     vdb.shutdown();
