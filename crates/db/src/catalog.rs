@@ -6,6 +6,7 @@ use excess_core::catalog::Catalog;
 use excess_core::infer::SchemaCatalog;
 use excess_types::{SchemaType, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One named object: its declared schema and current value.
 #[derive(Debug, Clone)]
@@ -17,9 +18,14 @@ pub struct NamedObject {
 }
 
 /// All named objects plus materialised extent views (`P::exact::T`).
+///
+/// `Clone` is a reference count: the name map is shared with the original
+/// until one side writes.  Every mutator writes through
+/// [`Arc::make_mut`], so the first write copies the map — names, schemas
+/// and value handles, never the values themselves — once, for the writer.
 #[derive(Debug, Clone, Default)]
 pub struct DbCatalog {
-    objects: HashMap<String, NamedObject>,
+    objects: Arc<HashMap<String, NamedObject>>,
 }
 
 impl DbCatalog {
@@ -30,8 +36,7 @@ impl DbCatalog {
 
     /// Register or replace an object.
     pub fn put(&mut self, name: &str, schema: SchemaType, value: Value) {
-        self.objects
-            .insert(name.to_string(), NamedObject { schema, value });
+        Arc::make_mut(&mut self.objects).insert(name.to_string(), NamedObject { schema, value });
     }
 
     /// Current value, if present.
@@ -41,7 +46,9 @@ impl DbCatalog {
 
     /// Mutable value access (updates).
     pub fn value_mut(&mut self, name: &str) -> Option<&mut Value> {
-        self.objects.get_mut(name).map(|o| &mut o.value)
+        Arc::make_mut(&mut self.objects)
+            .get_mut(name)
+            .map(|o| &mut o.value)
     }
 
     /// Declared schema, if present.
@@ -56,9 +63,17 @@ impl DbCatalog {
 
     /// Remove an object (and any of its extent views).
     pub fn remove(&mut self, name: &str) {
-        self.objects.remove(name);
+        let objects = Arc::make_mut(&mut self.objects);
+        objects.remove(name);
         let prefix = format!("{name}::exact::");
-        self.objects.retain(|k, _| !k.starts_with(&prefix));
+        objects.retain(|k, _| !k.starts_with(&prefix));
+    }
+
+    /// `true` iff both catalogs are views of the same name map (see
+    /// [`Value::shares_storage_with`]): neither has written since one was
+    /// cloned from the other.
+    pub fn shares_storage_with(&self, other: &DbCatalog) -> bool {
+        Arc::ptr_eq(&self.objects, &other.objects)
     }
 
     /// Iterate user-visible object names (extent views excluded).
@@ -98,9 +113,9 @@ impl SchemaCatalog for DbCatalog {
 mod tests {
     use super::*;
 
-    /// A cloned catalog shares every value; writing through
-    /// [`DbCatalog::value_mut`] copies the written object only, in the
-    /// clone only.
+    /// A cloned catalog shares its map until it writes; writing through
+    /// [`DbCatalog::value_mut`] then copies the map and the written object
+    /// only, in the clone only, and every other value stays shared.
     #[test]
     fn value_mut_on_a_clone_leaves_the_original_alone() {
         let ints = || Value::set([Value::int(1), Value::int(2)]);
@@ -108,10 +123,12 @@ mod tests {
         original.put("A", SchemaType::set(SchemaType::int4()), ints());
         original.put("B", SchemaType::set(SchemaType::int4()), ints());
         let mut clone = original.clone();
+        assert!(clone.shares_storage_with(&original));
         let Some(Value::Set(a)) = clone.value_mut("A") else {
             panic!("A is a set");
         };
         a.insert(Value::int(3));
+        assert!(!clone.shares_storage_with(&original));
         assert_eq!(original.value("A"), Some(&ints()));
         assert_eq!(clone.value("A").unwrap().as_set().unwrap().len(), 3);
         let (theirs, ours) = (clone.value("B").unwrap(), original.value("B").unwrap());

@@ -93,21 +93,27 @@ struct Parts<'a> {
 
 /// An in-memory EXTRA/EXCESS database.
 ///
-/// `Clone` copies the maps — schema, catalog and store entries, methods,
-/// metrics — and shares every stored value with the original (a `Value`
-/// clone is a reference count; a later write copies the node it changes).
-/// The session layer ([`crate::session`]) leans on this for atomic
-/// commits: a request is applied to a clone of the master and the clone
-/// is swapped in only when every statement succeeded.
+/// `Clone` copies no component a snapshot can see: the type registry,
+/// the `range of` declarations, the methods and the statistics are
+/// `Arc`s, and the catalog and the object store each share their map
+/// ([`DbCatalog`], [`ObjectStore`]).  Every write goes through
+/// [`Arc::make_mut`], so a component is copied at its first write after a
+/// clone, once, and only if written — and even then every stored value
+/// is shared (a `Value` clone is a reference count; a later write copies
+/// the node it changes).  The session layer ([`crate::session`]) leans on
+/// this twice: a request is applied to a clone of the master, swapped in
+/// only when every statement succeeded, and a published generation
+/// shares each component with the master by reference count.
 #[derive(Clone)]
 pub struct Database {
-    registry: TypeRegistry,
+    // The four `Arc`s a generation shares as they are (`crate::session`).
+    pub(crate) registry: Arc<TypeRegistry>,
     store: ObjectStore,
     catalog: DbCatalog,
-    ranges: HashMap<String, QExpr>,
-    methods: MethodRegistry,
+    pub(crate) ranges: Arc<HashMap<String, QExpr>>,
+    pub(crate) methods: Arc<MethodRegistry>,
     procedures: HashMap<String, Procedure>,
-    stats: Statistics,
+    pub(crate) stats: Arc<Statistics>,
     /// The counted sketches `stats.objects` is derived from: none until
     /// the first collection, then maintained by every data statement
     /// (`crate::stats`).
@@ -131,13 +137,13 @@ impl Database {
     /// An empty database.
     pub fn new() -> Self {
         let mut db = Database {
-            registry: TypeRegistry::new(),
+            registry: Arc::new(TypeRegistry::new()),
             store: ObjectStore::new(),
             catalog: DbCatalog::new(),
-            ranges: HashMap::new(),
-            methods: MethodRegistry::new(),
+            ranges: Arc::new(HashMap::new()),
+            methods: Arc::new(MethodRegistry::new()),
             procedures: HashMap::new(),
-            stats: Statistics::new(),
+            stats: Arc::new(Statistics::new()),
             sketches: Sketches::default(),
             optimize: true,
             last_memo: None,
@@ -277,7 +283,7 @@ impl Database {
         body: SchemaType,
         inherits: &[&str],
     ) -> DbResult<TypeId> {
-        let id = self.registry.define_with_supertypes(name, body, inherits)?;
+        let id = Arc::make_mut(&mut self.registry).define_with_supertypes(name, body, inherits)?;
         self.refile_all_extents();
         Ok(id)
     }
@@ -337,7 +343,7 @@ impl Database {
             } => {
                 let body = lower_type(body);
                 let sups: Vec<&str> = inherits.iter().map(String::as_str).collect();
-                self.registry.define_with_supertypes(name, body, &sups)?;
+                Arc::make_mut(&mut self.registry).define_with_supertypes(name, body, &sups)?;
                 self.refile_all_extents();
                 Ok(Value::bool(true))
             }
@@ -374,7 +380,7 @@ impl Database {
                 let last = body.last().expect("parser guarantees non-empty body");
                 let (plan, _) = translate_retrieve(last, &tc)?;
                 let plan = resolve_this(&plan);
-                self.methods.define(MethodDef {
+                Arc::make_mut(&mut self.methods).define(MethodDef {
                     owner: on_type.clone(),
                     name: name.clone(),
                     params,
@@ -384,7 +390,7 @@ impl Database {
                 Ok(Value::bool(true))
             }
             Stmt::RangeDecl { var, source } => {
-                self.ranges.insert(var.clone(), source.clone());
+                Arc::make_mut(&mut self.ranges).insert(var.clone(), source.clone());
                 Ok(Value::bool(true))
             }
             Stmt::Retrieve(r) => {
@@ -712,8 +718,8 @@ impl Database {
         let mut stats = self
             .sketches
             .collect(&self.catalog, &self.registry, &self.store);
-        stats.extent_indexes = std::mem::take(&mut self.stats.extent_indexes);
-        self.stats = stats;
+        stats.extent_indexes = self.stats.extent_indexes.clone();
+        self.stats = Arc::new(stats);
     }
 
     /// ANALYZE: recollect statistics from the store and return them — the
@@ -732,7 +738,7 @@ impl Database {
         if !self.catalog.contains(object) {
             return Err(DbError::Other(format!("unknown object `{object}`")));
         }
-        self.stats.add_extent_index(object, ty);
+        Arc::make_mut(&mut self.stats).add_extent_index(object, ty);
         self.refile_extents(object);
         Ok(())
     }
@@ -887,7 +893,9 @@ impl Database {
     fn derive_stats(&mut self, name: &str) {
         if let Some(sketch) = self.sketches.get(name) {
             let object = sketch.object_stats(self.stats.default_avg_nested);
-            self.stats.objects.insert(name.to_string(), object);
+            Arc::make_mut(&mut self.stats)
+                .objects
+                .insert(name.to_string(), object);
         }
     }
 
@@ -998,48 +1006,90 @@ impl Database {
         if !self.catalog.contains(target) {
             return Err(DbError::Other(format!("unknown object `{target}`")));
         }
-        // Rewrite references to the target (by its own name, or through a
-        // `range of` alias) into the deletion variable, then keep the
-        // occurrences whose predicate is false.  An occurrence whose
-        // predicate is `unk` comes back as a bare `unk` (Kleene σ) and is
-        // deleted, so a result holding `unk` is run again with each
-        // survivor wrapped as `($keep: element)`, which tells a surviving
-        // `unk` element apart.  Without an `unk` the plain result is exact.
+        // `delete from X where p` is X − σ_p(X) (§3.2).  Rewrite references
+        // to the target (by its own name, or through a `range of` alias)
+        // into the deletion variable and select the matches.  From a set,
+        // each match carries all of its element's occurrences: they are
+        // removed in place, and the statistics hear of those elements only.
         let var = "$del".to_string();
         let rewritten = rewrite_pred(filter, target, &self.ranges, &var);
-        let mut survivors = Retrieve {
+        let mut query = Retrieve {
             unique: false,
             targets: vec![excess_lang::ast::Target {
                 label: None,
                 expr: QExpr::Var(var.clone()),
             }],
             from: vec![(var, QExpr::Var(target.to_string()))],
-            filter: Some(QPred::Not(Box::new(rewritten))),
+            filter: Some(rewritten),
             by: None,
             into: None,
         };
-        let (plan, _) = self.translate(&survivors)?;
-        let mut kept = self.run_plan(&plan)?;
-        if matches!(&kept, Value::Set(rows) if rows.contains(&Value::unk())) {
-            survivors.targets[0].label = Some("$keep".into());
-            let (plan, _) = self.translate(&survivors)?;
-            let Value::Set(rows) = self.run_plan(&plan)? else {
-                return Err(DbError::Other(format!("`{target}` is not a multiset")));
-            };
-            let mut unwrapped = excess_types::MultiSet::new();
-            for (row, card) in rows.iter_counted() {
-                if let Some(t) = row.as_tuple() {
-                    unwrapped.insert_n(t.extract("$keep")?.clone(), card);
-                }
+        let (plan, _) = self.translate(&query)?;
+        if let Value::Set(matches) = self.run_plan(&plan)? {
+            if !matches.contains(&Value::unk()) {
+                return self.remove_matches(target, &matches);
             }
-            kept = Value::Set(unwrapped);
         }
+        // An occurrence whose predicate is `unk` comes back from σ as a
+        // bare `unk` (Kleene σ) and is deleted too, but it does not say
+        // which element it stood for — nor does a matching `unk` element.
+        // So keep the occurrences whose predicate is false instead, each
+        // wrapped as `($keep: element)`, which tells a surviving `unk`
+        // element from a bare `unk`.  A set drops the bare ones.  An array
+        // (whose σ is ordered) always comes here and keeps each bare `unk`
+        // in its element's place, as it always has.
+        let p = query.filter.take().expect("set above");
+        query.filter = Some(QPred::Not(Box::new(p)));
+        query.targets[0].label = Some("$keep".into());
+        let (plan, _) = self.translate(&query)?;
+        let unwrap = |row: &Value| row.as_tuple().map(|t| t.extract("$keep").cloned());
+        let kept = match self.run_plan(&plan)? {
+            Value::Set(rows) => {
+                let mut kept = excess_types::MultiSet::new();
+                for (row, card) in rows.iter_counted() {
+                    if let Some(elem) = unwrap(row) {
+                        kept.insert_n(elem?, card);
+                    }
+                }
+                Value::Set(kept)
+            }
+            Value::Array(rows) => Value::array(
+                rows.iter()
+                    .map(|row| unwrap(row).unwrap_or_else(|| Ok(row.clone())))
+                    .collect::<Result<Vec<_>, _>>()?,
+            ),
+            other => other,
+        };
         let slot = self
             .catalog
             .value_mut(target)
             .ok_or_else(|| DbError::Other(format!("unknown object `{target}`")))?;
         let old = std::mem::replace(slot, kept);
         self.rewrote(target, &old);
+        Ok(Value::bool(true))
+    }
+
+    /// Remove each element of `matches` from the set `target` as often as
+    /// it occurs there.  Matching nothing writes nothing.
+    fn remove_matches(
+        &mut self,
+        target: &str,
+        matches: &excess_types::MultiSet,
+    ) -> DbResult<Value> {
+        if matches.is_empty() {
+            return Ok(Value::bool(true));
+        }
+        let Some(Value::Set(set)) = self.catalog.value_mut(target) else {
+            return Err(DbError::Other(format!("`{target}` is not a multiset")));
+        };
+        let changes: Vec<(&Value, u64, u64)> = matches
+            .iter_counted()
+            .map(|(elem, card)| {
+                let before = set.count(elem);
+                (elem, before, before - set.remove_n(elem, card))
+            })
+            .collect();
+        self.set_changed(target, changes);
         Ok(Value::bool(true))
     }
 

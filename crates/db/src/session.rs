@@ -25,15 +25,20 @@
 //! each request **atomically** (the request runs against a clone of the
 //! master and the clone is swapped in only when every statement
 //! succeeded — a failed request leaves no partial state), then publishes
-//! one new generation for the whole batch.  Components a batch did not
-//! touch are shared with the previous generation by `Arc`, and inside a
-//! component that was touched every value the batch did not write is
-//! shared too (`Value` interiors are `Arc`s; a write copies the one node
-//! it changes — DESIGN.md, *Value representation*), so a clone of the
-//! master, of the catalog or of the object store copies map entries, not
-//! data.  Each data statement applies what it changed to the statistics
-//! and per-type extents as it runs — work proportional to the change, not
-//! to the extent — so new snapshots plan against fresh cardinalities.
+//! one new generation for the whole batch.  None of that copies anything:
+//! the master's registry, `range of` declarations, methods and statistics
+//! are `Arc`s, and its catalog and object store share their maps, so the
+//! trial clone, the generation and a session's refresh are reference
+//! counts.  A component is copied at its first write in a request — once,
+//! and only if the request writes it — and even then every value it did
+//! not write stays shared (`Value` interiors are `Arc`s; a write copies
+//! the one node it changes — DESIGN.md, *Value representation*).  Each
+//! data statement applies what it changed to the statistics and per-type
+//! extents as it runs — work proportional to the change, not to the
+//! extent — so new snapshots plan against fresh cardinalities.  The
+//! committer observes its own latency into the database-wide registry:
+//! `committer.apply_us` per request, `committer.publish_us` and
+//! `committer.batch_size` per batch.
 //!
 //! Every applied request is recorded in a commit history
 //! ([`VersionedDb::history`]), which makes snapshot isolation testable:
@@ -79,12 +84,12 @@ use std::time::Instant;
 
 /// One immutable, shared version of the database state.
 ///
-/// Every component is behind an `Arc`: generations that did not change a
-/// component share it with their predecessor.  A changed catalog or
-/// store is a new map whose values are still the predecessor's
-/// allocations except where a statement wrote, so a long-lived snapshot
-/// costs memory proportional to what has changed since it was taken, not
-/// to the whole database.
+/// Every component is behind an `Arc` shared with the master it was
+/// published from, so generations that did not change a component share
+/// it with their predecessor.  A changed catalog or store is a new map
+/// whose values are still the predecessor's allocations except where a
+/// statement wrote, so a long-lived snapshot costs memory proportional to
+/// what has changed since it was taken, not to the whole database.
 #[derive(Debug, Clone)]
 pub struct Generation {
     /// Monotone version number; the seed database is generation 0.
@@ -104,15 +109,17 @@ pub struct Generation {
 }
 
 impl Generation {
+    /// `db` as generation `number`, sharing every component with it: the
+    /// catalog and store share their maps, the rest are the same `Arc`s.
     fn from_database(number: u64, db: &Database) -> Self {
         Generation {
             number,
-            registry: Arc::new(db.registry().clone()),
+            registry: Arc::clone(&db.registry),
             catalog: Arc::new(db.catalog().clone()),
             store: Arc::new(db.store().clone()),
-            ranges: Arc::new(db.ranges().clone()),
-            methods: Arc::new(db.methods().clone()),
-            stats: Arc::new(db.statistics().clone()),
+            ranges: Arc::clone(&db.ranges),
+            methods: Arc::clone(&db.methods),
+            stats: Arc::clone(&db.stats),
         }
     }
 
@@ -451,8 +458,8 @@ fn committer_loop(
 ) -> Database {
     while let Ok(first) = rx.recv() {
         // Drain whatever else is queued: one published generation per
-        // batch amortizes the publish (map clones, the pointer swap)
-        // across concurrent committers.
+        // batch amortizes the publish (the history entry, the pointer
+        // swap) across concurrent committers.
         let mut batch = vec![first];
         while let Ok(more) = rx.try_recv() {
             batch.push(more);
@@ -460,15 +467,18 @@ fn committer_loop(
         let Some(shared) = shared.upgrade() else {
             return db;
         };
+        let batch_size = batch.len() as u64;
         shared
             .commit_requests
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            .fetch_add(batch_size, Ordering::Relaxed);
         shared.commit_batches.fetch_add(1, Ordering::Relaxed);
 
         let hashed_before = db.stats_elements();
         let mut dirty = Dirty::default();
         let mut applied: Vec<String> = Vec::new();
         let mut replies: Vec<(Sender<CommitReply>, Result<Value, String>)> = Vec::new();
+        let mut apply_us: Vec<u64> = Vec::with_capacity(batch.len());
+        let mut clock = Instant::now();
         for req in batch {
             match apply(&db, &req.source) {
                 Ok((trial, stmts, v)) => {
@@ -481,9 +491,13 @@ fn committer_loop(
                 }
                 Err(e) => replies.push((req.reply, Err(e.to_string()))),
             }
+            let now = Instant::now();
+            apply_us.push((now - clock).as_micros() as u64);
+            clock = now;
         }
 
         let generation = publish(&mut db, &shared, dirty, applied);
+        let publish_us = clock.elapsed().as_micros() as u64;
         shared
             .stats_elements
             .fetch_add(db.stats_elements() - hashed_before, Ordering::Relaxed);
@@ -492,14 +506,22 @@ fn committer_loop(
             // requester hung up, nobody reads the reply.
             let _ = reply.send(CommitReply { result, generation });
         }
+        // Observed after the replies, so no requester waits on the lock.
+        let mut registry = shared.global_registry.lock().expect("registry lock");
+        for us in apply_us {
+            registry.observe("committer.apply_us", us);
+        }
+        registry.observe("committer.publish_us", publish_us);
+        registry.observe("committer.batch_size", batch_size);
     }
     db
 }
 
 /// Apply one request's program to a trial clone of the master — atomicity
 /// by clone-and-swap: a request that fails half way through its program
-/// leaves the master untouched.  The clone shares every value with the
-/// master; only what the program writes is copied.  Returns the trial,
+/// leaves the master untouched.  The clone shares every component with
+/// the master; the program copies a component at its first write to it
+/// (and, inside it, only what it writes).  Returns the trial,
 /// the statements it ran (parsed once, for [`classify`]) and the value of
 /// the last one.
 fn apply(db: &Database, source: &str) -> DbResult<(Database, Vec<Stmt>, Value)> {
@@ -565,39 +587,8 @@ fn publish(db: &mut Database, shared: &SharedState, dirty: Dirty, applied: Vec<S
         shared.stats_skipped.fetch_add(1, Ordering::Relaxed);
         "skipped: no extent data touched".to_string()
     };
-    let next = Arc::new(Generation {
-        number: prev.number + 1,
-        registry: if dirty.registry {
-            Arc::new(db.registry().clone())
-        } else {
-            prev.registry.clone()
-        },
-        catalog: if dirty.data {
-            Arc::new(db.catalog().clone())
-        } else {
-            prev.catalog.clone()
-        },
-        store: if dirty.data {
-            Arc::new(db.store().clone())
-        } else {
-            prev.store.clone()
-        },
-        ranges: if dirty.ranges {
-            Arc::new(db.ranges().clone())
-        } else {
-            prev.ranges.clone()
-        },
-        methods: if dirty.methods {
-            Arc::new(db.methods().clone())
-        } else {
-            prev.methods.clone()
-        },
-        stats: if dirty.data {
-            Arc::new(db.statistics().clone())
-        } else {
-            prev.stats.clone()
-        },
-    });
+    // A component no statement wrote is still the one `prev` shares.
+    let next = Arc::new(Generation::from_database(prev.number + 1, db));
     shared
         .history
         .lock()
@@ -634,9 +625,9 @@ pub struct QueryOutcome {
 pub struct Session {
     db: VersionedDb,
     snapshot: Arc<Generation>,
-    /// This session's own OID map over the snapshot's objects (the values
-    /// are shared with the generation, not copied): evaluation may mint
-    /// temporary OIDs (`ref (...)` in a target list), and those must not
+    /// This session's own store over the snapshot's objects (sharing the
+    /// generation's map until the first write): evaluation may mint
+    /// temporary OIDs (`mkref` in a target list), and those must not
     /// leak into — or contend on — the shared generation.
     scratch: ObjectStore,
     local_ranges: HashMap<String, QExpr>,
@@ -690,9 +681,17 @@ impl Session {
         excess_core::canon::canonical_form(v, &self.scratch)
     }
 
+    /// The object store this session evaluates against: the pinned
+    /// generation's, shared with it until a query mints an OID (which
+    /// copies the OID map for this session only).
+    pub fn store(&self) -> &ObjectStore {
+        &self.scratch
+    }
+
     /// Re-pin to the newest published generation.  Session-local
     /// `range of` declarations survive; scratch objects minted by
-    /// earlier queries are discarded with the old scratch store.
+    /// earlier queries are discarded with the old scratch store.  The new
+    /// scratch store shares the generation's map: nothing is copied.
     pub fn refresh(&mut self) {
         self.snapshot = self.db.current();
         self.scratch = (*self.snapshot.store).clone();

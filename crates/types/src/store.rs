@@ -22,6 +22,7 @@ use crate::oid::{Oid, OidAllocator, TypeId};
 use crate::types::TypeRegistry;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A stored object: its current exact type and its value.
 #[derive(Debug, Clone)]
@@ -34,13 +35,20 @@ pub struct StoredObject {
 
 /// An in-memory heap of objects keyed by OID.
 ///
-/// `Clone` copies the OID map and shares every object's value with the
-/// original — what a generation, a session's scratch store and a commit's
-/// trial database each take.  [`ObjectStore::update`] and
-/// [`ObjectStore::migrate`] replace an object's value in one map only, so
-/// the other holders keep reading the value they cloned.
+/// `Clone` is a reference count: the OID map (and the allocator minting
+/// into it) is shared with the original — what a generation, a session's
+/// scratch store and a commit's trial database each take.  Every mutator
+/// writes through [`Arc::make_mut`], so the first write after a clone
+/// copies the map, once, and shares every object's value with the other
+/// holders, which keep reading the map they cloned.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
+    heap: Arc<Heap>,
+}
+
+/// What an [`ObjectStore`] shares: the OID map and its allocator.
+#[derive(Debug, Clone, Default)]
+struct Heap {
     alloc: OidAllocator,
     objects: HashMap<Oid, StoredObject>,
 }
@@ -49,6 +57,18 @@ impl ObjectStore {
     /// Empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The heap, to write: copied first iff another store still shares it.
+    fn heap_mut(&mut self) -> &mut Heap {
+        Arc::make_mut(&mut self.heap)
+    }
+
+    /// `true` iff both stores are views of the same OID map (see
+    /// [`Value::shares_storage_with`]): neither has written since one was
+    /// cloned from the other.
+    pub fn shares_storage_with(&self, other: &ObjectStore) -> bool {
+        Arc::ptr_eq(&self.heap, &other.heap)
     }
 
     /// Create an object of named type `ty`, validating `value ∈
@@ -62,8 +82,9 @@ impl ObjectStore {
     /// Create without domain validation (bulk-load fast path; the workload
     /// generator constructs values it already knows to be well-typed).
     pub fn create_unchecked(&mut self, ty: TypeId, value: Value) -> Oid {
-        let oid = self.alloc.mint(ty);
-        self.objects.insert(
+        let heap = self.heap_mut();
+        let oid = heap.alloc.mint(ty);
+        heap.objects.insert(
             oid,
             StoredObject {
                 exact_type: ty,
@@ -75,7 +96,8 @@ impl ObjectStore {
 
     /// DEREF support: the value of the object `oid` names.
     pub fn deref(&self, oid: Oid) -> Result<&Value> {
-        self.objects
+        self.heap
+            .objects
             .get(&oid)
             .map(|o| &o.value)
             .ok_or_else(|| TypeError::DanglingOid(oid.to_string()))
@@ -83,7 +105,8 @@ impl ObjectStore {
 
     /// Current exact type of an object.
     pub fn exact_type(&self, oid: Oid) -> Result<TypeId> {
-        self.objects
+        self.heap
+            .objects
             .get(&oid)
             .map(|o| o.exact_type)
             .ok_or_else(|| TypeError::DanglingOid(oid.to_string()))
@@ -94,7 +117,7 @@ impl ObjectStore {
         let exact = self.exact_type(oid)?;
         let named = crate::schema::SchemaType::named(reg.name_of(exact));
         check_dom(&value, &named, reg)?;
-        self.objects.get_mut(&oid).unwrap().value = value;
+        self.heap_mut().objects.get_mut(&oid).unwrap().value = value;
         Ok(())
     }
 
@@ -108,7 +131,7 @@ impl ObjectStore {
         new_type: TypeId,
         new_value: Value,
     ) -> Result<()> {
-        if !self.objects.contains_key(&oid) {
+        if !self.contains(oid) {
             return Err(TypeError::DanglingOid(oid.to_string()));
         }
         if !reg.is_subtype_or_self(new_type, oid.minted) {
@@ -119,7 +142,7 @@ impl ObjectStore {
         }
         let named = crate::schema::SchemaType::named(reg.name_of(new_type));
         check_dom(&new_value, &named, reg)?;
-        self.objects.insert(
+        self.heap_mut().objects.insert(
             oid,
             StoredObject {
                 exact_type: new_type,
@@ -133,7 +156,8 @@ impl ObjectStore {
     /// gives owned objects lifetime guarantees we do not model; detection
     /// is via [`ObjectStore::deref`] returning an error.
     pub fn delete(&mut self, oid: Oid) -> Result<()> {
-        self.objects
+        self.heap_mut()
+            .objects
             .remove(&oid)
             .map(|_| ())
             .ok_or_else(|| TypeError::DanglingOid(oid.to_string()))
@@ -141,22 +165,22 @@ impl ObjectStore {
 
     /// Does the store hold an object with this identity?
     pub fn contains(&self, oid: Oid) -> bool {
-        self.objects.contains_key(&oid)
+        self.heap.objects.contains_key(&oid)
     }
 
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.heap.objects.len()
     }
 
     /// `true` iff no objects stored.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.heap.objects.is_empty()
     }
 
     /// Iterate `(oid, object)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (Oid, &StoredObject)> {
-        self.objects.iter().map(|(o, s)| (*o, s))
+        self.heap.objects.iter().map(|(o, s)| (*o, s))
     }
 
     /// The set of OIDs reachable from `roots` by following references
@@ -191,9 +215,9 @@ impl ObjectStore {
         I: IntoIterator<Item = &'a Value>,
     {
         let live = self.reachable_from(roots);
-        let before = self.objects.len();
-        self.objects.retain(|oid, _| live.contains(oid));
-        before - self.objects.len()
+        let before = self.len();
+        self.heap_mut().objects.retain(|oid, _| live.contains(oid));
+        before - self.len()
     }
 
     /// OIDs of all objects whose *exact* type is `ty` (used by the
@@ -330,5 +354,27 @@ mod tests {
         assert_eq!(s.oids_with_exact_type(p), vec![o1, o3]);
         assert_eq!(s.oids_with_exact_type(st), vec![o2]);
         assert_eq!(s.len(), 3);
+    }
+
+    /// A clone shares the OID map until one side writes; the write copies
+    /// the map for the writer only, and a rejected update copies nothing.
+    #[test]
+    fn a_clone_shares_the_map_until_one_side_writes() {
+        let (r, p, _) = setup();
+        let mut original = ObjectStore::new();
+        let ann = original.create(&r, p, person("Ann")).unwrap();
+        let mut clone = original.clone();
+        assert!(clone.shares_storage_with(&original));
+        assert!(clone.update(&r, ann, Value::int(1)).is_err());
+        assert!(clone.shares_storage_with(&original));
+        let bob = clone.create(&r, p, person("Bob")).unwrap();
+        assert!(!clone.shares_storage_with(&original));
+        assert!(!original.contains(bob));
+        assert!(clone
+            .deref(ann)
+            .unwrap()
+            .shares_storage_with(original.deref(ann).unwrap()));
+        clone.update(&r, ann, person("Anne")).unwrap();
+        assert_eq!(original.deref(ann).unwrap(), &person("Ann"));
     }
 }

@@ -476,3 +476,108 @@ fn a_batch_publishes_every_extent_as_of_the_whole_batch() {
     );
     vdb.shutdown();
 }
+
+/// A commit copies only the components it writes.  A `delete` and an
+/// `append to P` write the catalog and the statistics: the new generation
+/// has its own of those two, and shares the store's map, the registry,
+/// the methods and the `range of` declarations with the generation before.
+#[test]
+fn a_commit_copies_only_the_components_it_writes() {
+    let u = excess_workload::university::generate(&excess_workload::UniversityParams::tiny())
+        .expect("university");
+    let vdb = VersionedDb::new(u.db);
+    let append = "append to P (ssnum: 1, name: \"w0\", street: \"1 Bench St\", \
+                  city: \"Madison\", zip: 53700, birthday: date(1960, 1, 1))";
+    for src in [append, "delete from P where P.name = \"w0\""] {
+        let before = vdb.current();
+        vdb.commit(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        let after = vdb.current();
+        assert_eq!(after.number, before.number + 1, "{src}");
+        assert!(after.store.shares_storage_with(&before.store), "{src}");
+        assert!(Arc::ptr_eq(&after.registry, &before.registry), "{src}");
+        assert!(Arc::ptr_eq(&after.methods, &before.methods), "{src}");
+        assert!(Arc::ptr_eq(&after.ranges, &before.ranges), "{src}");
+        assert!(!after.catalog.shares_storage_with(&before.catalog), "{src}");
+        assert!(!Arc::ptr_eq(&after.stats, &before.stats), "{src}");
+        let p = |g: &excess::db::Generation| g.catalog.value("P").cloned().unwrap();
+        assert_ne!(p(&after), p(&before), "{src}");
+    }
+    // A session's store is the generation's, before and after a refresh.
+    let mut session = vdb.begin_session();
+    assert!(session
+        .store()
+        .shares_storage_with(&session.snapshot().store));
+    session.commit(append).expect("commit");
+    assert!(session.store().shares_storage_with(&vdb.current().store));
+    vdb.shutdown();
+}
+
+/// `define type` writes the registry: the generation gets a new one — and
+/// shares everything else — so a plan cached under the old registry is
+/// stale.
+#[test]
+fn define_type_publishes_a_new_registry_and_stales_cached_plans() {
+    let vdb = VersionedDb::new(seed());
+    let mut session = vdb.begin_session();
+    session.query(PROBE).expect("first read");
+    session.query(PROBE).expect("second read");
+    assert!(session.last_plan_was_cached());
+    let before = vdb.current();
+    session
+        .commit("define type Lab : (floor: int4) inherits Dept")
+        .expect("define");
+    let after = vdb.current();
+    assert!(!Arc::ptr_eq(&after.registry, &before.registry));
+    assert!(after.registry.lookup("Lab").is_ok());
+    assert!(after.store.shares_storage_with(&before.store));
+    assert!(after.catalog.shares_storage_with(&before.catalog));
+    assert!(Arc::ptr_eq(&after.stats, &before.stats));
+    session.query(PROBE).expect("read after define");
+    assert!(!session.last_plan_was_cached());
+    assert_eq!(session.telemetry().registry.counter("plan_cache.stale"), 1);
+    vdb.shutdown();
+}
+
+/// A query that mints an identity copies its own session's store and
+/// nothing else: neither the generation nor another session sees the OID.
+#[test]
+fn a_minting_query_copies_only_its_session_store() {
+    let mut db = seed();
+    db.execute("define type Cell : (v: int4)").expect("type");
+    let vdb = VersionedDb::new(db);
+    let mut minter = vdb.begin_session();
+    let mut other = vdb.begin_session();
+    let out = minter
+        .query("retrieve (mkref((v: 5), Cell))")
+        .expect("mint");
+    let oid = out.value.as_ref_oid().expect("a reference");
+    let generation = vdb.current();
+    assert!(minter.store().contains(oid));
+    assert_eq!(minter.store().len(), generation.store.len() + 1);
+    assert!(!minter.store().shares_storage_with(&generation.store));
+    assert!(!generation.store.contains(oid));
+    other.query(PROBE).expect("other read");
+    assert!(!other.store().contains(oid));
+    assert!(other.store().shares_storage_with(&generation.store));
+    vdb.shutdown();
+}
+
+/// A commit whose second statement fails leaves the master and the
+/// generation holding exactly the components they held: not equal ones,
+/// the same ones.
+#[test]
+fn a_failed_commit_leaves_every_component_where_it_was() {
+    let vdb = VersionedDb::new(seed());
+    let before = vdb.current();
+    vdb.commit("append to DS ((dname: \"ok\", budget: 1)) create DS : {Dept}")
+        .expect_err("second statement fails");
+    let after = vdb.current();
+    assert!(Arc::ptr_eq(&before, &after));
+    let master = vdb.shutdown().expect("master");
+    assert!(std::ptr::eq(master.registry(), &*after.registry));
+    assert!(std::ptr::eq(master.methods(), &*after.methods));
+    assert!(std::ptr::eq(master.ranges(), &*after.ranges));
+    assert!(std::ptr::eq(master.statistics(), &*after.stats));
+    assert!(master.store().shares_storage_with(&after.store));
+    assert!(master.catalog().shares_storage_with(&after.catalog));
+}

@@ -223,3 +223,44 @@ fn plan_cache_counters_account_for_every_served_request() {
     check(&vdb.global_registry());
     vdb.shutdown();
 }
+
+/// The committer observes itself into the database-wide registry: one
+/// `committer.apply_us` per request, failed ones included, and one
+/// `committer.publish_us` and `committer.batch_size` per batch, the batch
+/// sizes adding up to the requests.
+#[test]
+fn the_committer_observes_every_request_and_batch() {
+    use excess::db::VersionedDb;
+    use excess_bench::server_mix::server_mix_db;
+    let vdb = VersionedDb::new(server_mix_db(20));
+    let writers: Vec<_> = (0..3)
+        .map(|w| {
+            let vdb = vdb.clone();
+            std::thread::spawn(move || {
+                for i in 0..10 {
+                    vdb.commit(&format!("append to E1 ((ename: \"w{w}.{i}\", esal: 7000))"))
+                        .expect("append");
+                }
+                vdb.commit("create E1 : {ref Emp}").expect_err("E1 exists");
+            })
+        })
+        .collect();
+    for writer in writers {
+        writer.join().expect("writer");
+    }
+    vdb.shutdown().expect("master");
+    let stats = vdb.stats();
+    assert_eq!(stats.commit_requests, 33);
+    let registry = vdb.global_registry();
+    let histogram = |name: &str| registry.histogram(name).expect(name).clone();
+    let apply = histogram("committer.apply_us");
+    let publish = histogram("committer.publish_us");
+    let batch_size = histogram("committer.batch_size");
+    assert_eq!(apply.count(), stats.commit_requests);
+    assert_eq!(publish.count(), stats.commit_batches);
+    assert_eq!(batch_size.count(), stats.commit_batches);
+    assert_eq!(batch_size.sum(), u128::from(stats.commit_requests));
+    for h in [&apply, &publish, &batch_size] {
+        assert!(h.quantile(0.5) <= h.quantile(0.95));
+    }
+}
