@@ -121,7 +121,6 @@ fn main() {
     section_d(&mut report);
     section_f(&mut report);
     section_g(&mut report);
-    section_h(&mut report);
     section_k(&mut report);
     verification(&mut report);
 
@@ -699,39 +698,6 @@ fn section_g(r: &mut Report) {
             "{{\"queries\":{},\"example1\":{reg1},\"example2\":{reg2}}}",
             q1 + q2
         ),
-    );
-}
-
-/// The verifier's property-lint tally for each figure of one suite, one
-/// table row and one JSON entry per figure.  Returns the suite's total.
-fn h_suite(db: &Database, figs: &[(&str, Expr)], rows: &mut Vec<String>) -> usize {
-    let mut lints = 0usize;
-    for (id, plan) in figs {
-        let lint_count = db.verify_plan(plan).lint_count();
-        println!("| {id} | {lint_count} |");
-        rows.push(format!("{{\"figure\":\"{id}\",\"lints\":{lint_count}}}"));
-        lints += lint_count;
-    }
-    lints
-}
-
-/// H — the plan property analysis as the verifier uses it: property-lint
-/// tallies over the F6–F11 figures, recorded in the `h_analysis` extra.
-fn section_h(r: &mut Report) {
-    println!("\n## H — plan property analysis: verifier lints");
-
-    println!("\n| figure | lints |");
-    println!("|---|---|");
-    let mut rows: Vec<String> = Vec::new();
-    let db1 = example1_db(512, 256, 1);
-    let figs1 = [("F6", figure6()), ("F7", figure7()), ("F8", figure8())];
-    let db2 = example2_db(2000, 40, 10);
-    let figs2 = [("F9", figure9()), ("F10", figure10()), ("F11", figure11())];
-    let lints = h_suite(&db1, &figs1, &mut rows) + h_suite(&db2, &figs2, &mut rows);
-    println!("\nLints tallied: {lints}.");
-    r.extra(
-        "h_analysis",
-        format!("{{\"lints\":{lints},\"figures\":[{}]}}", rows.join(",")),
     );
 }
 

@@ -19,13 +19,3 @@ impl Catalog for HashMap<String, Value> {
         self.get(name)
     }
 }
-
-/// The empty catalog (queries with no named leaves).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EmptyCatalog;
-
-impl Catalog for EmptyCatalog {
-    fn get_object(&self, _name: &str) -> Option<&Value> {
-        None
-    }
-}

@@ -11,7 +11,7 @@
 
 use crate::expr::{Expr, Func, Pred};
 use crate::profile::{path_string, NodePath};
-use excess_types::{Scalar, ScalarType, SchemaType, TypeRegistry, Value};
+use excess_types::{SchemaType, TypeRegistry, Value};
 use std::fmt;
 
 /// Inference failure: a human-readable reason plus the path of the node it
@@ -546,12 +546,6 @@ pub fn infer_closed(
 /// Convenience: the coarse sort of a closed expression's output.
 pub fn output_sort(e: &Expr, cat: &dyn SchemaCatalog, reg: &TypeRegistry) -> Option<Sort> {
     sort_of(&infer_closed(e, cat, reg).ok()?, reg)
-}
-
-// keep Scalar/ScalarType imports used even if match arms change
-#[allow(unused)]
-fn _scalar_witness(s: &Scalar) -> ScalarType {
-    s.scalar_type()
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod canon;
 pub mod catalog;
 pub mod counters;
@@ -43,7 +42,7 @@ pub mod render;
 pub mod verify;
 
 pub use canon::{canonical_form, equal_modulo_identity};
-pub use catalog::{Catalog, EmptyCatalog};
+pub use catalog::Catalog;
 pub use counters::Counters;
 pub use error::{EvalError, EvalResult};
 pub use eval::{eval, evaluate, EvalCtx};

@@ -25,7 +25,11 @@
 //!
 //! The optimizer's rewrite-soundness gate is built on this walk: a rule
 //! application that changes the deep-resolved output schema or introduces
-//! a new error diagnostic is refused (see `excess-optimizer`).
+//! a new error diagnostic is refused (see `excess-optimizer`).  The gate
+//! also runs [`infer_closed`], which does not type `COMP` predicates, so
+//! only this walk catches a rewrite that compares a tuple with an int.
+//!
+//! [`infer_closed`]: crate::infer::infer_closed
 
 use crate::expr::{Bound, CmpOp, Expr, Func, Pred};
 use crate::infer::{value_schema, SchemaCatalog};
@@ -142,14 +146,8 @@ pub fn verify(e: &Expr, cat: &dyn SchemaCatalog, reg: &TypeRegistry) -> Report {
         env: Vec::new(),
     };
     let schema = v.check(e);
-    let mut diagnostics = v.diags;
-    // The property-analysis lint family (PR 7): run the dataflow pass in
-    // data-free structural mode and append its findings.  Lints never
-    // affect `is_clean` or the rewrite-soundness gate (errors only).
-    let analysis = crate::analysis::analyze(e, &crate::catalog::EmptyCatalog);
-    diagnostics.extend(crate::analysis::property_lints(e, &analysis));
     Report {
-        diagnostics,
+        diagnostics: v.diags,
         schema,
     }
 }

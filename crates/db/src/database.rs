@@ -518,15 +518,6 @@ impl Database {
         (best, journal)
     }
 
-    /// Derive per-node plan properties (duplicate-freeness, candidate
-    /// keys, nullability, cardinality bounds) against this database's
-    /// stored data — the data-backed mode of
-    /// `excess_core::analysis::analyze` (the verifier runs the same pass
-    /// data-free).
-    pub fn analyze_plan_props(&self, plan: &Expr) -> excess_core::analysis::Analysis {
-        excess_core::analysis::analyze(plan, &self.catalog)
-    }
-
     /// Lower a logical plan to a physical plan under the session's
     /// statistics: per spine node, the kernel the engine will run —
     /// hash equi-join vs nested loop for `rel_join`, hash

@@ -500,7 +500,7 @@ pub fn apply_extent_indexes_journaled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use excess_core::expr::Pred;
+    use excess_core::expr::{CmpOp, Pred};
     use excess_core::infer::SchemaCatalog;
     use excess_types::{SchemaType, TypeRegistry};
     use std::collections::HashMap;
@@ -522,6 +522,29 @@ mod tests {
             registry: reg,
             schemas,
         }
+    }
+
+    /// The gate's three refusals.  The last one is why it runs `verify`
+    /// after `infer_closed`: `infer_closed` does not type a `COMP`, so a
+    /// selection comparing an `Emp` tuple with an int keeps the output
+    /// type and only the verifier objects.
+    #[test]
+    fn the_gate_refuses_each_kind_of_unsound_rewrite() {
+        let (reg, schemas) = ctx_fixtures();
+        let ctx = ctx(&reg, &schemas);
+        let refusal = |before: &Expr, after: &Expr| {
+            soundness_violation(before, after, &ctx).unwrap_or_default()
+        };
+        let s = Expr::named("S");
+        assert_eq!(soundness_violation(&s, &s.clone().dup_elim(), &ctx), None);
+        let names = s.clone().set_apply(Expr::input().project(["name"]));
+        assert!(refusal(&names, &s).starts_with("rewrite changes the inferred output schema"));
+        assert!(refusal(&s, &Expr::named("Nowhere")).starts_with("rewrite breaks type inference"));
+        let tuple_gt_int = s
+            .clone()
+            .select(Pred::cmp(Expr::input(), CmpOp::Gt, Expr::int(1)));
+        assert!(infer_closed(&tuple_gt_int, &schemas, &reg).is_ok());
+        assert!(refusal(&s, &tuple_gt_int).starts_with("rewrite introduces a new diagnostic"));
     }
 
     #[test]

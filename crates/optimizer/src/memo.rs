@@ -14,9 +14,10 @@
 //! accumulate as extra members, and the cheapest plan is extracted by a
 //! bottom-up group-costing fixpoint.  The soundness gate and rewrite
 //! journal carry over per group: each candidate is re-verified against the
-//! member it was derived from, and refusals are journaled exactly as in
-//! the reference pass (deduplicated per rule/group/reason, with the group
-//! id standing in for the node path).
+//! member it was derived from (`infer_closed`, then the verifier's errors),
+//! and refusals are journaled exactly as in the reference pass
+//! (deduplicated per rule/group/reason, with the group id standing in for
+//! the node path).
 //!
 //! Two details of the round loop are load-bearing (each has a named case
 //! in `tests/memo_equivalence.rs` that loses to the hill climb without it):
@@ -54,8 +55,6 @@ use crate::engine::{
 };
 use crate::rule::RuleCtx;
 use crate::stats::Statistics;
-use excess_core::analysis;
-use excess_core::catalog::EmptyCatalog;
 use excess_core::expr::Expr;
 use std::collections::{HashMap, HashSet};
 
@@ -281,7 +280,7 @@ pub struct GroupSummary {
     /// Canonical group id.
     pub id: usize,
     /// The expression that created the group; [`MemoSnapshot::render`]
-    /// derives the operator label and the property one-liner from it.
+    /// derives the operator label from it.
     pub exemplar: Expr,
     /// Number of distinct members (alternative shapes).
     pub members: usize,
@@ -314,8 +313,7 @@ pub struct MemoSnapshot {
 impl MemoSnapshot {
     /// Multi-line human rendering (the REPL's `.memo` output): per group
     /// the exemplar's root operator (the leading token of its debug form —
-    /// `SetApply`, `RelJoin`, `Named`, …), the numbers, and the data-free
-    /// `excess_core::analysis` property one-liner.
+    /// `SetApply`, `RelJoin`, `Named`, …) and the numbers.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -327,7 +325,7 @@ impl MemoSnapshot {
         for g in &self.groups {
             let debug = format!("{:?}", skeleton_of(&g.exemplar));
             out.push_str(&format!(
-                "  g{}: {} ({} member{}), best cost {:.1}, est rows {:.1}",
+                "  g{}: {} ({} member{}), best cost {:.1}, est rows {:.1}\n",
                 g.id,
                 debug.split(['(', ' ', '{']).next().unwrap_or("?"),
                 g.members,
@@ -335,14 +333,6 @@ impl MemoSnapshot {
                 g.best_cost,
                 g.est_rows
             ));
-            let props = analysis::analyze(&g.exemplar, &EmptyCatalog)
-                .props_at(&[])
-                .map(|p| p.render())
-                .unwrap_or_default();
-            if !props.is_empty() {
-                out.push_str(&format!(" — {props}"));
-            }
-            out.push('\n');
         }
         out.push_str(&format!(
             "winner: cost {:.1} (initial {:.1})\n  {}",

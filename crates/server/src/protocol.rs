@@ -68,7 +68,7 @@ pub fn unescape(s: &str) -> String {
     out
 }
 
-fn error_line(msg: &str) -> String {
+pub(crate) fn error_line(msg: &str) -> String {
     format!("{{\"ok\":false,\"error\":{}}}", quote_json(msg))
 }
 

@@ -1,9 +1,9 @@
 //! The TCP accept loop: one thread per connection, one snapshot
 //! [`Session`](excess_db::Session) per connection, graceful shutdown.
 
-use crate::protocol::respond;
+use crate::protocol::{error_line, respond};
 use excess_db::VersionedDb;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -114,27 +114,59 @@ fn accept_loop(
     }
 }
 
+/// The longest request line the server reads, newline excluded.  A longer
+/// line is answered with an error and skipped, never held whole.
+const MAX_LINE_BYTES: u64 = 1 << 20;
+
+/// The next request line without its newline, or why it cannot be one
+/// (too long, not UTF-8); `None` at end of stream.
+fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Result<String, String>>> {
+    let mut buf = Vec::new();
+    if reader
+        .by_ref()
+        .take(MAX_LINE_BYTES + 1)
+        .read_until(b'\n', &mut buf)?
+        == 0
+    {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() as u64 > MAX_LINE_BYTES {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(Err(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(
+        String::from_utf8(buf).map_err(|_| "request line is not UTF-8".to_string()),
+    ))
+}
+
 fn handle_conn(stream: TcpStream, db: VersionedDb, stop: Arc<AtomicBool>) -> io::Result<()> {
     // The protocol is strict request/response; Nagle only adds latency.
     stream.set_nodelay(true)?;
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     // One connection = one snapshot session; dropping it at the end of
     // this function merges its metrics into the database-wide registry.
     let mut session = db.begin_session();
-    for line in reader.lines() {
+    while let Some(request) = read_request(&mut reader)? {
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = respond(&db, &mut session, &line);
-        writer.write_all(response.line.as_bytes())?;
+        let (line, close) = match request {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => {
+                let response = respond(&db, &mut session, &line);
+                (response.line, response.close)
+            }
+            Err(reason) => (error_line(&reason), false),
+        };
+        writer.write_all(line.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
-        if response.close {
+        if close {
             break;
         }
     }

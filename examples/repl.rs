@@ -66,12 +66,6 @@ const COMMANDS: &[MetaCommand] = &[
         run: cmd_verify,
     },
     MetaCommand {
-        name: ".props",
-        args: "<retrieve>",
-        help: "derived plan properties per node: sort, cardinality bounds, keys, nullability",
-        run: cmd_props,
-    },
-    MetaCommand {
         name: ".analyze",
         args: "",
         help: "recollect statistics from the stored data (ANALYZE)",
@@ -355,17 +349,6 @@ fn cmd_verify(db: &mut Database, rest: &str) -> bool {
             if let Some(schema) = &report.schema {
                 println!("  output schema: {schema}");
             }
-        }
-        Err(e) => println!("error: {e}"),
-    }
-    true
-}
-
-fn cmd_props(db: &mut Database, rest: &str) -> bool {
-    match db.plan_for(rest) {
-        Ok(plan) => {
-            let analysis = db.analyze_plan_props(&plan);
-            print!("{}", analysis.render());
         }
         Err(e) => println!("error: {e}"),
     }

@@ -1,0 +1,66 @@
+//! Malformed request lines on a live connection: each gets a JSON error
+//! and the connection keeps answering.
+
+use excess_bench::server_mix::server_mix_db;
+use excess_core::json::parse_json;
+use excess_db::VersionedDb;
+use excess_server::serve;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::Duration;
+
+const QUERY: &str = "retrieve (S1.sname) where S1.sdept = 3";
+
+/// Send `bad` as one line, then `QUERY` on the same connection; return
+/// both response lines.
+fn bad_line_then_query(bad: &[u8]) -> (String, String) {
+    let vdb = VersionedDb::new(server_mix_db(20));
+    let handle = serve(vdb, "127.0.0.1:0").expect("bind");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    // A server that stops answering fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut exchange = |line: &[u8]| {
+        stream.write_all(line).expect("send");
+        stream.write_all(b"\n").expect("send");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("read");
+        response
+    };
+    let first = exchange(bad);
+    let second = exchange(QUERY.as_bytes());
+    handle.shutdown().shutdown();
+    (first, second)
+}
+
+fn ok(response: &str) -> Option<bool> {
+    parse_json(response).ok()?.get("ok")?.as_bool()
+}
+
+fn error(response: &str) -> String {
+    let v = parse_json(response).unwrap_or_else(|e| panic!("{e}: {response:?}"));
+    assert_eq!(v.get("ok").and_then(|v| v.as_bool()), Some(false));
+    v.get("error")
+        .and_then(|e| e.as_str())
+        .expect("error text")
+        .to_string()
+}
+
+#[test]
+fn an_oversized_line_is_refused_and_the_connection_stays_open() {
+    // A valid query padded past the limit: read whole, it would run.
+    let mut bad = QUERY.as_bytes().to_vec();
+    bad.resize(bad.len() + (1 << 20), b' ');
+    let (first, second) = bad_line_then_query(&bad);
+    assert!(error(&first).contains("longer than"), "{first}");
+    assert_eq!(ok(&second), Some(true), "{second}");
+}
+
+#[test]
+fn a_non_utf8_line_is_refused_and_the_connection_stays_open() {
+    let (first, second) = bad_line_then_query(b"retrieve (S1.\xff\xfe)");
+    assert!(error(&first).contains("UTF-8"), "{first}");
+    assert_eq!(ok(&second), Some(true), "{second}");
+}
