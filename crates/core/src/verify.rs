@@ -1,10 +1,11 @@
-//! Static plan verification: every diagnostic, not just the first.
+//! Static plan verification: the one type checker, reporting every
+//! diagnostic, not just the first.
 //!
-//! [`infer`](crate::infer) stops at the first ill-typed node; this module
-//! walks the whole plan and collects *all* diagnostics, each tagged with
-//! the node path (child indices from the root, [`Expr::children`] order —
-//! the same scheme the optimizer's `neighbors_at`, the profiler, and
-//! [`InferError`](crate::infer::InferError) use) and a severity:
+//! [`verify`] types a plan by the many-sorted signatures of §3.2 and the
+//! OID-domain rules of §3.1, and collects *all* diagnostics, each tagged
+//! with the node path (child indices from the root, [`Expr::children`]
+//! order — the same scheme the optimizer's `neighbors_at` and the
+//! profiler use) and a severity:
 //!
 //! * [`Severity::Error`] — the plan violates a static well-formedness
 //!   condition of the algebra: an operator applied outside its sort
@@ -23,13 +24,15 @@
 //! independent subtrees keep reporting — a plan with two unrelated
 //! mistakes yields two diagnostics.
 //!
-//! The optimizer's rewrite-soundness gate is built on this walk: a rule
-//! application that changes the deep-resolved output schema or introduces
-//! a new error diagnostic is refused (see `excess-optimizer`).  The gate
-//! also runs [`infer_closed`], which does not type `COMP` predicates, so
-//! only this walk catches a rewrite that compares a tuple with an int.
-//!
-//! [`infer_closed`]: crate::infer::infer_closed
+//! [`Report::schema`] is the plan's output schema.  Where two operands
+//! meet (∪/∩/⊎/−, array concatenation) it is their principal type: named
+//! element types join to their least common ancestor, so
+//! `SET_APPLY[DEREF(INPUT)](Students) ⊎ SET_APPLY[DEREF(INPUT)](Employees)`
+//! is `{ Person }`, not the left operand's `{ Student }`.  The optimizer's
+//! rewrite-soundness gate, its rules' field lookups and
+//! `Database::infer_schema` all read it from this walk: a rewrite that
+//! changes the deep-resolved output schema or introduces a new error
+//! diagnostic is refused (see `excess-optimizer`).
 
 use crate::expr::{Bound, CmpOp, Expr, Func, Pred};
 use crate::infer::{value_schema, SchemaCatalog};
@@ -484,7 +487,7 @@ impl<'a> Verifier<'a> {
                     // ⊎ is pure bag concatenation — it never compares
                     // elements, and the dispatch2 rule deliberately builds
                     // heterogeneous ⊎ plans from switch tables.  Flag the
-                    // mix as suspicious, keep infer's left bias.
+                    // mix as suspicious and keep the left-hand shape.
                     let (ea, eb) = (ea?, eb?);
                     let elem = match self.join(&ea, &eb) {
                         Some(j) => j,

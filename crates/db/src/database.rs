@@ -246,7 +246,7 @@ impl Database {
 
     /// Turn full query-span traces on or off.  While on, every query run
     /// through the pipeline executes with profiling and assembles a
-    /// [`QueryTrace`] covering parse → infer → verify → optimize → lower →
+    /// [`QueryTrace`] covering parse → translate → verify → optimize → lower →
     /// execute (with per-rewrite, per-choice and per-operator children),
     /// retrievable via [`Database::last_query_trace`].
     pub fn enable_query_spans(&mut self, on: bool) {
@@ -617,13 +617,16 @@ impl Database {
     }
 
     /// Infer the output schema of a plan against this database's catalog
-    /// and type registry (closure property of the algebra, Section 3).
+    /// and type registry (closure property of the algebra, Section 3): the
+    /// schema [`Database::verify_plan`] reports, or its first error.
     pub fn infer_schema(&self, plan: &Expr) -> DbResult<SchemaType> {
-        Ok(excess_core::infer::infer_closed(
-            plan,
-            &self.catalog,
-            &self.registry,
-        )?)
+        let report = self.verify_plan(plan);
+        if let Some(d) = report.errors().next() {
+            return Err(DbError::Infer(d.to_string()));
+        }
+        report
+            .schema
+            .ok_or_else(|| DbError::Infer("the plan has no output schema".to_string()))
     }
 
     /// EXPLAIN: the plan as an operator tree plus the cost model's

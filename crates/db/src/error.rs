@@ -47,11 +47,6 @@ impl From<excess_types::TypeError> for DbError {
         DbError::Type(e)
     }
 }
-impl From<excess_core::infer::InferError> for DbError {
-    fn from(e: excess_core::infer::InferError) -> Self {
-        DbError::Infer(e.to_string())
-    }
-}
 
 /// Result alias.
 pub type DbResult<T> = std::result::Result<T, DbError>;

@@ -99,7 +99,7 @@ impl View<'_> {
 pub(crate) struct Options {
     pub optimize: bool,
     /// Assemble a [`QueryTrace`]; implies profiled execution and the
-    /// infer/verify phases that exist only to be shown.
+    /// verify phase that exists only to be shown.
     pub spans: bool,
 }
 
@@ -358,18 +358,16 @@ pub(crate) fn run(
         Source::Plan(plan) => (Cow::Borrowed(plan), None),
     };
 
-    // Infer + verify run only under spans: translation has already
-    // inferred — these phases exist to show the layers, not to gate
+    // Verification runs only under spans: translation has already typed
+    // the plan — this phase exists to show the layer, not to gate
     // execution.
     if opts.spans {
         let t0 = t.now();
-        let ty = excess_core::infer::infer_closed(&translated, view.catalog, view.registry);
-        if let (Some(s), Ok(ty)) = (t.lap("infer", t0), ty) {
-            s.meta.push(("schema".to_string(), ty.to_string()));
-        }
-        let t0 = t.now();
         let report = excess_core::verify::verify(&translated, view.catalog, view.registry);
         if let Some(s) = t.lap("verify", t0) {
+            if let Some(ty) = &report.schema {
+                s.meta.push(("schema".to_string(), ty.to_string()));
+            }
             s.nums
                 .push(("errors".to_string(), report.error_count() as u64));
             s.nums
@@ -457,10 +455,9 @@ pub(crate) fn run(
 
 /// The histogram each phase is observed under: finished names, so the
 /// always-on record path formats nothing.
-const PHASE_METRICS: [(&str, &str); 8] = [
+const PHASE_METRICS: [(&str, &str); 7] = [
     ("parse", "phase.parse_us"),
     ("translate", "phase.translate_us"),
-    ("infer", "phase.infer_us"),
     ("verify", "phase.verify_us"),
     ("cached", "phase.cached_us"),
     ("optimize", "phase.optimize_us"),

@@ -38,11 +38,5 @@ impl From<excess_types::TypeError> for LangError {
     }
 }
 
-impl From<excess_core::infer::InferError> for LangError {
-    fn from(e: excess_core::infer::InferError) -> Self {
-        LangError::Translate(e.to_string())
-    }
-}
-
 /// Result alias.
 pub type LangResult<T> = std::result::Result<T, LangError>;

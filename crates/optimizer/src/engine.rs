@@ -19,7 +19,6 @@ use crate::cost::cost_of;
 use crate::rule::{Rule, RuleCtx};
 use crate::stats::Statistics;
 use excess_core::expr::Expr;
-use excess_core::infer::infer_closed;
 use excess_core::profile::NodePath;
 use excess_core::verify::{resolve_deep, verify};
 use std::collections::HashSet;
@@ -30,46 +29,45 @@ use std::collections::HashSet;
 pub const EXTENT_INDEX_RULE: &str = "extent-index-substitution";
 
 /// Check whether replacing `before` with `after` is statically sound: the
-/// deep-resolved inferred output schema must be unchanged and the rewrite
-/// must not introduce any new error-severity diagnostic.  Returns a
-/// human-readable reason when the rewrite must be refused, `None` when it
-/// is sound.  Lints are deliberately not gated — rewrites routinely create
-/// and destroy suspicious-but-legal shapes (that is what the lint
-/// catalogue describes).
+/// deep-resolved output schema must be unchanged and the rewrite must not
+/// introduce any new error-severity diagnostic.  Each side is typed by one
+/// [`verify`] walk.  Returns a human-readable reason when the rewrite must
+/// be refused, `None` when it is sound.  Lints are deliberately not gated
+/// — rewrites routinely create and destroy suspicious-but-legal shapes
+/// (that is what the lint catalogue describes).
+///
+/// The schemas are compared even when `before` has errors: an ill-typed
+/// starting plan that still has an output schema must keep it.
 pub fn soundness_violation(before: &Expr, after: &Expr, ctx: &RuleCtx<'_>) -> Option<String> {
-    match (
-        infer_closed(before, ctx.schemas, ctx.registry),
-        infer_closed(after, ctx.schemas, ctx.registry),
-    ) {
-        (Ok(tb), Ok(ta)) => {
-            let (rb, ra) = (
-                resolve_deep(&tb, ctx.registry),
-                resolve_deep(&ta, ctx.registry),
-            );
-            if rb != ra {
+    let rb = verify(before, ctx.schemas, ctx.registry);
+    let ra = verify(after, ctx.schemas, ctx.registry);
+    match (&rb.schema, &ra.schema) {
+        (Some(tb), Some(ta)) => {
+            if resolve_deep(tb, ctx.registry) != resolve_deep(ta, ctx.registry) {
                 return Some(format!(
                     "rewrite changes the inferred output schema: {tb} → {ta}"
                 ));
             }
         }
-        (Ok(_), Err(e)) => {
-            return Some(format!("rewrite breaks type inference: {e}"));
+        (Some(_), None) => {
+            let first = ra
+                .errors()
+                .next()
+                .map(|d| d.to_string())
+                .unwrap_or_default();
+            return Some(format!("rewrite breaks type inference: {first}"));
         }
-        // An ill-typed starting plan cannot get *worse*; let the rewrite
-        // through and leave the diagnostic check to catch regressions.
-        (Err(_), _) => {}
+        // A plan with no output schema cannot get *worse*; let the
+        // rewrite through and leave the diagnostic check to catch
+        // regressions.
+        (None, _) => {}
     }
-    let before_errs: HashSet<(&'static str, String)> = verify(before, ctx.schemas, ctx.registry)
+    let before_errs: HashSet<(&'static str, &str)> =
+        rb.errors().map(|d| (d.code, d.message.as_str())).collect();
+    let new_error = ra
         .errors()
-        .map(|d| (d.code, d.message.clone()))
-        .collect();
-    for d in verify(after, ctx.schemas, ctx.registry).errors() {
-        let key = (d.code, d.message.clone());
-        if !before_errs.contains(&key) {
-            return Some(format!("rewrite introduces a new diagnostic: {d}"));
-        }
-    }
-    None
+        .find(|d| !before_errs.contains(&(d.code, d.message.as_str())));
+    new_error.map(|d| format!("rewrite introduces a new diagnostic: {d}"))
 }
 
 /// Engine configuration.
@@ -512,8 +510,21 @@ mod tests {
             SchemaType::tuple([("name", SchemaType::chars()), ("floor", SchemaType::int4())]),
         )
         .unwrap();
+        reg.define("Person", SchemaType::tuple([("name", SchemaType::chars())]))
+            .unwrap();
+        for (ty, field) in [("Student", "gpa"), ("Employee", "salary")] {
+            reg.define_with_supertypes(
+                ty,
+                SchemaType::tuple([(field, SchemaType::int4())]),
+                &["Person"],
+            )
+            .unwrap();
+        }
         let mut schemas = HashMap::new();
         schemas.insert("S".to_string(), SchemaType::set(SchemaType::named("Emp")));
+        for (name, ty) in [("Students", "Student"), ("Employees", "Employee")] {
+            schemas.insert(name.to_string(), SchemaType::set(SchemaType::reference(ty)));
+        }
         (reg, schemas)
     }
 
@@ -524,10 +535,11 @@ mod tests {
         }
     }
 
-    /// The gate's three refusals.  The last one is why it runs `verify`
-    /// after `infer_closed`: `infer_closed` does not type a `COMP`, so a
-    /// selection comparing an `Emp` tuple with an int keeps the output
-    /// type and only the verifier objects.
+    /// The gate's three refusals, and one acceptance.  A selection
+    /// comparing an `Emp` tuple with an int keeps the output schema, so
+    /// only the new diagnostic refuses it.  A ⊎ of sibling types has the
+    /// least common ancestor `{ Person }` as its principal type, so
+    /// swapping its operands changes nothing the gate checks.
     #[test]
     fn the_gate_refuses_each_kind_of_unsound_rewrite() {
         let (reg, schemas) = ctx_fixtures();
@@ -543,8 +555,12 @@ mod tests {
         let tuple_gt_int = s
             .clone()
             .select(Pred::cmp(Expr::input(), CmpOp::Gt, Expr::int(1)));
-        assert!(infer_closed(&tuple_gt_int, &schemas, &reg).is_ok());
+        assert!(verify(&tuple_gt_int, &schemas, &reg).schema.is_some());
         assert!(refusal(&s, &tuple_gt_int).starts_with("rewrite introduces a new diagnostic"));
+        let people = |x: &str| Expr::named(x).set_apply(Expr::input().deref());
+        let sibling_union = people("Students").add_union(people("Employees"));
+        let swapped = people("Employees").add_union(people("Students"));
+        assert_eq!(soundness_violation(&sibling_union, &swapped, &ctx), None);
     }
 
     #[test]

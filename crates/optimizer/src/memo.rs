@@ -14,7 +14,8 @@
 //! accumulate as extra members, and the cheapest plan is extracted by a
 //! bottom-up group-costing fixpoint.  The soundness gate and rewrite
 //! journal carry over per group: each candidate is re-verified against the
-//! member it was derived from (`infer_closed`, then the verifier's errors),
+//! member it was derived from (one `verify` walk per side: output schema,
+//! then new errors),
 //! and refusals are journaled exactly as in the reference pass
 //! (deduplicated per rule/group/reason, with the group id standing in for
 //! the node path).
@@ -43,8 +44,9 @@
 //!   store canonical (root) child ids at creation time.
 //!
 //! Subtree-level verification is weaker than whole-plan verification —
-//! `infer_closed` cannot type an open subtree (free [`Expr::Input`]s), and
-//! the gate deliberately lets ill-typed *before* plans through — so the
+//! an open subtree (free [`Expr::Input`]s) loses its schema wherever an
+//! unbound `INPUT` feeds it, and the gate deliberately lets a *before*
+//! plan without a schema through — so the
 //! extracted winner is re-gated against the original whole plan; a
 //! violation there is journaled under [`MEMO_EXTRACT_RULE`] and the search
 //! falls back to the cheapest sound whole-plan candidate.

@@ -8,6 +8,7 @@
 
 use excess_core::expr::Expr;
 use excess_core::infer::SchemaCatalog;
+use excess_core::verify::verify;
 use excess_types::{SchemaType, TypeRegistry};
 
 /// Context rules may consult: the type hierarchy and the schemas of named
@@ -20,9 +21,16 @@ pub struct RuleCtx<'a> {
 }
 
 impl<'a> RuleCtx<'a> {
-    /// Infer the schema of `e` in an empty binder environment.
+    /// The schema of `e` in an empty binder environment, when the verifier
+    /// finds no error in it.  An open subtree reports `unbound-input`, so
+    /// it has no schema here even where the walk could type its root.
     pub fn infer(&self, e: &Expr) -> Option<SchemaType> {
-        excess_core::infer::infer_closed(e, self.schemas, self.registry).ok()
+        let report = verify(e, self.schemas, self.registry);
+        if report.is_clean() {
+            report.schema
+        } else {
+            None
+        }
     }
 
     /// Field names of the tuple elements of a set-valued expression, if
@@ -258,7 +266,38 @@ pub fn strip_extract(e: &Expr, depth: usize, field: &str) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use excess_core::expr::Pred;
+    use excess_core::expr::{Func, Pred};
+    use std::collections::HashMap;
+
+    /// The verifier's walk types the root of
+    /// `TUP[min](min(SET_COLLAPSE(SET_APPLY[σ[INPUT = INPUT^3](INPUT)](Nested))))`
+    /// past its unbound `INPUT^3`; the rules must still see no fields.
+    #[test]
+    fn an_open_subtree_has_no_tuple_fields() {
+        let reg = TypeRegistry::new();
+        let schemas = HashMap::from([(
+            "Nested".to_string(),
+            SchemaType::set(SchemaType::set(SchemaType::int4())),
+        )]);
+        let ctx = RuleCtx {
+            registry: &reg,
+            schemas: &schemas,
+        };
+        let min_of = |other: Expr| {
+            let apply = Expr::named("Nested")
+                .set_apply(Expr::input().select(Pred::eq(Expr::input(), other)));
+            Expr::call(Func::Min, vec![Expr::SetCollapse(Box::new(apply))]).make_tup("min")
+        };
+        let open = min_of(Expr::input_at(3));
+        let report = verify(&open, &schemas, &reg);
+        assert!(report.schema.is_some());
+        assert!(report.errors().any(|d| d.code == "unbound-input"));
+        assert_eq!(ctx.tuple_fields(&open), None);
+        assert_eq!(
+            ctx.tuple_fields(&min_of(Expr::int(1))),
+            Some(vec!["min".into()])
+        );
+    }
 
     #[test]
     fn only_via_extract_accepts_projection_chains() {

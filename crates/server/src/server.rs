@@ -3,11 +3,16 @@
 
 use crate::protocol::{error_line, respond};
 use excess_db::VersionedDb;
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+
+/// The open connections, by id: a clone of each stream, so `shutdown` can
+/// close a connection its thread is blocked reading.
+type Conns = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 /// A running server: the bound address plus everything needed to stop
 /// it cleanly.
@@ -16,7 +21,7 @@ pub struct ServerHandle {
     db: VersionedDb,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -44,7 +49,7 @@ impl ServerHandle {
         // Unblock `accept` by connecting to ourselves; the accept loop
         // re-checks the stop flag before handling the connection.
         let _ = TcpStream::connect(self.addr);
-        for conn in self.conns.lock().expect("conns lock").drain(..) {
+        for (_, conn) in self.conns.lock().expect("conns lock").drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         if let Some(h) = self.accept_thread.take() {
@@ -65,7 +70,7 @@ pub fn serve<A: ToSocketAddrs>(db: VersionedDb, addr: A) -> io::Result<ServerHan
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+    let conns: Conns = Arc::new(Mutex::new(HashMap::new()));
     let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let accept_thread = {
         let db = db.clone();
@@ -90,26 +95,35 @@ fn accept_loop(
     listener: TcpListener,
     db: VersionedDb,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
         if let Ok(tracked) = stream.try_clone() {
-            conns.lock().expect("conns lock").push(tracked);
+            conns.lock().expect("conns lock").insert(id, tracked);
         }
         let db = db.clone();
         let stop_conn = stop.clone();
+        let conns_conn = conns.clone();
         let spawned = std::thread::Builder::new()
             .name("excess-conn".into())
             .spawn(move || {
                 let _ = handle_conn(stream, db, stop_conn);
+                // The last handle on the socket: dropping it closes the
+                // connection, so the client reads end of stream.
+                conns_conn.lock().expect("conns lock").remove(&id);
             });
-        if let Ok(handle) = spawned {
-            workers.lock().expect("workers lock").push(handle);
+        let mut workers = workers.lock().expect("workers lock");
+        workers.retain(|h| !h.is_finished());
+        match spawned {
+            Ok(handle) => workers.push(handle),
+            Err(_) => {
+                conns.lock().expect("conns lock").remove(&id);
+            }
         }
     }
 }

@@ -9,9 +9,9 @@
 //!   (query text, plan hash, per-phase timings, kernel choices,
 //!   est-vs-actual rows) with a configurable slow-query threshold.
 //! * [`Span`] / [`QueryTrace`] — opt-in structured span trees covering
-//!   every layer of a query's life (parse → infer → verify → optimize →
-//!   lower → execute, with per-rewrite, per-choice and per-operator
-//!   children), exportable as nested JSON or Chrome
+//!   every layer of a query's life (parse → translate → verify →
+//!   optimize → lower → execute, with per-rewrite, per-choice and
+//!   per-operator children), exportable as nested JSON or Chrome
 //!   trace-event format.
 //!
 //! The crate depends only on `excess-core` (for the JSON helpers and

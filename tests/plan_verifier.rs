@@ -12,7 +12,8 @@ use excess_core::expr::{Bound, CmpOp, Expr, Func, Pred};
 use excess_core::verify::{verify, Report, Severity};
 use excess_db::Database;
 use excess_optimizer::{Optimizer, Rule, RuleCtx};
-use excess_types::Value;
+use excess_types::{SchemaType, TypeRegistry, Value};
+use std::collections::HashMap;
 
 fn report(db: &Database, e: &Expr) -> Report {
     verify(e, db.catalog(), db.registry())
@@ -76,6 +77,176 @@ fn optimized_figures_stay_clean() {
         let r = report(&db, &opt);
         assert!(r.is_clean(), "optimized plan not clean:\n{}", r.render());
     }
+}
+
+// ------------------------------------------------- the typing rules
+
+/// Employees with a `ref Dept`, a fixed array of `ref Emp`, and the
+/// Figure 1 siblings `Student` and `Employee` under `Person`.
+fn typing_fixture() -> (TypeRegistry, HashMap<String, SchemaType>) {
+    let mut reg = TypeRegistry::new();
+    reg.define(
+        "Dept",
+        SchemaType::tuple([("name", SchemaType::chars()), ("floor", SchemaType::int4())]),
+    )
+    .unwrap();
+    reg.define(
+        "Emp",
+        SchemaType::tuple([
+            ("name", SchemaType::chars()),
+            ("dept", SchemaType::reference("Dept")),
+            ("salary", SchemaType::int4()),
+        ]),
+    )
+    .unwrap();
+    reg.define("Person", SchemaType::tuple([("name", SchemaType::chars())]))
+        .unwrap();
+    reg.define_with_supertypes(
+        "Student",
+        SchemaType::tuple([("gpa", SchemaType::float4())]),
+        &["Person"],
+    )
+    .unwrap();
+    reg.define_with_supertypes(
+        "Employee",
+        SchemaType::tuple([("salary", SchemaType::int4())]),
+        &["Person"],
+    )
+    .unwrap();
+    let cat = HashMap::from([
+        (
+            "Emps".to_string(),
+            SchemaType::set(SchemaType::named("Emp")),
+        ),
+        (
+            "Top".to_string(),
+            SchemaType::fixed_array(SchemaType::reference("Emp"), 10),
+        ),
+        (
+            "Students".to_string(),
+            SchemaType::set(SchemaType::reference("Student")),
+        ),
+        (
+            "Employees".to_string(),
+            SchemaType::set(SchemaType::reference("Employee")),
+        ),
+    ]);
+    (reg, cat)
+}
+
+/// The output schema of a plan that must verify clean.
+fn typed(e: &Expr) -> SchemaType {
+    let (reg, cat) = typing_fixture();
+    let r = verify(e, &cat, &reg);
+    assert!(r.is_clean(), "{e} is not clean:\n{}", r.render());
+    r.schema
+        .unwrap_or_else(|| panic!("{e} has no output schema"))
+}
+
+#[test]
+fn figure3_plan_types() {
+    // π_{name,salary}(DEREF(ARR_EXTRACT_5(Top))) : (name, salary)
+    let e = Expr::named("Top")
+        .arr_extract(5)
+        .deref()
+        .project(["name", "salary"]);
+    assert_eq!(
+        typed(&e),
+        SchemaType::tuple([
+            ("name", SchemaType::chars()),
+            ("salary", SchemaType::int4())
+        ])
+    );
+}
+
+#[test]
+fn set_apply_threads_element_type() {
+    // SET_APPLY[TUP_EXTRACT_salary(INPUT)](Emps) : { int4 }
+    let e = Expr::named("Emps").set_apply(Expr::input().extract("salary"));
+    assert_eq!(typed(&e), SchemaType::set(SchemaType::int4()));
+}
+
+#[test]
+fn deref_resolves_to_named_body() {
+    let e = Expr::named("Emps").set_apply(Expr::input().extract("dept").deref().extract("floor"));
+    assert_eq!(typed(&e), SchemaType::set(SchemaType::int4()));
+    let e = Expr::named("Top").arr_extract(1).deref();
+    assert_eq!(typed(&e), SchemaType::named("Emp"));
+}
+
+#[test]
+fn group_produces_set_of_sets() {
+    let e = Expr::named("Emps").group_by(Expr::input().extract("salary"));
+    assert_eq!(
+        typed(&e),
+        SchemaType::set(SchemaType::set(SchemaType::named("Emp")))
+    );
+}
+
+#[test]
+fn cross_produces_pairs() {
+    let e = Expr::named("Emps").cross(Expr::named("Emps"));
+    assert_eq!(
+        typed(&e),
+        SchemaType::set(SchemaType::tuple([
+            ("fst", SchemaType::named("Emp")),
+            ("snd", SchemaType::named("Emp")),
+        ]))
+    );
+}
+
+#[test]
+fn rel_cross_flattens_with_priming() {
+    let e = Expr::named("Emps").rel_cross(Expr::named("Emps"));
+    let SchemaType::Set(elem) = typed(&e) else {
+        panic!("rel_× yields a multiset")
+    };
+    let SchemaType::Tup(fs) = *elem else {
+        panic!("rel_× yields tuples")
+    };
+    let names: Vec<_> = fs.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        vec!["name", "dept", "salary", "name'", "dept'", "salary'"]
+    );
+}
+
+#[test]
+fn aggregates_type_correctly() {
+    let salaries = Expr::named("Emps").set_apply(Expr::input().extract("salary"));
+    for (f, want) in [
+        (Func::Min, SchemaType::int4()),
+        (Func::Avg, SchemaType::float4()),
+        (Func::Count, SchemaType::int4()),
+    ] {
+        assert_eq!(typed(&Expr::call(f, vec![salaries.clone()])), want, "{f}");
+    }
+}
+
+#[test]
+fn sort_mismatches_have_no_schema() {
+    let (reg, cat) = typing_fixture();
+    // DE of an array; ARR_EXTRACT of a multiset.
+    for e in [
+        Expr::named("Top").dup_elim(),
+        Expr::named("Emps").arr_extract(1),
+    ] {
+        let r = verify(&e, &cat, &reg);
+        assert_eq!(r.schema, None, "{e}");
+        assert_has(&r, "sort-mismatch", Severity::Error, "at root");
+    }
+}
+
+/// Sibling element types meet at their least common ancestor: the
+/// principal type of a ⊎ or ∪ that holds both.
+#[test]
+fn sibling_unions_type_as_the_common_ancestor() {
+    let people = |x: &str| Expr::named(x).set_apply(Expr::input().deref());
+    let person = SchemaType::set(SchemaType::named("Person"));
+    let add_union = people("Students").add_union(people("Employees"));
+    assert_eq!(typed(&add_union), person);
+    let union = Expr::Union(Box::new(people("Employees")), Box::new(people("Students")));
+    assert_eq!(typed(&union), person);
 }
 
 // ------------------------------------------- error classes, one each
@@ -314,26 +485,21 @@ fn two_independent_errors_both_reported_with_paths() {
 
 #[test]
 fn inference_and_verifier_render_positions_identically() {
-    // Satellite fix: `InferError` now carries the node path, so the first
-    // inference failure and the corresponding verifier diagnostic point at
-    // the same position in the same format.
+    // `Database::infer_schema` fails with the verifier's first error, so
+    // both name the same node path in the same format.
     let db = common::database();
     let plan = Expr::named("NoSuchObject").dup_elim();
-    let infer_err =
-        excess_core::infer::infer_closed(&plan, db.catalog(), db.registry()).unwrap_err();
-    let rendered = infer_err.to_string();
+    let rendered = db.infer_schema(&plan).unwrap_err().to_string();
     assert!(rendered.contains("at [0]"), "{rendered}");
     assert!(
         rendered.contains("unknown object `NoSuchObject`"),
         "{rendered}"
     );
-    let r = report(&db, &plan);
-    let diag = r
-        .errors()
-        .find(|d| d.code == "unknown-object")
-        .expect("verifier reports the same problem");
+    let r = db.verify_plan(&plan);
+    let diag = r.diagnostics.first().expect("the verifier reports it");
+    assert_eq!(diag.code, "unknown-object");
     assert_eq!(excess_core::profile::path_string(&diag.path), "[0]");
-    assert!(diag.message.contains("unknown object `NoSuchObject`"));
+    assert!(rendered.contains(&diag.to_string()), "{rendered}");
 }
 
 // ------------------------------------- the rewrite-soundness gate

@@ -1,5 +1,5 @@
 //! Static soundness of the transformation-rule catalogue: every rewrite
-//! the engine can reach must preserve the `infer` output schema and must
+//! the engine can reach must preserve the verifier's output schema and must
 //! not introduce any new verifier diagnostic — exactly the invariant the
 //! optimizer's rewrite-soundness gate enforces at run time.  Checked two
 //! ways: over the deterministic seed battery that exercises every rule
@@ -10,7 +10,6 @@ mod common;
 
 use common::{database, seeds};
 use excess::algebra::expr::{CmpOp, Expr, Func, Pred};
-use excess::algebra::infer::infer_closed;
 use excess::algebra::verify::{resolve_deep, verify, Severity};
 use excess::db::Database;
 use excess::optimizer::{soundness_violation, Optimizer, RuleCtx};
@@ -27,14 +26,15 @@ fn check_neighbors_statically(db: &Database, seed: &Expr) -> HashSet<&'static st
         schemas: db.catalog(),
     };
     let opt = Optimizer::standard();
-    let before_schema = infer_closed(seed, db.catalog(), db.registry())
-        .unwrap_or_else(|e| panic!("seed {seed} does not type-check: {e}"));
     let before_report = verify(seed, db.catalog(), db.registry());
     assert!(
         before_report.is_clean(),
         "seed {seed} has verifier errors:\n{}",
         before_report.render()
     );
+    let before_schema = before_report
+        .schema
+        .unwrap_or_else(|| panic!("seed {seed} has no output schema"));
     let mut fired = HashSet::new();
     for (rule, alt) in opt.neighbors(seed, &ctx) {
         fired.insert(rule);
@@ -44,14 +44,16 @@ fn check_neighbors_statically(db: &Database, seed: &Expr) -> HashSet<&'static st
         // Spelled out (the gate checks the same things internally): the
         // inferred schema is preserved modulo Named-resolution, and the
         // rewritten plan has no error diagnostics at all.
-        let after_schema = infer_closed(&alt, db.catalog(), db.registry())
-            .unwrap_or_else(|e| panic!("rule {rule} broke inference on {alt}: {e}"));
+        let after_report = verify(&alt, db.catalog(), db.registry());
+        let after_schema = after_report
+            .schema
+            .as_ref()
+            .unwrap_or_else(|| panic!("rule {rule} broke inference on {alt}"));
         assert_eq!(
             resolve_deep(&before_schema, db.registry()),
-            resolve_deep(&after_schema, db.registry()),
+            resolve_deep(after_schema, db.registry()),
             "rule {rule} changed the output schema:\n  {seed}\n→ {alt}"
         );
-        let after_report = verify(&alt, db.catalog(), db.registry());
         assert!(
             after_report.error_count() == 0,
             "rule {rule} introduced diagnostics on {alt}:\n{}",

@@ -1,12 +1,14 @@
 //! Malformed request lines on a live connection: each gets a JSON error
-//! and the connection keeps answering.
+//! and the connection keeps answering.  A `.close` really closes: the
+//! client reads end of stream, and the server keeps no handle on the
+//! socket.
 
 use excess_bench::server_mix::server_mix_db;
 use excess_core::json::parse_json;
 use excess_db::VersionedDb;
 use excess_server::serve;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 const QUERY: &str = "retrieve (S1.sname) where S1.sdept = 3";
@@ -63,4 +65,53 @@ fn a_non_utf8_line_is_refused_and_the_connection_stays_open() {
     let (first, second) = bad_line_then_query(b"retrieve (S1.\xff\xfe)");
     assert!(error(&first).contains("UTF-8"), "{first}");
     assert_eq!(ok(&second), Some(true), "{second}");
+}
+
+/// Send `.close` on a new connection; return the acknowledgement and the
+/// length of the next read, which is 0 at end of stream.
+fn close_cycle(addr: SocketAddr) -> (String, usize) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream.write_all(b".close\n").expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut ack = String::new();
+    reader
+        .read_line(&mut ack)
+        .expect("read the acknowledgement");
+    let mut rest = String::new();
+    let n = reader
+        .read_line(&mut rest)
+        .expect("end of stream after .close, not a timeout");
+    (ack, n)
+}
+
+#[test]
+fn a_closed_connection_reads_end_of_stream() {
+    let handle = serve(VersionedDb::new(server_mix_db(20)), "127.0.0.1:0").expect("bind");
+    let (ack, rest) = close_cycle(handle.addr());
+    assert_eq!(ack.trim_end(), r#"{"ok":true,"closing":true}"#);
+    assert_eq!(rest, 0);
+    handle.shutdown().shutdown();
+}
+
+/// The other tests of this file run beside this one, so the descriptor
+/// count may move by a few of theirs, never by one per connection.
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_descriptors() {
+    let open_fds = || {
+        std::fs::read_dir("/proc/self/fd")
+            .expect("fd table")
+            .count()
+    };
+    let handle = serve(VersionedDb::new(server_mix_db(20)), "127.0.0.1:0").expect("bind");
+    let before = open_fds();
+    for _ in 0..200 {
+        assert_eq!(close_cycle(handle.addr()).1, 0);
+    }
+    let after = open_fds();
+    assert!(after <= before + 32, "{before} → {after} open descriptors");
+    handle.shutdown().shutdown();
 }
