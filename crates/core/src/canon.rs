@@ -13,49 +13,95 @@
 //! of first visit, and a back-edge (cycle) with just `(@obj: k)`.  Cyclic
 //! object graphs (e.g. `Employee.manager` self references) terminate
 //! because revisits stop recursion.
+//!
+//! Only a `Ref` changes, so a value with no `Ref` is its own canonical
+//! form: [`canonical_form`] returns a clone of it, which for a tuple,
+//! multiset or array is one reference count that shares the input's
+//! storage and allocates nothing.  Where a `Ref` occurs, only the spine of
+//! tuples, multisets and arrays above it is rebuilt; every `Ref`-free
+//! sibling subtree is shared with the input.
 
-use excess_types::{ObjectStore, Value};
+use excess_types::{MultiSet, ObjectStore, Oid, Tuple, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Canonicalise a value against a store (see module docs).
 pub fn canonical_form(v: &Value, store: &ObjectStore) -> Value {
     let mut visited = HashMap::new();
-    canon(v, store, &mut visited)
+    canon(v, store, &mut visited).unwrap_or_else(|| v.clone())
 }
 
-fn canon(v: &Value, store: &ObjectStore, visited: &mut HashMap<excess_types::Oid, usize>) -> Value {
+/// `v`'s canonical form, or `None` when that is `v` itself (no `Ref`
+/// below it).  Visits in the same order as any rebuild would, so the
+/// first-visit numbering does not depend on what is shared.
+fn canon(v: &Value, store: &ObjectStore, visited: &mut HashMap<Oid, usize>) -> Option<Value> {
     match v {
         Value::Ref(oid) => {
             if let Some(&k) = visited.get(oid) {
-                return Value::tuple([("@obj", Value::int(k as i32))]);
+                return Some(Value::tuple([("@obj", Value::int(k as i32))]));
             }
             let k = visited.len();
             visited.insert(*oid, k);
-            match store.deref(*oid) {
+            Some(match store.deref(*oid) {
                 Ok(inner) => {
-                    let c = canon(&inner.clone(), store, visited);
+                    let c = canon(inner, store, visited).unwrap_or_else(|| inner.clone());
                     Value::tuple([("@obj", Value::int(k as i32)), ("@val", c)])
                 }
                 Err(_) => Value::tuple([
                     ("@obj", Value::int(k as i32)),
                     ("@dangling", Value::bool(true)),
                 ]),
-            }
+            })
         }
-        Value::Tuple(t) => Value::Tuple(excess_types::Tuple::from_fields(
-            t.iter()
-                .map(|(n, fv)| (n.to_string(), canon(fv, store, visited))),
-        )),
+        Value::Tuple(t) => {
+            let values = canon_each(|| t.iter().map(|(_, fv)| fv), t.arity(), store, visited)?;
+            Some(Value::Tuple(Tuple::from_fields(
+                t.field_names().zip(values),
+            )))
+        }
         Value::Set(s) => {
-            let mut out = excess_types::MultiSet::new();
-            for (e, c) in s.iter_counted() {
-                out.insert_n(canon(e, store, visited), c);
+            let elems = canon_each(
+                || s.iter_counted().map(|(e, _)| e),
+                s.distinct_len(),
+                store,
+                visited,
+            )?;
+            let mut out = MultiSet::new();
+            for (c, (_, n)) in elems.into_iter().zip(s.iter_counted()) {
+                out.insert_n(c, n);
             }
-            Value::Set(out)
+            Some(Value::Set(out))
         }
-        Value::Array(a) => Value::array(a.iter().map(|e| canon(e, store, visited))),
-        other => other.clone(),
+        Value::Array(a) => canon_each(|| a.iter(), a.len(), store, visited)
+            .map(|elems| Value::Array(Arc::new(elems))),
+        Value::Scalar(_) | Value::Null(_) => None,
     }
+}
+
+/// Canonicalise `len` items in order: `None` when every item is its own
+/// canonical form, else all of them, the unchanged ones shared.  `items`
+/// restarts the walk, to copy the unchanged prefix once a change shows.
+fn canon_each<'a, I: Iterator<Item = &'a Value>>(
+    items: impl Fn() -> I,
+    len: usize,
+    store: &ObjectStore,
+    visited: &mut HashMap<Oid, usize>,
+) -> Option<Vec<Value>> {
+    let mut out: Option<Vec<Value>> = None;
+    for (i, item) in items().enumerate() {
+        let c = canon(item, store, visited);
+        match (&mut out, c) {
+            (Some(out), c) => out.push(c.unwrap_or_else(|| item.clone())),
+            (None, Some(c)) => {
+                let mut rebuilt = Vec::with_capacity(len);
+                rebuilt.extend(items().take(i).cloned());
+                rebuilt.push(c);
+                out = Some(rebuilt);
+            }
+            (None, None) => {}
+        }
+    }
+    out
 }
 
 /// `true` iff two values are equal modulo consistent OID renaming and

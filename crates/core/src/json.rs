@@ -7,49 +7,85 @@
 //! pieces that are easy to get subtly wrong — escaping string payloads,
 //! rendering non-finite floats, formatting node paths and durations —
 //! live here so there is exactly one implementation of each to test.
+//! Each primitive appends to a caller's buffer (`push_*`), so the wire
+//! serializer fills one `String`; the `String`-returning forms
+//! ([`escape_json`], [`quote_json`], [`number`]) are one-line wrappers.
 //! [`parse_json`] is the other direction: a small recursive-descent
 //! parser used by golden tests (and the report binary's self-checks) to
 //! assert that the serializers emit well-formed documents with the keys
 //! consumers rely on, without pulling in serde.
 
+use std::fmt::Write;
 use std::time::Duration;
 
-/// Escape a string for inclusion in a JSON document (adds no quotes).
+/// Append `s` to `out` escaped for a JSON string (adds no quotes) — the
+/// one escaping routine every serializer in the workspace goes through.
 ///
 /// Handles the two mandatory escapes (`"` and `\`), the common control
 /// characters by short form (`\n`, `\r`, `\t`), and every remaining
-/// control character below U+0020 as `\u00XX`.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// control character below U+0020 as `\u00XX`.  Runs that need no escape
+/// are copied with one `push_str`.  Scanning bytes is sound: every byte
+/// that needs escaping is ASCII, and no byte of a multi-byte UTF-8
+/// sequence is.
+pub fn push_escaped(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
+            }
         }
     }
+    out.push_str(&s[run..]);
+}
+
+/// [`push_escaped`] between double quotes: a complete JSON string literal.
+pub fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    push_escaped(out, s);
+    out.push('"');
+}
+
+/// Append an `f64` so the output is valid JSON: finite values print via
+/// `Display`, `NaN`/`±inf` (which JSON has no literals for) become
+/// `null`.
+pub fn push_number(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// [`push_escaped`] into a fresh `String`.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
     out
 }
 
-/// [`escape_json`] plus the surrounding double quotes — a complete JSON
-/// string literal.
+/// [`push_quoted`] into a fresh `String`.
 pub fn quote_json(s: &str) -> String {
-    format!("\"{}\"", escape_json(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    out
 }
 
-/// Render an `f64` so the output is valid JSON: finite values print via
-/// `Display`, `NaN`/`±inf` (which JSON has no literals for) become
-/// `null`.
+/// [`push_number`] into a fresh `String`.
 pub fn number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = String::new();
+    push_number(&mut out, x);
+    out
 }
 
 /// Render a [`Duration`] as fractional milliseconds (the unit every

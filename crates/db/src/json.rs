@@ -17,9 +17,20 @@ use excess_optimizer::RewriteJournal;
 // canonical copies live in `excess_core::json` (escaping re-exported here
 // so existing `excess::db::escape_json` callers keep working).
 pub use excess_core::json::escape_json;
-use excess_core::json::{millis, number, path_json, quote_json as quoted};
+use excess_core::json::{
+    millis, number, path_json, push_number, push_quoted, quote_json as quoted,
+};
 
-/// Serialize a query-result [`Value`](excess_types::Value) for the wire.
+/// Serialize a query-result [`Value`](excess_types::Value) for the wire:
+/// [`write_value_json`] into a fresh `String`.
+pub fn value_json(v: &excess_types::Value) -> String {
+    let mut out = String::new();
+    write_value_json(v, &mut out);
+    out
+}
+
+/// Append a query-result [`Value`](excess_types::Value)'s JSON to `out` —
+/// the one value serializer: every node writes into the same buffer.
 ///
 /// Scalars map to JSON primitives, dates to `"YYYY-MM-DD"` strings,
 /// tuples to objects, arrays to JSON arrays, and multisets to
@@ -30,34 +41,58 @@ use excess_core::json::{millis, number, path_json, quote_json as quoted};
 /// client-visible meaning, callers that send results off-process should
 /// first resolve identity with
 /// [`canonical_form`](excess_core::canon::canonical_form), which rewrites
-/// every `Ref` into a value tree (the server does exactly this).
-pub fn value_json(v: &excess_types::Value) -> String {
+/// every `Ref` into a value tree and hands a `Ref`-free value back as it
+/// came (the server does exactly this).
+pub fn write_value_json(v: &excess_types::Value, out: &mut String) {
     use excess_types::{Null, Scalar, Value};
+    use std::fmt::Write;
     match v {
-        Value::Scalar(Scalar::Int4(i)) => i.to_string(),
-        Value::Scalar(Scalar::Float4(x)) => number(*x),
-        Value::Scalar(Scalar::Char(s)) => quoted(s),
-        Value::Scalar(Scalar::Bool(b)) => b.to_string(),
-        Value::Scalar(Scalar::Date(d)) => quoted(&d.to_string()),
-        Value::Null(Null::Dne) => "{\"null\":\"dne\"}".to_string(),
-        Value::Null(Null::Unk) => "{\"null\":\"unk\"}".to_string(),
+        Value::Scalar(Scalar::Int4(i)) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::Scalar(Scalar::Float4(x)) => push_number(out, *x),
+        Value::Scalar(Scalar::Char(s)) => push_quoted(out, s),
+        Value::Scalar(Scalar::Bool(b)) => out.push_str(if *b { "true" } else { "false" }),
+        // `YYYY-MM-DD` and `@type#serial` need no escaping.
+        Value::Scalar(Scalar::Date(d)) => {
+            let _ = write!(out, "\"{d}\"");
+        }
+        Value::Ref(oid) => {
+            let _ = write!(out, "{{\"ref\":\"{oid}\"}}");
+        }
+        Value::Null(Null::Dne) => out.push_str("{\"null\":\"dne\"}"),
+        Value::Null(Null::Unk) => out.push_str("{\"null\":\"unk\"}"),
         Value::Tuple(t) => {
-            let fields: Vec<String> = t
-                .iter()
-                .map(|(n, fv)| format!("{}:{}", quoted(n), value_json(fv)))
-                .collect();
-            format!("{{{}}}", fields.join(","))
+            out.push('{');
+            for (i, (n, fv)) in t.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_quoted(out, n);
+                out.push(':');
+                write_value_json(fv, out);
+            }
+            out.push('}');
         }
         Value::Set(s) => {
-            let elems: Vec<String> = s.iter_occurrences().map(value_json).collect();
-            format!("{{\"set\":[{}]}}", elems.join(","))
+            out.push_str("{\"set\":");
+            write_list(s.iter_occurrences(), out);
+            out.push('}');
         }
-        Value::Array(a) => {
-            let elems: Vec<String> = a.iter().map(value_json).collect();
-            format!("[{}]", elems.join(","))
-        }
-        Value::Ref(oid) => format!("{{\"ref\":{}}}", quoted(&oid.to_string())),
+        Value::Array(a) => write_list(a.iter(), out),
     }
+}
+
+/// `[v1,v2,…]`, each element through [`write_value_json`].
+fn write_list<'a>(items: impl Iterator<Item = &'a excess_types::Value>, out: &mut String) {
+    out.push('[');
+    for (i, e) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_value_json(e, out);
+    }
+    out.push(']');
 }
 
 /// `{"occurrences_scanned":…,…}` — every counter field by name, driven by

@@ -41,6 +41,7 @@ pub use explain::render_explain_analyze;
 pub use format::{format_result, try_table};
 pub use json::{
     counters_json, escape_json, journal_json, metrics_json, profile_json, value_json, verify_json,
+    write_value_json,
 };
 pub use session::{CommitBatch, Generation, QueryOutcome, ServerStats, Session, VersionedDb};
 

@@ -22,9 +22,10 @@
 //! renders the search stored with the entry, prefixed `cached:`.
 
 use excess_db::session::ServerStats;
-use excess_db::{metrics_json, value_json, QueryOutcome, Session, VersionedDb};
+use excess_db::{metrics_json, write_value_json, QueryOutcome, Session, VersionedDb};
 
-use excess_core::json::quote_json;
+use excess_core::json::{push_quoted, quote_json};
+use std::fmt::Write;
 
 /// A built response line plus whether the connection should close after
 /// sending it.
@@ -72,28 +73,29 @@ pub(crate) fn error_line(msg: &str) -> String {
     format!("{{\"ok\":false,\"error\":{}}}", quote_json(msg))
 }
 
-fn phases_json(phases: &[(&'static str, u64)]) -> String {
-    let fields: Vec<String> = phases
-        .iter()
-        .map(|(name, us)| format!("{}:{us}", quote_json(name)))
-        .collect();
-    format!("{{{}}}", fields.join(","))
-}
-
+/// The response to a served query: generation, rows, plan hash, phases
+/// and the canonical value written into one buffer.
 fn outcome_line(session: &Session, out: &QueryOutcome) -> String {
+    let mut line = String::with_capacity(256);
+    let _ = write!(
+        line,
+        "{{\"ok\":true,\"generation\":{},\"rows\":{},\"plan_hash\":\"{:016x}\",\
+         \"us\":{},\"phases\":{{",
+        out.generation, out.rows, out.plan_hash, out.total_us
+    );
+    for (i, (name, us)) in out.phase_us.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        push_quoted(&mut line, name);
+        let _ = write!(line, ":{us}");
+    }
+    line.push_str("},\"value\":");
     // Canonicalize before serializing: process-local OIDs must not
     // cross the wire.
-    let canon = session.canon(&out.value);
-    format!(
-        "{{\"ok\":true,\"generation\":{},\"rows\":{},\"plan_hash\":{},\
-         \"us\":{},\"phases\":{},\"value\":{}}}",
-        out.generation,
-        out.rows,
-        quote_json(&format!("{:016x}", out.plan_hash)),
-        out.total_us,
-        phases_json(&out.phase_us),
-        value_json(&canon)
-    )
+    write_value_json(&session.canon(&out.value), &mut line);
+    line.push('}');
+    line
 }
 
 /// Serialize database-wide [`ServerStats`].
@@ -125,13 +127,16 @@ pub fn respond(db: &VersionedDb, session: &mut Session, line: &str) -> Response 
             return Response::keep(error_line("usage: .commit <program>"));
         }
         return Response::keep(match session.commit(&src) {
-            // Commit values come from the master database, whose store
-            // is not visible here; writes return `true`/scalars in
-            // practice, and any refs serialize opaquely.
-            Ok((value, generation)) => format!(
-                "{{\"ok\":true,\"generation\":{generation},\"value\":{}}}",
-                value_json(&value)
-            ),
+            // `commit` re-pinned the session to the newest generation,
+            // whose store holds the objects the value's refs name:
+            // canonicalize as a query does, so process-local OIDs do not
+            // cross the wire.
+            Ok((value, generation)) => {
+                let mut line = format!("{{\"ok\":true,\"generation\":{generation},\"value\":");
+                write_value_json(&session.canon(&value), &mut line);
+                line.push('}');
+                line
+            }
             Err(e) => error_line(&e.to_string()),
         });
     }

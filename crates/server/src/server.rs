@@ -169,7 +169,7 @@ fn handle_conn(stream: TcpStream, db: VersionedDb, stop: Arc<AtomicBool>) -> io:
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let (line, close) = match request {
+        let (mut line, close) = match request {
             Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => {
                 let response = respond(&db, &mut session, &line);
@@ -177,8 +177,11 @@ fn handle_conn(stream: TcpStream, db: VersionedDb, stop: Arc<AtomicBool>) -> io:
             }
             Err(reason) => (error_line(&reason), false),
         };
+        // One write per response: a line longer than the buffer goes
+        // straight to the socket, and a separate newline would follow it
+        // as a second segment.
+        line.push('\n');
         writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
         writer.flush()?;
         if close {
             break;

@@ -1,11 +1,14 @@
 //! Golden shapes for every JSON surface, checked by round-tripping each
 //! document through `excess_core::json::parse_json` and asserting the
 //! keys downstream consumers (CI, the report binary, trace viewers)
-//! rely on.  These tests pin the *shape*, not the numbers.
+//! rely on.  These tests pin the *shape*, not the numbers — except for
+//! query results, whose wire bytes are pinned exactly.
 
+use excess::algebra::canonical_form;
 use excess::algebra::json::{parse_json, JsonValue};
-use excess::db::{metrics_json, Database, VersionedDb};
+use excess::db::{metrics_json, value_json, Database, VersionedDb};
 use excess::server::protocol::server_stats_json;
+use excess::types::{Date, ObjectStore, Oid, SchemaType, TypeId, TypeRegistry, Value};
 use excess_bench::example1::{example1_db, figure6};
 
 /// Parse or die with the offending document.
@@ -175,5 +178,133 @@ fn query_trace_and_chrome_trace_shapes() {
         for key in ["name", "cat", "ts", "dur", "tid"] {
             assert!(e.get(key).is_some(), "trace event lost key `{key}`");
         }
+    }
+}
+
+// Golden strings: the bytes `value_json` wrote when it still built one
+// `String` per node.  The wire promises these bytes, so a change to the
+// writer must reproduce them exactly.
+#[test]
+fn value_json_bytes_are_pinned() {
+    let cases = [
+        (Value::dne(), r#"{"null":"dne"}"#),
+        (Value::unk(), r#"{"null":"unk"}"#),
+        (
+            Value::array([
+                Value::float(f64::NAN),
+                Value::float(f64::INFINITY),
+                Value::float(f64::NEG_INFINITY),
+                Value::float(2.5),
+                Value::float(-0.125),
+                Value::float(1e21),
+            ]),
+            "[null,null,null,2.5,-0.125,1000000000000000000000]",
+        ),
+        (
+            Value::date(Date::new(1991, 5, 29).unwrap()),
+            r#""1991-05-29""#,
+        ),
+        (
+            Value::str("a\"b\\c\nd\re\tf\u{1}g\u{1f} é σ ⋈ —"),
+            r#""a\"b\\c\nd\re\tf\u0001g\u001f é σ ⋈ —""#,
+        ),
+        (
+            Value::set([
+                Value::set([Value::int(1), Value::int(1), Value::int(-2)]),
+                Value::set([Value::int(1), Value::int(1), Value::int(-2)]),
+                Value::set([]),
+                Value::set([Value::str("x"), Value::str("x")]),
+            ]),
+            r#"{"set":[{"set":[]},{"set":[-2,1,1]},{"set":[-2,1,1]},{"set":["x","x"]}]}"#,
+        ),
+        (
+            Value::array([
+                Value::int(3),
+                Value::array([]),
+                Value::array([Value::bool(true), Value::bool(false)]),
+                Value::tuple([("a", Value::str("y")), ("b", Value::unk())]),
+            ]),
+            r#"[3,[],[true,false],{"a":"y","b":{"null":"unk"}}]"#,
+        ),
+        (
+            Value::Ref(Oid {
+                minted: TypeId(3),
+                serial: 7,
+            }),
+            r#"{"ref":"@ty3#7"}"#,
+        ),
+    ];
+    for (value, golden) in cases {
+        assert_eq!(value_json(&value), golden, "{value}");
+        parsed(golden);
+    }
+}
+
+/// A set whose tuples hold a `Ref` (twice to the same object), a `Ref`
+/// to a second object, and `Ref`-free siblings.
+fn mixed_set() -> (Value, ObjectStore, Oid) {
+    let mut r = TypeRegistry::new();
+    r.define("Cell", SchemaType::tuple([("v", SchemaType::int4())]))
+        .unwrap();
+    let ty = r.lookup("Cell").unwrap();
+    let mut s = ObjectStore::new();
+    let o1 = s
+        .create(&r, ty, Value::tuple([("v", Value::int(7))]))
+        .unwrap();
+    let o2 = s
+        .create(&r, ty, Value::tuple([("v", Value::int(9))]))
+        .unwrap();
+    let row = |name: &str, cell: Value| Value::tuple([("name", Value::str(name)), ("cell", cell)]);
+    let set = Value::set([
+        row("a", Value::Ref(o2)),
+        row("b", Value::int(1)),
+        row("c", Value::Ref(o1)),
+        row("d", Value::Ref(o2)),
+        row("e", Value::set([Value::int(2), Value::int(2)])),
+    ]);
+    (set, s, o1)
+}
+
+#[test]
+fn canonical_form_renders_as_before_and_shares_ref_free_siblings() {
+    let (set, mut store, o1) = mixed_set();
+    let canon = canonical_form(&set, &store);
+    assert_eq!(
+        value_json(&canon),
+        r#"{"set":[{"name":"a","cell":{"@obj":0,"@val":{"v":9}}},{"name":"b","cell":1},{"name":"c","cell":{"@obj":1,"@val":{"v":7}}},{"name":"d","cell":{"@obj":0}},{"name":"e","cell":{"set":[2,2]}}]}"#
+    );
+    // The two `Ref`-free rows come back as the input's own storage.
+    let rows = set.as_set().unwrap();
+    let out = canon.as_set().unwrap();
+    let mut shared = 0;
+    for (row, _) in rows.iter_counted() {
+        let cell = row.as_tuple().unwrap().get("cell").unwrap();
+        if cell.as_ref_oid().is_some() {
+            continue;
+        }
+        let (same, _) = out.iter_counted().find(|(c, _)| *c == row).unwrap();
+        assert!(same.shares_storage_with(row), "{row} was copied");
+        shared += 1;
+    }
+    assert_eq!(shared, 2);
+
+    store.delete(o1).unwrap();
+    assert_eq!(
+        value_json(&canonical_form(&set, &store)),
+        r#"{"set":[{"name":"a","cell":{"@obj":0,"@val":{"v":9}}},{"name":"b","cell":1},{"name":"c","cell":{"@obj":1,"@dangling":true}},{"name":"d","cell":{"@obj":0}},{"name":"e","cell":{"set":[2,2]}}]}"#
+    );
+}
+
+#[test]
+fn an_oid_free_value_is_its_own_canonical_form() {
+    let store = ObjectStore::new();
+    for v in [
+        Value::set([Value::tuple([("a", Value::set([Value::int(1)]))])]),
+        Value::tuple([("a", Value::array([Value::str("x")]))]),
+        Value::array([Value::dne(), Value::unk()]),
+    ] {
+        let canon = canonical_form(&v, &store);
+        assert_eq!(canon, v);
+        assert!(canon.shares_storage_with(&v), "{v} was copied");
     }
 }

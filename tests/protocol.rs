@@ -13,9 +13,8 @@ use std::time::Duration;
 
 const QUERY: &str = "retrieve (S1.sname) where S1.sdept = 3";
 
-/// Send `bad` as one line, then `QUERY` on the same connection; return
-/// both response lines.
-fn bad_line_then_query(bad: &[u8]) -> (String, String) {
+/// Send each line on one connection; return the response lines.
+fn exchange(lines: &[&[u8]]) -> Vec<String> {
     let vdb = VersionedDb::new(server_mix_db(20));
     let handle = serve(vdb, "127.0.0.1:0").expect("bind");
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
@@ -24,16 +23,26 @@ fn bad_line_then_query(bad: &[u8]) -> (String, String) {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut exchange = |line: &[u8]| {
-        stream.write_all(line).expect("send");
-        stream.write_all(b"\n").expect("send");
-        let mut response = String::new();
-        reader.read_line(&mut response).expect("read");
-        response
-    };
-    let first = exchange(bad);
-    let second = exchange(QUERY.as_bytes());
+    let responses = lines
+        .iter()
+        .map(|line| {
+            stream.write_all(line).expect("send");
+            stream.write_all(b"\n").expect("send");
+            let mut response = String::new();
+            reader.read_line(&mut response).expect("read");
+            response
+        })
+        .collect();
     handle.shutdown().shutdown();
+    responses
+}
+
+/// Send `bad` as one line, then `QUERY` on the same connection; return
+/// both response lines.
+fn bad_line_then_query(bad: &[u8]) -> (String, String) {
+    let [first, second]: [String; 2] = exchange(&[bad, QUERY.as_bytes()])
+        .try_into()
+        .expect("two responses");
     (first, second)
 }
 
@@ -65,6 +74,27 @@ fn a_non_utf8_line_is_refused_and_the_connection_stays_open() {
     let (first, second) = bad_line_then_query(b"retrieve (S1.\xff\xfe)");
     assert!(error(&first).contains("UTF-8"), "{first}");
     assert_eq!(ok(&second), Some(true), "{second}");
+}
+
+#[test]
+fn a_commit_answers_with_canonical_values_not_oids() {
+    let responses = exchange(&[
+        b".commit retrieve unique (S2.dept)",
+        b"retrieve unique (S2.dept)",
+    ]);
+    let committed = &responses[0];
+    assert_eq!(ok(committed), Some(true), "{committed}");
+    assert!(
+        committed.contains(r#""@obj":"#) && committed.contains(r#""@val":"#),
+        "{committed}"
+    );
+    assert!(
+        !committed.contains(r#""ref""#),
+        "an OID crossed the wire: {committed}"
+    );
+    // The same rows read back through a query serialize the same way.
+    let value = |line: &str| parse_json(line).expect("valid JSON").get("value").cloned();
+    assert_eq!(value(committed), value(&responses[1]));
 }
 
 /// Send `.close` on a new connection; return the acknowledgement and the
