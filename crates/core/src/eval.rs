@@ -53,7 +53,7 @@ pub struct EvalCtx<'a> {
     pub trace: Option<Box<TraceSink>>,
     /// Pointer-keyed row-kernel table, installed by
     /// [`crate::physical::evaluate_physical`]: maps the address of a
-    /// `rel_join` or correlated `SET_APPLY` node to its hash kernel.
+    /// `rel_join` or `SET_APPLY` node to its hash kernel.
     /// `None` (the default) means every join runs as a nested loop.
     pub(crate) row_kernels: Option<std::collections::HashMap<usize, RowKernel>>,
 }
@@ -207,18 +207,44 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             body,
             only_types,
         } => {
+            // A lowered plan may have assigned this node (by address) a
+            // row kernel: the fused join-apply over its hash-joined input
+            // (untraced runs only), or the correlated join's probe.  Either
+            // one returning `None` is its runtime guard refusing, and the
+            // ordinary evaluation below runs as if it had never tried.
+            let kernel = row_kernel(e, ctx);
+            if let (
+                Some(RowKernel::JoinApply {
+                    left_key,
+                    right_key,
+                }),
+                Expr::RelJoin { left, right, pred },
+                true,
+            ) = (&kernel, &**input, ctx.trace.is_none())
+            {
+                let (a, b) = (eval(left, env, ctx)?, eval(right, env, ctx)?);
+                let (sa, sb) = match join_inputs(a, b)? {
+                    Ok(sets) => sets,
+                    Err(null) => return Ok(null),
+                };
+                let fused = crate::physical::hash_join_apply(
+                    &sa, &sb, left_key, right_key, pred, body, env, ctx,
+                );
+                if let Some(out) = fused {
+                    return Ok(Value::Set(out));
+                }
+                let joined = join_sets(input, &sa, &sb, pred, env, ctx)?;
+                return apply_each(&joined, body, None, env, ctx);
+            }
             let inv = eval(input, env, ctx)?;
             if inv.is_null() {
                 return Ok(inv);
             }
             let set = as_set("SET_APPLY", inv)?;
-            // A lowered plan may have assigned this node (by address) the
-            // correlated join's probe kernel; `None` is its runtime guard
-            // refusing, and the loop below runs as if it had never tried.
             if let Some(RowKernel::ProbeApply {
                 outer_key,
                 inner_key,
-            }) = row_kernel(e, ctx)
+            }) = kernel
             {
                 let probed = crate::physical::hash_probe_apply(
                     &set, body, &outer_key, &inner_key, env, ctx,
@@ -236,23 +262,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                 ),
                 None => None,
             };
-            let mut out = MultiSet::new();
-            for occ in set.iter_occurrences() {
-                ctx.counters.occurrences_scanned += 1;
-                if let Some(want) = &filter {
-                    // "only objects that are exactly of type T are to be
-                    // processed"; others are ignored.
-                    let exact = domain::exact_type_of(occ, ctx.registry, ctx.store);
-                    if !matches!(exact, Some(t) if want.contains(&t)) {
-                        continue;
-                    }
-                }
-                env.push(occ.clone());
-                let r = eval(body, env, ctx);
-                env.pop();
-                out.insert(r?);
-            }
-            Ok(Value::Set(out))
+            apply_each(&set, body, filter.as_deref(), env, ctx)
         }
         Expr::Group { input, by } => {
             let inv = eval(input, env, ctx)?;
@@ -577,50 +587,10 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
         }
         Expr::RelJoin { left, right, pred } => {
             let (a, b) = (eval(left, env, ctx)?, eval(right, env, ctx)?);
-            if a.is_null() {
-                return Ok(a);
+            match join_inputs(a, b)? {
+                Ok((sa, sb)) => Ok(Value::Set(join_sets(e, &sa, &sb, pred, env, ctx)?)),
+                Err(null) => Ok(null),
             }
-            if b.is_null() {
-                return Ok(b);
-            }
-            let (sa, sb) = (as_set("rel_join", a)?, as_set("rel_join", b)?);
-            // A lowered plan may have assigned this node (by address) a
-            // hash kernel; its runtime guard re-verifies the key side
-            // conditions and reports `None` to fall back to the nested
-            // loop, so canon-identity never rests on the statistics.
-            if let Some(RowKernel::HashJoin {
-                left_key: lf,
-                right_key: rf,
-            }) = row_kernel(e, ctx)
-            {
-                if let Some(out) =
-                    crate::physical::hash_equi_join(&sa, &sb, &lf, &rf, pred, env, ctx)?
-                {
-                    return Ok(Value::Set(out));
-                }
-            }
-            let mut out = MultiSet::new();
-            for (x, cx) in sa.iter_counted() {
-                let tx = x
-                    .as_tuple()
-                    .ok_or_else(|| sort_err("rel_join", "tuple", x))?;
-                for (y, cy) in sb.iter_counted() {
-                    let ty = y
-                        .as_tuple()
-                        .ok_or_else(|| sort_err("rel_join", "tuple", y))?;
-                    ctx.counters.occurrences_scanned += cx * cy;
-                    let joined = Value::Tuple(tx.cat(ty));
-                    env.push(joined.clone());
-                    let t = eval_pred(pred, env, ctx);
-                    env.pop();
-                    match t? {
-                        Truth::T => out.insert_n(joined, cx * cy),
-                        Truth::U => out.insert_n(Value::unk(), cx * cy),
-                        Truth::F => {}
-                    }
-                }
-            }
-            Ok(Value::Set(out))
         }
 
         // ----- Section 4 dispatch -----
@@ -660,6 +630,92 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::Set(out))
         }
     }
+}
+
+/// `SET_APPLY`'s loop: `body` once per occurrence of `set`, skipping
+/// occurrences whose exact type is not in `filter` when there is one.
+fn apply_each(
+    set: &MultiSet,
+    body: &Expr,
+    filter: Option<&[TypeId]>,
+    env: &mut Vec<Value>,
+    ctx: &mut EvalCtx,
+) -> EvalResult<Value> {
+    let mut out = MultiSet::new();
+    for occ in set.iter_occurrences() {
+        ctx.counters.occurrences_scanned += 1;
+        if let Some(want) = filter {
+            // "only objects that are exactly of type T are to be
+            // processed"; others are ignored.
+            let exact = domain::exact_type_of(occ, ctx.registry, ctx.store);
+            if !matches!(exact, Some(t) if want.contains(&t)) {
+                continue;
+            }
+        }
+        env.push(occ.clone());
+        let r = eval(body, env, ctx);
+        env.pop();
+        out.insert(r?);
+    }
+    Ok(Value::Set(out))
+}
+
+/// `rel_join`'s evaluated inputs as multisets, or (`Err`) the null the
+/// join returns when either side is one.
+fn join_inputs(a: Value, b: Value) -> EvalResult<Result<(MultiSet, MultiSet), Value>> {
+    if a.is_null() {
+        return Ok(Err(a));
+    }
+    if b.is_null() {
+        return Ok(Err(b));
+    }
+    Ok(Ok((as_set("rel_join", a)?, as_set("rel_join", b)?)))
+}
+
+/// The `rel_join` node `e` over its materialised inputs.
+fn join_sets(
+    e: &Expr,
+    sa: &MultiSet,
+    sb: &MultiSet,
+    pred: &Pred,
+    env: &mut Vec<Value>,
+    ctx: &mut EvalCtx,
+) -> EvalResult<MultiSet> {
+    // A lowered plan may have assigned this node (by address) a hash
+    // kernel; its runtime guard re-verifies the key side conditions and
+    // reports `None` to fall back to the nested loop, so canon-identity
+    // never rests on the statistics.
+    if let Some(RowKernel::HashJoin {
+        left_key: lf,
+        right_key: rf,
+    }) = row_kernel(e, ctx)
+    {
+        if let Some(out) = crate::physical::hash_equi_join(sa, sb, &lf, &rf, pred, env, ctx)? {
+            return Ok(out);
+        }
+    }
+    let mut out = MultiSet::new();
+    for (x, cx) in sa.iter_counted() {
+        let tx = x
+            .as_tuple()
+            .ok_or_else(|| sort_err("rel_join", "tuple", x))?;
+        for (y, cy) in sb.iter_counted() {
+            let ty = y
+                .as_tuple()
+                .ok_or_else(|| sort_err("rel_join", "tuple", y))?;
+            ctx.counters.occurrences_scanned += cx * cy;
+            let joined = Value::Tuple(tx.cat(ty));
+            env.push(joined.clone());
+            let t = eval_pred(pred, env, ctx);
+            env.pop();
+            match t? {
+                Truth::T => out.insert_n(joined, cx * cy),
+                Truth::U => out.insert_n(Value::unk(), cx * cy),
+                Truth::F => {}
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Evaluate a predicate in the given environment (the COMP input or the

@@ -678,6 +678,44 @@ impl Expr {
         matches!(self, Expr::MakeRef(..)) || self.children().iter().any(|c| c.mints_oids())
     }
 
+    /// The fields this body projects from its binder's element, when it is
+    /// a projection: `π[f, …](INPUT)`, or the same projection spelled
+    /// attribute by attribute, `TUP_CAT(TUP[f](TUP_EXTRACT[f](INPUT)), …)`
+    /// with distinct names — the translator's per-group target.  The two
+    /// agree on every tuple; on `unk` the spelled form yields a tuple of
+    /// `unk`s where `π` yields `unk`, so a rewrite may move such a body
+    /// but must not swap one spelling for the other.
+    pub fn projected_fields(&self) -> Option<Vec<String>> {
+        fn spelled(e: &Expr, out: &mut Vec<String>) -> Option<()> {
+            match e {
+                Expr::TupCat(a, b) => {
+                    spelled(a, out)?;
+                    spelled(b, out)
+                }
+                Expr::MakeTup(x, label) => match &**x {
+                    Expr::TupExtract(input, f)
+                        if f == label && matches!(**input, Expr::Input(0)) && !out.contains(f) =>
+                    {
+                        out.push(f.clone());
+                        Some(())
+                    }
+                    _ => None,
+                },
+                _ => None,
+            }
+        }
+        match self {
+            Expr::Project(input, fields) if matches!(**input, Expr::Input(0)) => {
+                Some(fields.clone())
+            }
+            _ => {
+                let mut out = Vec::new();
+                spelled(self, &mut out)?;
+                Some(out)
+            }
+        }
+    }
+
     /// Number of operator nodes (leaves count 0) — the induction measure
     /// used in the equipollence proof.
     pub fn operator_count(&self) -> usize {

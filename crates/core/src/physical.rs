@@ -6,14 +6,14 @@
 //! canonical-form arguments all keep working on the same object), and a
 //! map from node paths to [`PhysChoice`]s records which physical operator
 //! implements each *spine* node — `HashEquiJoin` vs `NestedLoopJoin` for
-//! `rel_join`, `HashProbeApply` for the translator's correlated
-//! `SET_APPLY` join, `HashGroup` for `GRP`, `HashDistinct` for `DE`,
+//! `rel_join`, `HashProbeApply` for a correlated `SET_APPLY` join,
+//! `HashGroup` for `GRP`, `HashDistinct` for `DE`,
 //! `Scan` / `IndexScan` for named objects, and `PassThrough` for
 //! everything else.  Because the logical tree is untouched,
 //! `eval(lower(p))` operates on a plan that is structurally equal to `p`;
 //! only the *kernel* used at annotated joins differs, and each kernel is
-//! proven occurrence-exact below (the two hash kernels share one
-//! build/probe core and one key guard).
+//! proven occurrence-exact below (the hash kernels share one build/probe
+//! core and one key guard).
 //!
 //! # The hash equi-join kernel
 //!
@@ -43,13 +43,26 @@
 //! cross-bucket pair (which the nested loop would hit before rejecting
 //! the pair) is skipped, because the pair is never formed.
 //!
+//! # The fused join-apply
+//!
+//! A `SET_APPLY[f]` whose input is a hash-joined `rel_join` — how a
+//! served two-variable join arrives when product typing holds — need not
+//! build the join's multiset only to iterate it.  When the apply is
+//! unfiltered and `f` mints no OIDs, `hash_join_apply` runs the same
+//! build/probe with `f` applied to each emitted row (`unk` rows
+//! included), weighted by the row's multiplicity, and charges the
+//! counters the two operators would.  It runs on untraced evaluations
+//! only; a traced one, a guard refusal or any error takes the unfused
+//! path, so counters, profiles and errors are the unfused plan's.
+//!
 //! # The hash probe kernel of a correlated join
 //!
-//! A two-variable `retrieve … where l = r` never reaches the optimizer as
-//! a `rel_join` — `TUP_CAT` would need the two sides' attribute names
-//! disjoint — but as `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)`
-//! ([`correlated_join`]), which evaluated as written runs `B` and
-//! |`B`| `COMP`s once per occurrence of `A`.  A node chosen
+//! A two-variable `retrieve … where l = r` that the translator cannot
+//! give a `rel_join` — the sides' attribute names clash, or they range
+//! over ref extents, or a variable is used whole — arrives as
+//! `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)` ([`correlated_join`]),
+//! which evaluated as written runs `B` and |`B`| `COMP`s once per
+//! occurrence of `A`.  A node chosen
 //! [`PhysOp::HashProbeApply`] instead runs, in the evaluator's
 //! `SET_APPLY` arm on the materialised `A`:
 //!
@@ -77,10 +90,10 @@
 //!
 //! Kernels reach the evaluator through a pointer-keyed table installed in
 //! [`EvalCtx`] by [`evaluate_physical`]: choices are resolved to the
-//! addresses of the plan's own `rel_join` and correlated `SET_APPLY`
-//! nodes, so the unchanged recursive evaluator — including its trace
-//! bracketing — picks a hash kernel up at exactly the annotated nodes and
-//! nowhere else.
+//! addresses of the plan's own `rel_join` and `SET_APPLY` nodes, so the
+//! unchanged recursive evaluator — including its trace bracketing — picks
+//! a hash kernel up at exactly the annotated nodes (and the applies over
+//! them) and nowhere else.
 //!
 //! # Example
 //!
@@ -136,7 +149,7 @@ pub enum PhysOp {
     },
     /// The serial evaluator's pair-at-a-time `rel_join` loop.
     NestedLoopJoin,
-    /// The translator's correlated join
+    /// A correlated join
     /// `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)`: evaluate `B`
     /// once, bucket it by `inner_key`, and run the unchanged `COMP` only
     /// on the bucket `outer_key` selects (see [`correlated_join`]).
@@ -222,6 +235,9 @@ pub(crate) enum RowKernel {
     HashJoin { left_key: String, right_key: String },
     /// [`hash_probe_apply`] on a correlated `SET_APPLY` join.
     ProbeApply { outer_key: Expr, inner_key: Expr },
+    /// [`hash_join_apply`] on a `SET_APPLY` whose input is a `rel_join`
+    /// chosen [`PhysOp::HashEquiJoin`] and whose body mints no OIDs.
+    JoinApply { left_key: String, right_key: String },
 }
 
 impl PhysicalPlan {
@@ -247,9 +263,38 @@ impl PhysicalPlan {
     /// pointer-keyed kernel table [`evaluate_physical`] installs in the
     /// evaluation context.  A choice whose node does not have the shape
     /// (or, for the correlated join, the key pair) it names is dropped.
+    /// A hash-joined `rel_join` that is the input of an unfiltered,
+    /// non-minting `SET_APPLY` also gives that apply the fused
+    /// [`RowKernel::JoinApply`], unless the apply has a kernel of its own.
     fn kernel_table(&self) -> HashMap<usize, RowKernel> {
         let mut table = HashMap::new();
         for (path, choice) in &self.choices {
+            if let (
+                PhysOp::HashEquiJoin {
+                    left_key,
+                    right_key,
+                },
+                Some((0, parent)),
+            ) = (&choice.op, path.split_last())
+            {
+                if let Some(
+                    apply @ Expr::SetApply {
+                        input,
+                        body,
+                        only_types: None,
+                    },
+                ) = self.node_at(parent)
+                {
+                    if matches!(**input, Expr::RelJoin { .. }) && !body.mints_oids() {
+                        table.entry(apply as *const Expr as usize).or_insert(
+                            RowKernel::JoinApply {
+                                left_key: left_key.clone(),
+                                right_key: right_key.clone(),
+                            },
+                        );
+                    }
+                }
+            }
             let Some(node) = self.node_at(path) else {
                 continue;
             };
@@ -369,10 +414,10 @@ pub fn equi_key_candidates(pred: &Pred) -> Vec<(String, String)> {
 }
 
 /// The translator's correlated join, taken apart: a two-variable
-/// `retrieve … where l = r` arrives as
-/// `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)` — never as a
-/// `rel_join`, whose `TUP_CAT` would need the two sides' attribute names
-/// disjoint.
+/// `retrieve … where l = r` without product typing (clashing attribute
+/// names, ref extents, a variable used whole) arrives as
+/// `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)`, not as a
+/// `rel_join`, whose `TUP_CAT` would rename a clash.
 pub struct CorrelatedJoin<'e> {
     /// `B`, the inner apply's input (evaluated under `A`'s binder).
     pub inner_input: &'e Expr,
@@ -538,20 +583,40 @@ pub fn hash_equi_join(
     env: &mut Vec<Value>,
     ctx: &mut EvalCtx,
 ) -> EvalResult<Option<MultiSet>> {
-    let (lf, rf) = if key_pair_usable(sa, sb, lf, rf) {
-        (lf, rf)
-    } else if key_pair_usable(sa, sb, rf, lf) {
-        (rf, lf)
-    } else {
+    let Some((lf, rf)) = usable_orientation(sa, sb, lf, rf) else {
         return Ok(None);
     };
-    hash_join_core(sa, sb, lf, rf, pred, env, ctx)
+    let mut out = MultiSet::new();
+    let joined = hash_join_core(sa, sb, lf, rf, pred, env, ctx, |row, n, _, _| {
+        out.insert_n(row, n);
+        Ok(())
+    })?;
+    Ok(joined.map(|()| out))
+}
+
+/// The key pair in the orientation [`key_pair_usable`] admits, if either.
+fn usable_orientation<'k>(
+    sa: &MultiSet,
+    sb: &MultiSet,
+    lf: &'k str,
+    rf: &'k str,
+) -> Option<(&'k str, &'k str)> {
+    if key_pair_usable(sa, sb, lf, rf) {
+        Some((lf, rf))
+    } else if key_pair_usable(sa, sb, rf, lf) {
+        Some((rf, lf))
+    } else {
+        None
+    }
 }
 
 /// `rel_join`'s use of the shared build/probe ([`Buckets`]), once
-/// [`hash_equi_join`]'s guard has admitted the key pair.  Key extraction
-/// is still graceful: a violation aborts with `Ok(None)` after restoring
-/// the counters, leaving the nested loop to run as if never attempted.
+/// [`hash_equi_join`]'s guard has admitted the key pair: every output row
+/// — the joined tuple, or `unk` where the residual is `U` — goes to
+/// `emit` with its multiplicity, in probe order.  Key extraction is still
+/// graceful: a violation aborts with `Ok(None)` after restoring the
+/// counters, leaving the nested loop to run as if never attempted.
+#[allow(clippy::too_many_arguments)]
 fn hash_join_core(
     sa: &MultiSet,
     sb: &MultiSet,
@@ -560,7 +625,8 @@ fn hash_join_core(
     pred: &Pred,
     env: &mut Vec<Value>,
     ctx: &mut EvalCtx,
-) -> EvalResult<Option<MultiSet>> {
+    mut emit: impl FnMut(Value, u64, &mut Vec<Value>, &mut EvalCtx) -> EvalResult<()>,
+) -> EvalResult<Option<()>> {
     let Some(residual) = split_residual(pred, lf, rf) else {
         return Ok(None);
     };
@@ -573,7 +639,6 @@ fn hash_join_core(
     };
     let saved_counters = ctx.counters;
     // Probe: only in-bucket pairs are ever formed.
-    let mut out = MultiSet::new();
     for (x, cx) in sa.iter_counted() {
         let Some(k) = key_of(x, lf).filter(|k| buckets.guard.admits(k)) else {
             ctx.counters = saved_counters;
@@ -584,7 +649,7 @@ fn hash_join_core(
             let ty = y.as_tuple().expect("build side admitted tuples only");
             ctx.counters.occurrences_scanned += cx * cy;
             let joined = Value::Tuple(tx.cat(ty));
-            env.push(joined.clone());
+            env.push(joined);
             // In-bucket the equi conjunct is T, and T ∧ x = x: the full
             // predicate's truth equals the residual conjunction's,
             // evaluated with the serial left-to-right F short-circuit.
@@ -603,15 +668,63 @@ fn hash_join_core(
                     }
                 }
             }
-            env.pop();
+            let joined = env.pop().expect("pushed above");
             match t? {
-                Truth::T => out.insert_n(joined, cx * cy),
-                Truth::U => out.insert_n(Value::unk(), cx * cy),
+                Truth::T => emit(joined, cx * cy, env, ctx)?,
+                Truth::U => emit(Value::unk(), cx * cy, env, ctx)?,
                 Truth::F => {}
             }
         }
     }
-    Ok(Some(out))
+    Ok(Some(()))
+}
+
+/// `SET_APPLY[f](rel_join[θ](A, B))` without the join's output: the
+/// kernel behind [`RowKernel::JoinApply`], run by the evaluator's
+/// `SET_APPLY` arm on the materialised join inputs.  Each row
+/// [`hash_join_core`] emits — `unk` rows included — goes through `f`
+/// once, weighted by its multiplicity, so the result is the apply's over
+/// the join multiset, and the counters are the two operators' own: the
+/// join's, plus per occurrence one scan and `f`'s work (charged `n`
+/// times for a row of multiplicity `n`, which is sound because `f` mints
+/// no OIDs and so does the same work on equal rows).  `None` — the guard
+/// refusing, or any error, raised here in another order than the
+/// unfused plan would raise it — restores the counters and leaves the
+/// unfused path to compute the answer, that error included.  Untraced
+/// runs only: a traced run takes the unfused path, whose counters these
+/// are.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn hash_join_apply(
+    sa: &MultiSet,
+    sb: &MultiSet,
+    lf: &str,
+    rf: &str,
+    pred: &Pred,
+    body: &Expr,
+    env: &mut Vec<Value>,
+    ctx: &mut EvalCtx,
+) -> Option<MultiSet> {
+    let (lf, rf) = usable_orientation(sa, sb, lf, rf)?;
+    let saved_counters = ctx.counters;
+    let mut out = MultiSet::new();
+    let joined = hash_join_core(sa, sb, lf, rf, pred, env, ctx, |row, n, env, ctx| {
+        ctx.counters.occurrences_scanned += n;
+        let before = ctx.counters;
+        env.push(row);
+        let r = eval(body, env, ctx);
+        env.pop();
+        let once = ctx.counters - before;
+        ctx.counters += once.times(n - 1);
+        out.insert_n(r?, n);
+        Ok(())
+    });
+    match joined {
+        Ok(Some(())) => Some(out),
+        _ => {
+            ctx.counters = saved_counters;
+            None
+        }
+    }
 }
 
 /// The correlated join's use of the shared build/probe ([`Buckets`]): the
@@ -695,8 +808,9 @@ pub(crate) fn hash_probe_apply(
 /// context, run the ordinary serial evaluator over the (unchanged)
 /// logical tree, and clear the table again.  Counters, tracing, and error
 /// behaviour are the evaluator's own; only annotated `rel_join` and
-/// correlated `SET_APPLY` nodes take a hash kernel, and only when its
-/// runtime guard admits it.
+/// correlated `SET_APPLY` nodes, and the applies fused over a hashed
+/// `rel_join`, take a hash kernel, and only when its runtime guard admits
+/// it.
 pub fn evaluate_physical(plan: &PhysicalPlan, ctx: &mut EvalCtx) -> EvalResult<Value> {
     let table = plan.kernel_table();
     let saved = ctx.row_kernels.take();
@@ -1056,6 +1170,123 @@ mod tests {
         };
         assert!(pp.kernel_table().is_empty());
         assert_eq!(probe_plan(&plan).kernel_table().len(), 1);
+    }
+
+    /// `SET_APPLY[body](rel_join[pred](L, R))` with the join hashed on
+    /// `k = j`: the shape whose apply the kernel table fuses.
+    fn fused_plan(pred: Pred, body: Expr) -> PhysicalPlan {
+        let plan = join_plan(pred).set_apply(body);
+        let mut pp = hash_join_plan(&plan, "k", "j");
+        let choice = pp.choices.remove(&Vec::new()).expect("the root choice");
+        pp.choices.insert(vec![0], choice);
+        pp
+    }
+
+    /// Evaluate `pp` untraced (the fused kernel) and traced (the join,
+    /// then the apply), with the naive evaluator's value beside them.
+    fn fused_and_unfused(
+        pp: &PhysicalPlan,
+        cat: &Cat<String, Value>,
+    ) -> [(EvalResult<Value>, crate::counters::Counters); 3] {
+        let reg = TypeRegistry::new();
+        let run = |physical: bool, traced: bool| {
+            let mut store = ObjectStore::new();
+            let mut ctx = EvalCtx::new(&reg, &mut store, cat);
+            if traced {
+                ctx.enable_tracing();
+            }
+            let v = if physical {
+                evaluate_physical(pp, &mut ctx)
+            } else {
+                evaluate(&pp.logical, &mut ctx)
+            };
+            (v, ctx.counters)
+        };
+        [run(true, false), run(true, true), run(false, false)]
+    }
+
+    #[test]
+    fn a_fused_join_apply_is_the_join_then_the_apply() {
+        let (l, r) = tuples_lr();
+        let mut cat = Cat::new();
+        cat.insert("L".to_string(), l);
+        cat.insert("R".to_string(), r);
+        let pp = fused_plan(eq_pred(), Expr::input().project(["a", "b"]));
+        assert_eq!(pp.kernel_table().len(), 2, "the join and the apply over it");
+        let [(fused, cf), (unfused, cu), (naive, _)] = fused_and_unfused(&pp, &cat);
+        assert_eq!(fused.unwrap(), naive.as_ref().unwrap().clone());
+        assert_eq!(unfused.unwrap(), naive.unwrap());
+        // 36 in-bucket pairs, each a join row and an apply occurrence.
+        assert_eq!(cf, cu);
+        assert_eq!((cf.occurrences_scanned, cf.comparisons), (36 + 36, 0));
+    }
+
+    #[test]
+    fn unk_rows_and_duplicates_go_through_the_fused_body() {
+        // Every third left row has an `unk` residual attribute, and each
+        // element occurs twice on the left and three times on the right.
+        let mut l = MultiSet::new();
+        let mut r = MultiSet::new();
+        for i in 0..12i32 {
+            let a = if i % 3 == 0 {
+                Value::unk()
+            } else {
+                Value::int(i)
+            };
+            l.insert_n(Value::tuple([("a", a), ("k", Value::int(i % 4))]), 2);
+            r.insert_n(
+                Value::tuple([("j", Value::int(i % 4)), ("b", Value::int(i))]),
+                3,
+            );
+        }
+        let mut cat = Cat::new();
+        cat.insert("L".to_string(), Value::Set(l));
+        cat.insert("R".to_string(), Value::Set(r));
+        let residual = Pred::cmp(
+            Expr::input().extract("a"),
+            CmpOp::Lt,
+            Expr::input().extract("b"),
+        );
+        // A body that does counted work, so each row's share is charged
+        // once per occurrence.
+        let body = Expr::input().project(["a", "b"]).comp(Pred::cmp(
+            Expr::input().extract("b"),
+            CmpOp::Ge,
+            Expr::int(0),
+        ));
+        let pp = fused_plan(eq_pred().and(residual), body);
+        let [(fused, cf), (unfused, cu), (naive, _)] = fused_and_unfused(&pp, &cat);
+        let fused = fused.unwrap();
+        assert_eq!(fused, naive.unwrap());
+        assert_eq!(fused, unfused.unwrap());
+        assert!(fused.as_set().unwrap().count(&Value::unk()) > 0);
+        assert_eq!(cf, cu);
+    }
+
+    #[test]
+    fn a_refused_or_failing_fused_kernel_leaves_the_unfused_answer() {
+        let mut cat = Cat::new();
+        let (l, r) = tuples_lr();
+        cat.insert("R".to_string(), r);
+        // A `dne` key: the guard refuses, and the nested loop runs.
+        let mut nulls = l.as_set().unwrap().clone();
+        nulls.insert(Value::tuple([("a", Value::int(99)), ("k", Value::dne())]));
+        cat.insert("L".to_string(), Value::Set(nulls));
+        let pp = fused_plan(eq_pred(), Expr::input().project(["a", "b"]));
+        let [(fused, cf), (unfused, cu), (naive, cn)] = fused_and_unfused(&pp, &cat);
+        let naive = naive.unwrap();
+        assert_eq!(fused.unwrap(), naive);
+        assert_eq!(unfused.unwrap(), naive);
+        assert_eq!((cf, cu), (cn, cn));
+        // A body that fails: the unfused plan's error, with its counters.
+        cat.insert("L".to_string(), l);
+        let pp = fused_plan(eq_pred(), Expr::input().extract("missing"));
+        let [(fused, cf), (unfused, cu), _] = fused_and_unfused(&pp, &cat);
+        assert_eq!(
+            fused.unwrap_err().to_string(),
+            unfused.unwrap_err().to_string()
+        );
+        assert_eq!(cf, cu);
     }
 
     #[test]

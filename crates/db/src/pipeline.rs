@@ -152,8 +152,9 @@ pub(crate) fn translate(view: &View<'_>, r: &Retrieve) -> DbResult<(Expr, Schema
 /// journal, and the memo's group picture.
 ///
 /// The plan — and its desugared form (derived σ/join nodes expanded to
-/// SET_APPLY∘COMP, which several fusion rules need) — is interned into the
-/// memo and explored as group transformations; journal steps carry the
+/// SET_APPLY∘COMP, which several fusion rules need) when the cost model
+/// does not price that above the plan — is interned into the memo and
+/// explored as group transformations; journal steps carry the
 /// group id as their path.  The final extent-index phase is journaled
 /// (and soundness-gated) under `extent-index-substitution`.
 pub(crate) fn search(view: &View<'_>, plan: &Expr) -> (Expr, RewriteJournal, MemoSnapshot) {

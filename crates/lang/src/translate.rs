@@ -18,19 +18,27 @@
 //! `Employees.city` in the `where` clause with `Employees.dept.name` in
 //! the target list, reproducing the functional join of Figure 4).
 //!
-//! Variables become nested `SET_APPLY` binders (dependency-ordered); the
-//! innermost body is `COMP_pred(target)` — COMP's `dne` discards
-//! unqualified combinations — and `SET_COLLAPSE`s flatten the nesting.
 //! During expression translation variable references are symbolic
 //! `Named("$var:k")` leaves; assembly replaces them with precise De Bruijn
-//! `INPUT` indices.  A `by` clause routes through `GRP` over materialised
-//! combination tuples, exactly like the paper's Figure 6.
+//! `INPUT` indices.  Two explicit variables over named multisets of
+//! tuples with disjoint attribute names (every subtype's included), read
+//! only as `V.attr` and related by an equi conjunct `V1.a = V2.b`, are
+//! combined with the paper's join: `rel_join[θ](A, B)` with each `V.attr`
+//! read off the joined tuple, under `π` (plus `DE` for `unique`) or, with
+//! `by`, under `GRP` and the per-group target — Figure 6 exactly
+//! (`flat_join` has the side conditions, nulls among them).  Otherwise
+//! variables become nested `SET_APPLY` binders (dependency-ordered); the
+//! innermost body is `COMP_pred(target)` — COMP's `dne` discards
+//! unqualified combinations — and `SET_COLLAPSE`s flatten the nesting.  A
+//! `by` clause then routes through `GRP` over materialised combination
+//! tuples, one field per variable.
 
 use crate::ast::*;
 use crate::error::{LangError, LangResult};
 use crate::methods::{arg_placeholder, substitute_args, MethodRegistry};
 use excess_core::expr::{Bound, CmpOp as ACmp, Expr, Func, Pred};
 use excess_core::infer::SchemaCatalog;
+use excess_core::physical::conjuncts;
 use excess_types::{SchemaType, TypeRegistry, Value};
 use std::collections::HashMap;
 
@@ -166,7 +174,7 @@ fn translate_retrieve_in(
     };
 
     // 5. Assemble.
-    assemble(sc.vars, target_expr, target_ty, by_expr, pred, r.unique)
+    assemble(sc.vars, target_expr, target_ty, by_expr, pred, r.unique, tc)
 }
 
 fn push_explicit_var(
@@ -824,6 +832,7 @@ fn assemble(
     by: Option<Expr>,
     pred: Option<Pred>,
     unique: bool,
+    tc: &TranslateCtx<'_>,
 ) -> LangResult<(Expr, SchemaType)> {
     let vars = topo_sort(vars)?;
 
@@ -862,6 +871,14 @@ fn assemble(
             plan = plan.dup_elim();
         }
         return Ok((plan, target_ty));
+    }
+
+    if let Some(join) = flat_join(&vars, &target, by.as_ref(), pred.as_ref(), unique, tc) {
+        let ty = match by {
+            Some(_) => SchemaType::set(SchemaType::set(target_ty)),
+            None => SchemaType::set(target_ty),
+        };
+        return Ok((join, ty));
     }
 
     let n = vars.len();
@@ -908,6 +925,169 @@ fn assemble(
             Ok((plan, SchemaType::set(SchemaType::set(target_ty))))
         }
     }
+}
+
+/// §3.4's translation of a two-variable equi-join: `rel_join[θ](A, B)`,
+/// with every `V.attr` read off the joined tuple as
+/// `TUP_EXTRACT[attr](INPUT)`.  `None` keeps the correlated form, and is
+/// the answer unless every condition below holds:
+///
+/// * exactly two explicit range variables (`from` or `range of`), each
+///   over a named top-level multiset of tuples;
+/// * product typing: the two element types' attribute names are
+///   disjoint, counting every subtype's attributes (a subtype's tuple
+///   extends its supertype's), so `TUP_CAT` renames nothing;
+/// * every mention of either variable is `V.attr`;
+/// * `where` has a conjunct `V1.a = V2.b`;
+/// * without `by`, the targets are plain attributes that keep their
+///   names, and the body is `π` (one bare attribute: `TUP_EXTRACT`).
+///
+/// The last condition is about nulls: `rel_join` emits `unk` wherever
+/// the correlated `COMP` did, and `π(unk) = unk`, but `TUP[l](unk)` is a
+/// tuple.  With `by` the per-group target keeps its spelling, which maps
+/// an `unk` combination to the same tuple of `unk`s either way.
+fn flat_join(
+    vars: &[RVar],
+    target: &Expr,
+    by: Option<&Expr>,
+    pred: Option<&Pred>,
+    unique: bool,
+    tc: &TranslateCtx<'_>,
+) -> Option<Expr> {
+    let [a, b] = vars else {
+        return None;
+    };
+    let pred = pred?;
+    let keys = [a.key.as_str(), b.key.as_str()];
+    let (fa, fb) = (extent_fields(a, tc)?, extent_fields(b, tc)?);
+    if fa.iter().any(|f| fb.contains(f)) {
+        return None;
+    }
+    let reads_attrs_only = |e: &Expr| attr_refs_only(e, &keys);
+    if !reads_attrs_only(target)
+        || !by.is_none_or(reads_attrs_only)
+        || !pred.exprs().into_iter().all(reads_attrs_only)
+        || !conjuncts(pred)
+            .into_iter()
+            .any(|c| joins_the_pair(c, &keys))
+    {
+        return None;
+    }
+    let join = a.source.clone().rel_join(
+        b.source.clone(),
+        pred.map_exprs(&mut |x| resolve_flat(x, &keys, 0)),
+    );
+    let plan = match by {
+        Some(by) => {
+            let mut group_body = Expr::input().set_apply(resolve_flat(target, &keys, 0));
+            if unique {
+                group_body = group_body.dup_elim();
+            }
+            join.group_by(resolve_flat(by, &keys, 0))
+                .set_apply(group_body)
+        }
+        None => {
+            // Plain attributes keeping their names resolve to the spelled
+            // projection, which becomes `π`; one bare attribute stays as
+            // it is.
+            let body = resolve_flat(target, &keys, 0);
+            let body = match body.projected_fields() {
+                Some(fields) => Expr::input().project(fields),
+                None if matches!(&body, Expr::TupExtract(x, _) if **x == Expr::input()) => body,
+                None => return None,
+            };
+            let plan = join.set_apply(body);
+            if unique {
+                plan.dup_elim()
+            } else {
+                plan
+            }
+        }
+    };
+    Some(plan)
+}
+
+/// The attribute names an explicit range variable's elements can carry:
+/// `None` unless it ranges over a named top-level multiset of tuples.
+fn extent_fields(v: &RVar, tc: &TranslateCtx<'_>) -> Option<Vec<String>> {
+    // A top-level object's name; placeholders (`$this`, `$arg:…`) start
+    // with `$`.
+    let Expr::Named(n) = &v.source else {
+        return None;
+    };
+    if v.is_array || v.key.starts_with("$imp:") || n.starts_with('$') {
+        return None;
+    }
+    let mut names: Vec<String> = Vec::new();
+    let mut add = |body: &SchemaType| match body {
+        SchemaType::Tup(fs) => {
+            for (f, _) in fs {
+                if !names.contains(f) {
+                    names.push(f.clone());
+                }
+            }
+            Some(())
+        }
+        _ => None,
+    };
+    match &v.elem_ty {
+        SchemaType::Named(t) => {
+            let id = tc.registry.lookup(t).ok()?;
+            for &d in std::iter::once(&id).chain(tc.registry.descendants(id)) {
+                add(tc.registry.full_body(d))?;
+            }
+        }
+        other => add(other)?,
+    }
+    Some(names)
+}
+
+/// The `$var:` key a placeholder leaf names.
+fn placeholder_key(e: &Expr) -> Option<&str> {
+    match e {
+        Expr::Named(n) => n.strip_prefix("$var:"),
+        _ => None,
+    }
+}
+
+fn is_var_of(e: &Expr, keys: &[&str]) -> bool {
+    placeholder_key(e).is_some_and(|k| keys.contains(&k))
+}
+
+/// Does `e` mention the variables `keys` only as `V.attr`?
+fn attr_refs_only(e: &Expr, keys: &[&str]) -> bool {
+    match e {
+        Expr::TupExtract(inner, _) if is_var_of(inner, keys) => true,
+        _ if is_var_of(e, keys) => false,
+        _ => e.children().into_iter().all(|c| attr_refs_only(c, keys)),
+    }
+}
+
+/// `V1.a = V2.b` over the two distinct variables `keys`.
+fn joins_the_pair(c: &Pred, keys: &[&str]) -> bool {
+    let Pred::Cmp(l, ACmp::Eq, r) = c else {
+        return false;
+    };
+    match (&**l, &**r) {
+        (Expr::TupExtract(l, _), Expr::TupExtract(r, _)) => {
+            is_var_of(l, keys) && is_var_of(r, keys) && placeholder_key(l) != placeholder_key(r)
+        }
+        _ => false,
+    }
+}
+
+/// Replace `V.attr` for this scope's variables with
+/// `TUP_EXTRACT[attr](INPUT(local))`: the joined tuple carries every
+/// attribute of both.
+fn resolve_flat(e: &Expr, keys: &[&str], local: usize) -> Expr {
+    if let Expr::TupExtract(inner, attr) = e {
+        if is_var_of(inner, keys) {
+            return Expr::Input(local).extract(attr.clone());
+        }
+    }
+    with_binder_tracking(e, &mut |child, extra| {
+        resolve_flat(child, keys, local + extra)
+    })
 }
 
 /// Stable topological sort of variables by source-placeholder dependency.

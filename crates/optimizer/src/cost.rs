@@ -131,17 +131,6 @@ fn merge_add(
     Some(out)
 }
 
-/// `π_L(INPUT)` body: the projected field list, when the body is exactly a
-/// projection of the element variable.
-fn body_projection_fields(body: &Expr) -> Option<&[String]> {
-    if let Expr::Project(a, fields) = body {
-        if matches!(**a, Expr::Input(0)) {
-            return Some(fields);
-        }
-    }
-    None
-}
-
 /// `TUP_EXTRACT_f(INPUT)` shape: the extracted field, at the given binder
 /// depth.
 fn extracted_field(e: &Expr, depth: usize) -> Option<&str> {
@@ -264,7 +253,7 @@ fn estimate_raw(e: &Expr, env: &mut Vec<Estimate>, stats: &Statistics) -> Estima
                     attr_ndv: ein.attr_ndv,
                 };
             }
-            if let Some(fields) = body_projection_fields(body) {
+            if let Some(fields) = body.projected_fields() {
                 if let Some(map) = ein.attr_ndv.as_ref() {
                     if fields.iter().all(|f| map.contains_key(f)) {
                         let kept: BTreeMap<String, f64> =

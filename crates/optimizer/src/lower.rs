@@ -28,10 +28,11 @@
 //!   provided `B` does not read `A`'s element and nothing under the outer
 //!   body mints OIDs; a candidate that fails any of these stays
 //!   [`PhysOp::PassThrough`] with the reason journaled, and a nested apply
-//!   that is not a candidate journals nothing.  This is the shape every
-//!   served join has: the translator binds each range variable with its
-//!   own `SET_APPLY` and never emits a `rel_join`, whose `TUP_CAT` would
-//!   need the two sides' attribute names disjoint.
+//!   that is not a candidate journals nothing.  This is the shape a served
+//!   join keeps when the translator cannot give it a `rel_join` (product
+//!   typing fails: clashing attribute names, ref extents, a variable used
+//!   whole); a product-typed equi-join is a `rel_join` and takes
+//!   [`PhysOp::HashEquiJoin`], with the apply above it fused at run time.
 //! * `DE` → [`PhysOp::HashDistinct`], `GRP` → [`PhysOp::HashGroup`]:
 //!   honest names for what the count-map evaluator already does.
 //! * `Named` → [`PhysOp::IndexScan`] for extent-index objects

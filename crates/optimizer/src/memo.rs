@@ -43,6 +43,14 @@
 //! * merged groups forward to their union-find root; member keys always
 //!   store canonical (root) child ids at creation time.
 //!
+//! The plan's `desugar()` is interned into the root group as a second
+//! start, so that rules matching only primitive shapes see them — unless
+//! the cost model prices it above the plan, as it does a join of two
+//! stored extents (σ over their materialised cross product).  That start
+//! was three quarters of the search for each served join and never held
+//! its winner; `tests/memo_equivalence.rs` still holds every battery plan
+//! to the climb from both starts.
+//!
 //! Subtree-level verification is weaker than whole-plan verification —
 //! an open subtree (free [`Expr::Input`]s) loses its schema wherever an
 //! unbound `INPUT` feeds it, and the gate deliberately lets a *before*
@@ -386,8 +394,13 @@ impl Optimizer {
         // final extraction.  Order matters only for ties.
         let mut whole: Vec<Expr> = vec![e.clone()];
 
+        // A desugared start priced above the plan is not explored (see
+        // the module docs).
         let desugared = e.desugar();
-        if desugared != *e && soundness_violation(e, &desugared, ctx).is_none() {
+        if desugared != *e
+            && cost_of(&desugared, stats) <= initial_cost
+            && soundness_violation(e, &desugared, ctx).is_none()
+        {
             memo.intern_into(&desugared, root, stats);
             whole.push(desugared);
             explored += 1;

@@ -318,8 +318,9 @@ impl Rule for R7DistributeDeCross {
 /// Also in its composed per-group form (the Figure 6 → Figure 7 step):
 /// `SET_APPLY_{DE(SET_APPLY_π(INPUT))}(GRP_{E}(A)) =
 ///  GRP_{E}(DE(SET_APPLY_π(A)))`
-/// when `π` is a pure projection of the element and the grouping
-/// expression `E` extracts a field `π` keeps.  Grouping before or after
+/// when `π` is a pure projection of the element
+/// ([`Expr::projected_fields`], either spelling, moved as written) and
+/// the grouping expression `E` extracts a field `π` keeps.  Grouping before or after
 /// the per-element projection then partitions identically (the key
 /// survives projection unchanged), and per-group DE of projected members
 /// equals grouping the globally-projected-and-deduplicated rows — but the
@@ -373,20 +374,18 @@ impl Rule for R8DeThroughGroup {
                 } = &**de_in
                 {
                     if matches!(**sa_in, Expr::Input(0)) {
-                        if let Expr::Project(pin, fields) = &**pi {
-                            if matches!(**pin, Expr::Input(0)) {
-                                if let Expr::TupExtract(byin, f) = &**by {
-                                    if matches!(**byin, Expr::Input(0)) && fields.contains(f) {
-                                        out.push(Expr::Group {
-                                            input: bx(Expr::DupElim(bx(Expr::SetApply {
-                                                input: a.clone(),
-                                                body: pi.clone(),
-                                                only_types: None,
-                                            }))),
-                                            by: by.clone(),
-                                        });
-                                    }
-                                }
+                        if let (Some(fields), Expr::TupExtract(byin, f)) =
+                            (pi.projected_fields(), &**by)
+                        {
+                            if matches!(**byin, Expr::Input(0)) && fields.contains(f) {
+                                out.push(Expr::Group {
+                                    input: bx(Expr::DupElim(bx(Expr::SetApply {
+                                        input: a.clone(),
+                                        body: pi.clone(),
+                                        only_types: None,
+                                    }))),
+                                    by: by.clone(),
+                                });
                             }
                         }
                     }

@@ -170,7 +170,9 @@ impl Rule for RR4DeIdempotent {
 ///                            DE(SET_APPLY_{π_B}(B)))))`
 /// when field provenance is unambiguous (statically known, disjoint
 /// side schemas), `P` touches only known fields, and `π` is a pure
-/// projection.  Sound because `π_A`/`π_B` keep every field `P` or `π`
+/// projection ([`Expr::projected_fields`]: `π` itself, or the same
+/// projection spelled attribute by attribute, kept as spelled).  Sound
+/// because `π_A`/`π_B` keep every field `P` or `π`
 /// reads, so the same set of projected result tuples survives — only
 /// multiplicities change, and the outer DE erases those.  This single
 /// firing is the paper's Figure 7 → Figure 8 step: DE now runs over
@@ -218,7 +220,7 @@ fn de_into_join_inputs(input: &Expr, body: &Expr, ctx: &RuleCtx<'_>) -> Option<E
     if matches!(**left, Expr::DupElim(_)) || matches!(**right, Expr::DupElim(_)) {
         return None;
     }
-    let pfields = projection_fields(body)?;
+    let pfields = body.projected_fields()?;
     let (fa, fb) = (ctx.set_elem_fields(left)?, ctx.set_elem_fields(right)?);
     if fa.iter().any(|f| fb.contains(f)) {
         return None;
@@ -263,16 +265,6 @@ fn de_into_join_inputs(input: &Expr, body: &Expr, ctx: &RuleCtx<'_>) -> Option<E
         body: bx(body.clone()),
         only_types: None,
     })))
-}
-
-/// `π_fields(INPUT)` shape at binder depth 0: the projected field list.
-fn projection_fields(body: &Expr) -> Option<&[String]> {
-    if let Expr::Project(a, fields) = body {
-        if matches!(**a, Expr::Input(0)) {
-            return Some(fields);
-        }
-    }
-    None
 }
 
 /// Collect every field `f` extracted from the binder at `depth` as

@@ -10,7 +10,7 @@ use excess::algebra::expr::Expr;
 use excess::algebra::physical::{PhysOp, PhysicalPlan};
 use excess::db::{value_json, Database, Tracing, VersionedDb};
 use excess::telemetry::fnv1a64;
-use excess_bench::server_mix::server_mix_db;
+use excess_bench::server_mix::{server_mix_db, MIX};
 use excess_workload::{queries, UniversityParams};
 
 /// Run every query through a database and through a session over an
@@ -86,11 +86,15 @@ fn paper_queries_agree_on_the_figure1_university() {
 }
 
 /// The optimized logical plan of each of the 14 request kinds the four
-/// `served-retrieve` workloads send, at the benchmark's own scale, pinned
-/// (at PR 13's parent, 434b69a): the search leaves twelve exactly as
-/// translated and turns the two method calls into the dispatch switch.
-/// Same logical plan, same lowering, same `plan_hash` — a change to the
-/// search that moves what these requests execute has to say so here.
+/// `served-retrieve` workloads send, at the benchmark's own scale, pinned:
+/// the search leaves nine exactly as translated, turns the two method
+/// calls into the dispatch switch, and takes the three `analytic` joins —
+/// translated to `rel_join` — through the DE-pushing rules: `f6` to
+/// Figure 8 (per-group target still spelled attribute by attribute), and
+/// the `unique` projection to DE over both projected join inputs.  Same
+/// logical plan, same lowering, same `plan_hash` — a change to the
+/// translator or the search that moves what these requests execute has
+/// to say so here.
 #[test]
 fn served_plans_are_the_pinned_ones() {
     const BOSS: &str = "SET_APPLY_SWITCH[Person → TUP_EXTRACT[name](INPUT); \
@@ -102,10 +106,29 @@ fn served_plans_are_the_pinned_ones() {
         Student → count(SET_APPLY[COMP[TUP_EXTRACT[salary](DEREF(INPUT^1)) > 0]\
         (TUP_EXTRACT[salary](DEREF(INPUT)))]\
         (TUP_EXTRACT[employees](DEREF(TUP_EXTRACT[dept](INPUT)))))](P)";
+    const F6: &str = "GRP[TUP_EXTRACT[sdept](INPUT)](DE(SET_APPLY[TUP_CAT(\
+        TUP[sdept](TUP_EXTRACT[sdept](INPUT)), TUP[ename](TUP_EXTRACT[ename](INPUT)))]\
+        (rel_join[TUP_EXTRACT[sadv](INPUT) = TUP_EXTRACT[ename](INPUT)]\
+        (DE(SET_APPLY[π[sdept,sadv](INPUT)](S1)), DE(SET_APPLY[π[ename](INPUT)](E1))))))";
+    const JOIN_PROJECT: &str = "SET_APPLY[π[sname,esal](INPUT)]\
+        (rel_join[TUP_EXTRACT[sadv](INPUT) = TUP_EXTRACT[ename](INPUT)](S1, E1))";
+    const JOIN_AGG: &str = "DE(SET_APPLY[π[sdept,esal](INPUT)](rel_join[\
+        (TUP_EXTRACT[sadv](INPUT) = TUP_EXTRACT[ename](INPUT) ∧ TUP_EXTRACT[esal](INPUT) > 1010)]\
+        (DE(SET_APPLY[π[sdept,sadv](INPUT)](S1)), DE(SET_APPLY[π[ename,esal](INPUT)](E1)))))";
     let mut db = server_mix_db(120);
     for line in common::served_mix_requests() {
         let plan = common::plan_of(&mut db, line);
-        assert_eq!(db.optimize_plan(&plan), plan, "{line}");
+        let optimized = db.optimize_plan(&plan);
+        let pinned = match line {
+            _ if line == MIX[0].1 => F6,
+            _ if line.contains("(S.sname, E.esal)") => JOIN_PROJECT,
+            _ if line.contains("(S.sdept, E.esal)") => JOIN_AGG,
+            _ => {
+                assert_eq!(optimized, plan, "{line}");
+                continue;
+            }
+        };
+        assert_eq!(optimized.to_string(), pinned, "{line}");
     }
     let mut db = common::served_university(&UniversityParams {
         seed: 1,
@@ -123,35 +146,39 @@ fn served_plans_are_the_pinned_ones() {
 }
 
 /// The kernels those 14 request kinds run on, at the same scale: the
-/// three `analytic` joins carry the probe kernel on their join node — the
-/// `SET_APPLY` over `S1` — and no other served request carries one.  The
-/// `plan_hash` each reports is FNV-1a of the lowered plan's `Debug`
+/// three `analytic` joins carry the hash equi-join kernel on their
+/// `rel_join` node — the only `rel_join` in each plan — and no other
+/// served request carries one (or the correlated join's probe kernel).
+/// The `plan_hash` each reports is FNV-1a of the lowered plan's `Debug`
 /// rendering, streamed or not.
 #[test]
-fn served_joins_probe_and_nothing_else_does() {
-    const PROBE: &str =
-        "HashProbeApply[outer TUP_EXTRACT[sadv](INPUT) = inner TUP_EXTRACT[ename](INPUT)]";
+fn served_joins_hash_the_rel_join_and_nothing_else_does() {
+    const HASH: &str = "HashEquiJoin[sadv = ename]";
     let check = |db: &mut Database, line: &str| {
         let plan = common::plan_of(db, line);
         let (physical, journal) = db.lower_plan(&db.optimize_plan(&plan));
         assert_eq!(journal.refused, Vec::new(), "{line}");
-        let probes: Vec<_> = physical
+        let hashed: Vec<_> = physical
             .choices
             .iter()
-            .filter(|(_, c)| matches!(c.op, PhysOp::HashProbeApply { .. }))
+            .filter(|(_, c)| {
+                matches!(
+                    c.op,
+                    PhysOp::HashEquiJoin { .. } | PhysOp::HashProbeApply { .. }
+                )
+            })
             .collect();
         if line.contains("S.sadv = E.ename") {
-            let [(path, choice)] = probes[..] else {
-                panic!("{line}: {probes:?}")
+            let [(path, choice)] = hashed[..] else {
+                panic!("{line}: {hashed:?}")
             };
-            assert_eq!(choice.op.to_string(), PROBE, "{line}");
+            assert_eq!(choice.op.to_string(), HASH, "{line}");
             assert!(
-                matches!(physical.node_at(path), Some(Expr::SetApply { input, .. })
-                    if **input == Expr::named("S1")),
+                matches!(physical.node_at(path), Some(Expr::RelJoin { .. })),
                 "{line}: {path:?}"
             );
         } else {
-            assert!(probes.is_empty(), "{line}: {probes:?}");
+            assert!(hashed.is_empty(), "{line}: {hashed:?}");
         }
         db.execute(line).unwrap();
         let record = db.telemetry().recorder.records().last().unwrap();
@@ -161,8 +188,15 @@ fn served_joins_probe_and_nothing_else_does() {
             "{line}"
         );
         assert_eq!(
-            record.kernels.iter().any(|(_, k)| k == PROBE),
-            !probes.is_empty(),
+            record.kernels.iter().any(|(_, k)| k == HASH),
+            !hashed.is_empty(),
+            "{line}"
+        );
+        assert!(
+            !record
+                .kernels
+                .iter()
+                .any(|(_, k)| k.starts_with("HashProbeApply")),
             "{line}"
         );
     };

@@ -14,9 +14,9 @@ use excess_bench::example2::{example2_db, figure9};
 use excess_bench::server_mix::MIX;
 
 /// Run the Example 1 figures with spans on — and Figure 6 once more as
-/// the server receives it, a correlated `SET_APPLY` join that runs on the
-/// probe kernel — and assert every counter telescopes through the span
-/// tree.
+/// the server receives it, translated to the paper's `rel_join`, which
+/// runs on the hash equi-join kernel — and assert
+/// every counter telescopes through the span tree.
 fn assert_figures_telescope(db: &mut Database) {
     db.enable_query_spans(true);
     let telescopes = |db: &Database, id: &str| {
@@ -40,7 +40,9 @@ fn assert_figures_telescope(db: &mut Database) {
     telescopes(db, id);
     let kernels = &db.telemetry().recorder.records().last().unwrap().kernels;
     assert!(
-        kernels.iter().any(|(_, k)| k.starts_with("HashProbeApply")),
+        kernels
+            .iter()
+            .any(|(_, k)| k == "HashEquiJoin[sadv = ename]"),
         "{kernels:?}"
     );
 }
