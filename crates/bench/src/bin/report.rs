@@ -18,7 +18,7 @@ use excess_bench::dispatch::{
 };
 use excess_bench::example1::{example1_db, figure6, figure7, figure8, figure8_canonical};
 use excess_bench::example2::{example2_db, figure10, figure11, figure9};
-use excess_bench::server_mix::{server_mix_db, MIX};
+use excess_bench::server_mix::{server_mix_db, ANALYTIC_JOINS, MIX};
 use excess_bench::{array_db, time_median, time_once};
 use excess_core::canon::canonical_form;
 use excess_core::expr::Expr;
@@ -582,7 +582,10 @@ fn section_f(r: &mut Report) {
 /// benchmark's scale and four times it.  Returns the `served_join`
 /// document of the benchmark's scale for `f_physical`; CI re-checks the
 /// kernel, the Figure 8 plan, canon-identity, and the comparison count —
-/// a count that repeats exactly — from it.
+/// a count that repeats exactly — from it.  The document also records,
+/// for the two other served joins ([`ANALYTIC_JOINS`]), whether their
+/// served run — the fused join-apply reading its rows off the joined
+/// pairs — is canon-identical to the plan as translated.
 fn served_join(r: &mut Report) -> String {
     let (label, text) = MIX[0];
     let (ranges, retrieve) = text.split_at(text.find("retrieve").expect("a retrieve"));
@@ -632,7 +635,7 @@ fn served_join(r: &mut Report) -> String {
             "{{\"kernel\":\"{}\",\"reaches_figure8\":{reaches_figure8},\
              \"canon_identical\":{canon_identical},\
              \"nested_comparisons\":{},\"served_comparisons\":{},\
-             \"nested_de_input\":{},\"served_de_input\":{}}}",
+             \"nested_de_input\":{},\"served_de_input\":{}",
             escape_json(&kernel),
             nested.comparisons,
             served.comparisons,
@@ -640,7 +643,33 @@ fn served_join(r: &mut Report) -> String {
             served.de_input_occurrences
         )
     });
-    at_benchmark_scale
+    println!("\nThe two other served joins, at scale 120: the fused join-apply reads rows off the pairs.");
+    println!("\n| text | plan | ms | predicate comparisons | canon-identical |");
+    println!("|---|---|---|---|---|");
+    let analytic = ANALYTIC_JOINS.map(|(label, text)| {
+        let mut db = server_mix_db(120);
+        let (ranges, retrieve) = text.split_at(text.find("retrieve").expect("a retrieve"));
+        db.execute(ranges).unwrap();
+        let plan = db.plan_for(retrieve).unwrap();
+        let (tn, nested, nested_value) = measure(&mut db, &logical(&plan));
+        let (physical, _) = db.lower_plan(&db.optimize_plan(&plan));
+        let (ts, served, served_value) = measure(&mut db, &physical);
+        let canon_identical =
+            canonical_form(&nested_value, db.store()) == canonical_form(&served_value, db.store());
+        assert!(canon_identical, "serving `{label}` changed its result");
+        println!(
+            "| `{label}` | as translated (nested loop) | {tn:.2} | {} | |",
+            nested.comparisons
+        );
+        println!(
+            "| `{label}` | served | {ts:.2} | {} | {canon_identical} |",
+            served.comparisons
+        );
+        r.record(format!("F/served-join/{label}/nested"), tn, nested);
+        r.record(format!("F/served-join/{label}/served"), ts, served);
+        format!("\"{label}\":{{\"canon_identical\":{canon_identical}}}")
+    });
+    format!("{at_benchmark_scale},{}}}", analytic.join(","))
 }
 
 /// `e` with every projection body written `π[…](INPUT)` — the served plan

@@ -58,6 +58,23 @@ pub const MIX: &[(&str, &str)] = &[
     ),
 ];
 
+/// The `served-retrieve` benchmark's two other `analytic` joins over
+/// Example 1's extents, `(label, program)` as [`MIX`] has them: a plain
+/// projection of the join, and a deduplicated one with a residual
+/// conjunct.
+pub const ANALYTIC_JOINS: [(&str, &str); 2] = [
+    (
+        "join_project",
+        "range of S is S1 range of E is E1 \
+         retrieve (S.sname, E.esal) where S.sadv = E.ename",
+    ),
+    (
+        "join_agg",
+        "range of S is S1 range of E is E1 \
+         retrieve unique (S.sdept, E.esal) where S.sadv = E.ename and E.esal > 1010",
+    ),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -217,6 +217,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                 Some(RowKernel::JoinApply {
                     left_key,
                     right_key,
+                    pair,
                 }),
                 Expr::RelJoin { left, right, pred },
                 true,
@@ -228,7 +229,15 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                     Err(null) => return Ok(null),
                 };
                 let fused = crate::physical::hash_join_apply(
-                    &sa, &sb, left_key, right_key, pred, body, env, ctx,
+                    &sa,
+                    &sb,
+                    left_key,
+                    right_key,
+                    pred,
+                    body,
+                    pair.as_deref(),
+                    env,
+                    ctx,
                 );
                 if let Some(out) = fused {
                     return Ok(Value::Set(out));

@@ -13,7 +13,7 @@
 //! return 0.
 
 use crate::error::{EvalError, EvalResult};
-use excess_types::{Scalar, Value};
+use excess_types::{MultiSet, Scalar, Value};
 
 /// Binary numeric operation selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,16 +110,35 @@ pub fn negate(a: &Value) -> EvalResult<Value> {
     }
 }
 
-/// Occurrences of a collection input (multiset or array) for aggregation.
-fn occurrences(v: &Value) -> EvalResult<Vec<&Value>> {
+/// The error an aggregate over a non-collection input raises.
+fn not_a_collection(v: &Value) -> EvalError {
+    EvalError::SortMismatch {
+        op: "aggregate",
+        expected: "multiset or array",
+        found: v.kind_name().to_string(),
+    }
+}
+
+/// Occurrences of a collection input (multiset or array) for aggregation,
+/// iterated in place.
+fn occurrences(v: &Value) -> EvalResult<impl Iterator<Item = &Value>> {
+    let (set, array) = match v {
+        Value::Set(s) => (Some(s), None),
+        Value::Array(a) => (None, Some(a)),
+        _ => return Err(not_a_collection(v)),
+    };
+    Ok(set
+        .into_iter()
+        .flat_map(MultiSet::iter_occurrences)
+        .chain(array.into_iter().flat_map(|a| a.iter())))
+}
+
+/// The number of [`occurrences`], without visiting them.
+fn occurrence_count(v: &Value) -> EvalResult<u64> {
     match v {
-        Value::Set(s) => Ok(s.iter_occurrences().collect()),
-        Value::Array(a) => Ok(a.iter().collect()),
-        _ => Err(EvalError::SortMismatch {
-            op: "aggregate",
-            expected: "multiset or array",
-            found: v.kind_name().to_string(),
-        }),
+        Value::Set(s) => Ok(s.len()),
+        Value::Array(a) => Ok(a.len() as u64),
+        _ => Err(not_a_collection(v)),
     }
 }
 
@@ -129,7 +148,6 @@ pub fn min(v: &Value) -> EvalResult<Value> {
         return Ok(v.clone());
     }
     Ok(occurrences(v)?
-        .into_iter()
         .filter(|x| !x.is_null())
         .min()
         .cloned()
@@ -142,7 +160,6 @@ pub fn max(v: &Value) -> EvalResult<Value> {
         return Ok(v.clone());
     }
     Ok(occurrences(v)?
-        .into_iter()
         .filter(|x| !x.is_null())
         .max()
         .cloned()
@@ -155,7 +172,7 @@ pub fn count(v: &Value) -> EvalResult<Value> {
     if v.is_null() {
         return Ok(v.clone());
     }
-    Ok(Value::int(occurrences(v)?.len() as i32))
+    Ok(Value::int(occurrence_count(v)? as i32))
 }
 
 /// Numeric `sum`; 0 on empty; `unk` if any occurrence is `unk`.
@@ -178,11 +195,11 @@ pub fn avg(v: &Value) -> EvalResult<Value> {
     if v.is_null() {
         return Ok(v.clone());
     }
-    let occs = occurrences(v)?;
-    if occs.is_empty() {
+    let n = occurrence_count(v)?;
+    if n == 0 {
         return Ok(Value::dne());
     }
-    let n = occs.len() as f64;
+    let n = n as f64;
     let s = sum(v)?;
     if s.is_unk() {
         return Ok(Value::unk());
@@ -286,6 +303,13 @@ mod tests {
 
     #[test]
     fn aggregate_of_scalar_is_sort_error() {
-        assert!(min(&Value::int(1)).is_err());
+        let expected = EvalError::SortMismatch {
+            op: "aggregate",
+            expected: "multiset or array",
+            found: "scalar".into(),
+        };
+        for agg in [min, max, count, sum, avg] {
+            assert_eq!(agg(&Value::int(1)), Err(expected.clone()));
+        }
     }
 }

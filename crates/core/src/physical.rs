@@ -51,9 +51,12 @@
 //! unfiltered and `f` mints no OIDs, `hash_join_apply` runs the same
 //! build/probe with `f` applied to each emitted row (`unk` rows
 //! included), weighted by the row's multiplicity, and charges the
-//! counters the two operators would.  It runs on untraced evaluations
-//! only; a traced one, a guard refusal or any error takes the unfused
-//! path, so counters, profiles and errors are the unfused plan's.
+//! counters the two operators would.  When `f` is a projection and the
+//! residual compares fields and constants, no joined row is built at all:
+//! both are read off the pair `(x, y)` (see `PairRead`).  It runs on
+//! untraced evaluations only; a traced one, a guard refusal or any error
+//! takes the unfused path, so counters, profiles and errors are the
+//! unfused plan's.
 //!
 //! # The hash probe kernel of a correlated join
 //!
@@ -123,14 +126,15 @@
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::EvalResult;
 use crate::eval::{eval, eval_pred, evaluate, traced, EvalCtx};
 use crate::expr::{CmpOp, Expr, Pred};
-use crate::ops::predicate::Truth;
+use crate::ops::predicate::{compare, Truth};
 use crate::profile::NodePath;
 use crate::render::op_label;
-use excess_types::{MultiSet, Value};
+use excess_types::{MultiSet, Tuple, Value};
 
 /// A physical operator choice for one logical node.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,8 +240,106 @@ pub(crate) enum RowKernel {
     /// [`hash_probe_apply`] on a correlated `SET_APPLY` join.
     ProbeApply { outer_key: Expr, inner_key: Expr },
     /// [`hash_join_apply`] on a `SET_APPLY` whose input is a `rel_join`
-    /// chosen [`PhysOp::HashEquiJoin`] and whose body mints no OIDs.
-    JoinApply { left_key: String, right_key: String },
+    /// chosen [`PhysOp::HashEquiJoin`] and whose body mints no OIDs;
+    /// `pair` when the body and residual read the pair directly.
+    JoinApply {
+        left_key: String,
+        right_key: String,
+        pair: Option<Arc<PairRead>>,
+    },
+}
+
+/// A fused join-apply's body and residual compiled to read an in-bucket
+/// pair `(x, y)` instead of `TUP_CAT(x, y)`: for a field name `f` without
+/// a `'`, `TUP_EXTRACT[f](TUP_CAT(x, y))` is `x.f` when `x` has `f` and
+/// `y.f` otherwise, because `TUP_CAT` renames only right-hand fields and
+/// every renamed field ends in `'`.  The side is chosen per pair: rows of
+/// one extent may carry different fields (a subtype's tuple extends its
+/// supertype's).
+#[derive(Debug)]
+pub(crate) struct PairRead {
+    /// The body's projected fields, in output order.
+    fields: Vec<String>,
+    /// The residual conjuncts, left to right.
+    residual: Vec<(PairOperand, CmpOp, PairOperand)>,
+}
+
+/// One operand of a compiled residual comparison.
+#[derive(Debug)]
+enum PairOperand {
+    /// `TUP_EXTRACT[f](INPUT)`.
+    Field(String),
+    /// A constant.
+    Const(Value),
+}
+
+impl PairRead {
+    /// Compile `body` and the residual of `pred` under the key pair
+    /// `{lf, rf}`, or `None` when either has another shape: the body must
+    /// be `π[L](INPUT)` or its spelled form ([`Expr::projected_fields`]),
+    /// each residual conjunct a comparison of `TUP_EXTRACT[f](INPUT)`s and
+    /// constants, and every field name free of `'`.
+    fn compile(body: &Expr, pred: &Pred, lf: &str, rf: &str) -> Option<Self> {
+        let prime_free = |f: &String| !f.contains('\'');
+        let fields = body
+            .projected_fields()
+            .filter(|fields| fields.iter().all(prime_free))?;
+        let operand = |e: &Expr| match e {
+            Expr::TupExtract(input, f) if matches!(**input, Expr::Input(0)) && prime_free(f) => {
+                Some(PairOperand::Field(f.clone()))
+            }
+            Expr::Const(v) => Some(PairOperand::Const(v.clone())),
+            _ => None,
+        };
+        let residual = split_residual(pred, lf, rf)?
+            .into_iter()
+            .map(|c| match c {
+                Pred::Cmp(l, op, r) => Some((operand(l)?, *op, operand(r)?)),
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        Some(PairRead { fields, residual })
+    }
+
+    /// `TUP_EXTRACT[f](TUP_CAT(x, y))`, or `None` where that is an error.
+    fn field<'v>(x: &'v Tuple, y: &'v Tuple, f: &str) -> Option<&'v Value> {
+        x.get(f).or_else(|| y.get(f))
+    }
+
+    /// The residual's truth on the pair, as [`residual_truth`] finds it
+    /// on `TUP_CAT(x, y)` — left to right, stopping at the first `F`, one
+    /// comparison charged per conjunct evaluated — or `None` where that
+    /// raises an error.
+    fn truth(&self, x: &Tuple, y: &Tuple, ctx: &mut EvalCtx) -> Option<Truth> {
+        fn value<'v>(o: &'v PairOperand, x: &'v Tuple, y: &'v Tuple) -> Option<&'v Value> {
+            match o {
+                PairOperand::Field(f) => PairRead::field(x, y, f),
+                PairOperand::Const(v) => Some(v),
+            }
+        }
+        let mut t = Truth::T;
+        for (l, op, r) in &self.residual {
+            let (l, r) = (value(l, x, y)?, value(r, x, y)?);
+            ctx.counters.comparisons += 1;
+            match compare(l, *op, r)? {
+                Truth::F => return Some(Truth::F),
+                Truth::U => t = Truth::U,
+                Truth::T => {}
+            }
+        }
+        Some(t)
+    }
+
+    /// The body's value on `TUP_CAT(x, y)`, or `None` where that is an
+    /// error.
+    fn row(&self, x: &Tuple, y: &Tuple) -> Option<Value> {
+        let fields = self
+            .fields
+            .iter()
+            .map(|f| Some((f.clone(), Self::field(x, y, f)?.clone())))
+            .collect::<Option<Vec<_>>>()?;
+        Some(Value::Tuple(Tuple::from_fields(fields)))
+    }
 }
 
 impl PhysicalPlan {
@@ -265,7 +367,9 @@ impl PhysicalPlan {
     /// (or, for the correlated join, the key pair) it names is dropped.
     /// A hash-joined `rel_join` that is the input of an unfiltered,
     /// non-minting `SET_APPLY` also gives that apply the fused
-    /// [`RowKernel::JoinApply`], unless the apply has a kernel of its own.
+    /// [`RowKernel::JoinApply`], unless the apply has a kernel of its own,
+    /// with its body and residual compiled to a [`PairRead`] where they
+    /// have the shape.
     fn kernel_table(&self) -> HashMap<usize, RowKernel> {
         let mut table = HashMap::new();
         for (path, choice) in &self.choices {
@@ -285,13 +389,15 @@ impl PhysicalPlan {
                     },
                 ) = self.node_at(parent)
                 {
-                    if matches!(**input, Expr::RelJoin { .. }) && !body.mints_oids() {
-                        table.entry(apply as *const Expr as usize).or_insert(
-                            RowKernel::JoinApply {
+                    if let (Expr::RelJoin { pred, .. }, false) = (&**input, body.mints_oids()) {
+                        table
+                            .entry(apply as *const Expr as usize)
+                            .or_insert_with(|| RowKernel::JoinApply {
                                 left_key: left_key.clone(),
                                 right_key: right_key.clone(),
-                            },
-                        );
+                                pair: PairRead::compile(body, pred, left_key, right_key)
+                                    .map(Arc::new),
+                            });
                     }
                 }
             }
@@ -586,10 +692,15 @@ pub fn hash_equi_join(
     let Some((lf, rf)) = usable_orientation(sa, sb, lf, rf) else {
         return Ok(None);
     };
+    let Some(residual) = split_residual(pred, lf, rf) else {
+        return Ok(None);
+    };
     let mut out = MultiSet::new();
-    let joined = hash_join_core(sa, sb, lf, rf, pred, env, ctx, |row, n, _, _| {
-        out.insert_n(row, n);
-        Ok(())
+    let joined = hash_join_core(sa, sb, lf, rf, ctx, |x, y, n, ctx| {
+        if let Some(row) = cat_row(x, y, &residual, env, ctx)? {
+            out.insert_n(row, n);
+        }
+        Ok(Some(()))
     })?;
     Ok(joined.map(|()| out))
 }
@@ -611,25 +722,20 @@ fn usable_orientation<'k>(
 }
 
 /// `rel_join`'s use of the shared build/probe ([`Buckets`]), once
-/// [`hash_equi_join`]'s guard has admitted the key pair: every output row
-/// — the joined tuple, or `unk` where the residual is `U` — goes to
-/// `emit` with its multiplicity, in probe order.  Key extraction is still
-/// graceful: a violation aborts with `Ok(None)` after restoring the
-/// counters, leaving the nested loop to run as if never attempted.
-#[allow(clippy::too_many_arguments)]
+/// [`hash_equi_join`]'s guard has admitted the key pair: every in-bucket
+/// pair goes to `pair` with its multiplicity, in probe order, after one
+/// scan per occurrence is charged.  Key extraction is still graceful: a
+/// violation — or `pair` answering `None` — aborts with `Ok(None)` after
+/// restoring the counters, leaving the unhashed path to run as if never
+/// attempted.
 fn hash_join_core(
     sa: &MultiSet,
     sb: &MultiSet,
     lf: &str,
     rf: &str,
-    pred: &Pred,
-    env: &mut Vec<Value>,
     ctx: &mut EvalCtx,
-    mut emit: impl FnMut(Value, u64, &mut Vec<Value>, &mut EvalCtx) -> EvalResult<()>,
+    mut pair: impl FnMut(&Tuple, &Tuple, u64, &mut EvalCtx) -> EvalResult<Option<()>>,
 ) -> EvalResult<Option<()>> {
-    let Some(residual) = split_residual(pred, lf, rf) else {
-        return Ok(None);
-    };
     fn key_of<'v>(v: &'v Value, f: &str) -> Option<&'v Value> {
         v.as_tuple()?.extract(f).ok()
     }
@@ -648,51 +754,74 @@ fn hash_join_core(
         for &(y, cy) in buckets.matching(&k) {
             let ty = y.as_tuple().expect("build side admitted tuples only");
             ctx.counters.occurrences_scanned += cx * cy;
-            let joined = Value::Tuple(tx.cat(ty));
-            env.push(joined);
-            // In-bucket the equi conjunct is T, and T ∧ x = x: the full
-            // predicate's truth equals the residual conjunction's,
-            // evaluated with the serial left-to-right F short-circuit.
-            let mut t = Ok(Truth::T);
-            for c in &residual {
-                match eval_pred(c, env, ctx) {
-                    Ok(Truth::F) => {
-                        t = Ok(Truth::F);
-                        break;
-                    }
-                    Ok(Truth::U) => t = Ok(Truth::U),
-                    Ok(Truth::T) => {}
-                    Err(e) => {
-                        t = Err(e);
-                        break;
-                    }
-                }
-            }
-            let joined = env.pop().expect("pushed above");
-            match t? {
-                Truth::T => emit(joined, cx * cy, env, ctx)?,
-                Truth::U => emit(Value::unk(), cx * cy, env, ctx)?,
-                Truth::F => {}
+            if pair(tx, ty, cx * cy, ctx)?.is_none() {
+                ctx.counters = saved_counters;
+                return Ok(None);
             }
         }
     }
     Ok(Some(()))
 }
 
+/// The nested loop's output row for an in-bucket pair: `TUP_CAT(x, y)`
+/// where the residual is `T`, `unk` where it is `U`, nothing where `F`.
+fn cat_row(
+    x: &Tuple,
+    y: &Tuple,
+    residual: &[&Pred],
+    env: &mut Vec<Value>,
+    ctx: &mut EvalCtx,
+) -> EvalResult<Option<Value>> {
+    env.push(Value::Tuple(x.cat(y)));
+    let t = residual_truth(residual, env, ctx);
+    let joined = env.pop().expect("pushed above");
+    Ok(match t? {
+        Truth::T => Some(joined),
+        Truth::U => Some(Value::unk()),
+        Truth::F => None,
+    })
+}
+
+/// In-bucket the equi conjunct is `T`, and `T ∧ x = x`: the full
+/// predicate's truth equals the residual conjunction's, evaluated with
+/// the serial left-to-right `F` short-circuit.
+fn residual_truth(
+    residual: &[&Pred],
+    env: &mut Vec<Value>,
+    ctx: &mut EvalCtx,
+) -> EvalResult<Truth> {
+    let mut t = Truth::T;
+    for c in residual {
+        match eval_pred(c, env, ctx)? {
+            Truth::F => return Ok(Truth::F),
+            Truth::U => t = Truth::U,
+            Truth::T => {}
+        }
+    }
+    Ok(t)
+}
+
 /// `SET_APPLY[f](rel_join[θ](A, B))` without the join's output: the
 /// kernel behind [`RowKernel::JoinApply`], run by the evaluator's
-/// `SET_APPLY` arm on the materialised join inputs.  Each row
-/// [`hash_join_core`] emits — `unk` rows included — goes through `f`
-/// once, weighted by its multiplicity, so the result is the apply's over
-/// the join multiset, and the counters are the two operators' own: the
-/// join's, plus per occurrence one scan and `f`'s work (charged `n`
-/// times for a row of multiplicity `n`, which is sound because `f` mints
-/// no OIDs and so does the same work on equal rows).  `None` — the guard
-/// refusing, or any error, raised here in another order than the
-/// unfused plan would raise it — restores the counters and leaves the
-/// unfused path to compute the answer, that error included.  Untraced
-/// runs only: a traced run takes the unfused path, whose counters these
-/// are.
+/// `SET_APPLY` arm on the materialised join inputs.  Each row the join
+/// would emit — `unk` rows included — goes through `f` once, weighted by
+/// its multiplicity, so the result is the apply's over the join
+/// multiset, and the counters are the two operators' own: the join's,
+/// plus per occurrence one scan and `f`'s work (charged `n` times for a
+/// row of multiplicity `n`, which is sound because `f` mints no OIDs and
+/// so does the same work on equal rows).
+///
+/// With a [`PairRead`], a pair whose residual is `T` is never
+/// concatenated: its output tuple is read off `(x, y)`, and `f` — a
+/// projection — charges nothing.  A `U` pair still runs `f` on `unk`
+/// (`π(unk) = unk`, and the spelled form's tuple of `unk`s).  Without
+/// one, each row is built with `TUP_CAT` and `f` evaluated on it.
+///
+/// `None` — the guard refusing, a pair read that would be an error, or
+/// any error, raised here in another order than the unfused plan would
+/// raise it — restores the counters and leaves the unfused path to
+/// compute the answer, that error included.  Untraced runs only: a
+/// traced run takes the unfused path, whose counters these are.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hash_join_apply(
     sa: &MultiSet,
@@ -701,13 +830,34 @@ pub(crate) fn hash_join_apply(
     rf: &str,
     pred: &Pred,
     body: &Expr,
+    pair: Option<&PairRead>,
     env: &mut Vec<Value>,
     ctx: &mut EvalCtx,
 ) -> Option<MultiSet> {
     let (lf, rf) = usable_orientation(sa, sb, lf, rf)?;
+    let residual = split_residual(pred, lf, rf)?;
     let saved_counters = ctx.counters;
     let mut out = MultiSet::new();
-    let joined = hash_join_core(sa, sb, lf, rf, pred, env, ctx, |row, n, env, ctx| {
+    let joined = hash_join_core(sa, sb, lf, rf, ctx, |x, y, n, ctx| {
+        let row = match pair {
+            Some(pair) => match pair.truth(x, y, ctx) {
+                None => return Ok(None),
+                Some(Truth::F) => return Ok(Some(())),
+                Some(Truth::T) => {
+                    let Some(row) = pair.row(x, y) else {
+                        return Ok(None);
+                    };
+                    ctx.counters.occurrences_scanned += n;
+                    out.insert_n(row, n);
+                    return Ok(Some(()));
+                }
+                Some(Truth::U) => Value::unk(),
+            },
+            None => match cat_row(x, y, &residual, env, ctx)? {
+                Some(row) => row,
+                None => return Ok(Some(())),
+            },
+        };
         ctx.counters.occurrences_scanned += n;
         let before = ctx.counters;
         env.push(row);
@@ -716,7 +866,7 @@ pub(crate) fn hash_join_apply(
         let once = ctx.counters - before;
         ctx.counters += once.times(n - 1);
         out.insert_n(r?, n);
-        Ok(())
+        Ok(Some(()))
     });
     match joined {
         Ok(Some(())) => Some(out),
@@ -1287,6 +1437,53 @@ mod tests {
             unfused.unwrap_err().to_string()
         );
         assert_eq!(cf, cu);
+    }
+
+    #[test]
+    fn pair_reads_compile_for_projections_and_field_comparisons_only() {
+        let pair_of = |pred: Pred, body: Expr| {
+            let pp = fused_plan(pred, body);
+            let apply = &pp.logical as *const Expr as usize;
+            match pp.kernel_table().remove(&apply) {
+                Some(RowKernel::JoinApply { pair, .. }) => pair,
+                other => panic!("no fused kernel: {other:?}"),
+            }
+        };
+        let a_ge = |c: i32| Pred::cmp(Expr::input().extract("a"), CmpOp::Ge, Expr::int(c));
+        let spelled = Expr::input()
+            .extract("b")
+            .make_tup("b")
+            .tup_cat(Expr::input().extract("a").make_tup("a"));
+        let read = pair_of(eq_pred().and(a_ge(2)), spelled).expect("spelled body");
+        assert_eq!(read.fields, ["b", "a"]);
+        assert_eq!(read.residual.len(), 1);
+        let pi = Expr::input().project(["a", "b"]);
+        assert!(pair_of(eq_pred(), pi.clone()).is_some());
+        // Another body, a primed name, or a residual conjunct that is not
+        // a comparison of fields and constants: the rows are concatenated.
+        let neg_a = Expr::call(crate::expr::Func::Neg, vec![Expr::input().extract("a")]);
+        for (pred, body) in [
+            (eq_pred(), Expr::input().extract("a")),
+            (eq_pred(), Expr::input().project(["a", "k'"])),
+            (
+                eq_pred().and(Pred::cmp(
+                    Expr::input().extract("j'"),
+                    CmpOp::Eq,
+                    Expr::int(1),
+                )),
+                pi.clone(),
+            ),
+            (eq_pred().and(a_ge(2).not()), pi.clone()),
+            (
+                eq_pred().and(Pred::cmp(neg_a, CmpOp::Lt, Expr::int(0))),
+                pi.clone(),
+            ),
+        ] {
+            assert!(
+                pair_of(pred.clone(), body.clone()).is_none(),
+                "{pred} {body}"
+            );
+        }
     }
 
     #[test]

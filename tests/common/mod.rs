@@ -10,7 +10,7 @@
 use excess::algebra::expr::{Bound, CmpOp, Expr, Func, Pred};
 use excess::db::Database;
 use excess::types::{SchemaType, Value};
-use excess_bench::server_mix::MIX;
+use excess_bench::server_mix::{ANALYTIC_JOINS, MIX};
 use excess_workload::{generate, queries, UniversityParams};
 
 pub fn database() -> Database {
@@ -97,13 +97,8 @@ pub fn database() -> Database {
 /// mix, `analytic`'s two other joins, and `mixed_rw`'s salary probe.
 pub fn served_mix_requests() -> Vec<&'static str> {
     let mut lines: Vec<&str> = MIX.iter().map(|(_, q)| *q).collect();
-    lines.extend([
-        "range of S is S1 range of E is E1 \
-         retrieve (S.sname, E.esal) where S.sadv = E.ename",
-        "range of S is S1 range of E is E1 \
-         retrieve unique (S.sdept, E.esal) where S.sadv = E.ename and E.esal > 1010",
-        "retrieve (E1.ename) where E1.esal = 1003",
-    ]);
+    lines.extend(ANALYTIC_JOINS.map(|(_, q)| q));
+    lines.push("retrieve (E1.ename) where E1.esal = 1003");
     lines
 }
 

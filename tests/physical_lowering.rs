@@ -1186,3 +1186,350 @@ fn all_dne_key_column_falls_back_to_the_nested_loop() {
     assert_eq!(naive, run_lowered(&mut db, &physical));
     assert_eq!(nested, db.last_counters(), "the guard must refuse dne keys");
 }
+
+// ------------------------------------- the fused join-apply's pair reads
+
+/// `SET_APPLY[body](rel_join[pred](L, R))` with the join chosen
+/// `HashEquiJoin[k = j]`: the apply over it runs the fused join-apply
+/// when untraced, reading the body and residual off each in-bucket pair
+/// where they have the shape, and the join then the apply when traced.
+fn join_apply(pred: Pred, body: Expr) -> PhysicalPlan {
+    let plan = Expr::named("L")
+        .rel_join(Expr::named("R"), pred)
+        .set_apply(body);
+    let mut physical = PhysicalPlan::passthrough(plan);
+    physical.choices.insert(
+        vec![0],
+        excess::algebra::physical::PhysChoice {
+            op: PhysOp::HashEquiJoin {
+                left_key: "k".into(),
+                right_key: "j".into(),
+            },
+            why: "forced".into(),
+            est_rows: None,
+        },
+    );
+    physical
+}
+
+fn k_eq_j() -> Pred {
+    Pred::cmp(
+        Expr::input().extract("k"),
+        CmpOp::Eq,
+        Expr::input().extract("j"),
+    )
+}
+
+/// `TUP_CAT(TUP[f](TUP_EXTRACT[f](INPUT)), …)`: a projection spelled
+/// field by field, as the translator writes a per-group target.
+fn spelled(fields: &[&str]) -> Expr {
+    fields
+        .iter()
+        .map(|f| Expr::input().extract(*f).make_tup(*f))
+        .reduce(Expr::tup_cat)
+        .expect("at least one field")
+}
+
+fn pair_db(l: MultiSet, r: MultiSet) -> Database {
+    let mut db = Database::new();
+    db.optimize = false;
+    let any = SchemaType::set(SchemaType::tuple([("k", SchemaType::int4())]));
+    db.put_object("L", any.clone(), Value::Set(l));
+    db.put_object("R", any, Value::Set(r));
+    db
+}
+
+/// The lowered plan run untraced (fused) and traced (the join, then the
+/// apply) against the naive evaluator: canon-identical values, or the
+/// same error text from all three; and on a value, the fused run's
+/// counters are the traced run's to the last field.
+fn check_pair_path(
+    what: &str,
+    db: &mut Database,
+    physical: &PhysicalPlan,
+) -> Result<Value, String> {
+    let naive = db.run_plan(&physical.logical).map_err(|e| e.to_string());
+    let naive = naive.map(|v| canonical_form(&v, db.store()));
+    let mut run = |tracing| {
+        let out = db.run_lowered(physical, tracing).map_err(|e| e.to_string());
+        out.map(|o| (canonical_form(&o.value, db.store()), o.counters))
+    };
+    let (fused, traced) = (run(Tracing::Off), run(Tracing::Precise));
+    match (&naive, &fused, &traced) {
+        (Ok(naive), Ok((fused, fused_counters)), Ok((traced, traced_counters))) => {
+            assert_eq!(naive, fused, "{what}: fused vs naive");
+            assert_eq!(naive, traced, "{what}: traced vs naive");
+            assert_eq!(fused_counters, traced_counters, "{what}: counters");
+        }
+        (Err(naive), Err(fused), Err(traced)) => {
+            assert_eq!(naive, fused, "{what}: fused error");
+            assert_eq!(naive, traced, "{what}: traced error");
+        }
+        _ => panic!("{what}: naive {naive:?}, fused {fused:?}, traced {traced:?}"),
+    }
+    naive
+}
+
+fn lrow(k: Value, a: Value, s: &str) -> Value {
+    Value::tuple([("k", k), ("a", a), ("s", Value::str(s))])
+}
+
+fn rrow(j: Value, b: Value, t: &str) -> Value {
+    Value::tuple([("j", j), ("b", b), ("t", Value::str(t))])
+}
+
+/// Twelve left and twelve right rows over keys 0–3, every third `a` and
+/// every fourth `b` `unk`, each left row twice and each right row three
+/// times.
+fn pair_sides() -> (MultiSet, MultiSet) {
+    let (mut l, mut r) = (MultiSet::new(), MultiSet::new());
+    for i in 0..12 {
+        let a = if i % 3 == 0 {
+            Value::unk()
+        } else {
+            Value::int(i)
+        };
+        let b = if i % 4 == 0 {
+            Value::unk()
+        } else {
+            Value::int(12 - i)
+        };
+        l.insert_n(lrow(Value::int(i % 4), a, &format!("s{}", i % 5)), 2);
+        r.insert_n(rrow(Value::int(i % 4), b, &format!("t{}", i % 3)), 3);
+    }
+    (l, r)
+}
+
+#[test]
+fn pair_reads_match_the_naive_evaluator_and_the_unfused_counters() {
+    let a_lt_b = Pred::cmp(
+        Expr::input().extract("a"),
+        CmpOp::Lt,
+        Expr::input().extract("b"),
+    );
+    let bodies = [
+        ("π", Expr::input().project(["s", "b", "t"])),
+        ("spelled", spelled(&["t", "a"])),
+    ];
+    for (shape, body) in bodies {
+        let (l, r) = pair_sides();
+        let mut db = pair_db(l, r);
+        let what = format!("{shape} body, no residual");
+        let out = check_pair_path(&what, &mut db, &join_apply(k_eq_j(), body.clone()));
+        assert_eq!(out.unwrap().as_set().unwrap().len(), 2 * 3 * 36);
+        // `unk` residual rows: the body runs on `unk` (π(unk) = unk; the
+        // spelled form's tuple of `unk`s).
+        let what = format!("{shape} body, unk residual rows");
+        let out = check_pair_path(
+            &what,
+            &mut db,
+            &join_apply(k_eq_j().and(a_lt_b.clone()), body),
+        );
+        let out = out.unwrap();
+        let unk_rows = out.as_set().unwrap().iter_counted();
+        assert!(
+            unk_rows
+                .filter(|(v, _)| v.is_unk() || v.to_string().contains("unk"))
+                .count()
+                > 0,
+            "{what}: {out}"
+        );
+    }
+}
+
+#[test]
+fn null_keys_and_empty_sides_leave_the_pair_reads_exact() {
+    let body = Expr::input().project(["s", "t"]);
+    let (l, r) = pair_sides();
+    for (what, key, left) in [
+        ("dne left key", Value::dne(), true),
+        ("unk right key", Value::unk(), false),
+    ] {
+        let (mut l, mut r) = (l.clone(), r.clone());
+        if left {
+            l.insert(lrow(key, Value::int(1), "s9"));
+        } else {
+            r.insert(rrow(key, Value::int(1), "t9"));
+        }
+        let mut db = pair_db(l, r);
+        check_pair_path(what, &mut db, &join_apply(k_eq_j(), body.clone())).unwrap();
+    }
+    for (what, l, r) in [
+        ("empty right side", l.clone(), MultiSet::new()),
+        ("empty left side", MultiSet::new(), r.clone()),
+    ] {
+        let mut db = pair_db(l, r);
+        let out = check_pair_path(what, &mut db, &join_apply(k_eq_j(), body.clone()));
+        assert_eq!(out.unwrap(), Value::set([]), "{what}");
+    }
+}
+
+/// A subtype's tuple extends its supertype's, so rows of one extent carry
+/// different fields, and the side a field is read from is chosen per
+/// pair: here `x` is on some left rows and on every right row, so a pair
+/// reads the left `x` where it has one and the right one (which
+/// `TUP_CAT` then names `x`) otherwise.  Where neither side has a
+/// projected or compared field, the fused kernel refuses and the unfused
+/// plan raises its own error.
+#[test]
+fn subtype_rows_are_read_per_pair_and_a_missing_field_is_the_unfused_error() {
+    let sub = |i: i32| {
+        let mut fields = vec![("k", Value::int(i % 4)), ("a", Value::int(i))];
+        if i % 2 == 0 {
+            fields.push(("x", Value::int(100 + i)));
+        }
+        Value::tuple(fields)
+    };
+    let l = MultiSet::from_occurrences((0..10).map(sub));
+    let with_x = MultiSet::from_occurrences(
+        (0..6).map(|i| Value::tuple([("j", Value::int(i % 4)), ("x", Value::int(-i))])),
+    );
+    let without_x = MultiSet::from_occurrences(
+        (0..6).map(|i| Value::tuple([("j", Value::int(i % 4)), ("b", Value::int(i))])),
+    );
+    let body = Expr::input().project(["a", "x"]);
+    let x_gt_0 = Pred::cmp(Expr::input().extract("x"), CmpOp::Gt, Expr::int(0));
+
+    let mut db = pair_db(l.clone(), with_x);
+    let out = check_pair_path(
+        "x on either side",
+        &mut db,
+        &join_apply(k_eq_j(), body.clone()),
+    );
+    let out = out.unwrap().to_string();
+    assert!(out.contains("100") && out.contains("-1"), "{out}");
+    let residual = k_eq_j().and(x_gt_0.clone());
+    check_pair_path(
+        "x compared on either side",
+        &mut db,
+        &join_apply(residual, body.clone()),
+    )
+    .unwrap();
+
+    let mut db = pair_db(l, without_x);
+    let err = check_pair_path("x on no side", &mut db, &join_apply(k_eq_j(), body.clone()));
+    assert!(err.unwrap_err().contains('x'));
+    let err = check_pair_path(
+        "x compared on no side",
+        &mut db,
+        &join_apply(k_eq_j().and(x_gt_0), Expr::input().project(["a"])),
+    );
+    assert!(err.unwrap_err().contains('x'));
+}
+
+/// `TUP_CAT` renames a right-hand field that clashes with a left one by
+/// appending `'`.  A prime-free name is the left field's whichever side
+/// also has it, so the pair read stays exact; a primed name (renamed, or
+/// primed in the data) is refused at compile time and the rows are
+/// concatenated as before.
+#[test]
+fn clashing_and_primed_names_stay_exact() {
+    let l = MultiSet::from_occurrences((0..8).map(|i| {
+        Value::tuple([
+            ("k", Value::int(i % 3)),
+            ("v", Value::int(i)),
+            ("p'", Value::int(-i)),
+        ])
+    }));
+    let r = MultiSet::from_occurrences(
+        (0..6).map(|i| Value::tuple([("j", Value::int(i % 3)), ("v", Value::int(10 * i))])),
+    );
+    let mut db = pair_db(l, r);
+    let v_lt = |c: i32| Pred::cmp(Expr::input().extract("v"), CmpOp::Lt, Expr::int(c));
+    for (what, pred, body) in [
+        (
+            "clash read prime-free",
+            k_eq_j(),
+            Expr::input().project(["v"]),
+        ),
+        (
+            "clash compared prime-free",
+            k_eq_j().and(v_lt(5)),
+            spelled(&["v"]),
+        ),
+        (
+            "renamed field",
+            k_eq_j(),
+            Expr::input().project(["v", "v'"]),
+        ),
+        ("renamed field spelled", k_eq_j(), spelled(&["v'", "k"])),
+        (
+            "renamed field compared",
+            k_eq_j().and(Pred::cmp(
+                Expr::input().extract("v'"),
+                CmpOp::Ge,
+                Expr::int(20),
+            )),
+            Expr::input().project(["v"]),
+        ),
+        (
+            "primed in the data",
+            k_eq_j(),
+            Expr::input().project(["p'", "j"]),
+        ),
+    ] {
+        let out = check_pair_path(what, &mut db, &join_apply(pred, body));
+        assert!(!out.unwrap().as_set().unwrap().is_empty(), "{what}");
+    }
+}
+
+/// A residual of several conjuncts stops at the first `F`, left to right,
+/// and charges one comparison per conjunct it evaluated, exactly as the
+/// unfused plan's predicate does; a later conjunct that would be an error
+/// is never reached where an earlier one is `F`.
+#[test]
+fn a_multi_conjunct_residual_short_circuits_on_f() {
+    let (l, r) = pair_sides();
+    let mut db = pair_db(l, r);
+    let cmp = |f: &str, op, c: i32| Pred::cmp(Expr::input().extract(f), op, Expr::int(c));
+    let residual = k_eq_j()
+        .and(cmp("a", CmpOp::Ge, 4))
+        .and(Pred::cmp(
+            Expr::input().extract("b"),
+            CmpOp::Gt,
+            Expr::input().extract("a"),
+        ))
+        .and(cmp("b", CmpOp::Ne, 3));
+    let body = Expr::input().project(["a", "b"]);
+    check_pair_path(
+        "three residual conjuncts",
+        &mut db,
+        &join_apply(residual, body.clone()),
+    )
+    .unwrap();
+    // `k >= 100` is F on every pair, so `missing` is never extracted;
+    // `a >= 100` is `U` on the pairs whose `a` is `unk`, so it is.
+    let missing = cmp("missing", CmpOp::Eq, 1);
+    let reached = k_eq_j().and(cmp("a", CmpOp::Ge, 100)).and(missing.clone());
+    let out = check_pair_path(
+        "U before an error",
+        &mut db,
+        &join_apply(reached, body.clone()),
+    );
+    assert!(out.unwrap_err().contains("missing"));
+    let never = k_eq_j().and(cmp("k", CmpOp::Ge, 100)).and(missing);
+    let out = check_pair_path("F before an error", &mut db, &join_apply(never, body));
+    assert_eq!(out.unwrap(), Value::set([]));
+}
+
+/// The three served joins of the `analytic` workload, optimized and
+/// lowered as a session serves them: the fused kernel's counters are the
+/// unfused plan's, and its value is the translated plan's.
+#[test]
+fn served_joins_read_pairs_with_the_unfused_counters() {
+    let mut db = excess_bench::server_mix::server_mix_db(120);
+    for line in common::served_mix_requests() {
+        if !line.contains("range of E") {
+            continue;
+        }
+        let plan = common::plan_of(&mut db, line);
+        let (physical, _) = db.lower_plan(&db.optimize_plan(&plan));
+        let naive = db.run_plan(&plan).unwrap();
+        let naive = canonical_form(&naive, db.store());
+        let fused = db.run_lowered(&physical, Tracing::Off).unwrap();
+        let traced = db.run_lowered(&physical, Tracing::Precise).unwrap();
+        assert_eq!(naive, canonical_form(&fused.value, db.store()), "{line}");
+        assert_eq!(naive, canonical_form(&traced.value, db.store()), "{line}");
+        assert_eq!(fused.counters, traced.counters, "{line}");
+    }
+}
