@@ -229,15 +229,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                     Err(null) => return Ok(null),
                 };
                 let fused = crate::physical::hash_join_apply(
-                    &sa,
-                    &sb,
-                    left_key,
-                    right_key,
-                    pred,
-                    body,
-                    pair.as_deref(),
-                    env,
-                    ctx,
+                    &sa, &sb, left_key, right_key, body, pair, env, ctx,
                 );
                 if let Some(out) = fused {
                     return Ok(Value::Set(out));

@@ -48,15 +48,14 @@
 //! A `SET_APPLY[f]` whose input is a hash-joined `rel_join` — how a
 //! served two-variable join arrives when product typing holds — need not
 //! build the join's multiset only to iterate it.  When the apply is
-//! unfiltered and `f` mints no OIDs, `hash_join_apply` runs the same
-//! build/probe with `f` applied to each emitted row (`unk` rows
-//! included), weighted by the row's multiplicity, and charges the
-//! counters the two operators would.  When `f` is a projection and the
-//! residual compares fields and constants, no joined row is built at all:
-//! both are read off the pair `(x, y)` (see `PairRead`).  It runs on
-//! untraced evaluations only; a traced one, a guard refusal or any error
-//! takes the unfused path, so counters, profiles and errors are the
-//! unfused plan's.
+//! unfiltered, `f` is a projection and the residual compares fields and
+//! constants, `hash_join_apply` runs the same build/probe and builds no
+//! joined row at all: both are read off the pair `(x, y)` (see
+//! `PairRead`), and the counters are those the two operators would
+//! charge.  Any other body or residual runs unfused: the join, then the
+//! apply.  The kernel runs on untraced evaluations only; a traced one, a
+//! guard refusal or any error takes the unfused path, so counters,
+//! profiles and errors are the unfused plan's.
 //!
 //! # The hash probe kernel of a correlated join
 //!
@@ -240,12 +239,12 @@ pub(crate) enum RowKernel {
     /// [`hash_probe_apply`] on a correlated `SET_APPLY` join.
     ProbeApply { outer_key: Expr, inner_key: Expr },
     /// [`hash_join_apply`] on a `SET_APPLY` whose input is a `rel_join`
-    /// chosen [`PhysOp::HashEquiJoin`] and whose body mints no OIDs;
-    /// `pair` when the body and residual read the pair directly.
+    /// chosen [`PhysOp::HashEquiJoin`] and whose body and residual
+    /// compile to a [`PairRead`].
     JoinApply {
         left_key: String,
         right_key: String,
-        pair: Option<Arc<PairRead>>,
+        pair: Arc<PairRead>,
     },
 }
 
@@ -365,11 +364,10 @@ impl PhysicalPlan {
     /// pointer-keyed kernel table [`evaluate_physical`] installs in the
     /// evaluation context.  A choice whose node does not have the shape
     /// (or, for the correlated join, the key pair) it names is dropped.
-    /// A hash-joined `rel_join` that is the input of an unfiltered,
-    /// non-minting `SET_APPLY` also gives that apply the fused
-    /// [`RowKernel::JoinApply`], unless the apply has a kernel of its own,
-    /// with its body and residual compiled to a [`PairRead`] where they
-    /// have the shape.
+    /// A hash-joined `rel_join` that is the input of an unfiltered
+    /// `SET_APPLY` whose body and residual compile to a [`PairRead`] also
+    /// gives that apply the fused [`RowKernel::JoinApply`], unless the
+    /// apply has a kernel of its own.
     fn kernel_table(&self) -> HashMap<usize, RowKernel> {
         let mut table = HashMap::new();
         for (path, choice) in &self.choices {
@@ -389,14 +387,18 @@ impl PhysicalPlan {
                     },
                 ) = self.node_at(parent)
                 {
-                    if let (Expr::RelJoin { pred, .. }, false) = (&**input, body.mints_oids()) {
+                    if let Some(pair) = match &**input {
+                        Expr::RelJoin { pred, .. } => {
+                            PairRead::compile(body, pred, left_key, right_key)
+                        }
+                        _ => None,
+                    } {
                         table
                             .entry(apply as *const Expr as usize)
                             .or_insert_with(|| RowKernel::JoinApply {
                                 left_key: left_key.clone(),
                                 right_key: right_key.clone(),
-                                pair: PairRead::compile(body, pred, left_key, right_key)
-                                    .map(Arc::new),
+                                pair: Arc::new(pair),
                             });
                     }
                 }
@@ -803,19 +805,15 @@ fn residual_truth(
 
 /// `SET_APPLY[f](rel_join[θ](A, B))` without the join's output: the
 /// kernel behind [`RowKernel::JoinApply`], run by the evaluator's
-/// `SET_APPLY` arm on the materialised join inputs.  Each row the join
-/// would emit — `unk` rows included — goes through `f` once, weighted by
-/// its multiplicity, so the result is the apply's over the join
-/// multiset, and the counters are the two operators' own: the join's,
-/// plus per occurrence one scan and `f`'s work (charged `n` times for a
-/// row of multiplicity `n`, which is sound because `f` mints no OIDs and
-/// so does the same work on equal rows).
-///
-/// With a [`PairRead`], a pair whose residual is `T` is never
-/// concatenated: its output tuple is read off `(x, y)`, and `f` — a
-/// projection — charges nothing.  A `U` pair still runs `f` on `unk`
-/// (`π(unk) = unk`, and the spelled form's tuple of `unk`s).  Without
-/// one, each row is built with `TUP_CAT` and `f` evaluated on it.
+/// `SET_APPLY` arm on the materialised join inputs.  No joined row is
+/// built: each in-bucket pair's residual and, where it is `T`, its output
+/// tuple are read off `(x, y)` by `pair`, and `f` — a projection —
+/// charges nothing.  A `U` pair runs `f` on `unk` (`π(unk) = unk`, and the
+/// spelled form's tuple of `unk`s).  Each row is weighted by its
+/// multiplicity, so the result is the apply's over the join multiset, and
+/// the counters are the two operators' own: the join's, plus per
+/// occurrence one scan and `f`'s work (charged `n` times for a row of
+/// multiplicity `n`).
 ///
 /// `None` — the guard refusing, a pair read that would be an error, or
 /// any error, raised here in another order than the unfused plan would
@@ -828,44 +826,34 @@ pub(crate) fn hash_join_apply(
     sb: &MultiSet,
     lf: &str,
     rf: &str,
-    pred: &Pred,
     body: &Expr,
-    pair: Option<&PairRead>,
+    pair: &PairRead,
     env: &mut Vec<Value>,
     ctx: &mut EvalCtx,
 ) -> Option<MultiSet> {
     let (lf, rf) = usable_orientation(sa, sb, lf, rf)?;
-    let residual = split_residual(pred, lf, rf)?;
     let saved_counters = ctx.counters;
     let mut out = MultiSet::new();
     let joined = hash_join_core(sa, sb, lf, rf, ctx, |x, y, n, ctx| {
-        let row = match pair {
-            Some(pair) => match pair.truth(x, y, ctx) {
-                None => return Ok(None),
-                Some(Truth::F) => return Ok(Some(())),
-                Some(Truth::T) => {
-                    let Some(row) = pair.row(x, y) else {
-                        return Ok(None);
-                    };
-                    ctx.counters.occurrences_scanned += n;
-                    out.insert_n(row, n);
-                    return Ok(Some(()));
-                }
-                Some(Truth::U) => Value::unk(),
-            },
-            None => match cat_row(x, y, &residual, env, ctx)? {
+        let row = match pair.truth(x, y, ctx) {
+            None => return Ok(None),
+            Some(Truth::F) => return Ok(Some(())),
+            Some(Truth::T) => match pair.row(x, y) {
                 Some(row) => row,
-                None => return Ok(Some(())),
+                None => return Ok(None),
             },
+            Some(Truth::U) => {
+                let before = ctx.counters;
+                env.push(Value::unk());
+                let r = eval(body, env, ctx);
+                env.pop();
+                let once = ctx.counters - before;
+                ctx.counters += once.times(n - 1);
+                r?
+            }
         };
         ctx.counters.occurrences_scanned += n;
-        let before = ctx.counters;
-        env.push(row);
-        let r = eval(body, env, ctx);
-        env.pop();
-        let once = ctx.counters - before;
-        ctx.counters += once.times(n - 1);
-        out.insert_n(r?, n);
+        out.insert_n(row, n);
         Ok(Some(()))
     });
     match joined {
@@ -1397,14 +1385,8 @@ mod tests {
             CmpOp::Lt,
             Expr::input().extract("b"),
         );
-        // A body that does counted work, so each row's share is charged
-        // once per occurrence.
-        let body = Expr::input().project(["a", "b"]).comp(Pred::cmp(
-            Expr::input().extract("b"),
-            CmpOp::Ge,
-            Expr::int(0),
-        ));
-        let pp = fused_plan(eq_pred().and(residual), body);
+        let pp = fused_plan(eq_pred().and(residual), Expr::input().project(["a", "b"]));
+        assert_eq!(pp.kernel_table().len(), 2, "the join and the apply over it");
         let [(fused, cf), (unfused, cu), (naive, _)] = fused_and_unfused(&pp, &cat);
         let fused = fused.unwrap();
         assert_eq!(fused, naive.unwrap());
@@ -1430,7 +1412,8 @@ mod tests {
         assert_eq!((cf, cu), (cn, cn));
         // A body that fails: the unfused plan's error, with its counters.
         cat.insert("L".to_string(), l);
-        let pp = fused_plan(eq_pred(), Expr::input().extract("missing"));
+        let pp = fused_plan(eq_pred(), Expr::input().project(["a", "missing"]));
+        assert_eq!(pp.kernel_table().len(), 2, "the join and the apply over it");
         let [(fused, cf), (unfused, cu), _] = fused_and_unfused(&pp, &cat);
         assert_eq!(
             fused.unwrap_err().to_string(),
@@ -1445,8 +1428,9 @@ mod tests {
             let pp = fused_plan(pred, body);
             let apply = &pp.logical as *const Expr as usize;
             match pp.kernel_table().remove(&apply) {
-                Some(RowKernel::JoinApply { pair, .. }) => pair,
-                other => panic!("no fused kernel: {other:?}"),
+                Some(RowKernel::JoinApply { pair, .. }) => Some(pair),
+                None => None,
+                Some(other) => panic!("not the fused kernel: {other:?}"),
             }
         };
         let a_ge = |c: i32| Pred::cmp(Expr::input().extract("a"), CmpOp::Ge, Expr::int(c));
@@ -1460,7 +1444,8 @@ mod tests {
         let pi = Expr::input().project(["a", "b"]);
         assert!(pair_of(eq_pred(), pi.clone()).is_some());
         // Another body, a primed name, or a residual conjunct that is not
-        // a comparison of fields and constants: the rows are concatenated.
+        // a comparison of fields and constants: the apply is not fused, and
+        // runs over the hash join's rows.
         let neg_a = Expr::call(crate::expr::Func::Neg, vec![Expr::input().extract("a")]);
         for (pred, body) in [
             (eq_pred(), Expr::input().extract("a")),

@@ -1420,8 +1420,8 @@ fn subtype_rows_are_read_per_pair_and_a_missing_field_is_the_unfused_error() {
 /// `TUP_CAT` renames a right-hand field that clashes with a left one by
 /// appending `'`.  A prime-free name is the left field's whichever side
 /// also has it, so the pair read stays exact; a primed name (renamed, or
-/// primed in the data) is refused at compile time and the rows are
-/// concatenated as before.
+/// primed in the data) is refused at compile time and the apply runs
+/// unfused over the hash join's concatenated rows.
 #[test]
 fn clashing_and_primed_names_stay_exact() {
     let l = MultiSet::from_occurrences((0..8).map(|i| {

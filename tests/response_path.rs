@@ -157,20 +157,20 @@ fn analytic_joins_allocate_what_the_paper_s_join_needs() {
 #[test]
 fn every_served_kind_s_hit_allocations_are_pinned() {
     const MIX_PINS: [(&str, u64); 9] = [
-        ("f6", 1_308),
-        ("f7", 751),
-        ("f8", 244),
+        ("f6", 1_302),
+        ("f7", 750),
+        ("f8", 243),
         ("f9", 616),
         ("f10", 262),
-        ("f11", 1_621),
-        ("join_project", 4_148),
-        ("join_agg", 1_575),
+        ("f11", 1_620),
+        ("join_project", 4_146),
+        ("join_agg", 1_572),
         ("e1_probe", 170),
     ];
     const UNIVERSITY_PINS: [(&str, u64); 5] = [
         ("kids", 953),
-        ("fig3", 206),
-        ("fig4", 798),
+        ("fig3", 205),
+        ("fig4", 797),
         ("boss", 455),
         ("workload", 584),
     ];
