@@ -130,26 +130,15 @@ fn as_array<'v>(op: &'static str, v: &'v Value) -> EvalResult<&'v [Value]> {
 /// is bracketed by a [`TraceSink`] frame; otherwise this is a single
 /// branch in front of the operator dispatch.
 pub fn eval(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<Value> {
-    traced(e, ctx, |ctx| eval_inner(e, env, ctx))
-}
-
-/// Run `f` as the evaluation of node `e`: inside a [`TraceSink`] frame for
-/// `e` when profiling is on, directly otherwise.
-#[inline]
-pub(crate) fn traced(
-    e: &Expr,
-    ctx: &mut EvalCtx,
-    f: impl FnOnce(&mut EvalCtx) -> EvalResult<Value>,
-) -> EvalResult<Value> {
     if ctx.trace.is_none() {
-        return f(ctx);
+        return eval_inner(e, env, ctx);
     }
     let token = ctx
         .trace
         .as_mut()
         .expect("checked above")
         .enter(e, ctx.counters);
-    let result = f(ctx);
+    let result = eval_inner(e, env, ctx);
     // The sink can only disappear mid-evaluation if the traced expression
     // itself takes the profile, which nothing does; guard anyway.
     if let Some(sink) = ctx.trace.as_mut() {
@@ -207,12 +196,10 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             body,
             only_types,
         } => {
-            // A lowered plan may have assigned this node (by address) a
-            // row kernel: the fused join-apply over its hash-joined input
-            // (untraced runs only), or the correlated join's probe.  Either
-            // one returning `None` is its runtime guard refusing, and the
-            // ordinary evaluation below runs as if it had never tried.
-            let kernel = row_kernel(e, ctx);
+            // A lowered plan may have assigned this node (by address) the
+            // fused join-apply over its hash-joined input (untraced runs
+            // only).  Its returning `None` is its runtime guard refusing,
+            // and the join then the apply run as if it had never tried.
             if let (
                 Some(RowKernel::JoinApply {
                     left_key,
@@ -221,7 +208,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                 }),
                 Expr::RelJoin { left, right, pred },
                 true,
-            ) = (&kernel, &**input, ctx.trace.is_none())
+            ) = (row_kernel(e, ctx), &**input, ctx.trace.is_none())
             {
                 let (a, b) = (eval(left, env, ctx)?, eval(right, env, ctx)?);
                 let (sa, sb) = match join_inputs(a, b)? {
@@ -229,7 +216,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                     Err(null) => return Ok(null),
                 };
                 let fused = crate::physical::hash_join_apply(
-                    &sa, &sb, left_key, right_key, body, pair, env, ctx,
+                    &sa, &sb, &left_key, &right_key, body, &pair, env, ctx,
                 );
                 if let Some(out) = fused {
                     return Ok(Value::Set(out));
@@ -242,18 +229,6 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                 return Ok(inv);
             }
             let set = as_set("SET_APPLY", inv)?;
-            if let Some(RowKernel::ProbeApply {
-                outer_key,
-                inner_key,
-            }) = kernel
-            {
-                let probed = crate::physical::hash_probe_apply(
-                    &set, body, &outer_key, &inner_key, env, ctx,
-                )?;
-                if let Some(out) = probed {
-                    return Ok(Value::Set(out));
-                }
-            }
             let filter: Option<Vec<TypeId>> = match only_types {
                 Some(names) => Some(
                     names

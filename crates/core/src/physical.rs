@@ -6,14 +6,13 @@
 //! canonical-form arguments all keep working on the same object), and a
 //! map from node paths to [`PhysChoice`]s records which physical operator
 //! implements each *spine* node — `HashEquiJoin` vs `NestedLoopJoin` for
-//! `rel_join`, `HashProbeApply` for a correlated `SET_APPLY` join,
-//! `HashGroup` for `GRP`, `HashDistinct` for `DE`,
+//! `rel_join`, `HashGroup` for `GRP`, `HashDistinct` for `DE`,
 //! `Scan` / `IndexScan` for named objects, and `PassThrough` for
 //! everything else.  Because the logical tree is untouched,
 //! `eval(lower(p))` operates on a plan that is structurally equal to `p`;
 //! only the *kernel* used at annotated joins differs, and each kernel is
-//! proven occurrence-exact below (the hash kernels share one build/probe
-//! core and one key guard).
+//! proven occurrence-exact below (the join and the fused join-apply share
+//! one build/probe core and one key guard).
 //!
 //! # The hash equi-join kernel
 //!
@@ -21,15 +20,16 @@
 //! each left occurrence, and evaluates only the *residual* predicate (the
 //! `COMP` conjuncts minus the equi conjunct) on in-bucket pairs:
 //!
-//! * **Side conditions** ([`key_pair_usable`], re-verified at run time on
-//!   the materialised inputs): every element of both sides is a tuple, the
-//!   key field is present and non-null on its own side and absent from the
-//!   other, and all key values share one kind.  Then the equi conjunct
-//!   evaluates to a definite T/F on every pair — never `unk` — so the
-//!   pairs a bucket separation skips are exactly the pairs the nested
-//!   loop's predicate would reject (Kleene: `F ∧ x = F` regardless of
-//!   `x`).  Null (`dne`/`unk`) keys fail the guard and fall back to the
-//!   nested loop, preserving three-valued semantics unconditionally.
+//! * **Side conditions** (checked at run time on the materialised inputs,
+//!   each key once, before the first pair is formed): every element of
+//!   both sides is a tuple, the key field is present and non-null on its
+//!   own side and absent from the other, and all key values share one
+//!   kind.  Then the equi conjunct evaluates to a definite T/F on every
+//!   pair — never `unk` — so the pairs a bucket separation skips are
+//!   exactly the pairs the nested loop's predicate would reject (Kleene:
+//!   `F ∧ x = F` regardless of `x`).  Null (`dne`/`unk`) keys fail the
+//!   guard and fall back to the nested loop, preserving three-valued
+//!   semantics unconditionally.
 //! * **Residual handling**: in-bucket pairs have the equi conjunct equal
 //!   to `T`, and `T ∧ x = x`, so the full predicate's truth value equals
 //!   the residual conjunction's, evaluated left-to-right with the serial
@@ -57,45 +57,12 @@
 //! guard refusal or any error takes the unfused path, so counters,
 //! profiles and errors are the unfused plan's.
 //!
-//! # The hash probe kernel of a correlated join
-//!
-//! A two-variable `retrieve … where l = r` that the translator cannot
-//! give a `rel_join` — the sides' attribute names clash, or they range
-//! over ref extents, or a variable is used whole — arrives as
-//! `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)` ([`correlated_join`]),
-//! which evaluated as written runs `B` and |`B`| `COMP`s once per
-//! occurrence of `A`.  A node chosen
-//! [`PhysOp::HashProbeApply`] instead runs, in the evaluator's
-//! `SET_APPLY` arm on the materialised `A`:
-//!
-//! * **Build** (never reached when `A` is empty): with the first outer
-//!   element bound — the lowering checked that `B` does not read it —
-//!   evaluate `B` once and bucket it by the inner key; evaluate the outer
-//!   key on every distinct element of `A`.  A non-multiset `B` (nulls
-//!   included), a null or mixed-kind key on either side, or an error in
-//!   `B` or a key abandons the attempt: counters restored, and the
-//!   ordinary loop runs and produces whatever the specification says,
-//!   that error included — statistics can make the plan slower, never
-//!   wrong.  The build is not traced, so an abandoned attempt leaves no
-//!   frames behind and profiles keep telescoping.
-//! * **Probe**: per outer occurrence, build the inner multiset exactly as
-//!   the inner `SET_APPLY` would, but over the occurrence's bucket only,
-//!   with the *unchanged* `COMP[θ](f)` — residual conjuncts, `unk`
-//!   results and multiplicities are the evaluator's own.  Every skipped
-//!   pair has two non-null, unequal keys of one kind, so its first
-//!   conjunct is `F`, θ is `F` without evaluating another conjunct, and
-//!   the `COMP` is the `dne` a multiset drops.
-//! * **What is skipped with the pair** is `f`, which `COMP` evaluates
-//!   before θ: its counters are not charged and an error in it is not
-//!   raised (the caveat above, for `f` instead of a residual conjunct).
-//!   That is also why the lowering refuses a `COMP` that mints OIDs.
-//!
 //! Kernels reach the evaluator through a pointer-keyed table installed in
 //! [`EvalCtx`] by [`evaluate_physical`]: choices are resolved to the
-//! addresses of the plan's own `rel_join` and `SET_APPLY` nodes, so the
-//! unchanged recursive evaluator — including its trace bracketing — picks
-//! a hash kernel up at exactly the annotated nodes (and the applies over
-//! them) and nowhere else.
+//! addresses of the plan's own `rel_join` nodes and the `SET_APPLY`s over
+//! them, so the unchanged recursive evaluator — including its trace
+//! bracketing — picks a hash kernel up at exactly the annotated nodes (and
+//! the applies over them) and nowhere else.
 //!
 //! # Example
 //!
@@ -122,13 +89,12 @@
 //! assert_eq!(split_residual(&pred, "sadv", "ename").unwrap().len(), 1);
 //! ```
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
 use crate::error::EvalResult;
-use crate::eval::{eval, eval_pred, evaluate, traced, EvalCtx};
+use crate::eval::{eval, eval_pred, evaluate, EvalCtx};
 use crate::expr::{CmpOp, Expr, Pred};
 use crate::ops::predicate::{compare, Truth};
 use crate::profile::NodePath;
@@ -152,16 +118,6 @@ pub enum PhysOp {
     },
     /// The serial evaluator's pair-at-a-time `rel_join` loop.
     NestedLoopJoin,
-    /// A correlated join
-    /// `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)`: evaluate `B`
-    /// once, bucket it by `inner_key`, and run the unchanged `COMP` only
-    /// on the bucket `outer_key` selects (see [`correlated_join`]).
-    HashProbeApply {
-        /// `l`, with `INPUT` bound to the element of `A`.
-        outer_key: Expr,
-        /// `r`, with `INPUT` bound to the element of `B`.
-        inner_key: Expr,
-    },
     /// `GRP` by hashing the grouping key (what the evaluator's `BTreeMap`
     /// grouping already does).
     HashGroup,
@@ -181,10 +137,6 @@ impl fmt::Display for PhysOp {
                 right_key,
             } => write!(f, "HashEquiJoin[{left_key} = {right_key}]"),
             PhysOp::NestedLoopJoin => write!(f, "NestedLoopJoin"),
-            PhysOp::HashProbeApply {
-                outer_key,
-                inner_key,
-            } => write!(f, "HashProbeApply[outer {outer_key} = inner {inner_key}]"),
             PhysOp::HashGroup => write!(f, "HashGroup"),
             PhysOp::HashDistinct => write!(f, "HashDistinct"),
             PhysOp::PassThrough => write!(f, "PassThrough"),
@@ -236,8 +188,6 @@ impl fmt::Debug for PhysicalPlan {
 pub(crate) enum RowKernel {
     /// [`hash_equi_join`] on a `rel_join` node.
     HashJoin { left_key: String, right_key: String },
-    /// [`hash_probe_apply`] on a correlated `SET_APPLY` join.
-    ProbeApply { outer_key: Expr, inner_key: Expr },
     /// [`hash_join_apply`] on a `SET_APPLY` whose input is a `rel_join`
     /// chosen [`PhysOp::HashEquiJoin`] and whose body and residual
     /// compile to a [`PairRead`].
@@ -362,79 +312,52 @@ impl PhysicalPlan {
 
     /// Resolve every row-kernel choice to the address of its node — the
     /// pointer-keyed kernel table [`evaluate_physical`] installs in the
-    /// evaluation context.  A choice whose node does not have the shape
-    /// (or, for the correlated join, the key pair) it names is dropped.
-    /// A hash-joined `rel_join` that is the input of an unfiltered
-    /// `SET_APPLY` whose body and residual compile to a [`PairRead`] also
-    /// gives that apply the fused [`RowKernel::JoinApply`], unless the
-    /// apply has a kernel of its own.
+    /// evaluation context.  A choice whose node does not have the shape it
+    /// names is dropped.  A hash-joined `rel_join` that is the input of an
+    /// unfiltered `SET_APPLY` whose body and residual compile to a
+    /// [`PairRead`] also gives that apply the fused [`RowKernel::JoinApply`].
     fn kernel_table(&self) -> HashMap<usize, RowKernel> {
         let mut table = HashMap::new();
         for (path, choice) in &self.choices {
-            if let (
+            let (
                 PhysOp::HashEquiJoin {
                     left_key,
                     right_key,
                 },
-                Some((0, parent)),
-            ) = (&choice.op, path.split_last())
-            {
-                if let Some(
-                    apply @ Expr::SetApply {
-                        input,
-                        body,
-                        only_types: None,
-                    },
-                ) = self.node_at(parent)
-                {
-                    if let Some(pair) = match &**input {
-                        Expr::RelJoin { pred, .. } => {
-                            PairRead::compile(body, pred, left_key, right_key)
-                        }
-                        _ => None,
-                    } {
-                        table
-                            .entry(apply as *const Expr as usize)
-                            .or_insert_with(|| RowKernel::JoinApply {
-                                left_key: left_key.clone(),
-                                right_key: right_key.clone(),
-                                pair: Arc::new(pair),
-                            });
-                    }
-                }
-            }
-            let Some(node) = self.node_at(path) else {
+                Some(join @ Expr::RelJoin { pred, .. }),
+            ) = (&choice.op, self.node_at(path))
+            else {
                 continue;
             };
-            let kernel = match (&choice.op, node) {
-                (
-                    PhysOp::HashEquiJoin {
-                        left_key,
-                        right_key,
-                    },
-                    Expr::RelJoin { .. },
-                ) => RowKernel::HashJoin {
+            table.insert(
+                join as *const Expr as usize,
+                RowKernel::HashJoin {
                     left_key: left_key.clone(),
                     right_key: right_key.clone(),
                 },
-                (
-                    PhysOp::HashProbeApply {
-                        outer_key,
-                        inner_key,
-                    },
-                    _,
-                ) => match correlated_join(node) {
-                    Some(cj) if cj.outer_key == *outer_key && cj.inner_key == *inner_key => {
-                        RowKernel::ProbeApply {
-                            outer_key: cj.outer_key,
-                            inner_key: cj.inner_key,
-                        }
-                    }
-                    _ => continue,
-                },
-                _ => continue,
+            );
+            let Some((0, parent)) = path.split_last() else {
+                continue;
             };
-            table.insert(node as *const Expr as usize, kernel);
+            if let Some(
+                apply @ Expr::SetApply {
+                    body,
+                    only_types: None,
+                    ..
+                },
+            ) = self.node_at(parent)
+            {
+                if let Some(pair) = PairRead::compile(body, pred, left_key, right_key) {
+                    table.insert(
+                        apply as *const Expr as usize,
+                        RowKernel::JoinApply {
+                            left_key: left_key.clone(),
+                            right_key: right_key.clone(),
+                            pair: Arc::new(pair),
+                        },
+                    );
+                }
+            }
         }
         table
     }
@@ -504,7 +427,7 @@ pub fn conjuncts(p: &Pred) -> Vec<&Pred> {
 /// The statically hashable equality conjuncts of a join predicate: every
 /// `INPUT.f = INPUT.g` conjunct, as `(f, g)` field pairs.  Static shape
 /// only — whether a pair actually drives a hash kernel soundly depends on
-/// the data (see [`key_pair_usable`]).
+/// the data (see [`hash_equi_join`]).
 pub fn equi_key_candidates(pred: &Pred) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for c in conjuncts(pred) {
@@ -521,78 +444,11 @@ pub fn equi_key_candidates(pred: &Pred) -> Vec<(String, String)> {
     out
 }
 
-/// The translator's correlated join, taken apart: a two-variable
-/// `retrieve … where l = r` without product typing (clashing attribute
-/// names, ref extents, a variable used whole) arrives as
-/// `SET_APPLY[SET_APPLY[COMP[l = r ∧ …](f)](B)](A)`, not as a
-/// `rel_join`, whose `TUP_CAT` would rename a clash.
-pub struct CorrelatedJoin<'e> {
-    /// `B`, the inner apply's input (evaluated under `A`'s binder).
-    pub inner_input: &'e Expr,
-    /// `COMP[θ](f)`, the inner apply's body.
-    pub comp: &'e Expr,
-    /// The equi conjunct's outer operand, re-based so `INPUT` is the
-    /// element of `A`.
-    pub outer_key: Expr,
-    /// The equi conjunct's inner operand, re-based so `INPUT` is the
-    /// element of `B`.
-    pub inner_key: Expr,
-}
-
-/// Match `e` against the correlated-join shape: two nested unfiltered
-/// `SET_APPLY`s around a `COMP` whose *first* conjunct is `l = r` with one
-/// operand reading the outer element and not the inner one, the other the
-/// reverse, and neither the `COMP` input (either orientation).  Static
-/// shape only: whether `B` is closed and OID-free is the lowering's
-/// question, whether the keys hash is the kernel's.
-pub fn correlated_join(e: &Expr) -> Option<CorrelatedJoin<'_>> {
-    let Expr::SetApply {
-        body,
-        only_types: None,
-        ..
-    } = e
-    else {
-        return None;
-    };
-    let Expr::SetApply {
-        input: inner_input,
-        body: comp,
-        only_types: None,
-    } = &**body
-    else {
-        return None;
-    };
-    let Expr::Comp { pred, .. } = &**comp else {
-        return None;
-    };
-    let Pred::Cmp(l, CmpOp::Eq, r) = conjuncts(pred).first()? else {
-        return None;
-    };
-    // Inside θ: INPUT is the COMP input, INPUT^1 the inner element,
-    // INPUT^2 the outer one.
-    let reads_only = |k: &Expr, own: usize, other: usize| {
-        k.mentions_input(own) && !k.mentions_input(other) && !k.mentions_input(0)
-    };
-    let (outer, inner) = if reads_only(l, 2, 1) && reads_only(r, 1, 2) {
-        (l, r)
-    } else if reads_only(r, 2, 1) && reads_only(l, 1, 2) {
-        (r, l)
-    } else {
-        return None;
-    };
-    Some(CorrelatedJoin {
-        inner_input,
-        comp,
-        outer_key: outer.shift_inputs(0, -2),
-        inner_key: inner.shift_inputs(0, -1),
-    })
-}
-
-/// The key guard both hash kernels apply while they bucket and probe: a
-/// key is admitted when it is non-null and of the one kind every key
-/// admitted before it had.  Then the equi conjunct is a definite T/F on
-/// every pair — never `unk` — and separating buckets skips exactly the
-/// pairs the nested loop's predicate would reject.
+/// The key guard a hash join applies to every key of both sides: a key
+/// is admitted when it is non-null and of the one kind every key admitted
+/// before it had.  Then the equi conjunct is a definite T/F on every pair
+/// — never `unk` — and separating buckets skips exactly the pairs the
+/// nested loop's predicate would reject.
 #[derive(Default)]
 struct KeyGuard(Option<&'static str>);
 
@@ -600,53 +456,48 @@ impl KeyGuard {
     fn admits(&mut self, k: &Value) -> bool {
         !k.is_null() && *self.0.get_or_insert(k.kind_name()) == k.kind_name()
     }
+
+    /// `v` and its key `have`, when `v` is a tuple holding `have`, the key
+    /// is admitted, and `v` lacks `lack` (the other side's key field).
+    fn keyed<'v>(
+        &mut self,
+        v: &'v Value,
+        have: &str,
+        lack: &str,
+    ) -> Option<(&'v Tuple, &'v Value)> {
+        let t = v.as_tuple()?;
+        let k = t.get(have).filter(|k| self.admits(k))?;
+        t.get(lack).is_none().then_some((t, k))
+    }
 }
 
-/// One join side bucketed by key, in the side's own iteration order
-/// (`BTreeMap` for declarative determinism; the output multisets are
-/// order-insensitive anyway), with the [`KeyGuard`] the probing side's
-/// keys must pass too.
-struct Buckets<'v, K> {
-    by_key: BTreeMap<K, Vec<(&'v Value, u64)>>,
-    guard: KeyGuard,
-}
+/// The build side of a hash join bucketed by key, in its own iteration
+/// order (`BTreeMap` for declarative determinism; the output multisets
+/// are order-insensitive anyway).
+struct Buckets<'v>(BTreeMap<&'v Value, Vec<(&'v Tuple, u64)>>);
 
-impl<'v, K: Ord + Borrow<Value>> Buckets<'v, K> {
-    /// `None` as soon as one element has no admissible key.
-    fn build(side: &'v MultiSet, mut key_of: impl FnMut(&'v Value) -> Option<K>) -> Option<Self> {
-        let mut buckets = Buckets {
-            by_key: BTreeMap::new(),
-            guard: KeyGuard::default(),
-        };
-        for (v, n) in side.iter_counted() {
-            let k = key_of(v).filter(|k| buckets.guard.admits(k.borrow()))?;
-            buckets.by_key.entry(k).or_default().push((v, n));
+impl<'v> Buckets<'v> {
+    /// Bucket `build` by `bf`, then check every element of `probe` for
+    /// `pf`: `None` as soon as one element of either side fails
+    /// [`KeyGuard::keyed`] (one guard over both sides, each key guarded
+    /// once), so no pair is formed before the whole join is admitted.
+    fn build(probe: &MultiSet, build: &'v MultiSet, pf: &str, bf: &str) -> Option<Self> {
+        let mut guard = KeyGuard::default();
+        let mut by_key = BTreeMap::<_, Vec<_>>::new();
+        for (v, n) in build.iter_counted() {
+            let (t, k) = guard.keyed(v, bf, pf)?;
+            by_key.entry(k).or_default().push((t, n));
         }
-        Some(buckets)
+        probe
+            .iter_counted()
+            .all(|(v, _)| guard.keyed(v, pf, bf).is_some())
+            .then_some(Buckets(by_key))
     }
 
     /// The built elements whose key equals `k` (an admitted probe key).
-    fn matching(&self, k: &K) -> &[(&'v Value, u64)] {
-        self.by_key.get::<K>(k).map_or(&[], Vec::as_slice)
+    fn matching(&self, k: &Value) -> &[(&'v Tuple, u64)] {
+        self.0.get(k).map_or(&[], Vec::as_slice)
     }
-}
-
-/// Can the field pair `(lf, rf)` soundly key a hash join of these
-/// materialised inputs?  `lf` must name a non-null field present in every
-/// left tuple and absent from every right tuple (and symmetrically for
-/// `rf`), and all key values on both sides must share one kind.  Under
-/// those conditions the equi conjunct evaluates to a definite T/F on
-/// every pair — never `unk`.
-pub fn key_pair_usable(left: &MultiSet, right: &MultiSet, lf: &str, rf: &str) -> bool {
-    fn side_ok(s: &MultiSet, have: &str, lack: &str, guard: &mut KeyGuard) -> bool {
-        s.iter_counted().all(|(v, _)| {
-            let Value::Tuple(t) = v else { return false };
-            let Ok(k) = t.extract(have) else { return false };
-            guard.admits(k) && t.extract(lack).is_err()
-        })
-    }
-    let mut guard = KeyGuard::default();
-    side_ok(left, lf, rf, &mut guard) && side_ok(right, rf, lf, &mut guard)
 }
 
 /// The residual predicate of a hash equi-join: every conjunct except the
@@ -679,8 +530,8 @@ pub fn split_residual<'p>(pred: &'p Pred, lf: &str, rf: &str) -> Option<Vec<&'p 
 /// refuses the key pair (caller falls back to the nested loop), otherwise
 /// the join output, occurrence-exact with the nested loop's.
 ///
-/// See the module docs for the soundness argument; the guard re-checks
-/// [`key_pair_usable`] on the materialised inputs (both orientations), so
+/// See the module docs for the soundness argument; the guard checks the
+/// side conditions on the materialised inputs (both orientations), so
 /// correctness never depends on the statistics that suggested the kernel.
 pub fn hash_equi_join(
     sa: &MultiSet,
@@ -691,9 +542,6 @@ pub fn hash_equi_join(
     env: &mut Vec<Value>,
     ctx: &mut EvalCtx,
 ) -> EvalResult<Option<MultiSet>> {
-    let Some((lf, rf)) = usable_orientation(sa, sb, lf, rf) else {
-        return Ok(None);
-    };
     let Some(residual) = split_residual(pred, lf, rf) else {
         return Ok(None);
     };
@@ -707,27 +555,12 @@ pub fn hash_equi_join(
     Ok(joined.map(|()| out))
 }
 
-/// The key pair in the orientation [`key_pair_usable`] admits, if either.
-fn usable_orientation<'k>(
-    sa: &MultiSet,
-    sb: &MultiSet,
-    lf: &'k str,
-    rf: &'k str,
-) -> Option<(&'k str, &'k str)> {
-    if key_pair_usable(sa, sb, lf, rf) {
-        Some((lf, rf))
-    } else if key_pair_usable(sa, sb, rf, lf) {
-        Some((rf, lf))
-    } else {
-        None
-    }
-}
-
-/// `rel_join`'s use of the shared build/probe ([`Buckets`]), once
-/// [`hash_equi_join`]'s guard has admitted the key pair: every in-bucket
-/// pair goes to `pair` with its multiplicity, in probe order, after one
-/// scan per occurrence is charged.  Key extraction is still graceful: a
-/// violation — or `pair` answering `None` — aborts with `Ok(None)` after
+/// The build/probe the join and the fused join-apply share ([`Buckets`]):
+/// the right side is bucketed by `rf` and the left side checked for `lf` —
+/// or, when the guard refuses that orientation, by `lf` and for `rf` — and
+/// only then is every in-bucket pair handed to `pair` with its
+/// multiplicity, in probe order, after one scan per occurrence is charged.
+/// A refusal, or `pair` answering `None`, aborts with `Ok(None)` after
 /// restoring the counters, leaving the unhashed path to run as if never
 /// attempted.
 fn hash_join_core(
@@ -738,23 +571,18 @@ fn hash_join_core(
     ctx: &mut EvalCtx,
     mut pair: impl FnMut(&Tuple, &Tuple, u64, &mut EvalCtx) -> EvalResult<Option<()>>,
 ) -> EvalResult<Option<()>> {
-    fn key_of<'v>(v: &'v Value, f: &str) -> Option<&'v Value> {
-        v.as_tuple()?.extract(f).ok()
-    }
-    // Build: bucket the right side by key value.
-    let Some(mut buckets) = Buckets::build(sb, |y| key_of(y, rf)) else {
+    let Some((buckets, lf)) = Buckets::build(sa, sb, lf, rf)
+        .map(|b| (b, lf))
+        .or_else(|| Buckets::build(sa, sb, rf, lf).map(|b| (b, rf)))
+    else {
         return Ok(None);
     };
     let saved_counters = ctx.counters;
     // Probe: only in-bucket pairs are ever formed.
     for (x, cx) in sa.iter_counted() {
-        let Some(k) = key_of(x, lf).filter(|k| buckets.guard.admits(k)) else {
-            ctx.counters = saved_counters;
-            return Ok(None);
-        };
-        let tx = x.as_tuple().expect("a key was extracted from it");
-        for &(y, cy) in buckets.matching(&k) {
-            let ty = y.as_tuple().expect("build side admitted tuples only");
+        let tx = x.as_tuple().expect("the guard admitted tuples only");
+        let k = tx.get(lf).expect("the guard admitted keyed tuples only");
+        for &(ty, cy) in buckets.matching(k) {
             ctx.counters.occurrences_scanned += cx * cy;
             if pair(tx, ty, cx * cy, ctx)?.is_none() {
                 ctx.counters = saved_counters;
@@ -831,7 +659,6 @@ pub(crate) fn hash_join_apply(
     env: &mut Vec<Value>,
     ctx: &mut EvalCtx,
 ) -> Option<MultiSet> {
-    let (lf, rf) = usable_orientation(sa, sb, lf, rf)?;
     let saved_counters = ctx.counters;
     let mut out = MultiSet::new();
     let joined = hash_join_core(sa, sb, lf, rf, ctx, |x, y, n, ctx| {
@@ -865,90 +692,12 @@ pub(crate) fn hash_join_apply(
     }
 }
 
-/// The correlated join's use of the shared build/probe ([`Buckets`]): the
-/// kernel behind [`PhysOp::HashProbeApply`], run by the evaluator's
-/// `SET_APPLY` arm on the materialised outer input of a node
-/// [`correlated_join`] matched.  `Ok(None)` abandons the attempt with the
-/// counters restored; see the module docs for the soundness argument.
-pub(crate) fn hash_probe_apply(
-    outer: &MultiSet,
-    inner_apply: &Expr,
-    outer_key: &Expr,
-    inner_key: &Expr,
-    env: &mut Vec<Value>,
-    ctx: &mut EvalCtx,
-) -> EvalResult<Option<MultiSet>> {
-    let Expr::SetApply {
-        input: inner_input,
-        body: comp,
-        only_types: None,
-    } = inner_apply
-    else {
-        return Ok(None);
-    };
-    let Some(first) = outer.iter_counted().next() else {
-        return Ok(Some(MultiSet::new()));
-    };
-    let saved_counters = ctx.counters;
-    let trace = ctx.trace.take();
-    let key_under = |bound: &Value, key: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx| {
-        env.push(bound.clone());
-        let k = eval(key, env, ctx);
-        env.pop();
-        k.ok()
-    };
-    env.push(first.0.clone());
-    let built = eval(inner_input, env, ctx);
-    let mut buckets = match &built {
-        Ok(Value::Set(b)) => Buckets::build(b, |y| key_under(y, inner_key, env, ctx)),
-        _ => None,
-    };
-    env.pop();
-    let keys: Option<Vec<Value>> = buckets.as_mut().and_then(|buckets| {
-        outer
-            .iter_counted()
-            .map(|(x, _)| key_under(x, outer_key, env, ctx).filter(|k| buckets.guard.admits(k)))
-            .collect()
-    });
-    ctx.trace = trace;
-    let (Some(buckets), Some(keys)) = (buckets, keys) else {
-        ctx.counters = saved_counters;
-        return Ok(None);
-    };
-
-    let mut out = MultiSet::new();
-    for ((x, cx), k) in outer.iter_counted().zip(&keys) {
-        let bucket = buckets.matching(k);
-        for _ in 0..cx {
-            ctx.counters.occurrences_scanned += 1;
-            env.push(x.clone());
-            let inner = traced(inner_apply, ctx, |ctx| {
-                let mut inner = MultiSet::new();
-                for &(y, cy) in bucket {
-                    for _ in 0..cy {
-                        ctx.counters.occurrences_scanned += 1;
-                        env.push(y.clone());
-                        let r = eval(comp, env, ctx);
-                        env.pop();
-                        inner.insert(r?);
-                    }
-                }
-                Ok(Value::Set(inner))
-            });
-            env.pop();
-            out.insert(inner?);
-        }
-    }
-    Ok(Some(out))
-}
-
 /// Evaluate a lowered plan: install the plan's kernel table in the
 /// context, run the ordinary serial evaluator over the (unchanged)
 /// logical tree, and clear the table again.  Counters, tracing, and error
-/// behaviour are the evaluator's own; only annotated `rel_join` and
-/// correlated `SET_APPLY` nodes, and the applies fused over a hashed
-/// `rel_join`, take a hash kernel, and only when its runtime guard admits
-/// it.
+/// behaviour are the evaluator's own; only annotated `rel_join` nodes, and
+/// the applies fused over them, take a hash kernel, and only when its
+/// runtime guard admits it.
 pub fn evaluate_physical(plan: &PhysicalPlan, ctx: &mut EvalCtx) -> EvalResult<Value> {
     let table = plan.kernel_table();
     let saved = ctx.row_kernels.take();
@@ -1033,6 +782,19 @@ mod tests {
         }
     }
 
+    /// [`hash_equi_join`] on `l`, `r` under the keys `(lf, rf)` and the
+    /// predicate `k = j`: `None` where the guard refuses.
+    fn hashed(l: &MultiSet, r: &MultiSet, lf: &str, rf: &str) -> Option<MultiSet> {
+        let (reg, cat) = (TypeRegistry::new(), Cat::new());
+        let mut store = ObjectStore::new();
+        let mut ctx = EvalCtx::new(&reg, &mut store, &cat);
+        let out = hash_equi_join(l, r, lf, rf, &eq_pred(), &mut Vec::new(), &mut ctx).unwrap();
+        if out.is_none() {
+            assert_eq!(ctx.counters, Default::default(), "a refusal charged work");
+        }
+        out
+    }
+
     #[test]
     fn candidates_and_key_guard_agree_with_data() {
         let (l, r) = tuples_lr();
@@ -1041,10 +803,16 @@ mod tests {
         };
         let cands = equi_key_candidates(&eq_pred());
         assert_eq!(cands, vec![("k".to_string(), "j".to_string())]);
-        // The guard is orientation-sensitive: the data says k lives on
-        // the left and j on the right.
-        assert!(key_pair_usable(sl, sr, "k", "j"));
-        assert!(!key_pair_usable(sl, sr, "j", "k"));
+        // The data says k lives on the left and j on the right; a choice
+        // naming them the other way round is flipped by the guard.
+        let joined = hashed(sl, sr, "k", "j").expect("k on the left, j on the right");
+        assert_eq!(joined.len(), 36);
+        assert_eq!(hashed(sl, sr, "j", "k"), Some(joined));
+        // A key field on both sides fits neither orientation.
+        let mut both = sr.clone();
+        both.insert(Value::tuple([("j", Value::int(1)), ("k", Value::int(1))]));
+        assert_eq!(hashed(sl, &both, "k", "j"), None);
+        assert_eq!(hashed(sl, &both, "j", "k"), None);
     }
 
     #[test]
@@ -1101,17 +869,42 @@ mod tests {
         l.insert(Value::tuple([("k", Value::int(1))]));
         let mut r = MultiSet::new();
         r.insert(Value::tuple([("j", Value::int(1))]));
-        let mut cat = Cat::new();
-        cat.insert("L".to_string(), Value::Set(l));
-        cat.insert("R".to_string(), Value::Set(r));
-        let plan = join_plan(eq_pred());
-        let (vn, cn) = run(&plan, &cat);
-        let pp = hash_join_plan(&plan, "k", "j");
-        let (vh, ch) = run_physical(&pp, &cat);
-        // Guard refuses (null key on the left); kernel falls back to the
-        // nested loop, so values AND counters match serial exactly.
-        assert_eq!(vn, vh);
-        assert_eq!(cn, ch);
+        // A left row carrying the right key too (`TUP_CAT` would rename it).
+        let mut wrong_side = MultiSet::new();
+        wrong_side.insert(Value::tuple([("k", Value::int(1))]));
+        wrong_side.insert(Value::tuple([("k", Value::int(2)), ("j", Value::int(2))]));
+        // A residual that fails on every pair: the guard must refuse before
+        // any pair is formed, so the error is the nested loop's own.
+        let failing = eq_pred().and(Pred::cmp(
+            Expr::input().extract("missing"),
+            CmpOp::Eq,
+            Expr::int(1),
+        ));
+        for (left, pred) in [
+            (&l, eq_pred()),
+            (&wrong_side, eq_pred()),
+            (&l, failing.clone()),
+            (&wrong_side, failing),
+        ] {
+            let mut cat = Cat::new();
+            cat.insert("L".to_string(), Value::Set(left.clone()));
+            cat.insert("R".to_string(), Value::Set(r.clone()));
+            let plan = join_plan(pred);
+            // Either orientation of the choice: the guard refuses both, the
+            // kernel falls back to the nested loop, and values (or errors)
+            // AND counters match serial exactly.
+            for (lf, rf) in [("k", "j"), ("j", "k")] {
+                let reg = TypeRegistry::new();
+                let (mut sn, mut sh) = (ObjectStore::new(), ObjectStore::new());
+                let mut nested = EvalCtx::new(&reg, &mut sn, &cat);
+                let mut hashed = EvalCtx::new(&reg, &mut sh, &cat);
+                let vn = evaluate(&plan, &mut nested).map_err(|e| e.to_string());
+                let pp = hash_join_plan(&plan, lf, rf);
+                let vh = evaluate_physical(&pp, &mut hashed).map_err(|e| e.to_string());
+                assert_eq!(vn, vh, "{plan} under {lf} = {rf}");
+                assert_eq!(nested.counters, hashed.counters, "{plan} under {lf} = {rf}");
+            }
+        }
     }
 
     #[test]
@@ -1124,190 +917,21 @@ mod tests {
         l.insert(Value::tuple([("k", Value::tuple([("x", Value::int(2))]))]));
         let mut r = MultiSet::new();
         r.insert(Value::tuple([("j", Value::int(1))]));
-        assert!(!key_pair_usable(&l, &r, "k", "j"));
-        // A key absent from one left row likewise fails.
+        // A key absent from one left row likewise fails, and so does a
+        // right row carrying the left key.
         let mut l2 = MultiSet::new();
         l2.insert(Value::tuple([("k", Value::int(1))]));
         l2.insert(Value::tuple([("other", Value::int(2))]));
-        assert!(!key_pair_usable(&l2, &r, "k", "j"));
-    }
-
-    /// `SET_APPLY[SET_APPLY[COMP[θ]((a: INPUT^1.a, b: INPUT.b))](R)](L)`:
-    /// inside θ, `INPUT^2` is the element of `L` and `INPUT^1` that of `R`.
-    fn correlated(theta: Pred) -> Expr {
-        let pair = Expr::input_at(1)
-            .extract("a")
-            .make_tup("a")
-            .tup_cat(Expr::input().extract("b").make_tup("b"));
-        Expr::named("L").set_apply(Expr::named("R").set_apply(pair.comp(theta)))
-    }
-
-    fn outer_eq_inner() -> Pred {
-        Pred::cmp(
-            Expr::input_at(2).extract("k"),
-            CmpOp::Eq,
-            Expr::input_at(1).extract("j"),
-        )
-    }
-
-    fn probe_plan(plan: &Expr) -> PhysicalPlan {
-        let cj = correlated_join(plan).expect("the correlated shape");
-        let mut pp = PhysicalPlan::passthrough(plan.clone());
-        pp.choices.insert(
-            Vec::new(),
-            PhysChoice {
-                op: PhysOp::HashProbeApply {
-                    outer_key: cj.outer_key,
-                    inner_key: cj.inner_key,
-                },
-                why: "test".into(),
-                est_rows: None,
-            },
-        );
-        pp
-    }
-
-    #[test]
-    fn correlated_join_rebases_the_keys_in_either_orientation() {
-        let k = Expr::input().extract("k");
-        let j = Expr::input().extract("j");
-        let plan = correlated(outer_eq_inner());
-        let cj = correlated_join(&plan).unwrap();
-        assert_eq!((&cj.outer_key, &cj.inner_key), (&k, &j));
-        assert_eq!(cj.inner_input, &Expr::named("R"));
-        let flipped = Pred::cmp(
-            Expr::input_at(1).extract("j"),
-            CmpOp::Eq,
-            Expr::input_at(2).extract("k"),
-        );
-        let plan = correlated(flipped);
-        let cj = correlated_join(&plan).unwrap();
-        assert_eq!((&cj.outer_key, &cj.inner_key), (&k, &j));
-
-        // Not the shape: a constant operand, both operands on one binder,
-        // an operand reading the COMP input, an equi conjunct that is not
-        // the first, a type-filtered apply.
-        let lit = Pred::cmp(Expr::input_at(2).extract("k"), CmpOp::Eq, Expr::int(2));
-        let one_side = Pred::cmp(
-            Expr::input_at(1).extract("j"),
-            CmpOp::Eq,
-            Expr::input_at(1).extract("b"),
-        );
-        let comp_input = Pred::cmp(
-            Expr::input_at(2).extract("k"),
-            CmpOp::Eq,
-            Expr::input().extract("b"),
-        );
-        for theta in [lit.clone(), one_side, comp_input, lit.and(outer_eq_inner())] {
-            assert!(
-                correlated_join(&correlated(theta.clone())).is_none(),
-                "{theta}"
-            );
+        let mut r2 = r.clone();
+        r2.insert(Value::tuple([("j", Value::int(2)), ("k", Value::int(2))]));
+        let mut ok = MultiSet::new();
+        ok.insert(Value::tuple([("k", Value::int(1))]));
+        for (left, right) in [(&l, &r), (&l2, &r), (&ok, &r2)] {
+            // Neither the choice's orientation nor its reverse is admitted.
+            assert_eq!(hashed(left, right, "k", "j"), None, "{left} ⋈ {right}");
+            assert_eq!(hashed(left, right, "j", "k"), None, "{left} ⋈ {right}");
         }
-        let Expr::SetApply { input, body, .. } = correlated(outer_eq_inner()) else {
-            unreachable!()
-        };
-        let filtered = Expr::SetApply {
-            input,
-            body,
-            only_types: Some(vec!["T".into()]),
-        };
-        assert!(correlated_join(&filtered).is_none());
-    }
-
-    #[test]
-    fn probe_kernel_matches_the_nested_applies_and_scans_the_inner_input_once() {
-        let (l, r) = tuples_lr();
-        let mut cat = Cat::new();
-        cat.insert("L".to_string(), l);
-        cat.insert("R".to_string(), r);
-        let residual = Pred::cmp(Expr::input_at(2).extract("a"), CmpOp::Ge, Expr::int(6));
-        let plan = correlated(outer_eq_inner().and(residual));
-        let (vn, cn) = run(&plan, &cat);
-        let (vh, ch) = run_physical(&probe_plan(&plan), &cat);
-        assert_eq!(vn, vh, "probe kernel must be occurrence-exact");
-        // 12 outer × 12 inner pairs, 3 per bucket: the loop compares every
-        // pair (the residual on the 36 the equi conjunct admits), the
-        // kernel only those 36, both conjuncts.
-        assert_eq!(cn.comparisons, 144 + 36);
-        assert_eq!(ch.comparisons, 36 + 36);
-        assert_eq!(cn.occurrences_scanned, 12 + 144);
-        assert_eq!(ch.occurrences_scanned, 12 + 36);
-        assert_eq!((cn.named_object_scans, ch.named_object_scans), (13, 2));
-    }
-
-    #[test]
-    fn probe_kernel_abandons_to_the_nested_loop_with_its_counters() {
-        let row = |k: Value| Value::tuple([("a", Value::int(1)), ("k", k)]);
-        let inner = |j: Value| Value::tuple([("j", j), ("b", Value::int(7))]);
-        let plan = correlated(outer_eq_inner());
-        let pp = probe_plan(&plan);
-        let ints = |xs: [i32; 3]| xs.map(Value::int).to_vec();
-        let cases: Vec<(&str, Vec<Value>, Value)> = vec![
-            (
-                "dne outer key",
-                vec![Value::dne(), Value::int(1)],
-                Value::set(ints([1, 1, 2]).into_iter().map(inner)),
-            ),
-            (
-                "unk inner key",
-                ints([1, 2, 2]),
-                Value::set([Value::unk(), Value::int(2)].map(inner)),
-            ),
-            (
-                "mixed-kind keys",
-                vec![Value::int(1), Value::tuple([("x", Value::int(1))])],
-                Value::set(ints([1, 1, 2]).into_iter().map(inner)),
-            ),
-            ("inner input is a null", ints([1, 2, 3]), Value::unk()),
-            (
-                "inner input is not a multiset",
-                ints([1, 2, 3]),
-                Value::int(3),
-            ),
-        ];
-        for (what, outer_keys, r) in cases {
-            let mut cat = Cat::new();
-            cat.insert("L".to_string(), Value::set(outer_keys.into_iter().map(row)));
-            cat.insert("R".to_string(), r);
-            let reg = TypeRegistry::new();
-            let (mut sa, mut sb) = (ObjectStore::new(), ObjectStore::new());
-            let mut nested = EvalCtx::new(&reg, &mut sa, &cat);
-            let mut probed = EvalCtx::new(&reg, &mut sb, &cat);
-            let (vn, vp) = (
-                evaluate(&plan, &mut nested),
-                evaluate_physical(&pp, &mut probed),
-            );
-            match (vn, vp) {
-                (Ok(vn), Ok(vp)) => assert_eq!(vn, vp, "{what}"),
-                (Err(en), Err(ep)) => assert_eq!(en.to_string(), ep.to_string(), "{what}"),
-                (vn, vp) => panic!("{what}: nested {vn:?} vs probe {vp:?}"),
-            }
-            assert_eq!(nested.counters, probed.counters, "{what}");
-        }
-    }
-
-    #[test]
-    fn an_empty_outer_input_never_evaluates_the_inner_one() {
-        let mut cat = Cat::new();
-        cat.insert("L".to_string(), Value::set([]));
-        let plan = correlated(outer_eq_inner());
-        // `R` is not even in the catalog: evaluating it would be an error.
-        let (v, c) = run_physical(&probe_plan(&plan), &cat);
-        assert_eq!(v, Value::set([]));
-        assert_eq!(c.named_object_scans, 1);
-    }
-
-    #[test]
-    fn a_probe_choice_naming_other_keys_than_the_predicate_is_dropped() {
-        let plan = correlated(outer_eq_inner());
-        let mut pp = probe_plan(&plan);
-        pp.choices.get_mut(&Vec::new()).unwrap().op = PhysOp::HashProbeApply {
-            outer_key: Expr::input().extract("a"),
-            inner_key: Expr::input().extract("b"),
-        };
-        assert!(pp.kernel_table().is_empty());
-        assert_eq!(probe_plan(&plan).kernel_table().len(), 1);
+        assert!(hashed(&ok, &r, "j", "k").is_some());
     }
 
     /// `SET_APPLY[body](rel_join[pred](L, R))` with the join hashed on

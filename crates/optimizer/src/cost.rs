@@ -674,9 +674,7 @@ pub(crate) fn estimate_under<'n>(
 /// join identity (`cost(join) = cost(l) + cost(r) + pairs·(1 + pc)`),
 /// and the equi conjunct — never evaluated by the kernel — is deducted
 /// from the residual at its modelled cost (one comparison plus two
-/// attribute extractions).  A
-/// [`HashProbeApply`](excess_core::physical::PhysOp::HashProbeApply)
-/// choice is priced the same way from the nested applies' identity.
+/// attribute extractions).
 pub fn estimate_physical(
     plan: &excess_core::physical::PhysicalPlan,
     stats: &Statistics,
@@ -692,42 +690,21 @@ pub fn estimate_physical(
     };
     use excess_core::physical::PhysOp;
     for (path, choice) in &plan.choices {
-        match &choice.op {
-            PhysOp::HashEquiJoin { .. } => {
-                let at = |suffix: &[usize]| estimate_under(&nodes, path, suffix);
-                let (Some(j), Some(l), Some(r)) = (at(&[]), at(&[0]), at(&[1])) else {
-                    continue;
-                };
-                let pairs = l.rows * r.rows;
-                if pairs <= 0.0 {
-                    continue;
-                }
-                let per_pair = ((j.cost - l.cost - r.cost) / pairs).max(1.0);
-                let residual_per_pair = (per_pair - 1.0 - EQUI_CONJUNCT_COST).max(0.0);
-                let hash_work = l.rows + r.rows + j.rows * (1.0 + residual_per_pair);
-                est.cost -= (pairs * per_pair - hash_work).max(0.0);
-            }
-            PhysOp::HashProbeApply { .. } => {
-                // A is the apply's input, B the input of its body (the
-                // inner apply, whose rows are per outer element).
-                let at = |suffix: &[usize]| estimate_under(&nodes, path, suffix);
-                let (Some(a), Some(inner), Some(b)) = (at(&[0]), at(&[1]), at(&[1, 0])) else {
-                    continue;
-                };
-                if b.rows <= 0.0 {
-                    continue;
-                }
-                // The logical model runs the inner apply — B, then one
-                // scan plus the COMP per element of B — once per element
-                // of A.  The kernel evaluates B and the keys once and
-                // runs the COMP on the pairs that survive only.
-                let per_pair = ((inner.cost - b.cost) / b.rows).max(1.0);
-                let nested = a.rows * inner.cost;
-                let probe = b.cost + b.rows + a.rows + a.rows * inner.rows * per_pair;
-                est.cost -= (nested - probe).max(0.0);
-            }
-            _ => {}
+        if !matches!(choice.op, PhysOp::HashEquiJoin { .. }) {
+            continue;
         }
+        let at = |suffix: &[usize]| estimate_under(&nodes, path, suffix);
+        let (Some(j), Some(l), Some(r)) = (at(&[]), at(&[0]), at(&[1])) else {
+            continue;
+        };
+        let pairs = l.rows * r.rows;
+        if pairs <= 0.0 {
+            continue;
+        }
+        let per_pair = ((j.cost - l.cost - r.cost) / pairs).max(1.0);
+        let residual_per_pair = (per_pair - 1.0 - EQUI_CONJUNCT_COST).max(0.0);
+        let hash_work = l.rows + r.rows + j.rows * (1.0 + residual_per_pair);
+        est.cost -= (pairs * per_pair - hash_work).max(0.0);
     }
     est.cost = est.cost.max(0.0);
     est

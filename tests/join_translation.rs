@@ -12,7 +12,6 @@ mod common;
 
 use excess::algebra::canonical_form;
 use excess::algebra::expr::{CmpOp, Expr, Pred};
-use excess::algebra::physical::correlated_join;
 use excess::db::{value_json, Database, VersionedDb};
 use excess::types::{SchemaType, Value};
 use excess_workload::UniversityParams;
@@ -125,6 +124,15 @@ fn correlated(q: &Query) -> Expr {
 
 fn has_rel_join(e: &Expr) -> bool {
     matches!(e, Expr::RelJoin { .. }) || e.children().into_iter().any(has_rel_join)
+}
+
+/// `SET_APPLY[SET_APPLY[COMP[…](…)](…)](…)`: the correlated form of a
+/// two-variable join.
+fn is_correlated_join(e: &Expr) -> bool {
+    let Expr::SetApply { body, .. } = e else {
+        return false;
+    };
+    matches!(&**body, Expr::SetApply { body, .. } if matches!(**body, Expr::Comp { .. }))
 }
 
 fn canon_json(db: &Database, v: &Value) -> String {
@@ -449,7 +457,7 @@ fn a_subtype_attribute_that_clashes_keeps_the_correlated_form() {
     let Expr::SetCollapse(nested) = &plan else {
         panic!("{plan}")
     };
-    assert!(correlated_join(nested).is_some(), "{plan}");
+    assert!(is_correlated_join(nested), "{plan}");
 }
 
 #[test]
@@ -464,5 +472,5 @@ fn ref_extents_stay_correlated() {
     let Expr::SetCollapse(nested) = &plan else {
         panic!("{plan}")
     };
-    assert!(correlated_join(nested).is_some(), "{plan}");
+    assert!(is_correlated_join(nested), "{plan}");
 }

@@ -2,9 +2,8 @@
 //! running whatever row kernels the lowering chose — is canon-identical
 //! to `eval(p)`, the naive evaluator behind `Database::run_plan`:
 //!
-//! * for randomly generated join pipelines — `rel_join` spines and the
-//!   translator's correlated `SET_APPLY` joins alike — with `dne`/`unk`
-//!   and mixed-kind keys, duplicate-heavy sides and stale plans;
+//! * for randomly generated `rel_join` pipelines with `dne`/`unk` and
+//!   mixed-kind keys, duplicate-heavy sides and stale plans;
 //! * for the rewrite-seed battery, a per-operator battery (the array
 //!   algebra element for element, order included), the F6–F11 figure
 //!   plans, skewed and empty inputs, random multiset pipelines (counters
@@ -20,11 +19,11 @@ use excess::algebra::canon::equal_modulo_identity;
 use excess::algebra::canonical_form;
 use excess::algebra::expr::{Bound, CmpOp, Expr, Func, Pred};
 use excess::algebra::physical::{PhysOp, PhysicalPlan};
-use excess::algebra::Counters;
 use excess::db::{Database, Tracing};
 use excess::types::{MultiSet, Null, SchemaType, Value};
 use excess_bench::example1::{example1_db, figure6, figure7, figure8};
 use excess_bench::example2::{example2_db, figure10, figure11, figure9};
+use excess_workload::{queries, UniversityParams};
 use proptest::prelude::*;
 
 /// The shape of one generated pipeline: optional filters around an
@@ -198,259 +197,12 @@ proptest! {
     }
 }
 
-/// A key no hash kernel may bucket on, put on one extra row of a side.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Taint {
-    Clean,
-    Dne,
-    Unk,
-    /// A tuple where every other key is a scalar.
-    MixedKind,
-}
-
-/// The correlated join the translator emits for a two-variable
-/// `retrieve … where L.k = R.j`, in the variations lowering must tell
-/// apart.
-#[derive(Debug, Clone)]
-enum Correlated {
-    /// `COMP[INPUT^2.k = INPUT^1.j]`.
-    Equi,
-    /// `COMP[INPUT^1.j = INPUT^2.k]`.
-    Flipped,
-    /// `… ∧ INPUT^1.w >= c`, `unk` where `w` is.
-    Residual(i32),
-    /// The inner input is `σ[w >= INPUT^1.v](R)`: it reads the outer
-    /// element, so evaluating it once would be wrong.
-    DependentInner,
-}
-
-/// What happens to the data *after* the plan was lowered, so that the
-/// kernel runs on inputs its statistics no longer describe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Stale {
-    Fresh,
-    EmptyOuter,
-    EmptyInner,
-    NullInner,
-}
-
-#[derive(Debug, Clone)]
-struct CorrelatedCase {
-    shape: Correlated,
-    l_taint: Taint,
-    r_taint: Taint,
-    /// One more `R` row with a usable key and an `unk` `w`.
-    unk_w: bool,
-    /// Every row twice: multiplicities above one on both sides.
-    doubled: bool,
-    stale: Stale,
-}
-
-fn arb_taint() -> impl Strategy<Value = Taint> {
-    prop_oneof![
-        Just(Taint::Clean),
-        Just(Taint::Clean),
-        Just(Taint::Clean),
-        Just(Taint::Dne),
-        Just(Taint::Unk),
-        Just(Taint::MixedKind),
-    ]
-}
-
-fn arb_correlated() -> impl Strategy<Value = CorrelatedCase> {
-    (
-        prop_oneof![
-            Just(Correlated::Equi),
-            Just(Correlated::Flipped),
-            (-2i32..6).prop_map(Correlated::Residual),
-            (-2i32..6).prop_map(Correlated::Residual),
-            Just(Correlated::DependentInner),
-        ],
-        (arb_taint(), arb_taint()),
-        (any::<bool>(), any::<bool>()),
-        prop_oneof![
-            Just(Stale::Fresh),
-            Just(Stale::Fresh),
-            Just(Stale::Fresh),
-            Just(Stale::EmptyOuter),
-            Just(Stale::EmptyInner),
-            Just(Stale::NullInner),
-        ],
-    )
-        .prop_map(
-            |(shape, (l_taint, r_taint), (unk_w, doubled), stale)| CorrelatedCase {
-                shape,
-                l_taint,
-                r_taint,
-                unk_w,
-                doubled,
-                stale,
-            },
-        )
-}
-
-fn build_correlated(shape: &Correlated) -> Expr {
-    let (outer_k, inner_j) = (
-        Expr::input_at(2).extract("k"),
-        Expr::input_at(1).extract("j"),
-    );
-    let theta = match shape {
-        Correlated::Flipped => Pred::cmp(inner_j, CmpOp::Eq, outer_k),
-        _ => Pred::cmp(outer_k, CmpOp::Eq, inner_j),
-    };
-    let theta = match shape {
-        Correlated::Residual(c) => theta.and(Pred::cmp(
-            Expr::input_at(1).extract("w"),
-            CmpOp::Ge,
-            Expr::int(*c),
-        )),
-        _ => theta,
-    };
-    let inner = match shape {
-        Correlated::DependentInner => Expr::named("R").select(Pred::cmp(
-            Expr::input().extract("w"),
-            CmpOp::Ge,
-            Expr::input_at(1).extract("v"),
-        )),
-        _ => Expr::named("R"),
-    };
-    let pair = Expr::input_at(1)
-        .extract("v")
-        .make_tup("v")
-        .tup_cat(Expr::input().extract("w").make_tup("w"));
-    Expr::named("L").set_apply(inner.set_apply(pair.comp(theta)))
-}
-
 /// `{ (key: int4, val: int4) }`.
 fn schema(key: &str, val: &str) -> SchemaType {
     SchemaType::set(SchemaType::tuple([
         (key, SchemaType::int4()),
         (val, SchemaType::int4()),
     ]))
-}
-
-fn tainted_key(taint: Taint) -> Option<Value> {
-    match taint {
-        Taint::Clean => None,
-        Taint::Dne => Some(Value::dne()),
-        Taint::Unk => Some(Value::unk()),
-        Taint::MixedKind => Some(Value::tuple([("x", Value::int(1))])),
-    }
-}
-
-fn correlated_database(case: &CorrelatedCase, l: &[(i32, i32)], r: &[(i32, i32)]) -> Database {
-    let side = |key: &str, val: &str, rows: &[(i32, i32)], extra: Vec<Value>| {
-        let rows: Vec<Value> = rows
-            .iter()
-            .map(|&(k, v)| Value::tuple([(key, Value::int(k)), (val, Value::int(v))]))
-            .chain(extra)
-            .collect();
-        let copies = if case.doubled { 2 } else { 1 };
-        Value::set(rows.iter().cycle().take(rows.len() * copies).cloned())
-    };
-    let l_extra = tainted_key(case.l_taint).map(|k| Value::tuple([("k", k), ("v", Value::int(3))]));
-    let r_extra = tainted_key(case.r_taint)
-        .map(|j| Value::tuple([("j", j), ("w", Value::int(3))]))
-        .into_iter()
-        .chain(
-            case.unk_w
-                .then(|| Value::tuple([("j", Value::int(r[0].0)), ("w", Value::unk())])),
-        );
-    let mut db = Database::new();
-    db.optimize = false;
-    db.put_object(
-        "L",
-        schema("k", "v"),
-        side("k", "v", l, l_extra.into_iter().collect()),
-    );
-    db.put_object("R", schema("j", "w"), side("j", "w", r, r_extra.collect()));
-    db.collect_stats();
-    db
-}
-
-fn go_stale(db: &mut Database, stale: Stale) {
-    match stale {
-        Stale::Fresh => {}
-        Stale::EmptyOuter => db.put_object("L", schema("k", "v"), Value::set([])),
-        Stale::EmptyInner => db.put_object("R", schema("j", "w"), Value::set([])),
-        Stale::NullInner => db.put_object("R", schema("j", "w"), Value::unk()),
-    }
-}
-
-/// The differential check behind `correlated_joins_are_canon_identical`
-/// (a plain function: the vendored `proptest!` cannot take a long body).
-fn check_correlated(case: &CorrelatedCase, l: &[(i32, i32)], r: &[(i32, i32)]) {
-    let plan = build_correlated(&case.shape);
-    let mut db = correlated_database(case, l, r);
-    let (physical, journal) = db.lower_plan(&plan);
-    assert_eq!(physical.logical, plan, "lowering altered the tree");
-    go_stale(&mut db, case.stale);
-    let logical = db.run_plan(&plan).unwrap();
-    let nested: Counters = db.last_counters();
-    let oracle = canonical_form(&logical, db.store());
-
-    let root = &physical.choices[&Vec::new()];
-    let probing = matches!(root.op, PhysOp::HashProbeApply { .. });
-    if matches!(case.shape, Correlated::DependentInner) {
-        assert!(!probing, "{case:?}: a dependent inner input was hoisted");
-        assert!(
-            journal.refused.iter().any(|s| s
-                .reason
-                .contains("HashProbeApply refused: inner input depends on the outer element")),
-            "{:?}",
-            journal.refused
-        );
-    } else {
-        // Statistics were collected on 8+ × 8+ rows with spread keys.
-        assert!(probing, "{case:?}: {} ({})", root.op, root.why);
-    }
-
-    let ran = db.run_lowered(&physical, Tracing::Precise).unwrap();
-    assert_eq!(
-        oracle,
-        canonical_form(&ran.value, db.store()),
-        "physical run diverged on {case:?}"
-    );
-    let profile = ran.profile.expect("tracing was on");
-    assert_eq!(profile.total, ran.counters, "{case:?}");
-    assert_eq!(profile.sum_of_self_counters(), ran.counters, "{case:?}");
-
-    // The runtime guard's refusals — and an outer input that turns out
-    // empty — are the nested loop to the last counter; a probe that runs
-    // does no more of anything than the loop.
-    let guard_refuses = case.l_taint != Taint::Clean
-        || (case.r_taint != Taint::Clean && case.stale != Stale::EmptyInner)
-        || case.stale == Stale::NullInner;
-    if !probing || guard_refuses || case.stale == Stale::EmptyOuter {
-        assert_eq!(ran.counters, nested, "{case:?}");
-    } else {
-        for ((name, probed), (_, looped)) in ran
-            .counters
-            .named_fields()
-            .iter()
-            .zip(nested.named_fields())
-        {
-            assert!(*probed <= looped, "{case:?}: {name} {probed} > {looped}");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    // The correlated join against the naive evaluator: `dne`/`unk` and
-    // mixed-kind keys on either side, duplicate-heavy sides, a residual
-    // conjunct that is `unk`, a plan gone stale (an empty or null input
-    // where its statistics promised rows), and an inner input that must
-    // not be hoisted.
-    #[test]
-    fn correlated_joins_are_canon_identical(
-        case in arb_correlated(),
-        l in prop::collection::vec((0i32..6, -4i32..8), 8..20),
-        r in prop::collection::vec((0i32..6, -4i32..8), 8..14)
-    ) {
-        check_correlated(&case, &l, &r);
-    }
 }
 
 /// With dense inputs and a hashable predicate, lowering must actually
@@ -804,6 +556,27 @@ fn figure_plans_lowered_match_the_naive_evaluator() {
     for plan in [figure9(), figure10(), figure11()] {
         assert_lowered_matches(ex2, &plan);
     }
+    // Example 1 as translated over the Figure 1 university: its ref
+    // extents keep the correlated form, no join kernel is refused, and
+    // the outer apply runs as the nested loop it is written as.
+    let university = || common::served_university(&UniversityParams::tiny());
+    let mut db = university();
+    let plan = common::plan_of(&mut db, queries::EXAMPLE1);
+    let (physical, journal) = db.lower_plan(&plan);
+    assert_eq!(journal.refused, Vec::new(), "{plan}");
+    let outer: Vec<_> = physical
+        .choices
+        .iter()
+        .filter(|(path, _)| {
+            matches!(physical.node_at(path), Some(Expr::SetApply { body, .. })
+                if matches!(**body, Expr::SetApply { .. }))
+        })
+        .collect();
+    let [(_, apply)] = outer[..] else {
+        panic!("{}", physical.render())
+    };
+    assert_eq!(apply.op, PhysOp::PassThrough, "{}", physical.render());
+    assert_lowered_matches(university, &plan);
 }
 
 /// Every occurrence on one key: one group, and a join whose every pair

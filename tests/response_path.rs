@@ -157,14 +157,14 @@ fn analytic_joins_allocate_what_the_paper_s_join_needs() {
 #[test]
 fn every_served_kind_s_hit_allocations_are_pinned() {
     const MIX_PINS: [(&str, u64); 9] = [
-        ("f6", 1_302),
+        ("f6", 1_282),
         ("f7", 750),
         ("f8", 243),
         ("f9", 616),
         ("f10", 262),
         ("f11", 1_620),
-        ("join_project", 4_146),
-        ("join_agg", 1_572),
+        ("join_project", 3_966),
+        ("join_agg", 1_502),
         ("e1_probe", 170),
     ];
     const UNIVERSITY_PINS: [(&str, u64); 5] = [
