@@ -31,6 +31,7 @@ use crate::ops::{aggregate, array, predicate};
 use crate::physical::RowKernel;
 use crate::profile::{Profile, TraceSink};
 use excess_types::{domain, Date, MultiSet, ObjectStore, TypeId, TypeRegistry, Value};
+use std::sync::Arc;
 
 /// Everything evaluation needs besides the expression: the type registry,
 /// the (mutable — REF mints) object store, the catalog of named objects,
@@ -53,9 +54,10 @@ pub struct EvalCtx<'a> {
     pub trace: Option<Box<TraceSink>>,
     /// Pointer-keyed row-kernel table, installed by
     /// [`crate::physical::evaluate_physical`]: maps the address of a
-    /// `rel_join` or `SET_APPLY` node to its hash kernel.
+    /// `rel_join` or `SET_APPLY` node to its hash kernel, shared so that
+    /// a lookup is one reference count.
     /// `None` (the default) means every join runs as a nested loop.
-    pub(crate) row_kernels: Option<std::collections::HashMap<usize, RowKernel>>,
+    pub(crate) row_kernels: Option<std::collections::HashMap<usize, Arc<RowKernel>>>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -80,16 +82,6 @@ impl<'a> EvalCtx<'a> {
     /// [`TraceSink`] replaces any previous recording.
     pub fn enable_tracing(&mut self) {
         self.trace = Some(Box::new(TraceSink::new()));
-    }
-
-    /// Like [`EvalCtx::enable_tracing`] but with coarse timestamps: the
-    /// profiler samples the clock once per traced node invocation instead
-    /// of twice, shrinking the observer effect on deep plans at the price
-    /// of blurring the wall-time split between a parent's self time and
-    /// its next child (counters stay exact; see
-    /// [`TraceSink::is_coarse`]).
-    pub fn enable_coarse_tracing(&mut self) {
-        self.trace = Some(Box::new(TraceSink::new_coarse()));
     }
 
     /// Stop tracing and return the recorded [`Profile`], or `None` when
@@ -148,7 +140,7 @@ pub fn eval(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<Val
 }
 
 /// The row kernel a lowered plan assigned to node `e`, if any.
-fn row_kernel(e: &Expr, ctx: &EvalCtx) -> Option<RowKernel> {
+fn row_kernel(e: &Expr, ctx: &EvalCtx) -> Option<Arc<RowKernel>> {
     ctx.row_kernels
         .as_ref()?
         .get(&(e as *const Expr as usize))
@@ -200,29 +192,29 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             // fused join-apply over its hash-joined input (untraced runs
             // only).  Its returning `None` is its runtime guard refusing,
             // and the join then the apply run as if it had never tried.
-            if let (
-                Some(RowKernel::JoinApply {
+            if let (Some(kernel), Expr::RelJoin { left, right, pred }, true) =
+                (row_kernel(e, ctx), &**input, ctx.trace.is_none())
+            {
+                if let RowKernel::JoinApply {
                     left_key,
                     right_key,
                     pair,
-                }),
-                Expr::RelJoin { left, right, pred },
-                true,
-            ) = (row_kernel(e, ctx), &**input, ctx.trace.is_none())
-            {
-                let (a, b) = (eval(left, env, ctx)?, eval(right, env, ctx)?);
-                let (sa, sb) = match join_inputs(a, b)? {
-                    Ok(sets) => sets,
-                    Err(null) => return Ok(null),
-                };
-                let fused = crate::physical::hash_join_apply(
-                    &sa, &sb, &left_key, &right_key, body, &pair, env, ctx,
-                );
-                if let Some(out) = fused {
-                    return Ok(Value::Set(out));
+                } = &*kernel
+                {
+                    let (a, b) = (eval(left, env, ctx)?, eval(right, env, ctx)?);
+                    let (sa, sb) = match join_inputs(a, b)? {
+                        Ok(sets) => sets,
+                        Err(null) => return Ok(null),
+                    };
+                    let fused = crate::physical::hash_join_apply(
+                        &sa, &sb, left_key, right_key, body, pair, env, ctx,
+                    );
+                    if let Some(out) = fused {
+                        return Ok(Value::Set(out));
+                    }
+                    let joined = join_sets(input, &sa, &sb, pred, env, ctx)?;
+                    return apply_each(&joined, body, None, env, ctx);
                 }
-                let joined = join_sets(input, &sa, &sb, pred, env, ctx)?;
-                return apply_each(&joined, body, None, env, ctx);
             }
             let inv = eval(input, env, ctx)?;
             if inv.is_null() {
@@ -661,13 +653,15 @@ fn join_sets(
     // kernel; its runtime guard re-verifies the key side conditions and
     // reports `None` to fall back to the nested loop, so canon-identity
     // never rests on the statistics.
-    if let Some(RowKernel::HashJoin {
-        left_key: lf,
-        right_key: rf,
-    }) = row_kernel(e, ctx)
-    {
-        if let Some(out) = crate::physical::hash_equi_join(sa, sb, &lf, &rf, pred, env, ctx)? {
-            return Ok(out);
+    if let Some(kernel) = row_kernel(e, ctx) {
+        if let RowKernel::HashJoin {
+            left_key: lf,
+            right_key: rf,
+        } = &*kernel
+        {
+            if let Some(out) = crate::physical::hash_equi_join(sa, sb, lf, rf, pred, env, ctx)? {
+                return Ok(out);
+            }
         }
     }
     let mut out = MultiSet::new();

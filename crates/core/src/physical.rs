@@ -184,7 +184,7 @@ impl fmt::Debug for PhysicalPlan {
 
 /// A row kernel resolved to one node of the plan being evaluated (the
 /// entries of [`EvalCtx`]'s pointer-keyed kernel table).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum RowKernel {
     /// [`hash_equi_join`] on a `rel_join` node.
     HashJoin { left_key: String, right_key: String },
@@ -194,7 +194,7 @@ pub(crate) enum RowKernel {
     JoinApply {
         left_key: String,
         right_key: String,
-        pair: Arc<PairRead>,
+        pair: PairRead,
     },
 }
 
@@ -316,7 +316,7 @@ impl PhysicalPlan {
     /// names is dropped.  A hash-joined `rel_join` that is the input of an
     /// unfiltered `SET_APPLY` whose body and residual compile to a
     /// [`PairRead`] also gives that apply the fused [`RowKernel::JoinApply`].
-    fn kernel_table(&self) -> HashMap<usize, RowKernel> {
+    fn kernel_table(&self) -> HashMap<usize, Arc<RowKernel>> {
         let mut table = HashMap::new();
         for (path, choice) in &self.choices {
             let (
@@ -331,10 +331,10 @@ impl PhysicalPlan {
             };
             table.insert(
                 join as *const Expr as usize,
-                RowKernel::HashJoin {
+                Arc::new(RowKernel::HashJoin {
                     left_key: left_key.clone(),
                     right_key: right_key.clone(),
-                },
+                }),
             );
             let Some((0, parent)) = path.split_last() else {
                 continue;
@@ -350,11 +350,11 @@ impl PhysicalPlan {
                 if let Some(pair) = PairRead::compile(body, pred, left_key, right_key) {
                     table.insert(
                         apply as *const Expr as usize,
-                        RowKernel::JoinApply {
+                        Arc::new(RowKernel::JoinApply {
                             left_key: left_key.clone(),
                             right_key: right_key.clone(),
-                            pair: Arc::new(pair),
-                        },
+                            pair,
+                        }),
                     );
                 }
             }
@@ -1051,7 +1051,8 @@ mod tests {
         let pair_of = |pred: Pred, body: Expr| {
             let pp = fused_plan(pred, body);
             let apply = &pp.logical as *const Expr as usize;
-            match pp.kernel_table().remove(&apply) {
+            let kernel = pp.kernel_table().remove(&apply);
+            match kernel.map(|k| Arc::try_unwrap(k).expect("the table's only owner")) {
                 Some(RowKernel::JoinApply { pair, .. }) => Some(pair),
                 None => None,
                 Some(other) => panic!("not the fused kernel: {other:?}"),

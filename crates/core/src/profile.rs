@@ -96,15 +96,6 @@ pub struct TraceSink {
     total: Counters,
     /// Wall time over all root evaluations.
     total_wall: Duration,
-    /// Coarse-timestamp mode: sample the clock once per invocation (at
-    /// exit) instead of twice, halving the observer effect for deep plans.
-    /// A frame's entry time is approximated by the most recent clock
-    /// sample, so any parent self-work since the previous exit is
-    /// attributed to the next child — acceptable drift when node count,
-    /// not per-node precision, dominates tracing overhead.
-    coarse: bool,
-    /// Most recent clock sample (coarse mode's stand-in for entry times).
-    last_stamp: Instant,
 }
 
 impl Default for TraceSink {
@@ -117,32 +108,12 @@ impl TraceSink {
     /// An empty sink, ready to record with exact per-frame timestamps
     /// (two clock samples per invocation).
     pub fn new() -> Self {
-        Self::with_mode(false)
-    }
-
-    /// An empty sink in coarse-timestamp mode: one clock sample per
-    /// invocation (see [`TraceSink::is_coarse`] for the trade-off).
-    pub fn new_coarse() -> Self {
-        Self::with_mode(true)
-    }
-
-    fn with_mode(coarse: bool) -> Self {
         TraceSink {
             stack: Vec::new(),
             nodes: BTreeMap::new(),
             total: Counters::new(),
             total_wall: Duration::ZERO,
-            coarse,
-            last_stamp: Instant::now(),
         }
-    }
-
-    /// `true` when this sink samples the clock once per invocation (at
-    /// exit) rather than at both enter and exit.  Counters are exact in
-    /// both modes; only the wall-time split between a parent's self time
-    /// and its next child blurs in coarse mode.
-    pub fn is_coarse(&self) -> bool {
-        self.coarse
     }
 
     /// Open a frame for `e`.  `counters` is the global counter state at
@@ -164,17 +135,12 @@ impl TraceSink {
         let child_ptrs: Vec<*const Expr> =
             e.children().into_iter().map(|c| c as *const Expr).collect();
         let detached_slot = child_ptrs.len();
-        let entry_instant = if self.coarse {
-            self.last_stamp
-        } else {
-            Instant::now()
-        };
         self.stack.push(Frame {
             path,
             child_ptrs,
             detached_slot,
             entry_counters: counters,
-            entry_instant,
+            entry_instant: Instant::now(),
             child_counters: Counters::new(),
             child_wall: Duration::ZERO,
             rows_in: 0,
@@ -194,14 +160,7 @@ impl TraceSink {
         assert_eq!(token.0, self.stack.len(), "mismatched TraceSink enter/exit");
         let frame = self.stack.pop().expect("token guarantees a frame");
         let inclusive = counters.diff(&frame.entry_counters);
-        let wall = if self.coarse {
-            let now = Instant::now();
-            let wall = now.duration_since(frame.entry_instant);
-            self.last_stamp = now;
-            wall
-        } else {
-            frame.entry_instant.elapsed()
-        };
+        let wall = frame.entry_instant.elapsed();
         let self_counters = inclusive.diff(&frame.child_counters);
         let self_wall = wall.saturating_sub(frame.child_wall);
         let rows_out = match result {
@@ -405,27 +364,6 @@ mod tests {
 
         assert_eq!(out_plain, out_traced);
         assert_eq!(plain.counters, traced.counters);
-    }
-
-    #[test]
-    fn coarse_mode_keeps_counters_exact() {
-        let reg = TypeRegistry::new();
-        let mut store = ObjectStore::new();
-        let cat: HashMap<String, Value> = HashMap::new();
-        let mut ctx = EvalCtx::new(&reg, &mut store, &cat);
-        ctx.enable_coarse_tracing();
-
-        let plan = Expr::lit(ints(0..20)).set_apply(Expr::input()).dup_elim();
-        evaluate(&plan, &mut ctx).unwrap();
-        let global = ctx.counters;
-        let profile = ctx.take_profile().unwrap();
-        // Counters are sampled identically in both modes; only wall-time
-        // attribution coarsens.
-        assert_eq!(profile.total, global);
-        assert_eq!(profile.sum_of_self_counters(), global);
-        let root = profile.root().unwrap();
-        assert_eq!(root.label, "DE");
-        assert_eq!(root.self_counters.de_input_occurrences, 20);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use crate::catalog::{extent_view_name, DbCatalog};
 use crate::error::{DbError, DbResult};
-use crate::metrics::SessionMetrics;
 use crate::pipeline::{self, Options, Source, View};
 use crate::stats::{changed_counts, Sketches};
 use excess_core::counters::Counters;
@@ -87,7 +86,6 @@ struct Procedure {
 struct Parts<'a> {
     view: View<'a>,
     store: &'a mut ObjectStore,
-    metrics: &'a mut SessionMetrics,
     telemetry: &'a mut Telemetry,
 }
 
@@ -123,7 +121,6 @@ pub struct Database {
     /// Memo picture of the last plan search.
     last_memo: Option<MemoSnapshot>,
     last_counters: Counters,
-    metrics: SessionMetrics,
     telemetry: Telemetry,
 }
 
@@ -136,7 +133,7 @@ impl Default for Database {
 impl Database {
     /// An empty database.
     pub fn new() -> Self {
-        let mut db = Database {
+        Database {
             registry: Arc::new(TypeRegistry::new()),
             store: ObjectStore::new(),
             catalog: DbCatalog::new(),
@@ -148,25 +145,8 @@ impl Database {
             optimize: true,
             last_memo: None,
             last_counters: Counters::new(),
-            metrics: SessionMetrics::new(),
             telemetry: Telemetry::new(),
-        };
-        // Flight-recorder tuning is parsed purely, then warned about: bad
-        // values fall back to the defaults and surface in `.metrics` / the
-        // JSON snapshot instead of being silently ignored.
-        let rec = excess_telemetry::RecorderSettings::from_env();
-        for w in rec.warnings.clone() {
-            db.warn(w);
         }
-        db.telemetry.recorder = rec.build();
-        db
-    }
-
-    /// Record a configuration warning in both the session metrics and the
-    /// telemetry registry (`config.warnings` counter).
-    fn warn(&mut self, warning: String) {
-        self.telemetry.registry.inc("config.warnings");
-        self.metrics.record_warning(warning);
     }
 
     // ----- accessors (used by examples and benchmarks) -----
@@ -221,20 +201,15 @@ impl Database {
     pub fn last_counters(&self) -> Counters {
         self.last_counters
     }
-    /// Cumulative per-session metrics (queries, counters, rule firings).
-    pub fn metrics(&self) -> &SessionMetrics {
-        &self.metrics
-    }
-    /// Zero the session metrics registry.
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
-    }
 
     // ----- telemetry -----
 
     /// The session telemetry: metric registry, latency histograms and
-    /// flight recorder.  The registry and recorder are always on; span
-    /// traces are opt-in via [`Database::enable_query_spans`].
+    /// flight recorder.  The registry is the one metrics store — every
+    /// evaluation's `queries` and `work.*`, every journaled optimization's
+    /// `optimizer.*` and `rules.<name>.fired` — and it and the recorder
+    /// are always on; span traces are opt-in via
+    /// [`Database::enable_query_spans`].
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -467,7 +442,6 @@ impl Database {
                 ranges: &self.ranges,
             },
             store: &mut self.store,
-            metrics: &mut self.metrics,
             telemetry: &mut self.telemetry,
         }
     }
@@ -509,12 +483,12 @@ impl Database {
     /// tally, any rewrites the soundness gate refused, and the final
     /// extent-index substitution phase under the rule name
     /// `extent-index-substitution`.  The memo's group picture is retained
-    /// for [`Database::last_memo`].  The run is folded into the session
-    /// [`SessionMetrics`].
+    /// for [`Database::last_memo`].  The run is folded into the telemetry
+    /// registry (`optimizer.*`, `rules.<name>.fired`).
     pub fn optimize_plan_journaled(&mut self, plan: &Expr) -> (Expr, RewriteJournal) {
         let (best, journal, memo) = pipeline::search(&self.view(), plan);
         self.last_memo = Some(memo);
-        self.metrics.record_journal(&journal);
+        pipeline::record_journal(&mut self.telemetry.registry, &journal);
         (best, journal)
     }
 
@@ -526,11 +500,11 @@ impl Database {
     /// the soundness story.  The journal records one accepted step under
     /// `physical-lowering` (logical cost before, physical cost after) plus
     /// one refused step per join that stayed a nested loop and why.  The
-    /// journal is folded into the session [`SessionMetrics`], so lowering
-    /// shows up in `rules_fired` next to the algebraic rules.
+    /// journal is folded into the telemetry registry, so lowering shows up
+    /// as `rules.physical-lowering.fired` next to the algebraic rules.
     pub fn lower_plan(&mut self, plan: &Expr) -> (PhysicalPlan, RewriteJournal) {
         let (physical, journal) = pipeline::lower(&self.view(), plan);
-        self.metrics.record_journal(&journal);
+        pipeline::record_journal(&mut self.telemetry.registry, &journal);
         (physical, journal)
     }
 
@@ -555,7 +529,7 @@ impl Database {
         let opts = self.options();
         let p = self.parts();
         let mut outcome = pipeline::run(p.view, p.store, opts, label, source, None)?;
-        pipeline::record(&mut outcome, label, p.metrics, p.telemetry);
+        pipeline::record(&mut outcome, label, p.telemetry);
         self.last_memo = outcome.memo;
         self.last_counters = outcome.ran.counters;
         Ok((outcome.ran.value, outcome.schema))
@@ -651,15 +625,15 @@ impl Database {
         out
     }
 
-    /// Evaluate a plan against the database, recording work counters.
+    /// Evaluate a plan against the database, recording work counters
+    /// (`queries` and `work.*` in the telemetry registry).
     pub fn run_plan(&mut self, plan: &Expr) -> DbResult<Value> {
-        let started = Instant::now();
         let (out, counters) = {
             let mut ctx = EvalCtx::new(&self.registry, &mut self.store, &self.catalog);
             (evaluate(plan, &mut ctx), ctx.counters)
         };
         self.last_counters = counters;
-        self.metrics.record_query(counters, started.elapsed());
+        pipeline::record_work(&mut self.telemetry.registry, counters);
         Ok(out?)
     }
 
@@ -668,13 +642,13 @@ impl Database {
     /// evaluates exactly as [`Database::run_plan`] — a plan with no
     /// choices (`PhysicalPlan::passthrough`) *is* `run_plan`.  `tracing`
     /// selects per-operator profiling; it changes neither results nor
-    /// counters.  Counters and session metrics are recorded.
+    /// counters.  Counters are recorded as [`Database::run_plan`] records
+    /// them.
     pub fn run_lowered(&mut self, plan: &PhysicalPlan, tracing: Tracing) -> DbResult<ExecOutcome> {
-        let started = Instant::now();
         let p = self.parts();
         let out = pipeline::execute(&p.view, p.store, plan, tracing)?;
+        pipeline::record_work(&mut p.telemetry.registry, out.counters);
         self.last_counters = out.counters;
-        self.metrics.record_query(out.counters, started.elapsed());
         Ok(out)
     }
 

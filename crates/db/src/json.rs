@@ -2,12 +2,11 @@
 //!
 //! The workspace deliberately has no serialization dependency, so —
 //! matching the spirit of [`format`](crate::format)'s hand-rolled table
-//! renderer — profiles, rewrite journals, and session metrics are turned
+//! renderer — profiles, rewrite journals, and verifier reports are turned
 //! into JSON with plain string building.  Output is deterministic
 //! (field order fixed, maps iterated in `BTreeMap` order) so benchmark
 //! artifacts diff cleanly across runs.
 
-use crate::metrics::SessionMetrics;
 use excess_core::counters::Counters;
 use excess_core::profile::Profile;
 use excess_core::verify::Report;
@@ -196,35 +195,9 @@ pub fn verify_json(r: &Report) -> String {
     )
 }
 
-/// Serialize the cumulative [`SessionMetrics`] registry.
-pub fn metrics_json(m: &SessionMetrics) -> String {
-    let rules: Vec<String> = m
-        .rules_fired
-        .iter()
-        .map(|(rule, n)| format!("{}:{}", quoted(rule), n))
-        .collect();
-    let warnings: Vec<String> = m.warnings.iter().map(|w| quoted(w)).collect();
-    format!(
-        "{{\"queries\":{},\"eval_ms\":{},\"counters\":{},\"optimizations\":{},\
-         \"rewrites_applied\":{},\"rewrites_refused\":{},\"plans_enumerated\":{},\
-         \"cost_removed\":{},\"rules_fired\":{{{}}},\"warnings\":[{}]}}",
-        m.queries,
-        millis(m.eval_wall),
-        counters_json(&m.counters),
-        m.optimizations,
-        m.rewrites_applied,
-        m.rewrites_refused,
-        m.plans_enumerated,
-        number(m.cost_removed),
-        rules.join(","),
-        warnings.join(",")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn escape_handles_quotes_and_control_chars() {
@@ -249,14 +222,5 @@ mod tests {
     fn non_finite_costs_become_null() {
         assert_eq!(number(f64::INFINITY), "null");
         assert_eq!(number(2.5), "2.5");
-    }
-
-    #[test]
-    fn metrics_json_is_well_formed() {
-        let mut m = SessionMetrics::new();
-        m.record_query(Counters::new(), Duration::from_millis(1));
-        let j = metrics_json(&m);
-        assert!(j.contains("\"queries\":1"), "{j}");
-        assert!(j.contains("\"rules_fired\":{}"), "{j}");
     }
 }

@@ -28,7 +28,6 @@ pub mod error;
 pub mod explain;
 pub mod format;
 pub mod json;
-pub mod metrics;
 mod pipeline;
 mod plan_cache;
 pub mod session;
@@ -40,7 +39,7 @@ pub use error::{DbError, DbResult};
 pub use explain::render_explain_analyze;
 pub use format::{format_result, try_table};
 pub use json::{
-    counters_json, escape_json, journal_json, metrics_json, profile_json, value_json, verify_json,
+    counters_json, escape_json, journal_json, profile_json, value_json, verify_json,
     write_value_json,
 };
 pub use session::{CommitBatch, Generation, QueryOutcome, ServerStats, Session, VersionedDb};
@@ -55,5 +54,4 @@ pub use excess_optimizer::MemoSnapshot;
 pub use excess_telemetry::{
     FlightRecorder, Histogram, QueryRecord, QueryTrace, Registry, Span, Telemetry,
 };
-pub use metrics::SessionMetrics;
 pub use stats::collect_object_statistics;

@@ -17,13 +17,12 @@
 //! — and the one caller that hands in a [`PlanCache`](crate::plan_cache):
 //! a translated plan it already holds a still-valid plan for goes from
 //! `translate` straight to `execute`.
-//! [`record`] folds an [`Outcome`] into the caller's metrics and
-//! telemetry.
+//! [`record`] folds an [`Outcome`] into the caller's telemetry.
 
 use crate::catalog::DbCatalog;
 use crate::error::DbResult;
-use crate::metrics::SessionMetrics;
 use crate::plan_cache::{CacheRef, CacheUse, Planned};
+use excess_core::counters::Counters;
 use excess_core::expr::Expr;
 use excess_core::physical::{PhysOp, PhysicalPlan};
 use excess_core::profile::{path_string, NodePath, Profile};
@@ -35,12 +34,12 @@ use excess_optimizer::{
     apply_extent_indexes_journaled, cost_of, lower_journaled, MemoSnapshot, Optimizer,
     RewriteJournal, RuleCtx, Statistics,
 };
-use excess_telemetry::{Fnv1a64, QueryRecord, QueryTrace, Span, Telemetry};
+use excess_telemetry::{Fnv1a64, QueryRecord, QueryTrace, Registry, Span, Telemetry};
 use excess_types::{ObjectStore, SchemaType, TypeRegistry, Value};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Occurrences in a query result (what the flight recorder reports as
 /// `rows`): multiset cardinality with duplicates, array length, 1 for
@@ -466,7 +465,7 @@ const PHASE_METRICS: [(&str, &str); 7] = [
     ("execute", "phase.execute_us"),
 ];
 
-/// The counter each [`Counters`](excess_core::counters::Counters) field is
+/// The counter each [`Counters`] field is
 /// added to, in `named_fields` order.
 const WORK_METRICS: [&str; 8] = [
     "work.occurrences_scanned",
@@ -479,29 +478,51 @@ const WORK_METRICS: [&str; 8] = [
     "work.pairs_formed",
 ];
 
-/// Fold one run into a caller's metrics and telemetry: journals and work
-/// counters into the [`SessionMetrics`]; query counts, latency and phase
-/// histograms, work counters, the plan cache's answer, a flight-recorder
-/// [`QueryRecord`] and the span tree (taken out of `outcome`) into the
-/// [`Telemetry`].
-pub(crate) fn record(
-    outcome: &mut Outcome,
-    label: &str,
-    metrics: &mut SessionMetrics,
-    telemetry: &mut Telemetry,
-) {
-    for journal in &outcome.journals {
-        metrics.record_journal(journal);
+/// Fold one evaluation into `registry`: `queries` and the `work.*`
+/// counters.  A pipeline run records this through [`record`];
+/// `Database::run_plan` and `run_lowered` record it alone.
+pub(crate) fn record_work(registry: &mut Registry, counters: Counters) {
+    registry.inc("queries");
+    for (metric, (_, v)) in WORK_METRICS.iter().zip(counters.named_fields()) {
+        registry.add(metric, v);
     }
-    let execute_us = outcome.phase_us.last().map_or(0, |(_, us)| *us);
-    metrics.record_query(outcome.ran.counters, Duration::from_micros(execute_us));
+}
 
+/// Fold one rewrite journal — a search's or a lowering's — into
+/// `registry`: `optimizer.runs`, the accepted and refused rewrites, the
+/// plans enumerated, the estimated cost removed (rounded; a run that
+/// raised the estimate removes nothing) and `rules.<name>.fired` per
+/// accepted step.  Only a plan-cache miss has a journal, so only a miss
+/// formats a rule's name.
+pub(crate) fn record_journal(registry: &mut Registry, journal: &RewriteJournal) {
+    registry.inc("optimizer.runs");
+    registry.add("optimizer.rewrites.applied", journal.steps.len() as u64);
+    registry.add("optimizer.rewrites.refused", journal.refused.len() as u64);
+    registry.add(
+        "optimizer.plans_enumerated",
+        journal.plans_enumerated as u64,
+    );
+    let removed = (journal.initial_cost - journal.final_cost).max(0.0);
+    registry.add("optimizer.cost_removed", removed.round() as u64);
+    for step in &journal.steps {
+        registry.inc(&format!("rules.{}.fired", step.rule));
+    }
+}
+
+/// Fold one run into a caller's telemetry: its journals, query count,
+/// latency and phase histograms, work counters and the plan cache's
+/// answer into the registry, a flight-recorder [`QueryRecord`], and the
+/// span tree (taken out of `outcome`).
+pub(crate) fn record(outcome: &mut Outcome, label: &str, telemetry: &mut Telemetry) {
     let Planned {
         physical,
         plan_hash,
     } = &*outcome.planned;
     let registry = &mut telemetry.registry;
-    registry.inc("queries");
+    for journal in &outcome.journals {
+        record_journal(registry, journal);
+    }
+    record_work(registry, outcome.ran.counters);
     if let Some(cache) = outcome.cache {
         registry.inc(cache.metric());
     }
@@ -512,9 +533,6 @@ pub(crate) fn record(
             .find(|(name, _)| name == phase)
             .expect("every phase the timeline laps has a metric name");
         registry.observe(metric, *us);
-    }
-    for (metric, (_, v)) in WORK_METRICS.iter().zip(outcome.ran.counters.named_fields()) {
-        registry.add(metric, v);
     }
 
     telemetry.recorder.record(QueryRecord {
@@ -539,7 +557,6 @@ pub(crate) fn record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use excess_core::counters::Counters;
 
     /// The finished metric names are the ones the record path used to
     /// format: `phase.<name>_us` and `work.<field>`, field for field.

@@ -14,8 +14,8 @@
 //!   beyond that swap, and never see a half-applied batch.
 //! * [`Session`] — one client's view: a pinned generation, a scratch
 //!   object store for temporary OIDs minted during evaluation, session-
-//!   local `range of` declarations, and per-session metrics/telemetry
-//!   that fold into the database-wide registries when the session closes.
+//!   local `range of` declarations, and a per-session telemetry registry
+//!   that folds into the database-wide one when the session closes.
 //!
 //! # Write path
 //!
@@ -64,7 +64,6 @@
 use crate::catalog::DbCatalog;
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
-use crate::metrics::SessionMetrics;
 use crate::pipeline::{self, Options, Source, View};
 use crate::plan_cache::{CacheRef, PlanCache};
 use excess_core::expr::Expr;
@@ -72,7 +71,7 @@ use excess_lang::ast::{QExpr, Stmt};
 use excess_lang::methods::MethodRegistry;
 use excess_lang::parse_program;
 use excess_optimizer::{MemoSnapshot, Statistics};
-use excess_telemetry::{RecorderSettings, Registry, Telemetry};
+use excess_telemetry::{Registry, Telemetry};
 use excess_types::{ObjectStore, TypeRegistry, Value};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -262,7 +261,6 @@ struct SharedState {
     current: RwLock<Arc<Generation>>,
     tx: Mutex<Option<Sender<CommitRequest>>>,
     handle: Mutex<Option<JoinHandle<Database>>>,
-    global_metrics: Mutex<SessionMetrics>,
     global_registry: Mutex<Registry>,
     history: Mutex<Vec<CommitBatch>>,
     sessions_opened: AtomicU64,
@@ -298,7 +296,6 @@ impl VersionedDb {
             current: RwLock::new(gen0),
             tx: Mutex::new(Some(tx)),
             handle: Mutex::new(None),
-            global_metrics: Mutex::new(SessionMetrics::new()),
             global_registry: Mutex::new(Registry::new()),
             history: Mutex::new(Vec::new()),
             sessions_opened: AtomicU64::new(0),
@@ -338,8 +335,6 @@ impl VersionedDb {
         self.shared.sessions_opened.fetch_add(1, Ordering::Relaxed);
         let snapshot = self.current();
         let scratch = (*snapshot.store).clone();
-        let mut telemetry = Telemetry::new();
-        telemetry.recorder = RecorderSettings::from_env().build();
         Session {
             db: self.clone(),
             snapshot,
@@ -348,8 +343,7 @@ impl VersionedDb {
             optimize: true,
             plans: PlanCache::default(),
             last: None,
-            metrics: SessionMetrics::new(),
-            telemetry,
+            telemetry: Telemetry::new(),
             closed: false,
         }
     }
@@ -383,15 +377,6 @@ impl VersionedDb {
         self.shared.history.lock().expect("history lock").clone()
     }
 
-    /// Snapshot of the database-wide metrics (closed sessions merged).
-    pub fn global_metrics(&self) -> SessionMetrics {
-        self.shared
-            .global_metrics
-            .lock()
-            .expect("metrics lock")
-            .clone()
-    }
-
     /// Snapshot of the database-wide telemetry registry (closed sessions
     /// merged).
     pub fn global_registry(&self) -> Registry {
@@ -402,14 +387,9 @@ impl VersionedDb {
             .clone()
     }
 
-    /// Fold one session's metrics and telemetry registry into the
-    /// database-wide registries (what [`Session::close`] calls).
-    pub fn merge_session(&self, metrics: &SessionMetrics, registry: &Registry) {
-        self.shared
-            .global_metrics
-            .lock()
-            .expect("metrics lock")
-            .merge(metrics);
+    /// Fold one session's telemetry registry into the database-wide one
+    /// (what [`Session::close`] calls).
+    pub fn merge_session(&self, registry: &Registry) {
         self.shared
             .global_registry
             .lock()
@@ -639,7 +619,6 @@ pub struct Session {
     plans: PlanCache,
     /// What the last query's search left behind.
     last: Option<Last>,
-    metrics: SessionMetrics,
     telemetry: Telemetry,
     closed: bool,
 }
@@ -663,12 +642,8 @@ impl Session {
         &self.snapshot
     }
 
-    /// This session's cumulative metrics.
-    pub fn metrics(&self) -> &SessionMetrics {
-        &self.metrics
-    }
-
-    /// This session's telemetry (registry + flight recorder).
+    /// This session's telemetry: the registry — its one metrics store —
+    /// and the flight recorder.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -807,7 +782,7 @@ impl Session {
                     registry: &snapshot.registry,
                 }),
             )?;
-            pipeline::record(&mut outcome, label, &mut self.metrics, &mut self.telemetry);
+            pipeline::record(&mut outcome, label, &mut self.telemetry);
             last = Some(QueryOutcome {
                 value: outcome.ran.value,
                 rows: outcome.rows,
@@ -842,8 +817,8 @@ impl Session {
         Ok((value, generation))
     }
 
-    /// Close the session: fold its metrics and telemetry registry into
-    /// the database-wide registries.  Dropping a session does the same.
+    /// Close the session: fold its telemetry registry into the
+    /// database-wide one.  Dropping a session does the same.
     pub fn close(self) {}
 }
 
@@ -853,8 +828,7 @@ impl Drop for Session {
             return;
         }
         self.closed = true;
-        self.db
-            .merge_session(&self.metrics, &self.telemetry.registry);
+        self.db.merge_session(&self.telemetry.registry);
         self.db
             .shared
             .sessions_closed
@@ -1009,16 +983,11 @@ mod tests {
     }
 
     #[test]
-    fn closing_sessions_merges_metrics_into_the_global_registry() {
+    fn closing_a_session_is_counted() {
         let vdb = VersionedDb::new(seed());
-        let mut s = vdb.begin_session();
-        s.query("retrieve (DS.dname)").expect("query");
-        s.query("retrieve (DS.budget)").expect("query");
-        assert_eq!(vdb.global_metrics().queries, 0, "merge happens at close");
+        let s = vdb.begin_session();
+        assert_eq!(vdb.stats().sessions_closed, 0);
         s.close();
-        let merged = vdb.global_metrics();
-        assert_eq!(merged.queries, 2);
-        assert_eq!(vdb.global_registry().counter("queries"), 2);
         let stats = vdb.stats();
         assert_eq!(stats.sessions_opened, 1);
         assert_eq!(stats.sessions_closed, 1);

@@ -13,8 +13,9 @@
 //! * `.commit <program>` routes a write through the database's single
 //!   committer thread and re-pins the session to the generation it
 //!   published (read-your-writes).
-//! * Dot-commands expose the observability surface: `.metrics`,
-//!   `.telemetry`, `.generation`, `.refresh`, `.server`, `.close`.
+//! * Dot-commands expose the observability surface: `.telemetry` (the
+//!   session's one metrics registry and its flight recorder), `.memo`,
+//!   `.generation`, `.refresh`, `.server`, `.close`.
 //!
 //! The protocol is line-delimited both ways; embedded `\n` escapes in a
 //! request are expanded before parsing, so multi-line programs fit on

@@ -7,7 +7,6 @@
 //! |----------------------|------------------------------------------|
 //! | bare program text    | [`Session::query`] on the pinned snapshot |
 //! | `.commit <program>`  | [`Session::commit`] via the committer     |
-//! | `.metrics`           | this session's metrics as JSON            |
 //! | `.telemetry`         | this session's telemetry snapshot         |
 //! | `.generation`        | the pinned generation number              |
 //! | `.refresh`           | re-pin to the newest generation           |
@@ -22,7 +21,7 @@
 //! renders the search stored with the entry, prefixed `cached:`.
 
 use excess_db::session::ServerStats;
-use excess_db::{metrics_json, write_value_json, QueryOutcome, Session, VersionedDb};
+use excess_db::{write_value_json, QueryOutcome, Session, VersionedDb};
 
 use excess_core::json::{push_quoted, quote_json};
 use std::fmt::Write;
@@ -141,10 +140,6 @@ pub fn respond(db: &VersionedDb, session: &mut Session, line: &str) -> Response 
         });
     }
     match line {
-        ".metrics" => Response::keep(format!(
-            "{{\"ok\":true,\"metrics\":{}}}",
-            metrics_json(session.metrics())
-        )),
         ".telemetry" => Response::keep(format!(
             "{{\"ok\":true,\"telemetry\":{}}}",
             session.telemetry().snapshot_json()
@@ -279,19 +274,14 @@ mod tests {
         let db = vdb();
         let mut s = db.begin_session();
         respond(&db, &mut s, "retrieve (DS.dname)");
-        let m = respond(&db, &mut s, ".metrics");
-        let v = parse_json(&m.line).expect("valid JSON");
-        assert_eq!(
-            v.get("metrics").unwrap().get("queries").unwrap().as_f64(),
-            Some(1.0)
-        );
         let t = respond(&db, &mut s, ".telemetry");
-        assert!(parse_json(&t.line)
-            .unwrap()
+        let v = parse_json(&t.line).expect("valid JSON");
+        let counters = v
             .get("telemetry")
-            .unwrap()
-            .get("registry")
-            .is_some());
+            .and_then(|t| t.get("registry"))
+            .and_then(|r| r.get("counters"))
+            .expect("registry counters");
+        assert_eq!(counters.get("queries").unwrap().as_f64(), Some(1.0));
         let srv = respond(&db, &mut s, ".server");
         let v = parse_json(&srv.line).expect("valid JSON");
         assert!(v.get("server").unwrap().get("sessions_opened").is_some());
@@ -324,8 +314,9 @@ mod tests {
         let mut s = db.begin_session();
         respond(&db, &mut s, "retrieve (DS.dname)");
         // Spelt in two pieces so that a search for the deleted loop's
-        // name turns up no live code.
-        for cmd in [concat!(".re", "optimize"), ".feedback"] {
+        // name turns up no live code.  `.metrics` went with the second
+        // metrics store: `.telemetry` is the one metrics document.
+        for cmd in [concat!(".re", "optimize"), ".feedback", ".metrics"] {
             let r = respond(&db, &mut s, cmd);
             assert!(!r.close, "{cmd}");
             assert_eq!(

@@ -44,10 +44,7 @@ pub mod registry;
 pub mod span;
 
 pub use histogram::{bucket_bound, Histogram, BUCKETS};
-pub use recorder::{
-    FlightRecorder, QueryRecord, RecorderSettings, DEFAULT_CAPACITY, DEFAULT_SLOW_THRESHOLD_US,
-    RECORDER_CAP_ENV, SLOW_MS_ENV,
-};
+pub use recorder::{FlightRecorder, QueryRecord, DEFAULT_CAPACITY, DEFAULT_SLOW_THRESHOLD_US};
 pub use registry::Registry;
 pub use span::{QueryTrace, Span};
 

@@ -80,107 +80,6 @@ pub const DEFAULT_CAPACITY: usize = 128;
 /// Default slow-query threshold: 10 ms.
 pub const DEFAULT_SLOW_THRESHOLD_US: u64 = 10_000;
 
-/// Environment variable holding the slow-query threshold in
-/// *milliseconds* (`EXCESS_SLOW_MS=250` flags queries at or above
-/// 250 ms).  Consulted by `Database::new` so server operators can tune
-/// the flight recorder without code changes.
-pub const SLOW_MS_ENV: &str = "EXCESS_SLOW_MS";
-
-/// Environment variable holding the flight-recorder ring capacity
-/// (`EXCESS_RECORDER_CAP=1024` keeps the last 1024 query records).
-pub const RECORDER_CAP_ENV: &str = "EXCESS_RECORDER_CAP";
-
-/// Resolved flight-recorder configuration plus any warnings the raw
-/// settings produced, so bad values surface through the session-warning
-/// path instead of being silently ignored.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecorderSettings {
-    /// Slow-query threshold in microseconds.
-    pub slow_threshold_us: u64,
-    /// Ring capacity (≥ 1).
-    pub capacity: usize,
-    /// One warning per rejected setting, naming the variable and value.
-    pub warnings: Vec<String>,
-}
-
-impl RecorderSettings {
-    /// Resolve the two optional setting strings (the `EXCESS_SLOW_MS` /
-    /// `EXCESS_RECORDER_CAP` values, or any user-supplied strings) into a
-    /// configuration.  Pure, so the fallback paths are testable without
-    /// racy environment mutation:
-    ///
-    /// * `None` → the default, no warning (the variable wasn't set);
-    /// * a parsable number ≥ 1 → that value, no warning;
-    /// * `"0"` or garbage → the default, with a warning naming the bad
-    ///   value (zero is rejected: a 0 ms threshold flags *every* query
-    ///   and a 0-record ring can hold nothing).
-    pub fn from_settings(slow_ms: Option<&str>, capacity: Option<&str>) -> Self {
-        let mut warnings = Vec::new();
-        let slow_threshold_us = match slow_ms {
-            None => DEFAULT_SLOW_THRESHOLD_US,
-            Some(s) => match s.trim().parse::<u64>() {
-                Ok(ms) if ms >= 1 => ms.saturating_mul(1000),
-                Ok(_) => {
-                    warnings.push(format!(
-                        "{SLOW_MS_ENV}={s:?} requests a zero slow-query threshold; \
-                         keeping the default ({} ms)",
-                        DEFAULT_SLOW_THRESHOLD_US / 1000
-                    ));
-                    DEFAULT_SLOW_THRESHOLD_US
-                }
-                Err(_) => {
-                    warnings.push(format!(
-                        "{SLOW_MS_ENV}={s:?} is not a millisecond count; \
-                         keeping the default ({} ms)",
-                        DEFAULT_SLOW_THRESHOLD_US / 1000
-                    ));
-                    DEFAULT_SLOW_THRESHOLD_US
-                }
-            },
-        };
-        let capacity = match capacity {
-            None => DEFAULT_CAPACITY,
-            Some(s) => match s.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                Ok(_) => {
-                    warnings.push(format!(
-                        "{RECORDER_CAP_ENV}={s:?} requests a zero-capacity ring; \
-                         keeping the default ({DEFAULT_CAPACITY})"
-                    ));
-                    DEFAULT_CAPACITY
-                }
-                Err(_) => {
-                    warnings.push(format!(
-                        "{RECORDER_CAP_ENV}={s:?} is not a record count; \
-                         keeping the default ({DEFAULT_CAPACITY})"
-                    ));
-                    DEFAULT_CAPACITY
-                }
-            },
-        };
-        RecorderSettings {
-            slow_threshold_us,
-            capacity,
-            warnings,
-        }
-    }
-
-    /// [`RecorderSettings::from_settings`] over the process environment.
-    pub fn from_env() -> Self {
-        Self::from_settings(
-            std::env::var(SLOW_MS_ENV).ok().as_deref(),
-            std::env::var(RECORDER_CAP_ENV).ok().as_deref(),
-        )
-    }
-
-    /// A recorder configured per these settings.
-    pub fn build(&self) -> FlightRecorder {
-        let mut fr = FlightRecorder::new(self.capacity);
-        fr.set_slow_threshold_us(self.slow_threshold_us);
-        fr
-    }
-}
-
 impl Default for FlightRecorder {
     fn default() -> Self {
         Self::new(DEFAULT_CAPACITY)
@@ -328,36 +227,6 @@ mod tests {
                 .as_f64(),
             Some(100.0)
         );
-    }
-
-    #[test]
-    fn settings_default_when_unset() {
-        let s = RecorderSettings::from_settings(None, None);
-        assert_eq!(s.slow_threshold_us, DEFAULT_SLOW_THRESHOLD_US);
-        assert_eq!(s.capacity, DEFAULT_CAPACITY);
-        assert!(s.warnings.is_empty());
-    }
-
-    #[test]
-    fn settings_accept_valid_values_silently() {
-        let s = RecorderSettings::from_settings(Some(" 250 "), Some("1024"));
-        assert_eq!(s.slow_threshold_us, 250_000);
-        assert_eq!(s.capacity, 1024);
-        assert!(s.warnings.is_empty());
-        let fr = s.build();
-        assert_eq!(fr.slow_threshold_us(), 250_000);
-        assert_eq!(fr.capacity(), 1024);
-    }
-
-    #[test]
-    fn settings_warn_on_zero_and_garbage() {
-        let s = RecorderSettings::from_settings(Some("0"), Some("lots"));
-        assert_eq!(s.slow_threshold_us, DEFAULT_SLOW_THRESHOLD_US);
-        assert_eq!(s.capacity, DEFAULT_CAPACITY);
-        assert_eq!(s.warnings.len(), 2);
-        assert!(s.warnings[0].contains(SLOW_MS_ENV), "{:?}", s.warnings);
-        assert!(s.warnings[1].contains(RECORDER_CAP_ENV), "{:?}", s.warnings);
-        assert!(s.warnings[1].contains("lots"), "{:?}", s.warnings);
     }
 
     #[test]

@@ -84,15 +84,9 @@ const COMMANDS: &[MetaCommand] = &[
         run: cmd_counters,
     },
     MetaCommand {
-        name: ".metrics",
-        args: "[json|reset]",
-        help: "cumulative session metrics (queries, work, rules fired)",
-        run: cmd_metrics,
-    },
-    MetaCommand {
         name: ".telemetry",
         args: "[json|reset]",
-        help: "session telemetry: counters, latency histograms (p50/p95/p99)",
+        help: "session metrics: queries, work, optimizer and rules fired; latency histograms (p50/p95/p99)",
         run: cmd_telemetry,
     },
     MetaCommand {
@@ -393,18 +387,6 @@ fn cmd_stats(db: &mut Database, rest: &str) -> bool {
 
 fn cmd_counters(db: &mut Database, _rest: &str) -> bool {
     println!("  {}", db.last_counters());
-    true
-}
-
-fn cmd_metrics(db: &mut Database, rest: &str) -> bool {
-    match rest {
-        "json" => println!("{}", excess::db::metrics_json(db.metrics())),
-        "reset" => {
-            db.reset_metrics();
-            println!("session metrics reset");
-        }
-        _ => print!("{}", db.metrics()),
-    }
     true
 }
 

@@ -7,11 +7,29 @@
 
 #![allow(dead_code)]
 
+use excess::algebra::counters::Counters;
 use excess::algebra::expr::{Bound, CmpOp, Expr, Func, Pred};
-use excess::db::Database;
+use excess::db::{Database, Registry};
 use excess::types::{SchemaType, Value};
 use excess_bench::server_mix::{ANALYTIC_JOINS, MIX};
 use excess_workload::{generate, queries, UniversityParams};
+
+/// The work a registry has counted (its `work.*` counters) as
+/// [`Counters`]: the difference of two readings is the work done between
+/// them.
+pub fn work(registry: &Registry) -> Counters {
+    let field = |name: &str| registry.counter(&format!("work.{name}"));
+    Counters {
+        occurrences_scanned: field("occurrences_scanned"),
+        elements_scanned: field("elements_scanned"),
+        derefs: field("derefs"),
+        de_input_occurrences: field("de_input_occurrences"),
+        comparisons: field("comparisons"),
+        oids_minted: field("oids_minted"),
+        named_object_scans: field("named_object_scans"),
+        pairs_formed: field("pairs_formed"),
+    }
+}
 
 pub fn database() -> Database {
     let mut db = Database::new();

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use excess::algebra::expr::Expr;
 use excess::algebra::physical::{PhysOp, PhysicalPlan};
 use excess::algebra::profile::{path_string, NodePath, Profile};
-use excess::db::{journal_json, metrics_json, profile_json, Database, Tracing};
+use excess::db::{journal_json, profile_json, Database, Tracing};
 use excess::optimizer::{estimate_nodes, lower};
 use excess::types::Value;
 use excess_bench::example1::{example1_db, figure6, figure7, figure8};
@@ -110,7 +110,7 @@ fn journal_names_the_de_early_rule_sequence() {
 }
 
 #[test]
-fn profile_and_metrics_serialize_to_json() {
+fn profile_serializes_to_json() {
     let mut db = fixture();
     let profile = profile_of(&mut db, &figure7());
     let json = profile_json(&profile);
@@ -119,33 +119,6 @@ fn profile_and_metrics_serialize_to_json() {
         json.contains(&format!("\"de_input_occurrences\":{}", S * E)),
         "{json}"
     );
-
-    let mjson = metrics_json(db.metrics());
-    assert!(mjson.contains("\"queries\":1"), "{mjson}");
-    // Metrics accumulated the profiled run's counters.
-    assert_eq!(db.metrics().counters, db.last_counters());
-}
-
-#[test]
-fn session_metrics_accumulate_across_queries_and_optimizations() {
-    let mut db = fixture();
-    db.run_plan(&figure7()).unwrap();
-    let after_one = db.metrics().counters;
-    db.run_plan(&figure8()).unwrap();
-    assert_eq!(db.metrics().queries, 2);
-    assert!(db.metrics().counters.total() > after_one.total());
-
-    let plan = figure6();
-    let (_, journal) = db.optimize_plan_journaled(&plan);
-    assert_eq!(db.metrics().optimizations, 1);
-    assert_eq!(db.metrics().rewrites_applied, journal.steps.len() as u64);
-    for rule in journal.rule_sequence() {
-        assert!(db.metrics().rules_fired.contains_key(rule));
-    }
-
-    db.reset_metrics();
-    assert_eq!(db.metrics().queries, 0);
-    assert!(db.metrics().rules_fired.is_empty());
 }
 
 /// Every node path of `e` in preorder — the order EXPLAIN ANALYZE prints

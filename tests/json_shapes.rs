@@ -6,7 +6,7 @@
 
 use excess::algebra::canonical_form;
 use excess::algebra::json::{parse_json, JsonValue};
-use excess::db::{metrics_json, value_json, Database, VersionedDb};
+use excess::db::{value_json, Database, VersionedDb};
 use excess::server::protocol::server_stats_json;
 use excess::types::{Date, ObjectStore, Oid, SchemaType, TypeId, TypeRegistry, Value};
 use excess_bench::example1::{example1_db, figure6};
@@ -22,55 +22,6 @@ fn obj_keys(v: &JsonValue) -> Vec<&str> {
         .iter()
         .map(|(k, _)| k.as_str())
         .collect()
-}
-
-#[test]
-fn metrics_json_shape_includes_warnings() {
-    let mut db = Database::new();
-    db.execute("define type Dept: (name: char[], floor: int4)")
-        .unwrap();
-    db.execute("create Depts: { Dept }").unwrap();
-    db.execute("append to Depts (name: \"CS\", floor: 2)")
-        .unwrap();
-    db.execute("retrieve (D.name) from D in Depts where D.floor = 2")
-        .unwrap();
-    let mut metrics = db.metrics().clone();
-    metrics.record_warning("EXCESS_SLOW_MS=\"banana\" is not a threshold");
-    let v = parsed(&metrics_json(&metrics));
-    assert_eq!(
-        obj_keys(&v),
-        [
-            "queries",
-            "eval_ms",
-            "counters",
-            "optimizations",
-            "rewrites_applied",
-            "rewrites_refused",
-            "plans_enumerated",
-            "cost_removed",
-            "rules_fired",
-            "warnings",
-        ]
-    );
-    for key in [
-        "queries",
-        "eval_ms",
-        "counters",
-        "optimizations",
-        "rewrites_applied",
-        "rewrites_refused",
-        "plans_enumerated",
-        "cost_removed",
-        "rules_fired",
-        "warnings",
-    ] {
-        assert!(v.get(key).is_some(), "metrics_json lost key `{key}`");
-    }
-    assert!(v.get("queries").unwrap().as_f64().unwrap() >= 1.0);
-    // A recorded warning serializes as a string, escapes and all.
-    let warnings = v.get("warnings").unwrap().as_arr().unwrap();
-    assert_eq!(warnings.len(), 1);
-    assert!(warnings[0].as_str().unwrap().contains("banana"));
 }
 
 #[test]

@@ -23,7 +23,8 @@ fn assert_served_equals_direct(make: impl Fn() -> Database, queries: &[String]) 
     let vdb = VersionedDb::new(make());
     let mut session = vdb.begin_session();
     for q in queries {
-        let (before_db, before_s) = (db.metrics().counters, session.metrics().counters);
+        let before_db = common::work(&db.telemetry().registry);
+        let before_s = common::work(&session.telemetry().registry);
         let direct = db.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"));
         let served = session.query(q).unwrap_or_else(|e| panic!("{q}: {e}"));
         let canon = excess::algebra::canonical_form(&direct, db.store());
@@ -33,8 +34,8 @@ fn assert_served_equals_direct(make: impl Fn() -> Database, queries: &[String]) 
             "{q}: values"
         );
         assert_eq!(
-            db.metrics().counters - before_db,
-            session.metrics().counters - before_s,
+            common::work(&db.telemetry().registry) - before_db,
+            common::work(&session.telemetry().registry) - before_s,
             "{q}: work counters"
         );
         let direct = db.telemetry().recorder.records().last().unwrap();

@@ -40,13 +40,13 @@ struct Ran {
 }
 
 fn serve(s: &mut Session, line: &str) -> (Ran, QueryOutcome) {
-    let before = s.metrics().counters;
+    let before = common::work(&s.telemetry().registry);
     let out = s.query(line).unwrap_or_else(|e| panic!("{line}: {e}"));
     let record = s.telemetry().recorder.records().last().unwrap();
     assert_eq!(record.plan_hash, out.plan_hash, "{line}: record");
     let ran = Ran {
         value: value_json(&s.canon(&out.value)),
-        counters: s.metrics().counters - before,
+        counters: common::work(&s.telemetry().registry) - before,
         kernels: record.kernels.clone(),
         plan_hash: out.plan_hash,
     };
@@ -106,12 +106,12 @@ fn repeated_lines_hit_and_change_nothing() {
             for _ in 0..2 {
                 assert_eq!(serve_how(&mut s, line), (first.clone(), "hit"), "{line}");
             }
-            let before = twin.metrics().counters;
+            let before = common::work(&twin.telemetry().registry);
             let direct = twin.execute(line).unwrap();
             let record = twin.telemetry().recorder.records().last().unwrap();
             let direct = Ran {
                 value: value_json(&excess::algebra::canonical_form(&direct, twin.store())),
-                counters: twin.metrics().counters - before,
+                counters: common::work(&twin.telemetry().registry) - before,
                 kernels: record.kernels.clone(),
                 plan_hash: record.plan_hash,
             };

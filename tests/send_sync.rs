@@ -12,7 +12,6 @@ fn core_state_is_send_and_sync() {
     assert_send_sync::<excess::types::Value>();
     assert_send_sync::<excess::db::DbCatalog>();
     assert_send_sync::<excess::db::Database>();
-    assert_send_sync::<excess::db::SessionMetrics>();
     assert_send_sync::<excess::telemetry::Telemetry>();
     assert_send_sync::<excess::optimizer::Statistics>();
     assert_send_sync::<excess::lang::methods::MethodRegistry>();

@@ -7,7 +7,7 @@
 //! always-on pieces: the latency histogram's exact-count invariants and
 //! the flight recorder's FIFO ring.
 
-use excess::db::Database;
+use excess::db::{Database, VersionedDb};
 use excess::telemetry::FlightRecorder;
 use excess_bench::example1::{example1_db, figure6, figure7, figure8};
 use excess_bench::example2::{example2_db, figure9};
@@ -139,14 +139,87 @@ fn an_unoptimized_database_never_searches() {
     db.run_query_plan("F9", &figure9()).unwrap();
     let text = db.explain_analyze(&figure9()).unwrap();
     assert!(db.last_memo().is_none(), "a memo was searched");
-    let m = db.metrics();
-    assert_eq!(m.optimizations, 1, "only the traced run's lowering");
-    assert!(
-        m.rules_fired.keys().all(|r| r == "physical-lowering"),
-        "{:?}",
-        m.rules_fired
+    let r = &db.telemetry().registry;
+    assert_eq!(
+        r.counter("optimizer.runs"),
+        1,
+        "only the traced run's lowering"
     );
+    let rules: Vec<&str> = r
+        .counters()
+        .map(|(name, _)| name)
+        .filter(|name| name.starts_with("rules."))
+        .collect();
+    assert_eq!(rules, ["rules.physical-lowering.fired"]);
     assert!(!text.contains("re-optimization"), "{text}");
+}
+
+/// The telemetry registry is the one metrics store.  Evaluations outside
+/// the pipeline count `queries` and `work.*` (and no `query_us`); a
+/// journaled optimization counts its run, rewrites, plans, cost removed
+/// and rules; and a closing session hands its registry, value for value,
+/// to the database-wide one.
+#[test]
+fn the_registry_counts_evaluations_optimizations_and_closed_sessions() {
+    let mut db = example1_db(40, 24, 24);
+    db.analyze();
+    db.run_plan(&figure7()).unwrap();
+    let first = db.last_counters();
+    db.run_plan(&figure8()).unwrap();
+    let both = first + db.last_counters();
+    let r = &db.telemetry().registry;
+    assert_eq!(r.counter("queries"), 2);
+    for (field, v) in both.named_fields() {
+        assert_eq!(r.counter(&format!("work.{field}")), v, "work.{field}");
+    }
+    assert!(r.histogram("query_us").is_none(), "no pipeline query ran");
+
+    let (_, journal) = db.optimize_plan_journaled(&figure6());
+    assert!(!journal.steps.is_empty(), "Figure 6 rewrites");
+    let r = &db.telemetry().registry;
+    assert_eq!(r.counter("optimizer.runs"), 1);
+    assert_eq!(
+        r.counter("optimizer.rewrites.applied"),
+        journal.steps.len() as u64
+    );
+    assert_eq!(
+        r.counter("optimizer.rewrites.refused"),
+        journal.refused.len() as u64
+    );
+    assert_eq!(
+        r.counter("optimizer.plans_enumerated"),
+        journal.plans_enumerated as u64
+    );
+    assert_eq!(
+        r.counter("optimizer.cost_removed"),
+        (journal.initial_cost - journal.final_cost).round() as u64
+    );
+    let sequence = journal.rule_sequence();
+    for rule in &sequence {
+        let fired = sequence.iter().filter(|r| *r == rule).count() as u64;
+        assert_eq!(r.counter(&format!("rules.{rule}.fired")), fired, "{rule}");
+    }
+    let fired: u64 = r
+        .counters()
+        .filter(|(name, _)| name.starts_with("rules."))
+        .map(|(_, n)| n)
+        .sum();
+    assert_eq!(fired, journal.steps.len() as u64);
+
+    let vdb = VersionedDb::new(db);
+    let mut session = vdb.begin_session();
+    for _ in 0..2 {
+        session.query(MIX[0].1).unwrap();
+    }
+    let counted = session.telemetry().registry.to_json();
+    assert_eq!(
+        vdb.global_registry().counter("queries"),
+        0,
+        "a session's registry merges when it closes"
+    );
+    session.close();
+    assert_eq!(vdb.global_registry().to_json(), counted);
+    vdb.shutdown();
 }
 
 #[test]
