@@ -25,7 +25,7 @@
 use crate::catalog::Catalog;
 use crate::counters::Counters;
 use crate::error::{EvalError, EvalResult};
-use crate::expr::{Expr, Func, Pred};
+use crate::expr::{CmpOp, Expr, Func, Pred};
 use crate::ops::predicate::Truth;
 use crate::ops::{aggregate, array, predicate};
 use crate::physical::RowKernel;
@@ -114,6 +114,82 @@ fn as_set(op: &'static str, v: Value) -> EvalResult<MultiSet> {
 
 fn as_array<'v>(op: &'static str, v: &'v Value) -> EvalResult<&'v [Value]> {
     v.as_array().ok_or_else(|| sort_err(op, "array", v))
+}
+
+/// `π[fields]` of an evaluated operand: nulls pass through.
+fn project(v: &Value, fields: &[String]) -> EvalResult<Value> {
+    match v {
+        v if v.is_null() => Ok(v.clone()),
+        Value::Tuple(t) => Ok(Value::Tuple(t.project(fields)?)),
+        other => Err(sort_err("π", "tuple", other)),
+    }
+}
+
+/// One comparison, charged.
+fn compare(l: &Value, op: CmpOp, r: &Value, counters: &mut Counters) -> EvalResult<Truth> {
+    counters.comparisons += 1;
+    predicate::compare(l, op, r).ok_or_else(|| EvalError::SortMismatch {
+        op: "in",
+        expected: "multiset right operand",
+        found: r.kind_name().to_string(),
+    })
+}
+
+/// Is `e` a *path*: a chain of `TUP_EXTRACT`/`DEREF` over an `INPUT^k`
+/// or a constant?  [`read_path`] reads one without copying.
+fn is_path(e: &Expr) -> bool {
+    match e {
+        Expr::Input(_) | Expr::Const(_) => true,
+        Expr::TupExtract(a, _) | Expr::Deref(a) => is_path(a),
+        _ => false,
+    }
+}
+
+/// The value of the path `e` ([`is_path`]) where it lies — in the binder
+/// environment, the plan or the object store — charging the `derefs`
+/// and raising the errors, in the order, that [`eval`] would.
+fn read_path<'v>(
+    e: &'v Expr,
+    env: &'v [Value],
+    store: &'v ObjectStore,
+    counters: &mut Counters,
+) -> EvalResult<&'v Value> {
+    match e {
+        Expr::Input(d) => env
+            .len()
+            .checked_sub(1 + *d)
+            .map(|i| &env[i])
+            .ok_or(EvalError::UnboundInput(*d)),
+        Expr::Const(v) => Ok(v),
+        Expr::TupExtract(a, field) => extract(read_path(a, env, store, counters)?, field),
+        Expr::Deref(a) => deref(read_path(a, env, store, counters)?, store, counters),
+        _ => unreachable!("read_path on a non-path: {e}"),
+    }
+}
+
+/// `TUP_EXTRACT[field]` of an evaluated operand: nulls pass through.
+fn extract<'v>(v: &'v Value, field: &str) -> EvalResult<&'v Value> {
+    match v {
+        v if v.is_null() => Ok(v),
+        Value::Tuple(t) => Ok(t.extract(field)?),
+        other => Err(sort_err("TUP_EXTRACT", "tuple", other)),
+    }
+}
+
+/// `DEREF` of an evaluated operand, charged: nulls pass through.
+fn deref<'v>(
+    v: &'v Value,
+    store: &'v ObjectStore,
+    counters: &mut Counters,
+) -> EvalResult<&'v Value> {
+    match v {
+        v if v.is_null() => Ok(v),
+        Value::Ref(oid) => {
+            counters.derefs += 1;
+            Ok(store.deref(*oid)?)
+        }
+        other => Err(sort_err("DEREF", "ref", other)),
+    }
 }
 
 /// Evaluate with an explicit binder environment (innermost last).
@@ -300,14 +376,11 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
 
         // ----- tuple operators -----
         Expr::Project(a, fields) => {
-            let v = eval(a, env, ctx)?;
-            if v.is_null() {
-                return Ok(v);
+            if ctx.trace.is_none() && is_path(a) {
+                let v = read_path(a, env, ctx.store, &mut ctx.counters)?;
+                return project(v, fields);
             }
-            match v {
-                Value::Tuple(t) => Ok(Value::Tuple(t.project(fields)?)),
-                other => Err(sort_err("π", "tuple", &other)),
-            }
+            project(&eval(a, env, ctx)?, fields)
         }
         Expr::TupCat(a, b) => {
             let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
@@ -323,14 +396,10 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             }
         }
         Expr::TupExtract(a, field) => {
-            let v = eval(a, env, ctx)?;
-            if v.is_null() {
-                return Ok(v);
+            if ctx.trace.is_none() && is_path(e) {
+                return read_path(e, env, ctx.store, &mut ctx.counters).cloned();
             }
-            match v {
-                Value::Tuple(t) => Ok(t.extract(field)?.clone()),
-                other => Err(sort_err("TUP_EXTRACT", "tuple", &other)),
-            }
+            extract(&eval(a, env, ctx)?, field).cloned()
         }
         Expr::MakeTup(a, field) => {
             let v = eval(a, env, ctx)?;
@@ -445,21 +514,30 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::Ref(oid))
         }
         Expr::Deref(a) => {
+            if ctx.trace.is_none() && is_path(e) {
+                return read_path(e, env, ctx.store, &mut ctx.counters).cloned();
+            }
             let v = eval(a, env, ctx)?;
-            if v.is_null() {
-                return Ok(v);
-            }
-            match v {
-                Value::Ref(oid) => {
-                    ctx.counters.derefs += 1;
-                    Ok(ctx.store.deref(oid)?.clone())
-                }
-                other => Err(sort_err("DEREF", "ref", &other)),
-            }
+            deref(&v, ctx.store, &mut ctx.counters).cloned()
         }
 
         // ----- predicates -----
         Expr::Comp { input, pred } => {
+            // Untraced, a path input that the predicate never reads is
+            // resolved where it lies — its errors and derefs first, as
+            // ever — and copied only for a row the predicate keeps.
+            if ctx.trace.is_none() && is_path(input) && !pred.mentions_input(0) {
+                read_path(input, env, ctx.store, &mut ctx.counters)?;
+                // Unread, the binding needs only its place in `env`.
+                env.push(Value::dne());
+                let t = eval_pred(pred, env, ctx);
+                env.pop();
+                return match t? {
+                    // Its derefs were charged by the read above.
+                    Truth::T => read_path(input, env, ctx.store, &mut Counters::new()).cloned(),
+                    t => Ok(predicate::comp_result(t, Value::dne())),
+                };
+            }
             let v = eval(input, env, ctx)?;
             env.push(v);
             let t = eval_pred(pred, env, ctx);
@@ -693,14 +771,14 @@ fn join_sets(
 pub fn eval_pred(p: &Pred, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<Truth> {
     match p {
         Pred::Cmp(l, op, r) => {
+            if ctx.trace.is_none() && is_path(l) && is_path(r) {
+                let lv = read_path(l, env, ctx.store, &mut ctx.counters)?;
+                let rv = read_path(r, env, ctx.store, &mut ctx.counters)?;
+                return compare(lv, *op, rv, &mut ctx.counters);
+            }
             let lv = eval(l, env, ctx)?;
             let rv = eval(r, env, ctx)?;
-            ctx.counters.comparisons += 1;
-            predicate::compare(&lv, *op, &rv).ok_or_else(|| EvalError::SortMismatch {
-                op: "in",
-                expected: "multiset right operand",
-                found: rv.kind_name().to_string(),
-            })
+            compare(&lv, *op, &rv, &mut ctx.counters)
         }
         Pred::And(a, b) => {
             // Short-circuit: F ∧ x = F without evaluating x.

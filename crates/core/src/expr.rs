@@ -17,6 +17,7 @@
 
 use excess_types::Value;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// A 1-based array bound: an index or the token `last` (Section 3.2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,15 +105,44 @@ impl Pred {
 
     /// Immutable references to the expressions inside this predicate tree.
     pub fn exprs(&self) -> Vec<&Expr> {
+        let mut out = Vec::new();
+        let _ = self.try_for_each_expr(&mut |e| {
+            out.push(e);
+            ControlFlow::<()>::Continue(())
+        });
+        out
+    }
+
+    /// Visit the expressions of [`Pred::exprs`] in order, stopping at the
+    /// first `Break`, allocating nothing.
+    pub fn try_for_each_expr<'p, B>(
+        &'p self,
+        f: &mut impl FnMut(&'p Expr) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
         match self {
-            Pred::Cmp(l, _, r) => vec![l, r],
-            Pred::And(a, b) => {
-                let mut v = a.exprs();
-                v.extend(b.exprs());
-                v
+            Pred::Cmp(l, _, r) => {
+                f(l)?;
+                f(r)
             }
-            Pred::Not(p) => p.exprs(),
+            Pred::And(a, b) => {
+                a.try_for_each_expr(f)?;
+                b.try_for_each_expr(f)
+            }
+            Pred::Not(p) => p.try_for_each_expr(f),
         }
+    }
+
+    /// Does any expression of this predicate mention `Input(depth)` free
+    /// ([`Expr::mentions_input`])?
+    pub fn mentions_input(&self, depth: usize) -> bool {
+        self.try_for_each_expr(&mut |e| {
+            if e.mentions_input(depth) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .is_break()
     }
 
     /// Rebuild this predicate with `f` applied to every embedded expression.
@@ -548,8 +578,48 @@ impl Expr {
     /// Immutable references to direct child expressions (including those
     /// inside predicates).
     pub fn children(&self) -> Vec<&Expr> {
+        let mut out = Vec::new();
+        let _ = self.try_for_each_child(|c| {
+            out.push(c);
+            ControlFlow::<()>::Continue(())
+        });
+        out
+    }
+
+    /// The `i`th of [`Expr::children`], found without collecting them.
+    pub fn child(&self, i: usize) -> Option<&Expr> {
+        let mut seen = 0;
+        self.try_for_each_child(|c| {
+            if seen == i {
+                return ControlFlow::Break(c);
+            }
+            seen += 1;
+            ControlFlow::Continue(())
+        })
+        .break_value()
+    }
+
+    /// Does `f` hold for some direct child?  Children are tried in
+    /// [`Expr::children`] order, up to the first that passes.
+    pub fn any_child(&self, mut f: impl FnMut(&Expr) -> bool) -> bool {
+        self.try_for_each_child(|c| {
+            if f(c) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .is_break()
+    }
+
+    /// Visit the direct children in [`Expr::children`] order, stopping at
+    /// the first `Break`: the walk behind `children`, allocating nothing.
+    pub fn try_for_each_child<'e, B>(
+        &'e self,
+        mut f: impl FnMut(&'e Expr) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
         match self {
-            Expr::Input(_) | Expr::Named(_) | Expr::Const(_) => vec![],
+            Expr::Input(_) | Expr::Named(_) | Expr::Const(_) => ControlFlow::Continue(()),
             Expr::AddUnion(a, b)
             | Expr::Diff(a, b)
             | Expr::Cross(a, b)
@@ -559,7 +629,15 @@ impl Expr {
             | Expr::ArrCross(a, b)
             | Expr::Union(a, b)
             | Expr::Intersect(a, b)
-            | Expr::RelCross(a, b) => vec![a, b],
+            | Expr::RelCross(a, b)
+            | Expr::SetApply {
+                input: a, body: b, ..
+            }
+            | Expr::ArrApply { input: a, body: b }
+            | Expr::Group { input: a, by: b } => {
+                f(a)?;
+                f(b)
+            }
             Expr::MakeSet(a)
             | Expr::DupElim(a)
             | Expr::SetCollapse(a)
@@ -572,30 +650,22 @@ impl Expr {
             | Expr::ArrCollapse(a)
             | Expr::ArrDupElim(a)
             | Expr::MakeRef(a, _)
-            | Expr::Deref(a) => vec![a],
-            Expr::SetApply { input, body, .. } => vec![input, body],
-            Expr::ArrApply { input, body } => vec![input, body],
-            Expr::Group { input, by } => vec![input, by],
-            Expr::Comp { input, pred } => {
-                let mut v: Vec<&Expr> = vec![input];
-                v.extend(pred.exprs());
-                v
-            }
-            Expr::Select { input, pred } | Expr::ArrSelect { input, pred } => {
-                let mut v: Vec<&Expr> = vec![input];
-                v.extend(pred.exprs());
-                v
+            | Expr::Deref(a) => f(a),
+            Expr::Comp { input, pred }
+            | Expr::Select { input, pred }
+            | Expr::ArrSelect { input, pred } => {
+                f(input)?;
+                pred.try_for_each_expr(&mut f)
             }
             Expr::RelJoin { left, right, pred } => {
-                let mut v: Vec<&Expr> = vec![left, right];
-                v.extend(pred.exprs());
-                v
+                f(left)?;
+                f(right)?;
+                pred.try_for_each_expr(&mut f)
             }
-            Expr::Call(_, args) => args.iter().collect(),
+            Expr::Call(_, args) => args.iter().try_for_each(f),
             Expr::SetApplySwitch { input, table } => {
-                let mut v: Vec<&Expr> = vec![input];
-                v.extend(table.iter().map(|(_, e)| e));
-                v
+                f(input)?;
+                table.iter().try_for_each(|(_, e)| f(e))
             }
         }
     }
@@ -675,7 +745,7 @@ impl Expr {
     /// evaluator and optimizer to decide when expression duplication or
     /// re-ordering is observable.
     pub fn mints_oids(&self) -> bool {
-        matches!(self, Expr::MakeRef(..)) || self.children().iter().any(|c| c.mints_oids())
+        matches!(self, Expr::MakeRef(..)) || self.any_child(Expr::mints_oids)
     }
 
     /// The fields this body projects from its binder's element, when it is
@@ -740,24 +810,21 @@ impl Expr {
             | Expr::Group { input, by: body } => {
                 input.mentions_input(depth) || body.mentions_input(depth + 1)
             }
-            Expr::Comp { input, pred } => {
-                input.mentions_input(depth)
-                    || pred.exprs().iter().any(|e| e.mentions_input(depth + 1))
-            }
-            Expr::Select { input, pred } | Expr::ArrSelect { input, pred } => {
-                input.mentions_input(depth)
-                    || pred.exprs().iter().any(|e| e.mentions_input(depth + 1))
+            Expr::Comp { input, pred }
+            | Expr::Select { input, pred }
+            | Expr::ArrSelect { input, pred } => {
+                input.mentions_input(depth) || pred.mentions_input(depth + 1)
             }
             Expr::RelJoin { left, right, pred } => {
                 left.mentions_input(depth)
                     || right.mentions_input(depth)
-                    || pred.exprs().iter().any(|e| e.mentions_input(depth + 1))
+                    || pred.mentions_input(depth + 1)
             }
             Expr::SetApplySwitch { input, table } => {
                 input.mentions_input(depth)
                     || table.iter().any(|(_, e)| e.mentions_input(depth + 1))
             }
-            _ => self.children().iter().any(|c| c.mentions_input(depth)),
+            _ => self.any_child(|c| c.mentions_input(depth)),
         }
     }
 

@@ -305,7 +305,7 @@ impl PhysicalPlan {
     pub fn node_at(&self, path: &[usize]) -> Option<&Expr> {
         let mut node = &self.logical;
         for &i in path {
-            node = node.children().into_iter().nth(i)?;
+            node = node.child(i)?;
         }
         Some(node)
     }
@@ -319,14 +319,14 @@ impl PhysicalPlan {
     fn kernel_table(&self) -> HashMap<usize, Arc<RowKernel>> {
         let mut table = HashMap::new();
         for (path, choice) in &self.choices {
-            let (
-                PhysOp::HashEquiJoin {
-                    left_key,
-                    right_key,
-                },
-                Some(join @ Expr::RelJoin { pred, .. }),
-            ) = (&choice.op, self.node_at(path))
+            let PhysOp::HashEquiJoin {
+                left_key,
+                right_key,
+            } = &choice.op
             else {
+                continue;
+            };
+            let Some(join @ Expr::RelJoin { pred, .. }) = self.node_at(path) else {
                 continue;
             };
             table.insert(

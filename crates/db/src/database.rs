@@ -488,7 +488,7 @@ impl Database {
     pub fn optimize_plan_journaled(&mut self, plan: &Expr) -> (Expr, RewriteJournal) {
         let (best, journal, memo) = pipeline::search(&self.view(), plan);
         self.last_memo = Some(memo);
-        pipeline::record_journal(&mut self.telemetry.registry, &journal);
+        pipeline::record_search(&mut self.telemetry.registry, &journal);
         (best, journal)
     }
 

@@ -63,6 +63,17 @@ pub(crate) fn plan_hash_of(plan: &PhysicalPlan) -> u64 {
     hash.finish()
 }
 
+/// `(path, kernel)` for every choice of `physical` that is more than a
+/// pass-through, in path order: the flight record's kernel list.
+fn kernel_list(physical: &PhysicalPlan) -> Arc<[(String, String)]> {
+    physical
+        .choices
+        .iter()
+        .filter(|(_, c)| !matches!(c.op, PhysOp::PassThrough))
+        .map(|(path, c)| (path_string(path), c.op.to_string()))
+        .collect()
+}
+
 /// Every object `e` names, into `out`.
 pub(crate) fn named_objects(e: &Expr, out: &mut BTreeSet<String>) {
     if let Expr::Named(n) = e {
@@ -118,9 +129,10 @@ pub(crate) struct Outcome {
     pub schema: Option<SchemaType>,
     pub rows: u64,
     pub phase_us: Vec<(&'static str, u64)>,
-    /// Search and lowering journals, in stage order (none on a plan-cache
-    /// hit: no rewrite ran).
-    pub journals: Vec<RewriteJournal>,
+    /// The search's journal (an optimized miss only).
+    pub searched: Option<RewriteJournal>,
+    /// The lowering's journal (none on a plan-cache hit: no rewrite ran).
+    pub lowered: Option<RewriteJournal>,
     /// The plan that ran — on a hit, or once a miss has filled the cache,
     /// shared with the cache entry.
     pub planned: Arc<Planned>,
@@ -380,7 +392,7 @@ pub(crate) fn run(
     let lookup = cache
         .as_ref()
         .map(|c| c.plans.lookup(&translated, &view, c.registry));
-    let mut journals = Vec::new();
+    let (mut searched, mut lowered) = (None, None);
     let mut memo = None;
     let (planned, cache_use, hit) = if let Some(Ok(planned)) = lookup {
         t.lap("cached", t0);
@@ -393,7 +405,7 @@ pub(crate) fn run(
                 journal_span(s, &journal);
             }
             (plan, memo) = (Cow::Owned(found), Some(group_picture));
-            journals.push(journal);
+            searched = Some(journal);
         }
 
         let t0 = t.now();
@@ -401,11 +413,12 @@ pub(crate) fn run(
         if let Some(s) = t.lap("lower", t0) {
             choice_span(s, &physical);
         }
-        journals.push(journal);
+        lowered = Some(journal);
         // `plan` may still borrow `translated`, which becomes the key.
         drop(plan);
         let planned = Arc::new(Planned {
             plan_hash: plan_hash_of(&physical),
+            kernels: kernel_list(&physical),
             physical,
         });
         if let Some(c) = cache {
@@ -444,7 +457,8 @@ pub(crate) fn run(
         ran,
         schema,
         phase_us: t.phases,
-        journals,
+        searched,
+        lowered,
         planned,
         memo,
         cache: cache_use,
@@ -489,24 +503,31 @@ pub(crate) fn record_work(registry: &mut Registry, counters: Counters) {
 }
 
 /// Fold one rewrite journal — a search's or a lowering's — into
-/// `registry`: `optimizer.runs`, the accepted and refused rewrites, the
-/// plans enumerated, the estimated cost removed (rounded; a run that
-/// raised the estimate removes nothing) and `rules.<name>.fired` per
-/// accepted step.  Only a plan-cache miss has a journal, so only a miss
-/// formats a rule's name.
+/// `registry`: the accepted and refused rewrites, the plans enumerated
+/// and `rules.<name>.fired` per accepted step.  Only a plan-cache miss
+/// has a journal, so only a miss formats a rule's name.
 pub(crate) fn record_journal(registry: &mut Registry, journal: &RewriteJournal) {
-    registry.inc("optimizer.runs");
     registry.add("optimizer.rewrites.applied", journal.steps.len() as u64);
     registry.add("optimizer.rewrites.refused", journal.refused.len() as u64);
     registry.add(
         "optimizer.plans_enumerated",
         journal.plans_enumerated as u64,
     );
-    let removed = (journal.initial_cost - journal.final_cost).max(0.0);
-    registry.add("optimizer.cost_removed", removed.round() as u64);
     for step in &journal.steps {
         registry.inc(&format!("rules.{}.fired", step.rule));
     }
+}
+
+/// Fold one plan search's journal into `registry`: [`record_journal`],
+/// plus `optimizer.runs` and the estimated cost removed (rounded; a run
+/// that raised the estimate removes nothing).  A lowering is no search,
+/// and its journal's cost delta is logical to physical, another scale:
+/// it counts neither.
+pub(crate) fn record_search(registry: &mut Registry, journal: &RewriteJournal) {
+    registry.inc("optimizer.runs");
+    let removed = (journal.initial_cost - journal.final_cost).max(0.0);
+    registry.add("optimizer.cost_removed", removed.round() as u64);
+    record_journal(registry, journal);
 }
 
 /// Fold one run into a caller's telemetry: its journals, query count,
@@ -517,9 +538,13 @@ pub(crate) fn record(outcome: &mut Outcome, label: &str, telemetry: &mut Telemet
     let Planned {
         physical,
         plan_hash,
+        kernels,
     } = &*outcome.planned;
     let registry = &mut telemetry.registry;
-    for journal in &outcome.journals {
+    if let Some(journal) = &outcome.searched {
+        record_search(registry, journal);
+    }
+    if let Some(journal) = &outcome.lowered {
         record_journal(registry, journal);
     }
     record_work(registry, outcome.ran.counters);
@@ -540,12 +565,7 @@ pub(crate) fn record(outcome: &mut Outcome, label: &str, telemetry: &mut Telemet
         plan_hash: *plan_hash,
         rows: outcome.rows,
         phase_us: outcome.phase_us.clone(),
-        kernels: physical
-            .choices
-            .iter()
-            .filter(|(_, c)| !matches!(c.op, PhysOp::PassThrough))
-            .map(|(path, c)| (path_string(path), c.op.to_string()))
-            .collect(),
+        kernels: Arc::clone(kernels),
         est_rows: physical.choices.get(&Vec::new()).and_then(|c| c.est_rows),
         actual_rows: Some(outcome.rows),
     });

@@ -36,6 +36,9 @@ pub(crate) struct Planned {
     pub physical: PhysicalPlan,
     /// [`plan_hash_of`](crate::pipeline::plan_hash_of) the lowered plan.
     pub plan_hash: u64,
+    /// The flight record's kernel list: `(path, kernel)` per choice that
+    /// is more than a pass-through, formatted once per plan.
+    pub kernels: Arc<[(String, String)]>,
 }
 
 /// How a run that consulted the cache came by its plan.

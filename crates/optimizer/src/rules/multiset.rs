@@ -505,9 +505,7 @@ impl Rule for R10GroupThroughSelect {
                         },
                     ) = (&**input, &**body)
                     {
-                        if **sel_in == Expr::input()
-                            && !pred.exprs().iter().any(|x| x.mentions_input(1))
-                        {
+                        if **sel_in == Expr::input() && !pred.mentions_input(1) {
                             // Moving the σ out from under the SET_APPLY
                             // binder: free references shift down by one.
                             // (A pred that actually mentions the group

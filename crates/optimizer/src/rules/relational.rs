@@ -347,7 +347,7 @@ impl Rule for RR6SelectThroughCollapse {
             } = &**outer
             {
                 if let Expr::Select { input: si, pred } = &**body {
-                    if **si == Expr::input() && !pred.exprs().iter().any(|x| x.mentions_input(1)) {
+                    if **si == Expr::input() && !pred.mentions_input(1) {
                         out.push(Expr::Select {
                             input: bx(Expr::SetCollapse(a.clone())),
                             pred: pred.map_exprs(&mut |x| x.shift_inputs(1, -1)),

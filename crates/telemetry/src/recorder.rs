@@ -8,6 +8,7 @@
 
 use excess_core::json::quote_json;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Everything worth keeping about one finished query.
 #[derive(Debug, Clone)]
@@ -20,8 +21,9 @@ pub struct QueryRecord {
     pub rows: u64,
     /// Per-phase timings in microseconds: `(phase name, µs)`.
     pub phase_us: Vec<(&'static str, u64)>,
-    /// Physical kernel choices: `(path, kernel)` in path order.
-    pub kernels: Vec<(String, String)>,
+    /// Physical kernel choices: `(path, kernel)` in path order, shared
+    /// with the plan they were formatted from.
+    pub kernels: Arc<[(String, String)]>,
     /// Estimated vs actual output rows at the plan root, when known.
     pub est_rows: Option<f64>,
     /// Actual output rows at the plan root (same as `rows` for plans).
@@ -175,7 +177,7 @@ mod tests {
             plan_hash: 1,
             rows: 3,
             phase_us: vec![("parse", us / 2), ("execute", us - us / 2)],
-            kernels: vec![("root".into(), "scan".into())],
+            kernels: Arc::new([("root".into(), "scan".into())]),
             est_rows: Some(4.0),
             actual_rows: Some(3),
         }

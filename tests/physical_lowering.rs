@@ -1306,3 +1306,316 @@ fn served_joins_read_pairs_with_the_unfused_counters() {
         assert_eq!(fused.counters, traced.counters, "{line}");
     }
 }
+
+// ------------------------------------------------- borrowed path reads
+
+/// A plan run untraced — where `TUP_EXTRACT`/`DEREF` paths are read where
+/// they lie and a `COMP` whose predicate never reads its binding copies a
+/// path input only for a row it keeps — and traced, where every node is
+/// evaluated as itself: equal values and counters, or equal errors.
+fn check_borrowed(what: &str, db: &mut Database, plan: &Expr) -> Result<Value, String> {
+    let physical = PhysicalPlan::passthrough(plan.clone());
+    let mut run = |tracing| {
+        db.run_lowered(&physical, tracing)
+            .map(|o| (o.value, o.counters))
+            .map_err(|e| e.to_string())
+    };
+    match (run(Tracing::Off), run(Tracing::Precise)) {
+        (Ok((value, counters)), Ok((traced, traced_counters))) => {
+            assert_eq!(value, traced, "{what}: value");
+            assert_eq!(counters, traced_counters, "{what}: counters");
+            Ok(value)
+        }
+        (Err(plain), Err(traced)) => {
+            assert_eq!(plain, traced, "{what}: error");
+            Err(plain)
+        }
+        (plain, traced) => panic!("{what}: untraced {plain:?}, traced {traced:?}"),
+    }
+}
+
+/// `Rows`: twelve tuples `(k, s, a, d, n)` with `k` in 0–3, every third
+/// `a` `unk` and every fifth `dne`, `d` a ref to one of four `Dept`
+/// objects `(floor, dname)` and `n` alternately `dne` and `unk`, plus
+/// `extra`.  With `dangling`, the floor-3 `Dept` is deleted, so the rows
+/// with `k = 3` hold a dangling ref.
+fn path_db(extra: &[Value], dangling: bool) -> Database {
+    let mut db = Database::new();
+    db.optimize = false;
+    db.execute("define type Dept: (floor: int4, dname: char[])")
+        .unwrap();
+    let ty = db.registry().lookup("Dept").unwrap();
+    let depts: Vec<_> = (0..4)
+        .map(|f| {
+            let dept = Value::tuple([
+                ("floor", Value::int(f)),
+                ("dname", Value::str(format!("d{f}"))),
+            ]);
+            db.store_mut().create_unchecked(ty, dept)
+        })
+        .collect();
+    if dangling {
+        db.store_mut().delete(depts[3]).unwrap();
+    }
+    let row = |i: i32| {
+        let a = match i {
+            _ if i % 5 == 0 => Value::dne(),
+            _ if i % 3 == 0 => Value::unk(),
+            _ => Value::int(i),
+        };
+        let n = if i % 2 == 0 {
+            Value::dne()
+        } else {
+            Value::unk()
+        };
+        Value::tuple([
+            ("k", Value::int(i % 4)),
+            ("s", Value::str(format!("s{i}"))),
+            ("a", a),
+            ("d", Value::Ref(depts[(i % 4) as usize])),
+            ("n", n),
+        ])
+    };
+    let rows = (0..12).map(row).chain(extra.iter().cloned());
+    let any = SchemaType::set(SchemaType::tuple([("k", SchemaType::int4())]));
+    db.put_object("Rows", any, Value::set(rows));
+    db
+}
+
+/// `SET_APPLY[COMP[pred](input)](Rows)`: the selection shape a served
+/// `retrieve … where …` optimizes to, `pred` reading the row as `INPUT^1`.
+fn selection(input: Expr, pred: Pred) -> Expr {
+    Expr::named("Rows").set_apply(input.comp(pred))
+}
+
+fn row_field(f: &str) -> Expr {
+    Expr::input_at(1).extract(f)
+}
+
+fn floor_of_row() -> Expr {
+    Expr::input_at(1).extract("d").deref().extract("floor")
+}
+
+#[test]
+fn borrowed_reads_equal_the_traced_path_on_every_served_kind() {
+    let check = |mut db: Database, lines: &[&str]| {
+        for line in lines {
+            let plan = common::plan_of(&mut db, line);
+            let (physical, _) = db.lower_plan(&db.optimize_plan(&plan));
+            let plain = db.run_lowered(&physical, Tracing::Off).unwrap();
+            let traced = db.run_lowered(&physical, Tracing::Precise).unwrap();
+            assert_eq!(plain.value, traced.value, "{line}");
+            assert_eq!(plain.counters, traced.counters, "{line}");
+        }
+    };
+    check(
+        excess_bench::server_mix::server_mix_db(120),
+        &common::served_mix_requests(),
+    );
+    check(
+        common::served_university(&UniversityParams {
+            seed: 1,
+            ..UniversityParams::default()
+        }),
+        &common::SERVED_UNIVERSITY_REQUESTS,
+    );
+}
+
+/// Null fields read through a path: a `dne`/`unk` operand compares `F`/`U`,
+/// a path through a null is that null, and `COMP` keeps, drops or `unk`s
+/// the row as the predicate says.
+#[test]
+fn borrowed_reads_carry_dne_and_unk_fields() {
+    let mut db = path_db(&[], false);
+    let a_gt_2 = Pred::cmp(row_field("a"), CmpOp::Gt, Expr::int(2));
+    let out = check_borrowed(
+        "COMP over a nullable field",
+        &mut db,
+        &selection(Expr::input().extract("s"), a_gt_2.clone()),
+    )
+    .unwrap();
+    assert!(out.to_string().contains("unk"), "{out}");
+    for (what, plan) in [
+        (
+            "nullable field as COMP input",
+            selection(Expr::input().extract("a"), a_gt_2),
+        ),
+        (
+            "a path through a null",
+            Expr::named("Rows").set_apply(Expr::input().extract("n").extract("x")),
+        ),
+        (
+            "π over a path through a null",
+            Expr::named("Rows").set_apply(Expr::input().extract("n").deref().project(["x"])),
+        ),
+        (
+            "null compared with null",
+            selection(
+                Expr::input().extract("k"),
+                Pred::cmp(row_field("a"), CmpOp::Eq, row_field("a")),
+            ),
+        ),
+    ] {
+        check_borrowed(what, &mut db, &plan).unwrap();
+    }
+}
+
+/// A row without the `COMP` input's field raises `NoSuchField` even where
+/// the predicate would reject the row: the input is resolved first.
+#[test]
+fn borrowed_reads_raise_a_missing_field_before_the_predicate_rejects() {
+    let mut db = path_db(&[Value::tuple([("k", Value::int(7))])], false);
+    let never = Pred::cmp(row_field("k"), CmpOp::Gt, Expr::int(100));
+    let err = check_borrowed(
+        "missing input field, predicate F",
+        &mut db,
+        &selection(Expr::input().extract("s"), never.clone()),
+    );
+    assert!(err.unwrap_err().contains('s'));
+    let err = check_borrowed(
+        "missing predicate field",
+        &mut db,
+        &selection(
+            Expr::input().extract("k"),
+            Pred::cmp(row_field("s"), CmpOp::Eq, Expr::str("s1")),
+        ),
+    );
+    assert!(err.unwrap_err().contains('s'));
+    // Projected, or extracted outside a `COMP`: the same error.
+    for plan in [
+        Expr::named("Rows").set_apply(Expr::input().project(["k", "s"])),
+        Expr::named("Rows").set_apply(Expr::input().extract("s")),
+    ] {
+        check_borrowed("missing field read", &mut db, &plan).unwrap_err();
+    }
+}
+
+/// A non-tuple element: `TUP_EXTRACT` and `π` raise their sort errors,
+/// and so does `DEREF` on a non-ref field.
+#[test]
+fn borrowed_reads_raise_sort_mismatches() {
+    let mut db = path_db(&[Value::int(5)], false);
+    let keep = Pred::cmp(row_field("k"), CmpOp::Ge, Expr::int(0));
+    for (what, plan) in [
+        (
+            "non-tuple COMP input",
+            selection(Expr::input().extract("s"), keep.clone()),
+        ),
+        (
+            "non-tuple π",
+            Expr::named("Rows").set_apply(Expr::input().project(["s"])),
+        ),
+    ] {
+        let err = check_borrowed(what, &mut db, &plan).unwrap_err();
+        assert!(err.contains("tuple"), "{what}: {err}");
+    }
+    let mut db = path_db(&[], false);
+    let err = check_borrowed(
+        "DEREF of a non-ref",
+        &mut db,
+        &Expr::named("Rows").set_apply(Expr::input().extract("s").deref()),
+    )
+    .unwrap_err();
+    assert!(err.contains("ref"), "{err}");
+    // Both operands of a comparison raise: the left one's error.
+    let both = Pred::cmp(row_field("missing"), CmpOp::Eq, row_field("s").extract("x"));
+    let err = check_borrowed(
+        "both operands raise",
+        &mut db,
+        &selection(Expr::input().extract("k"), both),
+    )
+    .unwrap_err();
+    assert!(err.contains("missing"), "{err}");
+}
+
+/// A dangling ref raises `DanglingOid` from a predicate's path and from a
+/// `COMP` input's path alike; the refs that resolve charge one `derefs`
+/// each either way.
+#[test]
+fn borrowed_reads_raise_dangling_refs_in_predicates_and_inputs() {
+    let on_floor = |f: i32| Pred::cmp(floor_of_row(), CmpOp::Eq, Expr::int(f));
+    let dname = || Expr::input().extract("d").deref().extract("dname");
+    let mut db = path_db(&[], false);
+    let out = check_borrowed("resolving refs", &mut db, &selection(dname(), on_floor(1))).unwrap();
+    assert_eq!(out.as_set().unwrap().len(), 3);
+    assert_eq!(
+        db.last_counters().derefs,
+        12 + 12,
+        "input and predicate, per row"
+    );
+
+    let mut db = path_db(&[], true);
+    for (what, plan) in [
+        (
+            "dangling ref in the predicate",
+            selection(Expr::input().extract("s"), on_floor(1)),
+        ),
+        (
+            "dangling ref in the input",
+            selection(
+                dname(),
+                Pred::cmp(row_field("k"), CmpOp::Eq, Expr::int(100)),
+            ),
+        ),
+        (
+            "dangling ref projected",
+            Expr::named("Rows").set_apply(Expr::input().extract("d").deref().project(["floor"])),
+        ),
+    ] {
+        let err = check_borrowed(what, &mut db, &plan).unwrap_err();
+        assert!(err.to_lowercase().contains("dangling"), "{what}: {err}");
+    }
+}
+
+/// A predicate that reads `COMP`'s own binding (`INPUT`), a short-circuit
+/// `∧` whose right conjunct would raise, and a `COMP` whose input is not a
+/// path all keep the evaluator's order.
+#[test]
+fn borrowed_reads_keep_own_binding_short_circuit_and_non_path_inputs() {
+    let own = Pred::cmp(Expr::input().extract("floor"), CmpOp::Lt, Expr::int(2));
+    let own_floor = Expr::named("Rows").set_apply(Expr::input().extract("d").deref().comp(own));
+    let mut db = path_db(&[], false);
+    let out = check_borrowed("predicate reads the COMP binding", &mut db, &own_floor);
+    assert_eq!(out.unwrap().as_set().unwrap().len(), 6, "floors 0 and 1");
+    let mut k_only = path_db(&[Value::tuple([("k", Value::int(3))])], false);
+    let out = check_borrowed("own binding, input raises", &mut k_only, &own_floor);
+    assert!(out.unwrap_err().contains('d'), "the k-only row has no d");
+    let missing = Pred::cmp(row_field("missing"), CmpOp::Eq, Expr::int(1));
+    let f_first = Pred::cmp(row_field("k"), CmpOp::Gt, Expr::int(100)).and(missing.clone());
+    let out = check_borrowed(
+        "∧ stops at F",
+        &mut db,
+        &selection(Expr::input().extract("s"), f_first),
+    );
+    assert_eq!(out.unwrap(), Value::set([]));
+    let reached = Pred::cmp(row_field("k"), CmpOp::Lt, Expr::int(100)).and(missing);
+    let out = check_borrowed(
+        "∧ reaches the error",
+        &mut db,
+        &selection(Expr::input().extract("s"), reached),
+    );
+    assert!(out.unwrap_err().contains("missing"));
+    let k_is_1 = Pred::cmp(row_field("k"), CmpOp::Eq, Expr::int(1));
+    for (what, input) in [
+        ("π input", Expr::input().project(["s", "k"])),
+        ("TUP input", Expr::input().extract("s").make_tup("name")),
+        (
+            "computed comparison operand",
+            Expr::call(Func::Add, vec![Expr::input().extract("k"), Expr::int(1)]),
+        ),
+    ] {
+        let out = check_borrowed(what, &mut db, &selection(input, k_is_1.clone())).unwrap();
+        assert_eq!(out.as_set().unwrap().len(), 3, "{what}");
+    }
+    let computed = Pred::cmp(
+        Expr::call(Func::Add, vec![row_field("k"), Expr::int(1)]),
+        CmpOp::Eq,
+        floor_of_row(),
+    );
+    check_borrowed(
+        "path compared with a computed operand",
+        &mut db,
+        &selection(Expr::input().extract("s"), computed),
+    )
+    .unwrap();
+}

@@ -15,6 +15,7 @@ use excess_bench::server_mix::server_mix_db;
 use excess_core::counters::Counters;
 use excess_workload::UniversityParams;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const S1_LINE: &str = "retrieve (S1.sname) where S1.sdept = 3";
 const E1_LINE: &str = "retrieve (E1.ename) where E1.esal = 1003";
@@ -35,7 +36,7 @@ fn cache_counts(s: &Session) -> (u64, u64, u64) {
 struct Ran {
     value: String,
     counters: Counters,
-    kernels: Vec<(String, String)>,
+    kernels: Arc<[(String, String)]>,
     plan_hash: u64,
 }
 

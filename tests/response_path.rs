@@ -157,22 +157,22 @@ fn analytic_joins_allocate_what_the_paper_s_join_needs() {
 #[test]
 fn every_served_kind_s_hit_allocations_are_pinned() {
     const MIX_PINS: [(&str, u64); 9] = [
-        ("f6", 1_281),
-        ("f7", 750),
-        ("f8", 243),
-        ("f9", 616),
-        ("f10", 262),
-        ("f11", 1_620),
-        ("join_project", 3_965),
-        ("join_agg", 1_501),
-        ("e1_probe", 170),
+        ("f6", 1_169),
+        ("f7", 730),
+        ("f8", 128),
+        ("f9", 596),
+        ("f10", 155),
+        ("f11", 1_607),
+        ("join_project", 3_935),
+        ("join_agg", 1_397),
+        ("e1_probe", 104),
     ];
     const UNIVERSITY_PINS: [(&str, u64); 5] = [
-        ("kids", 953),
-        ("fig3", 205),
-        ("fig4", 797),
-        ("boss", 455),
-        ("workload", 584),
+        ("kids", 610),
+        ("fig3", 152),
+        ("fig4", 226),
+        ("boss", 447),
+        ("workload", 576),
     ];
     let mut over = Vec::new();
     let mut check = |vdb: VersionedDb, lines: &[&str], pins: &[(&str, u64)]| {

@@ -140,11 +140,8 @@ fn an_unoptimized_database_never_searches() {
     let text = db.explain_analyze(&figure9()).unwrap();
     assert!(db.last_memo().is_none(), "a memo was searched");
     let r = &db.telemetry().registry;
-    assert_eq!(
-        r.counter("optimizer.runs"),
-        1,
-        "only the traced run's lowering"
-    );
+    assert_eq!(r.counter("optimizer.runs"), 0, "a lowering is no search");
+    assert_eq!(r.counter("optimizer.cost_removed"), 0);
     let rules: Vec<&str> = r
         .counters()
         .map(|(name, _)| name)
@@ -205,6 +202,17 @@ fn the_registry_counts_evaluations_optimizations_and_closed_sessions() {
         .map(|(_, n)| n)
         .sum();
     assert_eq!(fired, journal.steps.len() as u64);
+    // A lowering counts its rewrites and rule, but no run and no cost
+    // removed: its cost delta is logical to physical.
+    let (before, removed) = (
+        r.counter("optimizer.runs"),
+        r.counter("optimizer.cost_removed"),
+    );
+    db.lower_plan(&figure6());
+    let r = &db.telemetry().registry;
+    assert_eq!(r.counter("optimizer.runs"), before);
+    assert_eq!(r.counter("optimizer.cost_removed"), removed);
+    assert_eq!(r.counter("rules.physical-lowering.fired"), 1);
 
     let vdb = VersionedDb::new(db);
     let mut session = vdb.begin_session();
@@ -289,6 +297,11 @@ fn plan_cache_counters_account_for_every_served_request() {
         );
         let count = |name: &str| r.histogram(name).map_or(0, |h| h.count());
         assert_eq!(count("phase.optimize_us"), miss + stale);
+        assert_eq!(
+            r.counter("optimizer.runs"),
+            miss + stale,
+            "one run per optimized miss, none per lowering"
+        );
         assert_eq!(count("phase.lower_us"), miss + stale);
         assert_eq!(count("phase.cached_us"), hit);
         assert_eq!(count("phase.execute_us"), served);
