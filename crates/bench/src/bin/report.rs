@@ -8,7 +8,10 @@
 //! Besides the markdown on stdout, every measurement is collected into
 //! `BENCH_report.json` (figure id → ms + work counters, plus the Example 1
 //! per-operator attribution profiles and the optimizer's rewrite journal),
-//! so CI and scripts can inspect the numbers without scraping tables.
+//! so scripts can read the numbers without scraping tables.
+//!
+//! Every invariant a section's claim rests on is an `assert!` next to the
+//! code that computes it, so a clean exit is the check (CI runs it as one).
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +31,7 @@ use excess_core::Counters;
 use excess_db::{
     counters_json, escape_json, journal_json, profile_json, verify_json, Database, Tracing,
 };
-use excess_types::Value;
+use excess_types::{multiset::naive, MultiSet, Value};
 use excess_workload::{generate, queries, UniversityParams};
 
 const REPS: usize = 5;
@@ -124,6 +127,11 @@ fn main() {
     section_k(&mut report);
     verification(&mut report);
 
+    assert!(
+        report.figures.len() >= 40,
+        "only {} figures recorded",
+        report.figures.len()
+    );
     let path = "BENCH_report.json";
     std::fs::write(path, report.to_json()).expect("write BENCH_report.json");
     println!("\nMachine-readable copy written to `{path}`.");
@@ -232,6 +240,11 @@ fn f5(r: &mut Report) {
         // scan counts the paper's argument rests on.
         let canon = |v: &Value| canonical_form(v, db.store());
         let canon_identical = canon(&vs) == canon(&vu) && canon(&vu) == canon(&vi);
+        assert!(
+            canon_identical,
+            "{label}: the three dispatch plans disagree"
+        );
+        assert_eq!(scans, [1, 3, 3], "{label}: P scanned {scans:?} times");
         checks.push(format!(
             "{{\"scenario\":\"p{n}s{sub}\",\"canon_identical\":{canon_identical},\
              \"named_object_scans\":[{},{},{}]}}",
@@ -328,6 +341,48 @@ where c.ssnum > 500000000
     );
     r.record("A1/initial", ti, ci);
     r.record("A1/optimized", to, co);
+
+    // The multiset representation: the sorted count map against the `Vec`
+    // kernels of `multiset::naive`, on `DE` and `−` (a quarter of `a`'s
+    // values distinct, `b` half as long).
+    println!("\nMultiset kernels, count map vs `multiset::naive` (µs):");
+    println!("\n| n | count-map DE | naive DE | count-map − | naive − |");
+    println!("|---|---|---|---|---|");
+    for n in [100usize, 1000, 4000] {
+        let a: Vec<Value> = (0..n).map(|i| Value::int((i % (n / 4)) as i32)).collect();
+        let b: Vec<Value> = (0..n / 2).map(|i| Value::int(i as i32)).collect();
+        let ms_a: MultiSet = a.iter().cloned().collect();
+        let ms_b: MultiSet = b.iter().cloned().collect();
+        let (de, de_map) = timed(|| ms_a.dup_elim());
+        let (de_naive, de_vec) = timed(|| naive::dup_elim(&a));
+        let (diff, diff_map) = timed(|| ms_a.clone().difference(&ms_b));
+        let (diff_naive, diff_vec) = timed(|| naive::difference(&a, &b));
+        assert_eq!(
+            de_map,
+            MultiSet::from_occurrences(de_vec),
+            "n={n}: DE kernels differ"
+        );
+        assert_eq!(
+            diff_map,
+            MultiSet::from_occurrences(diff_vec),
+            "n={n}: − kernels differ"
+        );
+        println!(
+            "| {n} | {:.1} | {:.1} | {:.1} | {:.1} |",
+            de * 1e3,
+            de_naive * 1e3,
+            diff * 1e3,
+            diff_naive * 1e3
+        );
+        for (kernel, ms) in [
+            ("countmap_de", de),
+            ("naive_de", de_naive),
+            ("countmap_diff", diff),
+            ("naive_diff", diff_naive),
+        ] {
+            r.record(format!("A1/kernels/n{n}/{kernel}"), ms, Counters::new());
+        }
+    }
 }
 
 /// Per-operator profile of `plan` as written (precise timestamps).
@@ -408,17 +463,15 @@ fn attribution(r: &mut Report) {
     };
     let opt = excess_optimizer::Optimizer::standard();
     let (_, journal) = opt.optimize_greedy_journaled(&figure6(), &rctx, db.statistics());
+    let rules = journal.rule_sequence();
     assert!(
-        journal.rule_sequence().contains(&"rel5-de-early"),
-        "greedy on figure 6 should push DE early, journal: {:?}",
-        journal.rule_sequence()
+        rules.contains(&"rule8-de-through-group") && rules.contains(&"rel5-de-early"),
+        "greedy on figure 6 should push DE through GRP and early, journal: {rules:?}"
     );
+    assert!(journal.final_cost < journal.initial_cost);
     println!(
-        "  optimizer on figure 6: rules {:?}, cost {:.0} → {:.0} ({} plans enumerated)",
-        journal.rule_sequence(),
-        journal.initial_cost,
-        journal.final_cost,
-        journal.plans_enumerated
+        "  optimizer on figure 6: rules {rules:?}, cost {:.0} → {:.0} ({} plans enumerated)",
+        journal.initial_cost, journal.final_cost, journal.plans_enumerated
     );
 
     r.extra("p1_fig7_profile", profile_json(&p7));
@@ -434,7 +487,7 @@ fn attribution(r: &mut Report) {
 /// statistics collected from the store, with a strictly decreasing cost
 /// trajectory.  Records before/after estimated cost, the journal, and the
 /// wall time of both executed plans; the `assert!`s make the report binary
-/// a regression check and CI inspects the JSON again from outside.
+/// a regression check.
 fn section_d(r: &mut Report) {
     println!("\n## D — cost-based derivation: Figure 6 → Figure 8 from statistics");
     let (s, e, dup) = (512usize, 256usize, 32usize);
@@ -452,6 +505,16 @@ fn section_d(r: &mut Report) {
         best.plan
     );
     assert!(journal.final_cost < journal.initial_cost);
+    assert_eq!(
+        journal.rule_sequence(),
+        ["rule8-de-through-group", "rel5-de-early"],
+        "greedy(figure 6) must take Figure 7's rule, then Figure 8's"
+    );
+    let trajectory = journal.cost_trajectory();
+    assert!(
+        trajectory.windows(2).all(|w| w[1] < w[0]),
+        "every step must lower the estimated cost: {trajectory:?}"
+    );
 
     let (t_before, c_before, _) = measure(&mut db, &logical(&figure6()));
     let (t_after, c_after, _) = measure(&mut db, &logical(&best.plan));
@@ -466,11 +529,7 @@ fn section_d(r: &mut Report) {
         "| greedy-optimized (= figure 8) | {:.0} | {t_after:.2} | {} |",
         journal.final_cost, c_after.de_input_occurrences
     );
-    let traj: Vec<String> = journal
-        .cost_trajectory()
-        .iter()
-        .map(|c| format!("{c:.0}"))
-        .collect();
+    let traj: Vec<String> = trajectory.iter().map(|c| format!("{c:.0}")).collect();
     println!(
         "\nJournal: {:?}, cost {}.",
         journal.rule_sequence(),
@@ -484,11 +543,7 @@ fn section_d(r: &mut Report) {
         .iter()
         .map(|n| format!("\"{n}\""))
         .collect();
-    let traj_json: Vec<String> = journal
-        .cost_trajectory()
-        .iter()
-        .map(|c| format!("{c}"))
-        .collect();
+    let traj_json: Vec<String> = trajectory.iter().map(|c| format!("{c}")).collect();
     r.extra(
         "d_cost_model",
         format!(
@@ -508,9 +563,8 @@ fn section_d(r: &mut Report) {
 /// name distinct, so the |S|·|E| comparison loop is the whole query) run
 /// once as the logical plan (nested loop) and once through the lowered
 /// physical plan (hash equi-join kernel), serially.  The `assert!`s are
-/// the tentpole's acceptance criteria: the results are canon-identical
-/// and the hash kernel performs strictly fewer predicate comparisons;
-/// CI re-checks both from the `f_physical` extra.
+/// the section's claim: the results are canon-identical and the hash
+/// kernel performs strictly fewer predicate comparisons.
 fn section_f(r: &mut Report) {
     println!("\n## F — physical lowering: hash equi-join vs nested loop");
     let (s, e) = (512usize, 256usize);
@@ -579,13 +633,14 @@ fn section_f(r: &mut Report) {
 /// spelled attribute by attribute.  The translated plan runs as written
 /// (nested loop, every operator logical) and as served (optimized and
 /// lowered: the hash equi-join kernel), at the `served-retrieve`
-/// benchmark's scale and four times it.  Returns the `served_join`
-/// document of the benchmark's scale for `f_physical`; CI re-checks the
-/// kernel, the Figure 8 plan, canon-identity, and the comparison count —
-/// a count that repeats exactly — from it.  The document also records,
-/// for the two other served joins ([`ANALYTIC_JOINS`]), whether their
-/// served run — the fused join-apply reading its rows off the joined
-/// pairs — is canon-identical to the plan as translated.
+/// benchmark's scale and four times it; at both, the served plan must be
+/// Figure 8 on the hash kernel, canon-identical to the translated one,
+/// with at most a quarter of its comparisons (counts that repeat exactly).
+/// Returns the `served_join` document of the benchmark's scale for
+/// `f_physical`.  The document also records, for the two other served
+/// joins ([`ANALYTIC_JOINS`]), that their served run — the fused
+/// join-apply reading its rows off the joined pairs — is canon-identical
+/// to the plan as translated.
 fn served_join(r: &mut Report) -> String {
     let (label, text) = MIX[0];
     let (ranges, retrieve) = text.split_at(text.find("retrieve").expect("a retrieve"));
@@ -599,6 +654,10 @@ fn served_join(r: &mut Report) -> String {
         let (tn, nested, nested_value) = measure(&mut db, &logical(&plan));
         let optimized = db.optimize_plan(&plan);
         let reaches_figure8 = with_pi_bodies(&optimized) == figure8_canonical();
+        assert!(
+            reaches_figure8,
+            "the served join must optimize to Figure 8, got:\n{optimized:?}"
+        );
         let (physical, _) = db.lower_plan(&optimized);
         let kernel = physical
             .choices
@@ -615,19 +674,19 @@ fn served_join(r: &mut Report) -> String {
             canon_identical,
             "optimizing the served join changed its result"
         );
+        assert!(
+            served.comparisons * 4 <= nested.comparisons,
+            "the served join must compare at most a quarter as often: {} vs {}",
+            served.comparisons,
+            nested.comparisons
+        );
         println!(
             "| {scale} | as translated (nested loop) | {tn:.2} | {} | {} |",
             nested.comparisons, nested.de_input_occurrences
         );
         println!(
-            "| {scale} | served (Figure 8: {}, {kernel}) | {ts:.2} | {} | {} |",
-            if reaches_figure8 {
-                "reached"
-            } else {
-                "NOT reached"
-            },
-            served.comparisons,
-            served.de_input_occurrences
+            "| {scale} | served (Figure 8: reached, {kernel}) | {ts:.2} | {} | {} |",
+            served.comparisons, served.de_input_occurrences
         );
         r.record(format!("F/served-join/{scale}/nested"), tn, nested);
         r.record(format!("F/served-join/{scale}/served"), ts, served);
@@ -742,7 +801,7 @@ fn g_suite(db: &mut Database, figs: &[(&str, Expr)], trace_fig: &str) -> (u64, S
 /// G — unified telemetry: latency histograms with exact bucket counts and
 /// span trees that telescope to the profiler's counters over the F6–F11
 /// figures.  The `assert!`s in [`g_suite`] are the section's acceptance
-/// criteria; CI re-checks the invariants from the `g_histograms` extra.
+/// criteria.
 fn section_g(r: &mut Report) {
     println!("\n## G — unified telemetry: histograms and span telescoping");
 
@@ -773,8 +832,7 @@ fn section_g(r: &mut Report) {
 /// same parser output under the same statistics, both [`timed`].  The
 /// reference is what the retired greedy pipeline branch ran — the climb
 /// from the plan and from its `desugar()`, cheaper result kept.  The memo
-/// must never extract a costlier plan — asserted here and re-checked by CI
-/// from the JSON.  Returns the figure's JSON row.
+/// must never extract a costlier plan.  Returns the figure's JSON row.
 fn k_pair(id: &str, db: &Database, plan: &Expr, gate_refusals: &mut usize) -> String {
     let rctx = excess_optimizer::RuleCtx {
         registry: db.registry(),
@@ -801,6 +859,16 @@ fn k_pair(id: &str, db: &Database, plan: &Expr, gate_refusals: &mut usize) -> St
     *gate_refusals += extract;
     let snap = &run.snapshot;
     let (greedy_us, memo_us) = (greedy_ms * 1e3, memo_ms * 1e3);
+    assert!(
+        memo_us > 0.0 && greedy_us > 0.0,
+        "{id}: an optimize time was not recorded"
+    );
+    assert!(
+        !snap.groups.is_empty() && snap.members >= snap.groups.len(),
+        "{id}: {} members in {} groups",
+        snap.members,
+        snap.groups.len()
+    );
     println!(
         "| {id} | {greedy_cost:.0} | {:.0} | {greedy_us:.0} | {memo_us:.0} | {} | {} | {} |",
         m.cost,
@@ -821,7 +889,7 @@ fn k_pair(id: &str, db: &Database, plan: &Expr, gate_refusals: &mut usize) -> St
 }
 
 /// K — the one plan search against the reference climb.  Two sub-claims,
-/// each asserted here and re-checked by CI from the `k_memo` extra:
+/// each asserted here:
 ///
 /// 1. On every figure (F6–F11) and the scaled join the memo — with no
 ///    greedy pass inside it — extracts a plan no costlier than the
@@ -871,6 +939,7 @@ fn section_k(r: &mut Report) {
     );
     let rules = run.journal.rule_sequence();
     assert!(rules.contains(&"rule8-de-through-group") && rules.contains(&"rel5-de-early"));
+    assert!(run.journal.final_cost < run.journal.initial_cost);
     let regressions = run
         .journal
         .refused
@@ -1051,6 +1120,7 @@ fn verification(r: &mut Report) {
         steps > 0,
         "no journal intermediates were exercised — the desugared figures should rewrite"
     );
+    assert!(entries.len() >= 13, "only {} plans verified", entries.len());
 
     println!(
         "\n{} plans verified clean ({} lints), {} journal intermediates re-verified.",

@@ -1,9 +1,9 @@
 //! # excess-bench — shared fixtures for the paper's figure experiments
 //!
-//! Plan builders and data generators used by both the Criterion benches
-//! (`benches/`) and the `report` binary that prints the EXPERIMENTS.md
-//! rows.  Each builder constructs a *specific figure's query tree* so the
-//! benches compare exactly the plans the paper draws.
+//! Plan builders and data generators used by the `report` binary that
+//! prints the EXPERIMENTS.md rows, the root tests and the `served-retrieve`
+//! benchmark.  Each builder constructs a *specific figure's query tree* so
+//! the report compares exactly the plans the paper draws.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +44,7 @@ pub fn array_db(len: usize) -> Database {
 /// Milliseconds spent running `f` once.
 pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = std::time::Instant::now();
-    let out = f();
+    let out = std::hint::black_box(f());
     (out, t0.elapsed().as_secs_f64() * 1e3)
 }
 

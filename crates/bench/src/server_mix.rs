@@ -3,9 +3,9 @@
 //! (what the wire protocol speaks, unlike the algebra `Expr` builders in
 //! [`example1`](crate::example1) / [`example2`](crate::example2)).
 //!
-//! Used by the `qps` driver (N client threads replaying [`MIX`] against
-//! a live server) and the server smoke tests (wire results must be
-//! canon-identical to in-process session results).
+//! Used by the server smoke tests (wire results must be canon-identical
+//! to in-process session results), the `report` binary's served-join rows
+//! and the `served-retrieve` benchmark.
 
 use crate::example1::populate_example1;
 use crate::example2::populate_example2;

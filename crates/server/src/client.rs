@@ -1,5 +1,5 @@
 //! A minimal blocking client for the line protocol — what the smoke
-//! tests and the `qps` benchmark driver speak.
+//! tests and the `served-retrieve` benchmark speak.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
