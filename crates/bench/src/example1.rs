@@ -30,7 +30,7 @@ pub fn example1_db(n_students: usize, n_emps: usize, dup: usize) -> Database {
 /// Load the Example 1 extents (`S1`, `E1`) into an existing database —
 /// shared between [`example1_db`] and the server-mix builder.  Does not
 /// collect statistics; callers do once everything is loaded.
-pub fn populate_example1(db: &mut Database, n_students: usize, n_emps: usize, dup: usize) {
+pub(crate) fn populate_example1(db: &mut Database, n_students: usize, n_emps: usize, dup: usize) {
     let dup = dup.max(1);
     let distinct = (n_students / dup).max(1);
     let students: Vec<Value> = (0..n_students)

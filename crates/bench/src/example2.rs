@@ -24,7 +24,7 @@ pub fn example2_db(n: usize, depts: usize, floors: usize) -> Database {
 /// `S2` referencing them) into an existing database — shared between
 /// [`example2_db`] and the server-mix builder.  Does not collect
 /// statistics; callers do once everything is loaded.
-pub fn populate_example2(db: &mut Database, n: usize, depts: usize, floors: usize) {
+pub(crate) fn populate_example2(db: &mut Database, n: usize, depts: usize, floors: usize) {
     db.execute("define type Dept2: (division: char[], dname: char[], floor: int4)")
         .unwrap();
     let dept_ty = db.registry().lookup("Dept2").unwrap();

@@ -53,11 +53,6 @@ impl Counters {
         Self::default()
     }
 
-    /// Reset all counters to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
     /// Work performed between two snapshots: `after.diff(before)`.
     ///
     /// Counters only ever grow during evaluation, so the saturating
@@ -68,7 +63,7 @@ impl Counters {
     }
 
     /// The work of `n` runs that each did `self`.
-    pub fn times(&self, n: u64) -> Counters {
+    pub(crate) fn times(&self, n: u64) -> Counters {
         zip_fields!(self, self, |a: u64, _: u64| a.wrapping_mul(n))
     }
 
@@ -86,19 +81,6 @@ impl Counters {
             ("named_object_scans", self.named_object_scans),
             ("pairs_formed", self.pairs_formed),
         ]
-    }
-
-    /// Total of all individual counters — a crude "total work" scalar
-    /// useful for cheap is-anything-happening checks.
-    pub fn total(&self) -> u64 {
-        self.occurrences_scanned
-            + self.elements_scanned
-            + self.derefs
-            + self.de_input_occurrences
-            + self.comparisons
-            + self.oids_minted
-            + self.named_object_scans
-            + self.pairs_formed
     }
 }
 
@@ -145,15 +127,6 @@ impl std::fmt::Display for Counters {
 mod tests {
     use super::*;
 
-    #[test]
-    fn reset_zeroes_everything() {
-        let mut c = Counters::new();
-        c.derefs = 3;
-        c.occurrences_scanned = 9;
-        c.reset();
-        assert_eq!(c, Counters::new());
-    }
-
     fn sample(step: u64) -> Counters {
         Counters {
             occurrences_scanned: step,
@@ -195,16 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn total_sums_all_fields() {
-        assert_eq!(Counters::new().total(), 0);
-        assert_eq!(sample(1).total(), 36);
-    }
-
-    #[test]
     fn named_fields_cover_every_counter() {
         let c = sample(1);
+        // `sample(1)`'s fields are 1..=8, so a missing or repeated field
+        // changes the sum.
         let sum: u64 = c.named_fields().iter().map(|(_, v)| v).sum();
-        assert_eq!(sum, c.total(), "a field is missing from named_fields");
+        assert_eq!(sum, 36, "a field is missing from named_fields");
         assert_eq!(c.named_fields()[2], ("derefs", 3));
     }
 

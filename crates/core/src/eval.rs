@@ -768,7 +768,7 @@ fn join_sets(
 
 /// Evaluate a predicate in the given environment (the COMP input or the
 /// σ/join element is the innermost binding).
-pub fn eval_pred(p: &Pred, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<Truth> {
+pub(crate) fn eval_pred(p: &Pred, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<Truth> {
     match p {
         Pred::Cmp(l, op, r) => {
             if ctx.trace.is_none() && is_path(l) && is_path(r) {

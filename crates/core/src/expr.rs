@@ -115,7 +115,7 @@ impl Pred {
 
     /// Visit the expressions of [`Pred::exprs`] in order, stopping at the
     /// first `Break`, allocating nothing.
-    pub fn try_for_each_expr<'p, B>(
+    fn try_for_each_expr<'p, B>(
         &'p self,
         f: &mut impl FnMut(&'p Expr) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
@@ -587,7 +587,7 @@ impl Expr {
     }
 
     /// The `i`th of [`Expr::children`], found without collecting them.
-    pub fn child(&self, i: usize) -> Option<&Expr> {
+    pub(crate) fn child(&self, i: usize) -> Option<&Expr> {
         let mut seen = 0;
         self.try_for_each_child(|c| {
             if seen == i {
@@ -601,7 +601,7 @@ impl Expr {
 
     /// Does `f` hold for some direct child?  Children are tried in
     /// [`Expr::children`] order, up to the first that passes.
-    pub fn any_child(&self, mut f: impl FnMut(&Expr) -> bool) -> bool {
+    fn any_child(&self, mut f: impl FnMut(&Expr) -> bool) -> bool {
         self.try_for_each_child(|c| {
             if f(c) {
                 ControlFlow::Break(())
@@ -614,7 +614,7 @@ impl Expr {
 
     /// Visit the direct children in [`Expr::children`] order, stopping at
     /// the first `Break`: the walk behind `children`, allocating nothing.
-    pub fn try_for_each_child<'e, B>(
+    fn try_for_each_child<'e, B>(
         &'e self,
         mut f: impl FnMut(&'e Expr) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
@@ -784,20 +784,6 @@ impl Expr {
                 Some(out)
             }
         }
-    }
-
-    /// Number of operator nodes (leaves count 0) — the induction measure
-    /// used in the equipollence proof.
-    pub fn operator_count(&self) -> usize {
-        let me = match self {
-            Expr::Input(_) | Expr::Named(_) | Expr::Const(_) => 0,
-            _ => 1,
-        };
-        me + self
-            .children()
-            .iter()
-            .map(|c| c.operator_count())
-            .sum::<usize>()
     }
 
     /// Does the expression mention `Input(depth)` free (i.e. escaping all
@@ -1056,13 +1042,6 @@ mod tests {
             e.to_string(),
             "π[name,salary](DEREF(ARR_EXTRACT[5](TopTen)))"
         );
-    }
-
-    #[test]
-    fn operator_count_is_the_induction_measure() {
-        let e = Expr::named("A").dup_elim().make_set();
-        assert_eq!(e.operator_count(), 2);
-        assert_eq!(Expr::named("A").operator_count(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The typing pieces the verifier's walk is built from: where the schemas
 //! of named top-level objects come from ([`SchemaCatalog`]), the schema of
-//! a literal ([`value_schema`]), and the field and numeric joins that
+//! a literal (`value_schema`), and the field and numeric joins that
 //! `TUP_CAT`, `rel_×` and arithmetic share.  The walk that types a plan
 //! with them is [`crate::verify::verify`].
 
@@ -21,7 +21,7 @@ impl SchemaCatalog for std::collections::HashMap<String, SchemaType> {
 /// Synthesise the schema of a literal value.  Empty collections get an
 /// empty-tuple element type (no information is available; the choice is
 /// harmless because no element exists to violate it).
-pub fn value_schema(v: &Value, reg: &TypeRegistry) -> SchemaType {
+pub(crate) fn value_schema(v: &Value, reg: &TypeRegistry) -> SchemaType {
     match v {
         Value::Scalar(s) => SchemaType::Val(s.scalar_type()),
         Value::Null(_) => SchemaType::Tup(vec![]), // no better information

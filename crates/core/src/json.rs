@@ -27,7 +27,7 @@ use std::time::Duration;
 /// are copied with one `push_str`.  Scanning bytes is sound: every byte
 /// that needs escaping is ASCII, and no byte of a multi-byte UTF-8
 /// sequence is.
-pub fn push_escaped(out: &mut String, s: &str) {
+fn push_escaped(out: &mut String, s: &str) {
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
@@ -49,7 +49,7 @@ pub fn push_escaped(out: &mut String, s: &str) {
     out.push_str(&s[run..]);
 }
 
-/// [`push_escaped`] between double quotes: a complete JSON string literal.
+/// `push_escaped` between double quotes: a complete JSON string literal.
 pub fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
     push_escaped(out, s);
@@ -67,7 +67,7 @@ pub fn push_number(out: &mut String, x: f64) {
     }
 }
 
-/// [`push_escaped`] into a fresh `String`.
+/// `push_escaped` into a fresh `String`.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     push_escaped(&mut out, s);

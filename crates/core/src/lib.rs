@@ -29,7 +29,6 @@
 pub mod canon;
 pub mod catalog;
 pub mod counters;
-pub mod derived;
 pub mod error;
 pub mod eval;
 pub mod expr;

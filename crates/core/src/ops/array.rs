@@ -9,7 +9,7 @@ use crate::expr::Bound;
 use excess_types::Value;
 
 /// Resolve a [`Bound`] against an array of length `len` to a 1-based index.
-pub fn resolve_bound(b: Bound, len: usize) -> usize {
+fn resolve_bound(b: Bound, len: usize) -> usize {
     match b {
         Bound::At(n) => n,
         Bound::Last => len,
@@ -49,7 +49,7 @@ pub fn cat(a: &[Value], b: &[Value]) -> Vec<Value> {
 
 /// `ARR_COLLAPSE(A)`: order-preserving flatten of an array of arrays.
 /// Returns `None` if a member is not an array.
-pub fn collapse(a: &[Value]) -> Option<Vec<Value>> {
+pub(crate) fn collapse(a: &[Value]) -> Option<Vec<Value>> {
     let mut out = Vec::new();
     for v in a {
         out.extend_from_slice(v.as_array()?);

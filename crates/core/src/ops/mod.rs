@@ -6,6 +6,6 @@
 //! and the aggregate functions.  The evaluator in [`mod@crate::eval`] wires
 //! them to the expression AST.
 
-pub mod aggregate;
+pub(crate) mod aggregate;
 pub mod array;
 pub mod predicate;

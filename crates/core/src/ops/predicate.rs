@@ -54,7 +54,7 @@ impl Truth {
 
 /// Compare two evaluated operands.  `None` signals a sort error (only `in`
 /// with a non-multiset right operand).
-pub fn compare(l: &Value, op: CmpOp, r: &Value) -> Option<Truth> {
+pub(crate) fn compare(l: &Value, op: CmpOp, r: &Value) -> Option<Truth> {
     if l.is_dne() || r.is_dne() {
         return Some(Truth::F);
     }
@@ -77,7 +77,7 @@ pub fn compare(l: &Value, op: CmpOp, r: &Value) -> Option<Truth> {
 }
 
 /// The value COMP returns given the predicate's truth value and its input.
-pub fn comp_result(t: Truth, input: Value) -> Value {
+pub(crate) fn comp_result(t: Truth, input: Value) -> Value {
     match t {
         Truth::T => input,
         Truth::F => Value::dne(),

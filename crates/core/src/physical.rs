@@ -16,7 +16,7 @@
 //!
 //! # The hash equi-join kernel
 //!
-//! [`hash_equi_join`] buckets the right side by its key field, probes with
+//! `hash_equi_join` buckets the right side by its key field, probes with
 //! each left occurrence, and evaluates only the *residual* predicate (the
 //! `COMP` conjuncts minus the equi conjunct) on in-bucket pairs:
 //!
@@ -70,7 +70,7 @@
 //!
 //! ```
 //! use excess_core::expr::{CmpOp, Expr, Pred};
-//! use excess_core::physical::{conjuncts, equi_key_candidates, split_residual};
+//! use excess_core::physical::{conjuncts, equi_key_candidates};
 //!
 //! // sadv = ename AND esal >= 2000
 //! let pred = Pred::cmp(
@@ -85,8 +85,6 @@
 //!     equi_key_candidates(&pred),
 //!     vec![("sadv".to_string(), "ename".to_string())]
 //! );
-//! // The hash kernel keeps only the residual conjunct: esal >= 2000.
-//! assert_eq!(split_residual(&pred, "sadv", "ename").unwrap().len(), 1);
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
@@ -97,7 +95,7 @@ use crate::error::EvalResult;
 use crate::eval::{eval, eval_pred, evaluate, EvalCtx};
 use crate::expr::{CmpOp, Expr, Pred};
 use crate::ops::predicate::{compare, Truth};
-use crate::profile::NodePath;
+use crate::profile::{path_string, NodePath, Profile};
 use crate::render::op_label;
 use excess_types::{MultiSet, Tuple, Value};
 
@@ -186,7 +184,7 @@ impl fmt::Debug for PhysicalPlan {
 /// entries of [`EvalCtx`]'s pointer-keyed kernel table).
 #[derive(Debug)]
 pub(crate) enum RowKernel {
-    /// [`hash_equi_join`] on a `rel_join` node.
+    /// `hash_equi_join` on a `rel_join` node.
     HashJoin { left_key: String, right_key: String },
     /// [`hash_join_apply`] on a `SET_APPLY` whose input is a `rel_join`
     /// chosen [`PhysOp::HashEquiJoin`] and whose body and residual
@@ -370,6 +368,41 @@ impl PhysicalPlan {
         out
     }
 
+    /// The `physical plan:` block: one line per chosen kernel that is
+    /// more than a pass-through, with the lowering's estimated rows next
+    /// to the rows `profile` measured at that node (`—` when the profile
+    /// has no node at the path) and why the kernel was chosen.  Empty when
+    /// every node passes through.
+    pub fn render_choices(&self, profile: &Profile) -> String {
+        let mut out = String::new();
+        for (path, choice) in &self.choices {
+            if matches!(choice.op, PhysOp::PassThrough) {
+                continue;
+            }
+            if out.is_empty() {
+                out.push_str("physical plan:\n");
+            }
+            let actual = profile
+                .node(path)
+                .map(|n| n.rows_out.to_string())
+                .unwrap_or_else(|| "—".to_string());
+            let est = choice
+                .est_rows
+                .map(|r| format!("{r:.0}"))
+                .unwrap_or_else(|| "?".to_string());
+            out.push_str(&format!(
+                "  {} {}  est rows={est} actual rows={actual}",
+                path_string(path),
+                choice.op,
+            ));
+            if !choice.why.is_empty() {
+                out.push_str(&format!("  ({})", choice.why));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
     fn render_node(&self, e: &Expr, path: &mut NodePath, depth: usize, out: &mut String) {
         out.push_str(&"  ".repeat(depth));
         out.push_str(&op_label(e));
@@ -427,7 +460,7 @@ pub fn conjuncts(p: &Pred) -> Vec<&Pred> {
 /// The statically hashable equality conjuncts of a join predicate: every
 /// `INPUT.f = INPUT.g` conjunct, as `(f, g)` field pairs.  Static shape
 /// only — whether a pair actually drives a hash kernel soundly depends on
-/// the data (see [`hash_equi_join`]).
+/// the data (see `hash_equi_join`).
 pub fn equi_key_candidates(pred: &Pred) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for c in conjuncts(pred) {
@@ -504,7 +537,7 @@ impl<'v> Buckets<'v> {
 /// first equi conjunct over exactly the key pair `{lf, rf}` (in either
 /// orientation), in original left-to-right order.  `None` when the
 /// predicate has no such conjunct — the kernel must then refuse.
-pub fn split_residual<'p>(pred: &'p Pred, lf: &str, rf: &str) -> Option<Vec<&'p Pred>> {
+fn split_residual<'p>(pred: &'p Pred, lf: &str, rf: &str) -> Option<Vec<&'p Pred>> {
     let mut residual = Vec::new();
     let mut found = false;
     for c in conjuncts(pred) {
@@ -533,7 +566,7 @@ pub fn split_residual<'p>(pred: &'p Pred, lf: &str, rf: &str) -> Option<Vec<&'p 
 /// See the module docs for the soundness argument; the guard checks the
 /// side conditions on the materialised inputs (both orientations), so
 /// correctness never depends on the statistics that suggested the kernel.
-pub fn hash_equi_join(
+pub(crate) fn hash_equi_join(
     sa: &MultiSet,
     sb: &MultiSet,
     lf: &str,
@@ -782,7 +815,7 @@ mod tests {
         }
     }
 
-    /// [`hash_equi_join`] on `l`, `r` under the keys `(lf, rf)` and the
+    /// `hash_equi_join` on `l`, `r` under the keys `(lf, rf)` and the
     /// predicate `k = j`: `None` where the guard refuses.
     fn hashed(l: &MultiSet, r: &MultiSet, lf: &str, rf: &str) -> Option<MultiSet> {
         let (reg, cat) = (TypeRegistry::new(), Cat::new());

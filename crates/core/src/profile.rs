@@ -3,8 +3,8 @@
 //! A [`TraceSink`] hangs off [`EvalCtx`](crate::eval::EvalCtx) and is
 //! strictly opt-in: when absent, the evaluator pays a single `Option`
 //! check per node and allocates nothing.  When present, every evaluation
-//! of every operator node is bracketed by [`TraceSink::enter`] /
-//! [`TraceSink::exit`], which attribute to that node:
+//! of every operator node is bracketed by `TraceSink::enter` /
+//! `TraceSink::exit`, which attribute to that node:
 //!
 //! * invocation count (a SET_APPLY body runs once per occurrence);
 //! * input cardinality (occurrences/elements produced by its child
@@ -70,10 +70,10 @@ struct Frame {
     rows_in: u64,
 }
 
-/// Token handed out by [`TraceSink::enter`] and consumed by
-/// [`TraceSink::exit`]; holds the stack depth so mismatches are caught.
+/// Token handed out by `TraceSink::enter` and consumed by
+/// `TraceSink::exit`; holds the stack depth so mismatches are caught.
 #[derive(Debug)]
-pub struct FrameToken(usize);
+pub(crate) struct FrameToken(usize);
 
 /// Accumulated statistics for one plan node across all its invocations.
 #[derive(Debug, Clone, Default)]
@@ -118,7 +118,7 @@ impl TraceSink {
 
     /// Open a frame for `e`.  `counters` is the global counter state at
     /// entry.
-    pub fn enter(&mut self, e: &Expr, counters: Counters) -> FrameToken {
+    pub(crate) fn enter(&mut self, e: &Expr, counters: Counters) -> FrameToken {
         let path = match self.stack.last_mut() {
             None => Vec::new(),
             Some(parent) => {
@@ -150,7 +150,7 @@ impl TraceSink {
 
     /// Close the frame opened by `token`, folding this invocation into the
     /// node's aggregate and crediting the parent frame.
-    pub fn exit(
+    pub(crate) fn exit(
         &mut self,
         token: FrameToken,
         e: &Expr,
@@ -197,7 +197,7 @@ impl TraceSink {
 
     /// Freeze the recording into a [`Profile`].  Panics if called while
     /// frames are still open.
-    pub fn finish(self) -> Profile {
+    pub(crate) fn finish(self) -> Profile {
         assert!(self.stack.is_empty(), "TraceSink finished with open frames");
         Profile {
             nodes: self
@@ -344,7 +344,11 @@ mod tests {
         let profile = ctx.take_profile().unwrap();
         assert_eq!(profile.total, global);
         assert_eq!(profile.sum_of_self_counters(), global);
-        assert!(global.total() > 0, "plan should have done some work");
+        assert_ne!(
+            global,
+            crate::counters::Counters::new(),
+            "plan should have done some work"
+        );
     }
 
     #[test]

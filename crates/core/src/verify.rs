@@ -105,7 +105,7 @@ impl Report {
     }
 
     /// The lint-severity findings.
-    pub fn lints(&self) -> impl Iterator<Item = &Diagnostic> {
+    pub(crate) fn lints(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Lint)
@@ -186,7 +186,7 @@ pub fn resolve_deep(t: &SchemaType, reg: &TypeRegistry) -> SchemaType {
 }
 
 /// The element schema of an empty collection literal or a null — "no
-/// information" (see [`value_schema`]); compatible with anything.
+/// information" (see `value_schema`); compatible with anything.
 fn is_unknown(t: &SchemaType) -> bool {
     matches!(t, SchemaType::Tup(fs) if fs.is_empty())
 }

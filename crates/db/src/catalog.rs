@@ -35,7 +35,7 @@ impl DbCatalog {
     }
 
     /// Register or replace an object.
-    pub fn put(&mut self, name: &str, schema: SchemaType, value: Value) {
+    pub(crate) fn put(&mut self, name: &str, schema: SchemaType, value: Value) {
         Arc::make_mut(&mut self.objects).insert(name.to_string(), NamedObject { schema, value });
     }
 
@@ -45,7 +45,7 @@ impl DbCatalog {
     }
 
     /// Mutable value access (updates).
-    pub fn value_mut(&mut self, name: &str) -> Option<&mut Value> {
+    pub(crate) fn value_mut(&mut self, name: &str) -> Option<&mut Value> {
         Arc::make_mut(&mut self.objects)
             .get_mut(name)
             .map(|o| &mut o.value)
@@ -57,16 +57,8 @@ impl DbCatalog {
     }
 
     /// Does the object exist?
-    pub fn contains(&self, name: &str) -> bool {
+    pub(crate) fn contains(&self, name: &str) -> bool {
         self.objects.contains_key(name)
-    }
-
-    /// Remove an object (and any of its extent views).
-    pub fn remove(&mut self, name: &str) {
-        let objects = Arc::make_mut(&mut self.objects);
-        objects.remove(name);
-        let prefix = format!("{name}::exact::");
-        objects.retain(|k, _| !k.starts_with(&prefix));
     }
 
     /// `true` iff both catalogs are views of the same name map (see
@@ -88,12 +80,12 @@ impl DbCatalog {
 }
 
 /// The name of `object`'s per-exact-type extent view for type `ty`.
-pub fn extent_view_name(object: &str, ty: &str) -> String {
+pub(crate) fn extent_view_name(object: &str, ty: &str) -> String {
     format!("{object}::exact::{ty}")
 }
 
-/// Is `name` a per-exact-type extent view (see [`extent_view_name`])?
-pub fn is_extent_view(name: &str) -> bool {
+/// Is `name` a per-exact-type extent view (see `extent_view_name`)?
+pub(crate) fn is_extent_view(name: &str) -> bool {
     name.contains("::exact::")
 }
 
@@ -114,7 +106,7 @@ mod tests {
     use super::*;
 
     /// A cloned catalog shares its map until it writes; writing through
-    /// [`DbCatalog::value_mut`] then copies the map and the written object
+    /// `DbCatalog::value_mut` then copies the map and the written object
     /// only, in the clone only, and every other value stays shared.
     #[test]
     fn value_mut_on_a_clone_leaves_the_original_alone() {

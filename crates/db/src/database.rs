@@ -9,7 +9,6 @@ use excess_core::counters::Counters;
 use excess_core::eval::{evaluate, EvalCtx};
 use excess_core::expr::Expr;
 use excess_core::physical::PhysicalPlan;
-use excess_core::profile::Profile;
 use excess_core::verify::Report;
 use excess_exec::{ExecOutcome, Tracing};
 use excess_lang::ast::{QExpr, QPred, Retrieve, Step, Stmt};
@@ -34,42 +33,6 @@ fn render_diagnostics(r: &Report) -> String {
     for d in &r.diagnostics {
         out.push_str("  ");
         out.push_str(&d.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Render the `physical plan:` block `explain_analyze` appends: one line
-/// per lowered spine node whose kernel is more than a pass-through, with
-/// the lowering's estimated rows next to the measured rows at that node
-/// (`—` when the profile has no node at the path).
-fn render_physical_choices(plan: &PhysicalPlan, profile: &Profile) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for (path, choice) in &plan.choices {
-        if matches!(choice.op, excess_core::physical::PhysOp::PassThrough) {
-            continue;
-        }
-        if out.is_empty() {
-            out.push_str("physical plan:\n");
-        }
-        let actual = profile
-            .node(path)
-            .map(|n| n.rows_out.to_string())
-            .unwrap_or_else(|| "—".to_string());
-        let est = choice
-            .est_rows
-            .map(|r| format!("{r:.0}"))
-            .unwrap_or_else(|| "?".to_string());
-        let _ = write!(
-            out,
-            "  {} {}  est rows={est} actual rows={actual}",
-            excess_core::profile::path_string(path),
-            choice.op,
-        );
-        if !choice.why.is_empty() {
-            let _ = write!(out, "  ({})", choice.why);
-        }
         out.push('\n');
     }
     out
@@ -249,18 +212,6 @@ impl Database {
     pub fn put_object(&mut self, name: &str, schema: SchemaType, value: Value) {
         self.catalog.put(name, schema, value);
         self.rewritten(name);
-    }
-
-    /// Define a type directly (bulk loading outside the DDL path).
-    pub fn define_type_raw(
-        &mut self,
-        name: &str,
-        body: SchemaType,
-        inherits: &[&str],
-    ) -> DbResult<TypeId> {
-        let id = Arc::make_mut(&mut self.registry).define_with_supertypes(name, body, inherits)?;
-        self.refile_all_extents();
-        Ok(id)
     }
 
     // ----- statement execution -----
@@ -664,7 +615,7 @@ impl Database {
         let mut out = crate::explain::render_explain_analyze(plan, &profile, &estimates);
         // The kernel block slots in above the `total:` footer so the
         // footer stays the render's last line.
-        let phys = render_physical_choices(&physical, &profile);
+        let phys = physical.render_choices(&profile);
         if !phys.is_empty() {
             match out.rfind("\ntotal: ") {
                 Some(pos) => out.insert_str(pos + 1, &phys),

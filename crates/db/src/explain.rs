@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Render the annotated operator tree for one profiled execution.
-pub fn render_explain_analyze(
+pub(crate) fn render_explain_analyze(
     plan: &Expr,
     profile: &Profile,
     estimates: &[(NodePath, Estimate)],

@@ -14,7 +14,7 @@ pub fn format_result(v: &Value) -> String {
 
 /// Render a multiset of same-shaped tuples as a table; `None` when the
 /// value is not that shape.
-pub fn try_table(v: &Value) -> Option<String> {
+pub(crate) fn try_table(v: &Value) -> Option<String> {
     let set = v.as_set()?;
     if set.is_empty() {
         return Some("(empty)".to_string());

@@ -36,8 +36,7 @@ pub mod stats;
 pub use catalog::{DbCatalog, NamedObject};
 pub use database::Database;
 pub use error::{DbError, DbResult};
-pub use explain::render_explain_analyze;
-pub use format::{format_result, try_table};
+pub use format::format_result;
 pub use json::{
     counters_json, escape_json, journal_json, profile_json, value_json, verify_json,
     write_value_json,

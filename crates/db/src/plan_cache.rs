@@ -169,7 +169,7 @@ impl PlanCache {
     }
 
     /// Per entry, the objects it is validated against.
-    pub fn dependencies(&self) -> Vec<Vec<&str>> {
+    pub(crate) fn dependencies(&self) -> Vec<Vec<&str>> {
         self.entries
             .values()
             .map(|e| e.schemas.iter().map(|(name, _)| name.as_str()).collect())

@@ -389,7 +389,7 @@ impl VersionedDb {
 
     /// Fold one session's telemetry registry into the database-wide one
     /// (what [`Session::close`] calls).
-    pub fn merge_session(&self, registry: &Registry) {
+    fn merge_session(&self, registry: &Registry) {
         self.shared
             .global_registry
             .lock()

@@ -90,7 +90,7 @@ pub(crate) struct Sketch {
 impl Sketch {
     /// Every element of `value` applied to an empty sketch, with the
     /// number of elements tallied.
-    pub fn of(value: &Value, store: &ObjectStore) -> (Sketch, u64) {
+    pub(crate) fn of(value: &Value, store: &ObjectStore) -> (Sketch, u64) {
         let mut sketch = Sketch::default();
         let tallied = match value {
             Value::Set(s) => s
@@ -106,7 +106,7 @@ impl Sketch {
     /// The statistics this sketch stands for.  `avg_nested` is an integer
     /// sum over an integer count, so it is the same `f64` however the
     /// sketch was reached.
-    pub fn object_stats(&self, default_avg_nested: f64) -> ObjectStats {
+    pub(crate) fn object_stats(&self, default_avg_nested: f64) -> ObjectStats {
         ObjectStats {
             rows: (self.rows as f64).max(1.0),
             distinct: (self.distinct as f64).max(1.0),
@@ -230,24 +230,24 @@ pub(crate) struct Sketches {
 
 impl Sketches {
     /// Has a collection run (and found any object)?
-    pub fn collected(&self) -> bool {
+    pub(crate) fn collected(&self) -> bool {
         !self.by_object.is_empty()
     }
 
     /// Elements tallied into or out of a sketch so far.
-    pub fn tallied(&self) -> u64 {
+    pub(crate) fn tallied(&self) -> u64 {
         self.tallied
     }
 
     /// The sketch behind `name`'s statistics, if it has one.
-    pub fn get(&self, name: &str) -> Option<&Sketch> {
+    pub(crate) fn get(&self, name: &str) -> Option<&Sketch> {
         self.by_object.get(name).map(Arc::as_ref)
     }
 
     /// The full sweep: every catalog object — extent views included —
     /// applied to an empty sketch, and the global exact-type fractions
     /// over the user-visible sets.  Replaces every sketch.
-    pub fn collect(
+    pub(crate) fn collect(
         &mut self,
         catalog: &DbCatalog,
         registry: &TypeRegistry,
@@ -296,7 +296,7 @@ impl Sketches {
 
     /// The occurrences of `elem` in the set `name` went from `before` to
     /// `after`.
-    pub fn set_count(
+    pub(crate) fn set_count(
         &mut self,
         name: &str,
         elem: &Value,
@@ -310,7 +310,13 @@ impl Sketches {
     }
 
     /// `elem` was added to (`add`) or removed from the array `name`.
-    pub fn array_element(&mut self, name: &str, elem: &Value, add: bool, store: &ObjectStore) {
+    pub(crate) fn array_element(
+        &mut self,
+        name: &str,
+        elem: &Value,
+        add: bool,
+        store: &ObjectStore,
+    ) {
         if let Some(sketch) = self.by_object.get_mut(name) {
             self.tallied += Arc::make_mut(sketch).array_element(elem, add, store);
         }
@@ -320,7 +326,7 @@ impl Sketches {
     /// says: re-tally it in every object whose elements reference it —
     /// one membership probe per set, a scan per array.  Returns the
     /// objects whose sketches moved.
-    pub fn stored_object_changed(
+    pub(crate) fn stored_object_changed(
         &mut self,
         catalog: &DbCatalog,
         store: &ObjectStore,

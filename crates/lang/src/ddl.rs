@@ -2,7 +2,7 @@
 //! initial values for `create`d objects.
 
 use crate::ast::TypeExpr;
-use crate::error::{LangError, LangResult};
+use crate::error::LangResult;
 use excess_types::{SchemaType, TypeRegistry, Value};
 
 /// Lower a surface type expression to a [`SchemaType`].
@@ -85,25 +85,23 @@ pub fn type_to_surface(t: &SchemaType) -> String {
     }
 }
 
-/// Round-trip check used by tests: parse a rendered type back.
-pub fn parse_type(src: &str) -> LangResult<SchemaType> {
-    // Reuse the statement parser through a `create` wrapper.
-    let stmt = crate::parser::parse_statement(&format!("create __t : {src}"))?;
-    match stmt {
-        crate::ast::Stmt::Create { ty, .. } => Ok(lower_type(&ty)),
-        _ => Err(LangError::Parse("expected type".into())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parse a type through the statement parser's `create` form.
+    fn parse_type(src: &str) -> SchemaType {
+        match crate::parser::parse_statement(&format!("create __t : {src}")).unwrap() {
+            crate::ast::Stmt::Create { ty, .. } => lower_type(&ty),
+            other => panic!("expected a create, got {other:?}"),
+        }
+    }
+
     #[test]
     fn lower_figure1_types() {
-        let t = parse_type("{ ref Employee }").unwrap();
+        let t = parse_type("{ ref Employee }");
         assert_eq!(t, SchemaType::set(SchemaType::reference("Employee")));
-        let t2 = parse_type("array [1..10] of ref Employee").unwrap();
+        let t2 = parse_type("array [1..10] of ref Employee");
         assert_eq!(
             t2,
             SchemaType::fixed_array(SchemaType::reference("Employee"), 10)
@@ -119,9 +117,9 @@ mod tests {
             "array [1..3] of ref T",
             "(x: { int4 }, y: Date)",
         ] {
-            let t = parse_type(src).unwrap();
+            let t = parse_type(src);
             let rendered = type_to_surface(&t);
-            assert_eq!(parse_type(&rendered).unwrap(), t, "round-trip of {src}");
+            assert_eq!(parse_type(&rendered), t, "round-trip of {src}");
         }
     }
 

@@ -74,17 +74,6 @@ impl MethodRegistry {
         self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Method names defined on (or inherited by) `ty`.
-    pub fn methods_of(&self, reg: &TypeRegistry, ty: &str) -> Vec<&MethodDef> {
-        let Ok(id) = reg.lookup(ty) else {
-            return vec![];
-        };
-        self.by_name
-            .values()
-            .filter_map(|defs| reg.nearest(id, by_owner(reg, defs)))
-            .collect()
-    }
-
     /// Resolve the implementation a receiver of static type `ty` uses:
     /// the implementation on the nearest ancestor-or-self
     /// ([`TypeRegistry::nearest`]).
@@ -96,7 +85,12 @@ impl MethodRegistry {
     /// The implementations *relevant* to a receiver of static type `ty`:
     /// the resolved one plus every override on a descendant of `ty` — the
     /// "relevant portion of the hierarchy" Section 4's ⊎ plan enumerates.
-    pub fn relevant_impls(&self, reg: &TypeRegistry, name: &str, ty: &str) -> Vec<&MethodDef> {
+    pub(crate) fn relevant_impls(
+        &self,
+        reg: &TypeRegistry,
+        name: &str,
+        ty: &str,
+    ) -> Vec<&MethodDef> {
         let Ok(id) = reg.lookup(ty) else {
             return vec![];
         };
@@ -126,12 +120,12 @@ fn by_owner<'r, 'd>(
 }
 
 /// The placeholder leaf used for formal parameter `name`.
-pub fn arg_placeholder(name: &str) -> Expr {
+pub(crate) fn arg_placeholder(name: &str) -> Expr {
     Expr::named(format!("$arg:{name}"))
 }
 
 /// Substitute actual arguments for `$arg:` placeholders in a stored body.
-pub fn substitute_args(body: &Expr, args: &[(String, Expr)]) -> Expr {
+pub(crate) fn substitute_args(body: &Expr, args: &[(String, Expr)]) -> Expr {
     if let Expr::Named(n) = body {
         if let Some(stripped) = n.strip_prefix("$arg:") {
             if let Some((_, actual)) = args.iter().find(|(p, _)| p == stripped) {

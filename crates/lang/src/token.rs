@@ -139,7 +139,7 @@ pub enum Token {
 
 impl Token {
     /// Keyword lookup for an identifier-shaped lexeme.
-    pub fn keyword(s: &str) -> Option<Token> {
+    pub(crate) fn keyword(s: &str) -> Option<Token> {
         Some(match s {
             "define" => Token::Define,
             "type" => Token::Type,

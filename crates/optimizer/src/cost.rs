@@ -3,8 +3,8 @@
 //!
 //! Costs are abstract work units chosen to mirror the evaluator's counters
 //! (`excess_core::Counters`): one unit per occurrence scanned or compared,
-//! [`DEREF_COST`] per dereference, [`MINT_COST`] per object creation,
-//! [`TYPE_TEST_COST`] per run-time exact-type test (the Section 4 dispatch
+//! `DEREF_COST` per dereference, `MINT_COST` per object creation,
+//! `TYPE_TEST_COST` per run-time exact-type test (the Section 4 dispatch
 //! costs).  Absolute values are meaningless; the optimizer only compares
 //! plans.
 //!
@@ -34,14 +34,14 @@ use excess_types::Value;
 use std::collections::BTreeMap;
 
 /// Work units per DEREF (pointer chase + copy).
-pub const DEREF_COST: f64 = 2.0;
+const DEREF_COST: f64 = 2.0;
 /// Work units per REF (allocation + domain check).
-pub const MINT_COST: f64 = 5.0;
+const MINT_COST: f64 = 5.0;
 /// Work units per run-time exact-type determination (shape match or store
 /// lookup) — paid per element by `only_types` filters and switch dispatch.
-pub const TYPE_TEST_COST: f64 = 1.0;
+pub(crate) const TYPE_TEST_COST: f64 = 1.0;
 /// Extra per-element overhead of the switch table itself.
-pub const SWITCH_COST: f64 = 0.5;
+pub(crate) const SWITCH_COST: f64 = 0.5;
 /// A per-expression estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Estimate {

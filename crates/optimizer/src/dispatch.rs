@@ -55,7 +55,7 @@ pub fn build_switch(input: Expr, impls: &[MethodImpl]) -> Expr {
 /// descendant that resolves to it ([`TypeRegistry::nearest`], the rule the
 /// switch table dispatches by) — "only as many SET_APPLYs as there are
 /// distinct method implementations".
-pub fn coverage(reg: &TypeRegistry, impls: &[MethodImpl]) -> Vec<(MethodImpl, Vec<String>)> {
+pub(crate) fn coverage(reg: &TypeRegistry, impls: &[MethodImpl]) -> Vec<(MethodImpl, Vec<String>)> {
     let owners: Vec<(TypeId, &MethodImpl)> = impls
         .iter()
         .filter_map(|m| reg.lookup(&m.owner).ok().map(|id| (id, m)))

@@ -3,7 +3,7 @@
 //!
 //! The plan search itself is the memo (`crate::memo`).  What lives here is
 //! what the memo and its tests share: [`soundness_violation`], the
-//! [`RewriteJournal`], the whole-plan enumerators ([`Optimizer::neighbors_at`],
+//! [`RewriteJournal`], the whole-plan enumerators (`Optimizer::neighbors_at`,
 //! [`Optimizer::explore`]) that the rule-soundness suites evaluate plan by
 //! plan, and [`Optimizer::optimize_greedy_journaled`] — a first-improving
 //! hill climb that no serving path calls, kept as the reference the memo is
@@ -26,7 +26,7 @@ use std::collections::HashSet;
 /// The rule name under which extent-index substitutions are journaled —
 /// the substitution phase is not a catalogue [`Rule`], but it goes through
 /// the same soundness gate and journal as one.
-pub const EXTENT_INDEX_RULE: &str = "extent-index-substitution";
+pub(crate) const EXTENT_INDEX_RULE: &str = "extent-index-substitution";
 
 /// Check whether replacing `before` with `after` is statically sound: the
 /// deep-resolved output schema must be unchanged and the rewrite must not
@@ -125,7 +125,7 @@ impl Optimizer {
     /// [`Optimizer::neighbors`] with each rewrite tagged by the path of the
     /// node it fired at (child indices from the root, [`Expr::children`]
     /// order) — the position information the rewrite journal records.
-    pub fn neighbors_at(&self, e: &Expr, ctx: &RuleCtx<'_>) -> Vec<Neighbor> {
+    pub(crate) fn neighbors_at(&self, e: &Expr, ctx: &RuleCtx<'_>) -> Vec<Neighbor> {
         let mut out = Vec::new();
         let mut path = Vec::new();
         self.collect(e, ctx, &mut path, &mut |rule, path, rewritten| {
@@ -371,7 +371,7 @@ impl Optimizer {
 }
 
 /// Rebuild `e` with its `n`-th child (in [`Expr::children`] order) replaced.
-pub fn replace_nth_child(e: &Expr, n: usize, new: &Expr) -> Expr {
+fn replace_nth_child(e: &Expr, n: usize, new: &Expr) -> Expr {
     let mut i = 0usize;
     e.map_children(&mut |c| {
         let r = if i == n { new.clone() } else { c.clone() };
@@ -455,7 +455,7 @@ fn substitute_one_extent(
 /// [`apply_extent_indexes`] with the soundness gate and the rewrite
 /// journal covering the substitution phase too: each site is rewritten one
 /// at a time, re-verified, and either journaled as an accepted
-/// [`JournalStep`] (rule [`EXTENT_INDEX_RULE`]) or refused — a substitution
+/// [`JournalStep`] (rule `EXTENT_INDEX_RULE`) or refused — a substitution
 /// whose extent objects are missing from the catalog, say, changes the
 /// inferred schema and is rejected rather than silently producing a plan
 /// that cannot evaluate.

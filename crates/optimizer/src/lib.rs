@@ -23,10 +23,10 @@ pub use cost::{cost_of, estimate, estimate_nodes, estimate_physical, Estimate};
 pub use dispatch::{build_switch, build_union, choose, DispatchStrategy, MethodImpl};
 pub use engine::{
     apply_extent_indexes, apply_extent_indexes_journaled, soundness_violation, JournalStep,
-    Neighbor, Optimized, Optimizer, RefusedStep, RewriteJournal, EXTENT_INDEX_RULE,
+    Neighbor, Optimized, Optimizer, RefusedStep, RewriteJournal,
 };
 pub use memo::{GroupSummary, MemoRun, MemoSnapshot, MEMO_EXTRACT_RULE};
 
-pub use lower::{lower, lower_journaled, HASH_JOIN_MIN_PAIRS, LOWERING_RULE};
+pub use lower::{lower, lower_journaled, LOWERING_RULE};
 pub use rule::{Rule, RuleCtx};
 pub use stats::{ObjectStats, Statistics};

@@ -17,7 +17,7 @@
 //!
 //! * `rel_join` → [`PhysOp::HashEquiJoin`] when the predicate has a
 //!   hashable equi conjunct (`INPUT.f = INPUT.g`), the estimated pair
-//!   count clears [`HASH_JOIN_MIN_PAIRS`] (a hash build is not free), and
+//!   count clears `HASH_JOIN_MIN_PAIRS` (a hash build is not free), and
 //!   the key's NDV — when known — exceeds 1 (a single bucket hashes to
 //!   the nested loop plus overhead).  Otherwise
 //!   [`PhysOp::NestedLoopJoin`], with the reason recorded both in the
@@ -55,7 +55,7 @@ pub const LOWERING_RULE: &str = "physical-lowering";
 
 /// Minimum estimated pair count before a hash join is worth its build
 /// side: below this the nested loop's simplicity wins.
-pub const HASH_JOIN_MIN_PAIRS: f64 = 64.0;
+pub(crate) const HASH_JOIN_MIN_PAIRS: f64 = 64.0;
 
 /// Lower a logical plan to a physical plan under `stats`.
 pub fn lower(plan: &Expr, stats: &Statistics) -> PhysicalPlan {
@@ -170,7 +170,7 @@ fn known_ndv(est: Option<&Estimate>, field: &str) -> Option<f64> {
 }
 
 /// The hash join's selection policy: a hash build is not free, so the
-/// estimated pair count must clear [`HASH_JOIN_MIN_PAIRS`], and a key
+/// estimated pair count must clear `HASH_JOIN_MIN_PAIRS`, and a key
 /// known to take one value hashes to the nested loop plus overhead.  `Ok`
 /// is the estimate clause of the choice's reasoning, `Err` the refusal.
 fn hash_pays(pairs: Option<f64>, key_ndv: Option<f64>) -> Result<String, String> {

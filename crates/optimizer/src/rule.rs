@@ -24,7 +24,7 @@ impl<'a> RuleCtx<'a> {
     /// The schema of `e` in an empty binder environment, when the verifier
     /// finds no error in it.  An open subtree reports `unbound-input`, so
     /// it has no schema here even where the walk could type its root.
-    pub fn infer(&self, e: &Expr) -> Option<SchemaType> {
+    pub(crate) fn infer(&self, e: &Expr) -> Option<SchemaType> {
         let report = verify(e, self.schemas, self.registry);
         if report.is_clean() {
             report.schema
@@ -35,7 +35,7 @@ impl<'a> RuleCtx<'a> {
 
     /// Field names of the tuple elements of a set-valued expression, if
     /// statically known (used by field-provenance side conditions).
-    pub fn set_elem_fields(&self, e: &Expr) -> Option<Vec<String>> {
+    pub(crate) fn set_elem_fields(&self, e: &Expr) -> Option<Vec<String>> {
         let SchemaType::Set(elem) = self.infer(e)? else {
             return None;
         };
@@ -43,7 +43,7 @@ impl<'a> RuleCtx<'a> {
     }
 
     /// Field names of a tuple-valued expression, if statically known.
-    pub fn tuple_fields(&self, e: &Expr) -> Option<Vec<String>> {
+    pub(crate) fn tuple_fields(&self, e: &Expr) -> Option<Vec<String>> {
         self.field_names(&self.infer(e)?)
     }
 
@@ -88,7 +88,7 @@ pub trait Rule {
 /// the form `TUP_EXTRACT_field(Input(depth))` — the precise meaning we give
 /// to the paper's side condition "E applies only to A" for pair-shaped
 /// inputs (`field = "fst"`), and to field-provenance checks in rules 24–26.
-pub fn input_only_via_extract(e: &Expr, depth: usize, field: &str) -> bool {
+pub(crate) fn input_only_via_extract(e: &Expr, depth: usize, field: &str) -> bool {
     match e {
         Expr::TupExtract(inner, f) => {
             if let Expr::Input(d) = **inner {
@@ -146,9 +146,9 @@ pub fn input_only_via_extract(e: &Expr, depth: usize, field: &str) -> bool {
     }
 }
 
-/// Like [`input_only_via_extract`] but allows extraction of *any* field in
+/// Like `input_only_via_extract` but allows extraction of *any* field in
 /// `fields` (rules 24 and the join-pushdown need "uses only A's fields").
-pub fn input_only_via_extract_of(e: &Expr, depth: usize, fields: &[String]) -> bool {
+pub(crate) fn input_only_via_extract_of(e: &Expr, depth: usize, fields: &[String]) -> bool {
     match e {
         Expr::TupExtract(inner, f) => {
             if let Expr::Input(d) = **inner {
@@ -209,7 +209,7 @@ pub fn input_only_via_extract_of(e: &Expr, depth: usize, fields: &[String]) -> b
 /// Rewrite every `TUP_EXTRACT_field(Input(depth))` into `Input(depth)` —
 /// the body adjustment when a pair projection is eliminated (rules 5, 9,
 /// 13) or when a COMP is pushed below a `TUP_EXTRACT` (rule 26).
-pub fn strip_extract(e: &Expr, depth: usize, field: &str) -> Expr {
+pub(crate) fn strip_extract(e: &Expr, depth: usize, field: &str) -> Expr {
     if let Expr::TupExtract(inner, f) = e {
         if let Expr::Input(d) = **inner {
             if d == depth && f == field {

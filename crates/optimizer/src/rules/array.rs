@@ -18,7 +18,7 @@ fn bx(e: Expr) -> Box<Expr> {
 /// Rules 19 and 22 require "E is not COMP_P for some P": an `ARR_APPLY`
 /// whose body can return `dne` *filters* (positions shift), so extraction
 /// and subarray no longer commute with it.
-pub fn contains_filter(e: &Expr) -> bool {
+fn contains_filter(e: &Expr) -> bool {
     matches!(
         e,
         Expr::Comp { .. } | Expr::Select { .. } | Expr::ArrSelect { .. } | Expr::RelJoin { .. }
@@ -298,7 +298,7 @@ impl Rule for RA1CombineArrApplys {
         // filtering *outer* body is likewise fine.  However, an inner
         // filter composed with an outer *constructor* (SET/ARR/TUP of the
         // dne) would capture the dne — exclude that case.
-        if contains_filter(e2) && super::array::contains_constructor_pub(e1) {
+        if contains_filter(e2) && contains_constructor(e1) {
             return vec![];
         }
         let fused = e1.substitute_input(0, e2);
@@ -309,13 +309,8 @@ impl Rule for RA1CombineArrApplys {
     }
 }
 
-/// Public wrapper so sibling rules can reuse the constructor check.
-pub fn contains_constructor_pub(e: &Expr) -> bool {
-    contains_constructor(e)
-}
-
 /// All §3 rules, boxed.
-pub fn all() -> Vec<Box<dyn Rule>> {
+pub(crate) fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(R16CatAssoc),
         Box::new(R17ExtractFromCat),

@@ -97,7 +97,7 @@ impl Rule for RD2SwitchToUnion {
 }
 
 /// Both dispatch rules, boxed.
-pub fn all() -> Vec<Box<dyn Rule>> {
+pub(crate) fn all() -> Vec<Box<dyn Rule>> {
     vec![Box::new(RD1LiftSingletonSwitch), Box::new(RD2SwitchToUnion)]
 }
 

@@ -12,7 +12,7 @@ pub mod tuple_ref;
 use crate::rule::Rule;
 
 /// Every rule in the catalogue.
-pub fn all() -> Vec<Box<dyn Rule>> {
+pub(crate) fn all() -> Vec<Box<dyn Rule>> {
     let mut v = multiset::all();
     v.extend(array::all());
     v.extend(tuple_ref::all());

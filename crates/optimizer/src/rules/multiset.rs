@@ -752,7 +752,7 @@ impl Rule for R15CombineApplys {
 }
 
 /// All §2 rules, boxed.
-pub fn all() -> Vec<Box<dyn Rule>> {
+pub(crate) fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(R1Associativity),
         Box::new(R2DistributeCrossUnion),

@@ -269,7 +269,7 @@ fn de_into_join_inputs(input: &Expr, body: &Expr, ctx: &RuleCtx<'_>) -> Option<E
 
 /// Collect every field `f` extracted from the binder at `depth` as
 /// `TUP_EXTRACT_f(Input(depth))`, tracking binder depth like
-/// [`input_only_via_extract_of`] does.
+/// `input_only_via_extract_of` does.
 fn collect_extracted_fields(e: &Expr, depth: usize, out: &mut Vec<String>) {
     if let Expr::TupExtract(inner, f) = e {
         if matches!(**inner, Expr::Input(d) if d == depth) && !out.contains(f) {
@@ -385,7 +385,7 @@ impl Rule for RR7IdentityApply {
 }
 
 /// All relational rules, boxed.
-pub fn all() -> Vec<Box<dyn Rule>> {
+pub(crate) fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(RR1CombineSelects),
         Box::new(RR2PushSelectIntoJoin),

@@ -263,7 +263,7 @@ impl Rule for R28aDerefOfRef {
 }
 
 /// All §4 rules, boxed.
-pub fn all() -> Vec<Box<dyn Rule>> {
+pub(crate) fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(R23TupCatCommute),
         Box::new(R24ProjectOverCat),

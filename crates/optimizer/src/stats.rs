@@ -105,12 +105,12 @@ impl Statistics {
 
     /// Fraction of elements whose exact type is `ty` (default: uniform
     /// among `n_known` types, or 0.34 when nothing is known).
-    pub fn type_fraction(&self, ty: &str) -> f64 {
+    pub(crate) fn type_fraction(&self, ty: &str) -> f64 {
         self.type_fractions.get(ty).copied().unwrap_or(0.34)
     }
 
     /// Is there an extent index on `(object, ty)`?
-    pub fn has_extent_index(&self, object: &str, ty: &str) -> bool {
+    pub(crate) fn has_extent_index(&self, object: &str, ty: &str) -> bool {
         self.extent_indexes
             .get(object)
             .is_some_and(|types| types.contains(ty))

@@ -23,8 +23,8 @@ impl Client {
 
     /// Send one request line and block for its one-line JSON response
     /// (returned without the trailing newline).  Embedded newlines in
-    /// `line` must already be escaped as `\n` — see
-    /// [`unescape`](crate::unescape).
+    /// `line` must already be escaped as `\n`; the server unescapes each
+    /// line it reads.
     pub fn request(&mut self, line: &str) -> io::Result<String> {
         self.stream.write_all(line.as_bytes())?;
         self.stream.write_all(b"\n")?;

@@ -44,5 +44,5 @@ pub mod protocol;
 pub mod server;
 
 pub use client::Client;
-pub use protocol::{respond, unescape, Response};
+pub use protocol::{respond, Response};
 pub use server::{serve, ServerHandle};

@@ -46,7 +46,7 @@ impl Response {
 /// `\\` → backslash.  Anything else after a backslash passes through
 /// unchanged, so ordinary query text — which never needs escapes — is
 /// unaffected.
-pub fn unescape(s: &str) -> String {
+pub(crate) fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {

@@ -16,7 +16,7 @@
 //! `sum` are tracked exactly alongside).
 
 /// Number of buckets: the zero bucket plus one per `u64` bit.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// A log-bucketed histogram of non-negative integer observations.
 #[derive(Debug, Clone)]
@@ -55,7 +55,7 @@ fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive upper bound of bucket `i` (`u64::MAX` for the last bucket).
-pub fn bucket_bound(i: usize) -> u64 {
+pub(crate) fn bucket_bound(i: usize) -> u64 {
     if i == 0 {
         0
     } else if i >= 64 {
@@ -106,18 +106,13 @@ impl Histogram {
     }
 
     /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest observation (`None` when empty).
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// The raw bucket counts (index ↔ [`bucket_bound`]).
-    pub fn buckets(&self) -> &[u64; BUCKETS] {
-        &self.buckets
     }
 
     /// Sum of the bucket counts — always equal to [`Histogram::count`];
@@ -277,7 +272,7 @@ mod tests {
         assert_eq!(a.sum(), one.sum());
         assert_eq!(a.min(), one.min());
         assert_eq!(a.max(), one.max());
-        assert_eq!(a.buckets(), one.buckets());
+        assert_eq!(a.buckets, one.buckets);
         for q in [0.5, 0.95, 0.99] {
             assert_eq!(a.quantile(q), one.quantile(q));
         }

@@ -43,8 +43,8 @@ pub mod recorder;
 pub mod registry;
 pub mod span;
 
-pub use histogram::{bucket_bound, Histogram, BUCKETS};
-pub use recorder::{FlightRecorder, QueryRecord, DEFAULT_CAPACITY, DEFAULT_SLOW_THRESHOLD_US};
+pub use histogram::Histogram;
+pub use recorder::{FlightRecorder, QueryRecord};
 pub use registry::Registry;
 pub use span::{QueryTrace, Span};
 
@@ -64,7 +64,7 @@ impl Default for Fnv1a64 {
 
 impl Fnv1a64 {
     /// Fold `bytes` into the hash.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x100000001b3);

@@ -77,10 +77,10 @@ pub struct FlightRecorder {
 }
 
 /// Default ring capacity.
-pub const DEFAULT_CAPACITY: usize = 128;
+pub(crate) const DEFAULT_CAPACITY: usize = 128;
 
 /// Default slow-query threshold: 10 ms.
-pub const DEFAULT_SLOW_THRESHOLD_US: u64 = 10_000;
+pub(crate) const DEFAULT_SLOW_THRESHOLD_US: u64 = 10_000;
 
 impl Default for FlightRecorder {
     fn default() -> Self {
@@ -107,11 +107,6 @@ impl FlightRecorder {
     /// Current slow-query threshold (microseconds).
     pub fn slow_threshold_us(&self) -> u64 {
         self.slow_threshold_us
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Push a record, evicting the oldest when full.

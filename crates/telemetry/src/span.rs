@@ -88,7 +88,7 @@ impl Span {
     }
 
     /// Depth-first preorder visit of the subtree.
-    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Span)) {
+    pub(crate) fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Span)) {
         f(self);
         for c in &self.children {
             c.walk(f);

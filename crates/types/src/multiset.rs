@@ -113,7 +113,7 @@ impl MultiSet {
     }
 
     /// Consume into `(element, cardinality)` pairs in value order.
-    pub fn into_counted(self) -> impl Iterator<Item = (Value, u64)> {
+    fn into_counted(self) -> impl Iterator<Item = (Value, u64)> {
         Arc::unwrap_or_clone(self.counts).into_iter()
     }
 

@@ -72,11 +72,6 @@ impl OidAllocator {
         *serial += 1;
         oid
     }
-
-    /// Number of OIDs minted so far for `ty`.
-    pub fn minted_count(&self, ty: TypeId) -> u64 {
-        self.next.get(&ty).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +86,6 @@ mod tests {
         let o2 = a.mint(t);
         assert_ne!(o1, o2);
         assert_eq!(o1.minted, o2.minted);
-        assert_eq!(a.minted_count(t), 2);
     }
 
     #[test]

@@ -218,7 +218,7 @@ pub struct SchemaGraph {
 
 impl SchemaGraph {
     /// Add a node, returning its index.
-    pub fn add_node(&mut self, kind: NodeKind, name: impl Into<String>) -> usize {
+    fn add_node(&mut self, kind: NodeKind, name: impl Into<String>) -> usize {
         self.nodes.push(GraphNode {
             kind,
             name: name.into(),
@@ -227,7 +227,7 @@ impl SchemaGraph {
     }
 
     /// Add a component edge.
-    pub fn add_edge(&mut self, from: usize, to: usize, field: Option<&str>) {
+    fn add_edge(&mut self, from: usize, to: usize, field: Option<&str>) {
         self.edges.push(GraphEdge {
             from,
             to,

@@ -185,7 +185,7 @@ impl ObjectStore {
 
     /// The set of OIDs reachable from `roots` by following references
     /// through stored values (cycle-safe).
-    pub fn reachable_from<'a, I>(&self, roots: I) -> std::collections::HashSet<Oid>
+    fn reachable_from<'a, I>(&self, roots: I) -> std::collections::HashSet<Oid>
     where
         I: IntoIterator<Item = &'a Value>,
     {
@@ -218,18 +218,6 @@ impl ObjectStore {
         let before = self.len();
         self.heap_mut().objects.retain(|oid, _| live.contains(oid));
         before - self.len()
-    }
-
-    /// OIDs of all objects whose *exact* type is `ty` (used by the
-    /// extent indexes backing the ⊎-based dispatch of Section 4).
-    pub fn oids_with_exact_type(&self, ty: TypeId) -> Vec<Oid> {
-        let mut v: Vec<Oid> = self
-            .iter()
-            .filter(|(_, s)| s.exact_type == ty)
-            .map(|(o, _)| o)
-            .collect();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -351,8 +339,9 @@ mod tests {
         let o1 = s.create(&r, p, person("A")).unwrap();
         let o2 = s.create(&r, st, student("B", 3.0)).unwrap();
         let o3 = s.create(&r, p, person("C")).unwrap();
-        assert_eq!(s.oids_with_exact_type(p), vec![o1, o3]);
-        assert_eq!(s.oids_with_exact_type(st), vec![o2]);
+        assert_eq!(s.exact_type(o1).unwrap(), p);
+        assert_eq!(s.exact_type(o2).unwrap(), st);
+        assert_eq!(s.exact_type(o3).unwrap(), p);
         assert_eq!(s.len(), 3);
     }
 

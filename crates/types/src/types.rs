@@ -145,11 +145,6 @@ impl TypeRegistry {
 
     // ----- hierarchy queries (the `→` and `→*` relations of §3.1) -----
 
-    /// Direct supertypes.
-    pub fn direct_supertypes(&self, id: TypeId) -> &[TypeId] {
-        &self.def(id).supertypes
-    }
-
     /// All strict ancestors (transitive closure of `inherits`), depth-first
     /// from the last direct supertype.  Its length is the type's *depth*,
     /// the specificity that dispatch ranks by (see [`Self::nearest`]).

@@ -253,14 +253,6 @@ impl Value {
             _ => None,
         }
     }
-    /// View as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Scalar(Scalar::Bool(b)) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// `true` iff both values are composites of the same kind whose
     /// interiors are the *same allocation* — the probe the isolation
     /// tests use to tell "equal" from "shared".  Scalars, references and

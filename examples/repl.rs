@@ -251,22 +251,10 @@ fn cmd_physical(db: &mut Database, rest: &str) -> bool {
             print!("{}", physical.render());
             match db.run_lowered(&physical, excess::db::Tracing::Precise) {
                 Ok(ran) => {
-                    let profile = ran.profile.expect("tracing was enabled");
-                    for (path, choice) in &physical.choices {
-                        let actual = profile
-                            .node(path)
-                            .map(|n| n.rows_out.to_string())
-                            .unwrap_or_else(|| "—".to_string());
-                        let est = choice
-                            .est_rows
-                            .map(|r| format!("{r:.0}"))
-                            .unwrap_or_else(|| "?".to_string());
-                        println!(
-                            "  {} {}: est rows={est} actual rows={actual}",
-                            excess::algebra::path_string(path),
-                            choice.op
-                        );
-                    }
+                    print!(
+                        "{}",
+                        physical.render_choices(&ran.profile.expect("tracing was enabled"))
+                    )
                 }
                 Err(e) => println!("error: {e}"),
             }

@@ -112,9 +112,6 @@ fn round_trip(db: &mut Database, plan: &Expr, modulo_identity: bool) {
     } else {
         assert_eq!(direct, via_excess, "plan {plan}\nvia: {text}");
     }
-    // The induction measure exists and is finite (sanity of the proof's
-    // structure).
-    let _ = plan.operator_count();
 }
 
 fn nums() -> Expr {
