@@ -4,6 +4,7 @@
 use crate::catalog::{extent_view_name, DbCatalog};
 use crate::error::{DbError, DbResult};
 use crate::pipeline::{self, Options, Source, View};
+use crate::session::Generation;
 use crate::stats::{changed_counts, Sketches};
 use excess_core::counters::Counters;
 use excess_core::eval::{evaluate, EvalCtx};
@@ -112,6 +113,27 @@ impl Database {
         }
     }
 
+    /// A database over a published generation's components, `store` (a
+    /// session's scratch store over it) and `ranges` (the declarations in
+    /// force): what [`Session::inspect`](crate::Session::inspect) hands an
+    /// inspection command.  Nothing is copied; it starts with no
+    /// procedures, no sketches and fresh telemetry.
+    pub(crate) fn over_generation(
+        generation: &Generation,
+        store: ObjectStore,
+        ranges: Arc<HashMap<String, QExpr>>,
+    ) -> Self {
+        Database {
+            registry: Arc::clone(&generation.registry),
+            store,
+            catalog: (*generation.catalog).clone(),
+            ranges,
+            methods: Arc::clone(&generation.methods),
+            stats: Arc::clone(&generation.stats),
+            ..Database::new()
+        }
+    }
+
     // ----- accessors (used by examples and benchmarks) -----
 
     /// The type registry.
@@ -177,7 +199,8 @@ impl Database {
         &self.telemetry
     }
 
-    /// Mutable telemetry (configure the slow-query threshold, reset, …).
+    /// Mutable telemetry (swap the flight recorder, set its slow-query
+    /// threshold).
     pub fn telemetry_mut(&mut self) -> &mut Telemetry {
         &mut self.telemetry
     }

@@ -1,9 +1,8 @@
 //! Hand-rolled JSON serializers for the observability types.
 //!
-//! The workspace deliberately has no serialization dependency, so —
-//! matching the spirit of [`format`](crate::format)'s hand-rolled table
-//! renderer — profiles, rewrite journals, and verifier reports are turned
-//! into JSON with plain string building.  Output is deterministic
+//! The workspace deliberately has no serialization dependency, so
+//! profiles, rewrite journals, and verifier reports are turned into JSON
+//! with plain string building.  Output is deterministic
 //! (field order fixed, maps iterated in `BTreeMap` order) so benchmark
 //! artifacts diff cleanly across runs.
 

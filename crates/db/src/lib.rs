@@ -26,7 +26,6 @@ pub mod catalog;
 pub mod database;
 pub mod error;
 pub mod explain;
-pub mod format;
 pub mod json;
 mod pipeline;
 mod plan_cache;
@@ -36,7 +35,6 @@ pub mod stats;
 pub use catalog::{DbCatalog, NamedObject};
 pub use database::Database;
 pub use error::{DbError, DbResult};
-pub use format::format_result;
 pub use json::{
     counters_json, escape_json, journal_json, profile_json, value_json, verify_json,
     write_value_json,

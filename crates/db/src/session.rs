@@ -663,6 +663,25 @@ impl Session {
         &self.scratch
     }
 
+    /// A throwaway [`Database`] over what this session reads: the pinned
+    /// generation's components, this session's scratch store and the
+    /// `range of` declarations in force, all shared, not copied.  The
+    /// server's inspection commands (`.plan`, `.profile`, …) run on it,
+    /// so what they record — telemetry, a memo picture, minted OIDs —
+    /// stays in it and this session is left as it was.
+    pub fn inspect(&self) -> Database {
+        let ranges = if self.local_ranges.is_empty() {
+            Arc::clone(&self.snapshot.ranges)
+        } else {
+            let mut merged = (*self.snapshot.ranges).clone();
+            merged.extend(self.local_ranges.clone());
+            Arc::new(merged)
+        };
+        let mut db = Database::over_generation(&self.snapshot, self.scratch.clone(), ranges);
+        db.optimize = self.optimize;
+        db
+    }
+
     /// Re-pin to the newest published generation.  Session-local
     /// `range of` declarations survive; scratch objects minted by
     /// earlier queries are discarded with the old scratch store.  The new

@@ -384,29 +384,16 @@ fn replace_nth_child(e: &Expr, n: usize, new: &Expr) -> Expr {
 /// where `stats` says one exists:
 /// `SET_APPLY[T1/…;E](Named(P))` → `SET_APPLY[E](Named("P::exact::T1") ⊎ …)`
 /// — the "need to scan P three times … disappears" move.  The catalog
-/// (in `excess-db`) maintains the `P::exact::T` virtual objects.
+/// (in `excess-db`) maintains the `P::exact::T` virtual objects.  Each
+/// site is rewritten as [`apply_extent_indexes_journaled`] rewrites it,
+/// without the gate or the journal.
 pub fn apply_extent_indexes(e: &Expr, stats: &Statistics) -> Expr {
-    let rebuilt = e.map_children(&mut |c| apply_extent_indexes(c, stats));
-    if let Expr::SetApply {
-        input,
-        body,
-        only_types: Some(ts),
-    } = &rebuilt
-    {
-        if let Expr::Named(obj) = &**input {
-            if !ts.is_empty() && ts.iter().all(|t| stats.has_extent_index(obj, t)) {
-                let mut parts = ts.iter().map(|t| Expr::named(format!("{obj}::exact::{t}")));
-                let first = parts.next().expect("non-empty");
-                let unioned = parts.fold(first, |acc, p| acc.add_union(p));
-                return Expr::SetApply {
-                    input: Box::new(unioned),
-                    body: body.clone(),
-                    only_types: None,
-                };
-            }
-        }
+    let mut cur = e.clone();
+    let none = HashSet::new();
+    while let Some((_, next)) = substitute_one_extent(&cur, stats, &mut NodePath::new(), &none) {
+        cur = next;
     }
-    rebuilt
+    cur
 }
 
 /// One extent-index substitution site: the node path of the matching

@@ -300,7 +300,7 @@ pub struct GroupSummary {
     pub est_rows: f64,
 }
 
-/// The picture of one memo run — what the REPL/server `.memo` command
+/// The picture of one memo run — what the server's `.memo` command
 /// shows for the last optimized query.  Numbers are taken as the search
 /// ends; every piece of text is derived in [`MemoSnapshot::render`], so a
 /// request that nobody inspects pays for none of it.
@@ -321,7 +321,7 @@ pub struct MemoSnapshot {
 }
 
 impl MemoSnapshot {
-    /// Multi-line human rendering (the REPL's `.memo` output): per group
+    /// Multi-line human rendering (`.memo`'s text): per group
     /// the exemplar's root operator (the leading token of its debug form —
     /// `SetApply`, `RelJoin`, `Named`, …) and the numbers.
     pub fn render(&self) -> String {

@@ -13,9 +13,15 @@
 //! * `.commit <program>` routes a write through the database's single
 //!   committer thread and re-pins the session to the generation it
 //!   published (read-your-writes).
-//! * Dot-commands expose the observability surface: `.telemetry` (the
-//!   session's one metrics registry and its flight recorder), `.memo`,
-//!   `.generation`, `.refresh`, `.server`, `.close`.
+//! * Every other dot-command is an entry of one table in [`protocol`],
+//!   which `.help` lists: `.telemetry` (the session's one metrics
+//!   registry and its flight recorder), `.slowlog`, `.memo`,
+//!   `.generation`, `.refresh`, `.server`, `.close`; the inspection
+//!   commands `.plan`, `.journal`, `.physical`, `.profile`, `.spans` and
+//!   `.verify`, each of one `retrieve`; and `.stats [object]`, `.objects`
+//!   and `.dump`.  Inspection runs on a throwaway database over the
+//!   session's snapshot and leaves no trace in the session.  The
+//!   `repl` example is a line loop over the same [`respond`].
 //!
 //! The protocol is line-delimited both ways; embedded `\n` escapes in a
 //! request are expanded before parsing, so multi-line programs fit on

@@ -97,7 +97,7 @@ impl Histogram {
     }
 
     /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

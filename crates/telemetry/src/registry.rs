@@ -78,11 +78,6 @@ impl Registry {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Fold another registry into this one: counters add, histograms
     /// merge bucket-wise ([`Histogram::merge`]), gauges take the other
     /// side's value (last-write semantics, matching
@@ -98,11 +93,6 @@ impl Registry {
         for (name, h) in &other.histograms {
             self.histograms.entry(name.clone()).or_default().merge(h);
         }
-    }
-
-    /// Zero everything.
-    pub fn reset(&mut self) {
-        *self = Self::default();
     }
 
     /// `{"counters":{…},"gauges":{…},"histograms":{…}}` — deterministic
@@ -197,15 +187,5 @@ mod tests {
         assert_eq!(a.gauge("threads"), Some(4.0));
         assert_eq!(a.histogram("query_us").unwrap().count(), 2);
         assert_eq!(a.histogram("commit_us").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let mut r = Registry::new();
-        r.inc("a");
-        r.observe("h", 1);
-        r.reset();
-        assert_eq!(r.counter("a"), 0);
-        assert!(r.histogram("h").is_none());
     }
 }

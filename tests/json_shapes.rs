@@ -8,8 +8,10 @@ use excess::algebra::canonical_form;
 use excess::algebra::json::{parse_json, JsonValue};
 use excess::db::{value_json, Database, VersionedDb};
 use excess::server::protocol::server_stats_json;
+use excess::server::respond;
 use excess::types::{Date, ObjectStore, Oid, SchemaType, TypeId, TypeRegistry, Value};
 use excess_bench::example1::{example1_db, figure6};
+use excess_bench::server_mix::server_mix_db;
 
 /// Parse or die with the offending document.
 fn parsed(src: &str) -> JsonValue {
@@ -96,6 +98,87 @@ fn server_stats_json_shape() {
     );
     assert_eq!(v.get("stats_incremental").unwrap().as_f64(), Some(1.0));
     assert_eq!(v.get("stats_elements").unwrap().as_f64(), Some(1.0));
+    vdb.shutdown();
+}
+
+/// The keys of every inspection command's response, in order, after a
+/// `range of` line and a query on one session.
+#[test]
+fn inspection_command_shapes() {
+    const JOIN: &str = "retrieve unique (S.sdept, E.ename) by S.sdept where S.sadv = E.ename";
+    let vdb = VersionedDb::new(server_mix_db(20));
+    let mut session = vdb.begin_session();
+    let mut ask = |line: &str| {
+        let v = parsed(&respond(&vdb, &mut session, line).line);
+        assert_eq!(
+            v.get("ok").and_then(JsonValue::as_bool),
+            Some(true),
+            "{line}"
+        );
+        v
+    };
+    ask("range of S is S1 range of E is E1");
+    ask(JOIN);
+
+    let help = ask(".help");
+    assert_eq!(obj_keys(&help), ["ok", "help"]);
+    for entry in help.get("help").unwrap().as_arr().unwrap() {
+        assert_eq!(obj_keys(entry), ["command", "args", "help"]);
+    }
+    let slowlog = ask(".slowlog");
+    assert_eq!(obj_keys(&slowlog), ["ok", "slow_threshold_us", "slowlog"]);
+    assert!(slowlog.get("slowlog").unwrap().as_arr().is_some());
+
+    let at = |cmd: &str| format!("{cmd} {JOIN}");
+    assert_eq!(obj_keys(&ask(&at(".plan"))), ["ok", "initial", "optimized"]);
+    let journal = ask(&at(".journal"));
+    assert_eq!(obj_keys(&journal), ["ok", "journal"]);
+    assert_eq!(
+        obj_keys(journal.get("journal").unwrap()),
+        [
+            "initial_cost",
+            "final_cost",
+            "plans_enumerated",
+            "max_plans",
+            "rule_sequence",
+            "steps",
+            "refused"
+        ]
+    );
+    assert_eq!(obj_keys(&ask(&at(".physical"))), ["ok", "physical"]);
+    assert_eq!(obj_keys(&ask(&at(".profile"))), ["ok", "profile"]);
+    let spans = ask(&at(".spans"));
+    assert_eq!(obj_keys(&spans), ["ok", "spans"]);
+    assert_eq!(
+        obj_keys(spans.get("spans").unwrap()),
+        ["query", "plan_hash", "root"]
+    );
+    let verify = ask(&at(".verify"));
+    assert_eq!(obj_keys(&verify), ["ok", "verify", "schema"]);
+    assert_eq!(
+        obj_keys(verify.get("verify").unwrap()),
+        ["clean", "errors", "lints", "diagnostics"]
+    );
+
+    let stats = ask(".stats S1");
+    assert_eq!(obj_keys(&stats), ["ok", "stats"]);
+    let s1 = stats.get("stats").unwrap();
+    assert_eq!(obj_keys(s1), ["S1"]);
+    assert_eq!(
+        obj_keys(s1.get("S1").unwrap()),
+        ["rows", "distinct", "avg_nested", "attr_ndv"]
+    );
+    let objects = ask(".objects");
+    assert_eq!(obj_keys(&objects), ["ok", "objects"]);
+    assert!(objects
+        .get("objects")
+        .unwrap()
+        .get("S1")
+        .unwrap()
+        .as_str()
+        .is_some());
+    assert_eq!(obj_keys(&ask(".dump")), ["ok", "dump"]);
+    drop(session);
     vdb.shutdown();
 }
 

@@ -4,7 +4,7 @@
 //! socket.
 
 use excess_bench::server_mix::server_mix_db;
-use excess_core::json::parse_json;
+use excess_core::json::{parse_json, JsonValue};
 use excess_db::VersionedDb;
 use excess_server::serve;
 use std::io::{BufRead, BufReader, Write};
@@ -95,6 +95,49 @@ fn a_commit_answers_with_canonical_values_not_oids() {
     // The same rows read back through a query serialize the same way.
     let value = |line: &str| parse_json(line).expect("valid JSON").get("value").cloned();
     assert_eq!(value(committed), value(&responses[1]));
+}
+
+/// Every command `.help` lists answers `"ok":true` over a live
+/// connection after a `range of` line, `.close` last; before them, a
+/// malformed argument answers `"ok":false` and the connection keeps
+/// answering.
+#[test]
+fn every_listed_command_answers_over_the_wire() {
+    const RETRIEVE: &str = "retrieve (S.sname) where S.sdept = 3";
+    let help = parse_json(&exchange(&[b".help"])[0]).expect("valid JSON");
+    let mut commands: Vec<String> = help
+        .get("help")
+        .and_then(JsonValue::as_arr)
+        .expect("a help array")
+        .iter()
+        .map(|c| {
+            let name = c.get("command").and_then(JsonValue::as_str).expect("name");
+            match c.get("args").and_then(JsonValue::as_str).expect("args") {
+                "<retrieve>" => format!("{name} {RETRIEVE}"),
+                "<program>" => format!("{name} range of C is S1"),
+                _ => name.to_string(),
+            }
+        })
+        .collect();
+    assert!(commands.len() >= 18, "{commands:?}");
+    let close = commands
+        .iter()
+        .position(|c| c == ".close")
+        .expect(".close is listed");
+    let close = commands.remove(close);
+    commands.push(close);
+
+    let malformed = [".plan append to S1 ((sname: \"x\"))", ".plan", ".spans"];
+    let mut lines: Vec<String> = vec!["range of S is S1".into(), RETRIEVE.into()];
+    lines.extend(malformed.iter().map(|m| m.to_string()));
+    lines.extend(commands.iter().cloned());
+    let bytes: Vec<&[u8]> = lines.iter().map(|l| l.as_bytes()).collect();
+    let responses = exchange(&bytes);
+    for (line, response) in lines.iter().zip(&responses) {
+        let expected = !malformed.contains(&line.as_str());
+        assert_eq!(ok(response), Some(expected), "{line}: {response}");
+    }
+    assert!(responses.last().unwrap().contains("\"closing\":true"));
 }
 
 /// Send `.close` on a new connection; return the acknowledgement and the
