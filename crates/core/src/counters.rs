@@ -62,11 +62,6 @@ impl Counters {
         zip_fields!(self, before, u64::saturating_sub)
     }
 
-    /// The work of `n` runs that each did `self`.
-    pub(crate) fn times(&self, n: u64) -> Counters {
-        zip_fields!(self, self, |a: u64, _: u64| a.wrapping_mul(n))
-    }
-
     /// Every counter with its field name, in declaration order — the one
     /// place the field list is enumerated, so serializers and telemetry
     /// attributes cannot drift from the struct.

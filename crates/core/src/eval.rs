@@ -28,8 +28,8 @@ use crate::error::{EvalError, EvalResult};
 use crate::expr::{CmpOp, Expr, Func, Pred};
 use crate::ops::predicate::Truth;
 use crate::ops::{aggregate, array, predicate};
-use crate::physical::RowKernel;
-use crate::profile::{Profile, TraceSink};
+use crate::physical::{PairRead, RowKernel};
+use crate::profile::{rows_of, Profile, TraceSink};
 use excess_types::{domain, Date, MultiSet, ObjectStore, TypeId, TypeRegistry, Value};
 use std::sync::Arc;
 
@@ -51,7 +51,7 @@ pub struct EvalCtx<'a> {
     /// Opt-in per-operator profiler (see [`crate::profile`]).  `None` by
     /// default: the evaluator then pays one branch per node and nothing
     /// else.
-    pub trace: Option<Box<TraceSink>>,
+    pub(crate) trace: Option<Box<TraceSink>>,
     /// Pointer-keyed row-kernel table, installed by
     /// [`crate::physical::evaluate_physical`]: maps the address of a
     /// `rel_join` or `SET_APPLY` node to its hash kernel, shared so that
@@ -79,7 +79,7 @@ impl<'a> EvalCtx<'a> {
     }
 
     /// Turn on per-operator profiling for subsequent evaluations.  A fresh
-    /// [`TraceSink`] replaces any previous recording.
+    /// recording replaces any previous one.
     pub fn enable_tracing(&mut self) {
         self.trace = Some(Box::new(TraceSink::new()));
     }
@@ -145,6 +145,25 @@ fn is_path(e: &Expr) -> bool {
     }
 }
 
+/// Does the evaluator read child `i` of `e` (in [`Expr::children`]
+/// order) in place, by reference, so that the child is charged to
+/// `e` and has no profile frame of its own?  The operand of a path
+/// `TUP_EXTRACT`/`DEREF`, a path under `π`, a path `COMP` input its
+/// predicate never reads, and both operands of a comparison of two paths
+/// are; so is everything below a child read in place.
+pub fn reads_in_place(e: &Expr, i: usize) -> bool {
+    let first = match e {
+        Expr::TupExtract(a, _) | Expr::Deref(a) | Expr::Project(a, _) => return is_path(a),
+        Expr::Comp { input, pred } if i == 0 => return is_path(input) && !pred.mentions_input(0),
+        Expr::Comp { .. } | Expr::Select { .. } | Expr::ArrSelect { .. } => 1,
+        Expr::RelJoin { .. } => 2,
+        _ => return false,
+    };
+    // A predicate's expressions are its comparisons' operands, in pairs.
+    let path = |j: usize| e.child(j).is_some_and(is_path);
+    i >= first && path(i) && path(first + ((i - first) ^ 1))
+}
+
 /// The value of the path `e` ([`is_path`]) where it lies — in the binder
 /// environment, the plan or the object store — charging the `derefs`
 /// and raising the errors, in the order, that [`eval`] would.
@@ -195,22 +214,36 @@ fn deref<'v>(
 /// Evaluate with an explicit binder environment (innermost last).
 ///
 /// When profiling is enabled (see [`EvalCtx::enable_tracing`]) every call
-/// is bracketed by a [`TraceSink`] frame; otherwise this is a single
+/// is bracketed by a profile frame; otherwise this is a single
 /// branch in front of the operator dispatch.
 pub fn eval(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<Value> {
+    framed(e, ctx, rows_of, |ctx| eval_inner(e, env, ctx))
+}
+
+/// The profiler's one hook: `run`, the evaluation of node `e`, bracketed
+/// by a [`TraceSink`] frame that credits it the `rows` of its result.
+/// Untraced, one branch.  Tracing observes and never decides: `run` is
+/// the same either way.
+fn framed<T>(
+    e: &Expr,
+    ctx: &mut EvalCtx,
+    rows: fn(&T) -> u64,
+    run: impl FnOnce(&mut EvalCtx) -> EvalResult<T>,
+) -> EvalResult<T> {
     if ctx.trace.is_none() {
-        return eval_inner(e, env, ctx);
+        return run(ctx);
     }
     let token = ctx
         .trace
         .as_mut()
         .expect("checked above")
         .enter(e, ctx.counters);
-    let result = eval_inner(e, env, ctx);
+    let result = run(ctx);
     // The sink can only disappear mid-evaluation if the traced expression
     // itself takes the profile, which nothing does; guard anyway.
     if let Some(sink) = ctx.trace.as_mut() {
-        sink.exit(token, e, &result, ctx.counters);
+        let rows_out = result.as_ref().map_or(0, rows);
+        sink.exit(token, e, rows_out, ctx.counters);
     }
     result
 }
@@ -265,34 +298,32 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             only_types,
         } => {
             // A lowered plan may have assigned this node (by address) the
-            // fused join-apply over its hash-joined input (untraced runs
-            // only).  Its returning `None` is its runtime guard refusing,
-            // and the join then the apply run as if it had never tried.
-            if let (Some(kernel), Expr::RelJoin { left, right, pred }, true) =
-                (row_kernel(e, ctx), &**input, ctx.trace.is_none())
-            {
-                if let RowKernel::JoinApply {
-                    left_key,
-                    right_key,
-                    pair,
-                } = &*kernel
-                {
-                    let (a, b) = (eval(left, env, ctx)?, eval(right, env, ctx)?);
-                    let (sa, sb) = match join_inputs(a, b)? {
-                        Ok(sets) => sets,
-                        Err(null) => return Ok(null),
+            // fused join-apply over its hash-joined input, which runs in
+            // the join's own frame.  The apply is charged one scan per
+            // row read off the pairs, and runs its body on the `unk` rows.
+            let fused = row_kernel(e, ctx);
+            let inv = match fused.as_deref() {
+                Some(RowKernel::JoinApply(pair)) => {
+                    let joined = |ctx: &mut EvalCtx| rel_join(input, Some(pair), env, ctx);
+                    let rows = |r: &Result<(MultiSet, u64), Value>| {
+                        r.as_ref()
+                            .map_or_else(rows_of, |(out, unk)| out.len() + unk)
                     };
-                    let fused = crate::physical::hash_join_apply(
-                        &sa, &sb, left_key, right_key, body, pair, env, ctx,
-                    );
-                    if let Some(out) = fused {
-                        return Ok(Value::Set(out));
+                    match framed(input, ctx, rows, joined)? {
+                        Ok((mut out, unk)) => {
+                            ctx.counters.occurrences_scanned += out.len();
+                            if unk > 0 {
+                                let mut unks = MultiSet::new();
+                                unks.insert_n(Value::unk(), unk);
+                                out = out.additive_union(apply_each(&unks, body, None, env, ctx)?);
+                            }
+                            return Ok(Value::Set(out));
+                        }
+                        Err(joined) => joined,
                     }
-                    let joined = join_sets(input, &sa, &sb, pred, env, ctx)?;
-                    return apply_each(&joined, body, None, env, ctx);
                 }
-            }
-            let inv = eval(input, env, ctx)?;
+                _ => eval(input, env, ctx)?,
+            };
             if inv.is_null() {
                 return Ok(inv);
             }
@@ -306,7 +337,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                 ),
                 None => None,
             };
-            apply_each(&set, body, filter.as_deref(), env, ctx)
+            apply_each(&set, body, filter.as_deref(), env, ctx).map(Value::Set)
         }
         Expr::Group { input, by } => {
             let inv = eval(input, env, ctx)?;
@@ -376,7 +407,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
 
         // ----- tuple operators -----
         Expr::Project(a, fields) => {
-            if ctx.trace.is_none() && is_path(a) {
+            if is_path(a) {
                 let v = read_path(a, env, ctx.store, &mut ctx.counters)?;
                 return project(v, fields);
             }
@@ -396,7 +427,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             }
         }
         Expr::TupExtract(a, field) => {
-            if ctx.trace.is_none() && is_path(e) {
+            if is_path(e) {
                 return read_path(e, env, ctx.store, &mut ctx.counters).cloned();
             }
             extract(&eval(a, env, ctx)?, field).cloned()
@@ -514,7 +545,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::Ref(oid))
         }
         Expr::Deref(a) => {
-            if ctx.trace.is_none() && is_path(e) {
+            if is_path(e) {
                 return read_path(e, env, ctx.store, &mut ctx.counters).cloned();
             }
             let v = eval(a, env, ctx)?;
@@ -523,10 +554,10 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
 
         // ----- predicates -----
         Expr::Comp { input, pred } => {
-            // Untraced, a path input that the predicate never reads is
-            // resolved where it lies — its errors and derefs first, as
-            // ever — and copied only for a row the predicate keeps.
-            if ctx.trace.is_none() && is_path(input) && !pred.mentions_input(0) {
+            // A path input that the predicate never reads is resolved
+            // where it lies — its errors and derefs first, as ever — and
+            // copied only for a row the predicate keeps.
+            if is_path(input) && !pred.mentions_input(0) {
                 read_path(input, env, ctx.store, &mut ctx.counters)?;
                 // Unread, the binding needs only its place in `env`.
                 env.push(Value::dne());
@@ -631,13 +662,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             }
             Ok(Value::Set(out))
         }
-        Expr::RelJoin { left, right, pred } => {
-            let (a, b) = (eval(left, env, ctx)?, eval(right, env, ctx)?);
-            match join_inputs(a, b)? {
-                Ok((sa, sb)) => Ok(Value::Set(join_sets(e, &sa, &sb, pred, env, ctx)?)),
-                Err(null) => Ok(null),
-            }
-        }
+        Expr::RelJoin { .. } => Ok(rel_join(e, None, env, ctx)?.expect_err("no apply to fuse")),
 
         // ----- Section 4 dispatch -----
         Expr::SetApplySwitch { input, table } => {
@@ -686,7 +711,7 @@ fn apply_each(
     filter: Option<&[TypeId]>,
     env: &mut Vec<Value>,
     ctx: &mut EvalCtx,
-) -> EvalResult<Value> {
+) -> EvalResult<MultiSet> {
     let mut out = MultiSet::new();
     for occ in set.iter_occurrences() {
         ctx.counters.occurrences_scanned += 1;
@@ -703,19 +728,32 @@ fn apply_each(
         env.pop();
         out.insert(r?);
     }
-    Ok(Value::Set(out))
+    Ok(out)
 }
 
-/// `rel_join`'s evaluated inputs as multisets, or (`Err`) the null the
-/// join returns when either side is one.
-fn join_inputs(a: Value, b: Value) -> EvalResult<Result<(MultiSet, MultiSet), Value>> {
-    if a.is_null() {
-        return Ok(Err(a));
+/// The `rel_join` node `join`: its inputs, then — under an apply that
+/// `fuse`s it — [`hash_join_apply`](crate::physical::hash_join_apply)
+/// over them (`Ok`: its rows), or else the join's own value (`Err`): a
+/// null input, or its rows, which an apply over it then runs over.
+fn rel_join(
+    join: &Expr,
+    fuse: Option<&PairRead>,
+    env: &mut Vec<Value>,
+    ctx: &mut EvalCtx,
+) -> EvalResult<Result<(MultiSet, u64), Value>> {
+    let Expr::RelJoin { left, right, pred } = join else {
+        unreachable!("rel_join of a non-join: {join}")
+    };
+    let (a, b) = (eval(left, env, ctx)?, eval(right, env, ctx)?);
+    if a.is_null() || b.is_null() {
+        return Ok(Err(if a.is_null() { a } else { b }));
     }
-    if b.is_null() {
-        return Ok(Err(b));
+    let (sa, sb) = (as_set("rel_join", a)?, as_set("rel_join", b)?);
+    if let Some(rows) = fuse.and_then(|pair| crate::physical::hash_join_apply(&sa, &sb, pair, ctx))
+    {
+        return Ok(Ok(rows));
     }
-    Ok(Ok((as_set("rel_join", a)?, as_set("rel_join", b)?)))
+    Ok(Err(Value::Set(join_sets(join, &sa, &sb, pred, env, ctx)?)))
 }
 
 /// The `rel_join` node `e` over its materialised inputs.
@@ -771,7 +809,7 @@ fn join_sets(
 pub(crate) fn eval_pred(p: &Pred, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<Truth> {
     match p {
         Pred::Cmp(l, op, r) => {
-            if ctx.trace.is_none() && is_path(l) && is_path(r) {
+            if is_path(l) && is_path(r) {
                 let lv = read_path(l, env, ctx.store, &mut ctx.counters)?;
                 let rv = read_path(r, env, ctx.store, &mut ctx.counters)?;
                 return compare(lv, *op, rv, &mut ctx.counters);

@@ -49,5 +49,5 @@ pub use expr::{Bound, CmpOp, Expr, Func, Pred};
 pub use json::{escape_json, millis, number, parse_json, path_json, quote_json, JsonValue};
 pub use ops::predicate::Truth;
 pub use physical::{equi_key_candidates, evaluate_physical, PhysChoice, PhysOp, PhysicalPlan};
-pub use profile::{path_string, NodePath, NodeProfile, Profile, TraceSink};
+pub use profile::{path_string, NodePath, NodeProfile, Profile};
 pub use verify::{resolve_deep, verify, Diagnostic, Report, Severity};

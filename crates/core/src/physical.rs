@@ -53,9 +53,11 @@
 //! joined row at all: both are read off the pair `(x, y)` (see
 //! `PairRead`), and the counters are those the two operators would
 //! charge.  Any other body or residual runs unfused: the join, then the
-//! apply.  The kernel runs on untraced evaluations only; a traced one, a
-//! guard refusal or any error takes the unfused path, so counters,
-//! profiles and errors are the unfused plan's.
+//! apply.  A guard refusal, or a pair read that would be an error, takes
+//! the unfused path, so counters and errors are the unfused plan's.
+//! Traced or not, the same kernel runs: the `rel_join` keeps its own
+//! profile frame, charged the join's work, and the apply is charged its
+//! own.
 //!
 //! Kernels reach the evaluator through a pointer-keyed table installed in
 //! [`EvalCtx`] by [`evaluate_physical`]: choices are resolved to the
@@ -92,7 +94,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::EvalResult;
-use crate::eval::{eval, eval_pred, evaluate, EvalCtx};
+use crate::eval::{eval_pred, evaluate, EvalCtx};
 use crate::expr::{CmpOp, Expr, Pred};
 use crate::ops::predicate::{compare, Truth};
 use crate::profile::{path_string, NodePath, Profile};
@@ -189,11 +191,7 @@ pub(crate) enum RowKernel {
     /// [`hash_join_apply`] on a `SET_APPLY` whose input is a `rel_join`
     /// chosen [`PhysOp::HashEquiJoin`] and whose body and residual
     /// compile to a [`PairRead`].
-    JoinApply {
-        left_key: String,
-        right_key: String,
-        pair: PairRead,
-    },
+    JoinApply(PairRead),
 }
 
 /// A fused join-apply's body and residual compiled to read an in-bucket
@@ -205,6 +203,8 @@ pub(crate) enum RowKernel {
 /// supertype's).
 #[derive(Debug)]
 pub(crate) struct PairRead {
+    /// The join's key fields, as its choice names them.
+    keys: (String, String),
     /// The body's projected fields, in output order.
     fields: Vec<String>,
     /// The residual conjuncts, left to right.
@@ -245,7 +245,11 @@ impl PairRead {
                 _ => None,
             })
             .collect::<Option<_>>()?;
-        Some(PairRead { fields, residual })
+        Some(PairRead {
+            keys: (lf.to_string(), rf.to_string()),
+            fields,
+            residual,
+        })
     }
 
     /// `TUP_EXTRACT[f](TUP_CAT(x, y))`, or `None` where that is an error.
@@ -346,14 +350,8 @@ impl PhysicalPlan {
             ) = self.node_at(parent)
             {
                 if let Some(pair) = PairRead::compile(body, pred, left_key, right_key) {
-                    table.insert(
-                        apply as *const Expr as usize,
-                        Arc::new(RowKernel::JoinApply {
-                            left_key: left_key.clone(),
-                            right_key: right_key.clone(),
-                            pair,
-                        }),
-                    );
+                    let fused = Arc::new(RowKernel::JoinApply(pair));
+                    table.insert(apply as *const Expr as usize, fused);
                 }
             }
         }
@@ -665,64 +663,41 @@ fn residual_truth(
 }
 
 /// `SET_APPLY[f](rel_join[θ](A, B))` without the join's output: the
-/// kernel behind [`RowKernel::JoinApply`], run by the evaluator's
-/// `SET_APPLY` arm on the materialised join inputs.  No joined row is
-/// built: each in-bucket pair's residual and, where it is `T`, its output
-/// tuple are read off `(x, y)` by `pair`, and `f` — a projection —
-/// charges nothing.  A `U` pair runs `f` on `unk` (`π(unk) = unk`, and the
-/// spelled form's tuple of `unk`s).  Each row is weighted by its
-/// multiplicity, so the result is the apply's over the join multiset, and
-/// the counters are the two operators' own: the join's, plus per
-/// occurrence one scan and `f`'s work (charged `n` times for a row of
-/// multiplicity `n`).
+/// kernel behind [`RowKernel::JoinApply`], run on the materialised join
+/// inputs.  No joined row is built: each in-bucket pair's residual and,
+/// where it is `T`, its output tuple are read off `(x, y)` by `pair`, and
+/// `f` — a projection — charges nothing.  A `U` pair's row is `unk`, and
+/// only counted.  Each row is weighted by its multiplicity.  `Some` holds
+/// the apply's output on the `T` rows and the number of `unk` rows, which
+/// the evaluator's `SET_APPLY` runs `f` on (`π(unk) = unk`, and the
+/// spelled form's tuple of `unk`s).  The counters charged here are the
+/// join's alone; the evaluator charges the apply its own: one scan per
+/// occurrence and `f`'s work.
 ///
-/// `None` — the guard refusing, a pair read that would be an error, or
-/// any error, raised here in another order than the unfused plan would
-/// raise it — restores the counters and leaves the unfused path to
-/// compute the answer, that error included.  Untraced runs only: a
-/// traced run takes the unfused path, whose counters these are.
-#[allow(clippy::too_many_arguments)]
+/// `None` — the guard refusing, or a pair read that would be an error —
+/// restores the counters and leaves the unfused path to compute the
+/// answer, that error included.
 pub(crate) fn hash_join_apply(
     sa: &MultiSet,
     sb: &MultiSet,
-    lf: &str,
-    rf: &str,
-    body: &Expr,
     pair: &PairRead,
-    env: &mut Vec<Value>,
     ctx: &mut EvalCtx,
-) -> Option<MultiSet> {
-    let saved_counters = ctx.counters;
-    let mut out = MultiSet::new();
+) -> Option<(MultiSet, u64)> {
+    let (mut out, mut unk) = (MultiSet::new(), 0);
+    let (lf, rf) = &pair.keys;
     let joined = hash_join_core(sa, sb, lf, rf, ctx, |x, y, n, ctx| {
-        let row = match pair.truth(x, y, ctx) {
+        match pair.truth(x, y, ctx) {
             None => return Ok(None),
-            Some(Truth::F) => return Ok(Some(())),
+            Some(Truth::F) => {}
             Some(Truth::T) => match pair.row(x, y) {
-                Some(row) => row,
+                Some(row) => out.insert_n(row, n),
                 None => return Ok(None),
             },
-            Some(Truth::U) => {
-                let before = ctx.counters;
-                env.push(Value::unk());
-                let r = eval(body, env, ctx);
-                env.pop();
-                let once = ctx.counters - before;
-                ctx.counters += once.times(n - 1);
-                r?
-            }
-        };
-        ctx.counters.occurrences_scanned += n;
-        out.insert_n(row, n);
+            Some(Truth::U) => unk += n,
+        }
         Ok(Some(()))
     });
-    match joined {
-        Ok(Some(())) => Some(out),
-        _ => {
-            ctx.counters = saved_counters;
-            None
-        }
-    }
+    matches!(joined, Ok(Some(()))).then_some((out, unk))
 }
 
 /// Evaluate a lowered plan: install the plan's kernel table in the
@@ -745,6 +720,7 @@ pub fn evaluate_physical(plan: &PhysicalPlan, ctx: &mut EvalCtx) -> EvalResult<V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Counters;
     use crate::expr::Pred;
     use excess_types::{ObjectStore, TypeRegistry};
     use std::collections::HashMap as Cat;
@@ -977,27 +953,57 @@ mod tests {
         pp
     }
 
-    /// Evaluate `pp` untraced (the fused kernel) and traced (the join,
-    /// then the apply), with the naive evaluator's value beside them.
+    /// Evaluate `pp` (the fused kernel), the join then the apply — the
+    /// hash-join-only plan, then the apply over its rows — and the naive
+    /// evaluator.  The fused run is made traced too: the same value or
+    /// error and counters, and a profile that telescopes over nodes of
+    /// the plan, the `rel_join` among them.
     fn fused_and_unfused(
         pp: &PhysicalPlan,
         cat: &Cat<String, Value>,
-    ) -> [(EvalResult<Value>, crate::counters::Counters); 3] {
+    ) -> [(EvalResult<Value>, Counters); 3] {
         let reg = TypeRegistry::new();
-        let run = |physical: bool, traced: bool| {
+        let run = |plan: &PhysicalPlan, traced: bool| {
             let mut store = ObjectStore::new();
             let mut ctx = EvalCtx::new(&reg, &mut store, cat);
             if traced {
                 ctx.enable_tracing();
             }
-            let v = if physical {
-                evaluate_physical(pp, &mut ctx)
-            } else {
-                evaluate(&pp.logical, &mut ctx)
-            };
-            (v, ctx.counters)
+            let v = evaluate_physical(plan, &mut ctx);
+            (v, ctx.counters, ctx.take_profile())
         };
-        [run(true, false), run(true, true), run(false, false)]
+        let (fused, counters, _) = run(pp, false);
+        let (traced, traced_counters, profile) = run(pp, true);
+        assert_eq!(
+            fused.as_ref().map_err(ToString::to_string),
+            traced.as_ref().map_err(ToString::to_string)
+        );
+        assert_eq!(counters, traced_counters);
+        let profile = profile.expect("tracing was enabled");
+        assert_eq!(profile.sum_of_self_counters(), profile.total);
+        assert_eq!(profile.total, traced_counters);
+        for n in &profile.nodes {
+            let node = pp.node_at(&n.path).expect("a path of the plan");
+            assert_eq!(n.label, op_label(node), "{}", path_string(&n.path));
+        }
+        assert_eq!(profile.node(&[0]).expect("the join's frame").calls, 1);
+
+        let Expr::SetApply { input, body, .. } = &pp.logical else {
+            unreachable!("a fused plan is an apply over its join")
+        };
+        let join = hash_join_plan(input, "k", "j");
+        let (joined, join_counters, _) = run(&join, false);
+        let unfused = joined.and_then(|rows| {
+            let apply = PhysicalPlan::passthrough(Expr::lit(rows).set_apply((**body).clone()));
+            let (out, apply_counters, _) = run(&apply, false);
+            out.map(|v| (v, join_counters + apply_counters))
+        });
+        let unfused = match unfused {
+            Ok((v, c)) => (Ok(v), c),
+            Err(e) => (Err(e), join_counters),
+        };
+        let naive = run(&PhysicalPlan::passthrough(pp.logical.clone()), false);
+        [(fused, counters), unfused, (naive.0, naive.1)]
     }
 
     #[test]
@@ -1067,16 +1073,50 @@ mod tests {
         assert_eq!(fused.unwrap(), naive);
         assert_eq!(unfused.unwrap(), naive);
         assert_eq!((cf, cu), (cn, cn));
-        // A body that fails: the unfused plan's error, with its counters.
-        cat.insert("L".to_string(), l);
+        // A body that fails: the unfused plan's error.
+        cat.insert("L".to_string(), l.clone());
         let pp = fused_plan(eq_pred(), Expr::input().project(["a", "missing"]));
         assert_eq!(pp.kernel_table().len(), 2, "the join and the apply over it");
-        let [(fused, cf), (unfused, cu), _] = fused_and_unfused(&pp, &cat);
+        let [(fused, _), (unfused, _), _] = fused_and_unfused(&pp, &cat);
         assert_eq!(
             fused.unwrap_err().to_string(),
             unfused.unwrap_err().to_string()
         );
-        assert_eq!(cf, cu);
+        // A `U` row, then a row whose projected `x` is on neither side: the
+        // kernel gives up after `U` pairs, and the traced profile is the
+        // unfused apply's alone — one body call per occurrence it scanned,
+        // none left over from the kernel.
+        let l = MultiSet::from_occurrences([
+            Value::tuple([
+                ("a", Value::int(0)),
+                ("c", Value::unk()),
+                ("k", Value::int(0)),
+            ]),
+            Value::tuple([
+                ("a", Value::int(5)),
+                ("c", Value::int(1)),
+                ("k", Value::int(1)),
+            ]),
+        ]);
+        cat.insert("L".to_string(), Value::Set(l));
+        let c_lt_9 = Pred::cmp(Expr::input().extract("c"), CmpOp::Lt, Expr::int(9));
+        let pp = fused_plan(eq_pred().and(c_lt_9), Expr::input().project(["x"]));
+        assert_eq!(pp.kernel_table().len(), 2, "the join and the apply over it");
+        let [(fused, _), (unfused, _), (naive, _)] = fused_and_unfused(&pp, &cat);
+        let err = fused.unwrap_err().to_string();
+        assert_eq!(err, unfused.unwrap_err().to_string());
+        assert_eq!(err, naive.unwrap_err().to_string());
+        let reg = TypeRegistry::new();
+        let mut store = ObjectStore::new();
+        let mut ctx = EvalCtx::new(&reg, &mut store, &cat);
+        ctx.enable_tracing();
+        evaluate_physical(&pp, &mut ctx).unwrap_err();
+        let counters = ctx.counters;
+        let profile = ctx.take_profile().unwrap();
+        assert_eq!(profile.sum_of_self_counters(), counters);
+        let apply = profile.root().unwrap();
+        let body = profile.node(&[1]).expect("the body ran unfused");
+        assert_eq!(body.calls, apply.self_counters.occurrences_scanned);
     }
 
     #[test]
@@ -1086,7 +1126,7 @@ mod tests {
             let apply = &pp.logical as *const Expr as usize;
             let kernel = pp.kernel_table().remove(&apply);
             match kernel.map(|k| Arc::try_unwrap(k).expect("the table's only owner")) {
-                Some(RowKernel::JoinApply { pair, .. }) => Some(pair),
+                Some(RowKernel::JoinApply(pair)) => Some(pair),
                 None => None,
                 Some(other) => panic!("not the fused kernel: {other:?}"),
             }

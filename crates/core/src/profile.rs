@@ -1,10 +1,12 @@
 //! Per-operator execution profiling (the dynamic half of EXPLAIN ANALYZE).
 //!
-//! A [`TraceSink`] hangs off [`EvalCtx`](crate::eval::EvalCtx) and is
+//! A `TraceSink` hangs off [`EvalCtx`](crate::eval::EvalCtx) and is
 //! strictly opt-in: when absent, the evaluator pays a single `Option`
-//! check per node and allocates nothing.  When present, every evaluation
-//! of every operator node is bracketed by `TraceSink::enter` /
-//! `TraceSink::exit`, which attribute to that node:
+//! check per node and allocates nothing.  When present, it only observes:
+//! a traced run evaluates exactly what an untraced one does, kernels and
+//! in-place reads included.  Every node the evaluator evaluates as itself
+//! is bracketed by `TraceSink::enter` / `TraceSink::exit`, which
+//! attribute to that node:
 //!
 //! * invocation count (a SET_APPLY body runs once per occurrence);
 //! * input cardinality (occurrences/elements produced by its child
@@ -14,6 +16,13 @@
 //!   exactly to the global counter delta, because per invocation
 //!   `self = inclusive − Σ children-inclusive` telescopes;
 //! * wall time, with the same inclusive/self split.
+//!
+//! Two evaluations get no frame of their own, and their work is the
+//! enclosing node's.  A *path* (`TUP_EXTRACT`/`DEREF` over an `INPUT` or
+//! a constant) that an operator reads in place has no frame below the
+//! node that reads it ([`crate::eval::reads_in_place`]).  A fused
+//! join-apply's body is not evaluated on the rows it reads off the join's
+//! pairs.  The `rel_join` under a fused apply keeps its own frame.
 //!
 //! Nodes are keyed by their *path* in the [`Expr`] tree — the sequence of
 //! child indices (as ordered by [`Expr::children`]) from the root — so a
@@ -25,7 +34,6 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use crate::counters::Counters;
-use crate::error::EvalResult;
 use crate::expr::Expr;
 use crate::render::op_label;
 use excess_types::Value;
@@ -47,6 +55,17 @@ pub fn path_string(path: &[usize]) -> String {
     format!("[{}]", parts.join("."))
 }
 
+/// Occurrences in a value, as a profile counts a node's output and the
+/// flight recorder a query's: multiset cardinality with duplicates, array
+/// length, 1 for anything else.
+pub fn rows_of(v: &Value) -> u64 {
+    match v {
+        Value::Set(s) => s.len(),
+        Value::Array(a) => a.len() as u64,
+        _ => 1,
+    }
+}
+
 /// One evaluation frame: a node currently being evaluated.
 struct Frame {
     /// Where this node sits in the plan tree.
@@ -54,10 +73,6 @@ struct Frame {
     /// `children()` of the node, by address, so a recursive `eval` call can
     /// find its own child index with pointer comparisons only.
     child_ptrs: Vec<*const Expr>,
-    /// Used when a traced evaluation recurses into an expression that is
-    /// not a structural child (not reachable via `children()`); such
-    /// detached frames are merged under one synthetic child slot.
-    detached_slot: usize,
     /// Global counters at entry.
     entry_counters: Counters,
     /// Wall clock at entry.
@@ -89,7 +104,7 @@ struct NodeAgg {
 }
 
 /// Collects the span tree while evaluation runs.
-pub struct TraceSink {
+pub(crate) struct TraceSink {
     stack: Vec<Frame>,
     nodes: BTreeMap<NodePath, NodeAgg>,
     /// Global counter delta over all root evaluations seen by this sink.
@@ -98,16 +113,10 @@ pub struct TraceSink {
     total_wall: Duration,
 }
 
-impl Default for TraceSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TraceSink {
     /// An empty sink, ready to record with exact per-frame timestamps
     /// (two clock samples per invocation).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TraceSink {
             stack: Vec::new(),
             nodes: BTreeMap::new(),
@@ -122,11 +131,11 @@ impl TraceSink {
         let path = match self.stack.last_mut() {
             None => Vec::new(),
             Some(parent) => {
-                let idx = parent
-                    .child_ptrs
-                    .iter()
-                    .position(|p| std::ptr::eq(*p, e))
-                    .unwrap_or(parent.detached_slot);
+                // The evaluator recurses into structural children only, so
+                // every frame's path is a path of the plan.
+                let idx = parent.child_ptrs.iter().position(|p| std::ptr::eq(*p, e));
+                debug_assert!(idx.is_some(), "{e} is not a child of the node above it");
+                let idx = idx.unwrap_or(parent.child_ptrs.len());
                 let mut p = parent.path.clone();
                 p.push(idx);
                 p
@@ -134,11 +143,9 @@ impl TraceSink {
         };
         let child_ptrs: Vec<*const Expr> =
             e.children().into_iter().map(|c| c as *const Expr).collect();
-        let detached_slot = child_ptrs.len();
         self.stack.push(Frame {
             path,
             child_ptrs,
-            detached_slot,
             entry_counters: counters,
             entry_instant: Instant::now(),
             child_counters: Counters::new(),
@@ -148,27 +155,16 @@ impl TraceSink {
         FrameToken(self.stack.len())
     }
 
-    /// Close the frame opened by `token`, folding this invocation into the
-    /// node's aggregate and crediting the parent frame.
-    pub(crate) fn exit(
-        &mut self,
-        token: FrameToken,
-        e: &Expr,
-        result: &EvalResult<Value>,
-        counters: Counters,
-    ) {
+    /// Close the frame opened by `token`, folding this invocation — which
+    /// produced `rows_out` occurrences — into the node's aggregate and
+    /// crediting the parent frame.
+    pub(crate) fn exit(&mut self, token: FrameToken, e: &Expr, rows_out: u64, counters: Counters) {
         assert_eq!(token.0, self.stack.len(), "mismatched TraceSink enter/exit");
         let frame = self.stack.pop().expect("token guarantees a frame");
         let inclusive = counters.diff(&frame.entry_counters);
         let wall = frame.entry_instant.elapsed();
         let self_counters = inclusive.diff(&frame.child_counters);
         let self_wall = wall.saturating_sub(frame.child_wall);
-        let rows_out = match result {
-            Ok(Value::Set(s)) => s.len(),
-            Ok(Value::Array(a)) => a.len() as u64,
-            Ok(_) => 1,
-            Err(_) => 0,
-        };
 
         let agg = self.nodes.entry(frame.path).or_default();
         if agg.calls == 0 {

@@ -7,7 +7,11 @@
 //! Profile entries and static estimates are joined by node path (child
 //! indices from the root), the shared key of
 //! [`excess_core::profile`] and [`excess_optimizer::estimate_nodes`].
+//! A node the evaluator reads in place under an executed one
+//! ([`reads_in_place`]) has no profile entry: its work is its reader's,
+//! and it renders as `(read in place)`.
 
+use excess_core::eval::reads_in_place;
 use excess_core::expr::Expr;
 use excess_core::profile::{NodePath, Profile};
 use excess_core::render::op_label;
@@ -25,7 +29,7 @@ pub(crate) fn render_explain_analyze(
         estimates.iter().map(|(p, e)| (p.as_slice(), e)).collect();
     let mut out = String::new();
     let mut path: NodePath = Vec::new();
-    walk(plan, &mut path, "", true, 0, profile, &est, &mut out);
+    walk(plan, &mut path, "", true, 0, false, profile, &est, &mut out);
     let _ = writeln!(
         out,
         "total: {:.3} ms  {}",
@@ -35,6 +39,8 @@ pub(crate) fn render_explain_analyze(
     out
 }
 
+/// One tree line for `e`, then its children's.  `in_place`: the nearest
+/// ancestor with a profile entry read `e` in place.
 #[allow(clippy::too_many_arguments)]
 fn walk(
     e: &Expr,
@@ -42,6 +48,7 @@ fn walk(
     prefix: &str,
     last: bool,
     depth: usize,
+    in_place: bool,
     profile: &Profile,
     est: &BTreeMap<&[usize], &Estimate>,
     out: &mut String,
@@ -53,7 +60,8 @@ fn walk(
     } else {
         "├─ "
     };
-    let actual = match profile.node(path) {
+    let node = profile.node(path);
+    let actual = match node {
         Some(n) => {
             let c = &n.self_counters;
             let ms = n.self_wall.as_secs_f64() * 1e3;
@@ -75,6 +83,7 @@ fn walk(
                 c.comparisons
             )
         }
+        None if in_place => "(read in place)".to_string(),
         None => "(never executed)".to_string(),
     };
     let predicted = match est.get(path.as_slice()) {
@@ -92,6 +101,7 @@ fn walk(
     } else {
         format!("{prefix}{}", if last { "   " } else { "│  " })
     };
+    let read = node.is_some() || in_place;
     for (i, c) in kids.iter().enumerate() {
         path.push(i);
         walk(
@@ -100,6 +110,7 @@ fn walk(
             &child_prefix,
             i == kids.len() - 1,
             depth + 1,
+            read && reads_in_place(e, i),
             profile,
             est,
             out,

@@ -25,7 +25,7 @@ use crate::plan_cache::{CacheRef, CacheUse, Planned};
 use excess_core::counters::Counters;
 use excess_core::expr::Expr;
 use excess_core::physical::{PhysOp, PhysicalPlan};
-use excess_core::profile::{path_string, NodePath, Profile};
+use excess_core::profile::{path_string, rows_of, NodePath, Profile};
 use excess_exec::{ExecOutcome, Tracing};
 use excess_lang::ast::{QExpr, Retrieve};
 use excess_lang::methods::MethodRegistry;
@@ -35,22 +35,11 @@ use excess_optimizer::{
     RewriteJournal, RuleCtx, Statistics,
 };
 use excess_telemetry::{Fnv1a64, QueryRecord, QueryTrace, Registry, Span, Telemetry};
-use excess_types::{ObjectStore, SchemaType, TypeRegistry, Value};
+use excess_types::{ObjectStore, SchemaType, TypeRegistry};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Occurrences in a query result (what the flight recorder reports as
-/// `rows`): multiset cardinality with duplicates, array length, 1 for
-/// scalars and tuples.
-fn value_rows(v: &Value) -> u64 {
-    match v {
-        Value::Set(s) => s.len(),
-        Value::Array(a) => a.len() as u64,
-        _ => 1,
-    }
-}
 
 /// Deterministic fingerprint of a lowered plan: FNV-1a over the debug
 /// rendering (logical tree plus every kernel choice), so the same plan
@@ -108,8 +97,8 @@ impl View<'_> {
 #[derive(Clone, Copy)]
 pub(crate) struct Options {
     pub optimize: bool,
-    /// Assemble a [`QueryTrace`]; implies profiled execution and the
-    /// verify phase that exists only to be shown.
+    /// Assemble a [`QueryTrace`]; implies profiled execution, which runs
+    /// what an unprofiled one does.
     pub spans: bool,
 }
 
@@ -276,7 +265,7 @@ fn choice_span(s: &mut Span, physical: &PhysicalPlan) {
 
 /// The execute phase's subtree: the operator spans of the profile.
 fn execute_span(s: &mut Span, out: &ExecOutcome) {
-    s.nums.push(("rows".to_string(), value_rows(&out.value)));
+    s.nums.push(("rows".to_string(), rows_of(&out.value)));
     if let Some(profile) = &out.profile {
         s.children.extend(profile_spans(profile, s.start_us));
     }
@@ -335,8 +324,8 @@ fn profile_spans(profile: &Profile, start_us: u64) -> Vec<Span> {
 /// Run one query through every stage.  Nothing is recorded here: hand
 /// the [`Outcome`] to [`record`].
 ///
-/// `cache` is consulted — and filled — only for the plain optimized
-/// pipeline: spans need the rewrite journal.
+/// `cache` is consulted — and filled — only when the run optimizes: an
+/// unoptimized run has no search to save.
 pub(crate) fn run(
     view: View<'_>,
     store: &mut ObjectStore,
@@ -351,7 +340,7 @@ pub(crate) fn run(
         phases: Vec::new(),
         spans: opts.spans.then(Vec::new),
     };
-    let cache = cache.filter(|_| opts.optimize && !opts.spans);
+    let cache = cache.filter(|_| opts.optimize);
 
     let (translated, schema) = match source {
         Source::Retrieve { stmt, parse_us } => {
@@ -369,23 +358,6 @@ pub(crate) fn run(
         }
         Source::Plan(plan) => (Cow::Borrowed(plan), None),
     };
-
-    // Verification runs only under spans: translation has already typed
-    // the plan — this phase exists to show the layer, not to gate
-    // execution.
-    if opts.spans {
-        let t0 = t.now();
-        let report = excess_core::verify::verify(&translated, view.catalog, view.registry);
-        if let Some(s) = t.lap("verify", t0) {
-            if let Some(ty) = &report.schema {
-                s.meta.push(("schema".to_string(), ty.to_string()));
-            }
-            s.nums
-                .push(("errors".to_string(), report.error_count() as u64));
-            s.nums
-                .push(("lints".to_string(), report.lint_count() as u64));
-        }
-    }
 
     // A failed lookup is part of the search it leads to.
     let t0 = t.now();
@@ -453,7 +425,7 @@ pub(crate) fn run(
         }
     });
     Ok(Outcome {
-        rows: value_rows(&ran.value),
+        rows: rows_of(&ran.value),
         ran,
         schema,
         phase_us: t.phases,
@@ -469,10 +441,9 @@ pub(crate) fn run(
 
 /// The histogram each phase is observed under: finished names, so the
 /// always-on record path formats nothing.
-const PHASE_METRICS: [(&str, &str); 7] = [
+const PHASE_METRICS: [(&str, &str); 6] = [
     ("parse", "phase.parse_us"),
     ("translate", "phase.translate_us"),
-    ("verify", "phase.verify_us"),
     ("cached", "phase.cached_us"),
     ("optimize", "phase.optimize_us"),
     ("lower", "phase.lower_us"),

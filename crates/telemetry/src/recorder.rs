@@ -49,7 +49,7 @@ impl QueryRecord {
             .map(|(path, k)| format!("{}:{}", quote_json(path), quote_json(k)))
             .collect();
         format!(
-            "{{\"query\":{},\"plan_hash\":{},\"rows\":{},\
+            "{{\"query\":{},\"plan_hash\":\"{:016x}\",\"rows\":{},\
              \"total_us\":{},\"slow\":{},\"phases\":{{{}}},\"kernels\":{{{}}},\
              \"est_rows\":{},\"actual_rows\":{}}}",
             quote_json(&self.query),
@@ -214,6 +214,10 @@ mod tests {
         assert_eq!(v.get("capacity").unwrap().as_f64(), Some(2.0));
         let records = v.get("records").unwrap().as_arr().unwrap();
         assert_eq!(records.len(), 1);
+        assert_eq!(
+            records[0].get("plan_hash").unwrap().as_str(),
+            Some("0000000000000001")
+        );
         assert_eq!(records[0].get("slow").unwrap().as_bool(), Some(true));
         assert_eq!(
             records[0]

@@ -198,10 +198,12 @@ impl QueryTrace {
         self.root.is_empty()
     }
 
-    /// `{"query":…,"plan_hash":…,"root":{…}}`.
+    /// `{"query":…,"plan_hash":"…","root":{…}}`, the hash as 16 hex
+    /// digits, as a query response writes it (a JSON number past 2^53
+    /// does not survive a reader that holds numbers as `f64`).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"query\":{},\"plan_hash\":{},\"root\":{}}}",
+            "{{\"query\":{},\"plan_hash\":\"{:016x}\",\"root\":{}}}",
             quote_json(&self.query),
             self.plan_hash,
             self.root.to_json()
@@ -260,7 +262,10 @@ mod tests {
         let t = sample();
         let v = parse_json(&t.to_json()).unwrap();
         assert_eq!(v.get("query").unwrap().as_str(), Some("retrieve x"));
-        assert_eq!(v.get("plan_hash").unwrap().as_f64(), Some(42.0));
+        assert_eq!(
+            v.get("plan_hash").unwrap().as_str(),
+            Some("000000000000002a")
+        );
         let root = v.get("root").unwrap();
         assert_eq!(root.get("name").unwrap().as_str(), Some("query"));
         assert_eq!(root.get("children").unwrap().as_arr().unwrap().len(), 2);

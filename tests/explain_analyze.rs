@@ -176,10 +176,13 @@ fn est_vs_actual_are_the_optimizers_estimates_and_the_profiles_rows() {
                 line.contains(&format!("rows={}→{} ", n.rows_in, n.rows_out)),
                 "{at}: {line}"
             ),
-            None => assert!(line.contains("(never executed)"), "{at}: {line}"),
+            // Figure 6 runs every node: one without a frame is a path its
+            // reader read in place.
+            None => assert!(line.contains("(read in place)"), "{at}: {line}"),
         }
     }
     assert!(estimated > 1, "{text}");
+    assert!(text.contains("(read in place)"), "{text}");
 
     // The kernel block: one line per choice that is more than a
     // pass-through, its estimate the lowering's stamp of the same number.

@@ -65,6 +65,12 @@ fn telemetry_snapshot_shape() {
             "actual_rows",
         ]
     );
+    // The hash as a query response writes it: 16 hex digits, quoted.
+    let hash = records[0].get("plan_hash").unwrap().as_str().unwrap();
+    assert!(
+        hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()),
+        "{hash}"
+    );
 }
 
 /// `.server`: the committer's counters, `stats_elements` (elements whose
@@ -118,7 +124,7 @@ fn inspection_command_shapes() {
         v
     };
     ask("range of S is S1 range of E is E1");
-    ask(JOIN);
+    let served = ask(JOIN);
 
     let help = ask(".help");
     assert_eq!(obj_keys(&help), ["ok", "help"]);
@@ -152,6 +158,16 @@ fn inspection_command_shapes() {
     assert_eq!(
         obj_keys(spans.get("spans").unwrap()),
         ["query", "plan_hash", "root"]
+    );
+    // The traced run ran the served plan, and names it as the wire does.
+    assert_eq!(
+        spans
+            .get("spans")
+            .unwrap()
+            .get("plan_hash")
+            .unwrap()
+            .as_str(),
+        served.get("plan_hash").unwrap().as_str()
     );
     let verify = ask(&at(".verify"));
     assert_eq!(obj_keys(&verify), ["ok", "verify", "schema"]);

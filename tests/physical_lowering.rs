@@ -963,16 +963,26 @@ fn all_dne_key_column_falls_back_to_the_nested_loop() {
 // ------------------------------------- the fused join-apply's pair reads
 
 /// `SET_APPLY[body](rel_join[pred](L, R))` with the join chosen
-/// `HashEquiJoin[k = j]`: the apply over it runs the fused join-apply
-/// when untraced, reading the body and residual off each in-bucket pair
-/// where they have the shape, and the join then the apply when traced.
+/// `HashEquiJoin[k = j]`: the apply over it runs the fused join-apply,
+/// reading the body and residual off each in-bucket pair where they have
+/// the shape.
 fn join_apply(pred: Pred, body: Expr) -> PhysicalPlan {
-    let plan = Expr::named("L")
-        .rel_join(Expr::named("R"), pred)
-        .set_apply(body);
-    let mut physical = PhysicalPlan::passthrough(plan);
+    let join = hashed_join(pred);
+    let mut physical = PhysicalPlan::passthrough(join.logical.set_apply(body));
+    let choice = join
+        .choices
+        .into_values()
+        .next()
+        .expect("the join's choice");
+    physical.choices.insert(vec![0], choice);
+    physical
+}
+
+/// `rel_join[pred](L, R)` alone, chosen `HashEquiJoin[k = j]`.
+fn hashed_join(pred: Pred) -> PhysicalPlan {
+    let mut physical = PhysicalPlan::passthrough(Expr::named("L").rel_join(Expr::named("R"), pred));
     physical.choices.insert(
-        vec![0],
+        vec![],
         excess::algebra::physical::PhysChoice {
             op: PhysOp::HashEquiJoin {
                 left_key: "k".into(),
@@ -1012,10 +1022,11 @@ fn pair_db(l: MultiSet, r: MultiSet) -> Database {
     db
 }
 
-/// The lowered plan run untraced (fused) and traced (the join, then the
-/// apply) against the naive evaluator: canon-identical values, or the
-/// same error text from all three; and on a value, the fused run's
-/// counters are the traced run's to the last field.
+/// The lowered plan run fused, untraced and traced, against the naive
+/// evaluator and against the join then the apply — the hash-join-only
+/// plan, then the apply over its rows: canon-identical values, or the
+/// same error text from all four; and on a value, the fused runs'
+/// counters are the join's plus the apply's to the last field.
 fn check_pair_path(
     what: &str,
     db: &mut Database,
@@ -1023,22 +1034,45 @@ fn check_pair_path(
 ) -> Result<Value, String> {
     let naive = db.run_plan(&physical.logical).map_err(|e| e.to_string());
     let naive = naive.map(|v| canonical_form(&v, db.store()));
+    let Expr::SetApply { input, body, .. } = &physical.logical else {
+        unreachable!("join_apply builds an apply over its join")
+    };
+    let Expr::RelJoin { pred, .. } = &**input else {
+        unreachable!("join_apply builds an apply over its join")
+    };
+    let unfused = db
+        .run_lowered(&hashed_join(pred.clone()), Tracing::Off)
+        .and_then(|join| {
+            let apply = Expr::lit(join.value).set_apply((**body).clone());
+            let out = db.run_lowered(&PhysicalPlan::passthrough(apply), Tracing::Off)?;
+            Ok((out.value, join.counters + out.counters))
+        })
+        .map(|(v, c)| (canonical_form(&v, db.store()), c))
+        .map_err(|e| e.to_string());
     let mut run = |tracing| {
         let out = db.run_lowered(physical, tracing).map_err(|e| e.to_string());
         out.map(|o| (canonical_form(&o.value, db.store()), o.counters))
     };
     let (fused, traced) = (run(Tracing::Off), run(Tracing::Precise));
-    match (&naive, &fused, &traced) {
-        (Ok(naive), Ok((fused, fused_counters)), Ok((traced, traced_counters))) => {
+    match (&naive, &fused, &traced, &unfused) {
+        (Ok(naive), Ok((fused, fused_counters)), Ok(traced), Ok((unfused, unfused_counters))) => {
             assert_eq!(naive, fused, "{what}: fused vs naive");
-            assert_eq!(naive, traced, "{what}: traced vs naive");
-            assert_eq!(fused_counters, traced_counters, "{what}: counters");
+            assert_eq!(naive, unfused, "{what}: unfused vs naive");
+            assert_eq!(fused_counters, unfused_counters, "{what}: counters");
+            assert_eq!(
+                (fused, fused_counters),
+                (&traced.0, &traced.1),
+                "{what}: traced"
+            );
         }
-        (Err(naive), Err(fused), Err(traced)) => {
+        (Err(naive), Err(fused), Err(traced), Err(unfused)) => {
             assert_eq!(naive, fused, "{what}: fused error");
             assert_eq!(naive, traced, "{what}: traced error");
+            assert_eq!(naive, unfused, "{what}: unfused error");
         }
-        _ => panic!("{what}: naive {naive:?}, fused {fused:?}, traced {traced:?}"),
+        _ => panic!(
+            "{what}: naive {naive:?}, fused {fused:?}, traced {traced:?}, unfused {unfused:?}"
+        ),
     }
     naive
 }
@@ -1287,11 +1321,13 @@ fn a_multi_conjunct_residual_short_circuits_on_f() {
 
 /// The three served joins of the `analytic` workload, optimized and
 /// lowered as a session serves them: the fused kernel's counters are the
-/// unfused plan's, and its value is the translated plan's.
+/// unfused plan's, pinned in [`SERVED_COUNTERS`], and its value is the
+/// translated plan's.
 #[test]
 fn served_joins_read_pairs_with_the_unfused_counters() {
     let mut db = excess_bench::server_mix::server_mix_db(120);
-    for line in common::served_mix_requests() {
+    let mut joins = 0;
+    for (i, line) in common::served_mix_requests().into_iter().enumerate() {
         if !line.contains("range of E") {
             continue;
         }
@@ -1300,19 +1336,122 @@ fn served_joins_read_pairs_with_the_unfused_counters() {
         let naive = db.run_plan(&plan).unwrap();
         let naive = canonical_form(&naive, db.store());
         let fused = db.run_lowered(&physical, Tracing::Off).unwrap();
-        let traced = db.run_lowered(&physical, Tracing::Precise).unwrap();
         assert_eq!(naive, canonical_form(&fused.value, db.store()), "{line}");
-        assert_eq!(naive, canonical_form(&traced.value, db.store()), "{line}");
-        assert_eq!(fused.counters, traced.counters, "{line}");
+        assert_eq!(fused.counters.to_string(), SERVED_COUNTERS[i].1, "{line}");
+        joins += 1;
     }
+    assert_eq!(joins, 3);
 }
 
 // ------------------------------------------------- borrowed path reads
 
-/// A plan run untraced — where `TUP_EXTRACT`/`DEREF` paths are read where
-/// they lie and a `COMP` whose predicate never reads its binding copies a
-/// path input only for a row it keeps — and traced, where every node is
-/// evaluated as itself: equal values and counters, or equal errors.
+/// What each `check_borrowed` case answered when every node was still
+/// evaluated as itself (no path read in place), pinned: `Ok <value> ||
+/// <counters>` or `Err <error text>`.  Borrowed reads must leave all
+/// three as they were.
+const BORROWED_PINS: &[(&str, &str)] = &[
+    (
+        "COMP over a nullable field",
+        "Ok { \"s11\", \"s4\", \"s7\", \"s8\", unk, unk, unk } || scans=12 arr=0 derefs=0 de_in=0 cmps=12 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "nullable field as COMP input",
+        "Ok { 4, 7, 8, 11, unk, unk, unk } || scans=12 arr=0 derefs=0 de_in=0 cmps=12 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "a path through a null",
+        "Ok { unk, unk, unk, unk, unk, unk } || scans=12 arr=0 derefs=0 de_in=0 cmps=0 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "π over a path through a null",
+        "Ok { unk, unk, unk, unk, unk, unk } || scans=12 arr=0 derefs=0 de_in=0 cmps=0 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "null compared with null",
+        "Ok { 0, 0, 1, 2, 3, 3, unk, unk, unk } || scans=12 arr=0 derefs=0 de_in=0 cmps=12 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "predicate reads the COMP binding",
+        "Ok { (floor: 0, dname: \"d0\"), (floor: 0, dname: \"d0\"), (floor: 0, dname: \"d0\"), (floor: 1, dname: \"d1\"), (floor: 1, dname: \"d1\"), (floor: 1, dname: \"d1\") } || scans=12 arr=0 derefs=12 de_in=0 cmps=12 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "own binding, input raises",
+        "Err tuple has no field `d`",
+    ),
+    (
+        "∧ stops at F",
+        "Ok {  } || scans=12 arr=0 derefs=0 de_in=0 cmps=12 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "∧ reaches the error",
+        "Err tuple has no field `missing`",
+    ),
+    (
+        "π input",
+        "Ok { (s: \"s1\", k: 1), (s: \"s5\", k: 1), (s: \"s9\", k: 1) } || scans=12 arr=0 derefs=0 de_in=0 cmps=12 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "TUP input",
+        "Ok { (name: \"s1\"), (name: \"s5\"), (name: \"s9\") } || scans=12 arr=0 derefs=0 de_in=0 cmps=12 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "computed comparison operand",
+        "Ok { 2, 2, 2 } || scans=12 arr=0 derefs=0 de_in=0 cmps=12 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "path compared with a computed operand",
+        "Ok {  } || scans=12 arr=0 derefs=12 de_in=0 cmps=12 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "missing input field, predicate F",
+        "Err tuple has no field `s`",
+    ),
+    (
+        "missing predicate field",
+        "Err tuple has no field `s`",
+    ),
+    (
+        "missing field read",
+        "Err tuple has no field `s`",
+    ),
+    (
+        "resolving refs",
+        "Ok { \"d1\", \"d1\", \"d1\" } || scans=12 arr=0 derefs=24 de_in=0 cmps=12 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "dangling ref in the predicate",
+        "Err dangling OID @ty0#3",
+    ),
+    (
+        "dangling ref in the input",
+        "Err dangling OID @ty0#3",
+    ),
+    (
+        "dangling ref projected",
+        "Err dangling OID @ty0#3",
+    ),
+    (
+        "non-tuple COMP input",
+        "Err TUP_EXTRACT: expected tuple, found scalar",
+    ),
+    (
+        "non-tuple π",
+        "Err π: expected tuple, found scalar",
+    ),
+    (
+        "DEREF of a non-ref",
+        "Err DEREF: expected ref, found scalar",
+    ),
+    (
+        "both operands raise",
+        "Err tuple has no field `missing`",
+    ),
+];
+
+/// A plan run untraced and traced — both reading `TUP_EXTRACT`/`DEREF`
+/// paths where they lie, and copying a path `COMP` input its predicate
+/// never reads only for a row it keeps: equal values and counters, or
+/// equal errors, and the answer [`BORROWED_PINS`] holds for `what`.
 fn check_borrowed(what: &str, db: &mut Database, plan: &Expr) -> Result<Value, String> {
     let physical = PhysicalPlan::passthrough(plan.clone());
     let mut run = |tracing| {
@@ -1320,18 +1459,28 @@ fn check_borrowed(what: &str, db: &mut Database, plan: &Expr) -> Result<Value, S
             .map(|o| (o.value, o.counters))
             .map_err(|e| e.to_string())
     };
-    match (run(Tracing::Off), run(Tracing::Precise)) {
+    let out = match (run(Tracing::Off), run(Tracing::Precise)) {
         (Ok((value, counters)), Ok((traced, traced_counters))) => {
             assert_eq!(value, traced, "{what}: value");
             assert_eq!(counters, traced_counters, "{what}: counters");
-            Ok(value)
+            Ok((value, counters))
         }
         (Err(plain), Err(traced)) => {
             assert_eq!(plain, traced, "{what}: error");
             Err(plain)
         }
         (plain, traced) => panic!("{what}: untraced {plain:?}, traced {traced:?}"),
-    }
+    };
+    let answered = match &out {
+        Ok((value, counters)) => format!("Ok {value} || {counters}"),
+        Err(e) => format!("Err {e}"),
+    };
+    let pinned = BORROWED_PINS
+        .iter()
+        .find(|(case, _)| *case == what)
+        .unwrap_or_else(|| panic!("{what}: no pinned answer"));
+    assert_eq!(answered, pinned.1, "{what}");
+    out.map(|(value, _)| value)
 }
 
 /// `Rows`: twelve tuples `(k, s, a, d, n)` with `k` in 0–3, every third
@@ -1396,29 +1545,112 @@ fn floor_of_row() -> Expr {
     Expr::input_at(1).extract("d").deref().extract("floor")
 }
 
+/// The `Counters` of each of the 14 served kinds, optimized and lowered
+/// as a session serves them (`server_mix_db(120)`, then the university at
+/// seed 1), pinned from the evaluator that ran every node as itself and
+/// every fused apply as the join then the apply.
+const SERVED_COUNTERS: [(&str, &str); 14] = [
+    (
+        "f6_join_group_unique",
+        "scans=210 arr=0 derefs=0 de_in=190 cmps=0 mints=0 obj_scans=2 pairs=0",
+    ),
+    (
+        "f7_unique_by_dept",
+        "scans=370 arr=0 derefs=0 de_in=120 cmps=0 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "f8_selective_probe",
+        "scans=120 arr=0 derefs=0 de_in=0 cmps=120 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "f9_deref_group",
+        "scans=162 arr=0 derefs=140 de_in=0 cmps=120 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "f10_deref_select",
+        "scans=120 arr=0 derefs=120 de_in=0 cmps=120 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "f11_deref_pair",
+        "scans=120 arr=0 derefs=240 de_in=120 cmps=0 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "join_project",
+        "scans=1440 arr=0 derefs=0 de_in=0 cmps=0 mints=0 obj_scans=2 pairs=0",
+    ),
+    (
+        "join_agg",
+        "scans=289 arr=0 derefs=0 de_in=229 cmps=60 mints=0 obj_scans=2 pairs=0",
+    ),
+    (
+        "e1_salary_probe",
+        "scans=60 arr=0 derefs=0 de_in=0 cmps=60 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "section2_kids",
+        "scans=600 arr=0 derefs=1000 de_in=0 cmps=400 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "figure3",
+        "scans=0 arr=0 derefs=2 de_in=0 cmps=0 mints=0 obj_scans=2 pairs=0",
+    ),
+    (
+        "figure4",
+        "scans=200 arr=0 derefs=600 de_in=0 cmps=200 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "query_boss",
+        "scans=300 arr=0 derefs=199 de_in=0 cmps=0 mints=0 obj_scans=1 pairs=0",
+    ),
+    (
+        "query_workload",
+        "scans=2690 arr=0 derefs=4880 de_in=0 cmps=2390 mints=0 obj_scans=1 pairs=0",
+    ),
+];
+
+/// Traced and untraced, every served kind, optimized and lowered as a
+/// session serves it, answers the same value with the pinned counters;
+/// the traced profile telescopes over nodes of the plan and has a node at
+/// every kernel choice that is more than a pass-through.
 #[test]
-fn borrowed_reads_equal_the_traced_path_on_every_served_kind() {
-    let check = |mut db: Database, lines: &[&str]| {
+fn borrowed_reads_match_the_pinned_counters_on_every_served_kind() {
+    let university = common::served_university(&UniversityParams {
+        seed: 1,
+        ..UniversityParams::default()
+    });
+    let mut pins = SERVED_COUNTERS.iter();
+    for (mut db, lines) in [
+        (
+            excess_bench::server_mix::server_mix_db(120),
+            common::served_mix_requests(),
+        ),
+        (university, common::SERVED_UNIVERSITY_REQUESTS.to_vec()),
+    ] {
         for line in lines {
+            let (kind, pinned) = pins.next().expect("a pin per served kind");
             let plan = common::plan_of(&mut db, line);
             let (physical, _) = db.lower_plan(&db.optimize_plan(&plan));
             let plain = db.run_lowered(&physical, Tracing::Off).unwrap();
             let traced = db.run_lowered(&physical, Tracing::Precise).unwrap();
-            assert_eq!(plain.value, traced.value, "{line}");
-            assert_eq!(plain.counters, traced.counters, "{line}");
+            assert_eq!(plain.value, traced.value, "{kind}: {line}");
+            assert_eq!(plain.counters, traced.counters, "{kind}: {line}");
+            assert_eq!(plain.counters.to_string(), *pinned, "{kind}: {line}");
+            let profile = traced.profile.expect("tracing was enabled");
+            assert_eq!(profile.sum_of_self_counters(), profile.total, "{kind}");
+            assert_eq!(profile.total, traced.counters, "{kind}");
+            for n in &profile.nodes {
+                let node = physical.node_at(&n.path);
+                let label = node.map(excess::algebra::render::op_label);
+                assert_eq!(label.as_deref(), Some(n.label.as_str()), "{kind}");
+            }
+            for (path, choice) in &physical.choices {
+                if !matches!(choice.op, PhysOp::PassThrough) {
+                    assert!(profile.node(path).is_some(), "{kind}: {path:?}");
+                }
+            }
         }
-    };
-    check(
-        excess_bench::server_mix::server_mix_db(120),
-        &common::served_mix_requests(),
-    );
-    check(
-        common::served_university(&UniversityParams {
-            seed: 1,
-            ..UniversityParams::default()
-        }),
-        &common::SERVED_UNIVERSITY_REQUESTS,
-    );
+    }
+    assert!(pins.next().is_none(), "every pinned kind was served");
 }
 
 /// Null fields read through a path: a `dne`/`unk` operand compares `F`/`U`,
