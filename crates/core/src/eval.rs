@@ -151,6 +151,9 @@ fn is_path(e: &Expr) -> bool {
 /// `TUP_EXTRACT`/`DEREF`, a path under `π`, a path `COMP` input its
 /// predicate never reads, and both operands of a comparison of two paths
 /// are; so is everything below a child read in place.
+/// The evaluator's `π`, `TUP_EXTRACT`, `DEREF` and `COMP` arms decide by
+/// it, and `eval_pred` by its `compares_in_place`.
+#[inline]
 pub fn reads_in_place(e: &Expr, i: usize) -> bool {
     let first = match e {
         Expr::TupExtract(a, _) | Expr::Deref(a) | Expr::Project(a, _) => return is_path(a),
@@ -160,8 +163,14 @@ pub fn reads_in_place(e: &Expr, i: usize) -> bool {
         _ => return false,
     };
     // A predicate's expressions are its comparisons' operands, in pairs.
-    let path = |j: usize| e.child(j).is_some_and(is_path);
-    i >= first && path(i) && path(first + ((i - first) ^ 1))
+    let pair = (i >= first).then(|| (e.child(i), e.child(first + ((i - first) ^ 1))));
+    matches!(pair, Some((Some(l), Some(r))) if compares_in_place(l, r))
+}
+
+/// Does a comparison of `l` and `r` read both in place: are both paths?
+#[inline]
+fn compares_in_place(l: &Expr, r: &Expr) -> bool {
+    is_path(l) && is_path(r)
 }
 
 /// The value of the path `e` ([`is_path`]) where it lies — in the binder
@@ -209,6 +218,21 @@ fn deref<'v>(
         }
         other => Err(sort_err("DEREF", "ref", other)),
     }
+}
+
+/// The operands of a binary operator, left then right, or — returned
+/// from the enclosing arm as its result — the first that is a null.
+macro_rules! operands {
+    ($a:expr, $b:expr, $env:expr, $ctx:expr) => {{
+        let (a, b) = (eval($a, $env, $ctx)?, eval($b, $env, $ctx)?);
+        if a.is_null() {
+            return Ok(a);
+        }
+        if b.is_null() {
+            return Ok(b);
+        }
+        (a, b)
+    }};
 }
 
 /// Evaluate with an explicit binder environment (innermost last).
@@ -278,13 +302,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
 
         // ----- multiset operators -----
         Expr::AddUnion(a, b) => {
-            let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
-            if a.is_null() {
-                return Ok(a);
-            }
-            if b.is_null() {
-                return Ok(b);
-            }
+            let (a, b) = operands!(a, b, env, ctx);
             Ok(Value::Set(as_set("⊎", a)?.additive_union(as_set("⊎", b)?)))
         }
         Expr::MakeSet(a) => {
@@ -305,12 +323,12 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             let inv = match fused.as_deref() {
                 Some(RowKernel::JoinApply(pair)) => {
                     let joined = |ctx: &mut EvalCtx| rel_join(input, Some(pair), env, ctx);
-                    let rows = |r: &Result<(MultiSet, u64), Value>| {
-                        r.as_ref()
-                            .map_or_else(rows_of, |(out, unk)| out.len() + unk)
+                    let rows = |j: &Joined| match j {
+                        Joined::Value(v) => rows_of(v),
+                        Joined::Fused(out, unk) => out.len() + unk,
                     };
                     match framed(input, ctx, rows, joined)? {
-                        Ok((mut out, unk)) => {
+                        Joined::Fused(mut out, unk) => {
                             ctx.counters.occurrences_scanned += out.len();
                             if unk > 0 {
                                 let mut unks = MultiSet::new();
@@ -319,7 +337,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                             }
                             return Ok(Value::Set(out));
                         }
-                        Err(joined) => joined,
+                        Joined::Value(joined) => joined,
                     }
                 }
                 _ => eval(input, env, ctx)?,
@@ -369,23 +387,11 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::Set(s.dup_elim()))
         }
         Expr::Diff(a, b) => {
-            let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
-            if a.is_null() {
-                return Ok(a);
-            }
-            if b.is_null() {
-                return Ok(b);
-            }
+            let (a, b) = operands!(a, b, env, ctx);
             Ok(Value::Set(as_set("−", a)?.difference(&as_set("−", b)?)))
         }
         Expr::Cross(a, b) => {
-            let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
-            if a.is_null() {
-                return Ok(a);
-            }
-            if b.is_null() {
-                return Ok(b);
-            }
+            let (a, b) = operands!(a, b, env, ctx);
             let out = as_set("×", a)?.cross(&as_set("×", b)?);
             ctx.counters.pairs_formed += out.len();
             Ok(Value::Set(out))
@@ -407,27 +413,21 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
 
         // ----- tuple operators -----
         Expr::Project(a, fields) => {
-            if is_path(a) {
+            if reads_in_place(e, 0) {
                 let v = read_path(a, env, ctx.store, &mut ctx.counters)?;
                 return project(v, fields);
             }
             project(&eval(a, env, ctx)?, fields)
         }
         Expr::TupCat(a, b) => {
-            let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
-            if a.is_null() {
-                return Ok(a);
-            }
-            if b.is_null() {
-                return Ok(b);
-            }
+            let (a, b) = operands!(a, b, env, ctx);
             match (&a, &b) {
                 (Value::Tuple(x), Value::Tuple(y)) => Ok(Value::Tuple(x.cat(y))),
                 (Value::Tuple(_), other) | (other, _) => Err(sort_err("TUP_CAT", "tuple", other)),
             }
         }
         Expr::TupExtract(a, field) => {
-            if is_path(e) {
+            if reads_in_place(e, 0) {
                 return read_path(e, env, ctx.store, &mut ctx.counters).cloned();
             }
             extract(&eval(a, env, ctx)?, field).cloned()
@@ -479,13 +479,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::array(array::subarr(as_array("SUBARR", &v)?, *m, *n)))
         }
         Expr::ArrCat(a, b) => {
-            let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
-            if a.is_null() {
-                return Ok(a);
-            }
-            if b.is_null() {
-                return Ok(b);
-            }
+            let (a, b) = operands!(a, b, env, ctx);
             Ok(Value::array(array::cat(
                 as_array("ARR_CAT", &a)?,
                 as_array("ARR_CAT", &b)?,
@@ -501,13 +495,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
                 .ok_or_else(|| sort_err("ARR_COLLAPSE", "array of arrays", &v))
         }
         Expr::ArrDiff(a, b) => {
-            let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
-            if a.is_null() {
-                return Ok(a);
-            }
-            if b.is_null() {
-                return Ok(b);
-            }
+            let (a, b) = operands!(a, b, env, ctx);
             Ok(Value::array(array::diff(
                 as_array("ARR_DIFF", &a)?,
                 as_array("ARR_DIFF", &b)?,
@@ -521,13 +509,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::array(array::dup_elim(as_array("ARR_DE", &v)?)))
         }
         Expr::ArrCross(a, b) => {
-            let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
-            if a.is_null() {
-                return Ok(a);
-            }
-            if b.is_null() {
-                return Ok(b);
-            }
+            let (a, b) = operands!(a, b, env, ctx);
             let out = array::cross(as_array("ARR_CROSS", &a)?, as_array("ARR_CROSS", &b)?);
             ctx.counters.pairs_formed += out.len() as u64;
             Ok(Value::array(out))
@@ -545,7 +527,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::Ref(oid))
         }
         Expr::Deref(a) => {
-            if is_path(e) {
+            if reads_in_place(e, 0) {
                 return read_path(e, env, ctx.store, &mut ctx.counters).cloned();
             }
             let v = eval(a, env, ctx)?;
@@ -557,7 +539,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             // A path input that the predicate never reads is resolved
             // where it lies — its errors and derefs first, as ever — and
             // copied only for a row the predicate keeps.
-            if is_path(input) && !pred.mentions_input(0) {
+            if reads_in_place(e, 0) {
                 read_path(input, env, ctx.store, &mut ctx.counters)?;
                 // Unread, the binding needs only its place in `env`.
                 env.push(Value::dne());
@@ -582,23 +564,11 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
         // ----- derived operators (direct implementations; semantics match
         //       their expansions — asserted by property tests) -----
         Expr::Union(a, b) => {
-            let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
-            if a.is_null() {
-                return Ok(a);
-            }
-            if b.is_null() {
-                return Ok(b);
-            }
+            let (a, b) = operands!(a, b, env, ctx);
             Ok(Value::Set(as_set("∪", a)?.union_max(&as_set("∪", b)?)))
         }
         Expr::Intersect(a, b) => {
-            let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
-            if a.is_null() {
-                return Ok(a);
-            }
-            if b.is_null() {
-                return Ok(b);
-            }
+            let (a, b) = operands!(a, b, env, ctx);
             Ok(Value::Set(as_set("∩", a)?.intersect_min(&as_set("∩", b)?)))
         }
         Expr::Select { input, pred } => {
@@ -642,13 +612,7 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             Ok(Value::array(out))
         }
         Expr::RelCross(a, b) => {
-            let (a, b) = (eval(a, env, ctx)?, eval(b, env, ctx)?);
-            if a.is_null() {
-                return Ok(a);
-            }
-            if b.is_null() {
-                return Ok(b);
-            }
+            let (a, b) = operands!(a, b, env, ctx);
             let (sa, sb) = (as_set("rel_×", a)?, as_set("rel_×", b)?);
             let mut out = MultiSet::new();
             for (x, cx) in sa.iter_counted() {
@@ -662,7 +626,10 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
             }
             Ok(Value::Set(out))
         }
-        Expr::RelJoin { .. } => Ok(rel_join(e, None, env, ctx)?.expect_err("no apply to fuse")),
+        Expr::RelJoin { .. } => match rel_join(e, None, env, ctx)? {
+            Joined::Value(v) => Ok(v),
+            Joined::Fused(..) => unreachable!("a join fuses only under an apply"),
+        },
 
         // ----- Section 4 dispatch -----
         Expr::SetApplySwitch { input, table } => {
@@ -731,29 +698,40 @@ fn apply_each(
     Ok(out)
 }
 
+/// What a `rel_join` node evaluates to.
+enum Joined {
+    /// The join's own value: a null input, or its rows, which an apply
+    /// over it then runs over.
+    Value(Value),
+    /// Under an apply that fuses it, the apply's rows on the `T` pairs
+    /// and the number of `U` rows whose body is still to run.
+    Fused(MultiSet, u64),
+}
+
 /// The `rel_join` node `join`: its inputs, then — under an apply that
 /// `fuse`s it — [`hash_join_apply`](crate::physical::hash_join_apply)
-/// over them (`Ok`: its rows), or else the join's own value (`Err`): a
-/// null input, or its rows, which an apply over it then runs over.
+/// over them, or else the join itself.
 fn rel_join(
     join: &Expr,
     fuse: Option<&PairRead>,
     env: &mut Vec<Value>,
     ctx: &mut EvalCtx,
-) -> EvalResult<Result<(MultiSet, u64), Value>> {
+) -> EvalResult<Joined> {
     let Expr::RelJoin { left, right, pred } = join else {
         unreachable!("rel_join of a non-join: {join}")
     };
     let (a, b) = (eval(left, env, ctx)?, eval(right, env, ctx)?);
     if a.is_null() || b.is_null() {
-        return Ok(Err(if a.is_null() { a } else { b }));
+        return Ok(Joined::Value(if a.is_null() { a } else { b }));
     }
     let (sa, sb) = (as_set("rel_join", a)?, as_set("rel_join", b)?);
-    if let Some(rows) = fuse.and_then(|pair| crate::physical::hash_join_apply(&sa, &sb, pair, ctx))
+    if let Some((rows, unk)) =
+        fuse.and_then(|pair| crate::physical::hash_join_apply(&sa, &sb, pair, ctx))
     {
-        return Ok(Ok(rows));
+        return Ok(Joined::Fused(rows, unk));
     }
-    Ok(Err(Value::Set(join_sets(join, &sa, &sb, pred, env, ctx)?)))
+    let rows = join_sets(join, &sa, &sb, pred, env, ctx)?;
+    Ok(Joined::Value(Value::Set(rows)))
 }
 
 /// The `rel_join` node `e` over its materialised inputs.
@@ -809,7 +787,7 @@ fn join_sets(
 pub(crate) fn eval_pred(p: &Pred, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<Truth> {
     match p {
         Pred::Cmp(l, op, r) => {
-            if is_path(l) && is_path(r) {
+            if compares_in_place(l, r) {
                 let lv = read_path(l, env, ctx.store, &mut ctx.counters)?;
                 let rv = read_path(r, env, ctx.store, &mut ctx.counters)?;
                 return compare(lv, *op, rv, &mut ctx.counters);

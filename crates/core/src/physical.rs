@@ -992,15 +992,13 @@ mod tests {
             unreachable!("a fused plan is an apply over its join")
         };
         let join = hash_join_plan(input, "k", "j");
-        let (joined, join_counters, _) = run(&join, false);
-        let unfused = joined.and_then(|rows| {
-            let apply = PhysicalPlan::passthrough(Expr::lit(rows).set_apply((**body).clone()));
-            let (out, apply_counters, _) = run(&apply, false);
-            out.map(|v| (v, join_counters + apply_counters))
-        });
-        let unfused = match unfused {
-            Ok((v, c)) => (Ok(v), c),
-            Err(e) => (Err(e), join_counters),
+        let unfused = match run(&join, false) {
+            (Ok(rows), join_counters, _) => {
+                let apply = PhysicalPlan::passthrough(Expr::lit(rows).set_apply((**body).clone()));
+                let (out, apply_counters, _) = run(&apply, false);
+                (out, join_counters + apply_counters)
+            }
+            (Err(e), join_counters, _) => (Err(e), join_counters),
         };
         let naive = run(&PhysicalPlan::passthrough(pp.logical.clone()), false);
         [(fused, counters), unfused, (naive.0, naive.1)]
@@ -1073,15 +1071,16 @@ mod tests {
         assert_eq!(fused.unwrap(), naive);
         assert_eq!(unfused.unwrap(), naive);
         assert_eq!((cf, cu), (cn, cn));
-        // A body that fails: the unfused plan's error.
+        // A body that fails: the unfused plan's error, with its counters.
         cat.insert("L".to_string(), l.clone());
         let pp = fused_plan(eq_pred(), Expr::input().project(["a", "missing"]));
         assert_eq!(pp.kernel_table().len(), 2, "the join and the apply over it");
-        let [(fused, _), (unfused, _), _] = fused_and_unfused(&pp, &cat);
+        let [(fused, cf), (unfused, cu), _] = fused_and_unfused(&pp, &cat);
         assert_eq!(
             fused.unwrap_err().to_string(),
             unfused.unwrap_err().to_string()
         );
+        assert_eq!(cf, cu);
         // A `U` row, then a row whose projected `x` is on neither side: the
         // kernel gives up after `U` pairs, and the traced profile is the
         // unfused apply's alone — one body call per occurrence it scanned,
@@ -1102,10 +1101,11 @@ mod tests {
         let c_lt_9 = Pred::cmp(Expr::input().extract("c"), CmpOp::Lt, Expr::int(9));
         let pp = fused_plan(eq_pred().and(c_lt_9), Expr::input().project(["x"]));
         assert_eq!(pp.kernel_table().len(), 2, "the join and the apply over it");
-        let [(fused, _), (unfused, _), (naive, _)] = fused_and_unfused(&pp, &cat);
+        let [(fused, cf), (unfused, cu), (naive, _)] = fused_and_unfused(&pp, &cat);
         let err = fused.unwrap_err().to_string();
         assert_eq!(err, unfused.unwrap_err().to_string());
         assert_eq!(err, naive.unwrap_err().to_string());
+        assert_eq!(cf, cu);
         let reg = TypeRegistry::new();
         let mut store = ObjectStore::new();
         let mut ctx = EvalCtx::new(&reg, &mut store, &cat);

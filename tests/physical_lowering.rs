@@ -17,6 +17,7 @@ mod common;
 
 use excess::algebra::canon::equal_modulo_identity;
 use excess::algebra::canonical_form;
+use excess::algebra::eval::reads_in_place;
 use excess::algebra::expr::{Bound, CmpOp, Expr, Func, Pred};
 use excess::algebra::physical::{PhysOp, PhysicalPlan};
 use excess::db::{Database, Tracing};
@@ -1610,8 +1611,9 @@ const SERVED_COUNTERS: [(&str, &str); 14] = [
 
 /// Traced and untraced, every served kind, optimized and lowered as a
 /// session serves it, answers the same value with the pinned counters;
-/// the traced profile telescopes over nodes of the plan and has a node at
-/// every kernel choice that is more than a pass-through.
+/// the traced profile telescopes over nodes of the plan, has a node at
+/// every kernel choice that is more than a pass-through, and none below a
+/// child its parent reads in place.
 #[test]
 fn borrowed_reads_match_the_pinned_counters_on_every_served_kind() {
     let university = common::served_university(&UniversityParams {
@@ -1619,6 +1621,7 @@ fn borrowed_reads_match_the_pinned_counters_on_every_served_kind() {
         ..UniversityParams::default()
     });
     let mut pins = SERVED_COUNTERS.iter();
+    let mut in_place_under_a_frame = 0;
     for (mut db, lines) in [
         (
             excess_bench::server_mix::server_mix_db(120),
@@ -1642,6 +1645,14 @@ fn borrowed_reads_match_the_pinned_counters_on_every_served_kind() {
                 let node = physical.node_at(&n.path);
                 let label = node.map(excess::algebra::render::op_label);
                 assert_eq!(label.as_deref(), Some(n.label.as_str()), "{kind}");
+                for (k, &i) in n.path.iter().enumerate() {
+                    let parent = physical.node_at(&n.path[..k]).expect("a plan path");
+                    assert!(!reads_in_place(parent, i), "{kind}: {:?}", n.path);
+                }
+                let node = node.expect("a plan path");
+                in_place_under_a_frame += (0..node.children().len())
+                    .filter(|&i| reads_in_place(node, i))
+                    .count();
             }
             for (path, choice) in &physical.choices {
                 if !matches!(choice.op, PhysOp::PassThrough) {
@@ -1651,6 +1662,10 @@ fn borrowed_reads_match_the_pinned_counters_on_every_served_kind() {
         }
     }
     assert!(pins.next().is_none(), "every pinned kind was served");
+    assert!(
+        in_place_under_a_frame > 0,
+        "some served node reads in place"
+    );
 }
 
 /// Null fields read through a path: a `dne`/`unk` operand compares `F`/`U`,
