@@ -536,19 +536,25 @@ fn eval_inner(e: &Expr, env: &mut Vec<Value>, ctx: &mut EvalCtx) -> EvalResult<V
 
         // ----- predicates -----
         Expr::Comp { input, pred } => {
-            // A path input that the predicate never reads is resolved
-            // where it lies — its errors and derefs first, as ever — and
-            // copied only for a row the predicate keeps.
+            // A path input that the predicate never reads is read once,
+            // where it lies, after the predicate, and copied only for a
+            // row the predicate keeps.  Its error still comes first, and
+            // a failed read is charged as if the predicate had not run.
             if reads_in_place(e, 0) {
-                read_path(input, env, ctx.store, &mut ctx.counters)?;
+                let before = ctx.counters;
                 // Unread, the binding needs only its place in `env`.
                 env.push(Value::dne());
                 let t = eval_pred(pred, env, ctx);
                 env.pop();
-                return match t? {
-                    // Its derefs were charged by the read above.
-                    Truth::T => read_path(input, env, ctx.store, &mut Counters::new()).cloned(),
-                    t => Ok(predicate::comp_result(t, Value::dne())),
+                let mut read = Counters::new();
+                let v = read_path(input, env, ctx.store, &mut read);
+                if v.is_err() {
+                    ctx.counters = before;
+                }
+                ctx.counters.derefs += read.derefs;
+                return match (v?, t?) {
+                    (v, Truth::T) => Ok(v.clone()),
+                    (_, t) => Ok(predicate::comp_result(t, Value::dne())),
                 };
             }
             let v = eval(input, env, ctx)?;

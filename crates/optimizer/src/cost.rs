@@ -484,7 +484,7 @@ fn estimate_raw(e: &Expr, env: &mut Vec<Estimate>, stats: &Statistics) -> Estima
 
         Expr::Comp { input, pred } => {
             let ein = estimate(input, env, stats);
-            env.push(ein.clone());
+            env.push(comp_binding(&ein));
             let pc = pred_cost(pred, env, stats);
             env.pop();
             Estimate {
@@ -550,6 +550,15 @@ fn element_estimate(
         });
     }
     Estimate::plain(stats.default_avg_nested, stats.default_avg_nested, 0.0)
+}
+
+/// What a `COMP` binds its predicate's `INPUT` to: the input's estimate
+/// at no cost, since the predicate reads a value already computed.
+fn comp_binding(ein: &Estimate) -> Estimate {
+    Estimate {
+        cost: 0.0,
+        ..ein.clone()
+    }
 }
 
 /// Does the body act as a filter (COMP at its spine)?  If so, SET_APPLY
@@ -634,7 +643,7 @@ fn walk_estimates(
         }
         Expr::ArrSelect { .. } => Some((1, Estimate::scalar(0.0))),
         Expr::RelJoin { .. } => Some((2, Estimate::scalar(0.0))),
-        Expr::Comp { input, .. } => Some((1, estimate(input, env, stats))),
+        Expr::Comp { input, .. } => Some((1, comp_binding(&estimate(input, env, stats)))),
         _ => None,
     };
     for (i, child) in e.children().into_iter().enumerate() {

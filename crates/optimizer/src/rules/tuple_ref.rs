@@ -1,4 +1,5 @@
-//! Appendix §4: rules for tuples, references, and predicates (23–28).
+//! Appendix §4: rules for tuples, references, and predicates (23–28),
+//! and the companion A2 (a `COMP` predicate reads its input once).
 
 use crate::rule::{
     input_only_via_extract, input_only_via_extract_of, strip_extract, Rule, RuleCtx,
@@ -262,6 +263,48 @@ impl Rule for R28aDerefOfRef {
     }
 }
 
+/// Rule A2 — a predicate reads its `COMP`'s input through `INPUT`:
+/// `COMP_{P(A')}(A) = COMP_{P(INPUT)}(A)`, where `A'` is `A` re-derived
+/// under the `COMP`'s binder (`A` with its free `INPUT`s shifted by one)
+/// and stands as a whole comparison operand of `P`.
+///
+/// Exact, nulls and errors included: `COMP` evaluates its input before
+/// its predicate, and every read (`DEREF` too) sees one snapshot, so the
+/// re-derivation returns the value the input did, `dne` and `unk`
+/// included, and cannot raise an error that the input did not raise
+/// first.  An input that mints OIDs is left alone: re-deriving a `REF`
+/// mints a different object.
+pub struct RA2CompReadsInput;
+
+impl Rule for RA2CompReadsInput {
+    fn name(&self) -> &'static str {
+        "ruleA2-comp-reads-input"
+    }
+    fn apply(&self, e: &Expr, _ctx: &RuleCtx<'_>) -> Vec<Expr> {
+        let Expr::Comp { input, pred } = e else {
+            return vec![];
+        };
+        if input.mints_oids() {
+            return vec![];
+        }
+        let rederived = input.shift_inputs(0, 1);
+        if !pred.exprs().contains(&&rederived) {
+            return vec![];
+        }
+        let pred = pred.map_exprs(&mut |x| {
+            if *x == rederived {
+                Expr::input()
+            } else {
+                x.clone()
+            }
+        });
+        vec![Expr::Comp {
+            input: input.clone(),
+            pred,
+        }]
+    }
+}
+
 /// All §4 rules, boxed.
 pub(crate) fn all() -> Vec<Box<dyn Rule>> {
     vec![
@@ -272,5 +315,6 @@ pub(crate) fn all() -> Vec<Box<dyn Rule>> {
         Box::new(R27CombineComps),
         Box::new(R28RefDeref),
         Box::new(R28aDerefOfRef),
+        Box::new(RA2CompReadsInput),
     ]
 }

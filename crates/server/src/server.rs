@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// The open connections, by id: a clone of each stream, so `shutdown` can
@@ -103,28 +103,54 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = stream else { continue };
-        if let Ok(tracked) = stream.try_clone() {
-            conns.lock().expect("conns lock").insert(id, tracked);
-        }
+        let tracked = Tracked::insert(&conns, id, &stream);
         let db = db.clone();
         let stop_conn = stop.clone();
-        let conns_conn = conns.clone();
+        // A thread that cannot be spawned drops this closure, and with it
+        // `tracked`.
         let spawned = std::thread::Builder::new()
             .name("excess-conn".into())
             .spawn(move || {
+                let _tracked = tracked;
                 let _ = handle_conn(stream, db, stop_conn);
-                // The last handle on the socket: dropping it closes the
-                // connection, so the client reads end of stream.
-                conns_conn.lock().expect("conns lock").remove(&id);
             });
         let mut workers = workers.lock().expect("workers lock");
         workers.retain(|h| !h.is_finished());
-        match spawned {
-            Ok(handle) => workers.push(handle),
-            Err(_) => {
-                conns.lock().expect("conns lock").remove(&id);
-            }
+        if let Ok(handle) = spawned {
+            workers.push(handle);
         }
+    }
+}
+
+/// A connection's entry in [`Conns`], removed when the guard drops: when
+/// the connection's thread returns, and when it unwinds from a panic.
+/// The entry is the last handle on the socket, so removing it closes the
+/// connection and the client reads end of stream.
+struct Tracked {
+    conns: Conns,
+    id: u64,
+}
+
+impl Tracked {
+    /// Track a clone of `stream` under `id`, if the socket can be cloned.
+    fn insert(conns: &Conns, id: u64, stream: &TcpStream) -> Tracked {
+        if let Ok(clone) = stream.try_clone() {
+            conns.lock().expect("conns lock").insert(id, clone);
+        }
+        Tracked {
+            conns: conns.clone(),
+            id,
+        }
+    }
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        // Dropped while unwinding, the guard must not panic again; a
+        // poisoned map is still whole, since every holder of the lock
+        // only inserts, removes or drains.
+        let mut conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        conns.remove(&self.id);
     }
 }
 
@@ -188,4 +214,28 @@ fn handle_conn(stream: TcpStream, db: VersionedDb, stop: Arc<AtomicBool>) -> io:
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_connection_thread_closes_its_socket() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        let conns: Conns = Arc::default();
+        let tracked = Tracked::insert(&conns, 7, &served);
+        assert_eq!(conns.lock().unwrap().len(), 1);
+        let handler = std::thread::spawn(move || {
+            let _tracked = tracked;
+            drop(served);
+            panic!("a handler that panics");
+        });
+        assert!(handler.join().is_err());
+        assert!(conns.lock().unwrap().is_empty());
+        let mut buf = [0u8; 1];
+        assert_eq!(client.read(&mut buf).unwrap(), 0, "end of stream");
+    }
 }

@@ -267,6 +267,12 @@ pub fn seeds() -> Vec<Expr> {
                 CmpOp::Gt,
                 Expr::int(0),
             )),
+        // rule A2: a predicate re-deriving its COMP's input
+        s().set_apply(Expr::input().extract("grp").comp(Pred::cmp(
+            Expr::input_at(1).extract("grp"),
+            CmpOp::Eq,
+            Expr::int(1),
+        ))),
         // rule 28: REF/DEREF cancellation (modulo identity)
         Expr::named("OneTup").make_ref("Person2Cell").deref(),
         // rel rules: σ chains, join pushdown, σ over ⊎, DE idempotence
@@ -307,7 +313,7 @@ pub fn seeds() -> Vec<Expr> {
 }
 
 /// Every rule family the seed battery is expected to exercise — the 28
-/// Appendix rules (with 28a and A1 companions), the relational rel1–rel6
+/// Appendix rules (with 28a, A1 and A2 companions), the relational rel1–rel6
 /// family, and the two dispatch rules.
 pub fn expected_rules() -> &'static [&'static str] {
     &[
@@ -339,6 +345,7 @@ pub fn expected_rules() -> &'static [&'static str] {
         "rule26-push-into-comp",
         "rule27-combine-comps",
         "rule28-ref-deref-cancel",
+        "ruleA2-comp-reads-input",
         "rel1-combine-selects",
         "rel3-select-over-union",
         "rel4-de-idempotent",

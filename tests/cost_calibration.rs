@@ -134,3 +134,56 @@ fn switch_vs_union_ordering_matches_measurement() {
         "the model agrees the switch is cheaper for trivial bodies"
     );
 }
+
+/// `Refs`: `n` tuples `(c)`, each a ref to a `Cell` `(v)` with `v` in 0–9.
+fn refs_db(n: i32) -> Database {
+    let mut db = Database::new();
+    db.optimize = false;
+    db.execute("define type Cell: (v: int4)").unwrap();
+    let ty = db.registry().lookup("Cell").unwrap();
+    let rows: Vec<Value> = (0..n)
+        .map(|i| {
+            let cell = Value::tuple([("v", Value::int(i % 10))]);
+            Value::tuple([("c", Value::Ref(db.store_mut().create_unchecked(ty, cell)))])
+        })
+        .collect();
+    db.put_object(
+        "Refs",
+        SchemaType::set(SchemaType::tuple([("c", SchemaType::reference("Cell"))])),
+        Value::set(rows),
+    );
+    db.collect_stats();
+    db
+}
+
+#[test]
+fn a_predicate_reading_its_comp_input_ranks_below_one_that_rederives_it() {
+    // SET_APPLY[COMP[P](DEREF(INPUT.c).v)](Refs): P either dereferences
+    // the row's cell again or reads the value the COMP already holds.
+    let mut db = refs_db(200);
+    let cell_v = |row: Expr| row.extract("c").deref().extract("v");
+    let keep_over_4 = |operand: Expr| {
+        Expr::named("Refs").set_apply(cell_v(Expr::input()).comp(Pred::cmp(
+            operand,
+            CmpOp::Gt,
+            Expr::int(4),
+        )))
+    };
+    let rederived = keep_over_4(cell_v(Expr::input_at(1)));
+    let read_once = keep_over_4(Expr::input());
+    let stats = db.statistics().clone();
+    let w_rederived = measured_work(&mut db, &rederived);
+    let d_rederived = db.last_counters().derefs;
+    let w_read_once = measured_work(&mut db, &read_once);
+    let d_read_once = db.last_counters().derefs;
+    assert_eq!((d_rederived, d_read_once), (400, 200));
+    assert!(w_read_once < w_rederived, "{w_read_once} vs {w_rederived}");
+    assert_eq!(
+        db.run_plan(&rederived).unwrap(),
+        db.run_plan(&read_once).unwrap()
+    );
+    assert!(
+        cost_of(&read_once, &stats) < cost_of(&rederived, &stats),
+        "the model prices the predicate's INPUT as already computed"
+    );
+}

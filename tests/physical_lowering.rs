@@ -1408,6 +1408,10 @@ const BORROWED_PINS: &[(&str, &str)] = &[
         "Err tuple has no field `s`",
     ),
     (
+        "missing input and predicate fields",
+        "Err tuple has no field `s`",
+    ),
+    (
         "missing predicate field",
         "Err tuple has no field `s`",
     ),
@@ -1549,7 +1553,8 @@ fn floor_of_row() -> Expr {
 /// The `Counters` of each of the 14 served kinds, optimized and lowered
 /// as a session serves them (`server_mix_db(120)`, then the university at
 /// seed 1), pinned from the evaluator that ran every node as itself and
-/// every fused apply as the join then the apply.
+/// every fused apply as the join then the apply.  `query_workload`'s
+/// `derefs` (4 880 before rule A2) count one read of each salary.
 const SERVED_COUNTERS: [(&str, &str); 14] = [
     (
         "f6_join_group_unique",
@@ -1605,7 +1610,7 @@ const SERVED_COUNTERS: [(&str, &str); 14] = [
     ),
     (
         "query_workload",
-        "scans=2690 arr=0 derefs=4880 de_in=0 cmps=2390 mints=0 obj_scans=1 pairs=0",
+        "scans=2690 arr=0 derefs=2490 de_in=0 cmps=2390 mints=0 obj_scans=1 pairs=0",
     ),
 ];
 
@@ -1728,6 +1733,17 @@ fn borrowed_reads_raise_a_missing_field_before_the_predicate_rejects() {
         ),
     );
     assert!(err.unwrap_err().contains('s'));
+    // On the row where the input and the predicate both raise, the
+    // input's error wins.
+    let err = check_borrowed(
+        "missing input and predicate fields",
+        &mut db,
+        &selection(
+            Expr::input().extract("s"),
+            Pred::cmp(floor_of_row(), CmpOp::Eq, Expr::int(1)),
+        ),
+    );
+    assert!(err.unwrap_err().contains("`s`"));
     // Projected, or extracted outside a `COMP`: the same error.
     for plan in [
         Expr::named("Rows").set_apply(Expr::input().project(["k", "s"])),
@@ -1812,6 +1828,23 @@ fn borrowed_reads_raise_dangling_refs_in_predicates_and_inputs() {
         let err = check_borrowed(what, &mut db, &plan).unwrap_err();
         assert!(err.to_lowercase().contains("dangling"), "{what}: {err}");
     }
+}
+
+/// A copy-on-keep `COMP` reads its input once, after its predicate, and
+/// still raises the input's error first: a row whose input read fails is
+/// charged what reading the input first charged — the `DEREF` that
+/// failed, and none of the predicate's comparisons.
+#[test]
+fn borrowed_reads_charge_a_failed_input_as_if_read_first() {
+    let dname = Expr::input().extract("d").deref().extract("dname");
+    let k_below_3 = Pred::cmp(row_field("k"), CmpOp::Lt, Expr::int(3));
+    let mut db = path_db(&[], true);
+    let err = db.run_plan(&selection(dname, k_below_3)).unwrap_err();
+    assert!(err.to_string().contains("dangling"), "{err}");
+    assert_eq!(
+        db.last_counters().to_string(),
+        "scans=10 arr=0 derefs=10 de_in=0 cmps=9 mints=0 obj_scans=1 pairs=0"
+    );
 }
 
 /// A predicate that reads `COMP`'s own binding (`INPUT`), a short-circuit
